@@ -37,12 +37,14 @@ from repro.errors import (
     RegistrationError,
     RemoteInvocationError,
     RetriesExhaustedError,
+    TransportError,
 )
 from repro.obs import events as ev
 from repro.obs import spans
 from repro.rmi.handle import ResultHandle
 from repro.rmi.multi import MultiHandle
 from repro.transport import Addr
+from repro.util.serialization import Payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import JSRuntime
@@ -66,16 +68,28 @@ class RefEntry:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
-class _BatchCall:
-    """One call travelling in an ``INVOKE_BATCH`` group: the wire triple
-    plus its caller-side future and (optional) tracer span."""
+@dataclass(slots=True)
+class _Call:
+    """One invocation in flight, whatever its mode: the wire triple,
+    the caller-side future (the modes that hand out a handle) and the
+    tracer span (tracing on)."""
 
     ref: ObjectRef
     method: str
     params: Any
-    future: Any
+    mode: str                   # "sync" | "async" | "oneway" | "batch"
+    coalesced: bool = False     # an ainvoke buffered by coalescing()
+    future: Any = None
     span: Any = None
+
+
+#: per-call (counter, latency histogram) by mode.  Batch slots and
+#: coalesced calls have none: their group is counted when it ships.
+_CALL_METRICS = {
+    "sync": ("invoke.sync", "invoke.latency:sync"),
+    "async": ("invoke.async", "invoke.latency:async"),
+    "oneway": ("invoke.oneway", None),
+}
 
 
 class _InvokeCoalescer:
@@ -96,28 +110,14 @@ class _InvokeCoalescer:
             raise ValueError("max_batch must be >= 1")
         self.app = app
         self.max_batch = max_batch
-        self._buffers: dict[Addr, list[_BatchCall]] = {}
+        self._buffers: dict[Addr, list[_Call]] = {}
         self._lock = app.world.kernel.sanitizer.make_lock(
             f"InvokeCoalescer[{app.app_id}]"
         )
         self._flush_scheduled = False
 
-    def add(self, ref: ObjectRef, method: str, params: Any) -> ResultHandle:
-        app = self.app
-        tracer = app.tracer
-        call = _BatchCall(
-            ref=ref, method=method, params=params,
-            future=app.world.kernel.create_future(),
-        )
-        if tracer.enabled:
-            call.span = tracer.begin_span(
-                ev.OBJ_INVOKE, ts=app.world.now(), host=app.home,
-                actor=str(app.addr), install=False, obj_id=ref.obj_id,
-                method=method, mode="async", coalesced=True,
-            )
-        app._pending_incr(ref)
-        dest = app._location_of(ref)
-        ship: list[_BatchCall] | None = None
+    def add(self, dest: Addr, call: _Call) -> None:
+        ship: list[_Call] | None = None
         schedule = False
         with self._lock:
             buffer = self._buffers.setdefault(dest, [])
@@ -128,17 +128,10 @@ class _InvokeCoalescer:
                 self._flush_scheduled = True
                 schedule = True
         if ship is not None:
-            app._spawn_batch(dest, ship, coalesced=True)
+            self._ship(dest, ship)
         if schedule:
-            app.world.kernel.spawn(
-                self._scheduled_flush,
-                name=f"minvoke-flush@{app.app_id}", context={},
-            )
-        return ResultHandle(
-            call.future,
-            ctx=call.span.ctx if call.span is not None else None,
-            label=f"{ref.obj_id}.{method}",
-        )
+            self.app._spawn(self._scheduled_flush,
+                            name=f"minvoke-flush@{self.app.app_id}")
 
     def _scheduled_flush(self) -> None:
         with self._lock:
@@ -150,7 +143,13 @@ class _InvokeCoalescer:
         with self._lock:
             buffers, self._buffers = self._buffers, {}
         for dest, group in buffers.items():
-            self.app._spawn_batch(dest, group, coalesced=True)
+            self._ship(dest, group)
+
+    def _ship(self, dest: Addr, group: list[_Call]) -> None:
+        app = self.app
+        app._spawn_batch(
+            dest, group, app._open_batch(dest, len(group), coalesced=True)
+        )
 
 
 class AppOA(HolderEndpoints):
@@ -192,10 +191,6 @@ class AppOA(HolderEndpoints):
     def class_available(self, class_name: str) -> bool:
         return ClassRegistry.known(class_name)
 
-    @property
-    def migration_timeout(self):
-        return self.runtime.shell.config.rpc_timeout
-
     def _check_open(self) -> None:
         if self.closed:
             raise RegistrationError(
@@ -205,6 +200,8 @@ class AppOA(HolderEndpoints):
     @property
     def rpc_timeout(self) -> float | None:
         return self.runtime.shell.config.rpc_timeout
+
+    migration_timeout = rpc_timeout  # the Figure-3 push waits as long
 
     # ------------------------------------------------------------------------
     # object creation / free
@@ -228,10 +225,7 @@ class AppOA(HolderEndpoints):
                 timeout=self.rpc_timeout,
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
-                       scope=self.world.kernel)
+        self._note_refs_write(obj_id)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -252,10 +246,7 @@ class AppOA(HolderEndpoints):
                 entry.location, M.FREE_OBJECT, ref.obj_id,
                 timeout=self.rpc_timeout,
             )
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"AppOA[{self.app_id}]", f"refs[{ref.obj_id}]",
-                       scope=self.world.kernel)
+        self._note_refs_write(ref.obj_id)
         del self.refs[ref.obj_id]
         if self.tracer.enabled:
             self.tracer.emit(
@@ -264,6 +255,14 @@ class AppOA(HolderEndpoints):
                 class_name=ref.class_name, location=str(entry.location),
             )
             self.tracer.count("obj.freed", host=self.home)
+
+    def _note_refs_write(self, obj_id: str) -> None:
+        """Tell the sanitizer this process is about to write
+        ``refs[obj_id]`` (a no-op unless sanitizing)."""
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
+                       scope=self.world.kernel)
 
     def _own_entry(self, ref: ObjectRef) -> RefEntry:
         entry = self.refs.get(ref.obj_id)
@@ -317,27 +316,25 @@ class AppOA(HolderEndpoints):
         return answer
 
     # ------------------------------------------------------------------------
-    # invocation (paper Section 4.5)
+    # invocation (paper Section 4.5).  One lifecycle for every mode, see
+    # DESIGN.md "Invocation pipeline": _open_call, a carrier (inline, a
+    # worker, a batch group), _settle.
     # ------------------------------------------------------------------------
 
     def sinvoke(self, ref: ObjectRef, method: str, params: Any = ()) -> Any:
         """Synchronous (blocking) remote method invocation."""
         self._check_open()
-        tracer = self.tracer
-        if not tracer.enabled:
+        if not self.tracer.enabled:
             return self._invoke_with_redirect(ref, method, params)
-        t0 = self.world.now()
-        span = tracer.begin_span(
-            ev.OBJ_INVOKE, ts=t0, host=self.home, actor=str(self.addr),
-            obj_id=ref.obj_id, method=method, mode="sync",
-        )
+        call = self._open_call(_Call(ref, method, params, "sync"),
+                               install=True)
         try:
-            return self._invoke_with_redirect(ref, method, params)
-        finally:
-            now = self.world.now()
-            tracer.end_span(span, ts=now)
-            tracer.count("invoke.sync", host=self.home)
-            tracer.observe("invoke.latency:sync", now - t0, host=self.home)
+            result = self._invoke_with_redirect(ref, method, params)
+        except BaseException:
+            self._close_call(call, error=True)
+            raise
+        self._close_call(call)
+        return result
 
     def ainvoke(
         self, ref: ObjectRef, method: str, params: Any = ()
@@ -348,134 +345,161 @@ class AppOA(HolderEndpoints):
         piggybacks onto a per-destination ``INVOKE_BATCH`` instead."""
         self._check_open()
         if self._coalescer is not None:
-            return self._coalescer.add(ref, method, params)
-        kernel = self.world.kernel
-        future = kernel.create_future()
-        self._pending_incr(ref)
-        tracer = self.tracer
-        inv_span = None
-        if tracer.enabled:
-            # Opened in the caller (install=False: the span belongs to
-            # the worker, not to the caller's context) so the handle can
-            # link its get_result wait span to this invocation.
-            inv_span = tracer.begin_span(
-                ev.OBJ_INVOKE, ts=self.world.now(), host=self.home,
-                actor=str(self.addr), install=False,
-                obj_id=ref.obj_id, method=method, mode="async",
-            )
-
-        def worker() -> None:
-            t0 = self.world.now()
-            if inv_span is not None:
-                spans.set_context(inv_span.ctx)
-            try:
-                result = self._invoke_with_redirect(ref, method, params)
-            except BaseException as exc:  # noqa: BLE001 - to the handle
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-            finally:
-                self._pending_decr(ref)
-                if inv_span is not None:
-                    now = self.world.now()
-                    tracer.end_span(inv_span, ts=now)
-                    tracer.count("invoke.async", host=self.home)
-                    tracer.observe("invoke.latency:async", now - t0, host=self.home)
-
-        kernel.spawn(
-            worker, name=f"ainvoke-{method}@{self.app_id}", context={}
-        )
-        return ResultHandle(
-            future,
-            ctx=inv_span.ctx if inv_span is not None else None,
-            label=f"{ref.obj_id}.{method}",
-        )
+            # Resolved before the call is opened: a dead handle raises
+            # here, with nothing counted or traced yet.
+            dest = self._location_of(ref)
+            call = self._open_call(_Call(ref, method, params, "async", True))
+            self._coalescer.add(dest, call)
+        else:
+            call = self._open_call(_Call(ref, method, params, "async"))
+            self._spawn(self._chase, call,
+                        name=f"ainvoke-{method}@{self.app_id}")
+        return self._handle(call)
 
     def oinvoke(self, ref: ObjectRef, method: str, params: Any = ()) -> None:
         """One-sided invocation: no result, no completion wait."""
         self._check_open()
-        tracer = self.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin_span(
-                ev.OBJ_INVOKE, ts=self.world.now(), host=self.home,
-                actor=str(self.addr), obj_id=ref.obj_id, method=method,
-                mode="oneway",
-            )
+        location = self._location_of(ref)
+        call = self._open_call(_Call(ref, method, params, "oneway"))
+        if location == self.addr:
+            # Local object: run it in the background without reply
+            # traffic.  The span travels with the worker so its duration
+            # covers the actual dispatch, not just this resolve-and-spawn.
+            self._spawn(self._fire_oneway, call, location,
+                        name=f"oinvoke-{method}@{self.app_id}")
+        else:
+            self._fire_oneway(call, location)
+
+    def _fire_oneway(self, call: _Call, location: Addr) -> None:
+        payload = (call.ref.obj_id, call.method, call.params)
+        prev = None
+        if call.span is not None:
+            prev = spans.set_context(call.span.ctx)
         try:
-            location = self._location_of(ref)
             if location == self.addr:
-                # Local object: run it in the background without reply
-                # traffic.  Exceptions are dropped, exactly as a remote
-                # one-sided invocation would drop them (fire and forget).
-                # The span is handed to the worker so its duration covers
-                # the actual dispatch, not just this resolve-and-spawn.
-                if span is not None and span.installed:
-                    spans.set_context(span.prev)
-                    span.installed = False
-
-                def fire() -> None:
-                    if span is not None:
-                        spans.set_context(span.ctx)
-                    try:
-                        outcome = self.dispatch_invoke(
-                            ref.obj_id, method, params
-                        )
-                        if isinstance(outcome, Moved) \
-                                and outcome.hint is not None:
-                            # Raced a migration: forward through the
-                            # tombstone, as _h_oneway_invoke would.
-                            self.endpoint.send_oneway(
-                                outcome.hint, M.ONEWAY_INVOKE,
-                                (ref.obj_id, method, params),
-                            )
-                    except Exception:  # noqa: BLE001 - one-sided semantics
-                        pass
-                    finally:
-                        if span is not None:
-                            tracer.end_span(span, ts=self.world.now())
-                            tracer.count("invoke.oneway", host=self.home)
-
-                self.world.kernel.spawn(
-                    fire, name=f"oinvoke-{method}@{self.app_id}", context={}
-                )
-                return
-            if self.runtime.transport.retry_policy is not None:
+                try:
+                    self.dispatch_oneway(payload)
+                except Exception:  # noqa: BLE001 - one-sided semantics
+                    # Dropped, exactly as a remote one-sided invocation
+                    # would drop it (fire and forget).
+                    pass
+            elif self.runtime.transport.retry_policy is not None:
                 # Reliability on: carry the one-sided call on an acked,
                 # retried RPC so a dropped message does not silently
                 # lose it.  Still fire-and-forget for the application.
-                self._reliable_oneway(location, (ref.obj_id, method, params))
+                self._spawn(self._acked_oneway, location, payload,
+                            name=f"oinvoke-reliable@{self.app_id}")
             else:
-                self.endpoint.send_oneway(
-                    location, M.ONEWAY_INVOKE, (ref.obj_id, method, params)
-                )
+                self.endpoint.send_oneway(location, M.ONEWAY_INVOKE, payload)
         finally:
-            if span is not None and span.installed:
-                tracer.end_span(span, ts=self.world.now())
-                tracer.count("invoke.oneway", host=self.home)
+            if call.span is not None:
+                self._close_call(call)
+                spans.set_context(prev)
 
-    def _reliable_oneway(self, location: Addr, payload: Any) -> None:
-        """Ship a one-sided call via a retried RPC on a worker process.
+    def _acked_oneway(self, location: Addr, payload: Any) -> None:
+        """Worker body of a reliable one-sided call.
 
         ``ONEWAY_INVOKE`` replies ``None``, which here serves purely as
         a delivery ack.  Transport failures (including exhausted
         retries) are swallowed: one-sided semantics promise the caller
         nothing, so best-effort-with-retries strictly improves on the
         bare ``send_oneway`` without changing the API contract."""
-        from repro.errors import TransportError
+        try:
+            self.endpoint.rpc(
+                location, M.ONEWAY_INVOKE, payload, timeout=self.rpc_timeout
+            )
+        except TransportError:
+            pass
 
-        def worker() -> None:
-            try:
-                self.endpoint.rpc(
-                    location, M.ONEWAY_INVOKE, payload,
-                    timeout=self.rpc_timeout,
-                )
-            except TransportError:
-                pass
+    # -- the call lifecycle ---------------------------------------------------
 
-        self.world.kernel.spawn(
-            worker, name=f"oinvoke-reliable@{self.app_id}", context={}
+    def _open_call(self, call: _Call, install: bool = False,
+                   parent: Any = None) -> _Call:
+        """Open a call: a future and a pending count for the modes that
+        hand out a handle, and with tracing on its ``obj.invoke`` span,
+        a child of ``parent`` or else of the caller's current span.
+        Only ``sinvoke`` installs it; otherwise it belongs to whichever
+        process carries the call, and is opened here so the handle can
+        link its get_result wait span to the invocation."""
+        if call.mode == "async" or call.mode == "batch":
+            call.future = self.world.kernel.create_future()
+            self._pending_incr(call.ref)
+        tracer = self.tracer
+        if tracer.enabled:
+            fields = {"obj_id": call.ref.obj_id, "method": call.method,
+                      "mode": call.mode}
+            if call.coalesced:
+                fields["coalesced"] = True
+            if parent is None:
+                parent = spans.current_context()
+            call.span = tracer.begin_span(ev.OBJ_INVOKE, self.world.now(),
+                                          self.home, str(self.addr), parent,
+                                          install, **fields)
+        return call
+
+    def _close_call(self, call: _Call, error: bool = False) -> None:
+        """End a traced call's span and record its per-mode metrics."""
+        tracer = self.tracer
+        now = self.world.now()
+        if error:
+            tracer.end_span(call.span, ts=now, error=True)
+        else:
+            tracer.end_span(call.span, ts=now)
+        metrics = None if call.coalesced else _CALL_METRICS.get(call.mode)
+        if metrics is not None:
+            counter, latency = metrics
+            tracer.count(counter, host=self.home)
+            if latency is not None:
+                tracer.observe(latency, now - call.span.ts, host=self.home)
+
+    def _settle(self, call: _Call, result: Any = None,
+                exc: BaseException | None = None) -> None:
+        """The one way a call with a handle ends: complete its future,
+        release its pending count, close its span."""
+        try:
+            if exc is not None:
+                call.future.set_exception(exc)
+            else:
+                call.future.set_result(result)
+        finally:
+            self._pending_decr(call.ref)
+            if call.span is not None:
+                self._close_call(call, exc is not None)
+
+    def _chase(self, call: _Call) -> None:
+        """Drive one call to its outcome by the redirect chase (Figure
+        4), under the call's own span, and settle it.  This is the
+        whole worker of a scalar ``ainvoke`` and the per-slot fallback
+        of a batch group: a stale slot re-resolves on its own, and the
+        slots of a group whose message exhausted its retries each get a
+        fresh chase and a fresh retry budget."""
+        prev = None
+        if call.span is not None:
+            prev = spans.set_context(call.span.ctx)
+        try:
+            result = self._invoke_with_redirect(
+                call.ref, call.method, call.params
+            )
+        except BaseException as exc:  # noqa: BLE001 - to the handle
+            self._settle(call, exc=exc)
+        else:
+            self._settle(call, result=result)
+        finally:
+            if call.span is not None:
+                spans.set_context(prev)
+
+    def _handle(self, call: _Call) -> ResultHandle:
+        return ResultHandle(
+            call.future,
+            ctx=call.span.ctx if call.span is not None else None,
+            label=f"{call.ref.obj_id}.{call.method}",
         )
+
+    def _spawn(self, fn: Any, *args: Any, name: str) -> None:
+        """Every process this agent starts: one worker per asynchronous
+        invocation, one-sided call, batch group, flush or auto-migration
+        (paper Section 5.2)."""
+        self.world.kernel.spawn(fn, *args, name=name, context={})
 
     # ------------------------------------------------------------------------
     # bulk invocation (extension: per-destination request batching)
@@ -489,48 +513,24 @@ class AppOA(HolderEndpoints):
         ``Moved`` redirects stay per-call (one stale or raising call
         never fails its batch-mates)."""
         self._check_open()
-        kernel = self.world.kernel
-        tracer = self.tracer
-        items: list[_BatchCall] = []
-        groups: dict[Addr, list[_BatchCall]] = {}
+        # Every destination is resolved before any call is opened: a
+        # dead handle in the list raises here, not after its batch-mates
+        # took a pending count that nothing would release.
+        items: list[_Call] = []
+        groups: dict[Addr, list[_Call]] = {}
         for ref, method, params in calls:
-            call = _BatchCall(
-                ref=ref, method=method, params=params,
-                future=kernel.create_future(),
-            )
-            self._pending_incr(ref)
+            call = _Call(ref, method, params, "batch")
             items.append(call)
             groups.setdefault(self._location_of(ref), []).append(call)
         for dest, group in groups.items():
-            bspan = None
-            if tracer.enabled:
-                now = self.world.now()
-                # The batch span parents every per-call span of its
-                # group; install=False on all of them — they belong to
-                # the shipping worker, not to this caller.
-                bspan = tracer.begin_span(
-                    ev.OBJ_INVOKE_BATCH, ts=now, host=self.home,
-                    actor=str(self.addr), install=False, dest=str(dest),
-                    size=len(group), coalesced=False,
-                )
-                for call in group:
-                    call.span = tracer.begin_span(
-                        ev.OBJ_INVOKE, ts=now, host=self.home,
-                        actor=str(self.addr), install=False,
-                        parent=bspan.ctx, obj_id=call.ref.obj_id,
-                        method=call.method, mode="batch",
-                    )
-            self._spawn_batch(dest, group, bspan=bspan)
+            # The batch span parents every per-call span of its group.
+            bspan = self._open_batch(dest, len(group), coalesced=False)
+            parent = bspan.ctx if bspan is not None else None
+            for call in group:
+                self._open_call(call, parent=parent)
+            self._spawn_batch(dest, group, bspan)
         return MultiHandle(
-            [
-                ResultHandle(
-                    call.future,
-                    ctx=call.span.ctx if call.span is not None else None,
-                    label=f"{call.ref.obj_id}.{call.method}",
-                )
-                for call in items
-            ],
-            mapper=mapper,
+            [self._handle(call) for call in items], mapper=mapper
         )
 
     @contextmanager
@@ -555,35 +555,39 @@ class AppOA(HolderEndpoints):
         if self._coalescer is not None:
             self._coalescer.flush()
 
-    def _spawn_batch(self, dest: Addr, group: list[_BatchCall],
-                     bspan: Any = None, coalesced: bool = False) -> None:
-        """Ship one destination group on a dedicated worker process."""
-        tracer = self.tracer
-        if bspan is None and tracer.enabled:
-            bspan = tracer.begin_span(
-                ev.OBJ_INVOKE_BATCH, ts=self.world.now(), host=self.home,
-                actor=str(self.addr), install=False, dest=str(dest),
-                size=len(group), coalesced=coalesced,
-            )
-
-        def worker() -> None:
-            if bspan is not None:
-                spans.set_context(bspan.ctx)
-            try:
-                self._run_batch(dest, group)
-            finally:
-                if tracer.enabled:
-                    tracer.count("invoke.batched", len(group), host=self.home)
-                    tracer.count("invoke.batch.messages", host=self.home)
-                    tracer.observe("batch.size", len(group), host=self.home)
-                if bspan is not None:
-                    tracer.end_span(bspan, ts=self.world.now())
-
-        self.world.kernel.spawn(
-            worker, name=f"minvoke@{self.app_id}->{dest.host}", context={}
+    def _open_batch(self, dest: Addr, size: int, coalesced: bool) -> Any:
+        """The ``obj.invoke.batch`` span of one destination group (None
+        with tracing off); install=False — it belongs to the shipping
+        worker, not to this caller."""
+        if not self.tracer.enabled:
+            return None
+        return self.tracer.begin_span(
+            ev.OBJ_INVOKE_BATCH, ts=self.world.now(), host=self.home,
+            actor=str(self.addr), install=False, dest=str(dest),
+            size=size, coalesced=coalesced,
         )
 
-    def _run_batch(self, dest: Addr, group: list[_BatchCall]) -> None:
+    def _spawn_batch(self, dest: Addr, group: list[_Call],
+                     bspan: Any) -> None:
+        """Ship one destination group on a dedicated worker process."""
+        self._spawn(self._carry_batch, dest, group, bspan,
+                    name=f"minvoke@{self.app_id}->{dest.host}")
+
+    def _carry_batch(self, dest: Addr, group: list[_Call],
+                     bspan: Any) -> None:
+        tracer = self.tracer
+        if bspan is not None:
+            spans.set_context(bspan.ctx)
+        try:
+            self._run_batch(dest, group)
+        finally:
+            if bspan is not None:
+                tracer.count("invoke.batched", len(group), host=self.home)
+                tracer.count("invoke.batch.messages", host=self.home)
+                tracer.observe("batch.size", len(group), host=self.home)
+                tracer.end_span(bspan, ts=self.world.now())
+
+    def _run_batch(self, dest: Addr, group: list[_Call]) -> None:
         payload = [(c.ref.obj_id, c.method, c.params) for c in group]
         remote = dest != self.addr
         if not remote:
@@ -598,22 +602,25 @@ class AppOA(HolderEndpoints):
                 # (too big for the loss rate, or the destination is
                 # sick), but the calls need not share its fate — retry
                 # each slot as a scalar invocation so only genuinely
-                # failed slots surface errors.
+                # failed slots surface errors: a migrated-away or
+                # restarted holder rescues its slots while truly dead
+                # ones fail with their own RetriesExhaustedError.
                 if self.tracer.enabled:
                     self.tracer.count("invoke.batch.degraded",
                                       host=self.home)
-                self._degrade_batch(group)
+                for call in group:
+                    self._chase(call)
                 return
             except BaseException as exc:  # noqa: BLE001 - to every handle
                 for call in group:
-                    self._finish_call(call, exc=exc)
+                    self._settle(call, exc=exc)
                 return
         if not isinstance(outcomes, list) or len(outcomes) != len(group):
             exc = ObjectStateError(
                 f"malformed INVOKE_BATCH reply from {dest}: {outcomes!r}"
             )
             for call in group:
-                self._finish_call(call, exc=exc)
+                self._settle(call, exc=exc)
             return
         for call, outcome in zip(group, outcomes):
             if isinstance(outcome, (Moved, UnknownObject)):
@@ -622,20 +629,7 @@ class AppOA(HolderEndpoints):
                 # batch-mates.
                 if isinstance(outcome, Moved) and outcome.hint is not None:
                     self._update_location(call.ref, outcome.hint)
-                prev = None
-                if call.span is not None:
-                    prev = spans.set_context(call.span.ctx)
-                try:
-                    result = self._invoke_with_redirect(
-                        call.ref, call.method, call.params
-                    )
-                except BaseException as exc:  # noqa: BLE001 - to the handle
-                    self._finish_call(call, exc=exc)
-                else:
-                    self._finish_call(call, result=result)
-                finally:
-                    if call.span is not None:
-                        spans.set_context(prev)
+                self._chase(call)
             elif isinstance(outcome, BatchFailure):
                 exc = outcome.exc
                 if remote and not isinstance(exc, RemoteInvocationError):
@@ -646,49 +640,9 @@ class AppOA(HolderEndpoints):
                         f"{dest} raised {outcome.exc!r}",
                         cause=outcome.exc,
                     )
-                self._finish_call(call, exc=exc)
+                self._settle(call, exc=exc)
             else:
-                self._finish_call(call, result=outcome)
-
-    def _degrade_batch(self, group: list[_BatchCall]) -> None:
-        """Per-slot scalar fallback after a batch-wide retry exhaustion.
-
-        Each slot re-resolves and retries independently (fresh redirect
-        chase, fresh retry budget), so a migrated-away or restarted
-        holder rescues its slots while truly dead ones fail with their
-        own :class:`RetriesExhaustedError`."""
-        for call in group:
-            prev = None
-            if call.span is not None:
-                prev = spans.set_context(call.span.ctx)
-            try:
-                result = self._invoke_with_redirect(
-                    call.ref, call.method, call.params
-                )
-            except BaseException as exc:  # noqa: BLE001 - to the handle
-                self._finish_call(call, exc=exc)
-            else:
-                self._finish_call(call, result=result)
-            finally:
-                if call.span is not None:
-                    spans.set_context(prev)
-
-    def _finish_call(self, call: _BatchCall, result: Any = None,
-                     exc: BaseException | None = None) -> None:
-        try:
-            if exc is not None:
-                call.future.set_exception(exc)
-            else:
-                call.future.set_result(result)
-        finally:
-            self._pending_decr(call.ref)
-            if call.span is not None:
-                if exc is not None:
-                    self.tracer.end_span(
-                        call.span, ts=self.world.now(), error=True
-                    )
-                else:
-                    self.tracer.end_span(call.span, ts=self.world.now())
+                self._settle(call, result=outcome)
 
     # ------------------------------------------------------------------------
     # pending-invocation tracking (drained before migration)
@@ -785,20 +739,11 @@ class AppOA(HolderEndpoints):
         if src == dst:
             return dst
         self._drain_pending(entry)
-        t0 = self.world.now()
-        tracer = self.tracer
-        mspan = None
-        if tracer.enabled:
-            mspan = tracer.begin_span(
-                ev.MIGRATE, ts=t0, host=self.home, actor=str(self.addr),
-                obj_id=ref.obj_id, src=str(src), dst=str(dst),
-            )
-        try:
+        with self._span(ev.MIGRATE, "migrations", "migrate.duration",
+                        obj_id=ref.obj_id, src=str(src), dst=str(dst)):
             if src == self.addr:
                 # The object lives in our own table: run pa1's side inline.
-                outcome = self._h_migrate_out(
-                    type("_Local", (), {"payload": (ref.obj_id, dst)})()
-                )
+                outcome = self.migrate_out(ref.obj_id, dst)
             else:
                 outcome = self.endpoint.rpc(
                     src, M.MIGRATE_OUT, (ref.obj_id, dst),
@@ -808,17 +753,36 @@ class AppOA(HolderEndpoints):
                 raise MigrationError(
                     f"unexpected migration outcome {outcome!r}"
                 )
-        except BaseException:
-            if mspan is not None:
-                tracer.end_span(mspan, ts=self.world.now(), error=True)
-            raise
-        entry.location = dst
-        if mspan is not None:
-            duration = self.world.now() - t0
-            tracer.end_span(mspan, ts=self.world.now())
-            tracer.count("migrations", host=self.home)
-            tracer.observe("migrate.duration", duration, host=self.home)
+            entry.location = dst
         return dst
+
+    @contextmanager
+    def _span(self, etype: str, counter: str, latency: str | None = None,
+              **fields: Any):
+        """Bracket a region of this agent with an installed span (tracing
+        on).  A region that raises closes it with ``error=True``; one
+        that completes closes it with the fields it put into the yielded
+        dict and is counted under ``counter``, its duration observed
+        under ``latency``."""
+        tracer = self.tracer
+        closing: dict = {}
+        if not tracer.enabled:
+            yield closing
+            return
+        span = tracer.begin_span(
+            etype, ts=self.world.now(), host=self.home, actor=str(self.addr),
+            **fields,
+        )
+        try:
+            yield closing
+        except BaseException:
+            tracer.end_span(span, ts=self.world.now(), error=True)
+            raise
+        now = self.world.now()
+        tracer.end_span(span, ts=now, **closing)
+        tracer.count(counter, host=self.home)
+        if latency is not None:
+            tracer.observe(latency, now - span.ts, host=self.home)
 
     def _drain_pending(self, entry: RefEntry) -> None:
         """Wait for this app's in-flight async invocations on the object
@@ -872,14 +836,8 @@ class AppOA(HolderEndpoints):
     def store_object(self, ref: ObjectRef, key: str | None = None) -> str:
         self._check_open()
         entry = self._own_entry(ref)
-        tracer = self.tracer
-        pspan = None
-        if tracer.enabled:
-            pspan = tracer.begin_span(
-                ev.PERSIST_STORE, ts=self.world.now(), host=self.home,
-                actor=str(self.addr), obj_id=ref.obj_id,
-            )
-        try:
+        with self._span(ev.PERSIST_STORE, "persist.stores",
+                        obj_id=ref.obj_id) as closing:
             if entry.location == self.addr:
                 blob, obj_entry = self.serialize_object(ref.obj_id)
                 class_name = obj_entry.class_name
@@ -890,16 +848,9 @@ class AppOA(HolderEndpoints):
                 )
                 class_name, blob = payload.data if hasattr(payload, "data") \
                     else payload
-            stored = self.runtime.persistent_store.save(
+            closing["key"] = stored = self.runtime.persistent_store.save(
                 class_name, blob, key=key
             )
-        except BaseException:
-            if pspan is not None:
-                tracer.end_span(pspan, ts=self.world.now(), error=True)
-            raise
-        if pspan is not None:
-            tracer.end_span(pspan, ts=self.world.now(), key=stored)
-            tracer.count("persist.stores", host=self.home)
         # Remember the latest checkpoint; the optional failure-recovery
         # extension (paper: future work) restores from it.
         entry.meta["checkpoint"] = stored
@@ -926,67 +877,41 @@ class AppOA(HolderEndpoints):
             target = self.runtime.choose_migration_target(host)
             if target is None:
                 continue
-            class_name, blob = record
-            if target == self.home:
-                location = self.addr
-                self.hold_from_state(obj_id, class_name, blob, self.addr)
-            else:
-                from repro.util.serialization import Payload
-
-                location = Addr(target, "oa")
-                self.endpoint.rpc(
-                    location,
-                    M.CREATE_FROM_STATE,
-                    Payload(data=(obj_id, class_name, blob, self.addr),
-                            nbytes=len(blob)),
-                    timeout=self.rpc_timeout,
-                )
-            entry.location = location
+            entry.location = self._place_from_state(obj_id, *record, target)
             recovered.append(obj_id)
         return recovered
 
+    def _place_from_state(self, obj_id: str, class_name: str, blob: bytes,
+                          host: str) -> Addr:
+        """Re-create an object from its stored state on ``host``."""
+        if host == self.home:
+            self.hold_from_state(obj_id, class_name, blob, self.addr)
+            return self.addr
+        location = Addr(host, "oa")
+        self.endpoint.rpc(
+            location,
+            M.CREATE_FROM_STATE,
+            Payload(data=(obj_id, class_name, blob, self.addr),
+                    nbytes=len(blob)),
+            timeout=self.rpc_timeout,
+        )
+        return location
+
     def load_object(self, key: str, host: str | None = None) -> ObjectRef:
         self._check_open()
-        tracer = self.tracer
-        pspan = None
-        if tracer.enabled:
-            pspan = tracer.begin_span(
-                ev.PERSIST_LOAD, ts=self.world.now(), host=self.home,
-                actor=str(self.addr), key=key,
-            )
-        try:
+        with self._span(ev.PERSIST_LOAD, "persist.loads", key=key) as closing:
             record = self.runtime.persistent_store.load(key)
             if record is None:
                 raise PersistenceError(f"no persistent object under {key!r}")
             class_name, blob = record
-            obj_id = self.runtime.ids.next(f"{self.app_id}:obj")
-            host = host or self.home
-            if host == self.home:
-                location = self.addr
-                self.hold_from_state(obj_id, class_name, blob, self.addr)
-            else:
-                from repro.util.serialization import Payload
-
-                location = Addr(host, "oa")
-                self.endpoint.rpc(
-                    location,
-                    M.CREATE_FROM_STATE,
-                    Payload(data=(obj_id, class_name, blob, self.addr),
-                            nbytes=len(blob)),
-                    timeout=self.rpc_timeout,
-                )
-        except BaseException:
-            if pspan is not None:
-                tracer.end_span(pspan, ts=self.world.now(), error=True)
-            raise
-        if pspan is not None:
-            tracer.end_span(pspan, ts=self.world.now(), obj_id=obj_id)
-            tracer.count("persist.loads", host=self.home)
+            closing["obj_id"] = obj_id = self.runtime.ids.next(
+                f"{self.app_id}:obj"
+            )
+            location = self._place_from_state(
+                obj_id, class_name, blob, host or self.home
+            )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
-                       scope=self.world.kernel)
+        self._note_refs_write(obj_id)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         return ref
 
@@ -1022,9 +947,7 @@ class AppOA(HolderEndpoints):
                 except (MigrationError, ObjectStateError):
                     continue
 
-        self.world.kernel.spawn(
-            worker, name=f"auto-migrate@{self.app_id}", context={}
-        )
+        self._spawn(worker, name=f"auto-migrate@{self.app_id}")
         return None
 
     # ------------------------------------------------------------------------
@@ -1041,10 +964,7 @@ class AppOA(HolderEndpoints):
             try:
                 self.free_object(entry.ref)
             except Exception:  # noqa: BLE001 - best effort cleanup
-                san = self.world.kernel.sanitizer
-                if san.enabled:
-                    san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
-                       scope=self.world.kernel)
+                self._note_refs_write(obj_id)
                 self.refs.pop(obj_id, None)
         for watch_id in self.watch_ids:
             try:

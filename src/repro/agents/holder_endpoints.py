@@ -113,17 +113,17 @@ class HolderEndpoints(ObjectHolder):
                          host=self.addr.host)
         return self.dispatch_invoke_batch(calls)
 
-    def _h_oneway_invoke(self, msg):
-        from repro.agents.messages import Moved
-
-        obj_id, method_name, params = msg.payload
-        outcome = self.dispatch_invoke(obj_id, method_name, params)
-        if isinstance(outcome, Moved) and outcome.hint is not None:
+    def dispatch_oneway(self, call):
+        """Run a one-sided ``(obj_id, method, params)`` call on a held
+        object; the AppOA's local arm and the wire handler share it."""
+        outcome = self.dispatch_invoke(*call)
+        if isinstance(outcome, M.Moved) and outcome.hint is not None:
             # One-sided calls carry no reply channel, so the tombstone
             # forwards the invocation to the object's new home.
-            self.endpoint.send_oneway(
-                outcome.hint, M.ONEWAY_INVOKE, msg.payload
-            )
+            self.endpoint.send_oneway(outcome.hint, M.ONEWAY_INVOKE, call)
+
+    def _h_oneway_invoke(self, msg):
+        self.dispatch_oneway(msg.payload)
         return None
 
     # -- free -------------------------------------------------------------------
@@ -136,8 +136,10 @@ class HolderEndpoints(ObjectHolder):
     # -- migration (paper Figure 3, steps 2-4) -------------------------------
 
     def _h_migrate_out(self, msg):
+        return self.migrate_out(*msg.payload)
+
+    def migrate_out(self, obj_id: str, dst: Addr):
         """pa1 side: push the object to pa2 and leave a tombstone."""
-        obj_id, dst = msg.payload
         entry = self.objects.get(obj_id)
         if entry is None:
             raise ObjectStateError(

@@ -158,13 +158,6 @@ class ObjectHolder:
     the selective-classloading gate).
     """
 
-    #: Serialize invocations per object (active-object semantics).  The
-    #: paper's tables track an is-executing flag per object and its slaves
-    #: run one task at a time; serial dispatch also removes the init/
-    #: multiply race inherent in Figure 6's replicate-then-distribute
-    #: pattern.  Set False to allow concurrent methods on one object.
-    serial_dispatch = True
-
     def init_holder(self) -> None:
         self.objects: dict[str, ObjectEntry] = {}
         #: invocations currently inside dispatch_invoke (waiting or
@@ -290,14 +283,16 @@ class ObjectHolder:
                 if obj_id in self.tombstones:
                     return Moved(obj_id, hint=self.tombstones[obj_id])
                 return UnknownObject(obj_id)
-            if not entry.migrating and not (
-                self.serial_dispatch and entry.executing > 0
-            ):
+            if not entry.migrating and entry.executing <= 0:
                 break
             # Paper: migration is delayed until running invocations end;
             # symmetrically, invocations arriving mid-migration wait and
-            # then chase the tombstone.  With serial dispatch, invocations
-            # also queue behind the currently executing method.
+            # then chase the tombstone.  Invocations on one object are
+            # also serialized (active-object semantics): the paper's
+            # tables track an is-executing flag per object and its slaves
+            # run one task at a time, and queueing behind the executing
+            # method removes the init/multiply race inherent in Figure
+            # 6's replicate-then-distribute pattern.
             kernel.sleep(0.001)
         tracer = self.world.tracer
         if tracer.enabled:

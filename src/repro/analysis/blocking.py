@@ -19,7 +19,12 @@ Rules
 
 Handlers are methods named ``_h_*`` or ``_on_*``, plus any function
 referenced as the handler argument of ``endpoint.register(kind, fn)``.
-Only direct calls are flagged; nested function definitions are skipped.
+Direct calls are flagged; for the RPC rule that includes the plain
+methods of its class the handler calls as ``self.<method>(...)``: a
+handler split into a registered one-liner and a body with a plain
+signature (``return self.migrate_out(*msg.payload)``) still blocks its
+request process.  (Sleeps one or more hops away belong to
+``kernel-block-transitive``.)  Nested function definitions are skipped.
 
 Call enumeration runs on the shared CFG engine
 (:mod:`repro.analysis.cfg`): the handler body is lowered to basic
@@ -96,24 +101,38 @@ class BlockingHandlerChecker(Checker):
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
+                plain = {
+                    m.name: m for m in iter_methods(node)
+                    if not _is_handler(m, registered)
+                }
                 for method in iter_methods(node):
-                    if not _is_handler(method, registered):
+                    if method.name in plain:
                         continue
                     findings.extend(
-                        self._check_handler(module, node, method)
+                        self._check_handler(module, node, method, plain)
                     )
         return findings
 
     def _check_handler(
-        self, module: Module, klass: ast.ClassDef, method: ast.FunctionDef
+        self, module: Module, klass: ast.ClassDef, method: ast.FunctionDef,
+        plain: dict[str, ast.FunctionDef],
     ):
         where = f"{klass.name}.{method.name}"
-        for call in _direct_calls(method):
+        # (call, made by the handler itself?) — its own calls, then one
+        # hop: those of the plain methods it hands its work to.
+        own = list(_direct_calls(method))
+        calls = [(call, True) for call in own] + [
+            (call, False)
+            for name in dict.fromkeys(self_attr_name(c.func) for c in own)
+            if name in plain
+            for call in _direct_calls(plain[name])
+        ]
+        for call, direct in calls:
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else (
                 func.id if isinstance(func, ast.Name) else None
             )
-            if name == "sleep":
+            if name == "sleep" and direct:
                 yield self.finding(
                     "blocking-sleep-in-handler",
                     module.path,

@@ -270,7 +270,8 @@ class InterproceduralChecker(Checker):
         for node in ast.walk(module.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "spawn" and node.args):
+                    and node.func.attr in ("spawn", "_spawn")
+                    and node.args):
                 continue
             target = node.args[0]
             name = self_attr_name(target)

@@ -96,9 +96,13 @@ class JSRuntime:
             incident_dir=incident_dir,
         )
         self.flight.attach()
-        world.kernel.sanitizer.failure_hooks.append(
-            self._on_sanitizer_finding
-        )
+        # Only on a sanitizer that can fire: the shared NULL_SANITIZER
+        # outlives every world, and a bound method parked on its list
+        # would keep this runtime alive with it.
+        if world.kernel.sanitizer.enabled:
+            world.kernel.sanitizer.failure_hooks.append(
+                self._on_sanitizer_finding
+            )
 
     # -- lifecycle -----------------------------------------------------------
 

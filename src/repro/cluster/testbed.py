@@ -60,6 +60,8 @@ VIENNA_LAYOUT: dict[str, dict[str, list[str]]] = {
 
 @dataclass
 class TestbedConfig:
+    __test__ = False  # not a pytest class, whatever the name suggests
+
     #: "day" (machines in interactive use) or "night" (nearly idle) or
     #: "dedicated" (zero external load)
     load_profile: str = "night"

@@ -90,8 +90,10 @@ class NullSanitizer:
     leaks = False
 
     def __init__(self) -> None:
-        #: same surface as :class:`Sanitizer` so subscribers (e.g. the
-        #: flight recorder) can register unconditionally; never fired.
+        #: same surface as :class:`Sanitizer`, never fired.  The shared
+        #: ``NULL_SANITIZER`` outlives every world, so subscribers
+        #: register only when ``enabled``: a hook parked here would pin
+        #: its owner for the life of the process.
         self.failure_hooks: list = []
 
     # -- lock factory --------------------------------------------------------

@@ -155,8 +155,7 @@ class Reply:
     """Caller-side handle on an in-flight RPC."""
 
     def __init__(self, future: Future, transport: "Transport",
-                 src: Addr | None = None, dst: Addr | None = None,
-                 kind: str = "") -> None:
+                 src: Addr, dst: Addr, kind: str) -> None:
         self._future = future
         self._transport = transport
         self._src = src
@@ -177,12 +176,11 @@ class Reply:
         except WaitTimeout:
             tracer = self._transport.tracer
             if tracer.enabled:
-                host = self._src.host if self._src else ""
+                host = self._src.host
                 tracer.emit(
                     ev.RPC_TIMEOUT, ts=self._transport.world.now(),
-                    host=host, actor=str(self._src) if self._src else "",
-                    kind=self._kind, dst=str(self._dst) if self._dst else "",
-                    waited=timeout,
+                    host=host, actor=str(self._src), kind=self._kind,
+                    dst=str(self._dst), waited=timeout,
                 )
                 tracer.count("rpc.timeouts", host=host)
             raise RPCTimeoutError(
@@ -201,23 +199,17 @@ class Reply:
 
 
 class Transport:
-    def __init__(
-        self,
-        world: SimWorld,
-        copy_semantics: bool = True,
-        fifo: bool = True,
-    ) -> None:
+    def __init__(self, world: SimWorld) -> None:
         self.world = world
-        self.copy_semantics = copy_semantics
-        #: fifo=True models RMI over persistent TCP connections: messages
-        #: between the same pair of hosts are delivered in send order, so
-        #: a small call cannot overtake a large one (the paper's
-        #: ``oinvoke init`` -> ``ainvoke multiply`` pattern relies on it).
-        self.fifo = fifo
         self.stats = TransportStats()
         self.tracer = world.tracer
         self._endpoints: dict[Addr, Endpoint] = {}
         self._ids = IdGenerator()
+        #: (src host, dst host) -> latest scheduled delivery.  RMI runs
+        #: over persistent TCP connections: messages between the same
+        #: pair of hosts are delivered in send order, so a small call
+        #: cannot overtake a large one (the paper's ``oinvoke init`` ->
+        #: ``ainvoke multiply`` pattern relies on it).
         self._last_delivery: dict[tuple[str, str], float] = {}
         # A failed host's TCP connections are gone; its ordering floors
         # must not outlive them (a recovered host would otherwise queue
@@ -304,9 +296,9 @@ class Transport:
 
         policy = self.retry_policy
         kernel = self.world.kernel
-        if policy is None or kernel.current_process() is None:
-            # No policy, or no process to sleep in (module-level/test
-            # harness callers): seed fire-once semantics.
+        if kernel.current_process() is None:
+            # No process to sleep in (module-level/test harness
+            # callers): seed fire-once semantics.
             return self.rpc(src, dst, kind, payload).result_or_timeout(timeout)
         health = self.health
         token = self._ids.next("tok")
@@ -403,11 +395,10 @@ class Transport:
             self.stats.dropped_requests += 1
             self._trace_drop(msg, "request", "host failed")
             return
-        deliver_at = self.world.now() + delay
-        if self.fifo:
-            key = (src.host, dst.host)
-            deliver_at = max(deliver_at, self._last_delivery.get(key, 0.0))
-            self._last_delivery[key] = deliver_at
+        key = (src.host, dst.host)
+        deliver_at = max(self.world.now() + delay,
+                         self._last_delivery.get(key, 0.0))
+        self._last_delivery[key] = deliver_at
         if self.tracer.enabled:
             msg.ctx = self.tracer.emit_span(
                 ev.RPC_REQUEST, ts=msg.sent_at, host=src.host,
@@ -441,8 +432,7 @@ class Transport:
             self.stats.dropped_requests += 1
             self._trace_drop(msg, "request", "no such endpoint")
             return
-        if self.copy_semantics:
-            msg.payload = deep_copy_via_pickle(msg.payload)
+        msg.payload = deep_copy_via_pickle(msg.payload)
         # One process per incoming request, as the paper's PubOA runs one
         # thread per request.
         self.world.kernel.spawn(
@@ -467,11 +457,9 @@ class Transport:
                 # running) and replay the reply instead of re-executing.
                 if self.tracer.enabled:
                     self.tracer.count("rpc.dedup.hits", host=msg.dst.host)
-                result = slot.future.result()
-                if self.copy_semantics:
-                    # A fresh copy per reply, so one caller mutating the
-                    # value cannot pollute the cached outcome.
-                    result = self._roundtrip_result(result, msg.dst)
+                # A fresh copy per reply, so one caller mutating the
+                # value cannot pollute the cached outcome.
+                result = self._roundtrip_result(slot.future.result(), msg.dst)
                 if reply_future is not None:
                     self._send_reply(msg, result, reply_future)
                 return
@@ -499,8 +487,7 @@ class Transport:
                                  restore=False, error=failed)
         if reply_future is None and slot is None:
             return
-        if self.copy_semantics:
-            result = self._roundtrip_result(result, msg.dst)
+        result = self._roundtrip_result(result, msg.dst)
         if slot is not None:
             # Cache the outcome (success *or* error) before the reply
             # leg, which can still fail: a retry after an
@@ -529,11 +516,10 @@ class Transport:
             self.stats.dropped_replies += 1
             self._trace_drop(msg, "reply", "caller failed")
             return
-        deliver_at = self.world.now() + delay
-        if self.fifo:
-            key = (msg.dst.host, msg.src.host)
-            deliver_at = max(deliver_at, self._last_delivery.get(key, 0.0))
-            self._last_delivery[key] = deliver_at
+        key = (msg.dst.host, msg.src.host)
+        deliver_at = max(self.world.now() + delay,
+                         self._last_delivery.get(key, 0.0))
+        self._last_delivery[key] = deliver_at
         if self.tracer.enabled:
             t_reply = self.world.now()
             # Current context is still the exec span (restore=False

@@ -18,3 +18,10 @@ class SlowAgent:
 
     def _h_relay(self, msg):
         return self.endpoint.rpc(self.peer, "RELAY", msg.payload)  # <<RPC>>
+
+    def _h_forward(self, msg):
+        return self.forward(*msg.payload)
+
+    def forward(self, peer, value):
+        # one hop from the registered handler: still its request process
+        return self.endpoint.rpc(peer, "FORWARD", value)  # <<RPC_VIA_SELF>>

@@ -25,10 +25,16 @@ from repro.agents.shell import ShellConfig
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.core import JS, JSCodebase, JSObj, JSRegistration, minvoke
-from repro.errors import RemoteInvocationError
+from repro.errors import ObjectStateError, RemoteInvocationError
 from repro.obs import Tracer, events as ev, tracing
 from repro.rmi.reliability import RetryPolicy
 from tests.conftest import Counter  # noqa: F401
+
+
+def load_counter(hosts):
+    codebase = JSCodebase()
+    codebase.add(Counter)
+    codebase.load(hosts)
 
 
 def outcome(fn):
@@ -47,9 +53,7 @@ def golden_script(rt):
 
     def owner():
         reg = JSRegistration()
-        cb = JSCodebase()
-        cb.add(Counter)
-        cb.load(["rachel", "johanna", "greta"])
+        load_counter(["rachel", "johanna", "greta"])
         local = JSObj("Counter", "local")
         remote = JSObj("Counter", "rachel")
         pair = (local, remote)
@@ -148,12 +152,8 @@ def golden_run(traced, reliable):
         shell.retry_policy = RetryPolicy()
         shell.dedup_window = 30
     config = TestbedConfig(load_profile="dedicated", seed=3, shell=shell)
-    tracer = None
-    if traced:
-        with tracing(Tracer()) as tracer:
-            rt = vienna_testbed(config)
-            results = golden_script(rt)
-    else:
+    tracer = Tracer() if traced else None
+    with tracing(tracer) if traced else nullcontext():
         rt = vienna_testbed(config)
         results = golden_script(rt)
     stats = rt.transport.stats
@@ -347,9 +347,7 @@ def test_settled_call_leaves_nothing_behind(mode, target, traced):
 
     def owner():
         reg = JSRegistration()
-        cb = JSCodebase()
-        cb.add(Counter)
-        cb.load(["rachel", "johanna"])
+        load_counter(["rachel", "johanna"])
         obj = JSObj("Counter", "local" if target == "local" else "rachel")
         shared.update(reg=reg, obj=obj)
         if target != "stale":
@@ -416,9 +414,7 @@ def test_batch_degradation_settles_every_slot():
 
         def app():
             reg = JSRegistration()
-            cb = JSCodebase()
-            cb.add(Counter)
-            cb.load(["rachel"])
+            load_counter(["rachel"])
             obj = JSObj("Counter", "rachel")
             mh = minvoke([
                 (obj, "incr", [1]), (obj, "boom", None), (obj, "incr", [1]),
@@ -444,3 +440,54 @@ def test_batch_degradation_settles_every_slot():
     scalar = [e for e in tracer.events_of(ev.RPC_REQUEST)
               if e.fields["kind"] == "INVOKE"]
     assert [e.ctx.parent_id for e in scalar] == [s.ctx.span_id for s in slots]
+
+
+# ---------------------------------------------------------------------------
+# a dead handle must not leak what its batch-mates were counted for
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["minvoke", "coalesced"])
+def test_dead_handle_leaks_no_pending_and_no_span(path):
+    """One freed handle in a call list raises ``ObjectStateError`` when
+    its destination is resolved.  That used to happen *after* the call
+    (and, in ``minvoke``, its batch-mates) had been counted as pending
+    and traced: the counts never came back, and the next migration of a
+    batch-mate sat in the pending drain for its whole timeout — forever
+    with the default ``migrate_drain_timeout=None``."""
+    shell = ShellConfig(migrate_drain_timeout=2.0)
+    with tracing(Tracer()) as tracer:
+        rt = vienna_testbed(TestbedConfig(
+            load_profile="dedicated", seed=3, shell=shell,
+        ))
+    kernel = rt.world.kernel
+
+    def app():
+        reg = JSRegistration()
+        load_counter(["rachel", "johanna"])
+        live = JSObj("Counter", "rachel")
+        dead = JSObj("Counter", "rachel")
+        dead.free()
+        handles = []
+        with pytest.raises(ObjectStateError):
+            if path == "minvoke":
+                minvoke([(live, "incr", []), (dead, "incr", [])])
+            else:
+                with reg.app.coalescing():
+                    handles.append(live.ainvoke("incr"))
+                    handles.append(dead.ainvoke("incr"))
+        kernel.sleep(0.5)
+        assert reg.app.pending_invocations(live.obj_id) == 0
+        assert reg.app.foreign_pending == {}
+        assert [s.etype for s in tracer.open_spans.values()] == [ev.APP]
+        t0 = kernel.now()
+        live.migrate("johanna")
+        assert kernel.now() - t0 < 0.1
+        # minvoke raised as a whole; the coalesced batch-mate was already
+        # buffered and shipped when the window closed
+        done = [h.get_result() for h in handles]
+        assert done == ([] if path == "minvoke" else [1])
+        assert live.sinvoke("get") == len(done)
+        reg.unregister()
+
+    rt.run_app(app, node="milena")

@@ -92,3 +92,33 @@ class TestRealShutdown:
         time.sleep(0.05)
         kernel.shutdown()
         assert kernel.crashes == []
+
+
+class TestRuntimeRelease:
+    def test_dropped_runtime_is_collectable(self, monkeypatch):
+        """A testbed that was built, run and dropped is garbage: nothing
+        process-wide may keep it.  The shared ``NULL_SANITIZER`` used to
+        collect one bound ``JSRuntime`` method per runtime ever built on
+        a hook list that never fires and never shrinks."""
+        import gc
+        import weakref
+
+        from repro.cluster import TestbedConfig, vienna_testbed
+        from repro.kernel.virtual import shutdown_all_kernels
+        from repro.sanitizer import NULL_SANITIZER, core
+
+        # Also under REPRO_SAN=1: this is about the null sanitizer.
+        monkeypatch.setattr(core, "_current", NULL_SANITIZER)
+        hooks = len(NULL_SANITIZER.failure_hooks)
+        dropped = []
+        for seed in range(3):
+            runtime = vienna_testbed(
+                TestbedConfig(load_profile="dedicated", seed=seed)
+            )
+            assert runtime.run_app(lambda: 7) == 7
+            dropped.append(weakref.ref(runtime))
+            del runtime
+        shutdown_all_kernels()
+        gc.collect()
+        assert len(NULL_SANITIZER.failure_hooks) == hooks
+        assert [ref() for ref in dropped] == [None, None, None]

@@ -167,13 +167,17 @@ def test_blocking_calls_in_handlers_detected():
     report = run("seeded_blocking.py")
     sleeps = by_rule(report, "blocking-sleep-in-handler")
     rpcs = by_rule(report, "blocking-rpc-in-handler")
-    assert len(sleeps) == 1 and len(rpcs) == 1
+    assert len(sleeps) == 1 and len(rpcs) == 2
     assert sleeps[0].severity is Severity.ERROR
     assert sleeps[0].line == marker_line("seeded_blocking.py", "SLEEP")
     assert sleeps[0].symbol == "SlowAgent._h_throttle"
     assert rpcs[0].severity is Severity.WARNING
     assert rpcs[0].line == marker_line("seeded_blocking.py", "RPC")
     assert rpcs[0].symbol == "SlowAgent._h_relay"
+    # The handler's body moved into a plain method it calls directly:
+    # the RPC is reported where it is, against the handler that blocks.
+    assert rpcs[1].line == marker_line("seeded_blocking.py", "RPC_VIA_SELF")
+    assert rpcs[1].symbol == "SlowAgent._h_forward"
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +302,7 @@ EXPECTED_DIR_FINDINGS = {
     ("unserializable-attr", "seeded_unserializable.py", "GEN"),
     ("blocking-sleep-in-handler", "seeded_blocking.py", "SLEEP"),
     ("blocking-rpc-in-handler", "seeded_blocking.py", "RPC"),
+    ("blocking-rpc-in-handler", "seeded_blocking.py", "RPC_VIA_SELF"),
     ("tracer-call-under-lock", "seeded_tracer_lock.py", "EMIT_UNDER_LOCK"),
     ("tracer-call-under-lock", "seeded_tracer_lock.py", "COUNT_UNDER_LOCK"),
     ("tracer-call-under-lock", "seeded_tracer_lock.py", "SPAN_UNDER_LOCK"),

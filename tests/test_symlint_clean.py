@@ -13,6 +13,8 @@ import os
 
 import glob
 
+import pytest
+
 import repro
 from repro.analysis import Severity, analyze_paths, render_json
 from repro.analysis.runner import rule_groups
@@ -24,29 +26,33 @@ EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
 TESTS_DIR = os.path.join(REPO_ROOT, "tests")
 
 
-def test_runtime_has_zero_error_findings():
-    report = analyze_paths([PACKAGE_DIR])
+@pytest.fixture(scope="module")
+def report():
+    """One analysis of the runtime package for every test that reads it
+    (a full pass re-parses the tree and takes seconds)."""
+    return analyze_paths([PACKAGE_DIR])
+
+
+def test_runtime_has_zero_error_findings(report):
     errors = [f for f in report.findings if f.severity is Severity.ERROR]
     assert errors == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in errors
     )
 
 
-def test_runtime_has_zero_warning_findings():
+def test_runtime_has_zero_warning_findings(report):
     """Warnings must be fixed or explicitly suppressed with justification
     (the repo policy set by ISSUE 1); keeps the lint output clean."""
-    report = analyze_paths([PACKAGE_DIR])
     assert report.findings == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
     )
 
 
-def test_known_suppressions_are_counted():
+def test_known_suppressions_are_counted(report):
     # dead-kind x2 (NODE_RELEASED / MANAGER_TAKEOVER), the Figure-3
     # synchronous migration push, and the Tracer's lock-free fast path
     # x2 (uncapped tracers never evict, so emit/_index skip _ring_lock)
     # are the only sanctioned suppressions.
-    report = analyze_paths([PACKAGE_DIR])
     assert report.suppressed == 5
 
 
@@ -91,7 +97,6 @@ def test_cli_lint_src_json_round_trips(capsys):
     assert data["summary"]["files"] > 50
 
 
-def test_render_json_matches_cli_json():
-    report = analyze_paths([PACKAGE_DIR])
+def test_render_json_matches_cli_json(report):
     data = json.loads(render_json(report))
     assert data["summary"]["files"] == report.files

@@ -46,25 +46,6 @@ class TestFIFO:
         world.kernel.run_callable(main)
         assert arrivals == ["big", "small"]
 
-    def test_fifo_disabled_allows_overtaking(self):
-        world = make_world()
-        transport = Transport(world, fifo=False)
-        arrivals = []
-        ep = transport.create_endpoint(Addr("s1", "srv"))
-        ep.register("MARK", lambda msg: arrivals.append(
-            msg.payload.data if isinstance(msg.payload, Payload)
-            else msg.payload))
-        cli = transport.create_endpoint(Addr("u1", "cli"))
-
-        def main():
-            cli.send_oneway(Addr("s1", "srv"), "MARK",
-                            Payload(data="big", nbytes=2_000_000))
-            cli.send_oneway(Addr("s1", "srv"), "MARK", "small")
-            world.kernel.sleep(60.0)
-
-        world.kernel.run_callable(main)
-        assert arrivals == ["small", "big"]
-
     def test_different_destinations_independent(self):
         world = make_world()
         transport = Transport(world)
