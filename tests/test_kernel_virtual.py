@@ -425,3 +425,165 @@ class TestSchedulerSafety:
 
         kernel.run_callable(main)
         assert order == [1, 2]
+
+
+class TestEventOrderPinned:
+    """The kernel's one promise is the event order ``(time, seq)``.  A
+    seeded soup over every primitive logs ``(now, process, step)``; the
+    digest below was recorded on the thread-per-process kernel and any
+    scheduling change (worker pool, self-wake, ...) must reproduce it."""
+
+    DIGEST = (88, "b776326622f650981eb762d94d7bb80cf389638c2906d38d52d9549a"
+                  "cd74b566")
+    PREFIX = [
+        (0.0, "sem-0", "acquired"),
+        (0.0, "sem-1", "acquired"),
+        (0.0, "caller", "scheduled"),
+        (0.0, "sleeper-1", "slept 0.0"),
+        (0.0, "sleeper-2", "slept 0.0"),
+        (0.0, "sleeper-4", "slept 0.0"),
+        (0.0, "sleeper-5", "slept 0.0"),
+        (0.0, "<sched>", "soon-1"),
+        (0.0, "<sched>", "soon-2"),
+        (0.0, "sleeper-4", "slept 0.0"),
+        (0.0, "<run>", "until 0.0"),
+        (0.125, "nest", "depth 2"),
+        (0.125, "nest.0", "depth 1"),
+        (0.125, "nest", "after sleep(0)"),
+        (0.125, "nest.0.0", "depth 0"),
+        (0.125, "nest.0", "after sleep(0)"),
+        (0.25, "sleeper-6", "slept 0.25"),
+        (0.25, "waiter-1", "wait False"),
+        (0.25, "sem-2", "gave up"),
+        (0.3, "<run>", "until 0.3"),
+    ]
+
+    @staticmethod
+    def _soup():
+        import random
+
+        kernel = VirtualKernel()
+        rng = random.Random(2021)
+        log = []
+
+        def note(step):
+            proc = kernel.current_process()
+            who = proc.name if proc is not None else "<sched>"
+            log.append((round(kernel.now(), 9), who, step))
+
+        def sleeper(naps):
+            for nap in naps:
+                kernel.sleep(nap)
+                note(f"slept {nap}")
+
+        def setter(fut, at, value):
+            kernel.sleep(at)
+            note("set")
+            fut.set_result(value)
+
+        def waiter(fut, timeout):
+            note(f"wait {fut.wait(timeout)}")
+            try:
+                note(f"result {fut.result(timeout)}")
+            except WaitTimeout:
+                note("result timed out")
+
+        def producer(chan, gaps):
+            for i, gap in enumerate(gaps):
+                kernel.sleep(gap)
+                chan.put(i)
+                note(f"put {i}")
+
+        def consumer(chan, timeout, count):
+            for _ in range(count):
+                try:
+                    note(f"got {chan.get(timeout=timeout)}")
+                except WaitTimeout:
+                    note("get timed out")
+
+        def contender(sem, hold, patience):
+            try:
+                sem.acquire(timeout=patience)
+            except WaitTimeout:
+                note("gave up")
+                return
+            note("acquired")
+            kernel.sleep(hold)
+            sem.release()
+            note("released")
+
+        def nester(depth):
+            note(f"depth {depth}")
+            if depth:
+                for k in range(2):
+                    kernel.spawn(nester, depth - 1, delay=0.25 * k,
+                                 name=f"{kernel.current_process().name}.{k}")
+                kernel.sleep(0.0)
+                note("after sleep(0)")
+
+        def caller(fut):
+            kernel.call_soon(note, "soon-1")
+            kernel.call_at(kernel.now() + 0.5, fut.set_result, "by call_at")
+            kernel.call_soon(note, "soon-2")
+            note("scheduled")
+            kernel.sleep(0.5)
+            note(f"done={fut.done()}")
+
+        def crasher():
+            kernel.sleep(0.75)
+            note("crashing")
+            raise ValueError("boom")
+
+        def joiner(proc, timeout):
+            try:
+                proc.join(timeout)
+                note(f"joined {proc.name} {proc.state.value}")
+            except WaitTimeout:
+                note(f"join {proc.name} timed out")
+
+        naps = [0.0, 0.25, 0.5, 0.5, 1.0]
+        for i in range(8):
+            kernel.spawn(sleeper, [rng.choice(naps) for _ in range(4)],
+                         name=f"sleeper-{i}")
+        futs = [kernel.create_future() for _ in range(4)]
+        for i, fut in enumerate(futs[:3]):
+            kernel.spawn(setter, fut, 0.5 * (i + 1), i, name=f"setter-{i}")
+        # timeouts that fire before, exactly at, and never before the set
+        for i, (fut, timeout) in enumerate(
+                [(futs[0], None), (futs[0], 0.25), (futs[1], 1.0),
+                 (futs[2], 2.0), (futs[3], 0.75)]):
+            kernel.spawn(waiter, fut, timeout, name=f"waiter-{i}")
+        chan = kernel.create_channel()
+        kernel.spawn(producer, chan, [0.5, 0.0, 1.0, 0.25], name="producer")
+        kernel.spawn(consumer, chan, 0.5, 4, name="consumer-0")
+        kernel.spawn(consumer, chan, None, 1, name="consumer-1")
+        sem = kernel.create_semaphore(2)
+        for i, patience in enumerate([None, None, 0.25, 2.0, None]):
+            kernel.spawn(contender, sem, 0.5, patience, name=f"sem-{i}")
+        kernel.spawn(nester, 2, name="nest", delay=0.125)
+        kernel.spawn(caller, kernel.create_future(), name="caller")
+        crash = kernel.spawn(crasher, name="crasher")
+        kernel.spawn(joiner, crash, None, name="joiner-0")
+        kernel.spawn(joiner, crash, 0.5, name="joiner-1")
+        for until in (0.0, 0.3, 0.5, 0.5, 1.3):
+            kernel.run(until=until)
+            log.append((round(kernel.now(), 9), "<run>", f"until {until}"))
+
+        def main():
+            note("main")
+            kernel.sleep(10.0)  # alone on the heap by now
+            note("main done")
+
+        kernel.run(main=kernel.spawn(main, name="main"))
+        log.append((round(kernel.now(), 9), "<run>", "main finished"))
+        assert [type(exc) for _, exc in kernel.crashes] == [ValueError]
+        kernel.shutdown()
+        return log
+
+    def test_event_order_is_pinned(self):
+        import hashlib
+
+        log = self._soup()
+        assert log[:len(self.PREFIX)] == self.PREFIX
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert (len(log), digest) == self.DIGEST
