@@ -1,22 +1,30 @@
 """Deterministic virtual-time kernel.
 
-Processes are backed by real OS threads but run in strict lockstep: at any
-instant exactly one thread (either the scheduler or one process) is
-active, with handoff through per-process events.  This keeps the blocking
-programming style of the JavaSymphony API while making every run fully
-deterministic — events are ordered by ``(time, sequence-number)`` and all
-randomness flows from seeded streams.
+Processes run on real OS threads but in strict lockstep: at any instant
+exactly one thread (either the scheduler or one process) is active, with
+handoff through lock gates.  This keeps the blocking programming style of
+the JavaSymphony API while making every run fully deterministic — events
+are ordered by ``(time, sequence-number)`` and all randomness flows from
+seeded streams.
 
 The technique is the classic thread-based discrete-event simulation: the
 scheduler pops the next event from a heap, advances the clock, resumes the
 owning process, and waits until that process blocks again through a kernel
 primitive before popping the next event.
+
+A process is *scheduled onto* a thread, it does not own one: its body runs
+on a pooled :class:`_Worker` of its kernel, which goes back to the idle
+list when the body returns, and a finished process leaves
+``kernel.processes``.  A process whose own wake is the very next event
+skips the scheduler altogether (see :meth:`VirtualProcess._block`).
+Neither changes which event runs when.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+import weakref
 from collections import deque
 from typing import Any, Callable
 
@@ -41,6 +49,52 @@ class _KernelShutdown(BaseException):
     Derives from BaseException so application except-clauses don't eat it."""
 
 
+class _Gate:
+    """Where one thread parks until another hands it control: a lock that
+    is held while the gate is shut.  Lock-step hand-off opens a gate
+    exactly once per wait, which is all a bare lock can express — and all
+    that is needed, at about half the cost of a ``threading.Event``."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def set(self) -> None:
+        self._lock.release()
+
+    def wait(self, timeout: float = -1) -> bool:
+        """Park until set (shutting the gate again); False on timeout."""
+        return self._lock.acquire(timeout=timeout)
+
+
+class _Worker:
+    """A parked OS thread of one kernel that runs process bodies, one at
+    a time, for as long as the kernel lives."""
+
+    def __init__(self, kernel: "VirtualKernel") -> None:
+        self.kernel = kernel
+        self.gate = _Gate()
+        self.proc: VirtualProcess | None = None
+        self.thread = threading.Thread(
+            target=self._serve, daemon=True,
+            name=f"vworker-{len(kernel._workers)}",
+        )
+        self.thread.start()
+
+    def _serve(self) -> None:
+        kernel = self.kernel
+        while True:
+            self.gate.wait()  # idle: no timeout, there may never be work
+            if kernel._shutting_down or not self.proc._run():
+                return
+            self.proc = None
+            kernel._idle.append(self)
+            # Hand control back to the scheduler; the body is done.
+            kernel._sched_gate.set()
+
+
 class VirtualProcess(Process):
     def __init__(
         self,
@@ -58,7 +112,8 @@ class VirtualProcess(Process):
         self._fn = fn
         self._args = args
         self._state = ProcessState.NEW
-        self._resume_evt = threading.Event()
+        #: the worker's gate and thread, while the body is running on one
+        self._gate: _Gate | None = None
         self._thread: threading.Thread | None = None
         self._result: Any = None
         self._exc: BaseException | None = None
@@ -67,7 +122,7 @@ class VirtualProcess(Process):
         #: why/where this process is currently blocked (wait-for dumps)
         self._wait_why: str | None = None
         self._wait_site: tuple[str, int] | None = None
-        #: spawner's span context (installed before fn runs, when traced)
+        #: spawner's span context (installed before fn runs)
         self._span_ctx = None
         self.finished_future: VirtualFuture = VirtualFuture(kernel)
 
@@ -90,25 +145,20 @@ class VirtualProcess(Process):
 
     # -- scheduler plumbing (kernel-internal) -------------------------------
 
-    def _start_thread(self) -> None:
-        self._thread = threading.Thread(
-            target=self._main, name=f"vproc-{self.pid}-{self.name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _main(self) -> None:
-        try:
-            # Wait for the scheduler to hand us control the first time.
-            self._wait_for_resume()
-        except _KernelShutdown:
-            self._state = ProcessState.FAILED
-            return
+    def _run(self) -> bool:
+        """Run the body on the calling worker thread, then leave the
+        process table.  False when kernel shutdown unwound the body: the
+        worker must exit and touch no shared state."""
+        kernel = self.kernel
         self._state = ProcessState.RUNNING
-        if self._span_ctx is not None:
-            # Async continuation: spans opened here chain to the spawner.
-            _spans.set_context(self._span_ctx)
-        san = self.kernel.sanitizer
+        # Unconditionally: the worker's previous process may have left a
+        # context installed (``end_span(restore=False)`` does so on
+        # purpose), and a process spawned from scheduler context has none.
+        # Spans opened here chain to the spawner.  ``repro.context``'s
+        # thread-local frame stack needs no such care: it is only pushed
+        # through ``with scoped(...)``, so every body leaves it balanced.
+        _spans.set_context(self._span_ctx)
+        san = kernel.sanitizer
         if san.enabled:
             san.register_thread(self.name)
             # spawn edge: everything the spawner did happens-before us
@@ -117,44 +167,59 @@ class VirtualProcess(Process):
             self._result = self._fn(*self._args)
             self._state = ProcessState.FINISHED
         except _KernelShutdown:
-            # Kernel torn down: exit silently, touch no shared state.
             self._state = ProcessState.FAILED
-            return
+            return False
         except BaseException as exc:  # noqa: BLE001 - captured for result()
             self._exc = exc
             self._state = ProcessState.FAILED
-            self.kernel._note_crash(self, exc)
+            kernel._note_crash(self, exc)
+        # Reaped: handles still answer result()/join(), but the kernel
+        # forgets the process and the process forgets its arguments (for
+        # a message handler, the payload).
+        self._fn = self._args = self._gate = self._thread = None
+        del kernel.processes[self.pid]
         # Completing the future wakes joiners via heap events; safe here
         # because we still hold control.
         if self._exc is not None:
             self.finished_future.set_exception(self._exc)
         else:
             self.finished_future.set_result(self._result)
-        # Hand control back to the scheduler for good.
-        self.kernel._sched_evt.set()
-
-    def _wait_for_resume(self) -> None:
-        if not self._resume_evt.wait(_SWITCH_TIMEOUT):
-            raise KernelError(f"process {self.name}: resume wait timed out")
-        self._resume_evt.clear()
-        if self.kernel._shutting_down:
-            raise _KernelShutdown()
-
-    def _yield_to_scheduler(self) -> None:
-        self.kernel._sched_evt.set()
-        self._wait_for_resume()
+        return True
 
     def _block(self, why: str) -> str:
         """Block the calling (current) process until woken.
 
         Returns the wake reason ('wake' for a normal wake, 'timeout' for a
         timer wake)."""
+        kernel = self.kernel
+        heap = kernel._heap
+        if heap:
+            # Self-wake: when the next event is this process's own valid
+            # wake (a sleep or timeout with nothing else due first) and the
+            # running run(until=...) reaches it, the scheduler would pop
+            # exactly that event and resume exactly this thread.  Do the
+            # pop here and skip both thread switches; no other event can
+            # tell the difference.
+            time, _, event = heap[0]
+            if (
+                event[0] == "wake"
+                and event[1] is self
+                and event[2] == self._wake_token
+                and time <= kernel._horizon
+            ):
+                heapq.heappop(heap)
+                kernel._time = time
+                return event[3]
         self._state = ProcessState.BLOCKED
         self._wake_reason = None
         self._wait_why = why
-        if self.kernel.sanitizer.enabled:
+        if kernel.sanitizer.enabled:
             self._wait_site = caller_site()
-        self._yield_to_scheduler()
+        kernel._sched_gate.set()
+        if not self._gate.wait(_SWITCH_TIMEOUT):
+            raise KernelError(f"process {self.name}: resume wait timed out")
+        if kernel._shutting_down:
+            raise _KernelShutdown()
         self._wait_why = None
         self._wait_site = None
         self._state = ProcessState.RUNNING
@@ -334,7 +399,7 @@ class VirtualSemaphore(Semaphore):
 
 
 class VirtualKernel(Kernel):
-    """Event-heap scheduler with cooperative thread-backed processes."""
+    """Event-heap scheduler with cooperative processes on pooled threads."""
 
     def __init__(self, strict: bool = False) -> None:
         #: strict=True re-raises the first unhandled process exception when
@@ -345,13 +410,18 @@ class VirtualKernel(Kernel):
         self._time = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, tuple]] = []
-        self._sched_evt = threading.Event()
+        #: latest event time the running run(until=...) may reach
+        self._horizon = float("inf")
+        self._sched_gate = _Gate()
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
         self._current: VirtualProcess | None = None
         self._running = False
         self._shutting_down = False
         self._next_pid = 1
         self.crashes: list[tuple[VirtualProcess, BaseException]] = []
-        self.processes: list[VirtualProcess] = []
+        #: live (not yet finished) processes by pid, in spawn order
+        self.processes: dict[int, VirtualProcess] = {}
         _LIVE_KERNELS.add(self)
 
     # -- time & events -------------------------------------------------------
@@ -404,7 +474,7 @@ class VirtualKernel(Kernel):
         proc = VirtualProcess(
             self, pid, name or f"proc-{pid}", fn, tuple(args), context
         )
-        self.processes.append(proc)
+        self.processes[pid] = proc
         self._push(self._time + delay, ("start", proc))
         if self.sanitizer.enabled:
             # spawn edge: the child's first action happens-after this point
@@ -456,20 +526,26 @@ class VirtualKernel(Kernel):
 
     def _switch_to(self, proc: VirtualProcess) -> None:
         self._current = proc
-        proc._resume_evt.set()
-        if not self._sched_evt.wait(_SWITCH_TIMEOUT):
+        proc._gate.set()
+        if not self._sched_gate.wait(_SWITCH_TIMEOUT):
             raise KernelError(
                 f"scheduler handoff to {proc.name} timed out - a process "
                 "blocked outside kernel primitives?"
             )
-        self._sched_evt.clear()
         self._current = None
 
     def _dispatch(self, event: tuple, seq: int = 0) -> None:
         kind = event[0]
         if kind == "start":
             proc = event[1]
-            proc._start_thread()
+            if self._idle:
+                worker = self._idle.pop()
+            else:
+                worker = _Worker(self)
+                self._workers.append(worker)
+            worker.proc = proc
+            proc._gate = worker.gate
+            proc._thread = worker.thread
             self._switch_to(proc)
         elif kind == "wake":
             _, proc, token, reason = event
@@ -499,12 +575,15 @@ class VirtualKernel(Kernel):
         if self._current is not None:
             raise KernelError("kernel.run() called from inside a process")
         self._running = True
+        horizon = self._horizon = (
+            float("inf") if until is None else until + 1e-12
+        )
         try:
             while self._heap:
                 if main is not None and main.finished:
                     break
                 time, seq, event = self._heap[0]
-                if until is not None and time > until + 1e-12:
+                if time > horizon:
                     self._time = until
                     break
                 heapq.heappop(self._heap)
@@ -543,11 +622,11 @@ class VirtualKernel(Kernel):
         self.run()
 
     def _blocked_dump(self) -> str:
-        """One line per blocked process: what it waits on and where."""
+        """One line per blocked process: what it waits on and where.
+        Called with the heap exhausted, when every live process is
+        blocked; spawn order keeps the text deterministic."""
         parts = []
-        for proc in self.processes:
-            if proc.state is not ProcessState.BLOCKED:
-                continue
+        for proc in self.processes.values():
             why = proc._wait_why or "blocked"
             site = proc._wait_site
             where = f" at {site[0]}:{site[1]}" if site else ""
@@ -555,7 +634,8 @@ class VirtualKernel(Kernel):
         return "; ".join(parts) if parts else "<no blocked processes>"
 
     def shutdown(self) -> None:
-        """Terminate every blocked process thread.
+        """Terminate every worker thread, parked idle or inside a blocked
+        process, and forget the processes.
 
         Finished simulations otherwise leak their daemon threads (agent
         loops parked in kernel sleeps) for the life of the host process —
@@ -570,17 +650,15 @@ class VirtualKernel(Kernel):
             self.sanitizer.check_leaks(self)
         self._shutting_down = True
         self._heap.clear()
-        for proc in self.processes:
-            thread = proc._thread
-            if thread is not None and thread.is_alive():
-                proc._resume_evt.set()
-        for proc in self.processes:
-            thread = proc._thread
-            if thread is not None and thread.is_alive():
-                thread.join(timeout=5.0)
+        # Every worker is parked at its gate, idle or inside _block.
+        for worker in self._workers:
+            worker.gate.set()
+        for worker in self._workers:
+            worker.thread.join(timeout=5.0)
+        self._workers.clear()
+        self._idle.clear()
+        self.processes.clear()
 
-
-import weakref  # noqa: E402  (kept by the class registry below)
 
 #: every kernel ever created and not yet collected; test harnesses sweep
 #: this to shut down leaked simulations between tests.

@@ -190,7 +190,12 @@ class Sanitizer(NullSanitizer):
         self._lockset = LocksetDetector()
         self._waitgraph = WaitForGraph()
         self._leaks = LeakRegistry()
-        #: per-thread names (kernel process names) for readable reports
+        #: OS thread ident -> logical id of the process now running on it.
+        #: Ids count down from -1, so they can collide neither with each
+        #: other nor with the real idents unregistered threads go by.
+        self._tids: dict[int, int] = {}
+        self._next_tid = 0
+        #: names (kernel process names) by logical id, for readable reports
         self._thread_names: dict[int, str] = {}
         #: sync-object clocks for happens-before transfer; weak keys so
         #: dead futures/channels/processes do not accumulate
@@ -233,10 +238,22 @@ class Sanitizer(NullSanitizer):
     def _name_of(self, tid: int) -> str:
         return self._thread_names.get(tid) or f"thread-{tid}"
 
+    def _tid(self) -> int:
+        """Who is calling: the logical id the thread last registered
+        under, else its OS ident (scheduler context, foreign threads)."""
+        ident = threading.get_ident()
+        return self._tids.get(ident, ident)
+
     def register_thread(self, name: str) -> None:
-        tid = threading.get_ident()
+        """The calling thread starts a new process called ``name``.
+
+        A fresh identity every time: OS idents are recycled and a pooled
+        worker runs many processes in turn, and accesses by the same
+        identity never race."""
         with self._mu:
-            self._thread_names[tid] = name
+            self._next_tid -= 1
+            self._tids[threading.get_ident()] = self._next_tid
+            self._thread_names[self._next_tid] = name
 
     # -- runtime protocol hazards -------------------------------------------
 
@@ -260,7 +277,7 @@ class Sanitizer(NullSanitizer):
     def _lock_wait(self, lock: TrackedLock) -> None:
         """Called before a blocking acquire; raises SanDeadlockError when
         the wait edge would close a cycle in the wait-for graph."""
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             cycle = self._waitgraph.wait(tid, lock)
         if cycle is not None:
@@ -278,7 +295,7 @@ class Sanitizer(NullSanitizer):
         # cycle[0][1], whose owner waits for cycle[1][1], ... and the final
         # owner is the requester itself.
         with self._mu:
-            me = self._name_of(threading.get_ident())
+            me = self._name_of(self._tid())
             hops = [f"{me} waits for '{cycle[0][1].name}'"]
             for i, (owner, owned) in enumerate(cycle):
                 owner_name = self._name_of(owner)
@@ -295,17 +312,17 @@ class Sanitizer(NullSanitizer):
         )
 
     def _lock_wait_done(self, lock: TrackedLock) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             self._waitgraph.wait_done(tid)
 
     def _lock_acquired(self, lock: TrackedLock) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             self._waitgraph.acquired(tid, lock)
 
     def _lock_released(self, lock: TrackedLock) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             self._waitgraph.released(tid, lock)
 
@@ -313,7 +330,7 @@ class Sanitizer(NullSanitizer):
 
     def access(self, owner: str, field: str, write: bool = True,
                scope: Any = None) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         site = caller_site()
         with self._mu:
             sid = 0
@@ -347,7 +364,7 @@ class Sanitizer(NullSanitizer):
     # -- happens-before edges ------------------------------------------------
 
     def hb_send(self, key: Any) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             clock = self._sync.get(key)
             if clock is None:
@@ -356,20 +373,20 @@ class Sanitizer(NullSanitizer):
             self._lockset.clocks.send(tid, clock)
 
     def hb_recv(self, key: Any) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             clock = self._sync.get(key)
             if clock:
                 self._lockset.clocks.recv(tid, clock)
 
     def on_call_push(self, token: int) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             clock = self._sync_tokens.setdefault(token, {})
             self._lockset.clocks.send(tid, clock)
 
     def on_call_run(self, token: int) -> None:
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             clock = self._sync_tokens.pop(token, None)
             if clock:
@@ -415,7 +432,7 @@ class Sanitizer(NullSanitizer):
     def chan_wait(self, chan: Any, kernel: Any) -> None:
         if not self.leaks:
             return
-        tid = threading.get_ident()
+        tid = self._tid()
         site = caller_site(extra_skip=(os.path.join("repro", "transport"),))
         with self._mu:
             self._leaks.chan_wait(tid, chan, kernel, site)
@@ -423,7 +440,7 @@ class Sanitizer(NullSanitizer):
     def chan_wait_done(self, chan: Any) -> None:
         if not self.leaks:
             return
-        tid = threading.get_ident()
+        tid = self._tid()
         with self._mu:
             self._leaks.chan_wait_done(tid)
 
@@ -455,11 +472,12 @@ class Sanitizer(NullSanitizer):
         A session-wide sanitizer (REPRO_SAN=1 pytest) must call this
         between tests: each test builds an independent world, so accesses
         from different tests are never really concurrent, but they reuse
-        deterministic object ids and recycled thread idents and would
-        otherwise alias into false races."""
+        deterministic object ids (and all run their schedulers on the one
+        pytest thread) and would otherwise alias into false races."""
         with self._mu:
             self._lockset = LocksetDetector()
             self._leaks = LeakRegistry()
+            self._tids.clear()
             self._thread_names.clear()
             self._sync_tokens.clear()
             self._sync = weakref.WeakKeyDictionary()

@@ -21,11 +21,15 @@ from dataclasses import dataclass
 
 
 class VectorClocks:
-    """Per-thread vector clocks, keyed by ``threading.get_ident()``.
+    """Vector clocks, keyed by the sanitizer's logical thread ids.
 
-    Both real-kernel OS threads and virtual-kernel processes (each backed
-    by its own thread) get a clock; ``send``/``recv`` transfer clocks
-    through sync objects (futures, channels, processes, call events).
+    Every kernel process gets an id of its own when it starts
+    (``Sanitizer.register_thread``) — never the OS thread's ident, which
+    the OS recycles and which virtual-kernel processes share by running
+    one after another on a pooled worker; threads that never register (the
+    virtual kernel's scheduler context) go by their ident.  ``send``/
+    ``recv`` transfer clocks through sync objects (futures, channels,
+    processes, call events).
     """
 
     def __init__(self) -> None:

@@ -31,6 +31,26 @@ class TestVirtualShutdown:
         kernel.shutdown()
         kernel.shutdown()  # no error
 
+    def test_idle_workers_are_joined(self):
+        def workers():
+            return sum(t.name.startswith("vworker-")
+                       for t in threading.enumerate())
+
+        baseline = workers()
+        kernel = VirtualKernel()
+
+        def main():
+            for proc in [kernel.spawn(kernel.sleep, 1.0) for _ in range(4)]:
+                proc.join()
+
+        kernel.run_callable(main)
+        assert len(kernel.processes) == 0
+        assert workers() == baseline + 5  # all idle, all parked
+        kernel.shutdown()
+        assert workers() == baseline
+        assert len(kernel.processes) == 0
+        kernel.shutdown()  # still a no-op
+
     def test_shutdown_does_not_mark_crashes(self):
         kernel = VirtualKernel(strict=True)
 

@@ -1,9 +1,13 @@
 """Unit tests for the deterministic virtual-time kernel."""
 
+import threading
+
 import pytest
 
 from repro.errors import KernelError, SimDeadlockError, WaitTimeout
 from repro.kernel import ProcessState, VirtualKernel
+from repro.obs import spans
+from tests.conftest import Counter
 
 
 @pytest.fixture()
@@ -425,6 +429,142 @@ class TestSchedulerSafety:
 
         kernel.run_callable(main)
         assert order == [1, 2]
+
+
+class TestWorkerPool:
+    def test_population_stays_bounded(self, dedicated_testbed, monkeypatch):
+        """Processes are reaped and threads reused: a long run of calls
+        leaves neither a process nor a thread per call behind."""
+        from repro.core import JSCodebase, JSObj, JSRegistration
+        from repro.varch import Node
+
+        kernel = dedicated_testbed.kernel
+        spawn, peak = kernel.spawn, [0]
+
+        def counting_spawn(*args, **kwargs):
+            proc = spawn(*args, **kwargs)
+            peak[0] = max(peak[0], len(kernel.processes))
+            return proc
+
+        monkeypatch.setattr(kernel, "spawn", counting_spawn)
+
+        def app():
+            JSRegistration()
+            node = Node("rachel")
+            cb = JSCodebase()
+            cb.add(Counter)
+            cb.load(node)
+            obj = JSObj("Counter", node)
+            early = kernel.spawn(lambda x: 2 * x, 21)
+            early.join()
+            live, threads = len(kernel.processes), threading.active_count()
+            peak[0] = live
+            # Deliberately one synchronous round trip after the other:
+            # a handler process per message, each finished before the
+            # next starts, is the population being counted.
+            for _ in range(1000):
+                # symlint: disable-next-line=remote-invoke-in-loop
+                obj.sinvoke("incr")
+            handles = [obj.ainvoke("incr") for _ in range(200)]
+            assert [h.get_result() for h in handles][-1] == 1200
+            assert len(kernel.processes) == live
+            assert 200 <= peak[0] - live < 1200
+            assert threading.active_count() - threads <= peak[0] - live
+            # a handle kept across all that still answers, payload gone
+            early.join()
+            assert early.result() == 42
+            assert early._args is None and early._thread is None
+            assert early.pid not in kernel.processes
+
+        dedicated_testbed.run_app(app)
+
+    def test_reused_worker_starts_with_the_spawners_span_context(self, kernel):
+        """A process spawned from scheduler context has no span context,
+        whatever its worker's previous process left installed."""
+        seen = []
+
+        def traced():
+            # what Tracer.end_span(restore=False) leaves behind on purpose
+            spans.set_context(spans.TraceContext("trace", "span"))
+            seen.append(threading.current_thread())
+
+        def from_scheduler():
+            seen.extend([threading.current_thread(), spans.current_context()])
+
+        def main():
+            kernel.spawn(traced).join()
+            kernel.call_soon(kernel.spawn, from_scheduler)
+            kernel.sleep(1.0)
+
+        kernel.run_callable(main)
+        assert seen[0] is seen[1]  # same worker: the hazard is exercised
+        assert seen[2] is None
+
+    def test_worker_survives_a_crashing_body(self):
+        kernel = VirtualKernel()
+        seen = []
+
+        def body(crash):
+            seen.append(threading.current_thread())
+            if crash:
+                raise ValueError("boom")
+            return 7
+
+        def main():
+            kernel.spawn(body, True).join()
+            proc = kernel.spawn(body, False)
+            proc.join()
+            return proc.result()
+
+        assert kernel.run_callable(main) == 7
+        assert seen[0] is seen[1] and seen[0].is_alive()
+        assert [type(exc) for _, exc in kernel.crashes] == [ValueError]
+
+
+class TestSelfWake:
+    """A process whose own wake is the next event takes it without going
+    through the scheduler — but only when the scheduler would have."""
+
+    @staticmethod
+    def _count_switches(kernel, monkeypatch):
+        switches, switch_to = [], kernel._switch_to
+
+        def counting(proc):
+            switches.append(proc.name)
+            switch_to(proc)
+
+        monkeypatch.setattr(kernel, "_switch_to", counting)
+        return switches
+
+    def test_lone_process_never_switches(self, kernel, monkeypatch):
+        switches = self._count_switches(kernel, monkeypatch)
+
+        def main():
+            for _ in range(3):
+                kernel.sleep(1.0)
+            # a timeout that is the next event fires, at the right time
+            assert kernel.create_future().wait(timeout=2.0) is False
+            return kernel.now()
+
+        assert kernel.run_callable(main) == pytest.approx(5.0)
+        assert switches == ["main"]  # its start, nothing else
+
+    def test_honours_until(self, kernel, monkeypatch):
+        switches = self._count_switches(kernel, monkeypatch)
+        woke = []
+
+        def sleeper():
+            kernel.sleep(1.0)
+            kernel.sleep(4.0)  # next event, but beyond run(until=2)
+            woke.append(kernel.now())
+
+        kernel.spawn(sleeper, name="sleeper")
+        kernel.run(until=2.0)
+        assert woke == [] and kernel.now() == pytest.approx(2.0)
+        assert switches == ["sleeper"]
+        kernel.run()
+        assert woke == [pytest.approx(5.0)]
+        assert switches == ["sleeper", "sleeper"]
 
 
 class TestEventOrderPinned:

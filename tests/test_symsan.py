@@ -422,6 +422,52 @@ class TestSeededFixtures:
                 kernel.shutdown()
         assert rules_of(san) == []
 
+    @pytest.mark.parametrize("parked_between", [False, True])
+    def test_consecutive_processes_are_distinct_threads(self, parked_between):
+        """Two unordered writers that run one after the other.  They may
+        share an OS thread (a pooled worker; before the pool, a recycled
+        ident) and must still be told apart: symsan identifies a process,
+        not the thread it happens to run on."""
+        from repro.kernel import VirtualKernel
+
+        san = Sanitizer()
+        with sanitizing(san):
+            kernel = VirtualKernel(strict=True)
+            table: dict[str, str] = {}
+
+            def write(tag):
+                san.access("Table", "cell", scope=kernel)
+                table["cell"] = tag
+
+            def root():
+                kernel.spawn(write, "a", name="w-a")
+                kernel.sleep(1.0)
+                if parked_between:
+                    kernel.spawn(kernel.sleep, 100.0, name="parked")
+                kernel.spawn(write, "b", name="w-b")
+                kernel.sleep(1.0)
+
+            try:
+                kernel.run_callable(root)
+            finally:
+                kernel.shutdown()
+        assert rules_of(san) == ["san-race"]
+        message = san.report().findings[0].message
+        assert "w-b writes" in message and "w-a wrote" in message
+
+    def test_register_thread_gives_a_fresh_identity(self):
+        san = Sanitizer()
+        scope = _Scope()
+        san.register_thread("first")
+        san.access("T", "f", scope=scope)
+        san.register_thread("second")  # same OS thread, a new process
+        san.access("T", "f", scope=scope)
+        assert rules_of(san) == ["san-race"]
+        assert "second writes" in san.report().findings[0].message
+        san.reset_context()
+        san.access("T", "f", scope=scope)  # unregistered again: OS ident
+        assert len(san.findings) == 1
+
     def test_ab_ba_deadlock_reported_and_broken(self):
         san = Sanitizer()
         with sanitizing(san):
