@@ -85,21 +85,23 @@ class HolderEndpoints(ObjectHolder):
 
     def _h_invoke(self, msg):
         obj_id, method_name, params = msg.payload
-        return self.dispatch_invoke(obj_id, method_name, params)
+        return self.dispatch_invoke(obj_id, method_name, params, msg.nominal)
 
-    def dispatch_invoke_batch(self, calls):
+    def dispatch_invoke_batch(self, calls, nominal=True):
         """Dispatch a positional batch of ``(obj_id, method, params)``
         calls.  The outcome vector stays index-aligned with the request:
         stale refs pass their ``Moved``/``UnknownObject`` markers through
         per slot and a raising call becomes a ``BatchFailure`` — one bad
-        call never fails its batch-mates."""
+        call never fails its batch-mates.  ``nominal`` is the message's
+        flag and covers every call in it (see :meth:`dispatch_invoke`)."""
         from repro.agents.messages import BatchFailure
 
         outcomes = []
         for obj_id, method_name, params in calls:
             try:
                 outcomes.append(
-                    self.dispatch_invoke(obj_id, method_name, params)
+                    self.dispatch_invoke(obj_id, method_name, params,
+                                         nominal)
                 )
             except Exception as exc:  # noqa: BLE001 - shipped positionally
                 outcomes.append(BatchFailure(obj_id, exc))
@@ -111,19 +113,19 @@ class HolderEndpoints(ObjectHolder):
         if tracer.enabled:
             tracer.count("invoke.batch.dispatched", len(calls),
                          host=self.addr.host)
-        return self.dispatch_invoke_batch(calls)
+        return self.dispatch_invoke_batch(calls, msg.nominal)
 
-    def dispatch_oneway(self, call):
+    def dispatch_oneway(self, call, nominal=True):
         """Run a one-sided ``(obj_id, method, params)`` call on a held
         object; the AppOA's local arm and the wire handler share it."""
-        outcome = self.dispatch_invoke(*call)
+        outcome = self.dispatch_invoke(*call, nominal)
         if isinstance(outcome, M.Moved) and outcome.hint is not None:
             # One-sided calls carry no reply channel, so the tombstone
             # forwards the invocation to the object's new home.
             self.endpoint.send_oneway(outcome.hint, M.ONEWAY_INVOKE, call)
 
     def _h_oneway_invoke(self, msg):
-        self.dispatch_oneway(msg.payload)
+        self.dispatch_oneway(msg.payload, msg.nominal)
         return None
 
     # -- free -------------------------------------------------------------------

@@ -252,9 +252,15 @@ class ObjectHolder:
     # -- invocation (runs in a per-request transport process) -------------------
 
     def dispatch_invoke(
-        self, obj_id: str, method_name: str, params: Any
+        self, obj_id: str, method_name: str, params: Any,
+        nominal: bool = True,
     ) -> Any:
         """Execute a method on a held object, charging compute time.
+
+        ``nominal=False`` is the wire's word (``Message.nominal``) that
+        ``params`` holds no :class:`~repro.util.serialization.Payload`:
+        there are then no declared flops to add and nothing to unwrap.
+        Callers that cannot know (the AppOA's local arm) leave it set.
 
         Returns :class:`Moved`/:class:`UnknownObject` markers for stale or
         unknown handles — the caller-side AppOA interprets them.
@@ -268,12 +274,12 @@ class ObjectHolder:
             tracer.observe("queue.depth", float(self._inflight),
                            host=self.addr.host)
         try:
-            return self._dispatch_invoke(obj_id, method_name, params)
+            return self._dispatch_invoke(obj_id, method_name, params, nominal)
         finally:
             self._inflight -= 1
 
     def _dispatch_invoke(
-        self, obj_id: str, method_name: str, params: Any
+        self, obj_id: str, method_name: str, params: Any, nominal: bool
     ) -> Any:
         kernel = self.world.kernel
         wait_start = self.world.now()
@@ -326,12 +332,13 @@ class ObjectHolder:
             )
         flops = 0.0
         try:
-            flops = flops_of(args) + method_flops(
-                entry.instance, method_name, unwrap(args)
-            )
+            if nominal:
+                flops = flops_of(args)
+                args = unwrap(args)
+            flops += method_flops(entry.instance, method_name, args)
             if flops > 0:
                 self.world.compute(self.addr.host, flops)
-            result = method(*unwrap(args))
+            result = method(*args)
         finally:
             entry.executing -= 1
             if dspan is not None:

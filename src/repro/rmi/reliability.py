@@ -39,6 +39,7 @@ from typing import Any, Callable
 
 from repro.errors import JSError
 from repro.kernel.base import Kernel
+from repro.util.serialization import Wire
 
 __all__ = [
     "RetryPolicy",
@@ -115,7 +116,7 @@ class AttemptTrace:
 class _Slot:
     """One token's entry in the replay cache.
 
-    ``future`` resolves to the (already wire-serialized) outcome once
+    ``future`` resolves to the outcome's ``Wire`` once
     the first copy of the request finishes executing; ``completed_at``
     starts the eviction clock."""
 
@@ -138,6 +139,11 @@ class ReplayCache:
     - *seen* token → the caller skips the handler and waits on
       ``slot.future`` for the original outcome (which may still be
       executing — duplicates block until it lands).
+
+    The outcome kept is the reply's encoded
+    :class:`~repro.util.serialization.Wire`, not the value: a replay
+    decodes it, so every duplicate gets a copy of its own and the bytes
+    charged are the original's.
 
     Completed entries are evicted ``window`` sim-seconds after
     completion.  A retry arriving later than that re-executes; callers
@@ -167,7 +173,7 @@ class ReplayCache:
         self._slots[token] = slot
         return True, slot
 
-    def complete(self, token: str, outcome: Any) -> None:
+    def complete(self, token: str, outcome: Wire) -> None:
         """Record ``token``'s outcome and wake any waiting duplicates."""
         slot = self._slots.get(token)
         if slot is None:  # evicted mid-execution (tiny window)

@@ -3,20 +3,24 @@
 Agents register *endpoints* (one per ``(host, agent-name)`` pair) with
 handlers keyed by message kind.  An RPC:
 
-1. measures the request payload (honoring nominal :class:`Payload` sizes),
-2. charges the network (latency + bandwidth share + software overhead),
-3. executes the handler **in its own spawned process at the destination**
-   (JavaSymphony ran one thread per incoming request on the PubOA),
-4. charges the network again for the reply and completes the caller's
-   future.
+1. encodes the request payload once, at send — the blob that travels and
+   its size (honoring nominal :class:`Payload` sizes) come from one pass,
+2. charges the network (latency + bandwidth share + software overhead)
+   from that size,
+3. decodes the blob at each delivery and executes the handler **in its
+   own spawned process at the destination** (JavaSymphony ran one thread
+   per incoming request on the PubOA),
+4. encodes the result once, charges the network again from its size and
+   completes the caller's future with a decoded copy.
 
 Failure semantics mirror a real LAN: messages to or from a failed host
 are silently dropped — the caller learns about failures only through
 timeouts, which is exactly what the paper's Network Agent System relies
 on for failure detection.
 
-Arguments and results cross the "wire" by pickle round-trip, so mutation
-on the callee is invisible to the caller (true copy semantics).
+Arguments and results cross the "wire" as a pickle: the callee works on
+what the sender's value was *when it was sent*, and mutation on either
+side is invisible to the other (true copy semantics).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.obs import events as ev
 from repro.obs.spans import TraceContext
 from repro.simnet.world import SimWorld
 from repro.util.ids import IdGenerator
-from repro.util.serialization import deep_copy_via_pickle, sizeof
+from repro.util.serialization import Wire, decode, encode
 
 
 class Addr(NamedTuple):
@@ -53,6 +57,9 @@ class Message:
     src: Addr
     dst: Addr
     kind: str
+    #: in flight: the :class:`~repro.util.serialization.Wire` encoded at
+    #: send; as a handler sees it: the value decoded from it.  Every
+    #: delivery gets a ``Message`` and a decoded copy of its own.
     payload: Any
     nbytes: int = 0
     sent_at: float = 0.0
@@ -64,6 +71,10 @@ class Message:
     #: :class:`repro.rmi.reliability.ReplayCache` can serve a duplicate
     #: from cache instead of re-executing.  ``None`` = unreliable call.
     token: str | None = None
+    #: ``False`` when the payload holds no
+    #: :class:`~repro.util.serialization.Payload` wrapper anywhere, so a
+    #: handler need not look for one (``Wire.nominal``)
+    nominal: bool = True
 
 
 @dataclass
@@ -148,7 +159,7 @@ class Endpoint:
         return self.transport.rpc(self.addr, dst, kind, payload)
 
     def send_oneway(self, dst: Addr, kind: str, payload: Any = None) -> None:
-        self.transport.send(self.addr, dst, kind, payload, oneway=True)
+        self.transport.send(self.addr, dst, kind, payload)
 
 
 class Reply:
@@ -262,10 +273,7 @@ class Transport:
         payload: Any,
         token: str | None = None,
     ) -> Reply:
-        future = self.world.kernel.create_future()
-        self.stats.rpcs += 1
-        self.send(src, dst, kind, payload, oneway=False, reply_future=future,
-                  token=token)
+        future = self.send(src, dst, kind, payload, oneway=False, token=token)
         return Reply(future, self, src=src, dst=dst, kind=kind)
 
     def reliable_rpc(
@@ -368,24 +376,34 @@ class Transport:
         kind: str,
         payload: Any,
         oneway: bool = True,
-        reply_future: Future | None = None,
         token: str | None = None,
-    ) -> None:
+    ) -> Future | None:
+        """Put one request on the wire; returns the reply future of a
+        two-way send.  The payload is flattened here, so the callee sees
+        the value as it was at this instant."""
+        # First, so that an unpicklable payload fails in the sender
+        # before a counter moves or a future exists.
+        wire = encode(payload)
+        nbytes = wire.nbytes
+        reply_future = None
         if oneway:
             self.stats.oneways += 1
+        else:
+            self.stats.rpcs += 1
+            reply_future = self.world.kernel.create_future()
         self.stats.messages += 1
         self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + 1
-        nbytes = sizeof(payload)
         self.stats.bytes_total += nbytes
         msg = Message(
             msg_id=self._ids.next("msg"),
             src=src,
             dst=dst,
             kind=kind,
-            payload=payload,
+            payload=wire,
             nbytes=nbytes,
             sent_at=self.world.now(),
             token=token,
+            nominal=wire.nominal,
         )
         self._charge_sender_cpu(src.host, nbytes)
         try:
@@ -394,7 +412,7 @@ class Transport:
             # Dropped on the floor; the caller's timeout is the detector.
             self.stats.dropped_requests += 1
             self._trace_drop(msg, "request", "host failed")
-            return
+            return reply_future
         key = (src.host, dst.host)
         deliver_at = max(self.world.now() + delay,
                          self._last_delivery.get(key, 0.0))
@@ -416,9 +434,10 @@ class Transport:
             if not deliveries:
                 self.stats.dropped_requests += 1
                 self._trace_drop(msg, "request", "chaos")
-                return
+                return reply_future
         for at in deliveries:
             self.world.kernel.call_at(at, self._deliver, msg, reply_future)
+        return reply_future
 
     # -- receive path ------------------------------------------------------------
 
@@ -432,13 +451,19 @@ class Transport:
             self.stats.dropped_requests += 1
             self._trace_drop(msg, "request", "no such endpoint")
             return
-        msg.payload = deep_copy_via_pickle(msg.payload)
+        # Decoding is the copy, and each delivery makes its own: the
+        # handlers of a duplicated request must not share an argument.
+        # (Spelled out: dataclasses.replace costs six times as much.)
+        delivered = Message(
+            msg.msg_id, msg.src, msg.dst, msg.kind, decode(msg.payload),
+            msg.nbytes, msg.sent_at, msg.ctx, msg.token, msg.nominal,
+        )
         # One process per incoming request, as the paper's PubOA runs one
         # thread per request.
         self.world.kernel.spawn(
             self._execute,
             endpoint,
-            msg,
+            delivered,
             reply_future,
             name=f"handle-{msg.kind}@{msg.dst.host}",
             context={"addr": msg.dst},
@@ -457,11 +482,12 @@ class Transport:
                 # running) and replay the reply instead of re-executing.
                 if self.tracer.enabled:
                     self.tracer.count("rpc.dedup.hits", host=msg.dst.host)
-                # A fresh copy per reply, so one caller mutating the
-                # value cannot pollute the cached outcome.
-                result = self._roundtrip_result(slot.future.result(), msg.dst)
+                wire = slot.future.result()
                 if reply_future is not None:
-                    self._send_reply(msg, result, reply_future)
+                    # A fresh copy per reply, so one caller mutating the
+                    # value cannot pollute the cached outcome.
+                    self._send_reply(msg, decode(wire), wire.nbytes,
+                                     reply_future)
                 return
         exec_start = self.world.now()
         exec_span = None
@@ -487,22 +513,23 @@ class Transport:
                                  restore=False, error=failed)
         if reply_future is None and slot is None:
             return
-        result = self._roundtrip_result(result, msg.dst)
+        wire, result = self._roundtrip_result(result, msg.dst)
         if slot is not None:
             # Cache the outcome (success *or* error) before the reply
             # leg, which can still fail: a retry after an
             # executed-but-lost-reply must replay, not re-execute.
-            dedup.complete(msg.token, result)
+            dedup.complete(msg.token, wire)
         if reply_future is None:
             return
-        self._send_reply(msg, result, reply_future)
+        self._send_reply(msg, result, wire.nbytes, reply_future)
 
     def _send_reply(
-        self, msg: Message, result: Any, reply_future: Future
+        self, msg: Message, result: Any, nbytes: int, reply_future: Future
     ) -> None:
-        """Charge and schedule the reply leg for an executed request."""
+        """Charge and schedule the reply leg for an executed request:
+        ``result`` is the caller's decoded copy, ``nbytes`` the size of
+        the wire it was decoded from."""
         reply_kind = msg.kind + ":reply"
-        nbytes = sizeof(result)
         self.stats.messages += 1
         self.stats.by_kind[reply_kind] = (
             self.stats.by_kind.get(reply_kind, 0) + 1
@@ -553,14 +580,16 @@ class Transport:
                 at, self._complete, reply_future, result
             )
 
-    def _roundtrip_result(self, result: Any, where: Addr) -> Any:
-        """Pickle round-trip a reply — including :class:`RemoteError`
-        results, so remote exceptions get copy semantics too.  Unpicklable
-        values degrade to a picklable :class:`RemoteInvocationError`
-        carrying the repr, instead of crossing the wire by reference (or
-        killing the handler process and stranding the caller)."""
+    def _roundtrip_result(self, result: Any, where: Addr) -> tuple[Wire, Any]:
+        """Encode a reply once and decode the caller's copy of it —
+        including :class:`RemoteError` results, so remote exceptions get
+        copy semantics too.  Unpicklable values degrade to a picklable
+        :class:`RemoteInvocationError` carrying the repr, instead of
+        crossing the wire by reference (or killing the handler process
+        and stranding the caller); the degraded value is what is sized."""
         try:
-            return deep_copy_via_pickle(result)
+            wire = encode(result)
+            return wire, decode(wire)
         except Exception:
             if isinstance(result, RemoteError):
                 synthesized: BaseException = RemoteInvocationError(
@@ -572,7 +601,8 @@ class Transport:
                     f"remote handler at {where} returned an unpicklable "
                     f"value: {result!r}"
                 )
-            return RemoteError(exc=synthesized, where=where)
+            degraded = RemoteError(exc=synthesized, where=where)
+            return encode(degraded), degraded
 
     def _trace_drop(self, msg: Message, stage: str, reason: str) -> None:
         if self.tracer.enabled:

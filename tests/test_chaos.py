@@ -22,6 +22,7 @@ from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.errors import JSError, RPCTimeoutError
 from repro.obs import Tracer, tracing
 from repro.rmi.reliability import CircuitBreaker, RetryPolicy
+from repro.transport import Addr
 from tests.conftest import Counter  # noqa: F401
 
 #: the ISSUE-10 acceptance plan: 10% loss + a 5 s stall on a worker
@@ -137,6 +138,38 @@ class TestDedup:
         merged = tracer.merged_host_metrics()
         counters = merged.get("counters", merged)
         assert counters.get("rpc.dedup.hits", 0) >= 1
+
+
+class TestDuplicateDelivery:
+    def test_duplicated_request_handlers_get_their_own_argument(self):
+        """Both deliveries of a duplicated request used to receive the
+        *same* ``Message``; the second delivery replaced its payload
+        under the first handler, so two handler processes ran on one
+        list.  Each delivery decodes a copy of its own."""
+        plan = FaultPlan.parse("duplicate:p=1.0,kinds=TOUCH")
+        runtime, injector = chaos_testbed(plan, seed=3, reliable=False)
+        world, transport = runtime.world, runtime.transport
+        found, left = [], []
+
+        def touch(msg):
+            world.kernel.sleep(0.5)  # the duplicate lands meanwhile
+            found.append(list(msg.payload))
+            msg.payload.append("touched")
+            left.append(msg.payload)
+
+        transport.create_endpoint(Addr("rachel", "srv")).register(
+            "TOUCH", touch)
+        client = transport.create_endpoint(Addr("johanna", "cli"))
+
+        def main():
+            client.send_oneway(Addr("rachel", "srv"), "TOUCH", [1, 2, 3])
+            world.kernel.sleep(2.0)
+
+        runtime.run_app(main)
+        assert injector.injected.get("duplicate") == 1
+        assert found == [[1, 2, 3], [1, 2, 3]]
+        assert left[0] is not left[1]
+        assert left == [[1, 2, 3, "touched"], [1, 2, 3, "touched"]]
 
 
 class TestRestart:

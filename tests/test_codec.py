@@ -3,14 +3,15 @@ frozen oracle.
 
 ``oracle_sizeof`` / ``oracle_flops_of`` / ``oracle_unwrap`` below are a
 verbatim copy of what ``repro.util.serialization`` computed before the
-transport serialised once per wire leg.  They are the reference the
-codec is compared against — bytes drive simulated time, so the
-arithmetic may not drift — and must not be "fixed" to follow the
-module.
+transport serialised once per wire leg.  They are the reference that
+``encode``, and the names kept over it, are compared against.  Bytes
+drive simulated time, so the arithmetic may not drift: the oracle must
+not be "fixed" to follow the module.
 """
 
 import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.util import serialization as ser
@@ -181,6 +182,89 @@ class TestSeamsMatchOracle:
 
     def test_envelope_constant(self):
         assert ser.ENVELOPE_BYTES == ORACLE_ENVELOPE_BYTES
+
+
+class TestCodec:
+    """``encode``/``decode`` themselves: what the transport calls."""
+
+    @SETTINGS
+    @given(value=values)
+    def test_wire_bytes_are_the_oracle_s(self, value):
+        assert ser.encode(value).nbytes == oracle_sizeof(value)
+
+    @SETTINGS
+    @given(value=values)
+    def test_decode_returns_an_equal_value(self, value):
+        wire = ser.encode(value)
+        assert ser.decode(wire) == value
+        assert wire.blob == _oracle_dumps(value)
+
+    @SETTINGS
+    @given(value=values)
+    def test_plain_wire_has_nothing_to_unwrap(self, value):
+        """What lets a holder skip ``flops_of`` and ``unwrap``."""
+        if not ser.encode(value).nominal:
+            assert oracle_flops_of(value) == 0.0
+            assert oracle_unwrap(value) == value
+
+    @SETTINGS
+    @given(value=mixed_values)
+    def test_any_payload_anywhere_marks_the_wire(self, value):
+        def holds_payload(v):
+            if isinstance(v, Payload):
+                return True
+            if isinstance(v, dict):
+                return any(holds_payload(x) for x in v.values())
+            return (isinstance(v, (tuple, list))
+                    and any(holds_payload(x) for x in v))
+
+        if holds_payload(value):
+            assert ser.encode(value).nominal
+
+    def test_plain_argument_is_never_walked(self, monkeypatch):
+        """The 64-KiB echo's argument: sized by the pickle pass alone,
+        no Python-level call per element (or at all)."""
+        walked = []
+        walk = ser._wire_size
+
+        def spy(value, *rest):
+            walked.append(value)
+            return walk(value, *rest)
+
+        monkeypatch.setattr(ser, "_wire_size", spy)
+        argument = ("obj-1", "echo", [[0.5] * 4096, b"x" * 65536])
+        wire = ser.encode(argument)
+        assert not wire.nominal
+        assert wire.nbytes == len(wire.blob) + 256 == oracle_sizeof(argument)
+        assert walked == []
+        # ... and a Payload does take the structural arm
+        ser.encode(("obj-1", "init", [Payload(nbytes=10)]))
+        assert walked
+
+    def test_flag_is_exact_and_per_encode(self):
+        """The flag comes from the pickle pass: a string that merely
+        spells the class is not one, and one encode's Payload does not
+        leak into the next encode on the thread."""
+        assert ser.encode([Payload(nbytes=1)]).nominal
+        assert not ser.encode(["Payload", 1, 2.0]).nominal
+        assert not ser.encode([1, 2, 3]).nominal
+
+    def test_subclass_is_a_payload(self):
+        value = [BigPayload(data="x", nbytes=10**6, flops=3.0), "sibling"]
+        wire = ser.encode(value)
+        assert wire.nominal
+        assert wire.nbytes == oracle_sizeof(value)
+        assert ser.decode(wire) == value
+
+    def test_payload_pickles_as_a_plain_dataclass_would(self):
+        """``Payload.__reduce_ex__`` only takes a note: the bytes (hence
+        sizes, hence simulated time) are those of the default reduce."""
+        payload = Payload(data=[1, 2], nbytes=7, flops=2.0, meta={"k": 1})
+        assert payload.__reduce_ex__(5) == object.__reduce_ex__(payload, 5)
+
+
+class BigPayload(Payload):
+    """Module-level so that it pickles."""
 
 
 class TestPinnedCases:

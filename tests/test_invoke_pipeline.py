@@ -21,6 +21,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.agents.objects import jsclass
 from repro.agents.shell import ShellConfig
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.cluster import TestbedConfig, vienna_testbed
@@ -28,6 +29,7 @@ from repro.core import JS, JSCodebase, JSObj, JSRegistration, minvoke
 from repro.errors import ObjectStateError, RemoteInvocationError
 from repro.obs import Tracer, events as ev, tracing
 from repro.rmi.reliability import RetryPolicy
+from repro.util.serialization import Payload
 from tests.conftest import Counter  # noqa: F401
 
 
@@ -491,3 +493,98 @@ def test_dead_handle_leaks_no_pending_and_no_span(path):
         reg.unregister()
 
     rt.run_app(app, node="milena")
+
+
+# ---------------------------------------------------------------------------
+# the wire codec as the invocation paths see it
+# ---------------------------------------------------------------------------
+
+
+@jsclass
+class Keeper:
+    """Keeps what it was handed, so a test can read it back."""
+
+    def __init__(self) -> None:
+        self.kept = []
+
+    def store(self, items) -> None:
+        self.kept.append(items)
+
+    def get(self) -> list:
+        return self.kept
+
+
+@pytest.mark.parametrize("mode", ["ainvoke", "oinvoke"])
+def test_remote_call_sees_the_argument_as_sent(mode):
+    """The argument is flattened when the message is sent — real wire
+    semantics, the dynamic twin of symshare's ``mutate-after-send`` —
+    not when it is delivered: a mutation made while the message is in
+    flight does not reach the callee.  ``oinvoke`` sends inside the
+    call; ``ainvoke`` hands the call to a worker process, which sends
+    the first time the caller yields (here a ``sleep(0)``: the clock
+    does not move)."""
+    rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
+    kernel = rt.world.kernel
+
+    def app():
+        reg = JSRegistration()
+        codebase = JSCodebase()
+        codebase.add(Keeper)
+        codebase.load(["rachel"])
+        keeper = JSObj("Keeper", "rachel")
+        items = [1, 2, 3]
+        if mode == "ainvoke":
+            handle = keeper.ainvoke("store", [items])
+            kernel.sleep(0.0)
+            # The lint rule flags exactly this; here it is the
+            # behaviour under test.
+            items.append("late")  # symlint: disable=mutate-after-send
+            handle.get_result()
+        else:
+            keeper.oinvoke("store", [items])
+            items.append("late")
+        kernel.sleep(1.0)
+        kept = keeper.sinvoke("get")
+        reg.unregister()
+        return kept
+
+    assert rt.run_app(app, node="milena") == [[1, 2, 3]]
+
+
+@pytest.mark.parametrize("params, unwraps, flops", [
+    ([3], 0, 0),
+    ([Payload(data=3, flops=1000.0)], 1, 1),
+], ids=["plain", "payload"])
+def test_dispatch_unwraps_at_most_once(monkeypatch, params, unwraps, flops):
+    """A message the sender's encode found no ``Payload`` in is
+    dispatched without looking for one; any other is walked once for its
+    flops and once for its arguments."""
+    from repro.agents import objects
+
+    calls = Multiset()
+
+    def counting(name):
+        fn = getattr(objects, name)
+
+        def wrapper(value):
+            calls[name] += 1
+            return fn(value)
+        return wrapper
+
+    rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
+
+    def app():
+        reg = JSRegistration()
+        load_counter(["rachel"])
+        obj = JSObj("Counter", "rachel")
+        monkeypatch.setattr(objects, "unwrap", counting("unwrap"))
+        monkeypatch.setattr(objects, "flops_of", counting("flops_of"))
+        try:
+            return obj.sinvoke("incr", params)
+        finally:
+            monkeypatch.undo()
+            reg.unregister()
+
+    assert rt.run_app(app, node="milena") == 3
+    assert calls == Multiset(
+        {"unwrap": unwraps, "flops_of": flops}) - Multiset()

@@ -130,6 +130,106 @@ class TestReplyCopySemantics:
         assert getattr(exc, "cause", None) is None
 
 
+class TestSendEncodesFirst:
+    """An argument is flattened when it is sent, in the sender: what
+    cannot be flattened fails there, before anything is counted."""
+
+    def test_unpicklable_inside_nominal_payload_fails_in_caller(
+        self, world, transport
+    ):
+        """The nominal size made ``sizeof`` skip ``Payload.data``, so the
+        lock passed ``send`` and the pickling error came out of
+        ``_deliver`` on the scheduler, aborting ``kernel.run``."""
+        from repro.util.serialization import Payload
+
+        ep = transport.create_endpoint(Addr("u2", "srv"))
+        ep.register("ECHO", lambda msg: msg.payload)
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            with pytest.raises(TypeError, match="pickle"):
+                client.rpc(
+                    Addr("u2", "srv"), "ECHO",
+                    Payload(data=threading.Lock(), nbytes=10),
+                )
+            world.kernel.sleep(1.0)  # nothing is in flight to blow up
+            return client.rpc(Addr("u2", "srv"), "ECHO", "after")
+
+        assert world.kernel.run_callable(main) == "after"
+
+    @pytest.mark.parametrize("how", ["rpc", "rpc_async", "send_oneway"])
+    def test_failed_send_is_not_counted(self, world, transport, how):
+        ep = transport.create_endpoint(Addr("u2", "srv"))
+        ep.register("ECHO", lambda msg: msg.payload)
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            client.rpc(Addr("u2", "srv"), "ECHO", "warm")
+            stats = transport.stats
+            before = (stats.messages, stats.rpcs, stats.oneways,
+                      dict(stats.by_kind), stats.bytes_total)
+            with pytest.raises(TypeError, match="pickle"):
+                getattr(client, how)(
+                    Addr("u2", "srv"), "ECHO", [1, threading.Lock()]
+                )
+            world.kernel.sleep(1.0)
+            return before
+
+        before = world.kernel.run_callable(main)
+        stats = transport.stats
+        assert (stats.messages, stats.rpcs, stats.oneways,
+                dict(stats.by_kind), stats.bytes_total) == before
+
+    def test_oneway_sees_the_value_as_sent(self, world, transport):
+        """Send-time snapshot: mutating the argument after
+        ``send_oneway`` returns, before the kernel advances, does not
+        reach the callee."""
+        seen = []
+        ep = transport.create_endpoint(Addr("u2", "srv"))
+        ep.register("STORE", lambda msg: seen.append(msg.payload))
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            items = [1, 2, 3]
+            client.send_oneway(Addr("u2", "srv"), "STORE", items)
+            items.append("late")
+            world.kernel.sleep(1.0)
+
+        world.kernel.run_callable(main)
+        assert seen == [[1, 2, 3]]
+
+
+class TestOnePicklePerLeg:
+    def test_rpc_pickles_and_unpickles_once_per_leg(
+        self, world, transport, monkeypatch
+    ):
+        """Request: one ``dumps`` at send, one ``loads`` at delivery;
+        reply: one of each in the handler process.  Counted through the
+        module-level names, as the perfbench ledger does."""
+        from repro.util import serialization as ser
+
+        calls = {"dumps": 0, "loads": 0}
+
+        def counting(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapper
+
+        monkeypatch.setattr(ser, "dumps", counting("dumps", ser.dumps))
+        monkeypatch.setattr(ser, "loads", counting("loads", ser.loads))
+        ep = transport.create_endpoint(Addr("u2", "srv"))
+        ep.register("ECHO", lambda msg: msg.payload)
+        client = transport.create_endpoint(Addr("u1", "cli"))
+        argument = [[0.5] * 4096, b"x" * 65536]
+
+        def main():
+            return client.rpc(Addr("u2", "srv"), "ECHO", argument)
+
+        assert world.kernel.run_callable(main) == argument
+        assert calls == {"dumps": 2, "loads": 2}
+
+
 class TestReplyStats:
     def test_replies_counted_by_kind(self, world, transport):
         ep = transport.create_endpoint(Addr("u2", "srv"))
