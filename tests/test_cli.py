@@ -221,3 +221,27 @@ class TestIncidentsCommand:
 
     def test_incidents_empty_dir_exits_1(self, tmp_path):
         assert main(["incidents", str(tmp_path)]) == 1
+
+
+#: verbs that run the ``matmul`` builtin and share its flags
+MATMUL_VERBS = ["matmul", "trace", "spans", "top", "metrics", "chaos", "san"]
+
+
+def _describe(verb, monkeypatch):
+    """A verb's ``--help`` text plus every option's default."""
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = build_parser()._subparsers._group_actions[0].choices[verb]
+    defaults = sorted(
+        (a.dest, repr(a.default)) for a in sub._actions if a.dest != "help"
+    )
+    return sub.format_help() + "\ndefaults:\n" + "".join(
+        f"  {dest} = {default}\n" for dest, default in defaults
+    )
+
+
+@pytest.mark.parametrize("verb", MATMUL_VERBS)
+def test_help_text_and_defaults_are_pinned(verb, monkeypatch):
+    from pathlib import Path
+
+    snapshot = Path(__file__).parent / "fixtures" / "cli_help" / f"{verb}.txt"
+    assert _describe(verb, monkeypatch) == snapshot.read_text()
