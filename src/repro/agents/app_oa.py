@@ -383,7 +383,7 @@ class AppOA(HolderEndpoints):
                     # Dropped, exactly as a remote one-sided invocation
                     # would drop it (fire and forget).
                     pass
-            elif self.runtime.transport.retry_policy is not None:
+            elif self.runtime.transport.retrier is not None:
                 # Reliability on: carry the one-sided call on an acked,
                 # retried RPC so a dropped message does not silently
                 # lose it.  Still fire-and-forget for the application.

@@ -144,16 +144,29 @@ def analyze_paths(
     rules: set[str] | None = None,
     checkers: list[Checker] | None = None,
 ) -> Report:
-    """Run the analysis over ``paths`` (files or directories).
+    """Run the analysis over ``paths`` (files or directories)."""
+    return analyze_project(*load_project(paths), rules, checkers)
 
-    ``rules`` restricts the report to the given rule ids; suppression
-    pragmas in the source are always honored.
+
+def analyze_project(
+    project: Project,
+    parse_failures: list[Finding],
+    rules: set[str] | None = None,
+    checkers: list[Checker] | None = None,
+) -> Report:
+    """Run the analysis over what :func:`load_project` returned, which
+    callers with several rule sets to check can therefore load once.
+
+    ``rules`` restricts the report to the given rule ids, and the run to
+    the checkers that own one of them; suppression pragmas in the source
+    are always honored.
     """
-    project, findings = load_project(paths)
+    findings = list(parse_failures)
     report = Report(files=len(project.modules))
     by_path = {m.path: m for m in project.modules}
     for checker in checkers if checkers is not None else default_checkers():
-        findings.extend(checker.check(project))
+        if rules is None or not rules.isdisjoint(checker.rules):
+            findings.extend(checker.check(project))
     for finding in findings:
         if rules is not None and finding.rule not in rules:
             continue

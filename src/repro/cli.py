@@ -589,6 +589,29 @@ def cmd_san(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the ``matmul`` builtin's flags, declared once for every verb that can
+#: run it
+_MATMUL_FLAGS = {
+    "--n": dict(type=int, default=64, help="matmul: matrix dimension"),
+    "--nodes": dict(type=int, default=4, help="matmul: node count"),
+    "--real": dict(action="store_true",
+                   help="really multiply (and verify) the matrices"),
+    "--profile": dict(default="night",
+                      choices=["dedicated", "night", "day"]),
+    "--seed": dict(type=int, default=1),
+}
+
+
+def _add_matmul_flags(
+    parser: argparse.ArgumentParser,
+    flags: tuple = ("--n", "--nodes", "--profile", "--seed"),
+) -> None:
+    """Declare ``flags`` on ``parser``, in the order ``--help`` lists
+    them."""
+    for flag in flags:
+        parser.add_argument(flag, **_MATMUL_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -608,11 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mm = sub.add_parser("matmul", help="run one matmul configuration")
     p_mm.add_argument("--n", type=int, default=128)
     p_mm.add_argument("--nodes", type=int, default=4)
-    p_mm.add_argument("--profile", default="night",
-                      choices=["dedicated", "night", "day"])
-    p_mm.add_argument("--real", action="store_true",
-                      help="really multiply (and verify) the matrices")
-    p_mm.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_mm, ("--profile", "--real", "--seed"))
     p_mm.set_defaults(fn=cmd_matmul)
 
     p_tb = sub.add_parser("testbed", help="describe the Vienna testbed")
@@ -658,13 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a Chrome trace_event JSON here")
     p_trace.add_argument("--no-summary", action="store_true",
                          help="suppress the text summary")
-    p_trace.add_argument("--n", type=int, default=64,
-                         help="matmul: matrix dimension")
-    p_trace.add_argument("--nodes", type=int, default=4,
-                         help="matmul: node count")
-    p_trace.add_argument("--profile", default="night",
-                         choices=["dedicated", "night", "day"])
-    p_trace.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_trace)
     p_trace.set_defaults(fn=cmd_trace)
 
     p_spans = sub.add_parser(
@@ -680,13 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="extract and print the trace critical path")
     p_spans.add_argument("--json", default=None, metavar="PATH",
                          help="write the spans document (JSON) here")
-    p_spans.add_argument("--n", type=int, default=64,
-                         help="matmul: matrix dimension")
-    p_spans.add_argument("--nodes", type=int, default=4,
-                         help="matmul: node count")
-    p_spans.add_argument("--profile", default="night",
-                         choices=["dedicated", "night", "day"])
-    p_spans.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_spans)
     p_spans.set_defaults(fn=cmd_spans)
 
     p_top = sub.add_parser(
@@ -707,13 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="matmul: NAS monitor period (s) so idle/mem "
                             "samples land inside short runs; 0 keeps the "
                             "testbed default")
-    p_top.add_argument("--n", type=int, default=64,
-                       help="matmul: matrix dimension")
-    p_top.add_argument("--nodes", type=int, default=4,
-                       help="matmul: node count")
-    p_top.add_argument("--profile", default="night",
-                       choices=["dedicated", "night", "day"])
-    p_top.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_top)
     p_top.set_defaults(fn=cmd_top)
 
     p_metrics = sub.add_parser(
@@ -743,13 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="matmul: NAS monitor period (s) so "
                                 "heartbeat deltas land inside short runs; "
                                 "0 keeps the testbed default")
-    p_metrics.add_argument("--n", type=int, default=64,
-                           help="matmul: matrix dimension")
-    p_metrics.add_argument("--nodes", type=int, default=4,
-                           help="matmul: node count")
-    p_metrics.add_argument("--profile", default="night",
-                           choices=["dedicated", "night", "day"])
-    p_metrics.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_metrics)
     p_metrics.set_defaults(fn=cmd_metrics)
 
     p_chaos = sub.add_parser(
@@ -774,14 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--incident-dir", default=None, metavar="DIR",
                          help="write flight-recorder incident bundles "
                               "here")
-    p_chaos.add_argument("--n", type=int, default=64,
-                         help="matmul: matrix dimension")
-    p_chaos.add_argument("--nodes", type=int, default=4,
-                         help="matmul: node count")
-    p_chaos.add_argument("--real", action="store_true",
-                         help="really multiply (and verify) the matrices")
-    p_chaos.add_argument("--profile", default="night",
-                         choices=["dedicated", "night", "day"])
+    # --seed sits further up, with a help text of its own
+    _add_matmul_flags(p_chaos, ("--n", "--nodes", "--real", "--profile"))
     p_chaos.set_defaults(fn=cmd_chaos)
 
     p_inc = sub.add_parser(
@@ -812,13 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable shutdown leak checks")
     p_san.add_argument("--strict", action="store_true",
                        help="exit non-zero on warnings (leaks) too")
-    p_san.add_argument("--n", type=int, default=64,
-                       help="matmul: matrix dimension")
-    p_san.add_argument("--nodes", type=int, default=4,
-                       help="matmul: node count")
-    p_san.add_argument("--profile", default="night",
-                       choices=["dedicated", "night", "day"])
-    p_san.add_argument("--seed", type=int, default=1)
+    _add_matmul_flags(p_san)
     p_san.set_defaults(fn=cmd_san)
 
     return parser

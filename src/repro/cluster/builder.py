@@ -26,6 +26,7 @@ from repro.obs.flight import (
     TRIGGER_MIGRATE_PENDING,
     FlightRecorder,
 )
+from repro.rmi.reliability import Retrier
 from repro.simnet.world import SimWorld
 from repro.sysmon import SysParam
 from repro.transport import Transport
@@ -69,10 +70,14 @@ class JSRuntime:
         # Reliability layer (ISSUE 10): both knobs default to None, so
         # without explicit ShellConfig opt-in the transport keeps the
         # paper's fire-once semantics.
-        self.transport.retry_policy = self.shell.config.retry_policy
-        self.transport.health = self.shell.config.circuit_breaker
-        if self.transport.health is not None:
-            self.transport.health.on_state = self._on_circuit_state
+        #: :class:`CircuitBreaker` | None — also consulted for placement
+        self.health = self.shell.config.circuit_breaker
+        if self.health is not None:
+            self.health.on_state = self._on_circuit_state
+        if self.shell.config.retry_policy is not None:
+            self.transport.retrier = Retrier(
+                self.transport, self.shell.config.retry_policy, self.health
+            )
         # Where each host registered originally, for NAS re-registration
         # after a crash-restart.
         self._host_homes = {
@@ -147,10 +152,10 @@ class JSRuntime:
         # unless the checkpoint-recovery extension is switched on.
         if host in self.pool.hosts:
             self.pool.remove_host(host)
-        if self.transport.health is not None:
+        if self.health is not None:
             # NAS-confirmed death outranks suspicion: trip immediately so
             # reliable RPC sheds traffic instead of burning retry budget.
-            self.transport.health.force_open(host, self.world.now())
+            self.health.force_open(host, self.world.now())
         if self.shell.config.oas_failure_recovery:
             for app in list(self.apps.values()):
                 app.recover_from_failure(host)
@@ -172,8 +177,8 @@ class JSRuntime:
         if host not in self.pool.hosts:
             self.pool.add_host(host)
         self.ensure_pub_oa(host)
-        if self.transport.health is not None:
-            self.transport.health.reset(host)
+        if self.health is not None:
+            self.health.reset(host)
 
     def _on_circuit_state(self, host: str, state: str) -> None:
         tracer = self.world.tracer
@@ -353,8 +358,8 @@ class JSRuntime:
             if self.world.machine(host).failed:
                 continue
             if (
-                self.transport.health is not None
-                and self.transport.health.suspected(host)
+                self.health is not None
+                and self.health.suspected(host)
             ):
                 # Circuit open or probing: shed new placements until the
                 # breaker closes again.

@@ -2,13 +2,19 @@
 
 JavaSymphony's RMI (and our transport) is fire-once: a dropped request or
 reply surfaces to user code as a raw ``RPCTimeoutError``.  This module
-provides the pieces the transport composes into *reliable* RPC when
-``ShellConfig.retry_policy`` is set:
+holds what makes RPC *reliable* when ``ShellConfig.retry_policy`` is
+set:
 
 :class:`RetryPolicy`
-    Bounded exponential backoff with seeded jitter.  Deliberately a
-    *bounded* ``for``-loop driver — the symlint ``unbounded-retry`` rule
-    flags retry loops with no attempt/deadline bound.
+    Bounded exponential backoff with seeded jitter.
+
+:class:`Retrier`
+    The retry loop itself — the one object the runtime installs on the
+    transport (``transport.retrier``) and :meth:`Endpoint.rpc
+    <repro.transport.rpc.Endpoint.rpc>` hands a blocking call to.
+    Deliberately a *bounded* ``for`` loop — the symlint
+    ``unbounded-retry`` rule flags retry loops with no attempt/deadline
+    bound.
 
 :class:`ReplayCache`
     Holder-side dedup keyed on the per-call idempotency token carried by
@@ -37,13 +43,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import JSError
+from repro.errors import (
+    CircuitOpenError,
+    JSError,
+    NodeFailedError,
+    RetriesExhaustedError,
+    RPCTimeoutError,
+)
 from repro.kernel.base import Kernel
+from repro.obs import events as ev
+from repro.transport.rpc import Addr, Transport
+from repro.util.ids import IdGenerator
 from repro.util.serialization import Wire
 
 __all__ = [
     "RetryPolicy",
     "AttemptTrace",
+    "Retrier",
     "ReplayCache",
     "CircuitBreaker",
     "CLOSED",
@@ -304,3 +320,96 @@ class CircuitBreaker:
     def state_of(self, host: str) -> str:
         circuit = self._hosts.get(host)
         return CLOSED if circuit is None else circuit.state
+
+
+class Retrier:
+    """Blocking RPC with retries: executes a :class:`RetryPolicy` (and
+    feeds an optional :class:`CircuitBreaker`) around the transport's
+    fire-once rendezvous.
+
+    Every attempt carries the same idempotency token (fresh ``msg_id``),
+    so holders with a dedup cache execute at most once.  Only
+    transport-level failures (:class:`RPCTimeoutError`,
+    :class:`NodeFailedError`) are retried — an application exception
+    from the handler is a *delivered* outcome and re-raises immediately.
+    Exhaustion raises :class:`repro.errors.RetriesExhaustedError`
+    carrying the per-attempt trace; an open circuit sheds the call up
+    front with :class:`repro.errors.CircuitOpenError`."""
+
+    def __init__(self, transport: Transport, policy: RetryPolicy,
+                 health: CircuitBreaker | None = None) -> None:
+        self.transport = transport
+        self.policy = policy
+        self.health = health
+        self._tokens = IdGenerator()
+
+    def rpc(self, src: Addr, dst: Addr, kind: str, payload: Any,
+            timeout: float | None = None) -> Any:
+        transport, policy, health = self.transport, self.policy, self.health
+        world = transport.world
+        kernel = world.kernel
+        if kernel.current_process() is None:
+            # No process to sleep in (module-level/test harness
+            # callers): fire-once semantics.
+            return transport.rpc(src, dst, kind, payload).result_or_timeout(
+                timeout)
+        token = self._tokens.next("tok")
+        per_attempt = policy.per_attempt_timeout(timeout)
+        deadline = (
+            None if policy.deadline is None
+            else world.now() + policy.deadline
+        )
+        rng = world.rng.stream("retry")
+        attempts: list = []
+        for attempt in range(1, policy.max_attempts + 1):
+            now = world.now()
+            if health is not None and not health.allow(dst.host, now):
+                if attempts:
+                    raise RetriesExhaustedError(
+                        f"{kind} to {dst}: circuit opened after "
+                        f"{len(attempts)} failed attempt(s)",
+                        attempts=attempts,
+                    )
+                raise CircuitOpenError(
+                    f"{kind} to {dst}: circuit open for host {dst.host!r}"
+                )
+            started = world.now()
+            try:
+                value = transport.rpc(
+                    src, dst, kind, payload, token=token
+                ).result_or_timeout(per_attempt)
+            except (RPCTimeoutError, NodeFailedError) as exc:
+                now = world.now()
+                attempts.append(AttemptTrace(
+                    attempt=attempt, dst=str(dst), kind=kind,
+                    started=started, elapsed=now - started,
+                    error=repr(exc),
+                ))
+                if health is not None:
+                    health.record_failure(dst.host, now)
+                backoff = policy.backoff(attempt, rng)
+                out_of_budget = (
+                    deadline is not None and now + backoff >= deadline
+                )
+                if attempt >= policy.max_attempts or out_of_budget:
+                    raise RetriesExhaustedError(
+                        f"{kind} to {dst} failed after {attempt} "
+                        f"attempt(s)"
+                        + (" (deadline exceeded)" if out_of_budget else ""),
+                        attempts=attempts,
+                    ) from exc
+                tracer = transport.tracer
+                if tracer.enabled:
+                    tracer.emit(
+                        ev.RPC_RETRY, ts=now, host=src.host,
+                        actor=str(src), kind=kind, dst=str(dst),
+                        attempt=attempt, backoff=backoff,
+                        error=type(exc).__name__,
+                    )
+                    tracer.count("rpc.retries", host=src.host)
+                kernel.sleep(backoff)
+            else:
+                if health is not None:
+                    health.record_success(dst.host)
+                return value
+        raise AssertionError("unreachable: retry loop is bounded")

@@ -1,22 +1,24 @@
 """RPC over the simulated network — the stand-in for Java/RMI.
 
 Agents register *endpoints* (one per ``(host, agent-name)`` pair) with
-handlers keyed by message kind.  An RPC:
+handlers keyed by message kind.  An RPC is two *legs*, request and
+reply, under one rule (:meth:`Transport._leg`): the sender's CPU pays
+for the flattened value, the network charges latency + bandwidth share +
+software overhead from its size, and messages between one pair of hosts
+arrive in send order.  So an RPC:
 
 1. encodes the request payload once, at send — the blob that travels and
    its size (honoring nominal :class:`Payload` sizes) come from one pass,
-2. charges the network (latency + bandwidth share + software overhead)
-   from that size,
-3. decodes the blob at each delivery and executes the handler **in its
+2. decodes the blob at each delivery and executes the handler **in its
    own spawned process at the destination** (JavaSymphony ran one thread
    per incoming request on the PubOA),
-4. encodes the result once, charges the network again from its size and
-   completes the caller's future with a decoded copy.
+3. encodes the result once and completes the caller's future with a
+   decoded copy.
 
 Failure semantics mirror a real LAN: messages to or from a failed host
-are silently dropped — the caller learns about failures only through
-timeouts, which is exactly what the paper's Network Agent System relies
-on for failure detection.
+are silently dropped (:meth:`Transport._drop`) — the caller learns about
+failures only through timeouts, which is exactly what the paper's
+Network Agent System relies on for failure detection.
 
 Arguments and results cross the "wire" as a pickle: the callee works on
 what the sender's value was *when it was sent*, and mutation on either
@@ -31,7 +33,9 @@ from typing import Any, Callable, NamedTuple
 from repro.errors import (
     NodeFailedError,
     RemoteInvocationError,
+    RPCTimeoutError,
     TransportError,
+    WaitTimeout,
 )
 from repro.kernel.base import Future
 from repro.obs import events as ev
@@ -98,7 +102,7 @@ class TransportStats:
     @property
     def dropped(self) -> int:
         """All drops; request vs reply drops are counted separately
-        because a dropped reply means the *caller's* host failed."""
+        because a dropped reply means the call *executed*."""
         return self.dropped_requests + self.dropped_replies
 
 
@@ -133,27 +137,20 @@ class Endpoint:
 
     # -- convenience wrappers -------------------------------------------------
 
-    def rpc(
-        self,
-        dst: Addr,
-        kind: str,
-        payload: Any = None,
-        timeout: float | None = None,
-    ) -> Any:
+    def rpc(self, dst: Addr, kind: str, payload: Any = None,
+            timeout: float | None = None) -> Any:
         """Blocking RPC; returns the reply value or raises the remote
         exception / :class:`repro.errors.RPCTimeoutError`.
 
-        With a retry policy installed on the transport this becomes a
+        With a retrier installed on the transport this becomes a
         *reliable* call: failed attempts are retried with backoff and
         exhaustion surfaces as
         :class:`repro.errors.RetriesExhaustedError`."""
-        if self.transport.retry_policy is not None:
-            return self.transport.reliable_rpc(
-                self.addr, dst, kind, payload, timeout=timeout
-            )
-        return self.transport.rpc(self.addr, dst, kind, payload).result_or_timeout(
-            timeout
-        )
+        retrier = self.transport.retrier
+        if retrier is not None:
+            return retrier.rpc(self.addr, dst, kind, payload, timeout)
+        reply = self.transport.rpc(self.addr, dst, kind, payload)
+        return reply.result_or_timeout(timeout)
 
     def rpc_async(self, dst: Addr, kind: str, payload: Any = None) -> "Reply":
         return self.transport.rpc(self.addr, dst, kind, payload)
@@ -180,8 +177,6 @@ class Reply:
         return self._future.wait(timeout)
 
     def result_or_timeout(self, timeout: float | None = None) -> Any:
-        from repro.errors import RPCTimeoutError, WaitTimeout
-
         try:
             value = self._future.result(timeout)
         except WaitTimeout:
@@ -226,11 +221,9 @@ class Transport:
         # must not outlive them (a recovered host would otherwise queue
         # behind pre-crash delivery times).
         world.failure_listeners.append(self._prune_fifo)
-        #: :class:`repro.rmi.reliability.RetryPolicy` | None — when set,
-        #: :meth:`Endpoint.rpc` routes through :meth:`reliable_rpc`.
-        self.retry_policy = None
-        #: :class:`repro.rmi.reliability.CircuitBreaker` | None
-        self.health = None
+        #: :class:`repro.rmi.reliability.Retrier` | None — when set,
+        #: :meth:`Endpoint.rpc` hands every blocking call to it.
+        self.retrier = None
         #: :class:`repro.chaos.ChaosInjector` | None — fault hook on the
         #: wire: may drop/duplicate/delay scheduled deliveries.
         self.chaos = None
@@ -260,114 +253,12 @@ class Transport:
         for key in [k for k in self._last_delivery if host in k]:
             del self._last_delivery[key]
 
-    def endpoint(self, addr: Addr) -> Endpoint | None:
-        return self._endpoints.get(addr)
-
     # -- send path -------------------------------------------------------------
 
-    def rpc(
-        self,
-        src: Addr,
-        dst: Addr,
-        kind: str,
-        payload: Any,
-        token: str | None = None,
-    ) -> Reply:
+    def rpc(self, src: Addr, dst: Addr, kind: str, payload: Any,
+            token: str | None = None) -> Reply:
         future = self.send(src, dst, kind, payload, oneway=False, token=token)
         return Reply(future, self, src=src, dst=dst, kind=kind)
-
-    def reliable_rpc(
-        self,
-        src: Addr,
-        dst: Addr,
-        kind: str,
-        payload: Any,
-        timeout: float | None = None,
-    ) -> Any:
-        """Blocking RPC with retries, per :attr:`retry_policy`.
-
-        Every attempt carries the same idempotency token (fresh
-        ``msg_id``), so holders with a dedup cache execute at most once.
-        Only transport-level failures (:class:`RPCTimeoutError`,
-        :class:`NodeFailedError`) are retried — an application exception
-        from the handler is a *delivered* outcome and re-raises
-        immediately.  Exhaustion raises
-        :class:`repro.errors.RetriesExhaustedError` carrying the
-        per-attempt trace; an open circuit sheds the call up front with
-        :class:`repro.errors.CircuitOpenError`."""
-        from repro.errors import (
-            CircuitOpenError,
-            RetriesExhaustedError,
-            RPCTimeoutError,
-        )
-        from repro.rmi.reliability import AttemptTrace
-
-        policy = self.retry_policy
-        kernel = self.world.kernel
-        if kernel.current_process() is None:
-            # No process to sleep in (module-level/test harness
-            # callers): seed fire-once semantics.
-            return self.rpc(src, dst, kind, payload).result_or_timeout(timeout)
-        health = self.health
-        token = self._ids.next("tok")
-        per_attempt = policy.per_attempt_timeout(timeout)
-        deadline = (
-            None if policy.deadline is None
-            else self.world.now() + policy.deadline
-        )
-        rng = self.world.rng.stream("retry")
-        attempts: list = []
-        for attempt in range(1, policy.max_attempts + 1):
-            now = self.world.now()
-            if health is not None and not health.allow(dst.host, now):
-                if attempts:
-                    raise RetriesExhaustedError(
-                        f"{kind} to {dst}: circuit opened after "
-                        f"{len(attempts)} failed attempt(s)",
-                        attempts=attempts,
-                    )
-                raise CircuitOpenError(
-                    f"{kind} to {dst}: circuit open for host {dst.host!r}"
-                )
-            started = self.world.now()
-            try:
-                value = self.rpc(
-                    src, dst, kind, payload, token=token
-                ).result_or_timeout(per_attempt)
-            except (RPCTimeoutError, NodeFailedError) as exc:
-                now = self.world.now()
-                attempts.append(AttemptTrace(
-                    attempt=attempt, dst=str(dst), kind=kind,
-                    started=started, elapsed=now - started,
-                    error=repr(exc),
-                ))
-                if health is not None:
-                    health.record_failure(dst.host, now)
-                backoff = policy.backoff(attempt, rng)
-                out_of_budget = (
-                    deadline is not None and now + backoff >= deadline
-                )
-                if attempt >= policy.max_attempts or out_of_budget:
-                    raise RetriesExhaustedError(
-                        f"{kind} to {dst} failed after {attempt} "
-                        f"attempt(s)"
-                        + (" (deadline exceeded)" if out_of_budget else ""),
-                        attempts=attempts,
-                    ) from exc
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        ev.RPC_RETRY, ts=now, host=src.host,
-                        actor=str(src), kind=kind, dst=str(dst),
-                        attempt=attempt, backoff=backoff,
-                        error=type(exc).__name__,
-                    )
-                    self.tracer.count("rpc.retries", host=src.host)
-                kernel.sleep(backoff)
-            else:
-                if health is not None:
-                    health.record_success(dst.host)
-                return value
-        raise AssertionError("unreachable: retry loop is bounded")
 
     def send(
         self,
@@ -385,72 +276,131 @@ class Transport:
         # before a counter moves or a future exists.
         wire = encode(payload)
         nbytes = wire.nbytes
+        sent_at = self.world.now()
+        # Where the legs differ, 1 of 2: a request's sender is the
+        # calling process, so on a dead host this charge raises to it —
+        # NodeFailedError, with nothing counted, numbered or awaited yet.
+        self._charge_sender_cpu(src.host, nbytes)
         reply_future = None
         if oneway:
             self.stats.oneways += 1
         else:
             self.stats.rpcs += 1
             reply_future = self.world.kernel.create_future()
-        self.stats.messages += 1
-        self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + 1
-        self.stats.bytes_total += nbytes
         msg = Message(
-            msg_id=self._ids.next("msg"),
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=wire,
-            nbytes=nbytes,
-            sent_at=self.world.now(),
-            token=token,
-            nominal=wire.nominal,
+            self._ids.next("msg"), src, dst, kind, wire, nbytes, sent_at,
+            None, token, wire.nominal,
         )
-        self._charge_sender_cpu(src.host, nbytes)
+        self._leg(msg, "request", nbytes, self._deliver, (msg, reply_future))
+        return reply_future
+
+    def _send_reply(
+        self, msg: Message, result: Any, nbytes: int, reply_future: Future
+    ) -> None:
+        """Reply to an executed request: ``result`` is the caller's
+        decoded copy, ``nbytes`` the size of the wire it came from."""
         try:
-            delay = self.world.transfer_delay(src.host, dst.host, nbytes)
+            self._charge_sender_cpu(msg.dst.host, nbytes)
         except NodeFailedError:
-            # Dropped on the floor; the caller's timeout is the detector.
-            self.stats.dropped_requests += 1
-            self._trace_drop(msg, "request", "host failed")
-            return reply_future
+            # Where the legs differ, 2 of 2: this host died under its
+            # own handler, and a reply has no caller to raise to — it is
+            # lost like any other message.
+            return self._drop(msg, "reply", "replying host failed")
+        self._leg(msg, "reply", nbytes, self._complete,
+                  (reply_future, result))
+
+    def _leg(self, msg: Message, stage: str, nbytes: int,
+             deliver: Callable[..., None], args: tuple) -> None:
+        """One message on the wire, its sender's CPU already charged:
+        ``msg`` itself (``"request"``) or the reply to it (``"reply"``,
+        travelling ``msg.dst`` to ``msg.src``).  Either pays latency +
+        bandwidth share + software overhead, in order, per connection,
+        so this is the only place that counts a message as sent, asks
+        the network for its delay, applies the FIFO floor, emits the
+        wire span, consults the chaos hook and schedules
+        ``deliver(*args)``."""
+        request = stage == "request"
+        if request:
+            src, dst, kind = msg.src, msg.dst, msg.kind
+        else:
+            src, dst, kind = msg.dst, msg.src, msg.kind + ":reply"
+        stats = self.stats
+        stats.messages += 1
+        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
+        stats.bytes_total += nbytes
+        world = self.world
+        try:
+            delay = world.transfer_delay(src.host, dst.host, nbytes)
+        except NodeFailedError:
+            return self._drop(msg, stage, (
+                "host failed" if request
+                else "caller failed" if world.machine(dst.host).failed
+                else "replying host failed"))
+        now = world.now()
         key = (src.host, dst.host)
-        deliver_at = max(self.world.now() + delay,
-                         self._last_delivery.get(key, 0.0))
+        deliver_at = max(now + delay, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = deliver_at
-        if self.tracer.enabled:
-            msg.ctx = self.tracer.emit_span(
-                ev.RPC_REQUEST, ts=msg.sent_at, host=src.host,
-                actor=str(src), dur=deliver_at - msg.sent_at,
+        tracer = self.tracer
+        if tracer.enabled:
+            # A request span starts when the caller called (CPU charge
+            # included) and rides on the message, so the handler's exec
+            # span joins the caller's trace.  A reply span starts now,
+            # under the current context: still the exec span (_execute's
+            # restore=False), so a reply descends from its request.
+            ts = msg.sent_at if request else now
+            ctx = tracer.emit_span(
+                ev.RPC_REQUEST if request else ev.RPC_REPLY, ts=ts,
+                host=src.host, actor=str(src), dur=deliver_at - ts,
                 kind=kind, nbytes=nbytes, src=str(src), dst=str(dst),
-                msg_id=msg.msg_id, oneway=oneway,
+                msg_id=msg.msg_id,
+                **({"oneway": args[1] is None} if request else {}),
             )
-            self.tracer.count(f"rpc.bytes:{kind}", nbytes, host=src.host)
+            tracer.count(f"rpc.bytes:{kind}", nbytes, host=src.host)
+            if request:
+                msg.ctx = ctx
+            else:
+                # Latency is the caller-observed round trip; attribute
+                # it to the calling host so per-host percentiles mean
+                # "RPCs this machine issued".
+                tracer.observe(f"rpc.latency:{msg.kind}",
+                               deliver_at - msg.sent_at, host=dst.host)
         # Chaos runs *after* the FIFO floor: faulted deliveries shift
         # individually, which is exactly how reordering becomes possible
         # on an otherwise in-order connection.
-        deliveries = [deliver_at]
+        deliveries: Any = (deliver_at,)
         if self.chaos is not None:
-            deliveries = self.chaos.filter(msg, "request", deliver_at)
+            deliveries = self.chaos.filter(msg, stage, deliver_at)
             if not deliveries:
-                self.stats.dropped_requests += 1
-                self._trace_drop(msg, "request", "chaos")
-                return reply_future
+                return self._drop(msg, stage, "chaos")
         for at in deliveries:
-            self.world.kernel.call_at(at, self._deliver, msg, reply_future)
-        return reply_future
+            # Duplicates are harmless: every request delivery decodes a
+            # copy of its own, and _complete is idempotent.
+            world.kernel.call_at(at, deliver, *args)
+
+    def _drop(self, msg: Message, stage: str, reason: str) -> None:
+        """Lose ``msg`` (or the reply to it): the only place a drop is
+        counted and traced.  Nobody is told — the caller's timeout is
+        the detector."""
+        if stage == "request":
+            self.stats.dropped_requests += 1
+        else:
+            self.stats.dropped_replies += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                ev.RPC_DROP, ts=self.world.now(), host=msg.dst.host,
+                actor=str(msg.dst), ctx=msg.ctx, kind=msg.kind,
+                stage=stage, reason=reason, msg_id=msg.msg_id,
+            )
+            self.tracer.count(f"rpc.dropped:{stage}", host=msg.dst.host)
 
     # -- receive path ------------------------------------------------------------
 
     def _deliver(self, msg: Message, reply_future: Future | None) -> None:
         if self.world.machine(msg.dst.host).failed:
-            self.stats.dropped_requests += 1
-            self._trace_drop(msg, "request", "destination failed")
-            return
+            return self._drop(msg, "request", "destination failed")
         endpoint = self._endpoints.get(msg.dst)
         if endpoint is None or endpoint.closed:
-            self.stats.dropped_requests += 1
-            self._trace_drop(msg, "request", "no such endpoint")
-            return
+            return self._drop(msg, "request", "no such endpoint")
         # Decoding is the copy, and each delivery makes its own: the
         # handlers of a duplicated request must not share an argument.
         # (Spelled out: dataclasses.replace costs six times as much.)
@@ -461,10 +411,7 @@ class Transport:
         # One process per incoming request, as the paper's PubOA runs one
         # thread per request.
         self.world.kernel.spawn(
-            self._execute,
-            endpoint,
-            delivered,
-            reply_future,
+            self._execute, endpoint, delivered, reply_future,
             name=f"handle-{msg.kind}@{msg.dst.host}",
             context={"addr": msg.dst},
         )
@@ -489,13 +436,12 @@ class Transport:
                     self._send_reply(msg, decode(wire), wire.nbytes,
                                      reply_future)
                 return
-        exec_start = self.world.now()
         exec_span = None
         if self.tracer.enabled:
             # The handler process joins the sender's trace: the exec span
             # parents under the request span carried on the message.
             exec_span = self.tracer.begin_span(
-                ev.RPC_EXEC, ts=exec_start, host=msg.dst.host,
+                ev.RPC_EXEC, ts=self.world.now(), host=msg.dst.host,
                 actor=str(msg.dst), parent=msg.ctx,
                 kind=msg.kind, msg_id=msg.msg_id,
             )
@@ -523,63 +469,6 @@ class Transport:
             return
         self._send_reply(msg, result, wire.nbytes, reply_future)
 
-    def _send_reply(
-        self, msg: Message, result: Any, nbytes: int, reply_future: Future
-    ) -> None:
-        """Charge and schedule the reply leg for an executed request:
-        ``result`` is the caller's decoded copy, ``nbytes`` the size of
-        the wire it was decoded from."""
-        reply_kind = msg.kind + ":reply"
-        self.stats.messages += 1
-        self.stats.by_kind[reply_kind] = (
-            self.stats.by_kind.get(reply_kind, 0) + 1
-        )
-        self.stats.bytes_total += nbytes
-        try:
-            self._charge_sender_cpu(msg.dst.host, nbytes)
-            delay = self.world.transfer_delay(msg.dst.host, msg.src.host, nbytes)
-        except NodeFailedError:
-            # The *caller's* host failed while we were executing.
-            self.stats.dropped_replies += 1
-            self._trace_drop(msg, "reply", "caller failed")
-            return
-        key = (msg.dst.host, msg.src.host)
-        deliver_at = max(self.world.now() + delay,
-                         self._last_delivery.get(key, 0.0))
-        self._last_delivery[key] = deliver_at
-        if self.tracer.enabled:
-            t_reply = self.world.now()
-            # Current context is still the exec span (restore=False
-            # above), so the reply span is its child — every cross-host
-            # reply descends from the request that caused it.
-            self.tracer.emit_span(
-                ev.RPC_REPLY, ts=t_reply, host=msg.dst.host,
-                actor=str(msg.dst), dur=deliver_at - t_reply,
-                kind=reply_kind, nbytes=nbytes, src=str(msg.dst),
-                dst=str(msg.src), msg_id=msg.msg_id,
-            )
-            self.tracer.count(f"rpc.bytes:{reply_kind}", nbytes,
-                              host=msg.dst.host)
-            # Latency is the caller-observed round trip; attribute it to
-            # the calling host so per-host percentiles mean "RPCs this
-            # machine issued".
-            self.tracer.observe(
-                f"rpc.latency:{msg.kind}", deliver_at - msg.sent_at,
-                host=msg.src.host,
-            )
-        deliveries = [deliver_at]
-        if self.chaos is not None:
-            deliveries = self.chaos.filter(msg, "reply", deliver_at)
-            if not deliveries:
-                self.stats.dropped_replies += 1
-                self._trace_drop(msg, "reply", "chaos")
-                return
-        for at in deliveries:
-            # Duplicate replies are harmless: _complete is idempotent.
-            self.world.kernel.call_at(
-                at, self._complete, reply_future, result
-            )
-
     def _roundtrip_result(self, result: Any, where: Addr) -> tuple[Wire, Any]:
         """Encode a reply once and decode the caller's copy of it —
         including :class:`RemoteError` results, so remote exceptions get
@@ -591,27 +480,14 @@ class Transport:
             wire = encode(result)
             return wire, decode(wire)
         except Exception:
-            if isinstance(result, RemoteError):
-                synthesized: BaseException = RemoteInvocationError(
-                    f"remote handler at {where} raised an unpicklable "
-                    f"exception: {result.exc!r}"
-                )
-            else:
-                synthesized = RemoteInvocationError(
-                    f"remote handler at {where} returned an unpicklable "
-                    f"value: {result!r}"
-                )
-            degraded = RemoteError(exc=synthesized, where=where)
-            return encode(degraded), degraded
-
-    def _trace_drop(self, msg: Message, stage: str, reason: str) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.RPC_DROP, ts=self.world.now(), host=msg.dst.host,
-                actor=str(msg.dst), ctx=msg.ctx, kind=msg.kind,
-                stage=stage, reason=reason, msg_id=msg.msg_id,
+            what = (
+                f"raised an unpicklable exception: {result.exc!r}"
+                if isinstance(result, RemoteError)
+                else f"returned an unpicklable value: {result!r}"
             )
-            self.tracer.count(f"rpc.dropped:{stage}", host=msg.dst.host)
+            degraded = RemoteError(RemoteInvocationError(
+                f"remote handler at {where} {what}"), where)
+            return encode(degraded), degraded
 
     def _charge_sender_cpu(self, host: str, nbytes: int) -> None:
         flops = self.cpu_flops_per_msg + nbytes * self.cpu_flops_per_byte

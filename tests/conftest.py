@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.agents.objects import js_compute, jsclass
+from repro.analysis.runner import load_project
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.kernel.virtual import shutdown_all_kernels
 
@@ -119,6 +120,15 @@ class Linker:
         # agent only via the app in this design, so Linker just returns
         # the ref for the caller to act on (kept simple deliberately).
         return 1
+
+
+@pytest.fixture(scope="session")
+def runtime_project():
+    """The runtime package parsed once, as ``load_project`` returns it,
+    for the lint gates of every test module that has one."""
+    import repro
+
+    return load_project([os.path.dirname(os.path.abspath(repro.__file__))])
 
 
 @pytest.fixture()

@@ -8,29 +8,26 @@ this test fails before any runtime test has to trip over it.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-
-import glob
 
 import pytest
 
 import repro
-from repro.analysis import Severity, analyze_paths, render_json
-from repro.analysis.runner import rule_groups
+from repro.analysis import Severity, render_json
+from repro.analysis.runner import analyze_project, load_project, rule_groups
 from repro.cli import main as cli_main
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
-TESTS_DIR = os.path.join(REPO_ROOT, "tests")
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(runtime_project):
     """One analysis of the runtime package for every test that reads it
-    (a full pass re-parses the tree and takes seconds)."""
-    return analyze_paths([PACKAGE_DIR])
+    (a full pass takes seconds)."""
+    return analyze_project(*runtime_project)
 
 
 def test_runtime_has_zero_error_findings(report):
@@ -56,29 +53,34 @@ def test_known_suppressions_are_counted(report):
     assert report.suppressed == 5
 
 
-def test_locality_gate_repo_wide():
+@pytest.fixture(scope="module")
+def repo_project():
+    """The runtime, the examples and the test suite parsed once for the
+    repo-wide gates.  Fixture directories are excluded: they are the
+    seeded-bug corpus and *must* fire."""
+    return load_project(
+        [PACKAGE_DIR, os.path.join(REPO_ROOT, "examples")]
+        + sorted(glob.glob(os.path.join(REPO_ROOT, "tests", "*.py")))
+    )
+
+
+def test_locality_gate_repo_wide(repo_project):
     """symloc runs clean — zero findings at every severity, INFO
     included — over the runtime, the examples and the test suite.
-    Fixture directories are excluded: they are the seeded-bug corpus
-    and *must* fire.  Every legitimate pattern is either written the
-    recommended way or carries a justified suppression."""
-    test_files = sorted(glob.glob(os.path.join(TESTS_DIR, "*.py")))
-    paths = [PACKAGE_DIR, EXAMPLES_DIR] + test_files
-    report = analyze_paths(paths, rules=rule_groups()["locality"])
+    Every legitimate pattern is either written the recommended way or
+    carries a justified suppression."""
+    report = analyze_project(*repo_project, rule_groups()["locality"])
     assert report.findings == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
     )
 
 
-def test_symshare_gate_repo_wide():
+def test_symshare_gate_repo_wide(repo_project):
     """symshare runs clean over the runtime, the examples and the test
     suite: no mutation inside a send window, no live resource in a
     remote argument, no stale placement, no consumed oneway result, no
-    escaped-and-forgotten handle.  Fixture directories are excluded —
-    they are the seeded-bug corpus and *must* fire."""
-    test_files = sorted(glob.glob(os.path.join(TESTS_DIR, "*.py")))
-    paths = [PACKAGE_DIR, EXAMPLES_DIR] + test_files
-    report = analyze_paths(paths, rules=rule_groups()["symshare"])
+    escaped-and-forgotten handle."""
+    report = analyze_project(*repo_project, rule_groups()["symshare"])
     assert report.findings == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
     )

@@ -7,18 +7,15 @@ interprocedural pass yields zero findings).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-import repro
 from repro.analysis import Severity, analyze_paths
 from repro.analysis.base import Module, Project
 from repro.analysis.callgraph import CallGraph, FuncKey
 from repro.analysis.interprocedural import InterproceduralChecker
-from repro.analysis.runner import default_checkers
+from repro.analysis.runner import analyze_project, default_checkers
 
 FIXTURES = Path(__file__).parent / "fixtures" / "symlint"
-PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 INTERPROCEDURAL_RULES = {"rpc-under-lock", "kernel-block-transitive"}
 
 
@@ -237,8 +234,8 @@ def test_spawned_functions_are_entry_points(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_src_repro_clean_under_interprocedural_rules():
-    report = analyze_paths([PACKAGE_DIR], rules=INTERPROCEDURAL_RULES)
+def test_src_repro_clean_under_interprocedural_rules(runtime_project):
+    report = analyze_project(*runtime_project, INTERPROCEDURAL_RULES)
     assert report.findings == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
     )

@@ -13,7 +13,7 @@ each leg, and the shape of the ``rpc.request`` / ``rpc.reply`` spans.
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.errors import RPCTimeoutError
+from repro.errors import NodeFailedError, RPCTimeoutError
 from repro.kernel import VirtualKernel
 from repro.obs import Tracer, events as ev, tracing
 from repro.simnet import SimWorld, build_lan, make_host
@@ -211,9 +211,12 @@ DROPS = {
     ),
     "reply/replying host failed": (
         "", _replier_dies_during_handler, False, "timeout",
-        ("reply", "caller failed", "u2", "DIE"),
-        {"messages": 2, "rpcs": 1, "dropped_replies": 1,
-         "by_kind": {"DIE": 1, "DIE:reply": 1}},
+        # Was ("reply", "caller failed", ...) with the reply counted as
+        # a message: the drop named the wrong side, and the dead host
+        # never put that reply on the wire.
+        ("reply", "replying host failed", "u2", "DIE"),
+        {"messages": 1, "rpcs": 1, "dropped_replies": 1,
+         "by_kind": {"DIE": 1}},
     ),
     "reply/chaos": (
         "drop:p=1,stage=reply", _chaos_reply, False, "timeout",
@@ -238,6 +241,29 @@ def test_drop_table(name):
                 "dropped_requests": 0, "dropped_replies": 0, "by_kind": {}}
     expected.update(moved)
     assert rig.ledger() == expected
+
+
+@pytest.mark.parametrize("how", ["rpc", "rpc_async", "send_oneway"])
+def test_send_from_a_dead_host_raises_with_nothing_sent(how):
+    """The one loss that is not silent: the sender of a request is the
+    calling process, and its host is gone.  Nothing counts as sent — no
+    message, no ``msg_id``, no reply future left behind."""
+    rig = Rig()
+
+    def main():
+        rig.world.fail_host("u1")
+        with pytest.raises(NodeFailedError):
+            getattr(rig.client, how)(SRV, "ECHO", "x")
+        rig.kernel.sleep(1.0)
+
+    rig.run(main)
+    assert rig.ledger() == {
+        "messages": 0, "rpcs": 0, "oneways": 0, "dropped_requests": 0,
+        "dropped_replies": 0, "by_kind": {}}
+    assert rig.stats.bytes_total == 0
+    assert rig.transport._ids.next("msg") == "msg-1"
+    assert rig.drops() == []
+    assert rig.tracer.events_of(ev.RPC_REQUEST) == []
 
 
 def test_drop_events_carry_the_request_span_on_both_legs():
