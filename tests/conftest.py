@@ -7,14 +7,19 @@ session end.  ``REPRO_SAN_REPORT=<path>`` additionally writes the symsan
 JSON report there (CI uploads it as an artifact).
 """
 
+import glob
 import os
 
 import pytest
 
+import repro
 from repro.agents.objects import js_compute, jsclass
-from repro.analysis.runner import load_project
+from repro.analysis.runner import analyze_project, load_project
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.kernel.virtual import shutdown_all_kernels
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SAN_ENABLED = os.environ.get("REPRO_SAN", "") not in ("", "0")
 _SESSION_SANITIZER = None
@@ -126,9 +131,26 @@ class Linker:
 def runtime_project():
     """The runtime package parsed once, as ``load_project`` returns it,
     for the lint gates of every test module that has one."""
-    import repro
+    return load_project([PACKAGE_DIR])
 
-    return load_project([os.path.dirname(os.path.abspath(repro.__file__))])
+
+@pytest.fixture(scope="session")
+def runtime_report(runtime_project):
+    """One all-rules analysis of the runtime package for every test that
+    reads it (a full pass takes seconds)."""
+    return analyze_project(*runtime_project)
+
+
+@pytest.fixture(scope="session")
+def repo_report():
+    """One all-rules analysis of the runtime, the examples and the test
+    suite for the repo-wide gates.  Fixture directories are excluded:
+    they are the seeded-bug corpus and *must* fire.  Only the report
+    outlives the pass; the parsed tree is dropped after it."""
+    return analyze_project(*load_project(
+        [PACKAGE_DIR, os.path.join(REPO_ROOT, "examples")]
+        + sorted(glob.glob(os.path.join(REPO_ROOT, "tests", "*.py")))
+    ))
 
 
 @pytest.fixture()

@@ -8,26 +8,19 @@ this test fails before any runtime test has to trip over it.
 
 from __future__ import annotations
 
-import glob
 import json
-import os
 
 import pytest
 
-import repro
 from repro.analysis import Severity, render_json
-from repro.analysis.runner import analyze_project, load_project, rule_groups
+from repro.analysis.runner import rule_groups
 from repro.cli import main as cli_main
-
-PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from tests.conftest import PACKAGE_DIR
 
 
-@pytest.fixture(scope="module")
-def report(runtime_project):
-    """One analysis of the runtime package for every test that reads it
-    (a full pass takes seconds)."""
-    return analyze_project(*runtime_project)
+@pytest.fixture()
+def report(runtime_report):
+    return runtime_report
 
 
 def test_runtime_has_zero_error_findings(report):
@@ -53,37 +46,29 @@ def test_known_suppressions_are_counted(report):
     assert report.suppressed == 5
 
 
-@pytest.fixture(scope="module")
-def repo_project():
-    """The runtime, the examples and the test suite parsed once for the
-    repo-wide gates.  Fixture directories are excluded: they are the
-    seeded-bug corpus and *must* fire."""
-    return load_project(
-        [PACKAGE_DIR, os.path.join(REPO_ROOT, "examples")]
-        + sorted(glob.glob(os.path.join(REPO_ROOT, "tests", "*.py")))
+def _gate(repo_report, group):
+    """The repo-wide report's findings from one checker group."""
+    rules = rule_groups()[group]
+    findings = [f for f in repo_report.findings if f.rule in rules]
+    assert findings == [], "\n".join(
+        f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in findings
     )
 
 
-def test_locality_gate_repo_wide(repo_project):
+def test_locality_gate_repo_wide(repo_report):
     """symloc runs clean — zero findings at every severity, INFO
     included — over the runtime, the examples and the test suite.
     Every legitimate pattern is either written the recommended way or
     carries a justified suppression."""
-    report = analyze_project(*repo_project, rule_groups()["locality"])
-    assert report.findings == [], "\n".join(
-        f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
-    )
+    _gate(repo_report, "locality")
 
 
-def test_symshare_gate_repo_wide(repo_project):
+def test_symshare_gate_repo_wide(repo_report):
     """symshare runs clean over the runtime, the examples and the test
     suite: no mutation inside a send window, no live resource in a
     remote argument, no stale placement, no consumed oneway result, no
     escaped-and-forgotten handle."""
-    report = analyze_project(*repo_project, rule_groups()["symshare"])
-    assert report.findings == [], "\n".join(
-        f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
-    )
+    _gate(repo_report, "symshare")
 
 
 def test_cli_lint_default_paths_exits_zero(capsys):
