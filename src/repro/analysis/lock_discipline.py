@@ -303,9 +303,14 @@ class LockDisciplineChecker(Checker):
         graph = nx.DiGraph()
         for (outer, inner), site in report.order_edges.items():
             graph.add_edge(outer, inner, site=site)
-        for cycle in nx.simple_cycles(graph):
-            if len(cycle) < 2:
-                continue
+        # A cycle has no first lock: name it from its smallest one and
+        # report cycles in sorted order, so the finding's line and
+        # message are those of the source, not of a set's iteration.
+        cycles = sorted(
+            cycle[cycle.index(min(cycle)):] + cycle[:cycle.index(min(cycle))]
+            for cycle in nx.simple_cycles(graph) if len(cycle) >= 2
+        )
+        for cycle in cycles:
             order = " -> ".join(cycle + [cycle[0]])
             pairs = list(zip(cycle, cycle[1:] + [cycle[0]]))
             sites = ", ".join(

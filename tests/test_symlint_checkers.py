@@ -90,6 +90,37 @@ def test_lock_order_cycle_detected():
     assert report.findings == cycles
 
 
+@pytest.mark.parametrize("first", ["lo", "hi"])
+def test_lock_order_cycle_is_named_from_its_smallest_lock(tmp_path, first):
+    """A cycle has no first lock; the finding used to start from
+    whichever one a set yielded, so its line and message (what pragmas
+    and baselines key on) moved with PYTHONHASHSEED.  Eight lock pairs:
+    an unfixed checker names all of them right under 1 seed in 256."""
+    pairs = [(f"_lock_{2 * i}", f"_lock_{2 * i + 1}") for i in range(8)]
+    lines = ["import threading", ""]
+    expected = {}
+    for i, (lo, hi) in enumerate(pairs):
+        lines += [f"class Pair{i}:", "    def __init__(self):"]
+        lines += [f"        self.{n} = threading.Lock()" for n in (lo, hi)]
+        order = [(lo, hi), (hi, lo)]
+        for outer, inner in order if first == "lo" else reversed(order):
+            lines += [f"    def {outer}_then{inner}(self):",
+                      f"        with self.{outer}:",
+                      f"            with self.{inner}:"]
+            if outer == lo:
+                expected[f"Pair{i}"] = (len(lines), f"({lo} -> {hi} -> {lo})")
+            lines += ["                pass"]
+    source = tmp_path / "pairs.py"
+    source.write_text("\n".join(lines) + "\n")
+    cycles = by_rule(analyze_paths([str(source)]), "lock-order-cycle")
+    named = {
+        f.symbol.split(":")[0]:
+            (f.line, f.message.split("orders ")[1].split(":")[0])
+        for f in cycles
+    }
+    assert named == expected
+
+
 # ---------------------------------------------------------------------------
 # protocol completeness
 # ---------------------------------------------------------------------------

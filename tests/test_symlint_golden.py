@@ -10,22 +10,18 @@ as a diff, not as a passing suite.  The zero-finding trees are pinned by
 their ``(findings, suppressed)`` counts.
 
 The goldens under ``tests/fixtures/lint_golden/`` were taken with
-``PYTHONHASHSEED=0``, and the suite renders the reports in a child
-interpreter under that seed: ``lock-order-cycle`` names a cycle starting
-from whichever lock a ``set`` yields first, so its line and message
-move with the seed.  A change that is *meant* to move a finding
-regenerates the goldens, from the repo root::
+``PYTHONHASHSEED=0``; a report does not depend on the hash seed (CI's
+"lint determinism" step compares two), so the suite checks them under
+whatever seed pytest runs with.  A change that is *meant* to move a
+finding regenerates the goldens, from the repo root::
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python -c \
+    PYTHONPATH=src python -c \
         "from tests.test_symlint_golden import regenerate; regenerate()"
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -43,46 +39,30 @@ CORPORA = ("symlint", "symloc", "symshare")
 SELECTIONS = ("all", *sorted(rule_groups()))
 
 
-def corpus_reports() -> dict[str, str]:
-    """``render_json`` of every corpus x selection, keyed
-    ``corpus/selection``; paths in the reports are relative to the
-    working directory, which must be the repo root."""
-    reports = {}
-    for corpus in CORPORA:
-        for selection in SELECTIONS:
-            rules = None if selection == "all" else rule_groups()[selection]
-            report = analyze_paths([f"tests/fixtures/{corpus}"], rules)
-            reports[f"{corpus}/{selection}"] = render_json(report) + "\n"
-    return reports
+def corpus_report(corpus: str, selection: str) -> str:
+    """``render_json`` of one fixture corpus; paths in the report are
+    relative to the working directory, which must be the repo root."""
+    rules = None if selection == "all" else rule_groups()[selection]
+    report = analyze_paths([f"tests/fixtures/{corpus}"], rules)
+    return render_json(report) + "\n"
 
 
 def regenerate() -> None:
     os.chdir(REPO_ROOT)
-    for key, text in corpus_reports().items():
-        path = GOLDEN / f"{key}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-
-
-@pytest.fixture(scope="module")
-def rendered():
-    child = subprocess.run(
-        [sys.executable, "-c",
-         "import json; from tests.test_symlint_golden import "
-         "corpus_reports; print(json.dumps(corpus_reports()))"],
-        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONHASHSEED": "0",
-             "PYTHONPATH": os.pathsep.join(
-                 [str(REPO_ROOT / "src"), str(REPO_ROOT)])},
-    )
-    return json.loads(child.stdout)
+    for corpus in CORPORA:
+        (GOLDEN / corpus).mkdir(parents=True, exist_ok=True)
+        for selection in SELECTIONS:
+            (GOLDEN / corpus / f"{selection}.json").write_text(
+                corpus_report(corpus, selection)
+            )
 
 
 @pytest.mark.parametrize("selection", SELECTIONS)
 @pytest.mark.parametrize("corpus", CORPORA)
-def test_fixture_corpus_report_is_pinned(rendered, corpus, selection):
-    golden = (REPO_ROOT / GOLDEN / corpus / f"{selection}.json").read_text()
-    assert rendered[f"{corpus}/{selection}"] == golden
+def test_fixture_corpus_report_is_pinned(corpus, selection, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    golden = (GOLDEN / corpus / f"{selection}.json").read_text()
+    assert corpus_report(corpus, selection) == golden
 
 
 def test_runtime_counts_are_pinned(runtime_report):
