@@ -226,6 +226,7 @@ class AppOA(HolderEndpoints):
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
         self._note_refs_write(obj_id)
+        # symlint: disable=unlocked-mutation (see _note_refs_write)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -258,7 +259,10 @@ class AppOA(HolderEndpoints):
 
     def _note_refs_write(self, obj_id: str) -> None:
         """Tell the sanitizer this process is about to write
-        ``refs[obj_id]`` (a no-op unless sanitizing)."""
+        ``refs[obj_id]`` (a no-op unless sanitizing).  ``_pending_lock``
+        guards the pending counters, not the table: one entry is written
+        by one process at a time, which symsan checks here at run time —
+        hence the ``unlocked-mutation`` pragmas on the stores."""
         san = self.world.kernel.sanitizer
         if san.enabled:
             san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
@@ -298,6 +302,9 @@ class AppOA(HolderEndpoints):
             if entry is not None:
                 entry.location = location
         else:
+            # A location cache: one atomic dict store, last writer wins,
+            # and a stale entry only costs a redirect.
+            # symlint: disable=unlocked-mutation
             self.foreign_locations[ref.obj_id] = location
 
     def _resolve_via_origin(self, ref: ObjectRef) -> Addr:
@@ -349,6 +356,7 @@ class AppOA(HolderEndpoints):
             # here, with nothing counted or traced yet.
             dest = self._location_of(ref)
             call = self._open_call(_Call(ref, method, params, "async", True))
+            # symlint: disable=unlocked-mutation (_InvokeCoalescer.add, no set)
             self._coalescer.add(dest, call)
         else:
             call = self._open_call(_Call(ref, method, params, "async"))
@@ -912,6 +920,7 @@ class AppOA(HolderEndpoints):
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
         self._note_refs_write(obj_id)
+        # symlint: disable=unlocked-mutation (see _note_refs_write)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         return ref
 
@@ -965,6 +974,7 @@ class AppOA(HolderEndpoints):
                 self.free_object(entry.ref)
             except Exception:  # noqa: BLE001 - best effort cleanup
                 self._note_refs_write(obj_id)
+                # symlint: disable=unlocked-mutation (see _note_refs_write)
                 self.refs.pop(obj_id, None)
         for watch_id in self.watch_ids:
             try:

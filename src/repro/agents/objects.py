@@ -265,7 +265,10 @@ class ObjectHolder:
         Returns :class:`Moved`/:class:`UnknownObject` markers for stale or
         unknown handles — the caller-side AppOA interprets them.
         """
-        self._inflight += 1
+        # A telemetry gauge, not protocol state: ``_holder_lock`` guards
+        # the object tables, and a lost update under the wall-clock
+        # kernel skews one ``queue.depth`` sample, never a result.
+        self._inflight += 1  # symlint: disable=unlocked-mutation
         tracer = self.world.tracer
         if tracer.enabled:
             # Observed on arrival so the histogram records the depth each
@@ -276,7 +279,7 @@ class ObjectHolder:
         try:
             return self._dispatch_invoke(obj_id, method_name, params, nominal)
         finally:
-            self._inflight -= 1
+            self._inflight -= 1  # symlint: disable=unlocked-mutation
 
     def _dispatch_invoke(
         self, obj_id: str, method_name: str, params: Any, nominal: bool

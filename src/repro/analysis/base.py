@@ -15,6 +15,13 @@ import ast
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import CallGraph
+    from repro.analysis.escape import EscapeAnalysis
+    from repro.analysis.index import ModuleFacts
 
 
 class Severity(enum.IntEnum):
@@ -101,7 +108,10 @@ class Module:
 
 @dataclass
 class Project:
-    """Every module under analysis, addressable by path."""
+    """Every module under analysis, addressable by path, and the index
+    of what the checkers share about them (:mod:`repro.analysis.index`):
+    each fact is computed at first use, once, and dies with the project.
+    """
 
     modules: list[Module]
 
@@ -110,6 +120,27 @@ class Project:
             m for m in self.modules
             if m.path.rsplit("/", 1)[-1] == basename
         ]
+
+    @cached_property
+    def callgraph(self) -> CallGraph:
+        from repro.analysis.callgraph import CallGraph
+
+        return CallGraph(self)
+
+    @cached_property
+    def escape(self) -> EscapeAnalysis:
+        from repro.analysis.escape import EscapeAnalysis
+
+        return EscapeAnalysis(self, self.callgraph)
+
+    @cached_property
+    def _facts(self) -> dict[str, ModuleFacts]:
+        from repro.analysis.index import ModuleFacts
+
+        return {m.path: ModuleFacts(self, m) for m in self.modules}
+
+    def facts(self, module: Module) -> ModuleFacts:
+        return self._facts[module.path]
 
 
 class Checker:

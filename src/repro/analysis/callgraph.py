@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.base import Module, Project, iter_methods, self_attr_name
+from repro.analysis.base import Module, Project, self_attr_name
 
 
 @dataclass(frozen=True)
@@ -94,28 +94,33 @@ class CallGraph:
         #: class name -> union of its AST base-class names, project-wide
         self._bases: dict[str, set[str]] = {}
         for module in project.modules:
-            self._index_module(module)
+            self._index_module(module, project.facts(module).classes)
+        self._by_path: dict[str, list[FuncInfo]] = {}
+        for info in self.functions.values():
+            self._by_path.setdefault(info.key.path, []).append(info)
 
-    def _index_module(self, module: Module) -> None:
+    def _index_module(self, module: Module, classes) -> None:
         for item in module.tree.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 key = FuncKey(module.path, item.name)
                 self.functions[key] = FuncInfo(key, module, item, None)
                 self._module_level[(module.path, item.name)] = key
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            self._bases.setdefault(node.name, set()).update(
-                _base_names(node)
+        for cls in classes:
+            self._bases.setdefault(cls.name, set()).update(
+                _base_names(cls.node)
             )
-            for method in iter_methods(node):
-                key = FuncKey(module.path, f"{node.name}.{method.name}")
+            for method in cls.methods:
+                key = FuncKey(module.path, f"{cls.name}.{method.name}")
                 self.functions[key] = FuncInfo(
-                    key, module, method, node.name
+                    key, module, method, cls.name
                 )
                 self._methods.setdefault(
-                    (node.name, method.name), []
+                    (cls.name, method.name), []
                 ).append(key)
+
+    def functions_in(self, path: str) -> list[FuncInfo]:
+        """The functions defined in one file, in definition order."""
+        return self._by_path.get(path, [])
 
     # -- resolution ----------------------------------------------------------
 

@@ -140,7 +140,7 @@ class EscapeAnalysis:
 
     def __init__(self, project: Project,
                  graph: CallGraph | None = None) -> None:
-        self.graph = graph if graph is not None else CallGraph(project)
+        self.graph = graph if graph is not None else project.callgraph
         self.summaries: dict[FuncKey, Summary] = {
             key: Summary() for key in self.graph.functions
         }

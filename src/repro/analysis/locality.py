@@ -69,11 +69,11 @@ from repro.analysis.cfg import (
     CFG,
     FunctionNode,
     calls_in_stmt,
-    function_cfgs,
     stmt_defs,
     stmt_uses,
 )
-from repro.analysis.dataflow import Definition, Liveness, ReachingDefinitions
+from repro.analysis.dataflow import Definition, Liveness
+from repro.analysis.index import FunctionFacts
 
 #: a sinvoke result untouched for this many following statements is an
 #: overlap opportunity
@@ -127,14 +127,13 @@ def _def_depth(cfg: CFG, definition: Definition) -> int:
     return block.loop_depth
 
 
-class _FunctionFacts:
+class _LocalityFacts:
     """Everything the rules need about one function, computed once."""
 
-    def __init__(self, func: FunctionNode, cfg: CFG) -> None:
+    def __init__(self, func: FunctionFacts) -> None:
         self.func = func
-        self.cfg = cfg
+        self.cfg = cfg = func.cfg
         self.liveness = Liveness(cfg)
-        self.reaching = ReachingDefinitions(cfg)
         self.local_names: set[str] = set()
         self.payload_names: set[str] = set()
         self.migrated: set[str] = set()
@@ -181,20 +180,15 @@ class LocalityChecker(Checker):
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for module in project.modules:
-            for qualname, func, cfg in function_cfgs(module.tree):
-                findings.extend(
-                    self._check_function(module, qualname, func, cfg)
-                )
-            findings.extend(self._check_repeated_remote(module))
+            for func in project.facts(module).functions:
+                findings.extend(self._check_function(module, func))
         return findings
 
     # -- CFG/dataflow-backed rules ------------------------------------------
 
-    def _check_function(
-        self, module: Module, qualname: str, func: FunctionNode, cfg: CFG
-    ):
-        facts = _FunctionFacts(func, cfg)
-        for block, idx, stmt in cfg.statements():
+    def _check_function(self, module: Module, func: FunctionFacts):
+        facts = _LocalityFacts(func)
+        for block, idx, stmt in func.cfg.statements():
             for call, comp_depth in calls_in_stmt(stmt):
                 if not isinstance(call.func, ast.Attribute):
                     continue
@@ -228,6 +222,7 @@ class LocalityChecker(Checker):
                     yield from self._check_large_arg(
                         module, facts, block, idx, call, depth
                     )
+        yield from self._check_repeated_remote(module, func, facts)
 
     def _in_loop_finding(self, module: Module, call: ast.Call,
                          depth: int, message: str, symbol: str) -> Finding:
@@ -381,7 +376,7 @@ class LocalityChecker(Checker):
             if name not in facts.payload_names:
                 continue
             if reaching is None:
-                reaching = facts.reaching.reaching_before(block, idx)
+                reaching = facts.func.reaching.reaching_before(block, idx)
             payload_defs = [
                 d for d in reaching
                 if d.name == name and facts.is_payload_def(d)
@@ -428,26 +423,14 @@ class LocalityChecker(Checker):
 
     # -- AST loop rule (needs loop identity, not just depth) ----------------
 
-    def _check_repeated_remote(self, module: Module):
+    def _check_repeated_remote(self, module, func, facts):
         """Same loop-invariant receiver invoked at >= 2 sites per
         iteration, never migrated/placed in the function."""
-        for qualname, func in _functions(module.tree):
-            facts_migrated: set[str] = set()
-            local: set[str] = set()
-            for node in self._own_statements(func):
-                target = _single_name_target(node)
-                if target is not None and _is_local_ctor(node.value):
-                    local.add(target)
-                for call, _ in calls_in_stmt(node):
-                    if isinstance(call.func, ast.Attribute) and \
-                            call.func.attr == "migrate":
-                        recv = _receiver(call)
-                        if recv:
-                            facts_migrated.add(recv)
-            for loop in self._own_loops(func):
-                yield from self._check_one_loop(
-                    module, qualname, loop, facts_migrated, local
-                )
+        for loop in self._own_loops(func.node):
+            yield from self._check_one_loop(
+                module, func.qualname, loop, facts.migrated,
+                facts.local_names,
+            )
 
     @staticmethod
     def _own_statements(func: FunctionNode):
@@ -520,21 +503,6 @@ class LocalityChecker(Checker):
                 "constraints) would make these calls local",
                 symbol=recv,
             )
-
-
-def _functions(tree: ast.Module):
-    """``(qualname, func)`` for every function, methods included."""
-    def walk(node: ast.AST, prefix: str):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from walk(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
-    yield from walk(tree, "")
 
 
 __all__ = ["LocalityChecker", "OVERLAP_WINDOW"]

@@ -2,7 +2,8 @@
 
 Per class, builds the map of ``self.*`` attributes touched under a
 ``with self._lock:`` block versus outside one, and a lock-acquisition
-order graph across the whole project.
+order graph.  Which ``with`` blocks hold a lock is
+:mod:`repro.analysis.index`'s decision, shared with every lock rule.
 
 Rules
 -----
@@ -13,10 +14,11 @@ Rules
     so holder tables are genuinely shared).
 
 ``unlocked-mutation`` (warning)
-    A class that owns a ``threading.Lock``/``RLock`` mutates a container
-    attribute (append/pop/subscript-store/...) outside any lock.  Plain
-    rebinding assignments are not flagged — only mutations that are
-    non-atomic read-modify-write sequences.
+    A class that owns a lock (:attr:`repro.analysis.index.ClassFacts.lock_attrs`:
+    a ``threading.Lock``/``RLock`` or a ``make_lock`` result) mutates a
+    container attribute (append/pop/subscript-store/...) outside any
+    lock.  Plain rebinding assignments are not flagged — only mutations
+    that are non-atomic read-modify-write sequences.
 
 ``lock-order-cycle`` (error)
     Two locks are acquired in opposite nesting orders on different code
@@ -38,18 +40,10 @@ from repro.analysis.base import (
     Module,
     Project,
     Severity,
-    dotted_name,
     is_init_method,
-    iter_methods,
     self_attr_name,
 )
-
-LOCK_FACTORIES = {
-    "threading.Lock",
-    "threading.RLock",
-    "Lock",
-    "RLock",
-}
+from repro.analysis.index import ClassFacts, HeldLocks
 
 #: container mutations that are read-modify-write, not atomic rebinds
 MUTATING_METHODS = {
@@ -69,63 +63,30 @@ class _Access:
 
 @dataclass
 class _ClassReport:
-    lock_attrs: set[str] = field(default_factory=set)
+    lock_attrs: frozenset[str]
     accesses: list[_Access] = field(default_factory=list)
     #: (outer_lock, inner_lock) -> acquisition site
     order_edges: dict[tuple[str, str], ast.AST] = field(default_factory=dict)
 
 
-def _lock_name_of(expr: ast.AST) -> str | None:
-    """The lock identity acquired by a ``with`` item, if it looks like
-    one: ``self.x`` / bare name whose name mentions 'lock', or any
-    ``self.x`` (resolved against the class's known lock attrs later)."""
-    name = self_attr_name(expr)
-    if name is not None:
-        return name
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
-class _MethodScanner(ast.NodeVisitor):
-    """Walks one method body tracking the stack of held locks."""
+class _MethodScanner(HeldLocks):
+    """Records one method's ``self.*`` accesses with the locks held at
+    each, and the order in which it nests lock acquisitions."""
 
     def __init__(self, report: _ClassReport, method: str) -> None:
+        super().__init__(report.lock_attrs)
         self.report = report
         self.method = method
-        self.held: list[str] = []
-
-    def _is_lock(self, name: str) -> bool:
-        return name in self.report.lock_attrs or "lock" in name.lower()
-
-    def _guards(self) -> frozenset[str]:
-        return frozenset(self.held)
 
     def _record(self, attr: str, node: ast.AST, kind: str) -> None:
         self.report.accesses.append(
-            _Access(attr, self.method, node, kind, self._guards())
+            _Access(attr, self.method, node, kind, frozenset(self.held))
         )
 
-    # -- lock tracking ------------------------------------------------------
-
-    def visit_With(self, node: ast.With) -> None:
-        acquired: list[str] = []
-        for item in node.items:
-            name = _lock_name_of(item.context_expr)
-            if name is not None and self._is_lock(name):
-                for outer in self.held:
-                    if outer != name:
-                        self.report.order_edges.setdefault(
-                            (outer, name), item.context_expr
-                        )
-                self.held.append(name)
-                acquired.append(name)
-        for stmt in node.body:
-            self.visit(stmt)
-        for _ in acquired:
-            self.held.pop()
-
-    visit_AsyncWith = visit_With
+    def acquired(self, name: str, site: ast.expr) -> None:
+        for outer in self.held:
+            if outer != name:
+                self.report.order_edges.setdefault((outer, name), site)
 
     # -- attribute accesses ---------------------------------------------------
 
@@ -183,34 +144,6 @@ class _MethodScanner(ast.NodeVisitor):
                 self._record(attr, node, "read")
         self.generic_visit(node)
 
-    # Nested functions/lambdas run later, possibly without the lock held;
-    # analyzing them with the current guard stack would be wrong, and
-    # without it would be noise — skip their bodies.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-
-def _collect_lock_attrs(klass: ast.ClassDef) -> set[str]:
-    locks: set[str] = set()
-    for node in ast.walk(klass):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not isinstance(node.value, ast.Call):
-            continue
-        factory = dotted_name(node.value.func)
-        if factory not in LOCK_FACTORIES:
-            continue
-        for target in node.targets:
-            attr = self_attr_name(target)
-            if attr is not None:
-                locks.add(attr)
-    return locks
-
 
 class LockDisciplineChecker(Checker):
     name = "lock-discipline"
@@ -223,21 +156,16 @@ class LockDisciplineChecker(Checker):
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for module in project.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    findings.extend(self._check_class(module, node))
+            for cls in project.facts(module).classes:
+                findings.extend(self._check_class(module, cls))
         return findings
 
-    def _check_class(
-        self, module: Module, klass: ast.ClassDef
-    ) -> list[Finding]:
-        report = _ClassReport(lock_attrs=_collect_lock_attrs(klass))
-        for method in iter_methods(klass):
-            scanner = _MethodScanner(report, method.name)
-            for stmt in method.body:
-                scanner.visit(stmt)
-        findings = list(self._discipline_findings(module, klass, report))
-        findings.extend(self._order_findings(module, klass, report))
+    def _check_class(self, module: Module, cls: ClassFacts) -> list[Finding]:
+        report = _ClassReport(cls.lock_attrs)
+        for method in cls.methods:
+            _MethodScanner(report, method.name).scan(method)
+        findings = list(self._discipline_findings(module, cls.node, report))
+        findings.extend(self._order_findings(module, cls.node, report))
         return findings
 
     # -- unguarded-write / unlocked-mutation --------------------------------

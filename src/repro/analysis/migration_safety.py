@@ -89,10 +89,9 @@ class MigrationSafetyChecker(Checker):
         findings: list[Finding] = []
         for module in project.modules:
             registered = _registered_class_names(module.tree)
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef) and \
-                        _is_jsclass(node, registered):
-                    findings.extend(self._check_class(module, node))
+            for cls in project.facts(module).classes:
+                if _is_jsclass(cls.node, registered):
+                    findings.extend(self._check_class(module, cls.node))
         return findings
 
     def _check_class(self, module: Module, klass: ast.ClassDef):

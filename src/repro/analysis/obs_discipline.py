@@ -30,10 +30,11 @@ Rules
     runtime→obs lock-order edge.  When the receiver also mentions
     ``tracer`` the tracer rule wins (one finding, not two).
 
-Lock-ness is judged the same way as in
-:mod:`repro.analysis.lock_discipline`: the context expression's name
-mentions "lock".  Nested function definitions are skipped — they do not
-run under the enclosing ``with``.
+Which ``with`` blocks hold a lock is :mod:`repro.analysis.index`'s
+decision, as for every lock rule: the enclosing class assigned the
+attribute a lock, or the context expression's name mentions "lock".
+Nested function definitions are skipped — they do not run under the
+enclosing ``with``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ import ast
 from repro.analysis.base import (
     Checker,
     Finding,
-    Module,
     Project,
     Severity,
+    dotted_name,
 )
+from repro.analysis.index import HeldLocks, ModuleFacts
 
 TRACER_METHODS = {
     "emit", "count", "observe", "emit_span", "begin_span", "end_span",
@@ -88,48 +90,21 @@ def _is_registry_call(call: ast.Call) -> bool:
     return any(word in part for part in receiver for word in REGISTRY_WORDS)
 
 
-def _lockish(expr: ast.AST) -> bool:
-    chain = _attr_chain(expr)
-    return any("lock" in part.lower() for part in chain)
+class _FunctionScanner(HeldLocks):
+    """Records the telemetry calls one function makes under a lock."""
 
-
-class _FunctionScanner(ast.NodeVisitor):
-    """Tracks lexical ``with <lock>`` nesting within one function body."""
-
-    def __init__(self) -> None:
-        self.held: list[str] = []
+    def __init__(self, lock_attrs: frozenset[str]) -> None:
+        super().__init__(lock_attrs)
         self.hits: list[tuple[str, ast.Call, str]] = []
-
-    def visit_With(self, node: ast.With) -> None:
-        acquired = [
-            ".".join(_attr_chain(item.context_expr)) or "<lock>"
-            for item in node.items
-            if _lockish(item.context_expr)
-        ]
-        self.held.extend(acquired)
-        self.generic_visit(node)
-        del self.held[len(self.held) - len(acquired):]
 
     def visit_Call(self, node: ast.Call) -> None:
         if self.held:
+            lock = dotted_name(self.sites[-1])
             if _is_tracer_call(node):
-                self.hits.append(
-                    ("tracer-call-under-lock", node, self.held[-1])
-                )
+                self.hits.append(("tracer-call-under-lock", node, lock))
             elif _is_registry_call(node):
-                self.hits.append(
-                    ("registry-call-under-lock", node, self.held[-1])
-                )
+                self.hits.append(("registry-call-under-lock", node, lock))
         self.generic_visit(node)
-
-    # A nested def under a ``with`` executes later, not under the lock.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
 
 
 class ObsDisciplineChecker(Checker):
@@ -142,16 +117,13 @@ class ObsDisciplineChecker(Checker):
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for module in project.modules:
-            findings.extend(self._check_module(module))
+            findings.extend(self._check_module(project.facts(module)))
         return findings
 
-    def _check_module(self, module: Module):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            scanner = _FunctionScanner()
-            for stmt in node.body:
-                scanner.visit(stmt)
+    def _check_module(self, facts: ModuleFacts):
+        for func in facts.functions:
+            scanner = _FunctionScanner(func.lock_attrs)
+            scanner.scan(func.node)
             for rule, call, lock in scanner.hits:
                 method = call.func.attr if isinstance(
                     call.func, ast.Attribute
@@ -160,10 +132,10 @@ class ObsDisciplineChecker(Checker):
                         else "telemetry registry")
                 yield self.finding(
                     rule,
-                    module.path,
+                    facts.module.path,
                     call,
                     f"{what} .{method}() inside 'with {lock}': move the "
                     "call after the lock is released — it takes the "
                     "metrics lock and stretches the critical section",
-                    symbol=node.name,
+                    symbol=func.node.name,
                 )

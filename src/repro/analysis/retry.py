@@ -32,12 +32,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.base import Checker, Finding, Project, Severity
-from repro.analysis.blocking import (
-    HANDLER_PREFIXES,
-    _registered_handler_names,
-)
-from repro.analysis.callgraph import CallGraph, FuncInfo
-from repro.analysis.interprocedural import excluded_path
+from repro.analysis.index import call_chain, excluded_path, reach
 
 
 def _const_true(test: ast.expr) -> bool:
@@ -103,7 +98,7 @@ class RetryDisciplineChecker(Checker):
     rules = {"unbounded-retry": Severity.ERROR}
 
     def check(self, project: Project) -> list[Finding]:
-        graph = CallGraph(project)
+        graph = project.callgraph
         flagged: dict = {}  # FuncKey -> (FuncInfo, ast.While)
         for key, info in graph.functions.items():
             if excluded_path(key.path):
@@ -113,13 +108,19 @@ class RetryDisciplineChecker(Checker):
                 flagged[key] = (info, loop)
         if not flagged:
             return []
-        parents = self._reach_from_handlers(graph, project)
+        # everything a message handler transitively calls
+        parents = reach(graph, [
+            entry
+            for module in project.modules
+            if not excluded_path(module.path)
+            for entry in project.facts(module).entry_points()
+        ])
         findings: list[Finding] = []
         for key in sorted(flagged, key=lambda k: (k.path, k.qualname)):
             if key not in parents:
                 continue
             info, loop = flagged[key]
-            chain = self._chain(parents, key)
+            chain = call_chain(parents, key)
             via = (
                 f" (via {' -> '.join(chain)})" if len(chain) > 1 else ""
             )
@@ -136,38 +137,3 @@ class RetryDisciplineChecker(Checker):
                 symbol=info.label,
             ))
         return findings
-
-    def _reach_from_handlers(self, graph: CallGraph, project: Project):
-        """FuncKey -> parent FuncInfo (None for the handlers themselves)
-        for everything a message handler transitively calls."""
-        entries: list[FuncInfo] = []
-        for module in project.modules:
-            if excluded_path(module.path):
-                continue
-            registered = _registered_handler_names(module.tree)
-            for key, info in graph.functions.items():
-                if key.path != module.path:
-                    continue
-                if (info.name.startswith(HANDLER_PREFIXES)
-                        or info.name in registered):
-                    entries.append(info)
-        parents: dict = {info.key: None for info in entries}
-        queue = list(entries)
-        while queue:
-            info = queue.pop(0)
-            for target, _call in graph.callees(info):
-                if target.key in parents or excluded_path(target.key.path):
-                    continue
-                parents[target.key] = info
-                queue.append(target)
-        return parents
-
-    @staticmethod
-    def _chain(parents: dict, key) -> list[str]:
-        chain = [key.qualname]
-        cursor = parents[key]
-        while cursor is not None:
-            chain.append(cursor.label)
-            cursor = parents[cursor.key]
-        chain.reverse()
-        return chain

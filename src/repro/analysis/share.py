@@ -55,7 +55,7 @@ for every other pass.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.base import (
@@ -67,18 +67,17 @@ from repro.analysis.base import (
     dotted_name,
     self_attr_name,
 )
-from repro.analysis.callgraph import CallGraph, FuncInfo, FuncKey
-from repro.analysis.cfg import CFG, Block, calls_in_stmt, function_cfgs
-from repro.analysis.dataflow import Definition, ReachingDefinitions
+from repro.analysis.callgraph import FuncInfo, FuncKey
+from repro.analysis.cfg import Block, calls_in_stmt
+from repro.analysis.dataflow import Definition
 from repro.analysis.escape import (
     HANDLE_INVOKES,
     MUTATOR_METHODS,
     REMOTE_INVOKES,
-    EscapeAnalysis,
     arg_value_names,
     map_call_args,
 )
-from repro.analysis.interprocedural import collect_lock_attrs, excluded_path
+from repro.analysis.index import FunctionFacts, excluded_path
 from repro.analysis.typestate import TSEvent, TypestateAnalysis, TypestateSpec
 
 #: methods that consume a handle's result (block until / yield results)
@@ -188,26 +187,21 @@ class _FunctionPass:
     def __init__(
         self,
         checker: "SymshareChecker",
+        project: Project,
         module: Module,
-        qualname: str,
-        func: ast.AST,
-        cfg: CFG,
-        graph: CallGraph,
-        escape: EscapeAnalysis,
-        lock_attrs: set[str],
+        func: FunctionFacts,
     ) -> None:
         self.checker = checker
         self.module = module
-        self.qualname = qualname
-        self.func = func
-        self.cfg = cfg
-        self.graph = graph
-        self.escape = escape
-        self.lock_attrs = lock_attrs
-        self.info: FuncInfo | None = graph.functions.get(
-            FuncKey(module.path, qualname)
+        self.qualname = func.qualname
+        self.cfg = cfg = func.cfg
+        self.graph = project.callgraph
+        self.escape = project.escape
+        self.lock_attrs = func.lock_attrs
+        self.info: FuncInfo | None = self.graph.functions.get(
+            FuncKey(module.path, func.qualname)
         )
-        self.reaching = ReachingDefinitions(cfg)
+        self.reaching = func.reaching
         self.alias = AliasAnalysis(cfg, self.reaching)
         self.sends: list[_SendSite] = []
         self.field_stores: list[_FieldStore] = []
@@ -686,24 +680,13 @@ class SymshareChecker(Checker):
     }
 
     def check(self, project: Project) -> list[Finding]:
-        graph = CallGraph(project)
-        escape = EscapeAnalysis(project, graph)
         findings: list[Finding] = []
         field_stores: list[_FieldStore] = []
         for module in project.modules:
             if excluded_path(module.path):
                 continue
-            lock_by_class = {
-                node.name: collect_lock_attrs(node)
-                for node in ast.walk(module.tree)
-                if isinstance(node, ast.ClassDef)
-            }
-            for qualname, func, cfg in function_cfgs(module.tree):
-                cls = qualname.split(".")[0] if "." in qualname else None
-                run = _FunctionPass(
-                    self, module, qualname, func, cfg, graph, escape,
-                    lock_by_class.get(cls or "", set()),
-                )
+            for func in project.facts(module).functions:
+                run = _FunctionPass(self, project, module, func)
                 findings.extend(run.check_mutate_after_send())
                 findings.extend(run.check_live_resources())
                 findings.extend(run.check_oneway())
@@ -711,7 +694,7 @@ class SymshareChecker(Checker):
                 run.collect_field_stores()
                 field_stores.extend(run.field_stores)
         findings.extend(self._unread_handle_fields(project, field_stores))
-        findings.extend(self._dropped_handle_wrappers(project, graph, escape))
+        findings.extend(self._dropped_handle_wrappers(project))
         return findings
 
     # -- handle-escapes-unawaited, project-wide halves -----------------------
@@ -741,9 +724,7 @@ class SymshareChecker(Checker):
             ))
         return findings
 
-    def _dropped_handle_wrappers(
-        self, project: Project, graph: CallGraph, escape: EscapeAnalysis
-    ) -> list[Finding]:
+    def _dropped_handle_wrappers(self, project: Project) -> list[Finding]:
         """Call sites of handle-returning *project* functions whose
         value is provably discarded.  Direct ``obj.ainvoke`` discards
         stay symloc's ``dropped-result-handle``; here the handle hides
@@ -753,16 +734,12 @@ class SymshareChecker(Checker):
         for module in project.modules:
             if excluded_path(module.path):
                 continue
-            for info in graph.functions.values():
-                if info.key.path != module.path:
-                    continue
-                findings.extend(self._scan_drop_sites(
-                    module, info, graph, escape
-                ))
+            for info in project.callgraph.functions_in(module.path):
+                findings.extend(self._scan_drop_sites(project, info))
         return findings
 
-    def _scan_drop_sites(self, module: Module, info: FuncInfo,
-                         graph: CallGraph, escape: EscapeAnalysis):
+    def _scan_drop_sites(self, project: Project, info: FuncInfo):
+        graph, escape = project.callgraph, project.escape
         loads: dict[str, int] = {}
         for node in ast.walk(info.node):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -785,7 +762,7 @@ class SymshareChecker(Checker):
                 if not escape.summary(callee.key).returns_handle:
                     continue
                 yield self.finding(
-                    "handle-escapes-unawaited", module.path, call,
+                    "handle-escapes-unawaited", info.key.path, call,
                     f"{callee.label}(...) returns a result handle that "
                     "is discarded here — the asynchronous result (and "
                     "any remote error) is lost; await it or make the "

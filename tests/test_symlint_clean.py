@@ -42,8 +42,13 @@ def test_known_suppressions_are_counted(report):
     # dead-kind x2 (NODE_RELEASED / MANAGER_TAKEOVER), the Figure-3
     # synchronous migration push, and the Tracer's lock-free fast path
     # x2 (uncapped tracers never evict, so emit/_index skip _ring_lock)
-    # are the only sanctioned suppressions.
-    assert report.suppressed == 5
+    # were the five sanctioned suppressions; lock-discipline recognising
+    # sanitizer.make_lock() results added seven unlocked-mutation ones on
+    # state those locks were never meant to guard: ObjectHolder's
+    # queue-depth gauge x2, AppOA.refs stores x3 (one writer per entry,
+    # checked at run time by _note_refs_write), the foreign-location
+    # cache, and _InvokeCoalescer.add (a method, not set.add).
+    assert report.suppressed == 12
 
 
 def _gate(repo_report, group):
