@@ -31,22 +31,20 @@ from repro.transport import Transport
 from repro.varch.managers import ManagerAssignment, assign_cluster_managers
 
 
+#: predefined (ordered) backups per cluster manager
+N_BACKUPS = 2
+
+
 @dataclass
 class NASConfig:
     monitor_period: float = 5.0
     probe_period: float = 5.0
     failure_timeout: float = 2.0
-    history_depth: int = 4
-    n_backups: int = 2
     #: ship per-host metrics deltas on the monitor heartbeat and keep a
     #: ClusterMetrics aggregate (+ SLO watcher) at the domain manager
     telemetry: bool = True
-    #: sliding windows retained per host in the aggregate
-    telemetry_windows: int = 16
     #: SLO rule lines (None -> repro.obs.slo.DEFAULT_RULES)
     slo_rules: tuple[str, ...] | None = None
-    #: windows between repeated alerts for a persisting breach
-    slo_refire_windows: int = 8
 
 
 @dataclass
@@ -75,7 +73,7 @@ class NetworkAgentSystem:
         }
         self._validate_layout()
         self.managers: dict[str, ManagerAssignment] = {
-            cluster: assign_cluster_managers(hosts, self.config.n_backups)
+            cluster: assign_cluster_managers(hosts, N_BACKUPS)
             for site in self.layout.values()
             for cluster, hosts in site.items()
         }
@@ -89,11 +87,8 @@ class NetworkAgentSystem:
             from repro.obs.slo import SLOWatcher
             from repro.obs.timeseries import ClusterMetrics
 
-            self.telemetry: ClusterMetrics | None = ClusterMetrics(
-                window_depth=self.config.telemetry_windows)
-            self.slo: SLOWatcher | None = SLOWatcher(
-                self.config.slo_rules,
-                refire_windows=self.config.slo_refire_windows)
+            self.telemetry: ClusterMetrics | None = ClusterMetrics()
+            self.slo: SLOWatcher | None = SLOWatcher(self.config.slo_rules)
         else:
             self.telemetry = None
             self.slo = None
@@ -266,10 +261,9 @@ class NetworkAgentSystem:
         tracer = self.world.tracer
         for delta in deltas:
             self.telemetry.ingest(delta)
-            if tracer.enabled:
-                tracer.count("nas.telemetry.windows", host=delta.host)
-                tracer.count("nas.telemetry.bytes", delta.wire_bytes(),
-                             host=delta.host)
+            tracer.count("nas.telemetry.windows", host=delta.host)
+            tracer.count("nas.telemetry.bytes", delta.wire_bytes(),
+                         host=delta.host)
             if self.slo is not None:
                 self.slo.observe_window(self.telemetry, delta.host,
                                         self.world.now(), tracer)
@@ -329,9 +323,9 @@ class NetworkAgentSystem:
             hosts.append(host)
             if cluster not in self.managers:
                 self.managers[cluster] = assign_cluster_managers(
-                    hosts, self.config.n_backups
+                    hosts, N_BACKUPS
                 )
-            elif len(self.managers[cluster].backups) < self.config.n_backups:
+            elif len(self.managers[cluster].backups) < N_BACKUPS:
                 self.managers[cluster].backups.append(host)
         if host not in self.agents:
             self._spawn_agent(host)
@@ -377,12 +371,11 @@ class NetworkAgentSystem:
         if agent is not None:
             agent.endpoint.close()
         tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(
-                ev.NAS_RELEASE, ts=self.world.now(), host=host, actor="nas",
-                cluster=cluster, reason=reason,
-            )
-            tracer.count("nas.released", host=host)
+        tracer.emit(
+            ev.NAS_RELEASE, ts=self.world.now(), host=host, actor="nas",
+            cluster=cluster, reason=reason,
+        )
+        tracer.count("nas.released", host=host)
         for listener in self.failure_listeners:
             listener(host)
 
@@ -439,13 +432,12 @@ class NetworkAgentSystem:
         if agent is not None:
             agent.endpoint.close()
         tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(
-                ev.NAS_TAKEOVER, ts=self.world.now(),
-                host=self.managers[cluster].manager, actor="nas",
-                cluster=cluster, failed=manager,
-                new_manager=self.managers[cluster].manager,
-            )
-            tracer.count("nas.takeovers")
+        tracer.emit(
+            ev.NAS_TAKEOVER, ts=self.world.now(),
+            host=self.managers[cluster].manager, actor="nas",
+            cluster=cluster, failed=manager,
+            new_manager=self.managers[cluster].manager,
+        )
+        tracer.count("nas.takeovers")
         for listener in self.failure_listeners:
             listener(manager)

@@ -43,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: serialized size of one ~47-parameter sample report on the wire
 SAMPLE_WIRE_BYTES = 1200
+#: samples each agent keeps of its own host
+HISTORY_DEPTH = 4
 
 
 class NetworkAgent:
@@ -52,7 +54,7 @@ class NetworkAgent:
         self.world = nas.world
         self.addr = Addr(host, "na")
         self.endpoint = nas.transport.create_endpoint(self.addr)
-        self.history = SampleHistory(depth=nas.config.history_depth)
+        self.history = SampleHistory(depth=HISTORY_DEPTH)
         #: cluster members' latest samples (only used while manager)
         self.member_samples: dict[str, WeightedSnapshot] = {}
         #: child aggregates while site/domain manager: name -> weighted
