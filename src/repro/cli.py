@@ -38,6 +38,35 @@ def _parse_nodes(text: str) -> list[int]:
     return counts
 
 
+def _run_matmul(runtime, args: argparse.Namespace, real: bool):
+    """Run the ``matmul`` builtin on ``runtime`` as ``--n``/``--nodes``
+    say; ``real`` is whether to really multiply (and verify)."""
+    return runtime.run_app(
+        lambda: run_matmul(
+            MatmulConfig(n=args.n, nr_nodes=args.nodes, real_compute=real)
+        )
+    )
+
+
+def _run_target(args: argparse.Namespace, matmul, what: str) -> bool:
+    """Run ``args.target``: the 'matmul' builtin through ``matmul()``,
+    or any example/benchmark script — the worlds it builds adopt the
+    ambient tracer or sanitizer the caller installed.  False (an error
+    was printed) if there is no such target."""
+    import os
+    import runpy
+
+    if args.target == "matmul":
+        matmul()
+    elif os.path.exists(args.target):
+        runpy.run_path(args.target, run_name="__main__")
+    else:
+        print(f"no such {what} target {args.target!r}; expected a "
+              "script path or 'matmul'", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_fig5(args: argparse.Namespace) -> int:
     rows = []
     series: dict[str, dict[int, float]] = {}
@@ -86,12 +115,7 @@ def cmd_matmul(args: argparse.Namespace) -> int:
     runtime = vienna_testbed(
         TestbedConfig(load_profile=args.profile, seed=args.seed)
     )
-    result = runtime.run_app(
-        lambda: run_matmul(
-            MatmulConfig(n=args.n, nr_nodes=args.nodes,
-                         real_compute=args.real)
-        )
-    )
+    result = _run_matmul(runtime, args, args.real)
     print(f"N={result.n} on {result.nr_nodes} nodes "
           f"({args.profile} load)")
     print(f"  nodes       : {', '.join(result.hosts)}")
@@ -236,66 +260,54 @@ def _run_traced(args: argparse.Namespace):
     a fresh ambient tracer.  Returns ``(tracer, runtime)`` — the runtime
     only for the matmul builtin — or ``(None, None)`` if the target does
     not exist (an error was already printed)."""
-    import os
-    import runpy
-
     from repro.obs import Tracer, tracing
 
-    target = args.target
     runtime = None
+
+    def matmul() -> None:
+        nonlocal runtime
+        config = TestbedConfig(
+            load_profile=args.profile, seed=args.seed,
+            incident_dir=getattr(args, "incident_dir", None),
+        )
+        kill = getattr(args, "kill", None)
+        mutate = None
+        if kill is not None:
+            host, at = kill
+            mutate = lambda w: w.schedule_failure(host, at)
+            # A host is about to die mid-run: bound RPC waits and
+            # tighten failure detection so the run terminates and
+            # the NAS notices the death within the workload.
+            if config.shell.rpc_timeout is None:
+                config.shell.rpc_timeout = 5.0
+            config.nas.monitor_period = 2.0
+            config.nas.probe_period = 2.0
+            config.nas.failure_timeout = 1.0
+        runtime = vienna_testbed(config, mutate_world=mutate)
+        period = getattr(args, "monitor_period", None)
+        if period:
+            runtime.nas.config.monitor_period = period
+        try:
+            _run_matmul(runtime, args, real=False)
+        except Exception as exc:
+            if kill is None:
+                raise
+            # Killed-host runs may not finish; the telemetry and
+            # incident bundles captured so far are the point.
+            print(f"workload aborted after --kill: {exc}",
+                  file=sys.stderr)
+        if kill is not None:
+            # Keep the world running past the scheduled failure and
+            # its NAS detection (probes + release protocol), even if
+            # the workload finished first — the flight recorder and
+            # the post-mortem heartbeats are the point of --kill.
+            horizon = (max(runtime.world.now(), kill[1])
+                       + 3.0 * config.nas.probe_period
+                       + config.nas.failure_timeout)
+            runtime.world.kernel.run(until=horizon)
+
     with tracing(Tracer()) as tracer:
-        if target == "matmul":
-            config = TestbedConfig(
-                load_profile=args.profile, seed=args.seed,
-                incident_dir=getattr(args, "incident_dir", None),
-            )
-            kill = getattr(args, "kill", None)
-            mutate = None
-            if kill is not None:
-                host, at = kill
-                mutate = lambda w: w.schedule_failure(host, at)
-                # A host is about to die mid-run: bound RPC waits and
-                # tighten failure detection so the run terminates and
-                # the NAS notices the death within the workload.
-                if config.shell.rpc_timeout is None:
-                    config.shell.rpc_timeout = 5.0
-                config.nas.monitor_period = 2.0
-                config.nas.probe_period = 2.0
-                config.nas.failure_timeout = 1.0
-            runtime = vienna_testbed(config, mutate_world=mutate)
-            period = getattr(args, "monitor_period", None)
-            if period:
-                runtime.nas.config.monitor_period = period
-            try:
-                runtime.run_app(
-                    lambda: run_matmul(
-                        MatmulConfig(n=args.n, nr_nodes=args.nodes,
-                                     real_compute=False)
-                    )
-                )
-            except Exception as exc:
-                if kill is None:
-                    raise
-                # Killed-host runs may not finish; the telemetry and
-                # incident bundles captured so far are the point.
-                print(f"workload aborted after --kill: {exc}",
-                      file=sys.stderr)
-            if kill is not None:
-                # Keep the world running past the scheduled failure and
-                # its NAS detection (probes + release protocol), even if
-                # the workload finished first — the flight recorder and
-                # the post-mortem heartbeats are the point of --kill.
-                horizon = (max(runtime.world.now(), kill[1])
-                           + 3.0 * config.nas.probe_period
-                           + config.nas.failure_timeout)
-                runtime.world.kernel.run(until=horizon)
-        elif os.path.exists(target):
-            # Any example/benchmark script; it builds its own world, which
-            # adopts the ambient tracer installed above.
-            runpy.run_path(target, run_name="__main__")
-        else:
-            print(f"no such trace target {target!r}; expected a script "
-                  "path or 'matmul'", file=sys.stderr)
+        if not _run_target(args, matmul, "trace"):
             return None, None
     return tracer, runtime
 
@@ -361,35 +373,18 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tracer_metrics_doc(tracer) -> dict:
-    """The metrics document straight off a tracer (script targets,
-    where we have no runtime handle): merged per-host registries plus
-    the per-host snapshots behind the merge."""
-    from repro.obs.timeseries import _jsonable
-
-    host_metrics = getattr(tracer, "host_metrics", None) or {}
-    return {
-        "source": "tracer",
-        "merged": _jsonable(tracer.merged_host_metrics())
-        if host_metrics else {"counters": {}, "histograms": {}},
-        "hosts": {
-            host: _jsonable(host_metrics[host].snapshot())
-            for host in sorted(host_metrics)
-        },
-        "windows": {},
-    }
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import render_incident, render_prom
+    from repro.obs.timeseries import metrics_document
 
     tracer, runtime = _run_traced(args)
     if tracer is None:
         return 2
+    # a script target leaves no runtime handle: the tracer's registries
     doc = (runtime.metrics_document() if runtime is not None
-           else _tracer_metrics_doc(tracer))
+           else metrics_document(None, tracer))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, default=repr)
@@ -468,12 +463,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         failure: BaseException | None = None
         result = None
         try:
-            result = runtime.run_app(
-                lambda: run_matmul(
-                    MatmulConfig(n=args.n, nr_nodes=args.nodes,
-                                 real_compute=args.real)
-                )
-            )
+            result = _run_matmul(runtime, args, args.real)
         except JSError as exc:
             failure = exc
         merged = tracer.merged_host_metrics()
@@ -533,35 +523,20 @@ def cmd_incidents(args: argparse.Namespace) -> int:
 
 
 def cmd_san(args: argparse.Namespace) -> int:
-    import os
-    import runpy
-
     from repro.errors import KernelError
     from repro.kernel.virtual import shutdown_all_kernels
     from repro.sanitizer import Sanitizer, sanitizing
 
-    target = args.target
+    def matmul() -> None:
+        runtime = vienna_testbed(
+            TestbedConfig(load_profile=args.profile, seed=args.seed)
+        )
+        _run_matmul(runtime, args, real=False)
+
     san = Sanitizer(leaks=not args.no_leaks)
     with sanitizing(san):
         try:
-            if target == "matmul":
-                runtime = vienna_testbed(
-                    TestbedConfig(load_profile=args.profile,
-                                  seed=args.seed)
-                )
-                runtime.run_app(
-                    lambda: run_matmul(
-                        MatmulConfig(n=args.n, nr_nodes=args.nodes,
-                                     real_compute=False)
-                    )
-                )
-            elif os.path.exists(target):
-                # Any example/benchmark script; the worlds it builds
-                # adopt the ambient sanitizer installed above.
-                runpy.run_path(target, run_name="__main__")
-            else:
-                print(f"no such sanitize target {target!r}; expected a "
-                      "script path or 'matmul'", file=sys.stderr)
+            if not _run_target(args, matmul, "sanitize"):
                 return 2
         except KernelError as exc:
             # Detector aborts (SanDeadlockError, SimDeadlockError) are

@@ -26,6 +26,7 @@ from repro.obs.flight import (
     TRIGGER_MIGRATE_PENDING,
     FlightRecorder,
 )
+from repro.obs.timeseries import metrics_document
 from repro.rmi.reliability import Retrier
 from repro.simnet.world import SimWorld
 from repro.sysmon import SysParam
@@ -182,10 +183,9 @@ class JSRuntime:
 
     def _on_circuit_state(self, host: str, state: str) -> None:
         tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(ev.CIRCUIT_STATE, ts=self.world.now(), host=host,
-                        state=state)
-            tracer.count(f"circuit.{state}", host=host)
+        tracer.emit(ev.CIRCUIT_STATE, ts=self.world.now(), host=host,
+                    state=state)
+        tracer.count(f"circuit.{state}", host=host)
 
     # -- telemetry -----------------------------------------------------------
 
@@ -206,39 +206,9 @@ class JSRuntime:
         )
 
     def metrics_document(self) -> dict:
-        """Cluster metrics as a JSON-safe document: the merged aggregate
-        plus the per-host snapshots behind it.  Prefers the NAS-shipped
-        :class:`~repro.obs.timeseries.ClusterMetrics` (heartbeat-fed,
-        windowed); falls back to the tracer's live per-host registries
-        when no delta has reached the domain manager yet."""
-        from repro.obs.timeseries import _jsonable
-
-        cluster = self.nas.cluster_metrics()
-        if cluster is not None and cluster.ingested:
-            return {
-                "source": "nas",
-                "merged": _jsonable(cluster.merged_snapshot()),
-                "hosts": {
-                    host: _jsonable(cluster.host_snapshot(host))
-                    for host in cluster.hosts()
-                },
-                "windows": {
-                    host: cluster.series[host].total_windows
-                    for host in cluster.hosts()
-                },
-            }
-        tracer = self.world.tracer
-        host_metrics = getattr(tracer, "host_metrics", None) or {}
-        return {
-            "source": "tracer",
-            "merged": _jsonable(tracer.merged_host_metrics())
-            if host_metrics else {"counters": {}, "histograms": {}},
-            "hosts": {
-                host: _jsonable(host_metrics[host].snapshot())
-                for host in sorted(host_metrics)
-            },
-            "windows": {},
-        }
+        """:func:`repro.obs.timeseries.metrics_document` of this
+        runtime's NAS aggregate and tracer."""
+        return metrics_document(self.nas.cluster_metrics(), self.world.tracer)
 
     # -- applications ------------------------------------------------------------
 

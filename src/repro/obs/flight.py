@@ -43,7 +43,7 @@ from repro.obs.events import (
     SLO_ALERT,
     TraceEvent,
 )
-from repro.obs.timeseries import _jsonable
+from repro.obs.timeseries import metrics_document
 
 #: trigger names for the sanitizer-side hooks (not trace etypes)
 TRIGGER_DEADLOCK = "san-deadlock"
@@ -186,50 +186,12 @@ class FlightRecorder:
             for span in list(getattr(tracer, "open_spans", {}).values())
         ]
         bundle["failed_hosts"] = sorted(getattr(tracer, "failed_hosts", ()))
-        bundle["metrics"] = self._metrics_doc()
+        bundle["metrics"] = metrics_document(
+            self._provided(self.cluster_provider), tracer)
         bundle["nas"] = self._provided(self.nas_provider)
         bundle["slo_alerts"] = self._provided(self.slo_provider) or []
         bundle["critical_path"] = self._critical_path_doc(events, event)
         return bundle
-
-    def _metrics_doc(self) -> dict:
-        """Merged cluster metrics (bucket-level) plus the per-host
-        registries the merge came from.  Prefers the NAS-shipped
-        :class:`ClusterMetrics` aggregate; falls back to the tracer's
-        own per-host registries, then its global registry."""
-        cluster = None
-        if self.cluster_provider is not None:
-            try:
-                cluster = self.cluster_provider()
-            except Exception:
-                cluster = None
-        if cluster is not None and cluster.ingested:
-            return {
-                "source": "nas",
-                "merged": _jsonable(cluster.merged_snapshot()),
-                "hosts": {
-                    host: _jsonable(cluster.host_snapshot(host))
-                    for host in cluster.hosts()
-                },
-            }
-        tracer = self.tracer
-        host_metrics = getattr(tracer, "host_metrics", None) or {}
-        if host_metrics:
-            return {
-                "source": "tracer",
-                "merged": _jsonable(tracer.merged_host_metrics()),
-                "hosts": {
-                    host: _jsonable(host_metrics[host].snapshot())
-                    for host in sorted(host_metrics)
-                },
-            }
-        metrics = getattr(tracer, "metrics", None)
-        return {
-            "source": "global",
-            "merged": _jsonable(metrics.snapshot()) if metrics else
-            {"counters": {}, "histograms": {}},
-            "hosts": {},
-        }
 
     def _critical_path_doc(self, events: list[TraceEvent],
                            event: TraceEvent | None) -> dict | None:

@@ -219,6 +219,37 @@ class ClusterMetrics:
         }
 
 
+def metrics_document(cluster: ClusterMetrics | None, tracer) -> dict:
+    """Cluster metrics as a JSON-safe document: the merged registry
+    (bucket-level) plus the per-host snapshots behind the merge.
+    Prefers the NAS-shipped aggregate (heartbeat-fed, windowed) once a
+    delta has reached the domain manager; falls back to the tracer's
+    live per-host registries, then to its global registry."""
+    if cluster is not None and cluster.ingested:
+        hosts = cluster.hosts()
+        return {
+            "source": "nas",
+            "merged": _jsonable(cluster.merged_snapshot()),
+            "hosts": {h: _jsonable(cluster.host_snapshot(h)) for h in hosts},
+            "windows": {h: cluster.series[h].total_windows for h in hosts},
+        }
+    host_metrics = getattr(tracer, "host_metrics", None) or {}
+    if host_metrics:
+        source, merged = "tracer", tracer.merged_host_metrics()
+    else:
+        source, metrics = "global", getattr(tracer, "metrics", None)
+        merged = metrics.snapshot() if metrics else {}
+    return {
+        "source": source,
+        "merged": _jsonable(merged),
+        "hosts": {
+            host: _jsonable(host_metrics[host].snapshot())
+            for host in sorted(host_metrics)
+        },
+        "windows": {},
+    }
+
+
 def _jsonable(snapshot: dict) -> dict:
     """A registry snapshot with histogram bucket keys as strings, so
     ``json.dump`` round-trips it."""
