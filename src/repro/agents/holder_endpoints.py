@@ -62,12 +62,10 @@ class HolderEndpoints(ObjectHolder):
         ep.dedup = ReplayCache(self.world.kernel, window)
 
     def _trace_migrate_step(self, obj_id: str, step: str) -> None:
-        tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(
-                ev.MIGRATE_STEP, ts=self.world.now(), host=self.addr.host,
-                actor=str(self.addr), obj_id=obj_id, step=step,
-            )
+        self.world.tracer.emit(
+            ev.MIGRATE_STEP, ts=self.world.now(), host=self.addr.host,
+            actor=str(self.addr), obj_id=obj_id, step=step,
+        )
 
     # -- creation ---------------------------------------------------------------
 
@@ -252,11 +250,9 @@ class HolderEndpoints(ObjectHolder):
             data=(entry.class_name, blob),
             nbytes=wire_bytes(entry.instance, blob),
         )
-        tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(
-                ev.OBJ_FETCH_STATE, ts=self.world.now(),
-                host=self.addr.host, actor=str(self.addr),
-                obj_id=obj_id, nbytes=payload.nbytes,
-            )
+        self.world.tracer.emit(
+            ev.OBJ_FETCH_STATE, ts=self.world.now(),
+            host=self.addr.host, actor=str(self.addr),
+            obj_id=obj_id, nbytes=payload.nbytes,
+        )
         return payload

@@ -127,21 +127,19 @@ class ChaosInjector:
 
     def _inject(self, fault: str, msg, stage: str) -> None:
         self.injected[fault] = self.injected.get(fault, 0) + 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.CHAOS_INJECT, ts=self.world.now(), host=msg.dst.host,
-                ctx=msg.ctx, fault=fault, stage=stage, kind=msg.kind,
-                src=str(msg.src), dst=str(msg.dst),
-            )
-            self.tracer.count(f"chaos.{fault}", host=msg.dst.host)
+        self.tracer.emit(
+            ev.CHAOS_INJECT, ts=self.world.now(), host=msg.dst.host,
+            ctx=msg.ctx, fault=fault, stage=stage, kind=msg.kind,
+            src=str(msg.src), dst=str(msg.dst),
+        )
+        self.tracer.count(f"chaos.{fault}", host=msg.dst.host)
 
     def _note(self, fault: str, **fields) -> None:
         """Host/segment-level fault firing (no message context)."""
         self.injected[fault] = self.injected.get(fault, 0) + 1
-        if self.tracer.enabled:
-            host = str(fields.pop("host", ""))
-            self.tracer.emit(
-                ev.CHAOS_INJECT, ts=self.world.now(),
-                host=host, fault=fault, **fields,
-            )
-            self.tracer.count(f"chaos.{fault}", host=host)
+        host = str(fields.pop("host", ""))
+        self.tracer.emit(
+            ev.CHAOS_INJECT, ts=self.world.now(),
+            host=host, fault=fault, **fields,
+        )
+        self.tracer.count(f"chaos.{fault}", host=host)

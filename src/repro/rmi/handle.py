@@ -77,7 +77,7 @@ class ResultHandle:
         try:
             return self._future.result(timeout)
         except WaitTimeout:
-            if tracer.enabled:
+            if kernel is not None:
                 tracer.emit(RPC_TIMEOUT, ts=kernel.now(),
                             actor=kernel.current_process_name(),
                             kind="ainvoke", label=self._label,

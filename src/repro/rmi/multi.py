@@ -152,7 +152,7 @@ class MultiHandle:
             if not remaining:
                 return
             if deadline is not None and self._expired(deadline):
-                if kernel is not None and kernel.tracer.enabled:
+                if kernel is not None:
                     kernel.tracer.emit(
                         RPC_TIMEOUT, ts=kernel.now(), kind="minvoke",
                         waited=timeout, pending=len(remaining))

@@ -399,14 +399,13 @@ class Retrier:
                         attempts=attempts,
                     ) from exc
                 tracer = transport.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RPC_RETRY, ts=now, host=src.host,
-                        actor=str(src), kind=kind, dst=str(dst),
-                        attempt=attempt, backoff=backoff,
-                        error=type(exc).__name__,
-                    )
-                    tracer.count("rpc.retries", host=src.host)
+                tracer.emit(
+                    ev.RPC_RETRY, ts=now, host=src.host,
+                    actor=str(src), kind=kind, dst=str(dst),
+                    attempt=attempt, backoff=backoff,
+                    error=type(exc).__name__,
+                )
+                tracer.count("rpc.retries", host=src.host)
                 kernel.sleep(backoff)
             else:
                 if health is not None:

@@ -152,10 +152,9 @@ class SimWorld:
 
     def fail_host(self, name: str) -> None:
         self.machine(name).fail()
-        if self.tracer.enabled:
-            # Force-close the dead machine's open spans (marked, not
-            # lost) before listeners start reacting to the failure.
-            self.tracer.host_failed(name, self.now())
+        # Force-close the dead machine's open spans (marked, not lost)
+        # before listeners start reacting to the failure.
+        self.tracer.host_failed(name, self.now())
         for listener in list(self.failure_listeners):
             listener(name)
 
@@ -169,8 +168,7 @@ class SimWorld:
         drops the ``host_failed`` taint so post-restart spans read clean,
         and ``restart_listeners`` rebuild the agents-layer state."""
         self.machine(name).restart()
-        if self.tracer.enabled:
-            self.tracer.host_restarted(name, self.now())
+        self.tracer.host_restarted(name, self.now())
         for listener in list(self.restart_listeners):
             listener(name)
 
