@@ -140,6 +140,7 @@ class Project:
         return {m.path: ModuleFacts(self, m) for m in self.modules}
 
     def facts(self, module: Module) -> ModuleFacts:
+        """The shared facts about one of this project's modules."""
         return self._facts[module.path]
 
 

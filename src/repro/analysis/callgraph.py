@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.base import Module, Project, self_attr_name
+
+if TYPE_CHECKING:
+    from repro.analysis.index import ClassFacts
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,9 @@ class CallGraph:
         for info in self.functions.values():
             self._by_path.setdefault(info.key.path, []).append(info)
 
-    def _index_module(self, module: Module, classes) -> None:
+    def _index_module(
+        self, module: Module, classes: list[ClassFacts]
+    ) -> None:
         for item in module.tree.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 key = FuncKey(module.path, item.name)

@@ -70,6 +70,8 @@ def excluded_path(path: str) -> bool:
 
 @dataclass
 class ClassFacts:
+    """One class definition, nested ones included."""
+
     node: ast.ClassDef
 
     @property
@@ -126,6 +128,9 @@ def _callable_name(expr: ast.AST) -> str | None:
 
 
 class ModuleFacts:
+    """What the checkers share about one module; every fact is computed
+    when first read."""
+
     def __init__(self, project: Project, module: Module) -> None:
         self.project = project
         self.module = module

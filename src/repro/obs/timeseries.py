@@ -235,9 +235,11 @@ def metrics_document(cluster: ClusterMetrics | None, tracer) -> dict:
         }
     host_metrics = getattr(tracer, "host_metrics", None) or {}
     if host_metrics:
-        source, merged = "tracer", tracer.merged_host_metrics()
+        source = "tracer"
+        merged = tracer.merged_host_metrics()
     else:
-        source, metrics = "global", getattr(tracer, "metrics", None)
+        source = "global"
+        metrics = getattr(tracer, "metrics", None)
         merged = metrics.snapshot() if metrics else {}
     return {
         "source": source,
