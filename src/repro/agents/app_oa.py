@@ -231,7 +231,7 @@ class AppOA(HolderEndpoints):
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.OBJ_CREATE, ts=self.world.now(), host=location.host,
-                actor=str(self.addr), obj_id=obj_id, class_name=class_name,
+                actor=self.actor, obj_id=obj_id, class_name=class_name,
                 location=str(location),
             )
             self.tracer.count("obj.created", host=self.home)
@@ -252,7 +252,7 @@ class AppOA(HolderEndpoints):
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.OBJ_FREE, ts=self.world.now(), host=entry.location.host,
-                actor=str(self.addr), obj_id=ref.obj_id,
+                actor=self.actor, obj_id=ref.obj_id,
                 class_name=ref.class_name, location=str(entry.location),
             )
             self.tracer.count("obj.freed", host=self.home)
@@ -441,7 +441,7 @@ class AppOA(HolderEndpoints):
             if parent is None:
                 parent = spans.current_context()
             call.span = tracer.begin_span(ev.OBJ_INVOKE, self.world.now(),
-                                          self.home, str(self.addr), parent,
+                                          self.home, self.actor, parent,
                                           install, **fields)
         return call
 
@@ -571,7 +571,7 @@ class AppOA(HolderEndpoints):
             return None
         return self.tracer.begin_span(
             ev.OBJ_INVOKE_BATCH, ts=self.world.now(), host=self.home,
-            actor=str(self.addr), install=False, dest=str(dest),
+            actor=self.actor, install=False, dest=str(dest),
             size=size, coalesced=coalesced,
         )
 
@@ -778,7 +778,7 @@ class AppOA(HolderEndpoints):
             yield closing
             return
         span = tracer.begin_span(
-            etype, ts=self.world.now(), host=self.home, actor=str(self.addr),
+            etype, ts=self.world.now(), host=self.home, actor=self.actor,
             **fields,
         )
         try:

@@ -64,7 +64,7 @@ class HolderEndpoints(ObjectHolder):
     def _trace_migrate_step(self, obj_id: str, step: str) -> None:
         self.world.tracer.emit(
             ev.MIGRATE_STEP, ts=self.world.now(), host=self.addr.host,
-            actor=str(self.addr), obj_id=obj_id, step=step,
+            actor=self.actor, obj_id=obj_id, step=step,
         )
 
     # -- creation ---------------------------------------------------------------
@@ -252,7 +252,7 @@ class HolderEndpoints(ObjectHolder):
         )
         self.world.tracer.emit(
             ev.OBJ_FETCH_STATE, ts=self.world.now(),
-            host=self.addr.host, actor=str(self.addr),
+            host=self.addr.host, actor=self.actor,
             obj_id=obj_id, nbytes=payload.nbytes,
         )
         return payload

@@ -159,6 +159,8 @@ class ObjectHolder:
     """
 
     def init_holder(self) -> None:
+        #: this agent's name on trace events, ``str(addr)`` computed once
+        self.actor = str(self.addr)
         self.objects: dict[str, ObjectEntry] = {}
         #: invocations currently inside dispatch_invoke (waiting or
         #: executing) — the holder's live congestion gauge
@@ -312,7 +314,7 @@ class ObjectHolder:
                 # to lock time, not to the method itself.
                 tracer.emit_span(
                     LOCK_WAIT, ts=wait_start, dur=waited,
-                    host=self.addr.host, actor=str(self.addr),
+                    host=self.addr.host, actor=self.actor,
                     obj_id=obj_id, method=method_name,
                 )
         args = tuple(params) if params is not None else ()
@@ -331,7 +333,7 @@ class ObjectHolder:
             # Installed: the compute charge below nests under dispatch.
             dspan = tracer.begin_span(
                 OBJ_DISPATCH, ts=dispatch_start, host=self.addr.host,
-                actor=str(self.addr), obj_id=obj_id, method=method_name,
+                actor=self.actor, obj_id=obj_id, method=method_name,
             )
         flops = 0.0
         try:

@@ -9,7 +9,7 @@ without their own constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.constraints import JSConstraints

@@ -24,69 +24,58 @@ cannot enforce mechanically at run time:
 
 Run it as ``python -m repro lint [paths]`` or through
 :func:`analyze_paths`.
+
+The public names below resolve on first use (PEP 562): ``import repro``
+reaches :mod:`repro.analysis.base` through the sanitizer's shared
+``Finding`` model, and must not pay for every checker on the way.
 """
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.base import (
-    Checker,
-    Finding,
-    Module,
-    Project,
-    Severity,
-)
-from repro.analysis.blocking import BlockingHandlerChecker
-from repro.analysis.cfg import CFG, Block, build_cfg, function_cfgs
-from repro.analysis.dataflow import Liveness, ReachingDefinitions
-from repro.analysis.escape import EscapeAnalysis, Summary
-from repro.analysis.lock_discipline import LockDisciplineChecker
-from repro.analysis.locality import LocalityChecker
-from repro.analysis.migration_safety import MigrationSafetyChecker
-from repro.analysis.protocol import ProtocolChecker
-from repro.analysis.retry import RetryDisciplineChecker
-from repro.analysis.runner import (
-    Report,
-    analyze_paths,
-    default_checkers,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.analysis.share import SymshareChecker
-from repro.analysis.typestate import (
-    TSEvent,
-    TypestateAnalysis,
-    TypestateSpec,
-)
+import importlib
 
-__all__ = [
-    "AliasAnalysis",
-    "Block",
-    "BlockingHandlerChecker",
-    "CFG",
-    "Checker",
-    "EscapeAnalysis",
-    "Finding",
-    "Liveness",
-    "LocalityChecker",
-    "LockDisciplineChecker",
-    "MigrationSafetyChecker",
-    "Module",
-    "Project",
-    "ProtocolChecker",
-    "RetryDisciplineChecker",
-    "ReachingDefinitions",
-    "Report",
-    "Severity",
-    "Summary",
-    "SymshareChecker",
-    "TSEvent",
-    "TypestateAnalysis",
-    "TypestateSpec",
-    "analyze_paths",
-    "build_cfg",
-    "default_checkers",
-    "function_cfgs",
-    "render_json",
-    "render_sarif",
-    "render_text",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "AliasAnalysis": "alias",
+    "Checker": "base",
+    "Finding": "base",
+    "Module": "base",
+    "Project": "base",
+    "Severity": "base",
+    "BlockingHandlerChecker": "blocking",
+    "CFG": "cfg",
+    "Block": "cfg",
+    "build_cfg": "cfg",
+    "function_cfgs": "cfg",
+    "Liveness": "dataflow",
+    "ReachingDefinitions": "dataflow",
+    "EscapeAnalysis": "escape",
+    "Summary": "escape",
+    "LockDisciplineChecker": "lock_discipline",
+    "LocalityChecker": "locality",
+    "MigrationSafetyChecker": "migration_safety",
+    "ProtocolChecker": "protocol",
+    "RetryDisciplineChecker": "retry",
+    "Report": "runner",
+    "analyze_paths": "runner",
+    "default_checkers": "runner",
+    "render_json": "runner",
+    "render_sarif": "runner",
+    "render_text": "runner",
+    "SymshareChecker": "share",
+    "TSEvent": "typestate",
+    "TypestateAnalysis": "typestate",
+    "TypestateSpec": "typestate",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

@@ -230,6 +230,18 @@ class VirtualProcess(Process):
         return self._wake_token
 
 
+def _forget(waiters: list | deque, entry: tuple) -> None:
+    """Remove a timed-out waiter's own ``(process, token)`` entry, unless
+    a wake already popped it.  Every timeout wake calls this, whether or
+    not the wait then succeeds: an entry left behind is what the next
+    ``put``/``release`` wakes — a token nobody waits on any more — and
+    that wake-up is lost."""
+    try:
+        waiters.remove(entry)
+    except ValueError:
+        pass
+
+
 class VirtualFuture(Future):
     def __init__(self, kernel: "VirtualKernel") -> None:
         self._kernel = kernel
@@ -292,9 +304,7 @@ class VirtualFuture(Future):
             )
         reason = proc._block("future-wait")
         if reason == "timeout" and not self._done:
-            self._waiters = [
-                (p, t) for (p, t) in self._waiters if p is not proc
-            ]
+            _forget(self._waiters, (proc, token))
             return False
         if san.enabled and self._done:
             san.hb_recv(self)
@@ -339,13 +349,12 @@ class VirtualChannel(Channel):
             if deadline is not None:
                 kernel._push_wake(deadline, proc, token, "timeout")
             reason = proc._block("channel-get")
-            if reason == "timeout" and not self._items:
-                self._waiters = deque(
-                    (p, t) for (p, t) in self._waiters if p is not proc
-                )
-                if san.enabled:
-                    san.chan_wait_done(self)
-                raise WaitTimeout("channel get timed out")
+            if reason == "timeout":
+                _forget(self._waiters, (proc, token))
+                if not self._items:
+                    if san.enabled:
+                        san.chan_wait_done(self)
+                    raise WaitTimeout("channel get timed out")
         if san.enabled:
             san.chan_wait_done(self)
             san.hb_recv(self)
@@ -373,11 +382,10 @@ class VirtualSemaphore(Semaphore):
             if deadline is not None:
                 kernel._push_wake(deadline, proc, token, "timeout")
             reason = proc._block("sem-acquire")
-            if reason == "timeout" and self._value <= 0:
-                self._waiters = deque(
-                    (p, t) for (p, t) in self._waiters if p is not proc
-                )
-                raise WaitTimeout("semaphore acquire timed out")
+            if reason == "timeout":
+                _forget(self._waiters, (proc, token))
+                if self._value <= 0:
+                    raise WaitTimeout("semaphore acquire timed out")
         self._value -= 1
         if kernel.sanitizer.enabled:
             kernel.sanitizer.hb_recv(self)

@@ -134,7 +134,7 @@ SLO_ALERT = "slo.alert"
 FLIGHT_RECORD = "flight.record"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One timestamped runtime fact (span when ``dur`` is set)."""
 

@@ -1,9 +1,12 @@
 """Counters and histograms aggregated per component.
 
-The registry owns the only lock in the obs package; individual tracers
-stay lock-free so the hot path (a guarded ``tracer.enabled`` check) costs
-one attribute load when tracing is off.  Histogram buckets are log2 so
-latencies spanning microseconds to minutes stay readable.
+The registry owns the obs package's lock (besides a capped tracer's ring
+lock); tracers stay lock-free so the hot path (a guarded
+``tracer.enabled`` check) costs one attribute load when tracing is off,
+and an enabled tracer's ``count``/``observe`` only append to a backlog
+that :meth:`Metrics.fold` drains under this lock when someone reads.
+Histogram buckets are log2 so latencies spanning microseconds to minutes
+stay readable.
 
 Histograms are *mergeable*: :meth:`Histogram.snapshot` preserves the raw
 bucket table (not just derived percentiles), so snapshots taken on
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -145,14 +149,35 @@ class Metrics:
 
     def count(self, name: str, value: float = 1.0) -> None:
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
+            _apply(self._counters, self._histograms,
+                   ((False, name, value, ""),))
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram()
-            hist.observe(value)
+            _apply(self._counters, self._histograms,
+                   ((True, name, value, ""),))
+
+    def fold(self, samples: deque, hosts: dict[str, "Metrics"]) -> None:
+        """Drain a tracer's backlog of ``(is_observe, name, value, host)``
+        samples into this registry, oldest first, and each one that names
+        a host into ``hosts[host]`` too (created at its first sample).
+
+        The whole drain holds this registry's lock, so concurrent folds
+        apply every sample once and in arrival order; a host registry's
+        own lock is only ever taken inside this one."""
+        with self._lock:
+            drained = [samples.popleft() for _ in range(len(samples))]
+            _apply(self._counters, self._histograms, drained)
+            by_host: dict[str, list] = {}
+            for sample in drained:
+                if sample[3]:
+                    by_host.setdefault(sample[3], []).append(sample)
+            for host, mine in by_host.items():
+                registry = hosts.get(host)
+                if registry is None:
+                    registry = hosts.setdefault(host, Metrics())
+                with registry._lock:
+                    _apply(registry._counters, registry._histograms, mine)
 
     def counter(self, name: str) -> float:
         with self._lock:
@@ -193,6 +218,19 @@ class Metrics:
                     self._histograms[name] = other
                 else:
                     mine.merge(other)
+
+
+def _apply(counters: dict, histograms: dict, samples) -> None:
+    """Add ``(is_observe, name, value, host)`` samples to one registry's
+    tables (its lock held by the caller)."""
+    for observe, name, value, _ in samples:
+        if observe:
+            hist = histograms.get(name)
+            if hist is None:
+                hist = histograms[name] = Histogram()
+            hist.observe(value)
+        else:
+            counters[name] = counters.get(name, 0.0) + value
 
 
 def merge_snapshots(snaps) -> dict:

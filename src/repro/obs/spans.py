@@ -53,6 +53,7 @@ class _SpanState(threading.local):
         self.ctx: TraceContext | None = None
 
 
+#: the tracer's hot path reads and writes ``_state.ctx`` directly
 _state = _SpanState()
 
 
@@ -68,7 +69,7 @@ def set_context(ctx: TraceContext | None) -> TraceContext | None:
     return previous
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenSpan:
     """A span that has begun but not ended (tracked by the tracer)."""
 

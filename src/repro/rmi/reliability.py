@@ -40,7 +40,7 @@ Nothing here claims exactly-once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import (

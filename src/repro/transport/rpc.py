@@ -110,6 +110,8 @@ class Endpoint:
     def __init__(self, transport: "Transport", addr: Addr) -> None:
         self.transport = transport
         self.addr = addr
+        #: this endpoint's name on trace events, ``str(addr)`` computed once
+        self.actor = str(addr)
         self._handlers: dict[str, Callable[[Message], Any]] = {}
         self.closed = False
         #: optional :class:`repro.rmi.reliability.ReplayCache`; when set,
@@ -348,10 +350,11 @@ class Transport:
             # under the current context: still the exec span (_execute's
             # restore=False), so a reply descends from its request.
             ts = msg.sent_at if request else now
+            sender = str(src)
             ctx = tracer.emit_span(
                 ev.RPC_REQUEST if request else ev.RPC_REPLY, ts=ts,
-                host=src.host, actor=str(src), dur=deliver_at - ts,
-                kind=kind, nbytes=nbytes, src=str(src), dst=str(dst),
+                host=src.host, actor=sender, dur=deliver_at - ts,
+                kind=kind, nbytes=nbytes, src=sender, dst=str(dst),
                 msg_id=msg.msg_id,
                 **({"oneway": args[1] is None} if request else {}),
             )
@@ -401,24 +404,31 @@ class Transport:
         endpoint = self._endpoints.get(msg.dst)
         if endpoint is None or endpoint.closed:
             return self._drop(msg, "request", "no such endpoint")
-        # Decoding is the copy, and each delivery makes its own: the
-        # handlers of a duplicated request must not share an argument.
-        # (Spelled out: dataclasses.replace costs six times as much.)
-        delivered = Message(
-            msg.msg_id, msg.src, msg.dst, msg.kind, decode(msg.payload),
-            msg.nbytes, msg.sent_at, msg.ctx, msg.token, msg.nominal,
-        )
         # One process per incoming request, as the paper's PubOA runs one
         # thread per request.
         self.world.kernel.spawn(
-            self._execute, endpoint, delivered, reply_future,
+            self._execute, endpoint, msg, reply_future,
             name=f"handle-{msg.kind}@{msg.dst.host}",
             context={"addr": msg.dst},
         )
 
     def _execute(
-        self, endpoint: Endpoint, msg: Message, reply_future: Future | None
+        self, endpoint: Endpoint, sent: Message, reply_future: Future | None
     ) -> None:
+        # Decoding is the copy, and each delivery makes its own: the
+        # handlers of a duplicated request must not share an argument.
+        # It happens here, in the request's own process: a payload that
+        # pickled but does not unpickle fails its call, not the
+        # scheduler's run loop.
+        try:
+            payload = decode(sent.payload)
+        except Exception as exc:  # noqa: BLE001 - the call's outcome
+            return self._undecodable(sent, reply_future, exc)
+        # (Spelled out: dataclasses.replace costs six times as much.)
+        msg = Message(
+            sent.msg_id, sent.src, sent.dst, sent.kind, payload,
+            sent.nbytes, sent.sent_at, sent.ctx, sent.token, sent.nominal,
+        )
         dedup = endpoint.dedup
         slot = None
         if msg.token is not None and dedup is not None:
@@ -442,7 +452,7 @@ class Transport:
             # parents under the request span carried on the message.
             exec_span = self.tracer.begin_span(
                 ev.RPC_EXEC, ts=self.world.now(), host=msg.dst.host,
-                actor=str(msg.dst), parent=msg.ctx,
+                actor=endpoint.actor, parent=msg.ctx,
                 kind=msg.kind, msg_id=msg.msg_id,
             )
         failed = False
@@ -467,6 +477,20 @@ class Transport:
             dedup.complete(msg.token, wire)
         if reply_future is None:
             return
+        self._send_reply(msg, result, wire.nbytes, reply_future)
+
+    def _undecodable(self, msg: Message, reply_future: Future | None,
+                     exc: Exception) -> None:
+        """A request whose payload pickled at send but does not unpickle
+        (say, an exception whose ``__init__`` does not take its own
+        ``args``): the handler never runs.  A one-way call is lost like
+        any other message; a two-way caller is told why."""
+        if reply_future is None:
+            return self._drop(msg, "request", "undecodable request")
+        wire, result = self._roundtrip_result(RemoteError(
+            RemoteInvocationError(
+                f"request {msg.kind} to {msg.dst} could not be decoded: "
+                f"{exc!r}"), msg.dst), msg.dst)
         self._send_reply(msg, result, wire.nbytes, reply_future)
 
     def _roundtrip_result(self, result: Any, where: Addr) -> tuple[Wire, Any]:

@@ -101,6 +101,14 @@ class Echo:
         return data
 
 
+class Odd(Exception):
+    """Pickles as ``Odd("1/2")``, which its ``__init__`` refuses: an
+    argument that crosses ``send`` but not delivery."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 @jsclass
 class Spinner:
     """Object whose method takes modelled compute time."""

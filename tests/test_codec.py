@@ -11,7 +11,6 @@ not be "fixed" to follow the module.
 
 import pickle
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.util import serialization as ser

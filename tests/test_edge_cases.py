@@ -11,7 +11,7 @@ from repro.errors import (
 )
 from repro.sysmon import SysParam
 from repro.varch import Cluster, Node
-from tests.conftest import Counter, Echo  # noqa: F401
+from tests.conftest import Counter
 
 
 class TestPlacementEdges:

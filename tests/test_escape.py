@@ -13,7 +13,7 @@ import random
 import textwrap
 
 from repro.analysis.base import Module, Project
-from repro.analysis.callgraph import CallGraph, FuncKey
+from repro.analysis.callgraph import FuncKey
 from repro.analysis.escape import EscapeAnalysis
 
 PATH = "mod.py"

@@ -1,6 +1,5 @@
 """Every example script must run end-to-end (they are documentation)."""
 
-import runpy
 import subprocess
 import sys
 from pathlib import Path

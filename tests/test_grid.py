@@ -9,8 +9,8 @@ from repro.cluster import grid_testbed
 from repro.constraints import JSConstraints
 from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.sysmon import SysParam
-from repro.varch import Domain, Site
-from tests.conftest import Counter, Echo  # noqa: F401
+from repro.varch import Domain
+from tests.conftest import Echo
 
 
 @pytest.fixture()

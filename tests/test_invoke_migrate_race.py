@@ -4,8 +4,6 @@ to the tombstone redirect under ``migrate_drain_timeout``, with a
 ``san-migrate-pending`` finding), and pending is tracked for foreign
 refs the local table has never seen."""
 
-import pytest
-
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
 from repro.core import JSCodebase, JSObj, JSRegistration

@@ -10,7 +10,7 @@ from repro.core import JS, JSCodebase, JSObj, JSRegistration
 from repro.errors import PersistenceError
 from repro.simnet import ConstantLoad, SpikeLoad
 from repro.sysmon import SysParam
-from repro.varch import Cluster, Node
+from repro.varch import Cluster
 from tests.conftest import Counter, Spinner  # noqa: F401
 
 

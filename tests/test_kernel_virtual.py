@@ -355,6 +355,36 @@ class TestChannel:
         kernel.run_callable(main)
         assert sorted(item for _, item in got) == ["a", "b"]
 
+    def test_timed_get_woken_by_its_timeout_leaves_no_waiter(self, kernel):
+        """The put at 1.5 wakes the patient getter, but the timed getter's
+        timeout (due at 1.5 as well) runs first and takes "a".  Its waiter
+        entry must go with it: left behind, it is what the put at 2.5
+        wakes, and the patient getter sleeps forever beside "b"."""
+        got = []
+
+        def patient(ch):
+            got.append(("patient", ch.get()))
+
+        def timed(ch):
+            kernel.sleep(0.5)
+            got.append(("timed", ch.get(timeout=1.0)))
+
+        def producer(ch):
+            kernel.sleep(1.5)
+            ch.put("a")
+            kernel.sleep(1.0)
+            ch.put("b")
+
+        def main():
+            ch = kernel.create_channel()
+            procs = [kernel.spawn(f, ch) for f in (patient, timed, producer)]
+            for proc in procs:
+                proc.join()
+            return kernel.now()
+
+        assert kernel.run_callable(main) == pytest.approx(2.5)
+        assert sorted(got) == [("patient", "b"), ("timed", "a")]
+
 
 class TestSemaphore:
     def test_mutual_exclusion(self, kernel):
@@ -386,6 +416,38 @@ class TestSemaphore:
             return kernel.now()
 
         assert kernel.run_callable(main) == pytest.approx(2.0)
+
+    def test_timed_acquire_woken_by_its_timeout_leaves_no_waiter(
+        self, kernel
+    ):
+        """The semaphore twin of the channel case: a timed acquire that
+        takes a permit on its timeout wake must not leave its waiter
+        entry for the next release to wake."""
+        got = []
+
+        def patient(sem):
+            sem.acquire()
+            got.append(("patient", kernel.now()))
+
+        def timed(sem):
+            kernel.sleep(0.5)
+            sem.acquire(timeout=1.0)
+            got.append(("timed", kernel.now()))
+
+        def releaser(sem):
+            kernel.sleep(1.5)
+            sem.release()
+            kernel.sleep(1.0)
+            sem.release()
+
+        def main():
+            sem = kernel.create_semaphore(0)
+            procs = [kernel.spawn(f, sem) for f in (patient, timed, releaser)]
+            for proc in procs:
+                proc.join()
+
+        kernel.run_callable(main)
+        assert sorted(got) == [("patient", 2.5), ("timed", 1.5)]
 
 
 class TestSchedulerSafety:

@@ -1,8 +1,6 @@
 """Multiple concurrent applications on one JRS (the paper's PubOAs serve
 "any JSA on the local node")."""
 
-import pytest
-
 from repro.core import JSCodebase, JSObj, JSRegistration
 from tests.conftest import Counter, Spinner  # noqa: F401
 

@@ -1,8 +1,6 @@
 """Tests for the OAS failure-recovery extension (paper: future work;
 implemented here behind ``ShellConfig.oas_failure_recovery``)."""
 
-import pytest
-
 from repro.agents.nas import NASConfig
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed

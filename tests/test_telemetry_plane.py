@@ -96,8 +96,6 @@ class TestPromExposition:
         """Acceptance: the exposition's rpc latency histogram equals the
         merge of the per-host histograms done by hand, bucket for
         bucket — hence identical p99."""
-        from repro.obs.metrics import Histogram
-
         config = TestbedConfig(
             load_profile="dedicated", seed=5,
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),

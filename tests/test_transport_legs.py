@@ -18,6 +18,7 @@ from repro.kernel import VirtualKernel
 from repro.obs import Tracer, events as ev, tracing
 from repro.simnet import SimWorld, build_lan, make_host
 from repro.transport import Addr, Transport
+from tests.conftest import Odd
 
 CLI = Addr("u1", "cli")
 SRV = Addr("u2", "srv")
@@ -138,6 +139,14 @@ def _closed_endpoint(rig):
     return rig.outcome()
 
 
+def _undecodable_oneway(rig):
+    """Pickled at send, refuses to unpickle at delivery: the handler
+    never runs.  (A two-way caller gets a RemoteInvocationError.)"""
+    rig.client.send_oneway(SRV, "ECHO", Odd(1, 2))
+    rig.kernel.sleep(1.0)
+    return ("sent", None)
+
+
 def _caller_dies_during_handler(rig):
     def slow(msg):
         rig.kernel.sleep(2.0)
@@ -201,6 +210,12 @@ DROPS = {
         "", _closed_endpoint, False, "timeout",
         ("request", "no such endpoint", "u2", "ECHO"),
         {"messages": 1, "rpcs": 1, "dropped_requests": 1,
+         "by_kind": {"ECHO": 1}},
+    ),
+    "request/undecodable (one-way)": (
+        "", _undecodable_oneway, False, "sent",
+        ("request", "undecodable request", "u2", "ECHO"),
+        {"messages": 1, "oneways": 1, "dropped_requests": 1,
          "by_kind": {"ECHO": 1}},
     ),
     "reply/caller failed": (

@@ -4,7 +4,8 @@ Covers the reply-leg bugs fixed alongside the obs subsystem: remote
 exceptions crossing the wire by reference, unpicklable handler
 exceptions stranding the caller, reply traffic invisible in by-kind
 stats, reply drops conflated with request drops, and the per-host-pair
-FIFO table outliving host failures.
+FIFO table outliving host failures — and a request argument that
+pickles at send but does not unpickle at delivery.
 """
 
 import pickle
@@ -12,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.errors import (
     RemoteInvocationError,
     RPCTimeoutError,
@@ -21,6 +23,7 @@ from repro.kernel import VirtualKernel
 from repro.simnet import SimWorld, build_lan, make_host
 from repro.transport import Addr, Transport
 from repro.transport.rpc import RemoteError
+from tests.conftest import Echo, Odd
 
 
 @pytest.fixture()
@@ -197,6 +200,45 @@ class TestSendEncodesFirst:
 
         world.kernel.run_callable(main)
         assert seen == [[1, 2, 3]]
+
+
+class TestUndecodableRequest:
+    """The request was decoded on the scheduler, so the ``TypeError``
+    came out of ``kernel.run`` and killed the whole run.  (A one-way
+    call's loss is a row of ``tests/test_transport_legs.py``'s drop
+    table.)"""
+
+    def test_two_way_caller_gets_a_typed_error(self, world, transport):
+        ran = []
+        ep = transport.create_endpoint(Addr("u2", "srv"))
+        ep.register("ECHO", lambda msg: ran.append(msg) or msg.payload)
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            with pytest.raises(RemoteInvocationError) as err:
+                client.rpc(Addr("u2", "srv"), "ECHO", [Odd(1, 2)],
+                           timeout=30.0)
+            return str(err.value), client.rpc(Addr("u2", "srv"), "ECHO", "ok")
+
+        message, after = world.kernel.run_callable(main)
+        assert "could not be decoded" in message and "TypeError" in message
+        assert after == "ok" and len(ran) == 1
+        assert transport.stats.dropped == 0
+
+    def test_sinvoke_raises_in_the_application(self, dedicated_testbed):
+        def app():
+            registration = JSRegistration()
+            codebase = JSCodebase()
+            codebase.add(Echo)
+            codebase.load(["rachel"])
+            obj = JSObj("Echo", "rachel")
+            with pytest.raises(RemoteInvocationError):
+                obj.sinvoke("echo", [Odd(1, 2)])
+            value = obj.sinvoke("echo", ["still here"])
+            registration.unregister()
+            return value
+
+        assert dedicated_testbed.run_app(app) == "still here"
 
 
 class TestOnePicklePerLeg:

@@ -1,7 +1,6 @@
 """Deeper transport semantics: FIFO per host pair, sender CPU charging,
 stats, and hypothesis ordering properties."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import VirtualKernel
