@@ -11,7 +11,6 @@ every statement.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 
 from repro.analysis.cfg import CFG, Block, stmt_defs, stmt_uses
@@ -188,13 +187,3 @@ class ReachingDefinitions(DataflowAnalysis):
         which ``b`` bindings were in force once the copy executed."""
         return self.reaching_before(block, idx + 1)
 
-
-def defs_of(stmt: ast.AST) -> set[str]:
-    """Re-export of :func:`repro.analysis.cfg.stmt_defs` for callers
-    that only import the dataflow layer."""
-    return stmt_defs(stmt)
-
-
-def uses_of(stmt: ast.AST) -> set[str]:
-    """Re-export of :func:`repro.analysis.cfg.stmt_uses`."""
-    return stmt_uses(stmt)

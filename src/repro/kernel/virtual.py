@@ -1,23 +1,27 @@
 """Deterministic virtual-time kernel.
 
 Processes run on real OS threads but in strict lockstep: at any instant
-exactly one thread (either the scheduler or one process) is active, with
-handoff through lock gates.  This keeps the blocking programming style of
-the JavaSymphony API while making every run fully deterministic — events
-are ordered by ``(time, sequence-number)`` and all randomness flows from
+exactly one thread holds the baton and runs, the others are parked at
+lock gates.  This keeps the blocking programming style of the
+JavaSymphony API while making every run fully deterministic — events are
+ordered by ``(time, sequence-number)`` and all randomness flows from
 seeded streams.
 
-The technique is the classic thread-based discrete-event simulation: the
-scheduler pops the next event from a heap, advances the clock, resumes the
-owning process, and waits until that process blocks again through a kernel
-primitive before popping the next event.
+The technique is the classic thread-based discrete-event simulation —
+pop the next event from a heap, advance the clock, resume the owning
+process — with the scheduler step run by whichever thread gives up
+control (:meth:`VirtualKernel._pass_baton`): a process that blocks, or a
+worker whose body returned, pops events itself, runs call events inline
+and opens the next process's gate directly; the thread in ``run()``
+sleeps until nothing may run.  When the next process is the one blocking,
+it simply carries on.  Call events run in scheduler context whichever
+thread runs them.  Only the OS thread that runs an event changes, never
+which event runs when.
 
 A process is *scheduled onto* a thread, it does not own one: its body runs
 on a pooled :class:`_Worker` of its kernel, which goes back to the idle
 list when the body returns, and a finished process leaves
-``kernel.processes``.  A process whose own wake is the very next event
-skips the scheduler altogether (see :meth:`VirtualProcess._block`).
-Neither changes which event runs when.
+``kernel.processes``.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from repro.obs import spans as _spans
 from repro.obs.events import PROC_SPAWN
 from repro.sanitizer.core import caller_site, current_sanitizer
 
-_SWITCH_TIMEOUT = 60.0  # seconds of host time; trips only on kernel bugs
+_SWITCH_TIMEOUT = 60.0  # host seconds without a kernel event: a stall
+#: hot-path aliases: looking up an Enum member is a descriptor call
+_BLOCKED, _RUNNING = ProcessState.BLOCKED, ProcessState.RUNNING
 
 
 class _KernelShutdown(BaseException):
@@ -91,8 +97,9 @@ class _Worker:
                 return
             self.proc = None
             kernel._idle.append(self)
-            # Hand control back to the scheduler; the body is done.
-            kernel._sched_gate.set()
+            # The body is done: pass the baton on, perhaps to this very
+            # worker (the next start event's gate is then already open).
+            kernel._pass_baton()
 
 
 class VirtualProcess(Process):
@@ -192,38 +199,21 @@ class VirtualProcess(Process):
         Returns the wake reason ('wake' for a normal wake, 'timeout' for a
         timer wake)."""
         kernel = self.kernel
-        heap = kernel._heap
-        if heap:
-            # Self-wake: when the next event is this process's own valid
-            # wake (a sleep or timeout with nothing else due first) and the
-            # running run(until=...) reaches it, the scheduler would pop
-            # exactly that event and resume exactly this thread.  Do the
-            # pop here and skip both thread switches; no other event can
-            # tell the difference.
-            time, _, event = heap[0]
-            if (
-                event[0] == "wake"
-                and event[1] is self
-                and event[2] == self._wake_token
-                and time <= kernel._horizon
-            ):
-                heapq.heappop(heap)
-                kernel._time = time
-                return event[3]
-        self._state = ProcessState.BLOCKED
-        self._wake_reason = None
+        if kernel._shutting_down:  # a finally clause blocking while unwound
+            raise _KernelShutdown()
+        self._state = _BLOCKED
         self._wait_why = why
         if kernel.sanitizer.enabled:
             self._wait_site = caller_site()
-        kernel._sched_gate.set()
-        if not self._gate.wait(_SWITCH_TIMEOUT):
-            raise KernelError(f"process {self.name}: resume wait timed out")
-        if kernel._shutting_down:
-            raise _KernelShutdown()
-        self._wait_why = None
-        self._wait_site = None
-        self._state = ProcessState.RUNNING
-        return self._wake_reason or "wake"
+        if not kernel._pass_baton(self):
+            # Untimed, like an idle worker: a process may stay parked for
+            # as long as the simulation runs (run() watches for stalls).
+            self._gate.wait()
+            if kernel._shutting_down:
+                raise _KernelShutdown()
+        self._wait_why = self._wait_site = None
+        self._state = _RUNNING
+        return self._wake_reason
 
     def _new_token(self) -> int:
         self._wake_token += 1
@@ -418,8 +408,15 @@ class VirtualKernel(Kernel):
         self._time = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, tuple]] = []
-        #: latest event time the running run(until=...) may reach
+        #: the running run(): latest event time it may reach, the process
+        #: it waits for, what a call event raised in it, and what call
+        #: events run under (its span context and sanitizer identity)
         self._horizon = float("inf")
+        self._main: Process | None = None
+        self._error: BaseException | None = None
+        self._sched_ctx = None
+        self._sched_tid = 0
+        #: where run()'s thread sleeps while the baton is passed around
         self._sched_gate = _Gate()
         self._workers: list[_Worker] = []
         self._idle: list[_Worker] = []
@@ -532,46 +529,74 @@ class VirtualKernel(Kernel):
 
     # -- the scheduler loop ----------------------------------------------------
 
-    def _switch_to(self, proc: VirtualProcess) -> None:
-        self._current = proc
-        proc._gate.set()
-        if not self._sched_gate.wait(_SWITCH_TIMEOUT):
-            raise KernelError(
-                f"scheduler handoff to {proc.name} timed out - a process "
-                "blocked outside kernel primitives?"
-            )
+    def _pass_baton(self, me: VirtualProcess | None = None) -> bool:
+        """The scheduler step, run by the thread that gives up control:
+        run() starting, a blocking process (``me``), a worker whose body
+        returned.  Pops events in heap order — call events run inline,
+        stale wakes are skipped — up to the next process to resume: True
+        if that is ``me``, else its gate is opened.  When none may run
+        (heap empty, next event past the horizon, ``main`` finished, a
+        call raised) run()'s gate is opened instead.  ``main`` finishes
+        only in a body that just returned, so only ``me is None`` looks."""
+        heap, horizon, main = self._heap, self._horizon, self._main
         self._current = None
-
-    def _dispatch(self, event: tuple, seq: int = 0) -> None:
-        kind = event[0]
-        if kind == "start":
+        done = me is None and main is not None and main.finished
+        while heap and not done:
+            time, seq, event = heap[0]
+            if time > horizon:
+                break
+            heapq.heappop(heap)
+            self._time = time
+            kind = event[0]
+            if kind == "call":
+                if self._call(event[1], event[2], seq):
+                    continue
+                break
             proc = event[1]
-            if self._idle:
-                worker = self._idle.pop()
-            else:
-                worker = _Worker(self)
-                self._workers.append(worker)
-            worker.proc = proc
-            proc._gate = worker.gate
-            proc._thread = worker.thread
-            self._switch_to(proc)
-        elif kind == "wake":
-            _, proc, token, reason = event
-            if (
-                proc.state is ProcessState.BLOCKED
-                and proc._wake_token == token
-            ):
-                proc._wake_reason = reason
-                self._switch_to(proc)
-            # else: stale wake (process already woken by the other path)
-        elif kind == "call":
-            _, fn, args = event
-            if self.sanitizer.enabled:
-                # absorb the pusher's clock into the scheduler context
-                self.sanitizer.on_call_run(seq)
+            if kind == "wake":
+                if proc._state is not _BLOCKED or proc._wake_token != event[2]:
+                    continue  # stale: already woken by the other path
+                proc._wake_reason = event[3]
+            else:  # "start"
+                if self._idle:
+                    worker = self._idle.pop()
+                else:
+                    worker = _Worker(self)
+                    self._workers.append(worker)
+                worker.proc = proc
+                proc._gate = worker.gate
+                proc._thread = worker.thread
+            self._current = proc
+            if proc is me:
+                return True
+            self._hand_off(proc)
+            return False
+        self._sched_gate.set()
+        return False
+
+    def _hand_off(self, proc: VirtualProcess) -> None:
+        """Resume ``proc`` on its own thread; the caller parks next."""
+        proc._gate.set()
+
+    def _call(self, fn: Callable[..., Any], args: tuple, seq: int) -> bool:
+        """Run one call event in scheduler context on the calling thread.
+        False when it raised; run() re-raises it."""
+        own_ctx = _spans.set_context(self._sched_ctx)
+        san = self.sanitizer
+        if san.enabled:
+            own_tid = san.swap_identity(self._sched_tid)
+            # absorb the pusher's clock into the scheduler context
+            san.on_call_run(seq)
+        try:
             fn(*args)
-        else:  # pragma: no cover - defensive
-            raise KernelError(f"unknown event kind {kind!r}")
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._error = exc
+            return False
+        finally:
+            self._sched_ctx = _spans.set_context(own_ctx)
+            if san.enabled:
+                san.swap_identity(own_tid)
+        return True
 
     def run(
         self,
@@ -583,20 +608,31 @@ class VirtualKernel(Kernel):
         if self._current is not None:
             raise KernelError("kernel.run() called from inside a process")
         self._running = True
-        horizon = self._horizon = (
-            float("inf") if until is None else until + 1e-12
-        )
+        self._main = main
+        self._horizon = float("inf") if until is None else until + 1e-12
+        self._sched_ctx = _spans.current_context()
+        if self.sanitizer.enabled:
+            self._sched_tid = self.sanitizer.identity()
         try:
-            while self._heap:
-                if main is not None and main.finished:
-                    break
-                time, seq, event = self._heap[0]
-                if time > horizon:
-                    self._time = until
-                    break
-                heapq.heappop(self._heap)
-                self._time = time
-                self._dispatch(event, seq)
+            self._pass_baton()
+            # A stall is no kernel event for a whole timeout: each event
+            # pushed moves _seq, each popped shrinks the heap.
+            progress = (self._seq, len(self._heap))
+            while not self._sched_gate.wait(_SWITCH_TIMEOUT):
+                seen, progress = progress, (self._seq, len(self._heap))
+                if seen == progress:
+                    proc = self._current
+                    raise KernelError(
+                        f"no kernel event for {_SWITCH_TIMEOUT} s while "
+                        f"{proc.name if proc else 'a call event'} ran - "
+                        "blocked outside kernel primitives?"
+                    )
+            error, self._error = self._error, None
+            if error is not None:
+                raise error
+            if self._heap:
+                if main is None or not main.finished:
+                    self._time = until  # stopped at the horizon
             else:
                 # Heap exhausted.
                 if until is not None and self._time < until:
@@ -614,6 +650,8 @@ class VirtualKernel(Kernel):
                     )
         finally:
             self._running = False
+            # what call events left installed stays with run()'s thread
+            _spans.set_context(self._sched_ctx)
         if self.strict:
             # The main process's own exception propagates through result();
             # strict mode flags crashes in *background* processes, which

@@ -124,6 +124,12 @@ class NullSanitizer:
     def register_thread(self, name: str) -> None:
         pass
 
+    def identity(self) -> int:
+        return 0
+
+    def swap_identity(self, tid: int) -> int:
+        return 0
+
     # -- leak tracking -------------------------------------------------------
 
     def track_future(self, fut: Any, kernel: Any) -> None:
@@ -254,6 +260,21 @@ class Sanitizer(NullSanitizer):
             self._next_tid -= 1
             self._tids[threading.get_ident()] = self._next_tid
             self._thread_names[self._next_tid] = name
+
+    def identity(self) -> int:
+        """The logical id the calling thread acts under now."""
+        return self._tid()
+
+    def swap_identity(self, tid: int) -> int:
+        """Make the calling thread act under ``tid`` (one of
+        :meth:`identity`'s answers) until the next swap or registration;
+        returns the id it acted under before.  The virtual kernel runs
+        call events under its scheduler's id on whichever thread."""
+        ident = threading.get_ident()
+        with self._mu:
+            previous = self._tids.get(ident, ident)
+            self._tids[ident] = tid
+        return previous
 
     # -- runtime protocol hazards -------------------------------------------
 

@@ -1,11 +1,12 @@
 """Unit tests for the deterministic virtual-time kernel."""
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import KernelError, SimDeadlockError, WaitTimeout
-from repro.kernel import ProcessState, VirtualKernel
+from repro.kernel import ProcessState, VirtualKernel, virtual
 from repro.obs import spans
 from tests.conftest import Counter
 
@@ -584,18 +585,19 @@ class TestWorkerPool:
 
 
 class TestSelfWake:
-    """A process whose own wake is the next event takes it without going
-    through the scheduler — but only when the scheduler would have."""
+    """A process whose own wake is the next runnable carries on without
+    handing control to anyone — but only when the scheduler would have
+    resumed it."""
 
     @staticmethod
     def _count_switches(kernel, monkeypatch):
-        switches, switch_to = [], kernel._switch_to
+        switches, hand_off = [], kernel._hand_off
 
         def counting(proc):
             switches.append(proc.name)
-            switch_to(proc)
+            hand_off(proc)
 
-        monkeypatch.setattr(kernel, "_switch_to", counting)
+        monkeypatch.setattr(kernel, "_hand_off", counting)
         return switches
 
     def test_lone_process_never_switches(self, kernel, monkeypatch):
@@ -627,6 +629,107 @@ class TestSelfWake:
         kernel.run()
         assert woke == [pytest.approx(5.0)]
         assert switches == ["sleeper", "sleeper"]
+
+
+class TestBaton:
+    """The thread that gives up control runs the scheduler step itself;
+    run()'s thread only decides what happens when nothing may run."""
+
+    def test_call_event_error_reaches_run(self, kernel):
+        boom = ValueError("boom")
+
+        def raise_boom():
+            raise boom
+
+        def main():
+            kernel.spawn(kernel.create_future().wait, name="parked")
+            kernel.call_at(1.0, raise_boom)
+            kernel.sleep(5.0)  # the call event runs while this blocks
+
+        with pytest.raises(ValueError) as info:
+            kernel.run_callable(main)
+        assert info.value is boom
+        assert kernel.now() == 1.0 and kernel.current_process() is None
+
+    def test_ping_pong_leaves_the_scheduler_asleep(self, kernel):
+        wakes = []
+
+        class CountingGate(type(kernel._sched_gate)):
+            def wait(self, timeout=-1):
+                wakes.append(super().wait(timeout))
+                return wakes[-1]
+
+        kernel._sched_gate = CountingGate()
+        rounds = 200
+        pings = [kernel.create_future() for _ in range(rounds)]
+        pongs = [kernel.create_future() for _ in range(rounds)]
+
+        def ping():
+            for i in range(rounds):
+                pings[i].set_result(i)
+                pongs[i].result()
+
+        def pong():
+            for i in range(rounds):
+                pongs[i].set_result(pings[i].result())
+
+        kernel.spawn(pong, name="pong")
+        kernel.run(main=kernel.spawn(ping, name="ping"))
+        assert pongs[-1].result() == rounds - 1
+        assert len(wakes) <= 2  # one per run(), not one per resume
+
+    def test_long_baton_chain_is_no_stall(self, kernel, monkeypatch):
+        monkeypatch.setattr(virtual, "_SWITCH_TIMEOUT", 0.2)
+        start = time.monotonic()
+        deadline = start + 0.7
+
+        def ticker():
+            while time.monotonic() < deadline:
+                kernel.sleep(1.0)
+
+        kernel.spawn(ticker, name="even")
+        kernel.spawn(ticker, name="odd", delay=0.5)
+        kernel.run()
+        assert time.monotonic() - start >= 0.7
+
+    def test_parked_outside_the_kernel_is_detected(self, kernel, monkeypatch):
+        monkeypatch.setattr(virtual, "_SWITCH_TIMEOUT", 0.2)
+        outside = threading.Event()
+        proc = kernel.spawn(outside.wait, name="stuck")
+        with pytest.raises(KernelError, match="stuck"):
+            kernel.run(main=proc)
+        outside.set()  # let the worker finish before the kernel is swept
+        deadline = time.monotonic() + 5.0
+        while not proc.finished and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def test_call_event_runs_in_scheduler_context(self, kernel):
+        """Whichever thread runs a callback, it sees no current process
+        and the span context run()'s thread has, and what it installs
+        stays there; the process it ran beside keeps its own."""
+        outer = spans.TraceContext("trace", "outer")
+        own = spans.TraceContext("trace", "own")
+        left = spans.TraceContext("trace", "left")
+        seen = {}
+
+        def callback():
+            seen["proc"] = kernel.current_process()
+            seen["ctx"] = spans.set_context(left)
+
+        def main():
+            spans.set_context(own)
+            kernel.call_soon(callback)
+            kernel.sleep(1.0)
+            seen["resumed"] = spans.current_context()
+
+        previous = spans.set_context(outer)
+        try:
+            kernel.run_callable(main)
+            after = spans.current_context()
+        finally:
+            spans.set_context(previous)
+        assert seen == {"proc": None, "ctx": outer, "resumed": own}
+        assert after is left
 
 
 class TestEventOrderPinned:

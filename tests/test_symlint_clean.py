@@ -9,6 +9,7 @@ this test fails before any runtime test has to trip over it.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -76,17 +77,33 @@ def test_symshare_gate_repo_wide(repo_report):
     _gate(repo_report, "symshare")
 
 
-def test_cli_lint_default_paths_exits_zero(capsys):
+def test_cli_lint_default_paths_exits_zero(capsys, monkeypatch,
+                                          runtime_report):
+    """``repro lint`` with no path lints the installed package.  The
+    session's report of that package stands in for a second full pass;
+    the gates above are what hold it at zero findings."""
+    import repro.analysis
+
+    asked = []
+
+    def analyze_paths(paths, rules=None):
+        asked.append((paths, rules))
+        return runtime_report
+
+    monkeypatch.setattr(repro.analysis, "analyze_paths", analyze_paths)
     assert cli_main(["lint"]) == 0
-    out = capsys.readouterr().out
-    assert "0 errors" in out
+    assert asked == [([PACKAGE_DIR], None)]
+    assert "0 errors" in capsys.readouterr().out
 
 
 def test_cli_lint_src_json_round_trips(capsys):
-    assert cli_main(["lint", PACKAGE_DIR, "--format", "json"]) == 0
+    paths = [os.path.join(PACKAGE_DIR, sub) for sub in ("kernel", "util")]
+    assert cli_main(["lint", *paths, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
+    assert data["findings"] == []
     assert data["summary"]["error"] == 0
-    assert data["summary"]["files"] > 50
+    assert data["summary"]["files"] == sum(
+        name.endswith(".py") for path in paths for name in os.listdir(path))
 
 
 def test_render_json_matches_cli_json(report):

@@ -455,6 +455,38 @@ class TestSeededFixtures:
         message = san.report().findings[0].message
         assert "w-b writes" in message and "w-a wrote" in message
 
+    def test_call_event_races_under_the_schedulers_identity(self):
+        """A callback is scheduler context whichever thread runs it.  Here
+        it runs while the writer is blocked — on the writer's own thread,
+        in a kernel that lets a blocking process run the scheduler step —
+        and its write still races the writer's, named as run()'s thread.
+        Under the writer's identity the two writes would be one thread's
+        and the race would vanish."""
+        from repro.kernel import VirtualKernel
+
+        san = Sanitizer()
+        with sanitizing(san):
+            kernel = VirtualKernel(strict=True)
+            table: dict[str, str] = {}
+
+            def write(tag):
+                san.access("Table", "cell", scope=kernel)
+                table["cell"] = tag
+
+            def writer():
+                write("process")
+                kernel.sleep(5.0)
+
+            kernel.call_at(1.0, write, "callback")
+            try:
+                kernel.run(main=kernel.spawn(writer, name="writer"))
+            finally:
+                kernel.shutdown()
+        assert rules_of(san) == ["san-race"]
+        message = san.report().findings[0].message
+        assert f"thread-{threading.get_ident()} writes" in message
+        assert "writer wrote" in message
+
     def test_register_thread_gives_a_fresh_identity(self):
         san = Sanitizer()
         scope = _Scope()
