@@ -14,13 +14,7 @@ cannot enforce mechanically at run time:
 * locality & communication cost — symloc's CFG/dataflow-backed rules
   against chatty synchronous RMI, dropped handles, migration thrash and
   per-iteration re-serialization (``locality``, on the reusable
-  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow` engine);
-* copy-semantics & stale-reference safety — symshare's alias, escape
-  and typestate layers (:mod:`repro.analysis.alias`,
-  :mod:`repro.analysis.escape`, :mod:`repro.analysis.typestate`)
-  catching mutate-after-send, live resources in remote arguments,
-  stale cached locations after ``migrate``, consumed oneway results
-  and project-wide never-awaited handles (``share``).
+  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow` engine).
 
 Run it as ``python -m repro lint [paths]`` or through
 :func:`analyze_paths`.
@@ -34,7 +28,6 @@ import importlib
 
 #: public name -> the submodule that defines it
 _EXPORTS = {
-    "AliasAnalysis": "alias",
     "Checker": "base",
     "Finding": "base",
     "Module": "base",
@@ -47,8 +40,6 @@ _EXPORTS = {
     "function_cfgs": "cfg",
     "Liveness": "dataflow",
     "ReachingDefinitions": "dataflow",
-    "EscapeAnalysis": "escape",
-    "Summary": "escape",
     "LockDisciplineChecker": "lock_discipline",
     "LocalityChecker": "locality",
     "MigrationSafetyChecker": "migration_safety",
@@ -60,10 +51,6 @@ _EXPORTS = {
     "render_json": "runner",
     "render_sarif": "runner",
     "render_text": "runner",
-    "SymshareChecker": "share",
-    "TSEvent": "typestate",
-    "TypestateAnalysis": "typestate",
-    "TypestateSpec": "typestate",
 }
 
 

@@ -2,9 +2,9 @@
 
 A :class:`Checker` sees the whole :class:`Project` (every parsed module)
 so cross-file passes like protocol completeness are first-class.  Line
-suppressions use ``# symlint: disable=rule-a,rule-b`` on the offending
+suppressions use ``# symlint: disable=<rule>,<rule>`` on the offending
 line or on the line directly above it, or
-``# symlint: disable-next-line=rule-a`` to cover exactly the following
+``# symlint: disable-next-line=<rule>`` to cover exactly the following
 line; anything after the rule list is treated as the justification and
 ignored by the parser.
 """
@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.analysis.callgraph import CallGraph
-    from repro.analysis.escape import EscapeAnalysis
     from repro.analysis.index import ModuleFacts
 
 
@@ -126,12 +125,6 @@ class Project:
         from repro.analysis.callgraph import CallGraph
 
         return CallGraph(self)
-
-    @cached_property
-    def escape(self) -> EscapeAnalysis:
-        from repro.analysis.escape import EscapeAnalysis
-
-        return EscapeAnalysis(self, self.callgraph)
 
     @cached_property
     def _facts(self) -> dict[str, ModuleFacts]:

@@ -165,77 +165,3 @@ class CallGraph:
         for call in direct_calls(info.node):
             for target in self.resolve(info, call):
                 yield target, call
-
-    # -- whole-graph structure ----------------------------------------------
-
-    def edges(self) -> dict[FuncKey, set[FuncKey]]:
-        """Caller -> resolved callee keys, for every project function."""
-        out: dict[FuncKey, set[FuncKey]] = {
-            key: set() for key in self.functions
-        }
-        for key, info in self.functions.items():
-            for target, _call in self.callees(info):
-                out[key].add(target.key)
-        return out
-
-    def scc_order(self) -> list[list[FuncKey]]:
-        """Strongly connected components in bottom-up (callees-first)
-        order — the propagation order for interprocedural summaries:
-        when an SCC is processed, every function it calls outside the
-        SCC already has a stable summary; mutual recursion inside an
-        SCC is iterated to a fixpoint by the consumer.
-
-        Iterative Tarjan (no recursion: deep call chains in analyzed
-        code must not overflow the analyzer's own stack).  Tarjan emits
-        components in reverse topological order of the condensation,
-        which for caller->callee edges *is* callees-first.
-        """
-        edges = self.edges()
-        index: dict[FuncKey, int] = {}
-        low: dict[FuncKey, int] = {}
-        on_stack: set[FuncKey] = set()
-        stack: list[FuncKey] = []
-        sccs: list[list[FuncKey]] = []
-        counter = 0
-        for root in self.functions:
-            if root in index:
-                continue
-            # (node, iterator over its successors) explicit DFS stack
-            work: list[tuple[FuncKey, list[FuncKey]]] = [
-                (root, sorted(edges[root], key=repr))
-            ]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, succs = work[-1]
-                advanced = False
-                while succs:
-                    nxt = succs.pop()
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, sorted(edges[nxt], key=repr)))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp: list[FuncKey] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp.append(member)
-                        if member == node:
-                            break
-                    sccs.append(comp)
-        return sccs

@@ -178,12 +178,3 @@ class ReachingDefinitions(DataflowAnalysis):
             for name in defined:
                 reaching.add(Definition(name, block.id, i, line))
         return frozenset(reaching)
-
-    def reaching_after(self, block: Block, idx: int) -> frozenset:
-        """Definitions reaching the point just *after*
-        ``block.stmts[idx]`` — ``reaching_before`` plus the statement's
-        own bindings (which shadow same-name predecessors).  This is the
-        boundary alias analysis needs: a copy ``a = b`` is judged by
-        which ``b`` bindings were in force once the copy executed."""
-        return self.reaching_before(block, idx + 1)
-

@@ -4,8 +4,7 @@ A :class:`~repro.analysis.base.Project` is what the checkers read.
 Besides the parsed modules it answers, lazily and once per project
 (the answers die with it):
 
-* ``project.callgraph`` / ``project.escape`` — the name-based call graph
-  and the escape summaries on it;
+* ``project.callgraph`` — the name-based call graph;
 * ``project.facts(module)`` — that module's :class:`ModuleFacts`: its
   classes (with their lock attributes), its functions (qualname, def,
   CFG, one ``ReachingDefinitions`` per CFG) and its kernel-process

@@ -15,7 +15,6 @@ from repro.analysis.migration_safety import MigrationSafetyChecker
 from repro.analysis.obs_discipline import ObsDisciplineChecker
 from repro.analysis.protocol import ProtocolChecker
 from repro.analysis.retry import RetryDisciplineChecker
-from repro.analysis.share import SymshareChecker
 
 SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
@@ -30,7 +29,6 @@ def default_checkers() -> list[Checker]:
         InterproceduralChecker(),
         RetryDisciplineChecker(),
         LocalityChecker(),
-        SymshareChecker(),
     ]
 
 

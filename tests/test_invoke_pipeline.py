@@ -16,6 +16,7 @@ degradation test covers the one carrier no other test reaches: a batch
 group re-driven slot by slot after its message ran out of retries.
 """
 
+import threading
 from collections import Counter as Multiset
 from contextlib import nullcontext
 
@@ -517,12 +518,12 @@ class Keeper:
 @pytest.mark.parametrize("mode", ["ainvoke", "oinvoke"])
 def test_remote_call_sees_the_argument_as_sent(mode):
     """The argument is flattened when the message is sent — real wire
-    semantics, the dynamic twin of symshare's ``mutate-after-send`` —
-    not when it is delivered: a mutation made while the message is in
-    flight does not reach the callee.  ``oinvoke`` sends inside the
-    call; ``ainvoke`` hands the call to a worker process, which sends
-    the first time the caller yields (here a ``sleep(0)``: the clock
-    does not move)."""
+    semantics, so a caller that mutates it after sending diverges only
+    its own copy — not when it is delivered: a mutation made while the
+    message is in flight does not reach the callee.  ``oinvoke`` sends
+    inside the call; ``ainvoke`` hands the call to a worker process,
+    which sends the first time the caller yields (here a ``sleep(0)``:
+    the clock does not move)."""
     rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
     kernel = rt.world.kernel
 
@@ -536,9 +537,9 @@ def test_remote_call_sees_the_argument_as_sent(mode):
         if mode == "ainvoke":
             handle = keeper.ainvoke("store", [items])
             kernel.sleep(0.0)
-            # The lint rule flags exactly this; here it is the
-            # behaviour under test.
-            items.append("late")  # symlint: disable=mutate-after-send
+            # Mutating while the call is in flight is the behaviour
+            # under test.
+            items.append("late")
             handle.get_result()
         else:
             keeper.oinvoke("store", [items])
@@ -549,6 +550,53 @@ def test_remote_call_sees_the_argument_as_sent(mode):
         return kept
 
     assert rt.run_app(app, node="milena") == [[1, 2, 3]]
+
+
+@pytest.mark.parametrize("mode", ["sinvoke", "ainvoke", "oinvoke", "minvoke"])
+def test_live_resource_argument_fails_in_the_caller(mode):
+    """A lock does not pickle, so a remote call carrying one raises
+    ``TypeError`` in the caller (through the handle for ``ainvoke`` and
+    ``minvoke``), sends no message and never reaches the holder.  The
+    same call to an object on the caller's own node is local and passes
+    the lock by reference."""
+    rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
+    kernel = rt.world.kernel
+    stats = rt.transport.stats
+    lock = threading.Lock()
+
+    def start(obj):
+        """A thunk that finishes the call; ``ainvoke`` and ``minvoke``
+        are made here and the thunk reads their handle."""
+        if mode == "ainvoke":
+            return obj.ainvoke("store", [lock]).get_result
+        if mode == "minvoke":
+            return obj.minvoke("store", [[lock]]).get_results
+        return lambda: getattr(obj, mode)("store", [lock])
+
+    def app():
+        reg = JSRegistration()
+        codebase = JSCodebase()
+        codebase.add(Keeper)
+        codebase.load(["rachel"])
+        remote = JSObj("Keeper", "rachel")
+        local = JSObj("Keeper", "local")
+        m0 = stats.messages
+        finish = start(remote)
+        with pytest.raises(TypeError, match="pickle"):
+            finish()
+        sent = stats.messages - m0
+        kernel.sleep(1.0)  # nothing is in flight to reach the holder
+        result = start(local)()
+        kernel.sleep(1.0)  # the local one-sided call lands
+        kept = (remote.sinvoke("get"), local.sinvoke("get"))
+        reg.unregister()
+        return sent, result, kept
+
+    sent, result, (remote_kept, local_kept) = rt.run_app(app, node="milena")
+    assert sent == 0
+    assert result == ([None] if mode == "minvoke" else None)
+    assert remote_kept == []
+    assert len(local_kept) == 1 and local_kept[0] is lock
 
 
 @pytest.mark.parametrize("params, unwraps, flops", [

@@ -8,15 +8,16 @@ this test fails before any runtime test has to trip over it.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
 import pytest
 
 from repro.analysis import Severity, render_json
-from repro.analysis.runner import rule_groups
+from repro.analysis.runner import known_rules, load_project, rule_groups
 from repro.cli import main as cli_main
-from tests.conftest import PACKAGE_DIR
+from tests.conftest import PACKAGE_DIR, REPO_ROOT
 
 
 @pytest.fixture()
@@ -69,12 +70,22 @@ def test_locality_gate_repo_wide(repo_report):
     _gate(repo_report, "locality")
 
 
-def test_symshare_gate_repo_wide(repo_report):
-    """symshare runs clean over the runtime, the examples and the test
-    suite: no mutation inside a send window, no live resource in a
-    remote argument, no stale placement, no consumed oneway result, no
-    escaped-and-forgotten handle."""
-    _gate(repo_report, "symshare")
+def test_pragmas_name_known_rules(runtime_project):
+    """Every rule a ``# symlint: disable`` pragma names in the runtime,
+    the examples or the test suite still exists: a pragma for a deleted
+    or misspelled rule suppresses nothing and only misleads."""
+    project, _failures = load_project(
+        [os.path.join(REPO_ROOT, "examples")]
+        + sorted(glob.glob(os.path.join(REPO_ROOT, "tests", "*.py")))
+    )
+    known = set(known_rules()) | {"all"}
+    stale = [
+        f"{module.path}:{line}: {rule}"
+        for module in runtime_project[0].modules + project.modules
+        for line, rules in sorted(module.suppressions.items())
+        for rule in sorted(rules - known)
+    ]
+    assert stale == [], "\n".join(stale)
 
 
 def test_cli_lint_default_paths_exits_zero(capsys, monkeypatch,
