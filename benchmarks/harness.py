@@ -12,7 +12,6 @@ that matter for the reproduction — simulated seconds — are attached to
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -127,10 +126,7 @@ def print_fig5_table(n: int, night: list[Fig5Point],
     ))
 
 
-# -- telemetry-plane bench trajectory (BENCH_obs.json) -----------------------
-
-#: committed artifact: scalar vs telemetry-enabled run comparison
-BENCH_OBS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_obs.json")
+# -- telemetry-plane overhead ------------------------------------------------
 
 
 def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
@@ -182,10 +178,10 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
 
 def telemetry_comparison(n: int = 256, nodes: int = 8, seed: int = 7,
                          period: float = 1.0) -> dict:
-    """Scalar (telemetry off) vs telemetry-enabled same-seed matmul: the
-    BENCH_obs.json document.  ``simulated_ratio`` is the heartbeat
-    piggyback's cost in *simulated* time — the wire/CPU charge of the
-    extra delta bytes — which the overhead gate bounds."""
+    """Scalar (telemetry off) vs telemetry-enabled same-seed matmul.
+    ``simulated_ratio`` is the heartbeat piggyback's cost in *simulated*
+    time — the wire/CPU charge of the extra delta bytes — which the
+    overhead gate bounds."""
     off = _telemetry_run(False, n, nodes, seed, period)
     on = _telemetry_run(True, n, nodes, seed, period)
     return {
@@ -200,16 +196,6 @@ def telemetry_comparison(n: int = 256, nodes: int = 8, seed: int = 7,
         "extra_messages": on["messages"] - off["messages"],
         "extra_bytes": on["bytes"] - off["bytes"],
     }
-
-
-def write_bench_obs(path: str = BENCH_OBS_PATH, **kwargs) -> dict:
-    """Run :func:`telemetry_comparison` and write the committed
-    ``BENCH_obs.json`` artifact (the start of the bench trajectory)."""
-    doc = telemetry_comparison(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def best(series: list[Fig5Point]) -> Fig5Point:

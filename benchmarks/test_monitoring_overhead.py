@@ -64,11 +64,10 @@ def test_monitoring_period_sweep(benchmark):
 def test_telemetry_overhead_bounded(benchmark):
     """The telemetry piggyback's overhead gate: shipping per-host
     metrics deltas on the existing heartbeat must stay within 5% of the
-    same-seed run with the whole obs plane off.  Also (re)writes the
-    committed ``BENCH_obs.json`` artifact."""
-    from harness import write_bench_obs
+    same-seed run with the whole obs plane off."""
+    from harness import telemetry_comparison
 
-    doc = benchmark.pedantic(write_bench_obs, rounds=1, iterations=1)
+    doc = benchmark.pedantic(telemetry_comparison, rounds=1, iterations=1)
     benchmark.extra_info["simulated_ratio"] = doc["simulated_ratio"]
     benchmark.extra_info["extra_bytes"] = doc["extra_bytes"]
     # Deltas reuse heartbeat messages: zero extra messages, only bytes.

@@ -5,16 +5,17 @@ cannot enforce mechanically at run time:
 
 * lock discipline / race detection in the multi-threaded kernel and the
   holder endpoints (``lock_discipline``);
-* JRS protocol completeness — every message kind handled, no dead kinds,
-  no raw string kinds bypassing :mod:`repro.agents.messages`
+* JRS protocol surface — no message kind declared but never sent
   (``protocol``);
-* migration/serialization safety of remotely instantiable classes
-  (``migration_safety``);
-* no blocking calls inside agent message handlers (``blocking``);
-* locality & communication cost — symloc's CFG/dataflow-backed rules
-  against chatty synchronous RMI, dropped handles, migration thrash and
-  per-iteration re-serialization (``locality``, on the reusable
-  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow` engine).
+* no blocking calls inside agent message handlers (``blocking``), nor
+  under a lock or from a kernel process through project calls
+  (``interprocedural``);
+* locality & communication cost — symloc's CFG/liveness-backed rules
+  against chatty synchronous RMI and migration thrash (``locality``, on
+  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
+
+Defects the runtime itself reports are left to it: migrating an
+unpicklable object or sending a kind nobody handles fails in the caller.
 
 Run it as ``python -m repro lint [paths]`` or through
 :func:`analyze_paths`.
@@ -39,12 +40,9 @@ _EXPORTS = {
     "build_cfg": "cfg",
     "function_cfgs": "cfg",
     "Liveness": "dataflow",
-    "ReachingDefinitions": "dataflow",
     "LockDisciplineChecker": "lock_discipline",
     "LocalityChecker": "locality",
-    "MigrationSafetyChecker": "migration_safety",
     "ProtocolChecker": "protocol",
-    "RetryDisciplineChecker": "retry",
     "Report": "runner",
     "analyze_paths": "runner",
     "default_checkers": "runner",

@@ -1,12 +1,11 @@
 """Generic worklist dataflow over :mod:`repro.analysis.cfg` graphs.
 
-One solver, two directions.  An analysis provides per-block ``gen`` /
-``kill`` sets (the classic bitvector form — both reaching definitions
-and liveness fit it) and the solver iterates to the least fixpoint
-under union.  Statement-level refinements (``live_after``,
-``reaching_before``) re-walk a single block from its boundary, so rules
-can ask questions at call-site granularity without the solver tracking
-every statement.
+One solver, either direction.  An analysis provides per-block ``gen`` /
+``kill`` sets (the classic bitvector form, which liveness fits) and the
+solver iterates to the least fixpoint under union.  The statement-level
+refinement ``live_after`` re-walks a single block from its boundary, so
+rules can ask questions at call-site granularity without the solver
+tracking every statement.
 """
 
 from __future__ import annotations
@@ -106,75 +105,3 @@ class Liveness(DataflowAnalysis):
             live |= stmt_uses(stmt)
         return frozenset(live)
 
-
-# ---------------------------------------------------------------------------
-# reaching definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Definition:
-    """One binding site: name + (block, statement index) coordinates."""
-
-    name: str
-    block: int
-    index: int
-    line: int
-
-
-def _block_defs(block: Block) -> list[Definition]:
-    defs = []
-    for idx, stmt in enumerate(block.stmts):
-        for name in stmt_defs(stmt):
-            defs.append(Definition(
-                name, block.id, idx, getattr(stmt, "lineno", 0)
-            ))
-    return defs
-
-
-class ReachingDefinitions(DataflowAnalysis):
-    """Forward may-analysis: which bindings may reach a point."""
-
-    forward = True
-
-    def __init__(self, cfg: CFG) -> None:
-        self._all: dict[str, set[Definition]] = {}
-        per_block: dict[int, list[Definition]] = {}
-        for block in cfg.blocks:
-            block_defs = _block_defs(block)
-            per_block[block.id] = block_defs
-            for d in block_defs:
-                self._all.setdefault(d.name, set()).add(d)
-        self._gen: dict[int, frozenset] = {}
-        self._kill: dict[int, frozenset] = {}
-        for block in cfg.blocks:
-            downward: dict[str, Definition] = {}
-            for d in per_block[block.id]:
-                downward[d.name] = d  # later defs shadow earlier ones
-            self._gen[block.id] = frozenset(downward.values())
-            killed: set[Definition] = set()
-            for name in downward:
-                killed |= self._all[name] - {downward[name]}
-            self._kill[block.id] = frozenset(killed)
-        self.cfg = cfg
-        self.solution = self.solve(cfg)
-
-    def gen(self, block: Block) -> frozenset:
-        return self._gen[block.id]
-
-    def kill(self, block: Block) -> frozenset:
-        return self._kill[block.id]
-
-    def reaching_before(self, block: Block, idx: int) -> frozenset:
-        """Definitions reaching the point just before
-        ``block.stmts[idx]``."""
-        reaching = set(self.solution.in_[block.id])
-        for i, stmt in enumerate(block.stmts[:idx]):
-            defined = stmt_defs(stmt)
-            if not defined:
-                continue
-            reaching = {d for d in reaching if d.name not in defined}
-            line = getattr(stmt, "lineno", 0)
-            for name in defined:
-                reaching.add(Definition(name, block.id, i, line))
-        return frozenset(reaching)

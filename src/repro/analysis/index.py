@@ -7,8 +7,7 @@ Besides the parsed modules it answers, lazily and once per project
 * ``project.callgraph`` — the name-based call graph;
 * ``project.facts(module)`` — that module's :class:`ModuleFacts`: its
   classes (with their lock attributes), its functions (qualname, def,
-  CFG, one ``ReachingDefinitions`` per CFG) and its kernel-process
-  entry points.
+  CFG) and its kernel-process entry points.
 
 Four decisions live here and nowhere else:
 
@@ -45,7 +44,6 @@ from repro.analysis.base import (
 )
 from repro.analysis.callgraph import CallGraph, FuncInfo, FuncKey
 from repro.analysis.cfg import CFG, FunctionNode, function_cfgs
-from repro.analysis.dataflow import ReachingDefinitions
 
 HANDLER_PREFIXES = ("_h_", "_on_")
 
@@ -109,16 +107,6 @@ class FunctionFacts:
     qualname: str
     node: FunctionNode
     cfg: CFG
-    #: the class named by the qualname's first component, if any
-    owner: ClassFacts | None
-
-    @cached_property
-    def reaching(self) -> ReachingDefinitions:
-        return ReachingDefinitions(self.cfg)
-
-    @property
-    def lock_attrs(self) -> frozenset[str]:
-        return self.owner.lock_attrs if self.owner else frozenset()
 
 
 def _callable_name(expr: ast.AST) -> str | None:
@@ -158,11 +146,8 @@ class ModuleFacts:
 
     @cached_property
     def functions(self) -> list[FunctionFacts]:
-        by_name = {cls.name: cls for cls in self.classes}
         return [
-            FunctionFacts(qualname, func, cfg,
-                          by_name.get(qualname.partition(".")[0])
-                          if "." in qualname else None)
+            FunctionFacts(qualname, func, cfg)
             for qualname, func, cfg in function_cfgs(self.module.tree)
         ]
 
@@ -204,24 +189,19 @@ class HeldLocks(ast.NodeVisitor):
     """Walks one function body tracking the stack of held locks.
 
     ``held`` names the locks of the enclosing ``with`` blocks, outermost
-    first, and ``sites`` their context expressions; subclasses add the
-    ``visit_*`` methods for what they record.  Nested functions and
-    lambdas run later, possibly without the lock held: analyzing them
-    with the current stack would be wrong, and without it would be
-    noise, so their bodies are skipped.
+    first; subclasses add the ``visit_*`` methods for what they record.
+    Nested functions and lambdas run later, possibly without the lock
+    held: analyzing them with the current stack would be wrong, and
+    without it would be noise, so their bodies are skipped.
     """
 
     def __init__(self, lock_attrs: frozenset[str] = frozenset()) -> None:
         self.lock_attrs = lock_attrs
         self.held: list[str] = []
-        self.sites: list[ast.expr] = []
 
     def scan(self, func: FunctionNode) -> None:
         for stmt in func.body:
             self.visit(stmt)
-
-    def acquired(self, name: str, site: ast.expr) -> None:
-        """Hook: ``name`` is about to join ``held``."""
 
     def visit_With(self, node: ast.With | ast.AsyncWith) -> None:
         depth = len(self.held)
@@ -230,12 +210,10 @@ class HeldLocks(ast.NodeVisitor):
             if name is None:
                 self.visit(item.context_expr)
             else:
-                self.acquired(name, item.context_expr)
                 self.held.append(name)
-                self.sites.append(item.context_expr)
         for stmt in node.body:
             self.visit(stmt)
-        del self.held[depth:], self.sites[depth:]
+        del self.held[depth:]
 
     visit_AsyncWith = visit_With
 

@@ -1,13 +1,11 @@
-"""symloc: locality & communication-cost rules on the CFG/dataflow engine.
+"""symloc: locality & communication-cost rules on the CFG/liveness engine.
 
 JavaSymphony's premise is that the *programmer* controls locality —
 placement, migration, and the three invocation modes (``sinvoke`` /
 ``ainvoke`` / ``oinvoke``) are the knobs.  These rules statically catch
 the communication anti-patterns the paper's evaluation warns against:
 chatty fine-grained synchronous RMI, synchronous calls where
-asynchrony would overlap, dropped result handles, migration thrash,
-and re-serializing a large argument per call instead of installing it
-once (the matmul ``oinvoke("init", B)`` idiom).
+asynchrony would overlap, and migration thrash.
 
 Rules
 -----
@@ -25,29 +23,10 @@ Rules
     round-trip could overlap that work via ``ainvoke`` — or ``oinvoke``
     if the result is never read at all.
 
-``dropped-result-handle`` (warning)
-    An ``ainvoke`` handle that dies without ``get_result()`` /
-    ``is_ready()``: remote exceptions are silently lost.  Use
-    ``oinvoke`` for genuine fire-and-forget (it never materializes a
-    result) or collect the handle.
-
 ``migrate-in-loop`` (warning)
     ``migrate`` inside a loop moves the whole object state per
     iteration; hoist placement before the loop or guard it so it can
     fire at most once.
-
-``repeated-remote-no-migration`` (info)
-    The same loop-invariant object is invoked at several sites per
-    iteration and the function never migrates or explicitly places it;
-    co-locating it (``obj.migrate(...)``, creation constraints) would
-    turn every call local.
-
-``large-arg-resend`` (warning)
-    An invocation inside a loop re-sends a large-looking argument (a
-    name bound to a ``Payload(...)``) that is loop-invariant, to a
-    loop-invariant receiver: the same bytes are re-serialized every
-    iteration.  Install the data once on the object instead (matmul's
-    replicated-B ``oinvoke("init", paramB)``).
 
 Receivers created as ``JSObj(cls, "local")`` are exempt everywhere:
 invoking a home-node object is a direct call, not communication.
@@ -65,21 +44,13 @@ from repro.analysis.base import (
     Severity,
     dotted_name,
 )
-from repro.analysis.cfg import (
-    CFG,
-    FunctionNode,
-    calls_in_stmt,
-    stmt_defs,
-    stmt_uses,
-)
-from repro.analysis.dataflow import Definition, Liveness
+from repro.analysis.cfg import calls_in_stmt, stmt_defs, stmt_uses
+from repro.analysis.dataflow import Liveness
 from repro.analysis.index import FunctionFacts
 
 #: a sinvoke result untouched for this many following statements is an
 #: overlap opportunity
 OVERLAP_WINDOW = 2
-
-_INVOKES = ("sinvoke", "ainvoke", "oinvoke")
 
 
 def _receiver(call: ast.Call) -> str | None:
@@ -116,54 +87,16 @@ def _single_name_target(stmt: ast.AST) -> str | None:
     return None
 
 
-def _def_depth(cfg: CFG, definition: Definition) -> int:
-    """Loop depth at which a definition takes effect.  A ``for`` target
-    rebinds per iteration even though its header block sits at the
-    outer depth."""
-    block = cfg.block(definition.block)
-    stmt = block.stmts[definition.index]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return block.loop_depth + 1
-    return block.loop_depth
-
-
 class _LocalityFacts:
     """Everything the rules need about one function, computed once."""
 
     def __init__(self, func: FunctionFacts) -> None:
-        self.func = func
-        self.cfg = cfg = func.cfg
-        self.liveness = Liveness(cfg)
+        self.liveness = Liveness(func.cfg)
         self.local_names: set[str] = set()
-        self.payload_names: set[str] = set()
-        self.migrated: set[str] = set()
-        for block in cfg.blocks:
-            for idx, stmt in enumerate(block.stmts):
-                target = _single_name_target(stmt)
-                if target is not None and _is_local_ctor(stmt.value):
-                    self.local_names.add(target)
-                if target is not None and self._is_payload(stmt.value):
-                    self.payload_names.add(target)
-                for call, _ in calls_in_stmt(stmt):
-                    if isinstance(call.func, ast.Attribute) and \
-                            call.func.attr == "migrate":
-                        recv = _receiver(call)
-                        if recv:
-                            self.migrated.add(recv)
-
-    @staticmethod
-    def _is_payload(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        name = dotted_name(value.func)
-        return bool(name) and name.rsplit(".", 1)[-1] == "Payload"
-
-    def is_payload_def(self, definition: Definition) -> bool:
-        stmt = self.cfg.block(definition.block).stmts[definition.index]
-        return (
-            _single_name_target(stmt) == definition.name
-            and self._is_payload(stmt.value)
-        )
+        for _block, _idx, stmt in func.cfg.statements():
+            target = _single_name_target(stmt)
+            if target is not None and _is_local_ctor(stmt.value):
+                self.local_names.add(target)
 
 
 class LocalityChecker(Checker):
@@ -171,10 +104,7 @@ class LocalityChecker(Checker):
     rules = {
         "remote-invoke-in-loop": Severity.WARNING,
         "sync-invoke-async-opportunity": Severity.INFO,
-        "dropped-result-handle": Severity.WARNING,
         "migrate-in-loop": Severity.WARNING,
-        "repeated-remote-no-migration": Severity.INFO,
-        "large-arg-resend": Severity.WARNING,
     }
 
     def check(self, project: Project) -> list[Finding]:
@@ -183,8 +113,6 @@ class LocalityChecker(Checker):
             for func in project.facts(module).functions:
                 findings.extend(self._check_function(module, func))
         return findings
-
-    # -- CFG/dataflow-backed rules ------------------------------------------
 
     def _check_function(self, module: Module, func: FunctionFacts):
         facts = _LocalityFacts(func)
@@ -201,10 +129,6 @@ class LocalityChecker(Checker):
                     yield from self._check_sinvoke(
                         module, facts, block, idx, stmt, call, depth
                     )
-                elif attr == "ainvoke":
-                    yield from self._check_ainvoke(
-                        module, facts, block, idx, stmt, call
-                    )
                 elif attr in ("get_result", "is_ready"):
                     yield from self._check_wait(
                         module, block, idx, call, depth
@@ -218,11 +142,6 @@ class LocalityChecker(Checker):
                         "fire at most once",
                         symbol=recv or "",
                     )
-                if attr in _INVOKES and depth >= 1:
-                    yield from self._check_large_arg(
-                        module, facts, block, idx, call, depth
-                    )
-        yield from self._check_repeated_remote(module, func, facts)
 
     def _in_loop_finding(self, module: Module, call: ast.Call,
                          depth: int, message: str, symbol: str) -> Finding:
@@ -299,32 +218,6 @@ class LocalityChecker(Checker):
                 symbol=symbol,
             )
 
-    def _check_ainvoke(self, module, facts, block, idx, stmt, call):
-        recv = _receiver(call) or "?"
-        method = _method_name(call)
-        symbol = f"{recv}.{method}"
-        if isinstance(stmt, ast.Expr) and stmt.value is call:
-            yield self.finding(
-                "dropped-result-handle", module.path, call,
-                f"handle from ainvoke({method!r}) is discarded at the "
-                "call site: a remote exception would be silently lost. "
-                "Keep the handle and get_result() it, or use oinvoke "
-                "for genuine fire-and-forget",
-                symbol=symbol,
-            )
-            return
-        target = _single_name_target(stmt)
-        if target is None or stmt.value is not call:
-            return
-        if target not in facts.liveness.live_after(block, idx):
-            yield self.finding(
-                "dropped-result-handle", module.path, call,
-                f"handle {target!r} dies without get_result(): remote "
-                f"errors from {method!r} are silently lost. Await the "
-                "handle or use oinvoke for fire-and-forget",
-                symbol=symbol,
-            )
-
     def _check_wait(self, module, block, idx, call, depth):
         if depth < 1:
             return
@@ -366,50 +259,6 @@ class LocalityChecker(Checker):
                 f"{waited.id}.{method}",
             )
 
-    def _check_large_arg(self, module, facts, block, idx, call, depth):
-        recv = _receiver(call)
-        if recv is None or "." in recv:
-            return
-        reaching = None
-        arg_names = self._argument_names(call)
-        for name in arg_names:
-            if name not in facts.payload_names:
-                continue
-            if reaching is None:
-                reaching = facts.func.reaching.reaching_before(block, idx)
-            payload_defs = [
-                d for d in reaching
-                if d.name == name and facts.is_payload_def(d)
-            ]
-            if not payload_defs or any(
-                _def_depth(facts.cfg, d) >= depth for d in payload_defs
-            ):
-                continue  # (re)built inside the loop: not a resend
-            recv_defs = [d for d in reaching if d.name == recv]
-            if any(_def_depth(facts.cfg, d) >= depth for d in recv_defs):
-                continue  # a different receiver each iteration
-            yield self.finding(
-                "large-arg-resend", module.path, call,
-                f"large argument {name!r} (a Payload built outside the "
-                f"loop) is re-serialized to {recv!r} every iteration; "
-                "install it once on the object instead (the matmul "
-                "oinvoke('init', B) idiom) and send only the small "
-                "per-call data",
-                symbol=f"{recv}.{_method_name(call)}",
-            )
-
-    @staticmethod
-    def _argument_names(call: ast.Call) -> set[str]:
-        names: set[str] = set()
-        for arg in call.args:
-            if isinstance(arg, ast.Name):
-                names.add(arg.id)
-            elif isinstance(arg, (ast.List, ast.Tuple)):
-                names.update(
-                    e.id for e in arg.elts if isinstance(e, ast.Name)
-                )
-        return names
-
     @staticmethod
     def _invokes_receiver(stmt: ast.AST, recv: str) -> bool:
         """Does ``stmt`` invoke a method on ``recv``?  Back-to-back
@@ -420,89 +269,6 @@ class LocalityChecker(Checker):
                     _receiver(call) == recv:
                 return True
         return False
-
-    # -- AST loop rule (needs loop identity, not just depth) ----------------
-
-    def _check_repeated_remote(self, module, func, facts):
-        """Same loop-invariant receiver invoked at >= 2 sites per
-        iteration, never migrated/placed in the function."""
-        for loop in self._own_loops(func.node):
-            yield from self._check_one_loop(
-                module, func.qualname, loop, facts.migrated,
-                facts.local_names,
-            )
-
-    @staticmethod
-    def _own_statements(func: FunctionNode):
-        """Statement nodes belonging to ``func`` (nested defs opaque)."""
-        stack: list[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            if isinstance(node, ast.stmt):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @classmethod
-    def _own_loops(cls, func: FunctionNode):
-        for node in cls._own_statements(func):
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                yield node
-
-    def _check_one_loop(self, module, qualname, loop, migrated, local):
-        # Attribute each call to its *innermost* loop (the stack walk
-        # stops at nested loops) so nested loops do not double-report.
-        body_stmts: list[ast.AST] = []
-        stack: list[ast.AST] = list(loop.body) + list(
-            getattr(loop, "orelse", [])
-        )
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                continue
-            if isinstance(node, ast.stmt):
-                body_stmts.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        bound: set[str] = set()
-        for stmt in body_stmts:
-            bound |= stmt_defs(stmt)
-        if isinstance(loop, (ast.For, ast.AsyncFor)):
-            bound |= {
-                n.id for n in ast.walk(loop.target)
-                if isinstance(n, ast.Name)
-            }
-        sites: dict[str, list[ast.Call]] = {}
-        for stmt in body_stmts:
-            for call, _ in calls_in_stmt(stmt):
-                if not isinstance(call.func, ast.Attribute):
-                    continue
-                if call.func.attr not in _INVOKES:
-                    continue
-                recv = _receiver(call)
-                if not recv or recv in bound or recv in local or \
-                        recv in migrated:
-                    continue
-                if recv.split(".", 1)[0] in bound:
-                    continue
-                sites.setdefault(recv, []).append(call)
-        for recv, calls in sorted(sites.items()):
-            if len(calls) < 2:
-                continue
-            first = min(calls, key=lambda c: (c.lineno, c.col_offset))
-            yield self.finding(
-                "repeated-remote-no-migration", module.path, first,
-                f"{recv!r} is invoked at {len(calls)} sites every "
-                f"iteration of the loop at line {loop.lineno} but "
-                f"{qualname} never migrates or re-places it; "
-                "co-locating it first (obj.migrate(...) or creation "
-                "constraints) would make these calls local",
-                symbol=recv,
-            )
 
 
 __all__ = ["LocalityChecker", "OVERLAP_WINDOW"]

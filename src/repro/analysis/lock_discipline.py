@@ -1,9 +1,9 @@
-"""Lock-discipline and deadlock-order analysis.
+"""Lock-discipline analysis.
 
 Per class, builds the map of ``self.*`` attributes touched under a
-``with self._lock:`` block versus outside one, and a lock-acquisition
-order graph.  Which ``with`` blocks hold a lock is
-:mod:`repro.analysis.index`'s decision, shared with every lock rule.
+``with self._lock:`` block versus outside one.  Which ``with`` blocks
+hold a lock is :mod:`repro.analysis.index`'s decision, shared with every
+lock rule.
 
 Rules
 -----
@@ -20,13 +20,9 @@ Rules
     lock.  Plain rebinding assignments are not flagged — only mutations
     that are non-atomic read-modify-write sequences.
 
-``lock-order-cycle`` (error)
-    Two locks are acquired in opposite nesting orders on different code
-    paths: a potential deadlock (detected as a cycle in the
-    acquisition-order graph, via networkx).
-
 Constructor-like methods (``__init__``, ``init_*``) are exempt: the
-object is not yet shared while they run.
+object is not yet shared while they run.  Locks taken in conflicting
+orders are symsan's to find (``san-lock-deadlock``), on the run itself.
 """
 
 from __future__ import annotations
@@ -65,13 +61,11 @@ class _Access:
 class _ClassReport:
     lock_attrs: frozenset[str]
     accesses: list[_Access] = field(default_factory=list)
-    #: (outer_lock, inner_lock) -> acquisition site
-    order_edges: dict[tuple[str, str], ast.AST] = field(default_factory=dict)
 
 
 class _MethodScanner(HeldLocks):
-    """Records one method's ``self.*`` accesses with the locks held at
-    each, and the order in which it nests lock acquisitions."""
+    """Records one method's ``self.*`` accesses, each with the locks
+    held at it."""
 
     def __init__(self, report: _ClassReport, method: str) -> None:
         super().__init__(report.lock_attrs)
@@ -82,13 +76,6 @@ class _MethodScanner(HeldLocks):
         self.report.accesses.append(
             _Access(attr, self.method, node, kind, frozenset(self.held))
         )
-
-    def acquired(self, name: str, site: ast.expr) -> None:
-        for outer in self.held:
-            if outer != name:
-                self.report.order_edges.setdefault((outer, name), site)
-
-    # -- attribute accesses ---------------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -150,7 +137,6 @@ class LockDisciplineChecker(Checker):
     rules = {
         "unguarded-write": Severity.ERROR,
         "unlocked-mutation": Severity.WARNING,
-        "lock-order-cycle": Severity.ERROR,
     }
 
     def check(self, project: Project) -> list[Finding]:
@@ -160,15 +146,11 @@ class LockDisciplineChecker(Checker):
                 findings.extend(self._check_class(module, cls))
         return findings
 
-    def _check_class(self, module: Module, cls: ClassFacts) -> list[Finding]:
+    def _check_class(self, module: Module, cls: ClassFacts):
         report = _ClassReport(cls.lock_attrs)
         for method in cls.methods:
             _MethodScanner(report, method.name).scan(method)
-        findings = list(self._discipline_findings(module, cls.node, report))
-        findings.extend(self._order_findings(module, cls.node, report))
-        return findings
-
-    # -- unguarded-write / unlocked-mutation --------------------------------
+        return self._discipline_findings(module, cls.node, report)
 
     def _discipline_findings(
         self, module: Module, klass: ast.ClassDef, report: _ClassReport
@@ -218,41 +200,3 @@ class LockDisciplineChecker(Checker):
                     "is not atomic under the wall-clock kernel",
                     symbol=f"{klass.name}.{access.attr}",
                 )
-
-    # -- lock-order-cycle ----------------------------------------------------
-
-    def _order_findings(
-        self, module: Module, klass: ast.ClassDef, report: _ClassReport
-    ):
-        if not report.order_edges:
-            return
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for (outer, inner), site in report.order_edges.items():
-            graph.add_edge(outer, inner, site=site)
-        # A cycle has no first lock: name it from its smallest one and
-        # report cycles in sorted order, so the finding's line and
-        # message are those of the source, not of a set's iteration.
-        cycles = sorted(
-            cycle[cycle.index(min(cycle)):] + cycle[:cycle.index(min(cycle))]
-            for cycle in nx.simple_cycles(graph) if len(cycle) >= 2
-        )
-        for cycle in cycles:
-            order = " -> ".join(cycle + [cycle[0]])
-            pairs = list(zip(cycle, cycle[1:] + [cycle[0]]))
-            sites = ", ".join(
-                f"{a}->{b} at line "
-                f"{getattr(report.order_edges[(a, b)], 'lineno', '?')}"
-                for a, b in pairs
-                if (a, b) in report.order_edges
-            )
-            first_site = report.order_edges[pairs[0]]
-            yield self.finding(
-                "lock-order-cycle",
-                module.path,
-                first_site,
-                f"locks in {klass.name} are acquired in conflicting "
-                f"orders ({order}): potential deadlock ({sites})",
-                symbol=f"{klass.name}:{'/'.join(sorted(set(cycle)))}",
-            )

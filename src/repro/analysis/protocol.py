@@ -1,27 +1,20 @@
-"""JRS protocol-completeness analysis.
+"""JRS protocol-surface analysis.
 
 Cross-references every message-kind constant defined in a ``messages.py``
-module (``NAME = "NAME"`` at module level) against the project's dispatch
-sites: ``endpoint.register(M.KIND, handler)`` registrations and
+module (``NAME = "NAME"`` at module level) against the project's
 ``rpc``/``rpc_async``/``send_oneway``/``send`` transmissions.
 
-Rules
------
-``unhandled-kind`` (error)
-    A kind is sent somewhere but no endpoint in the analyzed project
-    registers a handler for it — the receiver would raise
-    ``TransportError: no handler`` at run time (reported at the first
-    send site).
-
+Rule
+----
 ``dead-kind`` (warning)
     A kind is declared in the messages module but never sent: dead
-    protocol surface (reported at the declaration).
+    protocol surface (reported at the declaration).  A send spelling
+    the kind as a literal equal to its value counts: it dispatches the
+    same way.
 
-``raw-kind-literal`` (error)
-    A dispatch site spells a known kind as a raw string literal instead
-    of the constant, silently decoupling it from the declaration it
-    shadows.  Literals that match no declared kind (application-level
-    ad-hoc kinds) are not flagged.
+A kind sent but handled nowhere needs no rule: the receiving endpoint
+rejects it (``Endpoint.handler_for``), and a two-way call raises in the
+caller.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from repro.analysis.base import (
 )
 
 SEND_FUNCS = {"rpc", "rpc_async", "send_oneway", "send"}
-REGISTER_FUNCS = {"register"}
 
 
 @dataclass
@@ -52,8 +44,7 @@ class _Usage:
     #: kind name -> declaration (module, assign node)
     declared: dict[str, _Site] = field(default_factory=dict)
     values: dict[str, str] = field(default_factory=dict)  # value -> name
-    sent: dict[str, _Site] = field(default_factory=dict)
-    handled: dict[str, _Site] = field(default_factory=dict)
+    sent: set[str] = field(default_factory=set)
 
 
 def _messages_aliases(tree: ast.Module) -> set[str]:
@@ -92,11 +83,7 @@ def _declared_kinds(module: Module) -> dict[str, tuple[str, ast.AST]]:
 
 class ProtocolChecker(Checker):
     name = "protocol"
-    rules = {
-        "unhandled-kind": Severity.ERROR,
-        "dead-kind": Severity.WARNING,
-        "raw-kind-literal": Severity.ERROR,
-    }
+    rules = {"dead-kind": Severity.WARNING}
 
     def check(self, project: Project) -> list[Finding]:
         usage = _Usage()
@@ -107,15 +94,10 @@ class ProtocolChecker(Checker):
                 usage.values.setdefault(value, name)
         if not usage.declared:
             return []
-
-        findings: list[Finding] = []
         for module in project.modules:
-            findings.extend(self._scan_dispatch(module, usage))
-
-        for name, site in usage.declared.items():
-            if name in usage.sent:
-                continue
-            finding = self.finding(
+            usage.sent.update(self._sent_kinds(module, usage))
+        return [
+            self.finding(
                 "dead-kind",
                 site.module.path,
                 site.node,
@@ -124,66 +106,29 @@ class ProtocolChecker(Checker):
                 "(or the sender was not included in the lint paths)",
                 symbol=name,
             )
-            findings.append(finding)
+            for name, site in usage.declared.items()
+            if name not in usage.sent
+        ]
 
-        for name, site in usage.sent.items():
-            if name in usage.handled:
-                continue
-            findings.append(
-                self.finding(
-                    "unhandled-kind",
-                    site.module.path,
-                    site.node,
-                    f"message kind {name} is sent here but no endpoint "
-                    "in the analyzed code registers a handler for it; "
-                    "the receiving agent would raise 'no handler for "
-                    f"message kind {name!r}' at run time",
-                    symbol=name,
-                )
-            )
-        return findings
-
-    def _scan_dispatch(self, module: Module, usage: _Usage):
+    def _sent_kinds(self, module: Module, usage: _Usage):
+        """Declared kinds this module sends, as ``M.KIND`` or as a
+        literal equal to a declared kind's value."""
         aliases = _messages_aliases(module.tree)
-        is_messages_module = module.path.endswith("messages.py")
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in SEND_FUNCS:
-                bucket = usage.sent
-            elif func.attr in REGISTER_FUNCS:
-                bucket = usage.handled
-            else:
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in SEND_FUNCS):
                 continue
             args = list(node.args) + [
                 kw.value for kw in node.keywords if kw.arg == "kind"
             ]
             for arg in args:
                 name = self._constant_ref(arg, aliases, usage)
+                if name is None and isinstance(arg, ast.Constant) and \
+                        isinstance(arg.value, str):
+                    name = usage.values.get(arg.value)
                 if name is not None:
-                    bucket.setdefault(name, _Site(module, arg))
-                    continue
-                if (
-                    not is_messages_module
-                    and isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value in usage.values
-                ):
-                    kind = usage.values[arg.value]
-                    bucket.setdefault(kind, _Site(module, arg))
-                    yield self.finding(
-                        "raw-kind-literal",
-                        module.path,
-                        arg,
-                        f"raw string {arg.value!r} used as a message "
-                        f"kind; use the {kind} constant from the "
-                        "messages module so the protocol checker can "
-                        "track it",
-                        symbol=kind,
-                    )
+                    yield name
 
     @staticmethod
     def _constant_ref(

@@ -11,10 +11,7 @@ from repro.analysis.blocking import BlockingHandlerChecker
 from repro.analysis.interprocedural import InterproceduralChecker
 from repro.analysis.lock_discipline import LockDisciplineChecker
 from repro.analysis.locality import LocalityChecker
-from repro.analysis.migration_safety import MigrationSafetyChecker
-from repro.analysis.obs_discipline import ObsDisciplineChecker
 from repro.analysis.protocol import ProtocolChecker
-from repro.analysis.retry import RetryDisciplineChecker
 
 SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
@@ -23,11 +20,8 @@ def default_checkers() -> list[Checker]:
     return [
         LockDisciplineChecker(),
         ProtocolChecker(),
-        MigrationSafetyChecker(),
         BlockingHandlerChecker(),
-        ObsDisciplineChecker(),
         InterproceduralChecker(),
-        RetryDisciplineChecker(),
         LocalityChecker(),
     ]
 

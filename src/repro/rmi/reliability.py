@@ -12,9 +12,9 @@ set:
     The retry loop itself — the one object the runtime installs on the
     transport (``transport.retrier``) and :meth:`Endpoint.rpc
     <repro.transport.rpc.Endpoint.rpc>` hands a blocking call to.
-    Deliberately a *bounded* ``for`` loop — the symlint
-    ``unbounded-retry`` rule flags retry loops with no attempt/deadline
-    bound.
+    Bounded by construction: a ``for`` loop over the policy's attempts
+    that also stops at its deadline (pinned by ``tests/test_transport.py``
+    ``test_retry_loop_is_bounded``).
 
 :class:`ReplayCache`
     Holder-side dedup keyed on the per-call idempotency token carried by

@@ -87,10 +87,18 @@ def test_bare_name_resolves_to_module_level_def_same_module_only():
             def other_caller():
                 util()
         """,
+        "c.py": """
+            from a import util
+
+            def importer():
+                util()
+        """,
     })
     assert callee_labels(cg, "a.py", "caller") == ["util"]
     # no same-module def named util in b.py: unresolved, not cross-file
     assert callee_labels(cg, "b.py", "other_caller") == []
+    # nor through an unaliased import of that very def
+    assert callee_labels(cg, "c.py", "importer") == []
 
 
 def test_import_alias_stays_unresolved():
@@ -137,9 +145,19 @@ def test_calls_inside_nested_defs_not_attributed_to_outer():
             def deferred():
                 target()
             return deferred
+
+        class Agent:
+            def helper(self):
+                pass
+
+            def outer(self):
+                def deferred():
+                    self.helper()
+                return deferred
     """})
     # the lexically nested call runs later, under a different context
     assert callee_labels(cg, "a.py", "outer") == []
+    assert callee_labels(cg, "a.py", "Agent.outer") == []
 
 
 def test_attribute_chain_and_local_receiver_unresolved():

@@ -2,7 +2,7 @@
 
 Structural tests build small functions from source and assert block
 shapes, edge targets and loop depths; dataflow tests check the
-reaching-definitions and liveness fixpoints at statement granularity.
+liveness fixpoint at statement granularity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.analysis.cfg import (
     stmt_defs,
     stmt_uses,
 )
-from repro.analysis.dataflow import Liveness, ReachingDefinitions
+from repro.analysis.dataflow import Liveness
 
 
 def cfg_of(source: str):
@@ -325,41 +325,6 @@ def test_calls_inside_nested_def_are_opaque():
 # ---------------------------------------------------------------------------
 # dataflow
 # ---------------------------------------------------------------------------
-
-
-def test_reaching_definitions_merge_at_join():
-    cfg = cfg_of("""
-        def f(cond):
-            x = 1
-            if cond:
-                x = 2
-            return x
-    """)
-    reaching = ReachingDefinitions(cfg)
-    ret_block = block_with(cfg, ast.Return)
-    idx = next(
-        i for i, s in enumerate(ret_block.stmts)
-        if isinstance(s, ast.Return)
-    )
-    lines = sorted(
-        d.line for d in reaching.reaching_before(ret_block, idx)
-        if d.name == "x"
-    )
-    assert lines == [3, 5]  # both the outer and the branch binding
-
-
-def test_reaching_definitions_kill_within_block():
-    cfg = cfg_of("""
-        def f():
-            x = 1
-            x = 2
-            return x
-    """)
-    reaching = ReachingDefinitions(cfg)
-    block = block_with(cfg, ast.Return)
-    facts = reaching.reaching_before(block, 2)
-    xs = [d for d in facts if d.name == "x"]
-    assert len(xs) == 1 and xs[0].line == 4  # the rebind shadows
 
 
 def test_liveness_at_statement_granularity():

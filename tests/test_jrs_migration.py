@@ -1,13 +1,16 @@
 """Integration tests: the migration protocol (Figure 3), RMI redirection
 (Figure 4), automatic migration, and persistence (Section 4.7)."""
 
+import threading
+
 import pytest
 
+from repro.agents.objects import jsclass
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
 from repro.constraints import JSConstraints
 from repro.core import JS, JSCodebase, JSObj, JSRegistration
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, RemoteInvocationError
 from repro.simnet import ConstantLoad, SpikeLoad
 from repro.sysmon import SysParam
 from repro.varch import Cluster
@@ -20,6 +23,18 @@ def load_counter_on(hosts):
     cb.add(Spinner)
     cb.load(list(hosts))
     return cb
+
+
+@jsclass
+class LockHolder:
+    """Thread-bearing state: usable in place, never picklable."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.value = 7
+
+    def get(self) -> int:
+        return self.value
 
 
 class TestExplicitMigration:
@@ -153,6 +168,39 @@ class TestExplicitMigration:
             return waited
 
         assert dedicated_testbed.run_app(app) >= 0.7
+
+    @pytest.mark.parametrize("node, error", [
+        ("local", TypeError),
+        ("johanna", RemoteInvocationError),
+    ])
+    def test_unpicklable_state_fails_in_caller_and_stays(
+        self, dedicated_testbed, node, error
+    ):
+        """Figure 3 and store pickle the object before anything moves:
+        state that cannot be pickled fails the first migrate() or store()
+        in the caller, and the object stays where it was, usable."""
+        rt = dedicated_testbed
+
+        def app():
+            reg = JSRegistration()
+            cb = JSCodebase()
+            cb.add(LockHolder)
+            cb.load(["johanna", "greta"])
+            obj = JSObj("LockHolder", node)
+            before = obj.get_node()
+            holder = reg.app if node == "local" else rt.pub_oas[node]
+            with pytest.raises(error, match="pickle"):
+                obj.migrate("greta")
+            with pytest.raises(error, match="pickle"):
+                obj.store()
+            assert obj.get_node() == before
+            assert holder.objects[obj.obj_id].migrating is False
+            assert reg.app.refs[obj.obj_id].pending == 0
+            value = obj.sinvoke("get")
+            reg.unregister()
+            return value
+
+        assert rt.run_app(app) == 7
 
 
 class TestRedirection:

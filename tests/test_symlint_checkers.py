@@ -73,71 +73,14 @@ def test_guarded_code_produces_no_lock_findings():
     assert locked_line + 1 not in flagged_lines
 
 
-def test_lock_order_cycle_detected():
-    report = run("seeded_deadlock.py")
-    cycles = by_rule(report, "lock-order-cycle")
-    assert len(cycles) == 1
-    finding = cycles[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.path.endswith("seeded_deadlock.py")
-    assert finding.line in {
-        marker_line("seeded_deadlock.py", "ORDER-AB"),
-        marker_line("seeded_deadlock.py", "ORDER-BA"),
-    }
-    assert "_lock_a" in finding.message and "_lock_b" in finding.message
-    assert "deadlock" in finding.message
-    # the consistent-order fixture part produced nothing else
-    assert report.findings == cycles
-
-
-@pytest.mark.parametrize("first", ["lo", "hi"])
-def test_lock_order_cycle_is_named_from_its_smallest_lock(tmp_path, first):
-    """A cycle has no first lock; the finding used to start from
-    whichever one a set yielded, so its line and message (what pragmas
-    and baselines key on) moved with PYTHONHASHSEED.  Eight lock pairs:
-    an unfixed checker names all of them right under 1 seed in 256."""
-    pairs = [(f"_lock_{2 * i}", f"_lock_{2 * i + 1}") for i in range(8)]
-    lines = ["import threading", ""]
-    expected = {}
-    for i, (lo, hi) in enumerate(pairs):
-        lines += [f"class Pair{i}:", "    def __init__(self):"]
-        lines += [f"        self.{n} = threading.Lock()" for n in (lo, hi)]
-        order = [(lo, hi), (hi, lo)]
-        for outer, inner in order if first == "lo" else reversed(order):
-            lines += [f"    def {outer}_then{inner}(self):",
-                      f"        with self.{outer}:",
-                      f"            with self.{inner}:"]
-            if outer == lo:
-                expected[f"Pair{i}"] = (len(lines), f"({lo} -> {hi} -> {lo})")
-            lines += ["                pass"]
-    source = tmp_path / "pairs.py"
-    source.write_text("\n".join(lines) + "\n")
-    cycles = by_rule(analyze_paths([str(source)]), "lock-order-cycle")
-    named = {
-        f.symbol.split(":")[0]:
-            (f.line, f.message.split("orders ")[1].split(":")[0])
-        for f in cycles
-    }
-    assert named == expected
-
-
 # ---------------------------------------------------------------------------
-# protocol completeness
+# protocol surface
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture()
 def protocol_report():
     return run("messages.py", "seeded_protocol.py")
-
-
-def test_unhandled_kind_reported_at_send_site(protocol_report):
-    unhandled = by_rule(protocol_report, "unhandled-kind")
-    assert [f.symbol for f in unhandled] == ["LOST"]
-    finding = unhandled[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.path.endswith("seeded_protocol.py")
-    assert finding.line == marker_line("seeded_protocol.py", "LOST")
 
 
 def test_dead_kind_reported_at_declaration(protocol_report):
@@ -149,44 +92,11 @@ def test_dead_kind_reported_at_declaration(protocol_report):
     assert finding.line == marker_line("messages.py", "DEAD")
 
 
-def test_raw_kind_literal_flagged(protocol_report):
-    raw = by_rule(protocol_report, "raw-kind-literal")
-    assert [f.symbol for f in raw] == ["WORK"]
-    finding = raw[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.line == marker_line("seeded_protocol.py", "RAW")
-
-
 def test_handled_and_sent_kinds_are_clean(protocol_report):
     symbols = {f.symbol for f in protocol_report.findings}
-    assert "PING" not in symbols  # sent + registered
-    assert "WORK" in symbols  # only via the raw literal finding
-
-
-# ---------------------------------------------------------------------------
-# migration / serialization safety
-# ---------------------------------------------------------------------------
-
-
-def test_unserializable_attrs_detected():
-    report = run("seeded_unserializable.py")
-    findings = by_rule(report, "unserializable-attr")
-    assert {f.symbol for f in findings} == {
-        "LeakyWorker._guard",
-        "LeakyWorker.stream",
-    }
-    lines = {f.symbol: f.line for f in findings}
-    assert lines["LeakyWorker._guard"] == marker_line(
-        "seeded_unserializable.py", "LOCK"
-    )
-    assert lines["LeakyWorker.stream"] == marker_line(
-        "seeded_unserializable.py", "GEN"
-    )
-    assert all(f.severity is Severity.ERROR for f in findings)
-    # the guarded append in work() is not a lock-discipline finding
-    assert report.findings == sorted(
-        findings, key=lambda f: (f.path, f.line, f.col, f.rule)
-    )
+    assert "PING" not in symbols  # sent as M.PING
+    assert "WORK" not in symbols  # sent as the literal "WORK"
+    assert "LOST" not in symbols  # sent, though handled nowhere
 
 
 # ---------------------------------------------------------------------------
@@ -223,99 +133,8 @@ def test_pragma_suppresses_seeded_race():
 
 
 def test_rules_filter():
-    report = analyze_paths(
-        [str(FIXTURES)], rules={"lock-order-cycle"}
-    )
-    assert {f.rule for f in report.findings} == {"lock-order-cycle"}
-
-
-# ---------------------------------------------------------------------------
-# obs discipline
-# ---------------------------------------------------------------------------
-
-
-def test_tracer_call_under_lock_flagged():
-    report = run("seeded_tracer_lock.py")
-    findings = by_rule(report, "tracer-call-under-lock")
-    assert {f.line for f in findings} == {
-        marker_line("seeded_tracer_lock.py", "EMIT_UNDER_LOCK"),
-        marker_line("seeded_tracer_lock.py", "COUNT_UNDER_LOCK"),
-        marker_line("seeded_tracer_lock.py", "SPAN_UNDER_LOCK"),
-        marker_line("seeded_tracer_lock.py", "END_SPAN_UNDER_LOCK"),
-    }
-    for finding in findings:
-        assert finding.severity is Severity.WARNING
-        assert "_lock" in finding.message
-
-
-def test_tracer_outside_lock_and_nested_def_not_flagged():
-    report = run("seeded_tracer_lock.py")
-    flagged_symbols = {
-        f.symbol for f in by_rule(report, "tracer-call-under-lock")
-    }
-    # store_good/span_good (after the with), deferred_ok (nested def) and
-    # unrelated_observe_ok (histogram, not a tracer) must stay clean.
-    assert flagged_symbols == {
-        "store_bad", "count_bad", "span_bad", "end_span_bad",
-    }
-
-
-def test_registry_call_under_lock_flagged():
-    report = run("seeded_registry_lock.py")
-    findings = by_rule(report, "registry-call-under-lock")
-    assert {f.line for f in findings} == {
-        marker_line("seeded_registry_lock.py", "INGEST_UNDER_LOCK"),
-        marker_line("seeded_registry_lock.py", "OBSERVE_UNDER_LOCK"),
-        marker_line("seeded_registry_lock.py", "RECORD_UNDER_LOCK"),
-        marker_line("seeded_registry_lock.py", "MERGE_UNDER_LOCK"),
-    }
-    for finding in findings:
-        assert finding.severity is Severity.WARNING
-        assert "_lock" in finding.message
-
-
-def test_registry_rule_clean_twins_and_tracer_precedence():
-    report = run("seeded_registry_lock.py")
-    registry = by_rule(report, "registry-call-under-lock")
-    # ingest_good (after the with), deferred_ok (nested def) and
-    # unrelated_receiver_ok (no telemetry keyword) stay clean.
-    assert {f.symbol for f in registry} == {
-        "ingest_bad", "observe_bad", "record_bad", "merge_bad",
-    }
-    # tracer.metrics.count under lock is exactly one finding, owned by
-    # the tracer rule.
-    tracer = by_rule(report, "tracer-call-under-lock")
-    assert [f.symbol for f in tracer] == ["tracer_rule_wins"]
-    assert tracer[0].line == marker_line(
-        "seeded_registry_lock.py", "TRACER_WINS"
-    )
-    assert len(report.findings) == 5
-
-
-# ---------------------------------------------------------------------------
-# retry discipline
-# ---------------------------------------------------------------------------
-
-
-def test_unbounded_retry_in_handler_helper_flagged():
-    report = run("seeded_unbounded_retry.py")
-    findings = by_rule(report, "unbounded-retry")
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.line == marker_line(
-        "seeded_unbounded_retry.py", "UNBOUNDED_RETRY"
-    )
-    assert finding.symbol == "Syncer._pull"
-    # the message names the handler the loop is reachable from
-    assert "Syncer._h_sync" in finding.message
-
-
-def test_bounded_retry_twin_stays_clean():
-    report = run("seeded_unbounded_retry.py")
-    assert {f.symbol for f in by_rule(report, "unbounded-retry")} == {
-        "Syncer._pull"
-    }  # BoundedSyncer._pull (for-range + re-raise) produces nothing
+    report = analyze_paths([str(FIXTURES)], rules={"unguarded-write"})
+    assert {f.rule for f in report.findings} == {"unguarded-write"}
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +144,13 @@ def test_bounded_retry_twin_stays_clean():
 EXPECTED_DIR_FINDINGS = {
     ("unguarded-write", "seeded_race.py", "RACE"),
     ("unlocked-mutation", "seeded_race.py", "MUTATION"),
-    ("lock-order-cycle", "seeded_deadlock.py", None),
     ("dead-kind", "messages.py", "DEAD"),
-    ("unhandled-kind", "seeded_protocol.py", "LOST"),
-    ("raw-kind-literal", "seeded_protocol.py", "RAW"),
-    ("unserializable-attr", "seeded_unserializable.py", "LOCK"),
-    ("unserializable-attr", "seeded_unserializable.py", "GEN"),
     ("blocking-sleep-in-handler", "seeded_blocking.py", "SLEEP"),
     ("blocking-rpc-in-handler", "seeded_blocking.py", "RPC"),
     ("blocking-rpc-in-handler", "seeded_blocking.py", "RPC_VIA_SELF"),
-    ("tracer-call-under-lock", "seeded_tracer_lock.py", "EMIT_UNDER_LOCK"),
-    ("tracer-call-under-lock", "seeded_tracer_lock.py", "COUNT_UNDER_LOCK"),
-    ("tracer-call-under-lock", "seeded_tracer_lock.py", "SPAN_UNDER_LOCK"),
-    ("tracer-call-under-lock", "seeded_tracer_lock.py",
-     "END_SPAN_UNDER_LOCK"),
-    ("registry-call-under-lock", "seeded_registry_lock.py",
-     "INGEST_UNDER_LOCK"),
-    ("registry-call-under-lock", "seeded_registry_lock.py",
-     "OBSERVE_UNDER_LOCK"),
-    ("registry-call-under-lock", "seeded_registry_lock.py",
-     "RECORD_UNDER_LOCK"),
-    ("registry-call-under-lock", "seeded_registry_lock.py",
-     "MERGE_UNDER_LOCK"),
-    ("tracer-call-under-lock", "seeded_registry_lock.py", "TRACER_WINS"),
     ("rpc-under-lock", "seeded_rpc_under_lock.py", "RPC_UNDER_LOCK"),
     ("kernel-block-transitive", "seeded_kernel_block.py",
      "TRANSITIVE_SLEEP"),
-    ("unbounded-retry", "seeded_unbounded_retry.py", "UNBOUNDED_RETRY"),
 }
 
 
@@ -361,11 +160,7 @@ def test_fixture_directory_reports_every_seeded_finding():
         (f.rule, Path(f.path).name, f.line) for f in report.findings
     }
     for rule, fixture, marker in EXPECTED_DIR_FINDINGS:
-        if marker is None:
-            assert any(g[0] == rule and g[1] == fixture for g in got), \
-                (rule, fixture)
-        else:
-            assert (rule, fixture, marker_line(fixture, marker)) in got
+        assert (rule, fixture, marker_line(fixture, marker)) in got
     assert len(report.findings) == len(EXPECTED_DIR_FINDINGS)
     assert report.suppressed == 1
 
@@ -398,9 +193,8 @@ def test_cli_lint_unknown_rule(capsys):
 def test_cli_list_rules(capsys):
     assert cli_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("unguarded-write", "lock-order-cycle", "unhandled-kind",
-                 "dead-kind", "raw-kind-literal", "unserializable-attr",
-                 "blocking-sleep-in-handler", "tracer-call-under-lock",
-                 "registry-call-under-lock", "unbounded-retry",
+    for rule in ("unguarded-write", "unlocked-mutation", "dead-kind",
+                 "blocking-sleep-in-handler", "blocking-rpc-in-handler",
+                 "rpc-under-lock", "kernel-block-transitive",
                  "parse-error"):
         assert rule in out

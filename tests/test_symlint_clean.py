@@ -1,9 +1,9 @@
 """Self-gate: the runtime itself passes its own static analysis.
 
 This is the build-time enforcement of the paper invariants: if a future
-change introduces an unguarded shared write, an unhandled message kind,
-an unserializable attribute on a migratable class or a blocking handler,
-this test fails before any runtime test has to trip over it.
+change introduces an unguarded shared write, a dead message kind, a
+blocking handler or an RPC under a lock, this test fails before any
+runtime test has to trip over it.
 """
 
 from __future__ import annotations

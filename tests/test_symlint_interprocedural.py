@@ -1,4 +1,5 @@
-"""The interprocedural symlint pass: call graph + cross-function rules.
+"""The interprocedural symlint pass: cross-function rules over the call
+graph (whose resolution ``test_callgraph.py`` pins).
 
 The headline property: ``rpc-under-lock`` catches a violation that every
 per-file checker provably misses (the same fixture analyzed without the
@@ -10,8 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import Severity, analyze_paths
-from repro.analysis.base import Module, Project
-from repro.analysis.callgraph import CallGraph, FuncKey
 from repro.analysis.interprocedural import InterproceduralChecker
 from repro.analysis.runner import analyze_project, default_checkers
 
@@ -32,101 +31,6 @@ def per_file_checkers():
         c for c in default_checkers()
         if not isinstance(c, InterproceduralChecker)
     ]
-
-
-# ---------------------------------------------------------------------------
-# call graph
-# ---------------------------------------------------------------------------
-
-
-def project_of(*sources: tuple[str, str]) -> Project:
-    return Project([Module.parse(path, src) for path, src in sources])
-
-
-def test_callgraph_resolves_self_calls():
-    project = project_of(("a.py", (
-        "class A:\n"
-        "    def top(self):\n"
-        "        self.helper()\n"
-        "    def helper(self):\n"
-        "        pass\n"
-    )))
-    graph = CallGraph(project)
-    top = graph.functions[FuncKey("a.py", "A.top")]
-    callees = [t.key.qualname for t, _ in graph.callees(top)]
-    assert callees == ["A.helper"]
-
-
-def test_callgraph_resolves_inherited_method_across_files():
-    project = project_of(
-        ("base.py", (
-            "class Base:\n"
-            "    def helper(self):\n"
-            "        pass\n"
-        )),
-        ("child.py", (
-            "from base import Base\n"
-            "class Child(Base):\n"
-            "    def top(self):\n"
-            "        self.helper()\n"
-        )),
-    )
-    graph = CallGraph(project)
-    top = graph.functions[FuncKey("child.py", "Child.top")]
-    callees = [t.key for t, _ in graph.callees(top)]
-    assert callees == [FuncKey("base.py", "Base.helper")]
-
-
-def test_callgraph_own_class_shadows_base():
-    project = project_of(("a.py", (
-        "class Base:\n"
-        "    def helper(self):\n"
-        "        pass\n"
-        "class Child(Base):\n"
-        "    def helper(self):\n"
-        "        pass\n"
-        "    def top(self):\n"
-        "        self.helper()\n"
-    )))
-    graph = CallGraph(project)
-    top = graph.functions[FuncKey("a.py", "Child.top")]
-    callees = [t.key.qualname for t, _ in graph.callees(top)]
-    assert callees == ["Child.helper"]
-
-
-def test_callgraph_resolves_bare_names_same_module_only():
-    project = project_of(
-        ("a.py", (
-            "from b import remote\n"
-            "def local():\n"
-            "    pass\n"
-            "def top():\n"
-            "    local()\n"
-            "    remote()\n"
-            "    unknown()\n"
-        )),
-        ("b.py", "def remote():\n    pass\n"),
-    )
-    graph = CallGraph(project)
-    top = graph.functions[FuncKey("a.py", "top")]
-    # imported and unknown names stay unresolved: no invented edges
-    callees = [t.key for t, _ in graph.callees(top)]
-    assert callees == [FuncKey("a.py", "local")]
-
-
-def test_callgraph_skips_nested_defs():
-    project = project_of(("a.py", (
-        "class A:\n"
-        "    def helper(self):\n"
-        "        pass\n"
-        "    def top(self):\n"
-        "        def later():\n"
-        "            self.helper()\n"
-        "        return later\n"
-    )))
-    graph = CallGraph(project)
-    top = graph.functions[FuncKey("a.py", "A.top")]
-    assert list(graph.callees(top)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.errors import RemoteInvocationError, RPCTimeoutError, TransportError
+from repro.errors import (
+    RemoteInvocationError,
+    RetriesExhaustedError,
+    RPCTimeoutError,
+    TransportError,
+)
 from repro.kernel import VirtualKernel
+from repro.rmi.reliability import Retrier, RetryPolicy
 from repro.simnet import SimWorld, build_lan, make_host
 from repro.transport import Addr, Transport
 from repro.util.serialization import Payload
@@ -148,16 +154,50 @@ class TestRPC:
             proc.result()
 
     def test_unknown_kind_is_remote_error(self, world, transport):
+        """A kind the destination never registered fails the call in the
+        caller, naming the kind; the endpoint keeps serving the rest."""
         serve_echo(transport, "u2")
         client = transport.create_endpoint(Addr("u1", "cli"))
 
         def main():
-            client.rpc(Addr("u2", "srv"), "NO_SUCH_KIND")
+            with pytest.raises(RemoteInvocationError, match="NO_SUCH_KIND"):
+                client.rpc(Addr("u2", "srv"), "NO_SUCH_KIND")
+            return client.rpc(Addr("u2", "srv"), "ECHO", 5)
 
-        proc = world.kernel.spawn(main)
-        world.kernel.run(main=proc)
-        with pytest.raises(RemoteInvocationError):
-            proc.result()
+        assert world.kernel.run_callable(main) == 5
+        assert transport.stats.by_kind == {
+            "NO_SUCH_KIND": 1, "NO_SUCH_KIND:reply": 1,
+            "ECHO": 1, "ECHO:reply": 1,
+        }
+
+    @pytest.mark.parametrize("policy, stop", [
+        (RetryPolicy(max_attempts=3, attempt_timeout=0.5, jitter=0),
+         "after 3 attempt(s)"),
+        (RetryPolicy(max_attempts=10, attempt_timeout=0.5, jitter=0,
+                     deadline=1.2),
+         "after 3 attempt(s) (deadline exceeded)"),
+    ], ids=["max_attempts", "deadline"])
+    def test_retry_loop_is_bounded(self, world, transport, policy, stop):
+        """A peer that never answers in time exhausts the retrier; it
+        does not spin.  Three 0.5 s attempts and the 0.05 + 0.1 s
+        backoffs between them, plus the three requests' send time."""
+        serve_echo(transport, "u2")
+        client = transport.create_endpoint(Addr("u1", "cli"))
+        transport.retrier = Retrier(transport, policy)
+
+        def main():
+            with pytest.raises(RetriesExhaustedError) as err:
+                client.rpc(Addr("u2", "srv"), "SLOW", 1.0)
+            elapsed = world.now()
+            world.kernel.sleep(1.0)  # the abandoned handlers finish
+            return err.value, elapsed
+
+        exc, elapsed = world.kernel.run_callable(main)
+        assert str(exc).endswith(stop)
+        assert [a.attempt for a in exc.attempts] == [1, 2, 3]
+        assert transport.stats.by_kind["SLOW"] == 3
+        assert elapsed > 3 * 0.5 + 0.05 + 0.1
+        assert elapsed == pytest.approx(1.6513, abs=1e-4)
 
     def test_message_to_unregistered_endpoint_dropped(self, world, transport):
         client = transport.create_endpoint(Addr("u1", "cli"))
