@@ -174,12 +174,15 @@ class VirtualProcess(Process):
             self._result = self._fn(*self._args)
             self._state = ProcessState.FINISHED
         except _KernelShutdown:
-            self._state = ProcessState.FAILED
-            return False
+            pass
         except BaseException as exc:  # noqa: BLE001 - captured for result()
             self._exc = exc
             self._state = ProcessState.FAILED
-            kernel._note_crash(self, exc)
+        if kernel._shutting_down:  # unwound, or the body ate the signal
+            self._state = ProcessState.FAILED
+            return False
+        if self._exc is not None:
+            kernel._note_crash(self, self._exc)
         # Reaped: handles still answer result()/join(), but the kernel
         # forgets the process and the process forgets its arguments (for
         # a message handler, the payload).
@@ -662,10 +665,6 @@ class VirtualKernel(Kernel):
                 raise KernelError(
                     f"process {proc.name} crashed: {exc!r}"
                 ) from exc
-
-    def run_until_idle(self) -> None:
-        """Drain every pending event (only safe without infinite loops)."""
-        self.run()
 
     def _blocked_dump(self) -> str:
         """One line per blocked process: what it waits on and where.

@@ -75,6 +75,41 @@ class TestVirtualShutdown:
         kernel.shutdown()
         assert not proc._thread.is_alive()
 
+    def test_handlers_that_swallow_the_shutdown_exit_quietly(
+        self, monkeypatch
+    ):
+        """A request handler's process catches ``BaseException`` (to ship
+        it to the caller), so it swallows the shutdown signal and returns.
+        Its worker used to pass the baton anyway and release run()'s gate
+        once more: ``RuntimeError('release unlocked lock')`` per handler
+        after the first, and that first worker parked for good."""
+        from repro.simnet import SimWorld, build_lan, make_host
+        from repro.transport import Addr, Transport
+
+        seen = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: seen.append(args.exc_value))
+        kernel = VirtualKernel()
+        world = SimWorld(kernel, seed=0)
+        build_lan(world, fast_hosts=[make_host("u1", "Ultra10/440"),
+                                     make_host("u2", "Ultra10/300")])
+        transport = Transport(world)
+        server = transport.create_endpoint(Addr("u2", "srv"))
+        server.register("SLOW", lambda msg: kernel.sleep(1000.0))
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            for _ in range(3):
+                client.rpc_async(Addr("u2", "srv"), "SLOW")
+
+        kernel.spawn(main)
+        kernel.run(until=10.0)
+        assert len(kernel.processes) == 3  # all three handlers asleep
+        threads = [worker.thread for worker in kernel._workers]
+        kernel.shutdown()
+        assert seen == []
+        assert not any(t.is_alive() for t in threads)
+
     def test_cannot_shutdown_running_kernel(self):
         kernel = VirtualKernel()
 
