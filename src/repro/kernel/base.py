@@ -23,7 +23,6 @@ import abc
 import enum
 from typing import Any, Callable
 
-from repro.errors import KernelError
 from repro.obs.tracer import NULL_TRACER
 from repro.sanitizer.core import NULL_SANITIZER
 
@@ -170,14 +169,6 @@ class Kernel(abc.ABC):
         """Name of the calling process, or "" outside any process."""
         proc = self.current_process()
         return proc.name if proc is not None else ""
-
-    def require_process(self) -> Process:
-        proc = self.current_process()
-        if proc is None:
-            raise KernelError(
-                "this operation must run inside a kernel process"
-            )
-        return proc
 
     # -- convenience -------------------------------------------------------
 

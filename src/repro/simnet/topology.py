@@ -2,10 +2,10 @@
 
 The paper's testbed: all Ultras on a 100 Mbit/s switch, all other
 workstations on 10 Mbit/s shared Ethernet, bridged into one LAN.  We model
-the network as *segments* (switch/hub domains) connected by a backbone
-graph (networkx).  A transfer pays:
+the network as *segments* (switch/hub domains) joined by backbone links,
+routed by fewest links (DESIGN.md, "Routes").  A transfer pays:
 
-    software overhead + sum(latency of segments crossed)
+    software overhead + latency of the segments and links crossed
     + bytes / (min bandwidth along path × fair share)
 
 Shared (hub) segments divide bandwidth among concurrent transfers — the
@@ -17,8 +17,7 @@ in-flight transfer on each arrival).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterable
 
 from repro.errors import TransportError
 
@@ -49,7 +48,7 @@ class Segment:
 
 
 class Topology:
-    """Hosts attached to segments; segments joined by backbone edges."""
+    """Hosts attached to segments; segments joined by backbone links."""
 
     def __init__(
         self,
@@ -62,7 +61,11 @@ class Topology:
         self.loopback_bytes_per_s = loopback_bytes_per_s
         self._segments: dict[str, Segment] = {}
         self._host_segment: dict[str, str] = {}
-        self._graph = nx.Graph()
+        #: {segment: {neighbour: link latency}}, in connect order
+        self._links: dict[str, dict[str, float]] = {}
+        #: (segment, segment) -> (segments crossed, path latency)
+        self._routes: dict[tuple[str, str],
+                           tuple[tuple[Segment, ...], float]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -70,7 +73,8 @@ class Topology:
         if segment.name in self._segments:
             raise TransportError(f"duplicate segment {segment.name!r}")
         self._segments[segment.name] = segment
-        self._graph.add_node(segment.name)
+        self._links[segment.name] = {}
+        self._routes.clear()
 
     def connect_segments(
         self, a: str, b: str, latency_s: float = 0.0005
@@ -78,7 +82,8 @@ class Topology:
         for name in (a, b):
             if name not in self._segments:
                 raise TransportError(f"unknown segment {name!r}")
-        self._graph.add_edge(a, b, latency=latency_s)
+        self._links[a][b] = self._links[b][a] = latency_s
+        self._routes.clear()
 
     def attach_host(self, host: str, segment: str) -> None:
         if segment not in self._segments:
@@ -93,64 +98,69 @@ class Topology:
         except KeyError:
             raise TransportError(f"host {host!r} not attached") from None
 
-    def segments_between(self, src: str, dst: str) -> list[Segment]:
-        """Segments a (src -> dst) transfer crosses, in order."""
-        seg_a = self.segment_of(src).name
-        seg_b = self.segment_of(dst).name
-        if seg_a == seg_b:
-            return [self._segments[seg_a]]
-        try:
-            path = nx.shortest_path(self._graph, seg_a, seg_b)
-        except nx.NetworkXNoPath:
-            raise TransportError(
-                f"no route between segments {seg_a!r} and {seg_b!r}"
-            ) from None
-        return [self._segments[name] for name in path]
-
-    def path_latency(self, src: str, dst: str) -> float:
-        segs = self.segments_between(src, dst)
+    def _route(self, a: str, b: str) -> tuple[tuple[Segment, ...], float]:
+        """The segments a transfer from segment ``a`` to ``b`` crosses and
+        their path latency; found breadth-first, neighbours in connect
+        order, and kept until the graph changes."""
+        route = self._routes.get((a, b))
+        if route is not None:
+            return route
+        paths = {a: (a,)}
+        queue = [a]
+        for here in queue:  # grows as it goes: breadth-first
+            for there in self._links[here]:
+                if there not in paths:
+                    paths[there] = paths[here] + (there,)
+                    queue.append(there)
+        if b not in paths:
+            raise TransportError(f"no route between segments {a!r} and {b!r}")
+        path = paths[b]
+        segs = tuple(self._segments[name] for name in path)
         latency = sum(seg.latency_s for seg in segs)
-        for a, b in zip(segs, segs[1:]):
-            latency += self._graph.edges[a.name, b.name]["latency"]
-        return latency
+        for here, there in zip(path, path[1:]):
+            latency += self._links[here][there]
+        route = self._routes[a, b] = (segs, latency)
+        return route
 
     # -- cost model ----------------------------------------------------------
 
-    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
+    def start_transfer(
+        self, src: str, dst: str, nbytes: int
+    ) -> tuple[float, tuple[Segment, ...]]:
         """Seconds to move ``nbytes`` from ``src`` to ``dst`` given current
-        contention.  Same-host messages pay loopback cost only."""
+        contention (same-host: loopback cost only), and the segments
+        crossed, now marked active: pass them to :meth:`end_transfer`."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if src == dst:
-            return self.sw_overhead + nbytes / self.loopback_bytes_per_s
-        segs = self.segments_between(src, dst)
-        # Bottleneck bandwidth with fair sharing on hub segments.
+            return self.sw_overhead + nbytes / self.loopback_bytes_per_s, ()
+        segs, latency = self._route(self.segment_of(src).name,
+                                    self.segment_of(dst).name)
+        # Bottleneck bandwidth with fair sharing on hub segments; a path
+        # crosses a segment once, so none counts this transfer yet.
         rate = float("inf")
         for seg in segs:
             share = 1.0
             if seg.shared:
                 share = 1.0 / (1 + seg.active_transfers)
             rate = min(rate, seg.bytes_per_s * self.efficiency * share)
-        return self.sw_overhead + self.path_latency(src, dst) + nbytes / rate
-
-    def begin_transfer(self, src: str, dst: str) -> list[Segment]:
-        """Mark a transfer active on the crossed segments; the caller must
-        pass the returned list to :meth:`end_transfer` when it completes."""
-        if src == dst:
-            return []
-        segs = self.segments_between(src, dst)
-        for seg in segs:
             seg.active_transfers += 1
-        return segs
+        return self.sw_overhead + latency + nbytes / rate, segs
 
-    def end_transfer(self, segs: list[Segment]) -> None:
+    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
+        """:meth:`start_transfer`'s delay, without starting the transfer."""
+        delay, segs = self.start_transfer(src, dst, nbytes)
+        self.end_transfer(segs)
+        return delay
+
+    def begin_transfer(self, src: str, dst: str) -> tuple[Segment, ...]:
+        """:meth:`start_transfer`'s segments, marked active."""
+        return self.start_transfer(src, dst, 0)[1]
+
+    def end_transfer(self, segs: Iterable[Segment]) -> None:
         for seg in segs:
             if seg.active_transfers <= 0:
                 raise TransportError(
                     f"end_transfer without begin on segment {seg.name!r}"
                 )
             seg.active_transfers -= 1
-
-    @property
-    def hosts(self) -> list[str]:
-        return sorted(self._host_segment)

@@ -8,9 +8,7 @@ into (dilated) real sleeps.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import TransportError
 from repro.kernel import Kernel, RngStreams
@@ -133,15 +131,15 @@ class SimWorld:
         kernel), so overlapping transfers on shared segments slow each
         other down.
         """
-        self.machine(src).check_alive()
-        self.machine(dst).check_alive()
-        delay = self.topology.transfer_time(src, dst, nbytes)
-        segs = self.topology.begin_transfer(src, dst)
+        src_m = self.machine(src)
+        src_m.check_alive()
+        dst_m = self.machine(dst)
+        dst_m.check_alive()
+        delay, segs = self.topology.start_transfer(src, dst, nbytes)
         if segs:
             self.kernel.call_at(
                 self.now() + delay, self.topology.end_transfer, segs
             )
-        src_m, dst_m = self.machine(src), self.machine(dst)
         src_m.counters.bytes_sent += nbytes
         src_m.counters.messages_sent += 1
         dst_m.counters.bytes_received += nbytes
