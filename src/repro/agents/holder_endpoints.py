@@ -71,7 +71,8 @@ class HolderEndpoints(ObjectHolder):
 
     def _h_create_object(self, msg):
         obj_id, class_name, origin, args = msg.payload
-        entry = self.hold_new_object(obj_id, class_name, origin, tuple(args))
+        entry = self.hold_new_object(obj_id, class_name, origin, tuple(args),
+                                     msg.nominal)
         return {"obj_id": obj_id, "mem_mb": entry.mem_mb}
 
     def _h_create_from_state(self, msg):

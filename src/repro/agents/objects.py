@@ -185,14 +185,18 @@ class ObjectHolder:
         class_name: str,
         origin: Addr,
         args: tuple = (),
+        nominal: bool = True,
     ) -> ObjectEntry:
+        """Construct and hold an instance; ``nominal`` is
+        :meth:`dispatch_invoke`'s: False means ``args`` hold no
+        :class:`~repro.util.serialization.Payload` to unwrap."""
         if not self.class_available(class_name):
             raise ClassNotLoadedError(
                 f"class {class_name!r} is not loaded on node "
                 f"{self.addr.host}; load a codebase there first"
             )
         klass = ClassRegistry.resolve(class_name)
-        instance = klass(*unwrap(args))
+        instance = klass(*(unwrap(args) if nominal else args))
         return self._store_entry(obj_id, class_name, instance, origin)
 
     def hold_from_state(

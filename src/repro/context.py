@@ -27,13 +27,27 @@ class Environment:
     extras: dict = field(default_factory=dict)
 
 
-_stack = threading.local()
+class _Stack(threading.local):
+    """The calling thread's environment frames, innermost last."""
+
+    def __init__(self) -> None:
+        self.frames: list[Environment] = []
+
+
+_stack = _Stack()
 
 
 def _frames() -> list[Environment]:
-    if not hasattr(_stack, "frames"):
-        _stack.frames = []
     return _stack.frames
+
+
+def swap_frames(frames: list[Environment]) -> list[Environment]:
+    """Install ``frames`` as the calling thread's stack and return the
+    stack it replaces.  The virtual kernel gives a request handler it runs
+    on its waiting caller's thread a stack of its own this way."""
+    previous = _stack.frames
+    _stack.frames = frames
+    return previous
 
 
 def push(env: Environment) -> None:

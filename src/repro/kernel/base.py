@@ -133,10 +133,14 @@ class Kernel(abc.ABC):
         name: str | None = None,
         context: dict | None = None,
         delay: float = 0.0,
+        completes: Future | None = None,
     ) -> Process:
         """Create a process running ``fn(*args)``.  ``context`` defaults to
         the spawning process's context (shared reference), which is how the
-        "current application" travels to async-invocation worker threads."""
+        "current application" travels to async-invocation worker threads.
+        ``completes`` names a future only this process will complete; a
+        kernel may use it to run the process on the thread of one waiting
+        for that future, or ignore it."""
 
     @abc.abstractmethod
     def sleep(self, duration: float) -> None:

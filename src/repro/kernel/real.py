@@ -244,6 +244,7 @@ class RealKernel(Kernel):
         name: str | None = None,
         context: dict | None = None,
         delay: float = 0.0,
+        completes: Future | None = None,  # every process has a thread
     ) -> RealProcess:
         if context is None:
             parent = self.current_process()

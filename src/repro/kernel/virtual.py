@@ -21,7 +21,11 @@ which event runs when.
 A process is *scheduled onto* a thread, it does not own one: its body runs
 on a pooled :class:`_Worker` of its kernel, which goes back to the idle
 list when the body returns, and a finished process leaves
-``kernel.processes``.
+``kernel.processes``.  One process may run on another's thread: a process
+spawned ``completes=F`` starts on the thread of a process that is waiting,
+untimed, for ``F`` and gives up the baton just before that start (the
+*host*; :meth:`VirtualKernel._host`), so a synchronous request costs its
+caller no OS switch at all.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import weakref
 from collections import deque
 from typing import Any, Callable
 
+from repro import context as _context
 from repro.errors import KernelError, SimDeadlockError, WaitTimeout
 from repro.kernel.base import (
     Channel,
@@ -111,6 +116,7 @@ class VirtualProcess(Process):
         fn: Callable[..., Any],
         args: tuple,
         context: dict,
+        completes: VirtualFuture | None = None,
     ) -> None:
         self.kernel = kernel
         self.pid = pid
@@ -119,7 +125,13 @@ class VirtualProcess(Process):
         self._fn = fn
         self._args = args
         self._state = ProcessState.NEW
-        #: the worker's gate and thread, while the body is running on one
+        #: the future only this process completes (``spawn(completes=)``)
+        self._completes = completes
+        #: the future this process waits on untimed, while it does
+        self._awaits: VirtualFuture | None = None
+        #: the process whose body runs on this one's thread meanwhile
+        self._guest: VirtualProcess | None = None
+        #: the gate and thread the body runs on, a worker's or its host's
         self._gate: _Gate | None = None
         self._thread: threading.Thread | None = None
         self._result: Any = None
@@ -162,8 +174,10 @@ class VirtualProcess(Process):
         # context installed (``end_span(restore=False)`` does so on
         # purpose), and a process spawned from scheduler context has none.
         # Spans opened here chain to the spawner.  ``repro.context``'s
-        # thread-local frame stack needs no such care: it is only pushed
-        # through ``with scoped(...)``, so every body leaves it balanced.
+        # thread-local frame stack needs no such care on a worker: it is
+        # only pushed through ``with scoped(...)``, so every body leaves
+        # it balanced.  A guest on its host's thread is another matter
+        # (``VirtualKernel._host``).
         _spans.set_context(self._span_ctx)
         san = kernel.sanitizer
         if san.enabled:
@@ -295,7 +309,12 @@ class VirtualFuture(Future):
             self._kernel._push_wake(
                 self._kernel.now() + timeout, proc, token, "timeout"
             )
+        else:
+            # untimed: the one kind of wait that may host the process
+            # that promised to complete this future
+            proc._awaits = self
         reason = proc._block("future-wait")
+        proc._awaits = None
         if reason == "timeout" and not self._done:
             _forget(self._waiters, (proc, token))
             return False
@@ -473,14 +492,22 @@ class VirtualKernel(Kernel):
         name: str | None = None,
         context: dict | None = None,
         delay: float = 0.0,
+        completes: VirtualFuture | None = None,
     ) -> VirtualProcess:
+        """See :meth:`Kernel.spawn`.  ``completes=F`` is the spawner's
+        promise that only this process completes ``F`` (directly or
+        through an event it schedules) and that, once it has, it does not
+        block again.  A process that waits untimed for ``F`` may then run
+        this one's body on its own thread (:meth:`_host`).  A broken
+        promise raises :class:`KernelError` out of ``run()``."""
         if context is None:
             parent = self._current
             context = parent.context if parent is not None else {}
         pid = self._next_pid
         self._next_pid += 1
         proc = VirtualProcess(
-            self, pid, name or f"proc-{pid}", fn, tuple(args), context
+            self, pid, name or f"proc-{pid}", fn, tuple(args), context,
+            completes,
         )
         self.processes[pid] = proc
         self._push(self._time + delay, ("start", proc))
@@ -540,7 +567,12 @@ class VirtualKernel(Kernel):
         if that is ``me``, else its gate is opened.  When none may run
         (heap empty, next event past the horizon, ``main`` finished, a
         call raised) run()'s gate is opened instead.  ``main`` finishes
-        only in a body that just returned, so only ``me is None`` looks."""
+        only in a body that just returned, so only ``me is None`` looks.
+
+        The start of a process that promised to complete the future ``me``
+        waits on untimed is no hand-off: ``me``'s thread runs that body
+        itself, then steps on as a worker whose body returned would (a
+        guest body only ever starts on its host's own thread)."""
         heap, horizon, main = self._heap, self._horizon, self._main
         self._current = None
         done = me is None and main is not None and main.finished
@@ -559,8 +591,28 @@ class VirtualKernel(Kernel):
             if kind == "wake":
                 if proc._state is not _BLOCKED or proc._wake_token != event[2]:
                     continue  # stale: already woken by the other path
+                if proc._guest is not None:
+                    # Its thread is inside the guest's body: the guest
+                    # completed the future and blocked again, or someone
+                    # else completed it.  Resuming either would be wrong.
+                    self._error = KernelError(
+                        f"broken completes= promise: {proc.name} woke "
+                        f"while hosting {proc._guest.name}, which was to "
+                        "complete the future it waits on and then not "
+                        "block again"
+                    )
+                    break
                 proc._wake_reason = event[3]
-            else:  # "start"
+            elif (proc._completes is not None and me is not None
+                    and proc._completes is me._awaits):
+                if not self._host(me, proc):
+                    raise _KernelShutdown()
+                # what a worker whose body returned reads afresh; run()
+                # may have returned and been called again meanwhile
+                horizon, main = self._horizon, self._main
+                done = main is not None and main.finished
+                continue
+            else:  # "start" on a worker
                 if self._idle:
                     worker = self._idle.pop()
                 else:
@@ -580,6 +632,30 @@ class VirtualKernel(Kernel):
     def _hand_off(self, proc: VirtualProcess) -> None:
         """Resume ``proc`` on its own thread; the caller parks next."""
         proc._gate.set()
+
+    def _host(self, host: VirtualProcess, guest: VirtualProcess) -> bool:
+        """Run ``guest``'s body on the thread of ``host``, which is
+        blocked untimed on the future ``guest`` promised to complete; the
+        guest parks at, and is resumed through, the host's gate.  The
+        guest starts with thread-locals of its own — its spawner's span
+        context, an empty ``repro.context`` stack, a fresh symsan identity
+        — and the host gets its own back.  False when kernel shutdown
+        unwound the guest (its host must unwind too)."""
+        guest._gate, guest._thread = host._gate, host._thread
+        host._guest = guest
+        self._current = guest
+        ctx = _spans.current_context()
+        frames = _context.swap_frames([])
+        san = self.sanitizer
+        tid = san.identity() if san.enabled else 0
+        finished = guest._run()
+        if san.enabled:
+            san.swap_identity(tid)
+        _context.swap_frames(frames)
+        _spans.set_context(ctx)
+        host._guest = None
+        self._current = None
+        return finished
 
     def _call(self, fn: Callable[..., Any], args: tuple, seq: int) -> bool:
         """Run one call event in scheduler context on the calling thread.

@@ -11,7 +11,11 @@ arrive in send order.  So an RPC:
    its size (honoring nominal :class:`Payload` sizes) come from one pass,
 2. decodes the blob at each delivery and executes the handler **in its
    own spawned process at the destination** (JavaSymphony ran one thread
-   per incoming request on the PubOA),
+   per incoming request on the PubOA).  A two-way request delivered once
+   and carrying no idempotency token is spawned ``completes=`` its reply
+   future: on the virtual kernel a caller waiting for the reply untimed
+   then runs that process on its own thread, with thread-locals of the
+   handler's own (DESIGN.md decision 1, "Caller-hosted handlers"),
 3. encodes the result once and completes the caller's future with a
    decoded copy.
 
@@ -79,6 +83,9 @@ class Message:
     #: :class:`~repro.util.serialization.Payload` wrapper anywhere, so a
     #: handler need not look for one (``Wire.nominal``)
     nominal: bool = True
+    #: deliveries the request leg scheduled: more than one when the chaos
+    #: hook duplicated it
+    deliveries: int = 1
 
 
 @dataclass
@@ -113,7 +120,6 @@ class Endpoint:
         #: this endpoint's name on trace events, ``str(addr)`` computed once
         self.actor = str(addr)
         self._handlers: dict[str, Callable[[Message], Any]] = {}
-        self.closed = False
         #: optional :class:`repro.rmi.reliability.ReplayCache`; when set,
         #: tokened requests execute at most once (see :meth:`Transport._execute`)
         self.dedup = None
@@ -134,7 +140,6 @@ class Endpoint:
             ) from None
 
     def close(self) -> None:
-        self.closed = True
         self.transport._unregister(self.addr)
 
     # -- convenience wrappers -------------------------------------------------
@@ -375,6 +380,8 @@ class Transport:
             deliveries = self.chaos.filter(msg, stage, deliver_at)
             if not deliveries:
                 return self._drop(msg, stage, "chaos")
+            if request:
+                msg.deliveries = len(deliveries)
         for at in deliveries:
             # Duplicates are harmless: every request delivery decodes a
             # copy of its own, and _complete is idempotent.
@@ -402,14 +409,18 @@ class Transport:
         if self.world.machine(msg.dst.host).failed:
             return self._drop(msg, "request", "destination failed")
         endpoint = self._endpoints.get(msg.dst)
-        if endpoint is None or endpoint.closed:
+        if endpoint is None:  # never registered, or closed
             return self._drop(msg, "request", "no such endpoint")
         # One process per incoming request, as the paper's PubOA runs one
-        # thread per request.
+        # thread per request.  Delivered once and not tokened, its handler
+        # is the only one to complete the reply future (a duplicate's or
+        # a replay's could too), so the caller waiting for it may run it.
+        completes = (reply_future if msg.token is None
+                     and msg.deliveries == 1 else None)
         self.world.kernel.spawn(
             self._execute, endpoint, msg, reply_future,
             name=f"handle-{msg.kind}@{msg.dst.host}",
-            context={"addr": msg.dst},
+            context={"addr": msg.dst}, completes=completes,
         )
 
     def _execute(

@@ -636,3 +636,35 @@ def test_dispatch_unwraps_at_most_once(monkeypatch, params, unwraps, flops):
     assert rt.run_app(app, node="milena") == 3
     assert calls == Multiset(
         {"unwrap": unwraps, "flops_of": flops}) - Multiset()
+
+
+@pytest.mark.parametrize("args, unwraps", [
+    ([5], 0),
+    ([Payload(data=5)], 1),
+], ids=["plain", "payload"])
+def test_create_unwraps_only_a_payload_argument(monkeypatch, args, unwraps):
+    """The same rule for a remote constructor: a plain ``CREATE_OBJECT``
+    builds the instance from its arguments as decoded, one carrying a
+    ``Payload`` unwraps them once."""
+    from repro.agents import objects
+
+    calls = []
+    unwrap = objects.unwrap
+    rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
+
+    def app():
+        reg = JSRegistration()
+        load_counter(["rachel"])
+        monkeypatch.setattr(objects, "unwrap",
+                            lambda value: calls.append(value) or unwrap(value))
+        try:
+            obj = JSObj("Counter", "rachel", args=args)
+        finally:
+            monkeypatch.undo()
+        try:
+            return obj.sinvoke("get")
+        finally:
+            reg.unregister()
+
+    assert rt.run_app(app, node="milena") == 5
+    assert len(calls) == unwraps

@@ -5,9 +5,16 @@ import time
 
 import pytest
 
+from repro import context as repro_context
+from repro.agents.objects import jsclass
+from repro.agents.shell import ShellConfig
+from repro.cluster import TestbedConfig, vienna_testbed
+from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.errors import KernelError, SimDeadlockError, WaitTimeout
 from repro.kernel import ProcessState, VirtualKernel, virtual
-from repro.obs import spans
+from repro.obs import Tracer, spans, tracing
+from repro.sanitizer import Sanitizer, sanitizing
+from repro.varch import Node
 from tests.conftest import Counter
 
 
@@ -498,9 +505,6 @@ class TestWorkerPool:
     def test_population_stays_bounded(self, dedicated_testbed, monkeypatch):
         """Processes are reaped and threads reused: a long run of calls
         leaves neither a process nor a thread per call behind."""
-        from repro.core import JSCodebase, JSObj, JSRegistration
-        from repro.varch import Node
-
         kernel = dedicated_testbed.kernel
         spawn, peak = kernel.spawn, [0]
 
@@ -730,6 +734,229 @@ class TestBaton:
             spans.set_context(previous)
         assert seen == {"proc": None, "ctx": outer, "resumed": own}
         assert after is left
+
+
+@jsclass
+class Snoop:
+    """Reports what its method sees of the thread it runs on."""
+
+    def look(self):
+        return (threading.get_ident(), repro_context.current() is None,
+                spans.current_context())
+
+
+class TestCallerHosted:
+    """A process spawned ``completes=F`` runs on the thread of a process
+    that waits untimed for ``F`` and is the one to pop its start."""
+
+    def test_steady_state_sinvoke_opens_no_gate(
+        self, dedicated_testbed, monkeypatch
+    ):
+        """The caller hosts the handler, and the reply's wake is its own:
+        a sync call hands control to no other thread (two gates a call
+        before).  A call that a background agent's tick interrupts is set
+        aside: the agent may pop the handler's start, which then goes to
+        a worker, as a start popped by any thread but the caller's does."""
+        kernel = dedicated_testbed.kernel
+        switches = TestSelfWake._count_switches(kernel, monkeypatch)
+        per_call = []
+
+        def one_call(obj):
+            switches.clear()
+            obj.sinvoke("incr")
+            per_call.append(list(switches))
+
+        def app():
+            JSRegistration()
+            node = Node("rachel")
+            codebase = JSCodebase()
+            codebase.add(Counter)
+            codebase.load(node)
+            obj = JSObj("Counter", node)
+            for _ in range(20):
+                one_call(obj)
+            return obj.sinvoke("get")
+
+        assert dedicated_testbed.run_app(app) == 20
+        background = [s for s in per_call if any(
+            n != "jsa" and not n.startswith("handle-") for n in s)]
+        assert len(background) <= 2
+        assert [s for s in per_call if s not in background] == (
+            [[]] * (20 - len(background)))
+
+    def test_a_remote_method_gets_thread_locals_of_its_own(self):
+        """On its caller's thread a remote method sees no ``Environment``
+        and its own span context; the caller finds both as it left them."""
+        with tracing(Tracer()):
+            runtime = vienna_testbed(
+                TestbedConfig(load_profile="dedicated", seed=3))
+
+        def app():
+            JSRegistration()
+            codebase = JSCodebase()
+            codebase.add(Snoop)
+            codebase.load(Node("rachel"))
+            obj = JSObj("Snoop", "rachel")
+            env, ctx = repro_context.current(), spans.current_context()
+            ident, no_env, inside = obj.sinvoke("look")
+            assert ident == threading.get_ident()  # hosted, not a worker
+            assert no_env
+            assert inside is not None and inside != ctx
+            assert repro_context.current() is env and env is not None
+            assert spans.current_context() == ctx
+
+        runtime.run_app(app, node="milena")
+
+    def test_the_host_gets_its_thread_locals_back(self, kernel):
+        """What a guest leaves installed stays with the guest: here the
+        span context an ``end_span(restore=False)`` leaves behind."""
+        own = spans.TraceContext("trace", "host")
+        env = repro_context.Environment()
+        seen = {}
+
+        def guest(fut):
+            seen["guest"] = (threading.get_ident(), repro_context.current(),
+                             spans.current_context())
+            spans.set_context(spans.TraceContext("trace", "left"))
+            fut.set_result(None)
+
+        def main():
+            spans.set_context(own)
+            with repro_context.scoped(env):
+                fut = kernel.create_future()
+                kernel.spawn(guest, fut, name="guest", completes=fut)
+                fut.result()
+                seen["host"] = (threading.get_ident(),
+                                repro_context.current(),
+                                spans.current_context())
+
+        kernel.run_callable(main)
+        ident = seen["host"][0]
+        assert seen["guest"] == (ident, None, None)  # spawned untraced
+        assert seen["host"] == (ident, env, own)
+
+    def test_a_caller_with_a_timeout_hosts_nothing(self):
+        shell = ShellConfig(rpc_timeout=30.0)
+        runtime = vienna_testbed(TestbedConfig(
+            load_profile="dedicated", seed=3, shell=shell))
+
+        def app():
+            JSRegistration()
+            codebase = JSCodebase()
+            codebase.add(Snoop)
+            codebase.load(Node("rachel"))
+            ident, no_env, _ = JSObj("Snoop", "rachel").sinvoke("look")
+            return ident != threading.get_ident() and no_env
+
+        assert runtime.run_app(app, node="milena")
+
+    @pytest.mark.parametrize("breach", ["blocks after", "completed by another"])
+    def test_a_broken_promise_raises(self, kernel, breach):
+        """Either half of the promise broken: the host's wake is popped
+        while its thread is inside the guest.  run() says so, naming both,
+        rather than resume the wrong body or sleep forever."""
+
+        def guest(fut):
+            if breach == "blocks after":
+                fut.set_result("done")
+            kernel.sleep(5.0)
+
+        def main():
+            fut = kernel.create_future()
+            kernel.spawn(guest, fut, name="guest", completes=fut)
+            if breach == "completed by another":
+                kernel.call_at(1.0, fut.set_result, "intruder")
+            return fut.result()
+
+        with pytest.raises(KernelError, match="main woke while hosting guest"):
+            kernel.run_callable(main)
+
+    def test_shutdown_unwinds_a_parked_guest_and_its_host(self, monkeypatch):
+        """A handler asleep on its caller's thread: shutdown unwinds the
+        handler, then the caller it runs under, and the one worker exits."""
+        from repro.simnet import SimWorld, build_lan, make_host
+        from repro.transport import Addr, Transport
+
+        seen = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: seen.append(args.exc_value))
+        kernel = VirtualKernel()
+        world = SimWorld(kernel, seed=0)
+        build_lan(world, fast_hosts=[make_host("u1", "Ultra10/440"),
+                                     make_host("u2", "Ultra10/300")])
+        transport = Transport(world)
+        unwound = []
+
+        def slow(msg):
+            try:
+                kernel.sleep(1000.0)
+            finally:
+                unwound.append("handler")
+
+        transport.create_endpoint(Addr("u2", "srv")).register("SLOW", slow)
+        client = transport.create_endpoint(Addr("u1", "cli"))
+
+        def main():
+            try:
+                client.rpc(Addr("u2", "srv"), "SLOW")
+            finally:
+                unwound.append("caller")
+
+        kernel.spawn(main, name="main")
+        kernel.run(until=10.0)
+        assert [p.name for p in kernel.processes.values()] == [
+            "main", "handle-SLOW@u2"]
+        (worker,) = kernel._workers  # the handler has no thread of its own
+        kernel.shutdown()
+        assert seen == []
+        assert unwound == ["handler", "caller"]
+        assert not worker.thread.is_alive()
+
+    def test_guest_and_host_keep_their_own_sanitizer_identities(self):
+        """The guest acts under an identity of its own, ordered with its
+        host by the spawn and the future; so an unordered write by a
+        third process still races the guest's."""
+        san = Sanitizer()
+        ids = {}
+        with sanitizing(san):
+            kernel = VirtualKernel(strict=True)
+
+            def write(cell):
+                san.access("Table", cell, scope=kernel)
+
+            def other():
+                write("shared")
+                kernel.sleep(5.0)
+
+            def guest(fut):
+                ids["guest"] = san.identity()
+                ids["guest thread"] = threading.get_ident()
+                write("shared")
+                write("handoff")
+                fut.set_result(None)
+
+            def main():
+                ids["before"] = san.identity()
+                write("handoff")
+                fut = kernel.create_future()
+                kernel.spawn(guest, fut, name="guest", completes=fut)
+                fut.result()
+                write("handoff")
+                ids["after"] = san.identity()
+                ids["main thread"] = threading.get_ident()
+
+            kernel.spawn(other, name="other")
+            try:
+                kernel.run(main=kernel.spawn(main, name="main"))
+            finally:
+                kernel.shutdown()
+        assert ids["guest thread"] == ids["main thread"]
+        assert ids["before"] == ids["after"] != ids["guest"]
+        (finding,) = san.report().findings
+        assert finding.rule == "san-race"
+        assert "Table.shared" in finding.message
+        assert "guest writes" in finding.message
+        assert "other wrote" in finding.message
 
 
 class TestEventOrderPinned:

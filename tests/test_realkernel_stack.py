@@ -26,7 +26,10 @@ def real_runtime():
                       failure_timeout=1.5),
     )
     config.shell.rpc_timeout = 30.0
-    return vienna_testbed(config, kernel=kernel)
+    yield vienna_testbed(config, kernel=kernel)
+    # Its agents run on wall-clock threads until stopped; left running,
+    # every earlier test's cluster competes with the next one's.
+    kernel.shutdown()
 
 
 class TestRealKernelStack:

@@ -7,8 +7,11 @@ file pins, for both legs: every way a message is dropped (which
 ``TransportStats`` field moves, what the ``rpc.drop`` event and the
 ``rpc.dropped:<stage>`` counter say, what the caller sees), the FIFO
 floor in both directions of one host pair, what each chaos fault does on
-each leg, and the shape of the ``rpc.request`` / ``rpc.reply`` spans.
+each leg, the shape of the ``rpc.request`` / ``rpc.reply`` spans, and
+which requests a waiting caller runs on its own thread.
 """
+
+import threading
 
 import pytest
 
@@ -428,6 +431,48 @@ def test_chaos_faults_per_leg():
     assert rig.injector.injected == {"reorder": 4}
     assert arrived == ["A", "B", "C", "D"]
     assert completed == ["A", "C", "D", "B"]
+
+
+# -- which thread runs a handler ----------------------------------------------------
+#
+# A two-way request delivered once and carrying no idempotency token is
+# spawned promising that its process alone completes the reply future, so
+# a caller waiting for it untimed runs the handler on its own thread.  A
+# timed wait, a tokened call or a duplicated delivery leaves the handler
+# to a worker.
+
+def _untimed(rig):
+    return rig.client.rpc(SRV, "WHO")
+
+
+HOSTS = {
+    "untimed": ("", _untimed, ["caller"]),
+    "timed": ("", lambda rig: rig.client.rpc(SRV, "WHO", timeout=5.0),
+              ["worker"]),
+    "tokened": ("", lambda rig: rig.transport.rpc(
+        CLI, SRV, "WHO", None, token="tok-1").result_or_timeout(),
+        ["worker"]),
+    "chaos duplicate": ("duplicate:p=1,stage=request", _untimed,
+                        ["worker", "worker"]),
+    "chaos delay": ("delay:p=1,delay=1.0,stage=request", _untimed,
+                    ["caller"]),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTS))
+def test_who_runs_the_handler(name):
+    plan, call, expected = HOSTS[name]
+    rig = Rig(plan)
+    ran_on = []
+    rig.server.register("WHO", lambda msg: ran_on.append(threading.get_ident()))
+
+    def main():
+        call(rig)
+        rig.kernel.sleep(30.0)  # lets duplicates land too
+        me = threading.get_ident()
+        return ["caller" if ident == me else "worker" for ident in ran_on]
+
+    assert rig.run(main) == expected
 
 
 # -- span shape ---------------------------------------------------------------------
