@@ -771,10 +771,11 @@ class VirtualKernel(Kernel):
             self.sanitizer.check_leaks(self)
         self._shutting_down = True
         self._heap.clear()
-        # Every worker is parked at its gate, idle or inside _block.
+        # Every worker is parked at its gate, idle or inside _block.  One
+        # at a time: a blocked body's finally clauses run repro code, and
+        # only one thread may do that at once.
         for worker in self._workers:
             worker.gate.set()
-        for worker in self._workers:
             worker.thread.join(timeout=5.0)
         self._workers.clear()
         self._idle.clear()

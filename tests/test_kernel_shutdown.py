@@ -110,6 +110,30 @@ class TestVirtualShutdown:
         assert seen == []
         assert not any(t.is_alive() for t in threads)
 
+    def test_blocked_bodies_unwind_one_at_a_time(self):
+        """Shutdown unwinds one worker, joins it, then opens the next
+        gate: ``finally:`` clauses of blocked bodies never overlap, so
+        repro code keeps running on one thread at a time.  Opening every
+        gate before joining any interleaved the three clauses."""
+        kernel = VirtualKernel()
+        log = []
+
+        def sleeper(name):
+            try:
+                kernel.sleep(100.0)
+            finally:
+                log.append(("enter", name))
+                time.sleep(0.02)  # wall clock: room for a second thread
+                log.append(("exit", name))
+
+        for name in ("a", "b", "c"):
+            kernel.spawn(sleeper, name, name=name)
+        kernel.run(until=1.0)
+        kernel.shutdown()
+        assert [step for step, _ in log] == ["enter", "exit"] * 3
+        assert [name for _, name in log[::2]] == [
+            name for _, name in log[1::2]]
+
     def test_cannot_shutdown_running_kernel(self):
         kernel = VirtualKernel()
 
