@@ -42,7 +42,7 @@ from repro.core import (
     PersistentStore,
 )
 from repro.errors import JSError
-from repro.kernel import RealKernel, VirtualKernel
+from repro.kernel import VirtualKernel
 from repro.obs import Tracer, current_tracer, tracing
 from repro.rmi import MultiHandle, ResultHandle, minvoke
 from repro.simnet import SimWorld
@@ -70,7 +70,6 @@ __all__ = [
     "JSStatic",
     "PersistentStore",
     "JSError",
-    "RealKernel",
     "VirtualKernel",
     "MultiHandle",
     "ResultHandle",

@@ -111,37 +111,25 @@ class _InvokeCoalescer:
         self.app = app
         self.max_batch = max_batch
         self._buffers: dict[Addr, list[_Call]] = {}
-        self._lock = app.world.kernel.sanitizer.make_lock(
-            f"InvokeCoalescer[{app.app_id}]"
-        )
         self._flush_scheduled = False
 
     def add(self, dest: Addr, call: _Call) -> None:
-        ship: list[_Call] | None = None
-        schedule = False
-        with self._lock:
-            buffer = self._buffers.setdefault(dest, [])
-            buffer.append(call)
-            if len(buffer) >= self.max_batch:
-                ship = self._buffers.pop(dest)
-            elif not self._flush_scheduled:
-                self._flush_scheduled = True
-                schedule = True
-        if ship is not None:
-            self._ship(dest, ship)
-        if schedule:
+        buffer = self._buffers.setdefault(dest, [])
+        buffer.append(call)
+        if len(buffer) >= self.max_batch:
+            self._ship(dest, self._buffers.pop(dest))
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
             self.app._spawn(self._scheduled_flush,
                             name=f"minvoke-flush@{self.app.app_id}")
 
     def _scheduled_flush(self) -> None:
-        with self._lock:
-            self._flush_scheduled = False
+        self._flush_scheduled = False
         self.flush()
 
     def flush(self) -> None:
         """Ship every buffered group now."""
-        with self._lock:
-            buffers, self._buffers = self._buffers, {}
+        buffers, self._buffers = self._buffers, {}
         for dest, group in buffers.items():
             self._ship(dest, group)
 
@@ -168,11 +156,6 @@ class AppOA(HolderEndpoints):
         #: in-flight async invocations on refs without a RefEntry row
         #: (remote-origin handles, static segments)
         self.foreign_pending: dict[str, int] = {}
-        #: guards pending counters: caller and worker processes touch
-        #: them concurrently (incr on issue, decr on completion)
-        self._pending_lock = runtime.world.kernel.sanitizer.make_lock(
-            f"AppOA[{app_id}].pending"
-        )
         #: active ainvoke coalescing buffer (None outside coalescing())
         self._coalescer: _InvokeCoalescer | None = None
         self.watch_ids: list[str] = []
@@ -226,7 +209,6 @@ class AppOA(HolderEndpoints):
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
         self._note_refs_write(obj_id)
-        # symlint: disable=unlocked-mutation (see _note_refs_write)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -259,10 +241,8 @@ class AppOA(HolderEndpoints):
 
     def _note_refs_write(self, obj_id: str) -> None:
         """Tell the sanitizer this process is about to write
-        ``refs[obj_id]`` (a no-op unless sanitizing).  ``_pending_lock``
-        guards the pending counters, not the table: one entry is written
-        by one process at a time, which symsan checks here at run time —
-        hence the ``unlocked-mutation`` pragmas on the stores."""
+        ``refs[obj_id]`` (a no-op unless sanitizing): one entry is written
+        by one process at a time, which symsan checks here at run time."""
         san = self.world.kernel.sanitizer
         if san.enabled:
             san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
@@ -302,9 +282,8 @@ class AppOA(HolderEndpoints):
             if entry is not None:
                 entry.location = location
         else:
-            # A location cache: one atomic dict store, last writer wins,
-            # and a stale entry only costs a redirect.
-            # symlint: disable=unlocked-mutation
+            # A location cache: last writer wins, and a stale entry only
+            # costs a redirect.
             self.foreign_locations[ref.obj_id] = location
 
     def _resolve_via_origin(self, ref: ObjectRef) -> Addr:
@@ -356,7 +335,6 @@ class AppOA(HolderEndpoints):
             # here, with nothing counted or traced yet.
             dest = self._location_of(ref)
             call = self._open_call(_Call(ref, method, params, "async", True))
-            # symlint: disable=unlocked-mutation (_InvokeCoalescer.add, no set)
             self._coalescer.add(dest, call)
         else:
             call = self._open_call(_Call(ref, method, params, "async"))
@@ -658,42 +636,37 @@ class AppOA(HolderEndpoints):
 
     def _pending_incr(self, ref: ObjectRef) -> None:
         entry = self.refs.get(ref.obj_id)
-        with self._pending_lock:
-            if entry is not None:
-                entry.pending += 1
-            else:
-                # Remote-origin handles and static segments have no
-                # RefEntry row but their in-flight calls count too.
-                self.foreign_pending[ref.obj_id] = (
-                    self.foreign_pending.get(ref.obj_id, 0) + 1
-                )
+        if entry is not None:
+            entry.pending += 1
+        else:
+            # Remote-origin handles and static segments have no
+            # RefEntry row but their in-flight calls count too.
+            self.foreign_pending[ref.obj_id] = (
+                self.foreign_pending.get(ref.obj_id, 0) + 1
+            )
 
     def _pending_decr(self, ref: ObjectRef) -> None:
         entry = self.refs.get(ref.obj_id)
-        drained = []
-        with self._pending_lock:
-            if entry is not None and entry.pending > 0:
-                entry.pending -= 1
-                if entry.pending == 0 and entry.drain_waiters:
-                    drained = entry.drain_waiters
-                    entry.drain_waiters = []
-            else:
-                left = self.foreign_pending.get(ref.obj_id)
-                if left is not None:
-                    if left <= 1:
-                        del self.foreign_pending[ref.obj_id]
-                    else:
-                        self.foreign_pending[ref.obj_id] = left - 1
-        for waiter in drained:
-            waiter.set_result(None)
+        if entry is not None and entry.pending > 0:
+            entry.pending -= 1
+            if entry.pending == 0 and entry.drain_waiters:
+                drained, entry.drain_waiters = entry.drain_waiters, []
+                for waiter in drained:
+                    waiter.set_result(None)
+        else:
+            left = self.foreign_pending.get(ref.obj_id)
+            if left is not None:
+                if left <= 1:
+                    del self.foreign_pending[ref.obj_id]
+                else:
+                    self.foreign_pending[ref.obj_id] = left - 1
 
     def pending_invocations(self, obj_id: str) -> int:
         """In-flight async/batched invocations issued through this
         AppOA for ``obj_id`` (own and foreign refs alike)."""
         entry = self.refs.get(obj_id)
-        with self._pending_lock:
-            own = entry.pending if entry is not None else 0
-            return own + self.foreign_pending.get(obj_id, 0)
+        own = entry.pending if entry is not None else 0
+        return own + self.foreign_pending.get(obj_id, 0)
 
     def _invoke_with_redirect(
         self, ref: ObjectRef, method: str, params: Any
@@ -812,18 +785,12 @@ class AppOA(HolderEndpoints):
         # on the 0-transition, so the drain costs one wakeup instead of
         # a context-switch per poll tick (which starves long runs).
         waiter = kernel.create_future()
-        with self._pending_lock:
-            if entry.pending <= 0:
-                drained = True
-            else:
-                entry.drain_waiters.append(waiter)
-                drained = False
+        drained = entry.pending <= 0
         if not drained:
+            entry.drain_waiters.append(waiter)
             drained = waiter.wait(timeout)
-            if not drained:
-                with self._pending_lock:
-                    if waiter in entry.drain_waiters:
-                        entry.drain_waiters.remove(waiter)
+            if not drained and waiter in entry.drain_waiters:
+                entry.drain_waiters.remove(waiter)
         tracer = self.tracer
         if tracer.enabled:
             # How long invocations stayed pending against this migration;
@@ -920,7 +887,6 @@ class AppOA(HolderEndpoints):
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
         self._note_refs_write(obj_id)
-        # symlint: disable=unlocked-mutation (see _note_refs_write)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         return ref
 
@@ -974,7 +940,6 @@ class AppOA(HolderEndpoints):
                 self.free_object(entry.ref)
             except Exception:  # noqa: BLE001 - best effort cleanup
                 self._note_refs_write(obj_id)
-                # symlint: disable=unlocked-mutation (see _note_refs_write)
                 self.refs.pop(obj_id, None)
         for watch_id in self.watch_ids:
             try:

@@ -95,10 +95,6 @@ class NetworkAgentSystem:
         #: extension hook (off-path per paper): called on every failure
         self.failure_listeners: list[Callable[[str], None]] = []
         self._started = False
-        #: guards membership state (layout/managers/agents/events): under
-        #: the wall-clock kernel several agents' probe loops can detect
-        #: failures concurrently and race their release/takeover updates.
-        self._lock = world.kernel.sanitizer.make_lock("NAS._lock")
 
     def _validate_layout(self) -> None:
         seen: set[str] = set()
@@ -126,12 +122,11 @@ class NetworkAgentSystem:
 
     def _spawn_agent(self, host: str) -> None:
         agent = NetworkAgent(self, host)
-        with self._lock:
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access("NAS", f"agents[{host}]",
-                           scope=self.world.kernel)
-            self.agents[host] = agent
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access("NAS", f"agents[{host}]",
+                       scope=self.world.kernel)
+        self.agents[host] = agent
         if self._started:
             agent.start()
 
@@ -313,20 +308,19 @@ class NetworkAgentSystem:
             raise ShellError(f"unknown host {host!r}")
         if self.cluster_of(host) is not None:
             raise ShellError(f"host {host!r} already registered")
-        with self._lock:
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access("NAS", f"managers[{cluster}]",
-                           scope=self.world.kernel)
-            clusters = self.layout.setdefault(site, {})
-            hosts = clusters.setdefault(cluster, [])
-            hosts.append(host)
-            if cluster not in self.managers:
-                self.managers[cluster] = assign_cluster_managers(
-                    hosts, N_BACKUPS
-                )
-            elif len(self.managers[cluster].backups) < N_BACKUPS:
-                self.managers[cluster].backups.append(host)
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access("NAS", f"managers[{cluster}]",
+                       scope=self.world.kernel)
+        clusters = self.layout.setdefault(site, {})
+        hosts = clusters.setdefault(cluster, [])
+        hosts.append(host)
+        if cluster not in self.managers:
+            self.managers[cluster] = assign_cluster_managers(
+                hosts, N_BACKUPS
+            )
+        elif len(self.managers[cluster].backups) < N_BACKUPS:
+            self.managers[cluster].backups.append(host)
         if host not in self.agents:
             self._spawn_agent(host)
 
@@ -339,35 +333,34 @@ class NetworkAgentSystem:
     # -- fault tolerance ----------------------------------------------------------
 
     def _release(self, cluster: str, host: str, reason: str) -> None:
-        with self._lock:
-            members = self.cluster_members(cluster)
-            if host not in members:
-                return  # already released by a concurrent detector
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access("NAS", f"managers[{cluster}]",
-                           scope=self.world.kernel)
-                san.access("NAS", f"agents[{host}]",
-                           scope=self.world.kernel)
-            members.remove(host)
-            assignment = self.managers[cluster]
-            if assignment.manager == host or host in assignment.backups:
-                self.managers[cluster] = assignment.without(host)
-            agent = self.agents.pop(host, None)
-            self.events.append(
-                NASEvent(
-                    self.world.now(),
-                    "node-released",
-                    {"host": host, "cluster": cluster, "reason": reason},
-                )
+        members = self.cluster_members(cluster)
+        if host not in members:
+            return  # already released by a concurrent detector
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access("NAS", f"managers[{cluster}]",
+                       scope=self.world.kernel)
+            san.access("NAS", f"agents[{host}]",
+                       scope=self.world.kernel)
+        members.remove(host)
+        assignment = self.managers[cluster]
+        if assignment.manager == host or host in assignment.backups:
+            self.managers[cluster] = assignment.without(host)
+        agent = self.agents.pop(host, None)
+        self.events.append(
+            NASEvent(
+                self.world.now(),
+                "node-released",
+                {"host": host, "cluster": cluster, "reason": reason},
             )
-            if not members:
-                # Last node gone: drop the empty cluster.
-                site = self.site_of_cluster(cluster)
-                del self.layout[site][cluster]
-                del self.managers[cluster]
+        )
+        if not members:
+            # Last node gone: drop the empty cluster.
+            site = self.site_of_cluster(cluster)
+            del self.layout[site][cluster]
+            del self.managers[cluster]
         # Endpoint teardown and listener callbacks can message other
-        # agents; keep them outside the membership lock.
+        # agents: they run once the membership tables are consistent.
         if agent is not None:
             agent.endpoint.close()
         tracer = self.world.tracer
@@ -393,42 +386,41 @@ class NetworkAgentSystem:
         """A member found its manager silent.  Only the predefined first
         backup performs the takeover (paper: "a backup manager within the
         same hierarchy releases the manager and takes over")."""
-        with self._lock:
-            assignment = self.managers.get(cluster)
-            if assignment is None or assignment.manager != manager:
-                return  # someone already took over
-            if not assignment.backups or assignment.backups[0] != detected_by:
-                return  # not this node's job
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access("NAS", f"managers[{cluster}]",
-                           scope=self.world.kernel)
-                san.access("NAS", f"agents[{manager}]",
-                           scope=self.world.kernel)
-            was_site_mgr = any(
-                self.site_manager(site) == manager for site in self.layout
+        assignment = self.managers.get(cluster)
+        if assignment is None or assignment.manager != manager:
+            return  # someone already took over
+        if not assignment.backups or assignment.backups[0] != detected_by:
+            return  # not this node's job
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access("NAS", f"managers[{cluster}]",
+                       scope=self.world.kernel)
+            san.access("NAS", f"agents[{manager}]",
+                       scope=self.world.kernel)
+        was_site_mgr = any(
+            self.site_manager(site) == manager for site in self.layout
+        )
+        was_domain_mgr = self.domain_manager() == manager
+        members = self.cluster_members(cluster)
+        if manager in members:
+            members.remove(manager)
+        self.managers[cluster] = assignment.successor()
+        agent = self.agents.pop(manager, None)
+        self.events.append(
+            NASEvent(
+                self.world.now(),
+                "manager-takeover",
+                {
+                    "cluster": cluster,
+                    "failed": manager,
+                    "new_manager": self.managers[cluster].manager,
+                    "was_site_manager": was_site_mgr,
+                    "was_domain_manager": was_domain_mgr,
+                },
             )
-            was_domain_mgr = self.domain_manager() == manager
-            members = self.cluster_members(cluster)
-            if manager in members:
-                members.remove(manager)
-            self.managers[cluster] = assignment.successor()
-            agent = self.agents.pop(manager, None)
-            self.events.append(
-                NASEvent(
-                    self.world.now(),
-                    "manager-takeover",
-                    {
-                        "cluster": cluster,
-                        "failed": manager,
-                        "new_manager": self.managers[cluster].manager,
-                        "was_site_manager": was_site_mgr,
-                        "was_domain_manager": was_domain_mgr,
-                    },
-                )
-            )
-        # Endpoint teardown and listener callbacks message other agents;
-        # keep them outside the membership lock.
+        )
+        # Endpoint teardown and listener callbacks can message other
+        # agents: they run once the membership tables are consistent.
         if agent is not None:
             agent.endpoint.close()
         tracer = self.world.tracer

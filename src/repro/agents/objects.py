@@ -167,12 +167,6 @@ class ObjectHolder:
         self._inflight = 0
         #: obj_id -> forwarding Addr left behind by migration
         self.tombstones: dict[str, Addr] = {}
-        #: guards table membership: the transport runs one process per
-        #: incoming request, which under the wall-clock kernel means real
-        #: OS threads storing/dropping entries concurrently.
-        self._holder_lock = self.world.kernel.sanitizer.make_lock(
-            f"ObjectHolder[{getattr(self, 'addr', '?')}]._holder_lock"
-        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -217,16 +211,14 @@ class ObjectHolder:
             origin=origin,
             mem_mb=instance_mem_mb(instance),
         )
-        with self._holder_lock:
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access(f"ObjectHolder[{self.addr}]",
-                           f"objects[{obj_id}]",
-                           scope=self.world.kernel)
-            if obj_id in self.objects:
-                raise ObjectStateError(f"object {obj_id} already held here")
-            self.tombstones.pop(obj_id, None)
-            self.objects[obj_id] = entry
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access(f"ObjectHolder[{self.addr}]", f"objects[{obj_id}]",
+                       scope=self.world.kernel)
+        if obj_id in self.objects:
+            raise ObjectStateError(f"object {obj_id} already held here")
+        self.tombstones.pop(obj_id, None)
+        self.objects[obj_id] = entry
         machine = self.world.machine(self.addr.host)
         machine.js_mem_mb += entry.mem_mb
         machine.counters.objects_created += 1
@@ -236,20 +228,18 @@ class ObjectHolder:
     def drop_object(
         self, obj_id: str, forward_to: Addr | None = None
     ) -> ObjectEntry:
-        with self._holder_lock:
-            san = self.world.kernel.sanitizer
-            if san.enabled:
-                san.access(f"ObjectHolder[{self.addr}]",
-                           f"objects[{obj_id}]",
-                           scope=self.world.kernel)
-            try:
-                entry = self.objects.pop(obj_id)
-            except KeyError:
-                raise ObjectStateError(
-                    f"object {obj_id} is not held at {self.addr}"
-                ) from None
-            if forward_to is not None:
-                self.tombstones[obj_id] = forward_to
+        san = self.world.kernel.sanitizer
+        if san.enabled:
+            san.access(f"ObjectHolder[{self.addr}]", f"objects[{obj_id}]",
+                       scope=self.world.kernel)
+        try:
+            entry = self.objects.pop(obj_id)
+        except KeyError:
+            raise ObjectStateError(
+                f"object {obj_id} is not held at {self.addr}"
+            ) from None
+        if forward_to is not None:
+            self.tombstones[obj_id] = forward_to
         machine = self.world.machine(self.addr.host)
         machine.js_mem_mb = max(0.0, machine.js_mem_mb - entry.mem_mb)
         machine.counters.objects_hosted -= 1
@@ -271,10 +261,7 @@ class ObjectHolder:
         Returns :class:`Moved`/:class:`UnknownObject` markers for stale or
         unknown handles — the caller-side AppOA interprets them.
         """
-        # A telemetry gauge, not protocol state: ``_holder_lock`` guards
-        # the object tables, and a lost update under the wall-clock
-        # kernel skews one ``queue.depth`` sample, never a result.
-        self._inflight += 1  # symlint: disable=unlocked-mutation
+        self._inflight += 1
         tracer = self.world.tracer
         if tracer.enabled:
             # Observed on arrival so the histogram records the depth each
@@ -285,7 +272,7 @@ class ObjectHolder:
         try:
             return self._dispatch_invoke(obj_id, method_name, params, nominal)
         finally:
-            self._inflight -= 1  # symlint: disable=unlocked-mutation
+            self._inflight -= 1
 
     def _dispatch_invoke(
         self, obj_id: str, method_name: str, params: Any, nominal: bool

@@ -3,13 +3,10 @@
 AST-based checkers for the paper invariants the runtime relies on but
 cannot enforce mechanically at run time:
 
-* lock discipline / race detection in the multi-threaded kernel and the
-  holder endpoints (``lock_discipline``);
 * JRS protocol surface — no message kind declared but never sent
   (``protocol``);
 * no blocking calls inside agent message handlers (``blocking``), nor
-  under a lock or from a kernel process through project calls
-  (``interprocedural``);
+  from a kernel process through project calls (``interprocedural``);
 * locality & communication cost — symloc's CFG/liveness-backed rules
   against chatty synchronous RMI and migration thrash (``locality``, on
   :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
@@ -40,7 +37,6 @@ _EXPORTS = {
     "build_cfg": "cfg",
     "function_cfgs": "cfg",
     "Liveness": "dataflow",
-    "LockDisciplineChecker": "lock_discipline",
     "LocalityChecker": "locality",
     "ProtocolChecker": "protocol",
     "Report": "runner",

@@ -42,7 +42,7 @@ class Finding:
     line: int
     col: int
     message: str
-    symbol: str = ""  # e.g. "RealKernel.processes" or a message kind
+    symbol: str = ""  # e.g. "AppOA.refs" or a message kind
 
     def to_dict(self) -> dict:
         return {

@@ -6,19 +6,10 @@ Besides the parsed modules it answers, lazily and once per project
 
 * ``project.callgraph`` — the name-based call graph;
 * ``project.facts(module)`` — that module's :class:`ModuleFacts`: its
-  classes (with their lock attributes), its functions (qualname, def,
-  CFG) and its kernel-process entry points.
+  classes, its functions (qualname, def, CFG) and its kernel-process
+  entry points.
 
-Four decisions live here and nowhere else:
-
-*Which attributes are locks* — :attr:`ClassFacts.lock_attrs` (assigned
-from a ``threading`` lock factory or from ``*.make_lock(...)``) plus
-one name heuristic, in :func:`lock_name`: an expression whose attribute
-chain spells "lock".
-
-*What is held inside this ``with``* — :class:`HeldLocks`, the one
-visitor that owns ``visit_With``; a rule subclasses it and keeps only
-what it records.
+Two decisions live here and nowhere else:
 
 *Which functions are message handlers* — :meth:`ModuleFacts.entry_points`:
 ``_h_*`` / ``_on_*`` names and ``endpoint.register(kind, fn)`` targets,
@@ -38,7 +29,6 @@ from functools import cached_property
 from repro.analysis.base import (
     Module,
     Project,
-    dotted_name,
     iter_methods,
     self_attr_name,
 )
@@ -46,8 +36,6 @@ from repro.analysis.callgraph import CallGraph, FuncInfo, FuncKey
 from repro.analysis.cfg import CFG, FunctionNode, function_cfgs
 
 HANDLER_PREFIXES = ("_h_", "_on_")
-
-LOCK_FACTORIES = {"threading.Lock", "threading.RLock", "Lock", "RLock"}
 
 _EXCLUDED_SEGMENTS = {"kernel", "sanitizer"}
 
@@ -78,26 +66,6 @@ class ClassFacts:
     @cached_property
     def methods(self) -> list[FunctionNode]:
         return list(iter_methods(self.node))
-
-    @cached_property
-    def lock_attrs(self) -> frozenset[str]:
-        """``self.x`` attributes assigned a lock anywhere in the class:
-        ``threading.Lock()``-style factories and sanitizer-tracked locks
-        from ``*.make_lock(...)``."""
-        locks: set[str] = set()
-        for node in ast.walk(self.node):
-            if not (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)):
-                continue
-            func = node.value.func
-            if dotted_name(func) in LOCK_FACTORIES or (
-                isinstance(func, ast.Attribute) and func.attr == "make_lock"
-            ):
-                locks.update(
-                    attr for attr in map(self_attr_name, node.targets)
-                    if attr is not None
-                )
-        return frozenset(locks)
 
 
 @dataclass
@@ -163,64 +131,6 @@ class ModuleFacts:
             for info in self.project.callgraph.functions_in(self.module.path)
             if info.name.startswith(HANDLER_PREFIXES) or info.name in names
         ]
-
-
-# ---------------------------------------------------------------------------
-# held locks
-# ---------------------------------------------------------------------------
-
-
-def lock_name(expr: ast.AST, lock_attrs: frozenset[str]) -> str | None:
-    """The lock a ``with`` item acquires, or None if it is not one:
-    ``x`` for ``self.x`` and for a bare ``x``, the dotted text for longer
-    chains.  It is a lock when its class assigned it one
-    (``lock_attrs``) or when any part of the chain mentions "lock"."""
-    dotted = dotted_name(expr)
-    if dotted is None:
-        return None
-    parts = dotted.split(".")
-    name = parts[-1] if parts[:-1] in ([], ["self"]) else dotted
-    if name in lock_attrs or any("lock" in part.lower() for part in parts):
-        return name
-    return None
-
-
-class HeldLocks(ast.NodeVisitor):
-    """Walks one function body tracking the stack of held locks.
-
-    ``held`` names the locks of the enclosing ``with`` blocks, outermost
-    first; subclasses add the ``visit_*`` methods for what they record.
-    Nested functions and lambdas run later, possibly without the lock
-    held: analyzing them with the current stack would be wrong, and
-    without it would be noise, so their bodies are skipped.
-    """
-
-    def __init__(self, lock_attrs: frozenset[str] = frozenset()) -> None:
-        self.lock_attrs = lock_attrs
-        self.held: list[str] = []
-
-    def scan(self, func: FunctionNode) -> None:
-        for stmt in func.body:
-            self.visit(stmt)
-
-    def visit_With(self, node: ast.With | ast.AsyncWith) -> None:
-        depth = len(self.held)
-        for item in node.items:
-            name = lock_name(item.context_expr, self.lock_attrs)
-            if name is None:
-                self.visit(item.context_expr)
-            else:
-                self.held.append(name)
-        for stmt in node.body:
-            self.visit(stmt)
-        del self.held[depth:]
-
-    visit_AsyncWith = visit_With
-
-    def visit_FunctionDef(self, node: ast.AST) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from repro.analysis.base import Checker, Finding, Module, Project, Severity
 from repro.analysis.blocking import BlockingHandlerChecker
 from repro.analysis.interprocedural import InterproceduralChecker
-from repro.analysis.lock_discipline import LockDisciplineChecker
 from repro.analysis.locality import LocalityChecker
 from repro.analysis.protocol import ProtocolChecker
 
@@ -18,7 +17,6 @@ SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 def default_checkers() -> list[Checker]:
     return [
-        LockDisciplineChecker(),
         ProtocolChecker(),
         BlockingHandlerChecker(),
         InterproceduralChecker(),

@@ -539,8 +539,8 @@ def cmd_san(args: argparse.Namespace) -> int:
             if not _run_target(args, matmul, "sanitize"):
                 return 2
         except KernelError as exc:
-            # Detector aborts (SanDeadlockError, SimDeadlockError) are
-            # already recorded as findings; keep going to the report.
+            # Detector aborts (SimDeadlockError) are already recorded
+            # as findings; keep going to the report.
             print(f"run aborted: {exc}", file=sys.stderr)
         finally:
             # Shut surviving kernels down so leak checks run.

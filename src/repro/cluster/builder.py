@@ -21,11 +21,7 @@ from repro.agents.shell import JSShell, ShellConfig
 from repro.constraints import JSConstraints
 from repro.core.persistence import PersistentStore
 from repro.errors import AllocationError, RegistrationError
-from repro.obs.flight import (
-    TRIGGER_DEADLOCK,
-    TRIGGER_MIGRATE_PENDING,
-    FlightRecorder,
-)
+from repro.obs.flight import TRIGGER_MIGRATE_PENDING, FlightRecorder
 from repro.obs.timeseries import metrics_document
 from repro.rmi.reliability import Retrier
 from repro.simnet.world import SimWorld
@@ -194,14 +190,10 @@ class JSRuntime:
         return list(slo.alerts) if slo is not None else []
 
     def _on_sanitizer_finding(self, finding) -> None:
-        trigger = {
-            "san-lock-deadlock": TRIGGER_DEADLOCK,
-            "san-migrate-pending": TRIGGER_MIGRATE_PENDING,
-        }.get(finding.rule)
-        if trigger is None:
+        if finding.rule != "san-migrate-pending":
             return
         self.flight.record(
-            trigger, ts=self.world.now(), rule=finding.rule,
+            TRIGGER_MIGRATE_PENDING, ts=self.world.now(), rule=finding.rule,
             message=finding.message, symbol=finding.symbol,
         )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.agents.nas import NASConfig
 from repro.agents.shell import ShellConfig
 from repro.cluster.builder import JSRuntime
-from repro.kernel import Kernel, VirtualKernel
+from repro.kernel import VirtualKernel
 from repro.simnet import (
     LoadModel,
     Segment,
@@ -75,7 +75,7 @@ def grid_layout() -> dict[str, dict[str, list[str]]]:
 def grid_world(
     seed: int = 0,
     load_profile: str = "night",
-    kernel: Kernel | None = None,
+    kernel: VirtualKernel | None = None,
     load_models: dict[str, LoadModel] | None = None,
 ) -> SimWorld:
     world = SimWorld(
@@ -135,7 +135,7 @@ def grid_world(
 def grid_testbed(
     seed: int = 0,
     load_profile: str = "night",
-    kernel: Kernel | None = None,
+    kernel: VirtualKernel | None = None,
     nas_config: NASConfig | None = None,
     shell_config: ShellConfig | None = None,
 ) -> JSRuntime:

@@ -19,7 +19,7 @@ from typing import Callable
 from repro.agents.nas import NASConfig
 from repro.agents.shell import ShellConfig
 from repro.cluster.builder import JSRuntime
-from repro.kernel import Kernel, VirtualKernel
+from repro.kernel import VirtualKernel
 from repro.simnet import (
     HostSpec,
     LoadModel,
@@ -91,7 +91,7 @@ def _load_model_for(
 
 
 def vienna_world(
-    config: TestbedConfig | None = None, kernel: Kernel | None = None
+    config: TestbedConfig | None = None, kernel: VirtualKernel | None = None
 ) -> SimWorld:
     """Build the 13-host simulated world (no JRS yet)."""
     config = config or TestbedConfig()
@@ -114,7 +114,7 @@ def vienna_world(
 
 def vienna_testbed(
     config: TestbedConfig | None = None,
-    kernel: Kernel | None = None,
+    kernel: VirtualKernel | None = None,
     mutate_world: Callable[[SimWorld], None] | None = None,
 ) -> JSRuntime:
     """The full paper testbed: simulated hosts + a started JRS."""

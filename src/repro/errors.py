@@ -24,14 +24,6 @@ class WaitTimeout(KernelError):
     """A blocking wait (future, channel, semaphore) timed out."""
 
 
-class SanDeadlockError(KernelError):
-    """The symsan wait-for-graph detector found a lock-acquisition cycle.
-
-    Raised in the thread whose blocking acquire would close the cycle, so
-    the deadlock is broken (that thread unwinds and releases its locks)
-    instead of hanging the kernel."""
-
-
 class TransportError(JSError):
     """Message-layer failure (unknown endpoint, undeliverable message)."""
 

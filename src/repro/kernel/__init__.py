@@ -1,28 +1,14 @@
-"""Execution kernels: virtual-time (deterministic) and wall-clock.
+"""The execution kernel: cooperative processes in virtual time.
 
-See :mod:`repro.kernel.base` for the contract both implement.
+See :mod:`repro.kernel.virtual` for how one baton keeps every run
+deterministic.
 """
 
-from repro.kernel.base import (
-    Channel,
-    Future,
-    Kernel,
-    Process,
-    ProcessState,
-    Semaphore,
-)
-from repro.kernel.real import RealKernel
 from repro.kernel.rng import RngStreams
-from repro.kernel.virtual import VirtualKernel
+from repro.kernel.virtual import ProcessState, VirtualKernel
 
 __all__ = [
-    "Channel",
-    "Future",
-    "Kernel",
-    "Process",
     "ProcessState",
-    "Semaphore",
-    "RealKernel",
     "RngStreams",
     "VirtualKernel",
 ]

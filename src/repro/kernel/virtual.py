@@ -26,10 +26,21 @@ spawned ``completes=F`` starts on the thread of a process that is waiting,
 untimed, for ``F`` and gives up the baton just before that start (the
 *host*; :meth:`VirtualKernel._host`), so a synchronous request costs its
 caller no OS switch at all.
+
+Everything in PySymphony — network agents, object agents and user
+applications — is written in a *blocking* style against this kernel,
+exactly like JavaSymphony applications were written against JVM threads
+and blocking Java/RMI.  The golden rule for code running on it: *only
+block through kernel primitives* (``sleep``, ``VirtualFuture.wait``,
+``VirtualChannel.get``, ...).  Blocking through raw ``time.sleep`` or a
+``threading`` lock keeps the baton: no other process runs and simulated
+time stands still until ``run()`` reports the stall as a
+:class:`~repro.errors.KernelError` naming the process.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
 import threading
 import weakref
@@ -38,17 +49,19 @@ from typing import Any, Callable
 
 from repro import context as _context
 from repro.errors import KernelError, SimDeadlockError, WaitTimeout
-from repro.kernel.base import (
-    Channel,
-    Future,
-    Kernel,
-    Process,
-    ProcessState,
-    Semaphore,
-)
 from repro.obs import spans as _spans
 from repro.obs.events import PROC_SPAWN
+from repro.obs.tracer import NULL_TRACER
 from repro.sanitizer.core import caller_site, current_sanitizer
+
+
+class ProcessState(enum.Enum):
+    NEW = "new"
+    RUNNING = "running"
+    BLOCKED = "blocked"
+    FINISHED = "finished"
+    FAILED = "failed"
+
 
 _SWITCH_TIMEOUT = 60.0  # host seconds without a kernel event: a stall
 #: hot-path aliases: looking up an Enum member is a descriptor call
@@ -107,7 +120,9 @@ class _Worker:
             kernel._pass_baton()
 
 
-class VirtualProcess(Process):
+class VirtualProcess:
+    """A schedulable activity: one JVM thread in the paper."""
+
     def __init__(
         self,
         kernel: "VirtualKernel",
@@ -151,11 +166,18 @@ class VirtualProcess(Process):
     def state(self) -> ProcessState:
         return self._state
 
+    @property
+    def finished(self) -> bool:
+        return self._state in (ProcessState.FINISHED, ProcessState.FAILED)
+
     def join(self, timeout: float | None = None) -> None:
+        """Block the calling process until this one finishes."""
         if not self.finished_future.wait(timeout):
             raise WaitTimeout(f"join on {self.name} timed out")
 
     def result(self) -> Any:
+        """The body's return value, re-raising what it died with.  Only
+        valid after it finished."""
         if not self.finished:
             raise KernelError(f"process {self.name} has not finished")
         if self._exc is not None:
@@ -249,7 +271,10 @@ def _forget(waiters: list | deque, entry: tuple) -> None:
         pass
 
 
-class VirtualFuture(Future):
+class VirtualFuture:
+    """A single-assignment result slot: the substrate for async RMI
+    handles, RPC replies and migration confirmations."""
+
     def __init__(self, kernel: "VirtualKernel") -> None:
         self._kernel = kernel
         self._done = False
@@ -297,6 +322,7 @@ class VirtualFuture(Future):
             self._callbacks.append(cb)
 
     def wait(self, timeout: float | None = None) -> bool:
+        """Block until done (True) or ``timeout`` passes (False)."""
         san = self._kernel.sanitizer
         if self._done:
             if san.enabled:
@@ -323,6 +349,8 @@ class VirtualFuture(Future):
         return self._done
 
     def result(self, timeout: float | None = None) -> Any:
+        """Block until done, then return the value or raise the
+        exception; :class:`~repro.errors.WaitTimeout` on timeout."""
         if not self.wait(timeout):
             raise WaitTimeout("future result timed out")
         if self._exc is not None:
@@ -333,7 +361,9 @@ class VirtualFuture(Future):
         return self._exc
 
 
-class VirtualChannel(Channel):
+class VirtualChannel:
+    """Unbounded FIFO between processes (agent mailboxes)."""
+
     def __init__(self, kernel: "VirtualKernel") -> None:
         self._kernel = kernel
         self._items: deque[Any] = deque()
@@ -376,7 +406,7 @@ class VirtualChannel(Channel):
         return len(self._items)
 
 
-class VirtualSemaphore(Semaphore):
+class VirtualSemaphore:
     def __init__(self, kernel: "VirtualKernel", value: int) -> None:
         if value < 0:
             raise ValueError("semaphore value must be >= 0")
@@ -418,8 +448,12 @@ class VirtualSemaphore(Semaphore):
         self.release()
 
 
-class VirtualKernel(Kernel):
+class VirtualKernel:
     """Event-heap scheduler with cooperative processes on pooled threads."""
+
+    #: observability sink; worlds install the ambient tracer here so
+    #: ``spawn`` can record process creation.  Null (and free) by default.
+    tracer = NULL_TRACER
 
     def __init__(self, strict: bool = False) -> None:
         #: strict=True re-raises the first unhandled process exception when
@@ -434,7 +468,7 @@ class VirtualKernel(Kernel):
         #: it waits for, what a call event raised in it, and what call
         #: events run under (its span context and sanitizer identity)
         self._horizon = float("inf")
-        self._main: Process | None = None
+        self._main: VirtualProcess | None = None
         self._error: BaseException | None = None
         self._sched_ctx = None
         self._sched_tid = 0
@@ -494,7 +528,11 @@ class VirtualKernel(Kernel):
         delay: float = 0.0,
         completes: VirtualFuture | None = None,
     ) -> VirtualProcess:
-        """See :meth:`Kernel.spawn`.  ``completes=F`` is the spawner's
+        """Create a process running ``fn(*args)``.  ``context`` defaults
+        to the spawning process's context (shared reference), which is how
+        the "current application" travels to async-invocation workers.
+
+        ``completes=F`` is the spawner's
         promise that only this process completes ``F`` (directly or
         through an event it schedules) and that, once it has, it does not
         block again.  A process that waits untimed for ``F`` may then run
@@ -530,7 +568,13 @@ class VirtualKernel(Kernel):
         proc._block("sleeping")
 
     def current_process(self) -> VirtualProcess | None:
+        """The process the calling code runs in, or None outside any."""
         return self._current
+
+    def current_process_name(self) -> str:
+        """Name of the calling process, or "" outside any process."""
+        proc = self._current
+        return proc.name if proc is not None else ""
 
     def _require_current(self) -> VirtualProcess:
         proc = self._current
@@ -679,9 +723,11 @@ class VirtualKernel(Kernel):
 
     def run(
         self,
-        main: Process | None = None,
+        main: VirtualProcess | None = None,
         until: float | None = None,
     ) -> None:
+        """Execute events.  With ``main``, return once it finished; with
+        ``until``, stop at that time."""
         if self._running:
             raise KernelError("kernel.run() is not re-entrant")
         if self._current is not None:
@@ -741,6 +787,15 @@ class VirtualKernel(Kernel):
                 raise KernelError(
                     f"process {proc.name} crashed: {exc!r}"
                 ) from exc
+
+    def run_callable(
+        self, fn: Callable[..., Any], *args: Any, name: str = "main"
+    ) -> Any:
+        """Spawn ``fn`` as a process, run until it finishes and return
+        its result (raising its exception)."""
+        proc = self.spawn(fn, *args, name=name)
+        self.run(main=proc)
+        return proc.result()
 
     def _blocked_dump(self) -> str:
         """One line per blocked process: what it waits on and where.

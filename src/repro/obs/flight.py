@@ -1,7 +1,7 @@
 """The failure flight recorder: automatic incident capture.
 
 When something goes wrong — a host dies, an RPC gives up, the sanitizer
-detects a deadlock or a risky migration, an SLO breaches — the moment is
+detects a risky migration, an SLO breaches — the moment is
 already slipping out of the tracer's ring buffer.  The
 :class:`FlightRecorder` hooks those trigger events and snapshots the
 cluster's state *at that instant* into a JSON **incident bundle**:
@@ -20,7 +20,7 @@ cluster's state *at that instant* into a JSON **incident bundle**:
 Trigger surface: ``host.failed``, ``slo.alert`` and ``rpc.timeout``
 trace events (registered via :meth:`Tracer.on_event`), plus explicit
 :meth:`record` calls from the sanitizer's failure hooks
-(``SanDeadlockError``, ``san-migrate-pending``).  Captures are debounced
+(``san-migrate-pending``).  Captures are debounced
 per trigger type (``min_interval`` simulated seconds) so an RPC-timeout
 storm yields one bundle, not hundreds.
 
@@ -45,8 +45,7 @@ from repro.obs.events import (
 )
 from repro.obs.timeseries import metrics_document
 
-#: trigger names for the sanitizer-side hooks (not trace etypes)
-TRIGGER_DEADLOCK = "san-deadlock"
+#: trigger name for the sanitizer-side hook (not a trace etype)
 TRIGGER_MIGRATE_PENDING = "san-migrate-pending"
 
 _EVENT_TRIGGERS = (HOST_FAILED, SLO_ALERT, RPC_TIMEOUT)

@@ -1,10 +1,9 @@
 """Counters and histograms aggregated per component.
 
-The registry owns the obs package's lock (besides a capped tracer's ring
-lock); tracers stay lock-free so the hot path (a guarded
-``tracer.enabled`` check) costs one attribute load when tracing is off,
-and an enabled tracer's ``count``/``observe`` only append to a backlog
-that :meth:`Metrics.fold` drains under this lock when someone reads.
+The hot path (a guarded ``tracer.enabled`` check) costs one attribute
+load when tracing is off, and an enabled tracer's ``count``/``observe``
+only append to a backlog that :meth:`Metrics.fold` drains into a
+registry when someone reads.
 Histogram buckets are log2 so latencies spanning microseconds to minutes
 stay readable.
 
@@ -20,7 +19,6 @@ to str for JSON).
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -140,63 +138,49 @@ class Histogram:
         return self
 
 class Metrics:
-    """Thread-safe registry of named counters and histograms."""
+    """Registry of named counters and histograms."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def count(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            _apply(self._counters, self._histograms,
-                   ((False, name, value, ""),))
+        _apply(self._counters, self._histograms, ((False, name, value, ""),))
 
     def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            _apply(self._counters, self._histograms,
-                   ((True, name, value, ""),))
+        _apply(self._counters, self._histograms, ((True, name, value, ""),))
 
     def fold(self, samples: deque, hosts: dict[str, "Metrics"]) -> None:
         """Drain a tracer's backlog of ``(is_observe, name, value, host)``
         samples into this registry, oldest first, and each one that names
-        a host into ``hosts[host]`` too (created at its first sample).
-
-        The whole drain holds this registry's lock, so concurrent folds
-        apply every sample once and in arrival order; a host registry's
-        own lock is only ever taken inside this one."""
-        with self._lock:
-            drained = [samples.popleft() for _ in range(len(samples))]
-            _apply(self._counters, self._histograms, drained)
-            by_host: dict[str, list] = {}
-            for sample in drained:
-                if sample[3]:
-                    by_host.setdefault(sample[3], []).append(sample)
-            for host, mine in by_host.items():
-                registry = hosts.get(host)
-                if registry is None:
-                    registry = hosts.setdefault(host, Metrics())
-                with registry._lock:
-                    _apply(registry._counters, registry._histograms, mine)
+        a host into ``hosts[host]`` too (created at its first sample)."""
+        drained = [samples.popleft() for _ in range(len(samples))]
+        _apply(self._counters, self._histograms, drained)
+        by_host: dict[str, list] = {}
+        for sample in drained:
+            if sample[3]:
+                by_host.setdefault(sample[3], []).append(sample)
+        for host, mine in by_host.items():
+            registry = hosts.get(host)
+            if registry is None:
+                registry = hosts[host] = Metrics()
+            _apply(registry._counters, registry._histograms, mine)
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def histogram(self, name: str) -> Histogram | None:
-        with self._lock:
-            return self._histograms.get(name)
+        return self._histograms.get(name)
 
     def snapshot(self) -> dict:
         """A picklable point-in-time view: {'counters': ..., 'histograms': ...}."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "histograms": {
-                    name: hist.snapshot()
-                    for name, hist in self._histograms.items()
-                },
-            }
+        return {
+            "counters": dict(self._counters),
+            "histograms": {
+                name: hist.snapshot()
+                for name, hist in self._histograms.items()
+            },
+        }
 
     def merge_snapshot(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` (or histogram-delta) dict from another
@@ -209,20 +193,19 @@ class Metrics:
             name: Histogram.from_snapshot(h)
             for name, h in histograms.items()
         }
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, other in incoming.items():
-                mine = self._histograms.get(name)
-                if mine is None:
-                    self._histograms[name] = other
-                else:
-                    mine.merge(other)
+        for name, value in counters.items():
+            self._counters[name] = self._counters.get(name, 0.0) + value
+        for name, other in incoming.items():
+            mine = self._histograms.get(name)
+            if mine is None:
+                self._histograms[name] = other
+            else:
+                mine.merge(other)
 
 
 def _apply(counters: dict, histograms: dict, samples) -> None:
     """Add ``(is_observe, name, value, host)`` samples to one registry's
-    tables (its lock held by the caller)."""
+    tables."""
     for observe, name, value, _ in samples:
         if observe:
             hist = histograms.get(name)

@@ -11,21 +11,20 @@ expensive part (building a field dict, deriving a span context) behind
 instrumented runtime costs nothing measurable when tracing is off — in
 particular, no :class:`~repro.obs.spans.TraceContext` is ever allocated.
 
-:class:`Tracer` appends :class:`TraceEvent` records to a deque (append
-is atomic under the GIL, so the uncapped event path takes no lock — see
-DESIGN.md) and keeps a per-etype index so ``events_of`` is O(result)
-rather than an O(n) scan.  Every recording call — ``emit``,
+:class:`Tracer` appends :class:`TraceEvent` records to a deque and
+keeps a per-etype index so ``events_of`` is O(result) rather than an
+O(n) scan.  Every recording call — ``emit``,
 ``emit_span``, ``end_span``, a host failure's force-close — builds its
 event once, in ``_record``, from the field dict it already holds.  With
 ``max_events`` set the deque becomes a ring buffer: the oldest event is
-evicted on overflow and ``dropped_events`` counts the loss (eviction
-mutates the deque, the index and the counter together, so only capped
-tracers pay for a lock).
+evicted on overflow and ``dropped_events`` counts the loss.  Like the
+rest of the runtime, a tracer is called by one thread at a time (the
+one holding the kernel's baton) and takes no lock.
 
 Aggregates fold on read: ``count``/``observe`` append one sample to a
 backlog, and ``metrics``, ``host_metrics``, ``metrics_for`` and
 ``merged_host_metrics`` first fold whatever is pending into the
-registries (:meth:`repro.obs.metrics.Metrics.fold`: one lock, arrival
+registries (:meth:`repro.obs.metrics.Metrics.fold`, in arrival
 order), so a registry the tracer hands out is current as of that read.
 The backlog also folds on its own at :data:`_FOLD_AT` samples, which
 bounds it between reads.
@@ -49,7 +48,6 @@ the runtime explicitly.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterator
@@ -146,9 +144,6 @@ class Tracer(NullTracer):
         #: type records (the flight recorder's trigger surface).  Empty
         #: for ordinary tracers, so recording pays one falsy check.
         self._triggers: dict[str, list] = {}
-        # Ring eviction touches the deque, the index and the drop counter
-        # together; only capped tracers pay for the lock.
-        self._ring_lock = threading.Lock() if max_events else None
 
     # -- recording -----------------------------------------------------------
 
@@ -168,33 +163,21 @@ class Tracer(NullTracer):
         if self._failed_hosts and host in self._failed_hosts:
             fields.setdefault("host_failed", True)
         event = TraceEvent(ts, etype, host, actor, dur, fields, ctx)
-        if self._ring_lock is None:
-            # justification: an uncapped tracer never evicts, so this
-            # instance takes no lock anywhere — appends are GIL-atomic.
-            self.events.append(event)  # symlint: disable=unguarded-write
-            self._index(etype).append(event)
-        else:
-            with self._ring_lock:
-                if len(self.events) >= (self.max_events or 0):
-                    evicted = self.events.popleft()
-                    old_index = self._by_etype.get(evicted.etype)
-                    if old_index:
-                        old_index.popleft()
-                    self.dropped_events += 1
-                self.events.append(event)
-                self._index(etype).append(event)
+        if self.max_events and len(self.events) >= self.max_events:
+            evicted = self.events.popleft()
+            old_index = self._by_etype.get(evicted.etype)
+            if old_index:
+                old_index.popleft()
+            self.dropped_events += 1
+        self.events.append(event)
+        self._index(etype).append(event)
         if self._triggers:
-            # Callbacks may do arbitrary work (the flight recorder
-            # snapshots the whole ring); never run them under the lock.
             self._fire_triggers(event)
 
     def _index(self, etype: str) -> deque[TraceEvent]:
         index = self._by_etype.get(etype)
         if index is None:
-            # justification: called from _record, which is either
-            # lock-free (uncapped: GIL-atomic dict store) or already
-            # holds _ring_lock (capped path).
-            index = self._by_etype[etype] = deque()  # symlint: disable=unguarded-write
+            index = self._by_etype[etype] = deque()
         return index
 
     def count(self, name: str, value: float = 1.0, host: str = "") -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import RPCTimeoutError, WaitTimeout
-from repro.kernel.base import Future
+from repro.kernel.virtual import VirtualFuture
 from repro.obs.events import OBJ_WAIT, RPC_TIMEOUT
 from repro.obs.spans import TraceContext
 from repro.obs.tracer import NULL_TRACER
@@ -25,7 +25,7 @@ from repro.sanitizer.core import current_sanitizer
 
 
 class ResultHandle:
-    def __init__(self, future: Future, ctx: TraceContext | None = None,
+    def __init__(self, future: VirtualFuture, ctx: TraceContext | None = None,
                  label: str = "") -> None:
         self._future = future
         #: the async obj.invoke span this handle resolves (None untraced)

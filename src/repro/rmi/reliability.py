@@ -50,7 +50,7 @@ from repro.errors import (
     RetriesExhaustedError,
     RPCTimeoutError,
 )
-from repro.kernel.base import Kernel
+from repro.kernel.virtual import VirtualKernel
 from repro.obs import events as ev
 from repro.transport.rpc import Addr, Transport
 from repro.util.ids import IdGenerator
@@ -166,7 +166,7 @@ class ReplayCache:
     should size the window above ``retry_policy``'s worst-case total
     backoff (the default 60 s dwarfs the default policy's ~4 s)."""
 
-    def __init__(self, kernel: Kernel, window: float = 60.0) -> None:
+    def __init__(self, kernel: VirtualKernel, window: float = 60.0) -> None:
         if window <= 0:
             raise JSError("dedup window must be positive")
         self.kernel = kernel

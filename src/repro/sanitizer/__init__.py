@@ -13,14 +13,12 @@ from repro.sanitizer.core import (
     sanitizing,
     set_sanitizer,
 )
-from repro.sanitizer.waitgraph import TrackedLock
 
 __all__ = [
     "NULL_SANITIZER",
     "SAN_RULES",
     "NullSanitizer",
     "Sanitizer",
-    "TrackedLock",
     "caller_site",
     "current_sanitizer",
     "sanitizing",

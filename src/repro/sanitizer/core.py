@@ -6,17 +6,17 @@ agents test ``sanitizer.enabled`` and pay nothing when it is off), but
 instead of recording events it checks concurrency invariants while the
 program runs:
 
-* **Lockset race detection** (Eraser-style, refined with vector-clock
-  happens-before edges) over the shared tables the runtime's correctness
-  rests on: ObjectHolder object tables, AppOA/PubOA registries, NAS
-  manager state, and the kernel's own bookkeeping.  Kernel primitives —
-  spawn/join, Future complete/wait, Channel put/get, Semaphore
-  release/acquire and the virtual kernel's call events — establish
+* **Happens-before race detection** (vector clocks) over the shared
+  tables the runtime's correctness rests on: ObjectHolder object tables,
+  AppOA/PubOA registries, NAS manager state, and the kernel's own
+  bookkeeping.  Kernel primitives — spawn/join, future complete/wait,
+  channel put/get, semaphore release/acquire and call events — establish
   happens-before, so handoff patterns ("create, then publish through a
-  future") do not false-positive.
-* **Wait-for-graph deadlock detection** on blocking lock acquisition
-  (wall-clock kernel) and all-blocked detection with a wait-for dump when
-  the virtual kernel's event heap runs dry.
+  future") do not false-positive.  Two accesses from processes that no
+  such edge orders race, even though the kernel happens to run them one
+  after the other.
+* **All-blocked detection** with a wait-for dump when the kernel's event
+  heap runs dry.
 * **Leak checks** at kernel shutdown (opt-in via ``leaks=True``):
   futures never completed, ResultHandles never awaited, channels with
   stranded getters — each reported with its creation/wait site.
@@ -43,13 +43,11 @@ from typing import Any, Iterator
 from repro.analysis.base import Finding, Severity
 from repro.sanitizer.leaks import LeakRegistry
 from repro.sanitizer.lockset import LocksetDetector
-from repro.sanitizer.waitgraph import TrackedLock, WaitForGraph
 
 #: every rule symsan can emit, with its default severity (the dynamic
 #: counterpart of ``repro.analysis.runner.known_rules``).
 SAN_RULES: dict[str, Severity] = {
     "san-race": Severity.ERROR,
-    "san-lock-deadlock": Severity.ERROR,
     "san-all-blocked": Severity.ERROR,
     "san-leak-future": Severity.WARNING,
     "san-leak-handle": Severity.WARNING,
@@ -81,9 +79,8 @@ def caller_site(extra_skip: tuple[str, ...] = ()) -> tuple[str, int]:
 class NullSanitizer:
     """The do-nothing sanitizer every kernel holds by default.
 
-    Every hook is a no-op and ``make_lock`` returns a plain
-    ``threading.Lock``, so the instrumented runtime behaves (and costs)
-    exactly as before when sanitizing is off.
+    Every hook is a no-op, so the instrumented runtime behaves (and
+    costs) exactly as before when sanitizing is off.
     """
 
     enabled = False
@@ -95,11 +92,6 @@ class NullSanitizer:
         #: register only when ``enabled``: a hook parked here would pin
         #: its owner for the life of the process.
         self.failure_hooks: list = []
-
-    # -- lock factory --------------------------------------------------------
-
-    def make_lock(self, name: str) -> Any:
-        return threading.Lock()
 
     # -- shared-state access hooks ------------------------------------------
 
@@ -175,11 +167,10 @@ NULL_SANITIZER = NullSanitizer()
 class Sanitizer(NullSanitizer):
     """Records concurrency findings while the kernels run.
 
-    Thread-safe: every hook may fire from arbitrary kernel process
-    threads, so all detector state is guarded by one internal mutex
-    (``_mu``).  The mutex is only ever acquired *after* any tracked
-    runtime lock, never the other way around, so the sanitizer cannot
-    introduce deadlocks of its own.
+    Not thread-safe, by contract: hooks fire from the thread that holds
+    the kernel's baton, so one thread at a time calls in.  Which process
+    is calling is still told by thread (``register_thread``), because a
+    process body runs on a pooled worker or its host's thread.
     """
 
     enabled = True
@@ -187,14 +178,12 @@ class Sanitizer(NullSanitizer):
     def __init__(self, leaks: bool = False, max_findings: int = 200) -> None:
         self.leaks = leaks
         self.max_findings = max_findings
-        self._mu = threading.Lock()
         self.findings: list[Finding] = []
-        #: callbacks fired (outside ``_mu``) with every Finding as it is
-        #: emitted — the flight recorder's sanitizer-side trigger surface
-        #: (subscribers filter by ``finding.rule``)
+        #: callbacks fired with every Finding as it is emitted — the
+        #: flight recorder's sanitizer-side trigger surface (subscribers
+        #: filter by ``finding.rule``)
         self.failure_hooks: list = []
         self._lockset = LocksetDetector()
-        self._waitgraph = WaitForGraph()
         self._leaks = LeakRegistry()
         #: OS thread ident -> logical id of the process now running on it.
         #: Ids count down from -1, so they can collide neither with each
@@ -233,11 +222,8 @@ class Sanitizer(NullSanitizer):
             message=message,
             symbol=symbol,
         )
-        with self._mu:
-            if len(self.findings) < self.max_findings:
-                self.findings.append(finding)
-        # Hooks can do arbitrary work (the flight recorder snapshots the
-        # whole tracer ring); never run them under the sanitizer mutex.
+        if len(self.findings) < self.max_findings:
+            self.findings.append(finding)
         for hook in tuple(self.failure_hooks):
             hook(finding)
 
@@ -256,10 +242,9 @@ class Sanitizer(NullSanitizer):
         A fresh identity every time: OS idents are recycled and a pooled
         worker runs many processes in turn, and accesses by the same
         identity never race."""
-        with self._mu:
-            self._next_tid -= 1
-            self._tids[threading.get_ident()] = self._next_tid
-            self._thread_names[self._next_tid] = name
+        self._next_tid -= 1
+        self._tids[threading.get_ident()] = self._next_tid
+        self._thread_names[self._next_tid] = name
 
     def identity(self) -> int:
         """The logical id the calling thread acts under now."""
@@ -271,9 +256,8 @@ class Sanitizer(NullSanitizer):
         returns the id it acted under before.  The virtual kernel runs
         call events under its scheduler's id on whichever thread."""
         ident = threading.get_ident()
-        with self._mu:
-            previous = self._tids.get(ident, ident)
-            self._tids[ident] = tid
+        previous = self._tids.get(ident, ident)
+        self._tids[ident] = tid
         return previous
 
     # -- runtime protocol hazards -------------------------------------------
@@ -290,94 +274,31 @@ class Sanitizer(NullSanitizer):
             symbol=obj_id,
         )
 
-    # -- lock factory / wait-for graph ---------------------------------------
-
-    def make_lock(self, name: str) -> TrackedLock:
-        return TrackedLock(self, name)
-
-    def _lock_wait(self, lock: TrackedLock) -> None:
-        """Called before a blocking acquire; raises SanDeadlockError when
-        the wait edge would close a cycle in the wait-for graph."""
-        tid = self._tid()
-        with self._mu:
-            cycle = self._waitgraph.wait(tid, lock)
-        if cycle is not None:
-            message = self._describe_cycle(cycle, lock)
-            self._emit("san-lock-deadlock", message, caller_site(),
-                       symbol=lock.name)
-            from repro.errors import SanDeadlockError
-
-            raise SanDeadlockError(message)
-
-    def _describe_cycle(
-        self, cycle: list[tuple[int, TrackedLock]], lock: TrackedLock
-    ) -> str:
-        # cycle is [(owner_tid, owned_lock), ...]: the requester waits for
-        # cycle[0][1], whose owner waits for cycle[1][1], ... and the final
-        # owner is the requester itself.
-        with self._mu:
-            me = self._name_of(self._tid())
-            hops = [f"{me} waits for '{cycle[0][1].name}'"]
-            for i, (owner, owned) in enumerate(cycle):
-                owner_name = self._name_of(owner)
-                if i + 1 < len(cycle):
-                    hops.append(
-                        f"{owner_name} holds '{owned.name}' and waits "
-                        f"for '{cycle[i + 1][1].name}'"
-                    )
-                else:
-                    hops.append(f"{owner_name} holds '{owned.name}'")
-        return (
-            f"lock-acquisition cycle detected on blocking acquire of "
-            f"'{lock.name}': " + "; ".join(hops)
-        )
-
-    def _lock_wait_done(self, lock: TrackedLock) -> None:
-        tid = self._tid()
-        with self._mu:
-            self._waitgraph.wait_done(tid)
-
-    def _lock_acquired(self, lock: TrackedLock) -> None:
-        tid = self._tid()
-        with self._mu:
-            self._waitgraph.acquired(tid, lock)
-
-    def _lock_released(self, lock: TrackedLock) -> None:
-        tid = self._tid()
-        with self._mu:
-            self._waitgraph.released(tid, lock)
-
-    # -- lockset race detection ----------------------------------------------
+    # -- race detection ------------------------------------------------------
 
     def access(self, owner: str, field: str, write: bool = True,
                scope: Any = None) -> None:
         tid = self._tid()
         site = caller_site()
-        with self._mu:
-            sid = 0
-            if scope is not None:
-                sid = self._scopes.get(scope, 0)
-                if sid == 0:
-                    self._next_scope += 1
-                    sid = self._next_scope
-                    self._scopes[scope] = sid
-            race = self._lockset.access(
-                (sid, owner), field, tid,
-                self._waitgraph.held_names(tid), write, site,
-            )
+        sid = 0
+        if scope is not None:
+            sid = self._scopes.get(scope, 0)
+            if sid == 0:
+                self._next_scope += 1
+                sid = self._next_scope
+                self._scopes[scope] = sid
+        race = self._lockset.access((sid, owner), field, tid, write, site)
         if race is not None:
             prev, cur = race
             self._emit(
                 "san-race",
                 f"data race on {owner}.{field}: {self._name_of(cur.tid)} "
                 f"{'writes' if cur.write else 'reads'} at "
-                f"{cur.site[0]}:{cur.site[1]} holding "
-                f"{sorted(cur.locks) or '{}'} while "
+                f"{cur.site[0]}:{cur.site[1]} while "
                 f"{self._name_of(prev.tid)} "
                 f"{'wrote' if prev.write else 'read'} at "
-                f"{prev.site[0]}:{prev.site[1]} holding "
-                f"{sorted(prev.locks) or '{}'} with no common lock and no "
-                "happens-before edge between them",
+                f"{prev.site[0]}:{prev.site[1]} with no happens-before "
+                "edge between them",
                 site,
                 symbol=f"{owner}.{field}",
             )
@@ -386,32 +307,28 @@ class Sanitizer(NullSanitizer):
 
     def hb_send(self, key: Any) -> None:
         tid = self._tid()
-        with self._mu:
-            clock = self._sync.get(key)
-            if clock is None:
-                clock = {}
-                self._sync[key] = clock
-            self._lockset.clocks.send(tid, clock)
+        clock = self._sync.get(key)
+        if clock is None:
+            clock = {}
+            self._sync[key] = clock
+        self._lockset.clocks.send(tid, clock)
 
     def hb_recv(self, key: Any) -> None:
         tid = self._tid()
-        with self._mu:
-            clock = self._sync.get(key)
-            if clock:
-                self._lockset.clocks.recv(tid, clock)
+        clock = self._sync.get(key)
+        if clock:
+            self._lockset.clocks.recv(tid, clock)
 
     def on_call_push(self, token: int) -> None:
         tid = self._tid()
-        with self._mu:
-            clock = self._sync_tokens.setdefault(token, {})
-            self._lockset.clocks.send(tid, clock)
+        clock = self._sync_tokens.setdefault(token, {})
+        self._lockset.clocks.send(tid, clock)
 
     def on_call_run(self, token: int) -> None:
         tid = self._tid()
-        with self._mu:
-            clock = self._sync_tokens.pop(token, None)
-            if clock:
-                self._lockset.clocks.recv(tid, clock)
+        clock = self._sync_tokens.pop(token, None)
+        if clock:
+            self._lockset.clocks.recv(tid, clock)
 
     # -- leak tracking -------------------------------------------------------
 
@@ -420,14 +337,12 @@ class Sanitizer(NullSanitizer):
             return
         site = caller_site(extra_skip=(os.path.join("repro", "transport"),
                                        os.path.join("repro", "rmi")))
-        with self._mu:
-            self._leaks.track_future(fut, kernel, site)
+        self._leaks.track_future(fut, kernel, site)
 
     def future_completed(self, fut: Any) -> None:
         if not self.leaks:
             return
-        with self._mu:
-            self._leaks.future_completed(fut)
+        self._leaks.future_completed(fut)
 
     def track_handle(self, handle: Any, kernel: Any) -> None:
         if not self.leaks:
@@ -435,35 +350,30 @@ class Sanitizer(NullSanitizer):
         site = caller_site(extra_skip=(os.path.join("repro", "transport"),
                                        os.path.join("repro", "rmi"),
                                        os.path.join("repro", "agents")))
-        with self._mu:
-            self._leaks.track_handle(handle, kernel, site)
+        self._leaks.track_handle(handle, kernel, site)
 
     def handle_awaited(self, handle: Any) -> None:
         if not self.leaks:
             return
-        with self._mu:
-            self._leaks.handle_awaited(handle)
+        self._leaks.handle_awaited(handle)
 
     def handle_polled(self, handle: Any) -> None:
         if not self.leaks:
             return
-        with self._mu:
-            self._leaks.handle_polled(handle)
+        self._leaks.handle_polled(handle)
 
     def chan_wait(self, chan: Any, kernel: Any) -> None:
         if not self.leaks:
             return
         tid = self._tid()
         site = caller_site(extra_skip=(os.path.join("repro", "transport"),))
-        with self._mu:
-            self._leaks.chan_wait(tid, chan, kernel, site)
+        self._leaks.chan_wait(tid, chan, kernel, site)
 
     def chan_wait_done(self, chan: Any) -> None:
         if not self.leaks:
             return
         tid = self._tid()
-        with self._mu:
-            self._leaks.chan_wait_done(tid)
+        self._leaks.chan_wait_done(tid)
 
     # -- detector report sinks -----------------------------------------------
 
@@ -481,8 +391,7 @@ class Sanitizer(NullSanitizer):
     def check_leaks(self, kernel: Any) -> None:
         if not self.leaks:
             return
-        with self._mu:
-            leaks = self._leaks.collect(kernel, self._name_of)
+        leaks = self._leaks.collect(kernel, self._name_of)
         for rule, message, site, symbol in leaks:
             self._emit(rule, message, site, symbol)
 
@@ -495,13 +404,12 @@ class Sanitizer(NullSanitizer):
         from different tests are never really concurrent, but they reuse
         deterministic object ids (and all run their schedulers on the one
         pytest thread) and would otherwise alias into false races."""
-        with self._mu:
-            self._lockset = LocksetDetector()
-            self._leaks = LeakRegistry()
-            self._tids.clear()
-            self._thread_names.clear()
-            self._sync_tokens.clear()
-            self._sync = weakref.WeakKeyDictionary()
+        self._lockset = LocksetDetector()
+        self._leaks = LeakRegistry()
+        self._tids.clear()
+        self._thread_names.clear()
+        self._sync_tokens.clear()
+        self._sync = weakref.WeakKeyDictionary()
 
     # -- reporting -----------------------------------------------------------
 
@@ -509,8 +417,7 @@ class Sanitizer(NullSanitizer):
         """A symlint-model Report of everything found so far."""
         from repro.analysis.runner import Report
 
-        with self._mu:
-            findings = list(self.findings)
+        findings = list(self.findings)
         report = Report(findings=sorted(
             set(findings),
             key=lambda f: (f.path, f.line, f.rule, f.col, f.message),

@@ -1,18 +1,16 @@
-"""Eraser-style lockset race detection with vector-clock happens-before.
+"""Happens-before race detection with vector clocks.
 
 An access races with a prior access when all of the following hold:
 
-* different threads, at least one side is a write,
-* the two locksets are disjoint (no common lock held), and
+* different processes, at least one side is a write, and
 * no happens-before path connects them (the prior access's epoch is not
-  covered by the current thread's vector clock).
+  covered by the current process's vector clock).
 
-Pure Eraser reports lock-free handoff patterns ("initialize, then
-publish through a future") as races; the happens-before refinement is
-what lets symsan instrument the kernels' real synchronization idioms
-without drowning in false positives.  All methods here are called with
-the sanitizer's internal mutex held, so the detector itself keeps no
-locks.
+The kernel runs one process at a time, so no two accesses ever overlap
+in wall time; what makes them a race is that nothing orders them in the
+modelled system.  On the paper's JVMs the two threads would run at once.
+The module keeps its Eraser-era name: until the runtime's locks were
+retired, a common held lock also excused a pair.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ class Access:
     tid: int
     epoch: int
     write: bool
-    locks: frozenset[str]
     site: tuple[str, int]
 
 
@@ -97,13 +94,12 @@ class LocksetDetector:
         owner,
         field: str,
         tid: int,
-        locks: frozenset[str],
         write: bool,
         site: tuple[str, int],
     ) -> tuple[Access, Access] | None:
         """Record an access; return (previous, current) on a fresh race."""
         key = (owner, field)
-        current = Access(tid, self.clocks.epoch(tid), write, locks, site)
+        current = Access(tid, self.clocks.epoch(tid), write, site)
         history = self._history.setdefault(key, {})
         race: tuple[Access, Access] | None = None
         if key not in self._reported:
@@ -111,8 +107,6 @@ class LocksetDetector:
                 if previous.tid == tid:
                     continue
                 if not (previous.write or write):
-                    continue
-                if previous.locks & locks:
                     continue
                 if self.clocks.ordered(previous.tid, previous.epoch, tid):
                     continue

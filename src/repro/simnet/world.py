@@ -1,9 +1,7 @@
 """The simulated world: kernel + machines + network in one handle.
 
 ``SimWorld`` is the substrate everything above (transport, agents, the
-programming model) runs against.  It also works with a
-:class:`repro.kernel.real.RealKernel`, in which case compute charges turn
-into (dilated) real sleeps.
+programming model) runs against.
 """
 
 from __future__ import annotations
@@ -11,8 +9,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.errors import TransportError
-from repro.kernel import Kernel, RngStreams
-from repro.kernel.virtual import VirtualKernel
+from repro.kernel import RngStreams, VirtualKernel
 from repro.obs import events as ev
 from repro.obs.tracer import current_tracer
 from repro.simnet.host import HostSpec
@@ -24,7 +21,7 @@ from repro.simnet.topology import Segment, Topology
 class SimWorld:
     def __init__(
         self,
-        kernel: Kernel | None = None,
+        kernel: VirtualKernel | None = None,
         topology: Topology | None = None,
         seed: int = 0,
     ) -> None:

@@ -41,7 +41,7 @@ from repro.errors import (
     TransportError,
     WaitTimeout,
 )
-from repro.kernel.base import Future
+from repro.kernel.virtual import VirtualFuture
 from repro.obs import events as ev
 from repro.obs.spans import TraceContext
 from repro.simnet.world import SimWorld
@@ -169,7 +169,7 @@ class Endpoint:
 class Reply:
     """Caller-side handle on an in-flight RPC."""
 
-    def __init__(self, future: Future, transport: "Transport",
+    def __init__(self, future: VirtualFuture, transport: "Transport",
                  src: Addr, dst: Addr, kind: str) -> None:
         self._future = future
         self._transport = transport
@@ -275,7 +275,7 @@ class Transport:
         payload: Any,
         oneway: bool = True,
         token: str | None = None,
-    ) -> Future | None:
+    ) -> VirtualFuture | None:
         """Put one request on the wire; returns the reply future of a
         two-way send.  The payload is flattened here, so the callee sees
         the value as it was at this instant."""
@@ -302,7 +302,8 @@ class Transport:
         return reply_future
 
     def _send_reply(
-        self, msg: Message, result: Any, nbytes: int, reply_future: Future
+        self, msg: Message, result: Any, nbytes: int,
+        reply_future: VirtualFuture,
     ) -> None:
         """Reply to an executed request: ``result`` is the caller's
         decoded copy, ``nbytes`` the size of the wire it came from."""
@@ -405,7 +406,9 @@ class Transport:
 
     # -- receive path ------------------------------------------------------------
 
-    def _deliver(self, msg: Message, reply_future: Future | None) -> None:
+    def _deliver(
+        self, msg: Message, reply_future: VirtualFuture | None
+    ) -> None:
         if self.world.machine(msg.dst.host).failed:
             return self._drop(msg, "request", "destination failed")
         endpoint = self._endpoints.get(msg.dst)
@@ -424,7 +427,8 @@ class Transport:
         )
 
     def _execute(
-        self, endpoint: Endpoint, sent: Message, reply_future: Future | None
+        self, endpoint: Endpoint, sent: Message,
+        reply_future: VirtualFuture | None,
     ) -> None:
         # Decoding is the copy, and each delivery makes its own: the
         # handlers of a duplicated request must not share an argument.
@@ -490,7 +494,7 @@ class Transport:
             return
         self._send_reply(msg, result, wire.nbytes, reply_future)
 
-    def _undecodable(self, msg: Message, reply_future: Future | None,
+    def _undecodable(self, msg: Message, reply_future: VirtualFuture | None,
                      exc: Exception) -> None:
         """A request whose payload pickled at send but does not unpickle
         (say, an exception whose ``__init__`` does not take its own
@@ -530,6 +534,6 @@ class Transport:
             self.world.compute(host, flops)
 
     @staticmethod
-    def _complete(future: Future, result: Any) -> None:
+    def _complete(future: VirtualFuture, result: Any) -> None:
         if not future.done():
             future.set_result(result)

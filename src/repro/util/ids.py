@@ -10,7 +10,6 @@ throwaway thread).
 from __future__ import annotations
 
 import itertools
-import threading
 
 
 class IdGenerator:
@@ -18,17 +17,13 @@ class IdGenerator:
 
     def __init__(self) -> None:
         self._counters: dict[str, itertools.count] = {}
-        self._lock = threading.Lock()
 
     def next(self, prefix: str) -> str:
-        with self._lock:
-            counter = self._counters.setdefault(prefix, itertools.count(1))
-            return f"{prefix}-{next(counter)}"
+        return f"{prefix}-{self.next_int(prefix)}"
 
     def next_int(self, prefix: str) -> int:
-        with self._lock:
-            counter = self._counters.setdefault(prefix, itertools.count(1))
-            return next(counter)
+        counter = self._counters.setdefault(prefix, itertools.count(1))
+        return next(counter)
 
 
 _global = IdGenerator()

@@ -2,9 +2,9 @@
 
 Set ``REPRO_SAN=1`` to run the whole suite under the symsan concurrency
 sanitizer: every kernel created during a test binds a shared sanitizer,
-and any finding (race, deadlock cycle, all-blocked hang) fails the run at
-session end.  ``REPRO_SAN_REPORT=<path>`` additionally writes the symsan
-JSON report there (CI uploads it as an artifact).
+and any finding (race, all-blocked hang) fails the run at session end.
+``REPRO_SAN_REPORT=<path>`` additionally writes the symsan JSON report
+there (CI uploads it as an artifact).
 """
 
 import glob
@@ -63,7 +63,7 @@ def pytest_unconfigure(config):
 def _sweep_leaked_kernels():
     """Each finished simulation parks its daemon threads forever; sweep
     them after every test so the suite doesn't accumulate thousands of
-    threads (which starves the wall-clock kernel tests)."""
+    threads."""
     yield
     shutdown_all_kernels()
     if _SESSION_SANITIZER is not None:

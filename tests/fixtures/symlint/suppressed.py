@@ -1,20 +1,12 @@
-"""Fixture: the seeded race silenced by a justified suppression pragma.
+"""Fixture: a seeded blocking sleep silenced by a justified pragma.
 
 Never imported — parsed only by the symlint tests.
 """
 
-import threading
+import time
 
 
-class QuietCounter:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def guarded_increment(self):
-        with self._lock:
-            self.count += 1
-
-    def racy_increment(self):
-        # justification: benchmark-only helper, never shared across threads
-        self.count += 1  # symlint: disable=unguarded-write
+class QuietAgent:
+    def _h_pause(self, msg):
+        # justification: a benchmark-only handler, never on a live kernel
+        time.sleep(0.01)  # symlint: disable=blocking-sleep-in-handler

@@ -1,18 +1,18 @@
 """Standalone racy script for the ``python -m repro san`` CLI test.
 
 Self-contained (no fixture imports — ``runpy`` executes it as
-``__main__``): two wall-clock kernel threads store into one table cell
-with no lock, which the ambient sanitizer installed by the CLI reports
-as ``san-race``.
+``__main__``): two processes store into one table cell with nothing
+ordering the stores, which the ambient sanitizer installed by the CLI
+reports as ``san-race``.
 """
 
 from __future__ import annotations
 
-from repro.kernel import RealKernel
+from repro.kernel import VirtualKernel
 
 
 def main() -> None:
-    kernel = RealKernel(time_scale=0.005)
+    kernel = VirtualKernel()
     table: dict[str, str] = {}
 
     def store(tag: str) -> None:

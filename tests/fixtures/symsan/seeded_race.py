@@ -1,15 +1,15 @@
-"""Seeded unlocked-table race (symsan runtime fixture).
+"""Seeded unordered-writers race (symsan runtime fixture).
 
-``BuggyTable`` mimics ``ObjectHolder``'s instrumented store path minus
-the ``_holder_lock`` — exactly the bug symlint's ``unguarded-write``
-would flag if the lock existed, and exactly what symsan's lockset
-detector catches at runtime: two real threads storing into the same
-table cell with no common lock and no happens-before edge.
+``BuggyTable`` mimics ``ObjectHolder``'s instrumented store path: two
+processes store into the same table cell and nothing orders the two
+stores — no future, channel, semaphore or join between them.  The kernel
+runs them one after the other, but on the paper's JVMs they would run
+at once, and symsan's happens-before detector reports the pair.
 """
 
 from __future__ import annotations
 
-from repro.kernel import RealKernel
+from repro.kernel import VirtualKernel
 
 
 class BuggyTable:
@@ -25,7 +25,7 @@ class BuggyTable:
 
 
 def main() -> None:
-    kernel = RealKernel(time_scale=0.005)
+    kernel = VirtualKernel()
     table = BuggyTable(kernel)
 
     def writer(tag: str) -> None:

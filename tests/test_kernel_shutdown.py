@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import RealKernel, VirtualKernel
+from repro.kernel import VirtualKernel
 
 
 class TestVirtualShutdown:
@@ -110,6 +110,45 @@ class TestVirtualShutdown:
         assert seen == []
         assert not any(t.is_alive() for t in threads)
 
+    def test_loopers_exit_on_next_sleep(self):
+        """A looper that catches ``Exception`` around its sleep still
+        unwinds: the shutdown signal is no ``Exception``, and a sleep in
+        its ``finally`` raises it again instead of parking."""
+        kernel = VirtualKernel()
+        unwound = []
+
+        def looper(name):
+            try:
+                while True:
+                    try:
+                        kernel.sleep(1.0)
+                    except Exception:  # noqa: BLE001 - what apps write
+                        continue
+            finally:
+                unwound.append(name)
+                kernel.sleep(1.0)  # raises at once: shutting down
+
+        procs = [kernel.spawn(looper, i) for i in range(3)]
+        kernel.run(until=5.5)
+        kernel.shutdown()
+        assert unwound == [0, 1, 2]
+        assert not any(p._thread.is_alive() for p in procs)
+
+    def test_shutdown_not_a_crash(self):
+        """Unwinding is no crash: a strict kernel records none, and the
+        unwound processes end in the failed state."""
+        kernel = VirtualKernel(strict=True)
+
+        def looper():
+            while True:
+                kernel.sleep(1.0)
+
+        procs = [kernel.spawn(looper) for _ in range(3)]
+        kernel.run(until=5.0)
+        kernel.shutdown()
+        assert kernel.crashes == []
+        assert [p.state.value for p in procs] == ["failed"] * 3
+
     def test_blocked_bodies_unwind_one_at_a_time(self):
         """Shutdown unwinds one worker, joins it, then opens the next
         gate: ``finally:`` clauses of blocked bodies never overlap, so
@@ -144,33 +183,6 @@ class TestVirtualShutdown:
         kernel.run(main=proc)
         with pytest.raises(KernelError):
             proc.result()
-
-
-class TestRealShutdown:
-    def test_loopers_exit_on_next_sleep(self):
-        kernel = RealKernel(time_scale=0.01)
-
-        def looper():
-            while True:
-                kernel.sleep(1.0)
-
-        procs = [kernel.spawn(looper) for _ in range(3)]
-        time.sleep(0.05)
-        kernel.shutdown()
-        time.sleep(0.1)
-        assert all(not p._thread.is_alive() for p in procs)
-
-    def test_shutdown_not_a_crash(self):
-        kernel = RealKernel(time_scale=0.01, strict=True)
-
-        def looper():
-            while True:
-                kernel.sleep(1.0)
-
-        kernel.spawn(looper)
-        time.sleep(0.05)
-        kernel.shutdown()
-        assert kernel.crashes == []
 
 
 class TestRuntimeRelease:

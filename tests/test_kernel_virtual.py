@@ -696,16 +696,74 @@ class TestBaton:
         kernel.run()
         assert time.monotonic() - start >= 0.7
 
-    def test_parked_outside_the_kernel_is_detected(self, kernel, monkeypatch):
+    @pytest.mark.parametrize("outside", ["event", "lock"])
+    def test_parked_outside_the_kernel_is_detected(
+        self, kernel, monkeypatch, outside
+    ):
+        """A process that blocks outside the kernel's primitives keeps
+        the baton: nothing else runs, and run() names it in a stall
+        error.  ``lock`` is a ``threading.Lock`` held across
+        ``kernel.sleep`` and then asked for by a second process — the
+        hazard the retired ``rpc-under-lock`` rule linted for."""
         monkeypatch.setattr(virtual, "_SWITCH_TIMEOUT", 0.2)
-        outside = threading.Event()
-        proc = kernel.spawn(outside.wait, name="stuck")
-        with pytest.raises(KernelError, match="stuck"):
+        if outside == "event":
+            event = threading.Event()
+            proc = kernel.spawn(event.wait, name="stuck")
+            release = event.set
+        else:
+            lock = threading.Lock()
+
+            def holder():
+                lock.acquire()
+                kernel.sleep(1.0)
+
+            def contender():
+                with lock:
+                    pass
+
+            kernel.spawn(holder, name="holder")
+            proc = kernel.spawn(contender, name="stuck", delay=0.5)
+            release = lock.release
+        with pytest.raises(KernelError, match="while stuck ran"):
             kernel.run(main=proc)
-        outside.set()  # let the worker finish before the kernel is swept
+        release()  # let the worker finish before the kernel is swept
         deadline = time.monotonic() + 5.0
         while not proc.finished and time.monotonic() < deadline:
             time.sleep(0.01)
+
+    def test_only_the_kernel_constructs_threading_primitives(self):
+        """Baton passing is the runtime's one synchronisation: outside
+        ``kernel/virtual.py`` no module of ``repro`` builds a lock, an
+        event, a condition, a semaphore, a barrier or a thread
+        (``threading.local`` and ``get_ident`` are fine)."""
+        import ast
+        import os
+
+        from tests.conftest import PACKAGE_DIR
+
+        banned = {"Lock", "RLock", "Event", "Semaphore",
+                  "BoundedSemaphore", "Condition", "Thread", "Barrier"}
+        sites = []
+        for root, _dirs, names in os.walk(PACKAGE_DIR):
+            for name in sorted(n for n in names if n.endswith(".py")):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                rel = os.path.relpath(path, PACKAGE_DIR)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.ImportFrom) \
+                            and node.module == "threading":
+                        sites += [(rel, node.lineno) for alias in node.names
+                                  if alias.name in banned]
+                    elif isinstance(node, ast.Call) \
+                            and isinstance(node.func, ast.Attribute) \
+                            and isinstance(node.func.value, ast.Name) \
+                            and node.func.value.id == "threading" \
+                            and node.func.attr in banned:
+                        sites.append((rel, node.lineno))
+        assert sites, "the kernel's own gates and workers went missing"
+        assert {rel for rel, _line in sites} == {
+            os.path.join("kernel", "virtual.py")}
 
     def test_call_event_runs_in_scheduler_context(self, kernel):
         """Whichever thread runs a callback, it sees no current process

@@ -18,28 +18,23 @@ REPRO_ALL = [
     "ClassRegistry", "Cluster", "Domain", "HostGroup", "JS", "JSCodebase",
     "JSConstants", "JSConstraints", "JSError", "JSObj", "JSRegistration",
     "JSRuntime", "JSStatic", "MultiHandle", "Node", "Payload",
-    "PersistentStore", "RealKernel", "ResultHandle", "SimWorld", "Site",
+    "PersistentStore", "ResultHandle", "SimWorld", "Site",
     "SysParam", "TestbedConfig", "Tracer", "VirtualKernel", "__version__",
     "current_tracer", "js_compute", "jsclass", "minvoke", "tracing",
     "vienna_testbed", "vienna_world",
 ]
 
-KERNEL_ALL = [
-    "Channel", "Future", "Kernel", "Process", "ProcessState", "RealKernel",
-    "RngStreams", "Semaphore", "VirtualKernel",
-]
+KERNEL_ALL = ["ProcessState", "RngStreams", "VirtualKernel"]
 
 LINT_RULES = [
     "blocking-rpc-in-handler", "blocking-sleep-in-handler", "dead-kind",
     "kernel-block-transitive", "migrate-in-loop", "parse-error",
-    "remote-invoke-in-loop", "rpc-under-lock",
-    "sync-invoke-async-opportunity", "unguarded-write", "unlocked-mutation",
+    "remote-invoke-in-loop", "sync-invoke-async-opportunity",
 ]
 
 SAN_RULES = [
     "san-all-blocked", "san-leak-channel", "san-leak-future",
-    "san-leak-handle", "san-lock-deadlock", "san-migrate-pending",
-    "san-race",
+    "san-leak-handle", "san-migrate-pending", "san-race",
 ]
 
 CLI_VERBS = [

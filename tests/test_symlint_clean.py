@@ -1,9 +1,8 @@
 """Self-gate: the runtime itself passes its own static analysis.
 
 This is the build-time enforcement of the paper invariants: if a future
-change introduces an unguarded shared write, a dead message kind, a
-blocking handler or an RPC under a lock, this test fails before any
-runtime test has to trip over it.
+change introduces a dead message kind or a blocking handler, this test
+fails before any runtime test has to trip over it.
 """
 
 from __future__ import annotations
@@ -41,16 +40,10 @@ def test_runtime_has_zero_warning_findings(report):
 
 
 def test_known_suppressions_are_counted(report):
-    # dead-kind x2 (NODE_RELEASED / MANAGER_TAKEOVER), the Figure-3
-    # synchronous migration push, and the Tracer's lock-free fast path
-    # x2 (uncapped tracers never evict, so emit/_index skip _ring_lock)
-    # were the five sanctioned suppressions; lock-discipline recognising
-    # sanitizer.make_lock() results added seven unlocked-mutation ones on
-    # state those locks were never meant to guard: ObjectHolder's
-    # queue-depth gauge x2, AppOA.refs stores x3 (one writer per entry,
-    # checked at run time by _note_refs_write), the foreign-location
-    # cache, and _InvokeCoalescer.add (a method, not set.add).
-    assert report.suppressed == 12
+    # dead-kind x2 (NODE_RELEASED / MANAGER_TAKEOVER) and the Figure-3
+    # synchronous migration push.  The nine lock pragmas went with the
+    # runtime's locks and the lock-discipline rules.
+    assert report.suppressed == 3
 
 
 def _gate(repo_report, group):

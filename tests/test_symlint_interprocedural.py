@@ -1,9 +1,6 @@
-"""The interprocedural symlint pass: cross-function rules over the call
-graph (whose resolution ``test_callgraph.py`` pins).
-
-The headline property: ``rpc-under-lock`` catches a violation that every
-per-file checker provably misses (the same fixture analyzed without the
-interprocedural pass yields zero findings).
+"""The interprocedural symlint pass: a cross-function rule over the call
+graph (whose resolution ``test_callgraph.py`` pins), plus the
+``disable-next-line`` pragma.
 """
 
 from __future__ import annotations
@@ -11,11 +8,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import Severity, analyze_paths
-from repro.analysis.interprocedural import InterproceduralChecker
-from repro.analysis.runner import analyze_project, default_checkers
+from repro.analysis.runner import analyze_project
 
 FIXTURES = Path(__file__).parent / "fixtures" / "symlint"
-INTERPROCEDURAL_RULES = {"rpc-under-lock", "kernel-block-transitive"}
+INTERPROCEDURAL_RULES = {"kernel-block-transitive"}
 
 
 def marker_line(fixture: str, marker: str) -> int:
@@ -24,61 +20,6 @@ def marker_line(fixture: str, marker: str) -> int:
         if f"<<{marker}>>" in line:
             return lineno
     raise AssertionError(f"marker {marker} not found in {fixture}")
-
-
-def per_file_checkers():
-    return [
-        c for c in default_checkers()
-        if not isinstance(c, InterproceduralChecker)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# rpc-under-lock
-# ---------------------------------------------------------------------------
-
-
-def test_rpc_under_lock_found_two_hops_down():
-    report = analyze_paths([str(FIXTURES / "seeded_rpc_under_lock.py")])
-    findings = [f for f in report.findings if f.rule == "rpc-under-lock"]
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.line == marker_line(
-        "seeded_rpc_under_lock.py", "RPC_UNDER_LOCK"
-    )
-    assert finding.symbol == "Directory.rebind"
-    assert "Directory._refresh -> Directory._push" in finding.message
-    assert "'_lock'" in finding.message
-
-
-def test_per_file_checkers_provably_miss_the_seeded_rpc():
-    """The same fixture, analyzed without the interprocedural pass,
-    is completely clean — the violation only exists across functions."""
-    report = analyze_paths(
-        [str(FIXTURES / "seeded_rpc_under_lock.py")],
-        checkers=per_file_checkers(),
-    )
-    assert report.findings == []
-
-
-def test_direct_rpc_under_lock_also_flagged(tmp_path):
-    src = (
-        "import threading\n"
-        "KIND = 'k'\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def top(self):\n"
-        "        with self._lock:\n"
-        "            self.endpoint.rpc('peer', KIND, None)\n"
-    )
-    path = tmp_path / "direct.py"
-    path.write_text(src)
-    report = analyze_paths([str(path)])
-    findings = [f for f in report.findings if f.rule == "rpc-under-lock"]
-    assert len(findings) == 1
-    assert findings[0].line == 8
 
 
 # ---------------------------------------------------------------------------

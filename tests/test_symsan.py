@@ -1,11 +1,10 @@
 """symsan, the kernel-level concurrency sanitizer.
 
-Unit tests for the detectors (lockset + vector clocks, wait-for graph,
+Unit tests for the detectors (vector clocks, the race detector, the
 leak registry) plus end-to-end runs of the seeded fixtures under
-``sanitizing(...)``: an unlocked-table race, an AB/BA deadlock that is
-reported *and broken*, an all-blocked virtual-kernel hang, and the
-``python -m repro san`` CLI.  Control tests pin the zero-false-positive
-side: properly locked and properly happens-before-ordered code produces
+``sanitizing(...)``: an unordered-writers race, an all-blocked hang, and
+the ``python -m repro san`` CLI.  Control tests pin the
+zero-false-positive side: writers ordered by a kernel primitive produce
 no findings.
 """
 
@@ -20,16 +19,10 @@ import pytest
 
 from repro.analysis.base import Severity
 from repro.cli import main as cli_main
-from repro.errors import KernelError, SanDeadlockError, WaitTimeout
-from repro.kernel import RealKernel
+from repro.errors import WaitTimeout
+from repro.kernel import VirtualKernel
 from repro.rmi.handle import ResultHandle
-from repro.sanitizer import (
-    NULL_SANITIZER,
-    SAN_RULES,
-    Sanitizer,
-    TrackedLock,
-    sanitizing,
-)
+from repro.sanitizer import SAN_RULES, Sanitizer, sanitizing
 from repro.sanitizer.leaks import LeakRegistry
 from repro.sanitizer.lockset import LocksetDetector, VectorClocks
 
@@ -86,28 +79,13 @@ class TestVectorClocks:
 
 
 # ---------------------------------------------------------------------------
-# lockset detector
+# race detector
 # ---------------------------------------------------------------------------
 
 
 class TestLocksetDetector:
-    def access(self, det, tid, locks=(), write=True, owner="O", field="f"):
-        return det.access(
-            owner, field, tid, frozenset(locks), write, ("t.py", 1)
-        )
-
-    def test_disjoint_locksets_race(self):
-        det = LocksetDetector()
-        assert self.access(det, tid=1, locks=["a"]) is None
-        race = self.access(det, tid=2, locks=["b"])
-        assert race is not None
-        prev, cur = race
-        assert (prev.tid, cur.tid) == (1, 2)
-
-    def test_common_lock_no_race(self):
-        det = LocksetDetector()
-        self.access(det, tid=1, locks=["a", "b"])
-        assert self.access(det, tid=2, locks=["b"]) is None
+    def access(self, det, tid, write=True, owner="O", field="f"):
+        return det.access(owner, field, tid, write, ("t.py", 1))
 
     def test_same_thread_no_race(self):
         det = LocksetDetector()
@@ -154,22 +132,16 @@ class TestLocksetDetector:
 
 
 def access_in_threads(san: Sanitizer, calls: list[tuple]) -> None:
-    """Run each ``(owner, field, scope)`` access in its own thread; all
-    threads stay alive until every access ran, so thread idents are
-    guaranteed distinct."""
-    barrier = threading.Barrier(len(calls))
-
-    def run(owner, field, scope):
+    """Make each ``(owner, field, scope)`` access as a process of its
+    own: a fresh identity each (``register_thread``, as the kernel does
+    when a process starts), one after another on this thread, which
+    then acts under its own identity again.  The sanitizer is called by
+    one thread at a time by contract, so no OS thread is started."""
+    own = san.identity()
+    for i, (owner, field, scope) in enumerate(calls):
+        san.register_thread(f"proc-{i}")
         san.access(owner, field, scope=scope)
-        barrier.wait(timeout=5.0)
-
-    threads = [
-        threading.Thread(target=run, args=call) for call in calls
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=5.0)
+    san.swap_identity(own)
 
 
 class TestSanitizerAccess:
@@ -217,41 +189,6 @@ class TestSanitizerAccess:
 
 
 # ---------------------------------------------------------------------------
-# tracked locks / deadlock detection
-# ---------------------------------------------------------------------------
-
-
-class TestTrackedLocks:
-    def test_make_lock_returns_context_manager(self):
-        san = Sanitizer()
-        lock = san.make_lock("t.lock")
-        assert isinstance(lock, TrackedLock)
-        with lock:
-            assert lock.locked()
-        assert not lock.locked()
-
-    def test_null_sanitizer_lock_is_plain(self):
-        lock = NULL_SANITIZER.make_lock("whatever")
-        assert not isinstance(lock, TrackedLock)
-        with lock:
-            pass
-
-    def test_san_deadlock_error_is_a_kernel_error(self):
-        assert issubclass(SanDeadlockError, KernelError)
-
-    def test_nested_distinct_order_is_fine(self):
-        san = Sanitizer()
-        a, b = san.make_lock("A"), san.make_lock("B")
-        with a:
-            with b:
-                pass
-        with a:
-            with b:
-                pass
-        assert rules_of(san) == []
-
-
-# ---------------------------------------------------------------------------
 # leak registry / shutdown checks
 # ---------------------------------------------------------------------------
 
@@ -260,7 +197,7 @@ class TestLeaks:
     def test_future_and_handle_leaks_reported(self):
         san = Sanitizer(leaks=True)
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
             kernel.create_future()  # never completed
             ResultHandle(kernel.create_future())  # never awaited
             kernel.shutdown()
@@ -275,7 +212,7 @@ class TestLeaks:
     def test_completed_and_awaited_are_not_leaks(self):
         san = Sanitizer(leaks=True)
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
             fut = kernel.create_future()
             fut.set_result(1)
             done = kernel.create_future()
@@ -290,7 +227,7 @@ class TestLeaks:
         # poll silently untracked the handle and the leak vanished.
         san = Sanitizer(leaks=True)
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
             done = kernel.create_future()
             done.set_result(1)
             handle = ResultHandle(done)
@@ -303,7 +240,7 @@ class TestLeaks:
     def test_poll_then_await_is_not_a_leak(self):
         san = Sanitizer(leaks=True)
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
             done = kernel.create_future()
             done.set_result(3)
             handle = ResultHandle(done)
@@ -315,7 +252,7 @@ class TestLeaks:
     def test_leaks_off_by_default(self):
         san = Sanitizer()
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
             kernel.create_future()
             kernel.shutdown()
         assert rules_of(san) == []
@@ -363,15 +300,17 @@ class TestSeededFixtures:
         assert finding.path.endswith("seeded_race.py")
 
     def test_locked_variant_is_clean(self):
+        """The seeded race's two writers, ordered by a semaphore: each
+        acquire receives the clock the last release published."""
         san = Sanitizer()
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
-            lock = san.make_lock("table.lock")
+            kernel = VirtualKernel()
+            mutex = kernel.create_semaphore(1)
             table: dict[str, str] = {}
 
             def store(tag):
                 for _ in range(5):
-                    with lock:
+                    with mutex:
                         san.access("GoodTable", "objects[shared]",
                                    scope=kernel)
                         table["shared"] = tag
@@ -395,7 +334,7 @@ class TestSeededFixtures:
         """No common lock, but a future orders the two writes."""
         san = Sanitizer()
         with sanitizing(san):
-            kernel = RealKernel(time_scale=0.005)
+            kernel = VirtualKernel()
 
             def root():
                 table: dict[str, str] = {}
@@ -428,8 +367,6 @@ class TestSeededFixtures:
         share an OS thread (a pooled worker; before the pool, a recycled
         ident) and must still be told apart: symsan identifies a process,
         not the thread it happens to run on."""
-        from repro.kernel import VirtualKernel
-
         san = Sanitizer()
         with sanitizing(san):
             kernel = VirtualKernel(strict=True)
@@ -462,8 +399,6 @@ class TestSeededFixtures:
         and its write still races the writer's, named as run()'s thread.
         Under the writer's identity the two writes would be one thread's
         and the race would vanish."""
-        from repro.kernel import VirtualKernel
-
         san = Sanitizer()
         with sanitizing(san):
             kernel = VirtualKernel(strict=True)
@@ -500,23 +435,6 @@ class TestSeededFixtures:
         san.access("T", "f", scope=scope)  # unregistered again: OS ident
         assert len(san.findings) == 1
 
-    def test_ab_ba_deadlock_reported_and_broken(self):
-        san = Sanitizer()
-        with sanitizing(san):
-            outcome = load_fixture("seeded_deadlock").main()
-        # exactly one of the two processes had its acquire refused...
-        assert len(outcome["raised"]) == 1
-        name, text = outcome["raised"][0]
-        assert "lock-acquisition cycle" in text
-        assert "fixture.A" in text and "fixture.B" in text
-        # ...and the run completed (the peer finished) with one finding
-        findings = [
-            f for f in san.report().findings
-            if f.rule == "san-lock-deadlock"
-        ]
-        assert len(findings) == 1
-        assert findings[0].severity is Severity.ERROR
-
     def test_all_blocked_hang_reported(self):
         san = Sanitizer()
         with sanitizing(san):
@@ -540,7 +458,6 @@ class TestSeededFixtures:
 class TestReport:
     def test_rules_have_severities(self):
         assert SAN_RULES["san-race"] is Severity.ERROR
-        assert SAN_RULES["san-lock-deadlock"] is Severity.ERROR
         assert SAN_RULES["san-all-blocked"] is Severity.ERROR
         assert SAN_RULES["san-leak-future"] is Severity.WARNING
         assert SAN_RULES["san-leak-handle"] is Severity.WARNING
@@ -603,14 +520,13 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# RealKernel coverage riding along (issue satellite): semaphore timeout
-# and shutdown with a blocked process
+# kernel edges: semaphore timeout, shutdown with a blocked process
 # ---------------------------------------------------------------------------
 
 
-class TestRealKernelEdges:
+class TestKernelEdges:
     def test_semaphore_acquire_timeout(self):
-        kernel = RealKernel(time_scale=0.005)
+        kernel = VirtualKernel()
 
         def main():
             sem = kernel.create_semaphore(1)
@@ -627,24 +543,26 @@ class TestRealKernelEdges:
             kernel.shutdown()
 
     def test_shutdown_with_process_blocked_on_semaphore(self):
-        kernel = RealKernel(time_scale=0.005)
+        kernel = VirtualKernel()
         sem = kernel.create_semaphore(1)
-        entered = threading.Event()
+        outcome = []
 
         def blocked():
-            entered.set()
-            # kernel-scaled timeout: 600 kernel-seconds = 3 wall-seconds,
-            # far beyond the shutdown deadline — the thread is parked.
+            # far beyond the run: the process is parked at shutdown
             try:
                 sem.acquire(timeout=600.0)
             except WaitTimeout:
-                pass
+                outcome.append("timed out")
 
         def root():
             sem.acquire()
-            kernel.spawn(blocked, name="parked")
-            assert entered.wait(timeout=5.0)
+            proc = kernel.spawn(blocked, name="parked")
+            kernel.sleep(1.0)
+            return proc
 
-        kernel.run_callable(root)
-        kernel.shutdown()  # must return despite the parked thread
+        parked = kernel.run_callable(root)
+        assert parked.state.value == "blocked"
+        kernel.shutdown()  # must return despite the parked process
         assert kernel._shutting_down
+        assert not parked._thread.is_alive()
+        assert outcome == []

@@ -217,10 +217,7 @@ class TestSanitizerTriggers:
         assert seen[0].rule == "san-migrate-pending"
 
     def test_runtime_maps_findings_to_flight_triggers(self):
-        from repro.obs.flight import (
-            TRIGGER_DEADLOCK,
-            TRIGGER_MIGRATE_PENDING,
-        )
+        from repro.obs.flight import TRIGGER_MIGRATE_PENDING
         from repro.sanitizer.core import Finding
 
         with tracing(Tracer()):
@@ -228,7 +225,6 @@ class TestSanitizerTriggers:
                 TestbedConfig(load_profile="dedicated", seed=5)
             )
             for rule, trigger in (
-                ("san-lock-deadlock", TRIGGER_DEADLOCK),
                 ("san-migrate-pending", TRIGGER_MIGRATE_PENDING),
                 ("san-unrelated", None),
             ):
@@ -239,7 +235,7 @@ class TestSanitizerTriggers:
                 grew = len(runtime.flight.incidents) - before
                 assert grew == (1 if trigger else 0)
             triggers = [b["trigger"] for b in runtime.flight.incidents]
-            assert triggers == [TRIGGER_DEADLOCK, TRIGGER_MIGRATE_PENDING]
+            assert triggers == [TRIGGER_MIGRATE_PENDING]
 
 
 class TestHostKillAcceptance:
