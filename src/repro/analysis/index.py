@@ -42,8 +42,8 @@ _EXCLUDED_SEGMENTS = {"kernel", "sanitizer"}
 
 def excluded_path(path: str) -> bool:
     """Kernel/sanitizer modules: the kernel *is* the blocking layer (its
-    futures' ``wait`` methods are the sinks themselves, its sleeps are
-    real on purpose) and the sanitizer instruments it, so no
+    futures' ``wait`` methods are the sinks themselves, its gates block
+    OS threads on purpose) and the sanitizer instruments it, so no
     interprocedural walk enters them."""
     return bool(_EXCLUDED_SEGMENTS.intersection(re.split(r"[\\/]", path)))
 

@@ -532,12 +532,12 @@ class VirtualKernel:
         to the spawning process's context (shared reference), which is how
         the "current application" travels to async-invocation workers.
 
-        ``completes=F`` is the spawner's
-        promise that only this process completes ``F`` (directly or
-        through an event it schedules) and that, once it has, it does not
-        block again.  A process that waits untimed for ``F`` may then run
-        this one's body on its own thread (:meth:`_host`).  A broken
-        promise raises :class:`KernelError` out of ``run()``."""
+        ``completes=F`` is the spawner's promise that only this process
+        completes ``F`` (directly or through an event it schedules) and
+        that, once it has, it does not block again.  A process that waits
+        untimed for ``F`` may then run this one's body on its own thread
+        (:meth:`_host`).  A broken promise raises :class:`KernelError`
+        out of ``run()``."""
         if context is None:
             parent = self._current
             context = parent.context if parent is not None else {}

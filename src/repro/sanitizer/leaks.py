@@ -14,8 +14,6 @@ cannot recycle the address for a later future — an aliased id would
 silently overwrite an earlier leak's entry.  Entries are dropped on
 completion/await, so only genuine leaks are pinned, and only until the
 owning kernel's shutdown sweep.
-
-All methods run under the sanitizer's internal mutex.
 """
 
 from __future__ import annotations
