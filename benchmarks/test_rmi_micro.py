@@ -168,15 +168,6 @@ def test_batched_vs_scalar(benchmark):
             result["batched-time"] = kernel.now() - t0
             result["batched-msgs"] = stats.messages - m0
 
-            m0 = stats.messages
-            t0 = kernel.now()
-            with reg.app.coalescing(max_batch=calls):
-                handles = [obj.ainvoke("ping") for _ in range(calls)]
-            for handle in handles:
-                handle.get_result()
-            result["coalesced-time"] = kernel.now() - t0
-            result["coalesced-msgs"] = stats.messages - m0
-
             reg.unregister()
 
         runtime.run_app(app, node="milena")
@@ -190,7 +181,7 @@ def test_batched_vs_scalar(benchmark):
         [
             [name, round(result[f"{name}-time"], 4),
              result[f"{name}-msgs"]]
-            for name in ("scalar", "batched", "coalesced")
+            for name in ("scalar", "batched")
         ],
         title="Ext-A | batched (minvoke) vs scalar RMI, master->rachel",
     ))
@@ -200,7 +191,6 @@ def test_batched_vs_scalar(benchmark):
     })
     assert result["batched-msgs"] < result["scalar-msgs"]
     assert result["batched-time"] < result["scalar-time"]
-    assert result["coalesced-msgs"] < result["scalar-msgs"]
 
 
 def test_async_overlaps_local_work(benchmark):

@@ -51,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MAX_REDIRECTS = 8
 
-#: default calls-per-message cap of the ainvoke coalescing buffer
-DEFAULT_COALESCE_BATCH = 16
-
 
 @dataclass
 class RefEntry:
@@ -78,66 +75,17 @@ class _Call:
     method: str
     params: Any
     mode: str                   # "sync" | "async" | "oneway" | "batch"
-    coalesced: bool = False     # an ainvoke buffered by coalescing()
     future: Any = None
     span: Any = None
 
 
-#: per-call (counter, latency histogram) by mode.  Batch slots and
-#: coalesced calls have none: their group is counted when it ships.
+#: per-call (counter, latency histogram) by mode.  Batch slots have
+#: none: their group is counted when it ships.
 _CALL_METRICS = {
     "sync": ("invoke.sync", "invoke.latency:sync"),
     "async": ("invoke.async", "invoke.latency:async"),
     "oneway": ("invoke.oneway", None),
 }
-
-
-class _InvokeCoalescer:
-    """Per-destination buffering of async invocations.
-
-    Inside a :meth:`AppOA.coalescing` window every ``ainvoke`` appends
-    to the buffer of its resolved destination instead of shipping its
-    own message.  A buffer ships as one ``INVOKE_BATCH`` when it reaches
-    ``max_batch`` calls, on an explicit ``flush()``, or automatically on
-    the next scheduler tick: a spawned flusher runs as soon as the
-    buffering process yields, so a burst issued inside one tick
-    piggybacks onto one message without ever stalling the application.
-    """
-
-    def __init__(self, app: "AppOA",
-                 max_batch: int = DEFAULT_COALESCE_BATCH) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.app = app
-        self.max_batch = max_batch
-        self._buffers: dict[Addr, list[_Call]] = {}
-        self._flush_scheduled = False
-
-    def add(self, dest: Addr, call: _Call) -> None:
-        buffer = self._buffers.setdefault(dest, [])
-        buffer.append(call)
-        if len(buffer) >= self.max_batch:
-            self._ship(dest, self._buffers.pop(dest))
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.app._spawn(self._scheduled_flush,
-                            name=f"minvoke-flush@{self.app.app_id}")
-
-    def _scheduled_flush(self) -> None:
-        self._flush_scheduled = False
-        self.flush()
-
-    def flush(self) -> None:
-        """Ship every buffered group now."""
-        buffers, self._buffers = self._buffers, {}
-        for dest, group in buffers.items():
-            self._ship(dest, group)
-
-    def _ship(self, dest: Addr, group: list[_Call]) -> None:
-        app = self.app
-        app._spawn_batch(
-            dest, group, app._open_batch(dest, len(group), coalesced=True)
-        )
 
 
 class AppOA(HolderEndpoints):
@@ -156,8 +104,6 @@ class AppOA(HolderEndpoints):
         #: in-flight async invocations on refs without a RefEntry row
         #: (remote-origin handles, static segments)
         self.foreign_pending: dict[str, int] = {}
-        #: active ainvoke coalescing buffer (None outside coalescing())
-        self._coalescer: _InvokeCoalescer | None = None
         self.watch_ids: list[str] = []
         self.closed = False
         self.init_holder()
@@ -326,20 +272,10 @@ class AppOA(HolderEndpoints):
         self, ref: ObjectRef, method: str, params: Any = ()
     ) -> ResultHandle:
         """Asynchronous invocation: returns a :class:`ResultHandle`
-        immediately; a dedicated worker process carries the RMI.
-        Inside a :meth:`coalescing` window the call is buffered and
-        piggybacks onto a per-destination ``INVOKE_BATCH`` instead."""
+        immediately; a dedicated worker process carries the RMI."""
         self._check_open()
-        if self._coalescer is not None:
-            # Resolved before the call is opened: a dead handle raises
-            # here, with nothing counted or traced yet.
-            dest = self._location_of(ref)
-            call = self._open_call(_Call(ref, method, params, "async", True))
-            self._coalescer.add(dest, call)
-        else:
-            call = self._open_call(_Call(ref, method, params, "async"))
-            self._spawn(self._chase, call,
-                        name=f"ainvoke-{method}@{self.app_id}")
+        call = self._open_call(_Call(ref, method, params, "async"))
+        self._spawn(self._chase, call, name=f"ainvoke-{method}@{self.app_id}")
         return self._handle(call)
 
     def oinvoke(self, ref: ObjectRef, method: str, params: Any = ()) -> None:
@@ -412,15 +348,13 @@ class AppOA(HolderEndpoints):
             self._pending_incr(call.ref)
         tracer = self.tracer
         if tracer.enabled:
-            fields = {"obj_id": call.ref.obj_id, "method": call.method,
-                      "mode": call.mode}
-            if call.coalesced:
-                fields["coalesced"] = True
             if parent is None:
                 parent = spans.current_context()
-            call.span = tracer.begin_span(ev.OBJ_INVOKE, self.world.now(),
-                                          self.home, self.actor, parent,
-                                          install, **fields)
+            call.span = tracer.begin_span(
+                ev.OBJ_INVOKE, self.world.now(), self.home, self.actor,
+                parent, install, obj_id=call.ref.obj_id, method=call.method,
+                mode=call.mode,
+            )
         return call
 
     def _close_call(self, call: _Call, error: bool = False) -> None:
@@ -431,7 +365,7 @@ class AppOA(HolderEndpoints):
             tracer.end_span(call.span, ts=now, error=True)
         else:
             tracer.end_span(call.span, ts=now)
-        metrics = None if call.coalesced else _CALL_METRICS.get(call.mode)
+        metrics = _CALL_METRICS.get(call.mode)
         if metrics is not None:
             counter, latency = metrics
             tracer.count(counter, host=self.home)
@@ -483,7 +417,7 @@ class AppOA(HolderEndpoints):
 
     def _spawn(self, fn: Any, *args: Any, name: str) -> None:
         """Every process this agent starts: one worker per asynchronous
-        invocation, one-sided call, batch group, flush or auto-migration
+        invocation, one-sided call, batch group or auto-migration
         (paper Section 5.2)."""
         self.world.kernel.spawn(fn, *args, name=name, context={})
 
@@ -509,55 +443,23 @@ class AppOA(HolderEndpoints):
             items.append(call)
             groups.setdefault(self._location_of(ref), []).append(call)
         for dest, group in groups.items():
-            # The batch span parents every per-call span of its group.
-            bspan = self._open_batch(dest, len(group), coalesced=False)
-            parent = bspan.ctx if bspan is not None else None
+            # The batch span parents every per-call span of its group;
+            # it belongs to the shipping worker, so it is not installed.
+            bspan = parent = None
+            if self.tracer.enabled:
+                bspan = self.tracer.begin_span(
+                    ev.OBJ_INVOKE_BATCH, ts=self.world.now(), host=self.home,
+                    actor=self.actor, install=False, dest=str(dest),
+                    size=len(group),
+                )
+                parent = bspan.ctx
             for call in group:
                 self._open_call(call, parent=parent)
-            self._spawn_batch(dest, group, bspan)
+            self._spawn(self._carry_batch, dest, group, bspan,
+                        name=f"minvoke@{self.app_id}->{dest.host}")
         return MultiHandle(
             [self._handle(call) for call in items], mapper=mapper
         )
-
-    @contextmanager
-    def coalescing(self, max_batch: int = DEFAULT_COALESCE_BATCH):
-        """Context manager: buffer ``ainvoke`` bursts per destination
-        and ship each group as one ``INVOKE_BATCH``.  Buffers flush at
-        ``max_batch`` calls, on :meth:`flush_invokes`, automatically on
-        the next scheduler tick, and when the window closes."""
-        self._check_open()
-        previous = self._coalescer
-        coalescer = _InvokeCoalescer(self, max_batch)
-        self._coalescer = coalescer
-        try:
-            yield coalescer
-        finally:
-            self._coalescer = previous
-            coalescer.flush()
-
-    def flush_invokes(self) -> None:
-        """Ship anything buffered by an active :meth:`coalescing`
-        window immediately."""
-        if self._coalescer is not None:
-            self._coalescer.flush()
-
-    def _open_batch(self, dest: Addr, size: int, coalesced: bool) -> Any:
-        """The ``obj.invoke.batch`` span of one destination group (None
-        with tracing off); install=False — it belongs to the shipping
-        worker, not to this caller."""
-        if not self.tracer.enabled:
-            return None
-        return self.tracer.begin_span(
-            ev.OBJ_INVOKE_BATCH, ts=self.world.now(), host=self.home,
-            actor=self.actor, install=False, dest=str(dest),
-            size=size, coalesced=coalesced,
-        )
-
-    def _spawn_batch(self, dest: Addr, group: list[_Call],
-                     bspan: Any) -> None:
-        """Ship one destination group on a dedicated worker process."""
-        self._spawn(self._carry_batch, dest, group, bspan,
-                    name=f"minvoke@{self.app_id}->{dest.host}")
 
     def _carry_batch(self, dest: Addr, group: list[_Call],
                      bspan: Any) -> None:
@@ -777,7 +679,6 @@ class AppOA(HolderEndpoints):
         sanitizer finding because the application is racing itself."""
         if entry.pending <= 0:
             return
-        self.flush_invokes()  # buffered coalesced calls count as pending
         kernel = self.world.kernel
         drain_start = self.world.now()
         timeout = self.runtime.shell.config.migrate_drain_timeout
@@ -934,7 +835,6 @@ class AppOA(HolderEndpoints):
         un-registration lets JRS drop book-keeping and free memory)."""
         if self.closed:
             return
-        self.flush_invokes()  # ship any still-buffered coalesced calls
         for obj_id, entry in list(self.refs.items()):
             try:
                 self.free_object(entry.ref)

@@ -114,36 +114,3 @@ class JSShell:
 
     def failure_events(self) -> list:
         return list(self.runtime.nas.events)
-
-    def top(self) -> str:
-        """One top-style frame over the cluster right now: per node, idle
-        %, JS memory, RPC/migration counters, in-flight spans and the
-        slowest open span (from the tracer, when tracing is on)."""
-        from repro.obs.top import live_frame, render_top_frame
-
-        self._note("top")
-        return render_top_frame(live_frame(self.runtime))
-
-    def metrics(self, fmt: str = "prom") -> str:
-        """The cluster metrics aggregate, rendered.  ``fmt``: ``"prom"``
-        for Prometheus exposition text, ``"json"`` for the full document
-        (merged + per-host snapshots, JSON text).  Reads the NAS-shipped
-        aggregate when heartbeat deltas have arrived, the tracer's live
-        per-host registries otherwise."""
-        import json
-
-        from repro.obs import render_prom
-
-        self._note("metrics", fmt=fmt)
-        doc = self.runtime.metrics_document()
-        if fmt == "json":
-            return json.dumps(doc, indent=1, default=repr)
-        if fmt != "prom":
-            raise ShellError(f"unknown metrics format {fmt!r}")
-        return render_prom(doc["merged"])
-
-    def incidents(self) -> list[dict]:
-        """The flight recorder's captured incident bundles, oldest
-        first (render one with :func:`repro.obs.render_incident`)."""
-        self._note("incidents")
-        return list(self.runtime.flight.incidents)

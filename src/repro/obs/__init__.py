@@ -45,7 +45,6 @@ from repro.obs.timeseries import ClusterMetrics, HostSeries, MetricsDelta
 from repro.obs.top import (
     TopFrame,
     frames_from_trace,
-    live_frame,
     render_top,
     render_top_frame,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "spans_document",
     "TopFrame",
     "frames_from_trace",
-    "live_frame",
     "render_top",
     "render_top_frame",
 ]

@@ -29,7 +29,7 @@ local resolve-and-send when remote)
 ``obj.invoke.batch`` (span, dur = ship-to-collect time of one
 ``INVOKE_BATCH`` message; parents the per-call ``obj.invoke`` spans of
 a ``minvoke`` group)
-    dest, size, coalesced (True when ainvoke bursts were buffered)
+    dest, size
 ``obj.dispatch`` (span, dur = holder-side execution incl. compute charge)
     obj_id, method, flops
 ``obj.wait`` (span, dur = time a ``ResultHandle.get_result`` blocked)

@@ -9,11 +9,7 @@ plus a :class:`HostSeries` of the last N windows per host.
 
 Windows give the plane its time dimension: counter *rates* (events per
 simulated second over the window span) and windowed histograms (merge of
-the last k deltas) are what the SLO watcher evaluates, and
-:meth:`HostSeries.forecast_rate` is an NWS-style adaptive predictor —
-several simple predictors run side by side and the one with the lowest
-cumulative error on the recorded windows wins (Wolski's Network Weather
-Service trick: no single predictor is best, so pick empirically).
+the last k deltas) are what the SLO watcher evaluates.
 
 Rollover is deterministic: windows are appended in heartbeat order and
 the deque evicts strictly oldest-first, so two runs with the same seed
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from statistics import median
 
 from repro.obs.metrics import Histogram, Metrics, merge_snapshots
 
@@ -113,14 +108,6 @@ class HostSeries:
             return 0.0
         return self.counter_sum(name, windows) / span
 
-    def rates(self, name: str) -> list[float]:
-        """The per-window rate series for ``name``, oldest first."""
-        out = []
-        for w in self.windows:
-            dur = w.duration
-            out.append(w.counters.get(name, 0.0) / dur if dur > 0 else 0.0)
-        return out
-
     def histogram(self, name: str,
                   windows: int | None = None) -> Histogram | None:
         """Merge of ``name``'s deltas over the last windows, or None if
@@ -135,32 +122,6 @@ class HostSeries:
             else:
                 merged.merge(Histogram.from_snapshot(snap))
         return merged
-
-    def forecast_rate(self, name: str) -> float:
-        """NWS-style one-step forecast of ``name``'s next-window rate.
-
-        Candidate predictors (last value, sliding mean, sliding median)
-        are replayed over the recorded windows; the one with the lowest
-        cumulative absolute one-step error issues the forecast.
-        Deterministic: depends only on the window contents.
-        """
-        series = self.rates(name)
-        if not series:
-            return 0.0
-        if len(series) == 1:
-            return series[0]
-        predictors = {
-            "last": lambda hist: hist[-1],
-            "mean": lambda hist: sum(hist) / len(hist),
-            "median": lambda hist: median(hist),
-        }
-        errors = dict.fromkeys(predictors, 0.0)
-        for i in range(1, len(series)):
-            past, actual = series[:i], series[i]
-            for pname, predict in predictors.items():
-                errors[pname] += abs(predict(past) - actual)
-        best = min(sorted(predictors), key=lambda p: errors[p])
-        return predictors[best](series)
 
 
 class ClusterMetrics:

@@ -1,17 +1,11 @@
 """``js-top``: a per-node, top-style view of a PySymphony run.
 
-Two data paths feed the same frame type:
-
-* **Live** (:func:`live_frame`) — called from a running application via
-  :meth:`JSShell.top`: idle/memory come straight from ``sysmon``
-  sampling, activity counters from the simulated machines, and in-flight
-  spans from the tracer's open-span registry.
-* **Post-hoc** (:func:`frames_from_trace`) — ``python -m repro top``
-  runs the target under the tracer (virtual-time runs finish in host
-  milliseconds) and reconstructs one frame per simulated-time window
-  from the recorded events: RPC rates from ``rpc.request`` spans,
-  CPU-busy from ``compute`` span overlap, idle/memory from the
-  ``nas.sample`` fields, in-flight/slowest spans from span intervals.
+:func:`frames_from_trace` feeds ``python -m repro top``: the verb runs
+the target under the tracer (virtual-time runs finish in host
+milliseconds) and this reconstructs one frame per simulated-time window
+from the recorded events: RPC rates from ``rpc.request`` spans,
+CPU-busy from ``compute`` span overlap, idle/memory from the
+``nas.sample`` fields, in-flight/slowest spans from span intervals.
 """
 
 from __future__ import annotations
@@ -90,44 +84,6 @@ def render_top_frame(frame: TopFrame) -> str:
 
 def render_top(frames: list[TopFrame]) -> str:
     return "\n\n".join(render_top_frame(frame) for frame in frames)
-
-
-# -- live path (JSShell.top) -----------------------------------------------
-
-
-def live_frame(runtime) -> TopFrame:
-    """A frame for *now*, from a running :class:`JSRuntime`."""
-    from repro.sysmon import SysParam
-
-    world = runtime.world
-    tracer = world.tracer
-    now = world.now()
-    open_spans = list(tracer.open_spans.values()) if tracer.enabled else []
-    frame = TopFrame(
-        t=now, window=0.0, open_spans=len(open_spans),
-        events=len(getattr(tracer, "events", ())),
-    )
-    for host in runtime.nas.known_hosts():
-        machine = world.machine(host)
-        row = HostRow(host=host, alive=not machine.failed)
-        if not machine.failed:
-            snap = runtime.nas.latest_snapshot(host)
-            idle = snap.get(SysParam.IDLE)
-            row.idle = float(idle) if idle is not None else None
-        row.mem_mb = machine.js_mem_mb + machine.codebase_mem_mb
-        row.rpc_tx = machine.counters.messages_sent
-        row.rpc_rx = machine.counters.messages_received
-        row.migrations = machine.counters.migrations_in
-        mine = [s for s in open_spans if s.host == host]
-        row.inflight = len(mine)
-        if mine:
-            oldest = min(mine, key=lambda s: s.ts)
-            row.slowest_open = f"{oldest.etype} +{now - oldest.ts:.2f}s"
-        frame.rows.append(row)
-    return frame
-
-
-# -- post-hoc path (repro top) ---------------------------------------------
 
 
 def frames_from_trace(tracer, period: float | None = None,

@@ -10,9 +10,8 @@ returned keeps one :class:`~repro.rmi.handle.ResultHandle` per call, in
 request order::
 
     mh = obj.minvoke("step", [[1], [2], [3]])
-    results = mh.get_results()              # positional, raises on failure
-    for i, outcome in mh.as_completed():    # completion order
-        ...
+    results = mh.get_results()      # positional, raises on failure
+    outcomes = mh.outcomes()        # positional, failures in place
 
 Partial failure stays per-call: a raising call surfaces its exception at
 its own slot (``outcomes()`` returns exceptions in place;
@@ -23,15 +22,10 @@ fails its batch-mates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import RPCTimeoutError
-from repro.obs.events import RPC_TIMEOUT
 from repro.rmi.handle import ResultHandle
-
-#: poll quantum for as_completed / deadline checks (simulated seconds);
-#: half the dispatch wait quantum so completions are observed promptly
-_POLL = 0.0005
 
 
 class MultiHandle:
@@ -61,9 +55,6 @@ class MultiHandle:
     def is_ready(self) -> bool:
         """Non-blocking: have *all* calls completed?"""
         return all(h.is_ready() for h in self._handles)
-
-    def ready_count(self) -> int:
-        return sum(1 for h in self._handles if h.is_ready())
 
     # -- collection --------------------------------------------------------------
 
@@ -113,56 +104,6 @@ class MultiHandle:
                     raise
                 collected.append(exc)
         return collected
-
-    def failures(
-        self, timeout: float | None = None
-    ) -> list[tuple[int, BaseException]]:
-        """The degradation view: ``(index, exception)`` for every failed
-        slot, empty when the whole batch succeeded.  With a retry policy
-        installed, transport-level slot failures arrive here as
-        :class:`repro.errors.RetriesExhaustedError` (carrying the
-        attempt trace) after the reliability layer gave up — successful
-        slots are unaffected."""
-        return [
-            (i, outcome)
-            for i, outcome in enumerate(self.outcomes(timeout))
-            if isinstance(outcome, BaseException)
-        ]
-
-    def as_completed(
-        self, timeout: float | None = None
-    ) -> Iterator[tuple[int, Any]]:
-        """Yield ``(index, outcome)`` pairs in completion order, where
-        ``outcome`` is the result or the per-call exception.  Blocks
-        between completions through the kernel (virtual-time safe)."""
-        kernel = self._kernel()
-        deadline = self._deadline(timeout)
-        remaining = set(range(len(self._handles)))
-        while remaining:
-            progressed = False
-            for i in sorted(remaining):
-                if not self._handles[i].is_ready():
-                    continue
-                remaining.discard(i)
-                progressed = True
-                try:
-                    yield i, self.get_result(i)
-                except Exception as exc:  # noqa: BLE001 - per-call outcome
-                    yield i, exc
-            if not remaining:
-                return
-            if deadline is not None and self._expired(deadline):
-                if kernel is not None:
-                    kernel.tracer.emit(
-                        RPC_TIMEOUT, ts=kernel.now(), kind="minvoke",
-                        waited=timeout, pending=len(remaining))
-                    kernel.tracer.count("rpc.timeouts")
-                raise RPCTimeoutError(
-                    f"{len(remaining)} of {len(self._handles)} batched "
-                    f"results not ready within {timeout} s"
-                )
-            if not progressed and kernel is not None:
-                kernel.sleep(_POLL)
 
     # -- deadline helpers ---------------------------------------------------------
 

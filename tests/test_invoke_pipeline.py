@@ -1,7 +1,7 @@
 """The AppOA invocation pipeline, pinned from outside.
 
 ``test_golden_run`` drives every invocation path — sync / async /
-one-sided, local and remote, coalesced bursts, ``minvoke`` groups, the
+one-sided, local and remote, ``minvoke`` groups, the
 stale-handle redirect, calls in flight across a migration, store/load —
 through one seeded testbed and compares the simulated clock, the
 transport's message ledger, the results and the shape of the trace with
@@ -91,11 +91,10 @@ def golden_script(rt):
             for o in mixed.outcomes()
         )
 
-        # a coalesced burst of 8 (3 + 3 + 2), one call failing
-        with reg.app.coalescing(max_batch=3):
-            handles = [remote.ainvoke("incr") for _ in range(7)]
-            handles.append(remote.ainvoke("boom"))
-        out.extend(outcome(h.get_result) for h in handles)
+        # three minvoke groups of 3, 3 and 2 calls, the last one failing
+        calls = [(remote, "incr", None)] * 7 + [(remote, "boom", None)]
+        groups = [minvoke(calls[i:i + 3]) for i in (0, 3, 6)]
+        out.extend(outcome(h.get_result) for g in groups for h in g.handles)
 
         # migrate x2 with three async calls in flight each time, then a
         # locally held object pushed out and pulled back
@@ -130,9 +129,7 @@ def golden_script(rt):
         remote.migrate("rachel")
         out.append(stale.ainvoke("incr").get_result())
         remote.migrate("greta")
-        with reg.app.coalescing():
-            handles = [stale.ainvoke("incr") for _ in range(2)]
-        out.extend(h.get_result() for h in handles)
+        out.extend(stale.minvoke("incr", [None, None]).get_results())
         out.append(stale.get_node())
 
         # store + load
@@ -170,7 +167,7 @@ def golden_run(traced, reliable):
 
 
 def trace_shape(tracer):
-    """``Counter((etype, mode, coalesced, parent etype))`` over every
+    """``Counter((etype, mode, parent etype))`` over every
     event of the run.  A span's parent is the span that caused it; an
     instant's is the span it was emitted inside."""
     etype_of = {e.ctx.span_id: e.etype for e in tracer.events
@@ -182,8 +179,7 @@ def trace_shape(tracer):
             parent = etype_of.get(
                 e.ctx.parent_id if e.dur is not None else e.ctx.span_id
             )
-        shape[(e.etype, e.fields.get("mode"), e.fields.get("coalesced"),
-               parent)] += 1
+        shape[(e.etype, e.fields.get("mode"), parent)] += 1
     return dict(shape)
 
 
@@ -212,7 +208,7 @@ GOLDEN = {
         "ValueError", "RemoteInvocationError",          # async boom
         10, 11, 10, 11, 12,                             # minvoke groups
         12, "RemoteInvocationError", 12, "ValueError",  # mixed minvoke
-        13, 14, 15, 16, 17, 18, 19, "RemoteInvocationError",  # coalesced
+        13, 14, 15, 16, 17, 18, 19, "RemoteInvocationError",  # 3 + 3 + 2
         20, 21, 22, "johanna", 23, 24, 25, "greta",     # migrate x2
         13, 14, 15, 15,                                 # local out and back
         25, 36, 37, 38, 39, 40, "greta",                # stale handle
@@ -235,64 +231,62 @@ GOLDEN_RELIABLE = {
 #: untraced, the heartbeats carry no metrics deltas; nothing else moves
 GOLDEN_UNTRACED = {**GOLDEN, "bytes_total": 54735}
 
-#: (etype, mode, coalesced, parent etype) -> events
+#: (etype, mode, parent etype) -> events
 GOLDEN_SHAPE = {
-    ("app", None, None, None): 2,
-    ("classload", None, None, "app"): 1,
-    ("compute", None, None, "app"): 3,
-    ("compute", None, None, "classload"): 3,
-    ("compute", None, None, "migrate"): 7,
-    ("compute", None, None, "nas.sample"): 12,
-    ("compute", None, None, "obj.invoke"): 24,
-    ("compute", None, None, "obj.invoke.batch"): 7,
-    ("compute", None, None, "persist.load"): 1,
-    ("compute", None, None, "persist.store"): 1,
-    ("compute", None, None, "rpc.exec"): 65,
-    ("compute", None, None, None): 9,
-    ("migrate", None, None, "app"): 7,
-    ("migrate.step", None, None, "migrate"): 4,
-    ("migrate.step", None, None, "rpc.exec"): 31,
-    ("nas.probe", None, None, None): 9,
-    ("nas.sample", None, None, None): 13,
-    ("obj.create", None, None, "app"): 2,
-    ("obj.dispatch", None, None, "obj.invoke"): 12,
-    ("obj.dispatch", None, None, "obj.invoke.batch"): 4,
-    ("obj.dispatch", None, None, "rpc.exec"): 34,
-    ("obj.fetch_state", None, None, "rpc.exec"): 1,
-    ("obj.free", None, None, "app"): 4,
-    ("obj.invoke", "async", None, "app"): 14,
-    ("obj.invoke", "async", True, "app"): 10,
-    ("obj.invoke", "batch", None, "obj.invoke.batch"): 11,
-    ("obj.invoke", "oneway", None, "app"): 5,
-    ("obj.invoke", "sync", None, "app"): 10,
-    ("obj.invoke.batch", None, False, "app"): 5,
-    ("obj.invoke.batch", None, True, "app"): 4,
-    ("obj.wait", None, None, "obj.invoke"): 16,
-    ("persist.load", None, None, "app"): 2,
-    ("persist.store", None, None, "app"): 1,
-    ("proc.spawn", None, None, "app"): 27,
-    ("proc.spawn", None, None, None): 115,
-    ("rpc.exec", None, None, "rpc.request"): 74,
-    ("rpc.reply", None, None, "rpc.exec"): 58,
-    ("rpc.request", None, None, "app"): 3,
-    ("rpc.request", None, None, "classload"): 3,
-    ("rpc.request", None, None, "migrate"): 7,
-    ("rpc.request", None, None, "nas.sample"): 12,
-    ("rpc.request", None, None, "obj.invoke"): 24,
-    ("rpc.request", None, None, "obj.invoke.batch"): 7,
-    ("rpc.request", None, None, "persist.load"): 1,
-    ("rpc.request", None, None, "persist.store"): 1,
-    ("rpc.request", None, None, "rpc.exec"): 7,
-    ("rpc.request", None, None, None): 9,
+    ("app", None, None): 2,
+    ("classload", None, "app"): 1,
+    ("compute", None, "app"): 3,
+    ("compute", None, "classload"): 3,
+    ("compute", None, "migrate"): 7,
+    ("compute", None, "nas.sample"): 12,
+    ("compute", None, "obj.invoke"): 24,
+    ("compute", None, "obj.invoke.batch"): 7,
+    ("compute", None, "persist.load"): 1,
+    ("compute", None, "persist.store"): 1,
+    ("compute", None, "rpc.exec"): 65,
+    ("compute", None, None): 9,
+    ("migrate", None, "app"): 7,
+    ("migrate.step", None, "migrate"): 4,
+    ("migrate.step", None, "rpc.exec"): 31,
+    ("nas.probe", None, None): 9,
+    ("nas.sample", None, None): 13,
+    ("obj.create", None, "app"): 2,
+    ("obj.dispatch", None, "obj.invoke"): 12,
+    ("obj.dispatch", None, "obj.invoke.batch"): 4,
+    ("obj.dispatch", None, "rpc.exec"): 34,
+    ("obj.fetch_state", None, "rpc.exec"): 1,
+    ("obj.free", None, "app"): 4,
+    ("obj.invoke", "async", "app"): 14,
+    ("obj.invoke", "batch", "obj.invoke.batch"): 21,
+    ("obj.invoke", "oneway", "app"): 5,
+    ("obj.invoke", "sync", "app"): 10,
+    ("obj.invoke.batch", None, "app"): 9,
+    ("obj.wait", None, "obj.invoke"): 16,
+    ("persist.load", None, "app"): 2,
+    ("persist.store", None, "app"): 1,
+    ("proc.spawn", None, "app"): 25,
+    ("proc.spawn", None, None): 115,
+    ("rpc.exec", None, "rpc.request"): 74,
+    ("rpc.reply", None, "rpc.exec"): 58,
+    ("rpc.request", None, "app"): 3,
+    ("rpc.request", None, "classload"): 3,
+    ("rpc.request", None, "migrate"): 7,
+    ("rpc.request", None, "nas.sample"): 12,
+    ("rpc.request", None, "obj.invoke"): 24,
+    ("rpc.request", None, "obj.invoke.batch"): 7,
+    ("rpc.request", None, "persist.load"): 1,
+    ("rpc.request", None, "persist.store"): 1,
+    ("rpc.request", None, "rpc.exec"): 7,
+    ("rpc.request", None, None): 9,
 }
 
 #: the acked one-sided calls: a worker spawned under the call's span,
 #: and a reply leg (with its serialization charge) per ack
 GOLDEN_SHAPE_RELIABLE = {
     **GOLDEN_SHAPE,
-    ("proc.spawn", None, None, "obj.invoke"): 3,
-    ("compute", None, None, "rpc.exec"): 68,
-    ("rpc.reply", None, None, "rpc.exec"): 61,
+    ("proc.spawn", None, "obj.invoke"): 3,
+    ("compute", None, "rpc.exec"): 68,
+    ("rpc.reply", None, "rpc.exec"): 61,
 }
 
 
@@ -315,8 +309,8 @@ def test_golden_run(traced, reliable, golden, shape):
 # ---------------------------------------------------------------------------
 
 #: test mode -> the ``mode`` field its obj.invoke span carries
-SPAN_MODE = {"sync": "sync", "async": "async", "coalesced": "async",
-             "oneway": "oneway", "batch": "batch"}
+SPAN_MODE = {"sync": "sync", "async": "async", "oneway": "oneway",
+             "batch": "batch"}
 
 
 def issue(app, obj, mode):
@@ -325,10 +319,6 @@ def issue(app, obj, mode):
         obj.sinvoke("incr")
     elif mode == "async":
         obj.ainvoke("incr").get_result()
-    elif mode == "coalesced":
-        with app.coalescing():
-            handle = obj.ainvoke("incr")
-        handle.get_result()
     elif mode == "oneway":
         obj.oinvoke("incr")
     else:
@@ -381,20 +371,12 @@ def test_settled_call_leaves_nothing_behind(mode, target, traced):
     (call,) = [e for e in tracer.events_of(ev.OBJ_INVOKE)
                if e.fields["method"] == "incr"]
     assert call.fields["mode"] == SPAN_MODE[mode]
-    assert call.fields.get("coalesced") == (True if mode == "coalesced"
-                                            else None)
     assert "error" not in call.fields
     batches = tracer.events_of(ev.OBJ_INVOKE_BATCH)
     if mode == "batch":
         # the group's span parents the slot's
         (batch,) = batches
-        assert batch.fields["coalesced"] is False
         assert call.ctx.parent_id == batch.ctx.span_id
-    elif mode == "coalesced":
-        # the call's span was opened by the caller at ainvoke time; the
-        # group that carried it is a span of its own
-        (batch,) = batches
-        assert batch.fields["coalesced"] is True and batch.fields["size"] == 1
     else:
         assert batches == []
 
@@ -450,14 +432,16 @@ def test_batch_degradation_settles_every_slot():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("path", ["minvoke", "coalesced"])
+@pytest.mark.parametrize("path", ["minvoke", "ainvoke"])
 def test_dead_handle_leaks_no_pending_and_no_span(path):
-    """One freed handle in a call list raises ``ObjectStateError`` when
-    its destination is resolved.  That used to happen *after* the call
-    (and, in ``minvoke``, its batch-mates) had been counted as pending
-    and traced: the counts never came back, and the next migration of a
-    batch-mate sat in the pending drain for its whole timeout — forever
-    with the default ``migrate_drain_timeout=None``."""
+    """A freed handle raises ``ObjectStateError`` when its destination
+    is resolved: in ``minvoke`` before anything in the list is counted,
+    in ``ainvoke`` on the worker, through the handle.  ``minvoke`` used
+    to count and trace the call and its batch-mates first: the counts
+    never came back, and the next migration of a batch-mate sat in the
+    pending drain for its whole timeout — forever with the default
+    ``migrate_drain_timeout=None``.  A scalar call counted before it
+    fails must release its count as it settles."""
     shell = ShellConfig(migrate_drain_timeout=2.0)
     with tracing(Tracer()) as tracer:
         rt = vienna_testbed(TestbedConfig(
@@ -472,22 +456,22 @@ def test_dead_handle_leaks_no_pending_and_no_span(path):
         dead = JSObj("Counter", "rachel")
         dead.free()
         handles = []
-        with pytest.raises(ObjectStateError):
-            if path == "minvoke":
+        if path == "minvoke":
+            with pytest.raises(ObjectStateError):
                 minvoke([(live, "incr", []), (dead, "incr", [])])
-            else:
-                with reg.app.coalescing():
-                    handles.append(live.ainvoke("incr"))
-                    handles.append(dead.ainvoke("incr"))
+        else:
+            handles = [live.ainvoke("incr"), dead.ainvoke("incr")]
+            with pytest.raises(ObjectStateError):
+                handles.pop().get_result()
         kernel.sleep(0.5)
         assert reg.app.pending_invocations(live.obj_id) == 0
+        assert reg.app.pending_invocations(dead.obj_id) == 0
         assert reg.app.foreign_pending == {}
         assert [s.etype for s in tracer.open_spans.values()] == [ev.APP]
         t0 = kernel.now()
         live.migrate("johanna")
         assert kernel.now() - t0 < 0.1
-        # minvoke raised as a whole; the coalesced batch-mate was already
-        # buffered and shipped when the window closed
+        # minvoke raised as a whole; the live ainvoke ran on its own
         done = [h.get_result() for h in handles]
         assert done == ([] if path == "minvoke" else [1])
         assert live.sinvoke("get") == len(done)

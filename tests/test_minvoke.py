@@ -1,7 +1,6 @@
 """Tests for the bulk-RMI extension: ``minvoke``/``MultiHandle``,
 per-destination ``INVOKE_BATCH`` grouping, partial-failure semantics,
-``ainvoke`` coalescing windows, and per-call ``Moved`` redirects after
-concurrent migration."""
+and per-call ``Moved`` redirects after concurrent migration."""
 
 import pytest
 
@@ -42,7 +41,7 @@ class TestMultiHandleBasics:
             assert stats.by_kind.get(M.INVOKE_BATCH, 0) == batches + 1
             # One request, one reply: not 3 + 3.
             assert stats.messages - m0 == 2
-            assert mh.is_ready() and mh.ready_count() == 3
+            assert mh.is_ready()
             reg.unregister()
 
         rt.run_app(app, node="milena")
@@ -98,30 +97,6 @@ class TestMultiHandleBasics:
             reg.unregister()
 
         rt.run_app(app, node="milena")
-
-    def test_as_completed_yields_every_call(self, dedicated_testbed):
-        def app():
-            reg = JSRegistration()
-            load_classes(["johanna", "ida"])
-            fast = JSObj("Echo", "johanna")
-            slow = JSObj("Spinner", "ida")
-            mh = minvoke([
-                (slow, "spin", [20e6]),
-                (fast, "echo", ["a"]),
-                (fast, "echo", ["b"]),
-            ])
-            order = []
-            seen = {}
-            for index, outcome in mh.as_completed():
-                order.append(index)
-                seen[index] = outcome
-            assert seen == {0: "done", 1: "a", 2: "b"}
-            # The quick echoes on the fast segment complete before the
-            # modelled-compute spin on the slow shared one.
-            assert order[-1] == 0
-            reg.unregister()
-
-        dedicated_testbed.run_app(app)
 
     def test_jsstatic_minvoke(self, dedicated_testbed):
         def app():
@@ -183,114 +158,6 @@ class TestPartialFailure:
             obj = JSObj("Counter", "local")
             outcomes = minvoke([(obj, "boom", None)]).outcomes()
             assert isinstance(outcomes[0], ValueError)
-            reg.unregister()
-
-        dedicated_testbed.run_app(app)
-
-
-class TestCoalescing:
-    def test_burst_merges_into_one_message(self, dedicated_testbed):
-        """ainvoke calls issued inside a coalescing window piggyback on
-        a single INVOKE_BATCH instead of one INVOKE each."""
-        rt = dedicated_testbed
-        stats = rt.transport.stats
-
-        def app():
-            reg = JSRegistration()
-            load_classes(["rachel"])
-            obj = JSObj("Counter", "rachel")
-            # Warm the location cache synchronously on purpose.
-            # symlint: disable-next-line=sync-invoke-async-opportunity
-            obj.sinvoke("get")
-            batches = stats.by_kind.get(M.INVOKE_BATCH, 0)
-            invokes = stats.by_kind.get(M.INVOKE, 0)
-            with reg.app.coalescing():
-                handles = [obj.ainvoke("incr") for _ in range(8)]
-            assert sorted(h.get_result() for h in handles) == list(
-                range(1, 9)
-            )
-            assert stats.by_kind.get(M.INVOKE_BATCH, 0) == batches + 1
-            assert stats.by_kind.get(M.INVOKE, 0) == invokes
-            reg.unregister()
-
-        rt.run_app(app, node="milena")
-
-    def test_max_batch_ships_in_chunks(self, dedicated_testbed):
-        rt = dedicated_testbed
-        stats = rt.transport.stats
-
-        def app():
-            reg = JSRegistration()
-            load_classes(["rachel"])
-            obj = JSObj("Counter", "rachel")
-            # Warm the location cache synchronously on purpose.
-            # symlint: disable-next-line=sync-invoke-async-opportunity
-            obj.sinvoke("get")
-            batches = stats.by_kind.get(M.INVOKE_BATCH, 0)
-            with reg.app.coalescing(max_batch=2):
-                handles = [obj.ainvoke("incr") for _ in range(5)]
-            for h in handles:
-                h.get_result()
-            # 5 calls at max_batch=2 -> 2 + 2 + 1 = three batches.
-            assert stats.by_kind.get(M.INVOKE_BATCH, 0) == batches + 3
-            reg.unregister()
-
-        rt.run_app(app)
-
-    def test_explicit_flush_mid_window(self, dedicated_testbed):
-        rt = dedicated_testbed
-        stats = rt.transport.stats
-
-        def app():
-            reg = JSRegistration()
-            load_classes(["rachel"])
-            obj = JSObj("Counter", "rachel")
-            # Warm the location cache synchronously on purpose.
-            # symlint: disable-next-line=sync-invoke-async-opportunity
-            obj.sinvoke("get")
-            batches = stats.by_kind.get(M.INVOKE_BATCH, 0)
-            with reg.app.coalescing(max_batch=64):
-                first = [obj.ainvoke("incr") for _ in range(3)]
-                reg.app.flush_invokes()
-                # Results are reachable while the window stays open.
-                assert sorted(h.get_result() for h in first) == [1, 2, 3]
-                assert (
-                    stats.by_kind.get(M.INVOKE_BATCH, 0) == batches + 1
-                )
-                second = obj.ainvoke("incr")
-            assert second.get_result() == 4
-            assert stats.by_kind.get(M.INVOKE_BATCH, 0) == batches + 2
-            reg.unregister()
-
-        rt.run_app(app)
-
-    def test_coalesced_failure_stays_per_call(self, dedicated_testbed):
-        def app():
-            reg = JSRegistration()
-            load_classes(["rachel"])
-            obj = JSObj("Counter", "rachel")
-            with reg.app.coalescing():
-                ok = obj.ainvoke("incr", [4])
-                bad = obj.ainvoke("boom")
-            assert ok.get_result() == 4
-            with pytest.raises(RemoteInvocationError):
-                bad.get_result()
-            reg.unregister()
-
-        dedicated_testbed.run_app(app)
-
-    def test_nested_windows_restore_outer(self, dedicated_testbed):
-        def app():
-            reg = JSRegistration()
-            load_classes(["rachel"])
-            obj = JSObj("Counter", "rachel")
-            with reg.app.coalescing() as outer:
-                with reg.app.coalescing(max_batch=2):
-                    assert reg.app._coalescer is not outer
-                assert reg.app._coalescer is outer
-                h = obj.ainvoke("incr")
-            assert reg.app._coalescer is None
-            assert h.get_result() == 1
             reg.unregister()
 
         dedicated_testbed.run_app(app)

@@ -236,31 +236,6 @@ class TestTopFrames:
         text = render_top(frames)
         assert "js-top" in text and "in-flight" in text
 
-    def test_shell_top_renders_live_frame(self):
-        from repro import TestbedConfig, vienna_testbed
-
-        with tracing(Tracer()) as tracer:
-            runtime = vienna_testbed(
-                TestbedConfig(load_profile="dedicated", seed=1)
-            )
-            runtime.nas.config.monitor_period = 0.05
-            captured = []
-
-            def app():
-                runtime.world.kernel.sleep(0.2)
-                captured.append(runtime.shell.top())
-
-            runtime.run_app(app)
-
-        assert tracer.events  # the run was traced
-        (text,) = captured
-        assert "js-top" in text
-        assert "milena" in text
-        # Live frame reads idle straight off the NAS snapshots.
-        assert "%" in text
-        assert ("top" in [kind for _, kind, _ in runtime.shell.log])
-
-
 # ---------------------------------------------------------------------------
 # async continuation + spawn propagation
 # ---------------------------------------------------------------------------
@@ -409,7 +384,6 @@ class TestAsyncPropagation:
         assert len(batches) == 1
         (batch,) = batches
         assert batch.fields["size"] == 3
-        assert batch.fields["coalesced"] is False
         calls = [e for e in tracer.events_of(ev.OBJ_INVOKE)
                  if e.fields.get("mode") == "batch"]
         assert len(calls) == 3

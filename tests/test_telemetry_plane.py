@@ -294,20 +294,3 @@ class TestHostKillAcceptance:
         loaded = load_bundle(str(written[0]))
         json.dumps(loaded)  # plain data
         assert render_incident(loaded)
-
-    def test_shell_metrics_and_incidents_verbs(self):
-        config = TestbedConfig(
-            load_profile="dedicated", seed=5,
-            nas=NASConfig(monitor_period=0.02, probe_period=0.2,
-                          failure_timeout=0.1),
-        )
-        config.shell.rpc_timeout = 5.0
-        tracer, runtime = run_traced_matmul(
-            config, kill=("rachel", 0.06), after=1.0)
-        prom = runtime.shell.metrics()
-        assert "# TYPE repro_rpc_latency histogram" in prom
-        doc = json.loads(runtime.shell.metrics(fmt="json"))
-        assert doc["source"] in ("nas", "tracer")
-        assert runtime.shell.incidents()
-        kinds = [k for _, k, _ in runtime.shell.log]
-        assert "metrics" in kinds and "incidents" in kinds

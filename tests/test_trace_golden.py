@@ -68,7 +68,7 @@ def test_traced_record_is_pinned():
     rt = traced_run(tracer)
     assert len(tracer.events) == 1323
     assert record_digest(tracer, rt) == (
-        "eaeb0352abb7d53d747bcabfb903f3ccee5670b6c61c700cc87020360ab421c6"
+        "17e2de221c669153ac04855968dbaada664bd4d8254b024213718ea74e3fce15"
     )
 
 
@@ -78,6 +78,6 @@ def test_ring_record_is_pinned():
     assert len(tracer.events) == 500
     assert tracer.dropped_events == 1323 - 500
     assert record_digest(tracer, rt) == (
-        "a22830bbff8720d26e828ddab7f1dc40cd8ad3b70932d251d7db8397d7cc12d7"
+        "984407a104344eb98be2ad3b84ddfe88a160b0a39c41618e75d2bdd3c817d3ef"
     )
 
