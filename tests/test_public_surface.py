@@ -2,15 +2,18 @@
 
 Each list below is what a user (or a script, or a CI step) can name:
 the package exports, the kernel, obs and rmi exports, the public
-methods of the runtime classes an application calls, the lint rule
-ids, the symsan rule ids and the CLI verbs.  A deletion that drops one of them must
-edit this file too, so a removal is always deliberate and visible in
-the diff, never a side effect.
+methods of the runtime classes an application calls, the settable
+values (config dataclass fields and the runtime constructors'
+parameters), the lint rule ids, the symsan rule ids and the CLI verbs.
+A deletion that drops one of them must edit this file too, so a removal
+is always deliberate and visible in the diff, never a side effect; a
+new knob shows up here the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 
@@ -73,6 +76,49 @@ PUBLIC_METHODS = {
     ],
 }
 
+#: config dataclass -> its fields, in declaration order
+CONFIG_FIELDS = {
+    "repro.agents.nas.NASConfig": [
+        "monitor_period", "probe_period", "failure_timeout", "telemetry",
+        "slo_rules",
+    ],
+    "repro.agents.shell.ShellConfig": [
+        "watch_period", "auto_migration", "rpc_timeout",
+        "migrate_drain_timeout", "default_constraints",
+        "oas_failure_recovery", "retry_policy", "dedup_window",
+        "circuit_breaker",
+    ],
+    "repro.cluster.testbed.TestbedConfig": [
+        "load_profile", "seed", "nas", "shell", "load_models",
+        "pool_policy", "incident_dir",
+    ],
+    "repro.rmi.reliability.RetryPolicy": [
+        "max_attempts", "base_backoff", "backoff_factor", "max_backoff",
+        "jitter", "attempt_timeout", "deadline",
+    ],
+}
+
+#: runtime class -> its constructor's parameters, in signature order
+CONSTRUCTOR_PARAMS = {
+    "repro.kernel.virtual.VirtualKernel": ["strict"],
+    "repro.obs.flight.FlightRecorder": [
+        "tracer", "cluster_provider", "nas_provider", "slo_provider",
+        "incident_dir", "ring_tail", "min_interval", "max_incidents",
+    ],
+    "repro.obs.slo.SLOWatcher": ["rules", "refire_windows"],
+    "repro.obs.timeseries.ClusterMetrics": ["window_depth"],
+    "repro.obs.timeseries.HostSeries": ["host", "depth"],
+    "repro.obs.tracer.Tracer": ["max_events"],
+    "repro.rmi.reliability.CircuitBreaker": ["threshold", "cooldown"],
+    "repro.rmi.reliability.ReplayCache": ["kernel", "window"],
+    "repro.sanitizer.core.Sanitizer": ["leaks", "max_findings"],
+    "repro.sysmon.history.SampleHistory": ["depth"],
+    "repro.varch.pool.MonitoredPool": [
+        "world", "hosts", "policy", "default_constraints", "snapshot_fn",
+        "site_fn",
+    ],
+}
+
 LINT_RULES = [
     "blocking-rpc-in-handler", "blocking-sleep-in-handler", "dead-kind",
     "kernel-block-transitive", "migrate-in-loop", "parse-error",
@@ -103,15 +149,31 @@ def test_package_exports(name, expected):
     assert missing == []
 
 
+def _resolve(path):
+    module, name = path.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+
+
 @pytest.mark.parametrize("path", sorted(PUBLIC_METHODS))
 def test_public_methods(path):
-    module, name = path.rsplit(".", 1)
-    cls = getattr(importlib.import_module(module), name)
+    cls = _resolve(path)
     methods = sorted(
         member for member, _ in inspect.getmembers(cls, callable)
         if not member.startswith("_")
     )
     assert methods == PUBLIC_METHODS[path]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_FIELDS))
+def test_config_fields(path):
+    fields = [field.name for field in dataclasses.fields(_resolve(path))]
+    assert fields == CONFIG_FIELDS[path]
+
+
+@pytest.mark.parametrize("path", sorted(CONSTRUCTOR_PARAMS))
+def test_constructor_params(path):
+    params = list(inspect.signature(_resolve(path).__init__).parameters)
+    assert params[1:] == CONSTRUCTOR_PARAMS[path]
 
 
 def test_lint_rule_ids():
