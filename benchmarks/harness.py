@@ -165,10 +165,9 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
                 if name in counters
             }
             cluster = runtime.nas.cluster_metrics()
-            doc["ingested_windows"] = cluster.ingested if cluster else 0
-            doc["hosts_reporting"] = len(cluster.hosts()) if cluster else 0
-            merged = (cluster.merged_snapshot() if cluster
-                      and cluster.ingested
+            doc["ingested_windows"] = cluster.ingested
+            doc["hosts_reporting"] = len(cluster.hosts())
+            merged = (cluster.merged_snapshot() if cluster.ingested
                       else tracer.merged_host_metrics())
             doc["histogram_families"] = sorted(merged["histograms"])
         return doc

@@ -242,12 +242,12 @@ def test_async_overlaps_local_work(benchmark):
 
 def test_retry_layer_overhead(benchmark):
     """The reliability layer on the fault-free path: same sinvoke loop
-    with and without ``retry_policy``/``dedup_window`` configured.
+    with and without ``ShellConfig.reliable`` (retries, replay cache and
+    circuit breaker).
     Correct-by-construction cost model: zero extra messages (idempotency
     tokens ride the existing request), and the sim-time ratio stays
     within noise."""
     from repro.agents.shell import ShellConfig
-    from repro.rmi.reliability import RetryPolicy
 
     calls = 40
     result = {}
@@ -279,10 +279,7 @@ def test_retry_layer_overhead(benchmark):
 
     def run():
         baseline, _ = measure(None)
-        reliable_shell = ShellConfig(
-            retry_policy=RetryPolicy(), dedup_window=60.0,
-        )
-        reliable, runtime = measure(reliable_shell)
+        reliable, runtime = measure(ShellConfig(reliable=True))
         result["baseline-time"] = baseline["time"]
         result["reliable-time"] = reliable["time"]
         result["baseline-msgs"] = baseline["msgs"]
@@ -298,7 +295,7 @@ def test_retry_layer_overhead(benchmark):
         [
             ["baseline", round(result["baseline-time"], 4),
              result["baseline-msgs"]],
-            ["retry+dedup", round(result["reliable-time"], 4),
+            ["reliable", round(result["reliable-time"], 4),
              result["reliable-msgs"]],
             ["ratio", round(ratio, 4), ""],
         ],

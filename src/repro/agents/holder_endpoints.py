@@ -49,17 +49,14 @@ class HolderEndpoints(ObjectHolder):
         ep.register(M.STATIC_SETVAR, self._h_static_setvar)
 
     def _install_dedup(self, ep) -> None:
-        """Attach a replay cache when ``ShellConfig.dedup_window`` is set,
+        """Attach a replay cache when ``ShellConfig.reliable`` is set,
         so retried tokened requests execute at most once on this holder."""
         runtime = getattr(self, "runtime", None)
-        if runtime is None:
-            return
-        window = runtime.shell.config.dedup_window
-        if window is None:
+        if runtime is None or not runtime.shell.config.reliable:
             return
         from repro.rmi.reliability import ReplayCache
 
-        ep.dedup = ReplayCache(self.world.kernel, window)
+        ep.dedup = ReplayCache(self.world.kernel, runtime.shell.config)
 
     def _trace_migrate_step(self, obj_id: str, step: str) -> None:
         self.world.tracer.emit(

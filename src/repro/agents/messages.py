@@ -14,8 +14,7 @@ PING = "PING"                          # heartbeat probe
 # repro.obs.timeseries.MetricsDelta) — and REPORT_AGGREGATE carries
 # (level, name, weighted, [deltas...]) so collected deltas ride the
 # existing manager cascade up to the domain manager, which ingests them
-# into the ClusterMetrics aggregate.  Older 2/3-tuple payloads are still
-# accepted (the trailing members are optional on unpack).
+# into the ClusterMetrics aggregate.
 REPORT_PARAMS = "REPORT_PARAMS"        # node -> cluster manager sample
 REPORT_AGGREGATE = "REPORT_AGGREGATE"  # manager -> higher manager average
 # The two failure notifications are recorded as NASEvent entries by the

@@ -25,6 +25,8 @@ from typing import Callable
 from repro.agents.network_agent import NetworkAgent
 from repro.errors import ShellError
 from repro.obs import events as ev
+from repro.obs.slo import DEFAULT_RULES, SLOWatcher
+from repro.obs.timeseries import ClusterMetrics
 from repro.sysmon import Snapshot
 from repro.sysmon.sampler import sample_all
 from repro.transport import Transport
@@ -40,11 +42,6 @@ class NASConfig:
     monitor_period: float = 5.0
     probe_period: float = 5.0
     failure_timeout: float = 2.0
-    #: ship per-host metrics deltas on the monitor heartbeat and keep a
-    #: ClusterMetrics aggregate (+ SLO watcher) at the domain manager
-    telemetry: bool = True
-    #: SLO rule lines (None -> repro.obs.slo.DEFAULT_RULES)
-    slo_rules: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -82,16 +79,10 @@ class NetworkAgentSystem:
         # The telemetry plane's receiving end.  Owned by the NAS (not a
         # per-host agent) so the aggregate survives a domain-manager
         # takeover: the successor's heartbeat keeps ingesting into the
-        # same ClusterMetrics.
-        if self.config.telemetry:
-            from repro.obs.slo import SLOWatcher
-            from repro.obs.timeseries import ClusterMetrics
-
-            self.telemetry: ClusterMetrics | None = ClusterMetrics()
-            self.slo: SLOWatcher | None = SLOWatcher(self.config.slo_rules)
-        else:
-            self.telemetry = None
-            self.slo = None
+        # same ClusterMetrics.  The plane is on whenever the world's
+        # tracer records: agents ship no deltas under a NullTracer.
+        self.telemetry = ClusterMetrics()
+        self.slo = SLOWatcher(DEFAULT_RULES)
         #: extension hook (off-path per paper): called on every failure
         self.failure_listeners: list[Callable[[str], None]] = []
         self._started = False
@@ -242,30 +233,23 @@ class NetworkAgentSystem:
 
     # -- telemetry plane -----------------------------------------------------------
 
-    @property
-    def telemetry_enabled(self) -> bool:
-        return self.telemetry is not None
-
     def ingest_deltas(self, deltas) -> None:
         """Domain-manager side: fold heartbeat-shipped metrics deltas
         into the cluster aggregate and run the SLO watcher over each
         host window that just landed.  Only ever called from the current
         domain manager's monitor tick, so ingestion is serialized."""
-        if self.telemetry is None:
-            return
         tracer = self.world.tracer
         for delta in deltas:
             self.telemetry.ingest(delta)
             tracer.count("nas.telemetry.windows", host=delta.host)
             tracer.count("nas.telemetry.bytes", delta.wire_bytes(),
                          host=delta.host)
-            if self.slo is not None:
-                self.slo.observe_window(self.telemetry, delta.host,
-                                        self.world.now(), tracer)
+            self.slo.observe_window(self.telemetry, delta.host,
+                                    self.world.now(), tracer)
 
     def cluster_metrics(self):
         """The live :class:`~repro.obs.timeseries.ClusterMetrics`
-        aggregate (None when telemetry is off)."""
+        aggregate."""
         return self.telemetry
 
     def history_document(self) -> dict:
@@ -297,8 +281,7 @@ class NetworkAgentSystem:
                 for e in self.events
             ],
             "samples": samples,
-            "telemetry_windows":
-                self.telemetry.ingested if self.telemetry else 0,
+            "telemetry_windows": self.telemetry.ingested,
         }
 
     # -- shell-driven membership ----------------------------------------------------

@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: serialized size of one ~47-parameter sample report on the wire
 SAMPLE_WIRE_BYTES = 1200
-#: samples each agent keeps of its own host
-HISTORY_DEPTH = 4
 
 
 class NetworkAgent:
@@ -54,7 +52,7 @@ class NetworkAgent:
         self.world = nas.world
         self.addr = Addr(host, "na")
         self.endpoint = nas.transport.create_endpoint(self.addr)
-        self.history = SampleHistory(depth=HISTORY_DEPTH)
+        self.history = SampleHistory()
         #: cluster members' latest samples (only used while manager)
         self.member_samples: dict[str, WeightedSnapshot] = {}
         #: child aggregates while site/domain manager: name -> weighted
@@ -79,21 +77,20 @@ class NetworkAgent:
         ep.register(M.REPORT_AGGREGATE, self._on_report_aggregate)
 
     def _on_report_params(self, msg) -> None:
-        host, snapshot, *rest = msg.payload.data
+        host, snapshot, delta = msg.payload.data
         self.member_samples[host] = WeightedSnapshot(snapshot, weight=1)
-        if rest and rest[0] is not None:
-            self.pending_deltas.append(rest[0])
+        if delta is not None:
+            self.pending_deltas.append(delta)
 
     def _on_report_aggregate(self, msg) -> None:
-        level, name, weighted, *rest = msg.payload.data
+        level, name, weighted, deltas = msg.payload.data
         if level == "cluster":
             self.cluster_aggregates[name] = weighted
         elif level == "site":
             self.site_aggregates[name] = weighted
         else:  # pragma: no cover - defensive
             raise TransportError(f"bad aggregate level {level!r}")
-        if rest and rest[0]:
-            self.pending_deltas.extend(rest[0])
+        self.pending_deltas.extend(deltas)
 
     # -- loops ------------------------------------------------------------------
 
@@ -174,11 +171,9 @@ class NetworkAgent:
     def _collect_delta(self, now: float) -> MetricsDelta | None:
         """This host's metrics growth since its previous heartbeat, as
         the piggyback for one ``REPORT_PARAMS``; None when the telemetry
-        plane is off (no recording tracer, or disabled in NASConfig).
-        Empty deltas still ship — regular windows per host keep rates
-        and SLO evaluation well-defined."""
-        if not self.nas.telemetry_enabled:
-            return None
+        plane is off (no recording tracer).  Empty deltas still ship —
+        regular windows per host keep rates and SLO evaluation
+        well-defined."""
         tracer = self.world.tracer
         if not tracer.enabled:
             return None

@@ -2,9 +2,8 @@
 
 Paper Section 5: the JS-Shell configures which nodes run JRS (add/remove
 dynamically), controls measurement and collection periods, failure
-timeouts, and enables/disables automatic object migration.  It also
-defines the default constraints JRS applies when applications map objects
-without their own constraints.
+timeouts, and enables/disables automatic object migration.  An object
+mapped without constraints may be placed on any live node.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.constraints import JSConstraints
 from repro.errors import ShellError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,21 +30,14 @@ class ShellConfig:
     #: invocations to drain before migrating anyway (handing stragglers
     #: to the tombstone redirect); None = drain fully
     migrate_drain_timeout: float | None = None
-    #: constraints JRS applies when placing unmapped objects
-    default_constraints: JSConstraints | None = None
     #: extension (off-path per paper): let the OAS react to NAS failures
     oas_failure_recovery: bool = False
-    #: :class:`repro.rmi.reliability.RetryPolicy` | None.  When set,
-    #: blocking endpoint RPCs retry transport failures with backoff and
-    #: carry idempotency tokens; None (default) keeps the paper's
-    #: fire-once semantics.
-    retry_policy: object | None = None
-    #: holder-side replay-cache window in sim seconds (None = no dedup);
-    #: size it above the retry policy's worst-case total backoff
-    dedup_window: float | None = None
-    #: :class:`repro.rmi.reliability.CircuitBreaker` | None — per-host
-    #: suspicion wired into the transport and placement ranking
-    circuit_breaker: object | None = None
+    #: the reliability layer (:mod:`repro.rmi.reliability`): blocking
+    #: endpoint RPCs retry transport failures with backoff and carry
+    #: idempotency tokens, holders answer a retried token from a replay
+    #: cache, and a per-host circuit breaker sheds calls and placements.
+    #: False (default) keeps the paper's fire-once semantics.
+    reliable: bool = False
 
 
 class JSShell:

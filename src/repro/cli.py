@@ -420,7 +420,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.errors import JSError
     from repro.obs import Tracer, tracing
-    from repro.rmi.reliability import CircuitBreaker, RetryPolicy
 
     if args.target != "matmul":
         print(f"no such chaos target {args.target!r}; only the 'matmul' "
@@ -438,11 +437,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"bad chaos plan: {exc}", file=sys.stderr)
             return 2
     with tracing(Tracer()) as tracer:
-        shell = ShellConfig(rpc_timeout=args.rpc_timeout)
-        if not args.no_retry:
-            shell.retry_policy = RetryPolicy()
-            shell.dedup_window = 60.0
-            shell.circuit_breaker = CircuitBreaker()
+        shell = ShellConfig(rpc_timeout=args.rpc_timeout,
+                            reliable=not args.no_retry)
         config = TestbedConfig(
             load_profile=args.profile, seed=args.seed, shell=shell,
             incident_dir=args.incident_dir,
@@ -555,8 +551,9 @@ def cmd_san(args: argparse.Namespace) -> int:
         symbol = f" [{f.symbol}]" if f.symbol else ""
         print(f"{f.path}:{f.line}: {f.severity}: {f.rule}: "
               f"{f.message}{symbol}")
+    past_cap = f" (+{san.overflow} past the cap)" if san.overflow else ""
     print(f"symsan: {len(report.findings)} findings "
-          f"({len(report.errors)} errors)")
+          f"({len(report.errors)} errors){past_cap}")
     if report.errors:
         return 1
     if args.strict and report.findings:

@@ -23,7 +23,7 @@ from repro.core.persistence import PersistentStore
 from repro.errors import AllocationError, RegistrationError
 from repro.obs.flight import TRIGGER_MIGRATE_PENDING, FlightRecorder
 from repro.obs.timeseries import metrics_document
-from repro.rmi.reliability import Retrier
+from repro.rmi.reliability import CircuitBreaker, Retrier
 from repro.simnet.world import SimWorld
 from repro.sysmon import SysParam
 from repro.transport import Transport
@@ -53,7 +53,6 @@ class JSRuntime:
             world,
             hosts=self.nas.known_hosts(),
             policy=pool_policy,
-            default_constraints=self.shell.config.default_constraints,
             snapshot_fn=self.nas.latest_snapshot,
             site_fn=self.nas.site_of,
         )
@@ -64,17 +63,16 @@ class JSRuntime:
         #: simulated "URL space" for codebase.add(url)
         self.url_store: dict[str, list[str]] = {}
         self._started = False
-        # Reliability layer (ISSUE 10): both knobs default to None, so
-        # without explicit ShellConfig opt-in the transport keeps the
-        # paper's fire-once semantics.
+        # Reliability layer: off by default, so without the
+        # ShellConfig.reliable opt-in the transport keeps the paper's
+        # fire-once semantics.  Holders attach their replay caches
+        # themselves (HolderEndpoints.register_holder_handlers).
         #: :class:`CircuitBreaker` | None — also consulted for placement
-        self.health = self.shell.config.circuit_breaker
-        if self.health is not None:
+        self.health: CircuitBreaker | None = None
+        if self.shell.config.reliable:
+            self.health = CircuitBreaker()
             self.health.on_state = self._on_circuit_state
-        if self.shell.config.retry_policy is not None:
-            self.transport.retrier = Retrier(
-                self.transport, self.shell.config.retry_policy, self.health
-            )
+            self.transport.retrier = Retrier(self.transport, self.health)
         # Where each host registered originally, for NAS re-registration
         # after a crash-restart.
         self._host_homes = {
@@ -186,8 +184,7 @@ class JSRuntime:
     # -- telemetry -----------------------------------------------------------
 
     def _slo_alerts(self) -> list[dict]:
-        slo = self.nas.slo
-        return list(slo.alerts) if slo is not None else []
+        return list(self.nas.slo.alerts)
 
     def _on_sanitizer_finding(self, finding) -> None:
         if finding.rule != "san-migrate-pending":
@@ -308,11 +305,6 @@ class JSRuntime:
         hosts: Iterable[str],
         constraints: JSConstraints | None,
     ) -> list[str]:
-        merged = (
-            constraints.merged_with(self.shell.config.default_constraints)
-            if constraints is not None
-            else (self.shell.config.default_constraints or JSConstraints())
-        )
         scored = []
         for host in hosts:
             if host not in self.pool.hosts:
@@ -327,7 +319,7 @@ class JSRuntime:
                 # breaker closes again.
                 continue
             snap = self.pool.snapshot(host)
-            if not merged.holds(snap):
+            if constraints is not None and not constraints.holds(snap):
                 continue
             available = (
                 snap[SysParam.PEAK_MFLOPS] * snap[SysParam.IDLE] / 100.0

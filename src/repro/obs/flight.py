@@ -21,8 +21,8 @@ Trigger surface: ``host.failed``, ``slo.alert`` and ``rpc.timeout``
 trace events (registered via :meth:`Tracer.on_event`), plus explicit
 :meth:`record` calls from the sanitizer's failure hooks
 (``san-migrate-pending``).  Captures are debounced
-per trigger type (``min_interval`` simulated seconds) so an RPC-timeout
-storm yields one bundle, not hundreds.
+per trigger type (:attr:`FlightRecorder.MIN_INTERVAL` simulated seconds)
+so an RPC-timeout storm yields one bundle, not hundreds.
 
 Bundles are kept in memory (``incidents``, newest last, bounded) and —
 when ``incident_dir`` is set — written to ``<dir>/<incident_id>.json``
@@ -84,19 +84,22 @@ class FlightRecorder:
     capture time, never on the hot path.
     """
 
+    #: trace events a bundle keeps from the tail of the ring
+    RING_TAIL = 400
+    #: sim seconds within which a repeat of one trigger type is debounced
+    MIN_INTERVAL = 1.0
+    #: bundles kept in memory (oldest evicted past the cap)
+    MAX_INCIDENTS = 32
+
     def __init__(self, tracer, *, cluster_provider=None, nas_provider=None,
-                 slo_provider=None, incident_dir: str | None = None,
-                 ring_tail: int = 400, min_interval: float = 1.0,
-                 max_incidents: int = 32) -> None:
+                 slo_provider=None, incident_dir: str | None = None) -> None:
         self.tracer = tracer
         self.cluster_provider = cluster_provider
         self.nas_provider = nas_provider
         self.slo_provider = slo_provider
         self.incident_dir = incident_dir
-        self.ring_tail = ring_tail
-        self.min_interval = min_interval
         #: captured bundles, newest last (oldest evicted past the cap)
-        self.incidents: deque[dict] = deque(maxlen=max_incidents)
+        self.incidents: deque[dict] = deque(maxlen=self.MAX_INCIDENTS)
         self.suppressed = 0
         self._seq = 0
         self._last_capture: dict[str, float] = {}
@@ -133,13 +136,13 @@ class FlightRecorder:
         """Capture a bundle for ``trigger`` at simulated time ``ts``.
 
         Returns the bundle, or None when debounced (same trigger type
-        within ``min_interval``) or re-entered (a capture is already in
+        within ``MIN_INTERVAL``) or re-entered (a capture is already in
         progress — capturing can itself emit a ``flight.record`` event).
         """
         if self._recording:
             return None
         last = self._last_capture.get(trigger)
-        if last is not None and (ts - last) < self.min_interval:
+        if last is not None and (ts - last) < self.MIN_INTERVAL:
             self.suppressed += 1
             return None
         self._last_capture[trigger] = ts
@@ -167,7 +170,7 @@ class FlightRecorder:
             "context": context,
         }
         events = list(getattr(tracer, "events", ()))
-        tail = events[-self.ring_tail:] if self.ring_tail else events
+        tail = events[-self.RING_TAIL:]
         bundle["ring_len"] = len(events)
         bundle["dropped_events"] = getattr(tracer, "dropped_events", 0)
         bundle["events"] = [_event_doc(e) for e in tail]

@@ -19,8 +19,8 @@ state.  The domain manager calls :meth:`SLOWatcher.observe_window` every
 time a heartbeat delta lands in the :class:`~repro.obs.timeseries.ClusterMetrics`;
 a breach fires an ``slo.alert`` trace event (which is also a flight
 recorder trigger) on the healthy-to-breached transition and then at most
-every ``refire_windows`` windows while the breach persists — sustained
-overload doesn't flood the ring.
+every :attr:`SLOWatcher.REFIRE_WINDOWS` windows while the breach
+persists — sustained overload doesn't flood the ring.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ _RULE_RE = re.compile(
     r"(?:over\s+(?P<windows>[0-9]+)\s*)?$"
 )
 
-#: the rules every testbed watches unless overridden (ISSUE: rpc p99,
-#: dropped-message rate, queue depth, pending-migration age)
+#: the rules every testbed's NAS watches (rpc p99, dropped-message
+#: rate, queue depth, pending-migration age)
 DEFAULT_RULES = (
     "rpc-p99: p99(rpc.latency:*) <= 5.0 over 4",
     "drop-rate: rate(rpc.dropped:*) <= 0.5 over 4",
@@ -98,13 +98,14 @@ def _matching(pattern: str, names) -> list[str]:
 class SLOWatcher:
     """Evaluates rules against each host's window series as it grows."""
 
-    def __init__(self, rules=None, refire_windows: int = 8) -> None:
-        source = DEFAULT_RULES if rules is None else rules
+    #: windows a persisting breach waits before it fires again
+    REFIRE_WINDOWS = 8
+
+    def __init__(self, rules) -> None:
         self.rules: list[SLORule] = [
             rule if isinstance(rule, SLORule) else parse_rule(rule)
-            for rule in source
+            for rule in rules
         ]
-        self.refire_windows = refire_windows
         #: every alert ever fired, as JSON-safe dicts (newest last)
         self.alerts: list[dict] = []
         # (rule.name, host) -> (currently_breached, window_of_last_fire)
@@ -165,7 +166,7 @@ class SLOWatcher:
                 self._state[key] = (False, last_fire)
                 continue
             window = series.total_windows
-            refire_due = (window - last_fire) >= self.refire_windows
+            refire_due = (window - last_fire) >= self.REFIRE_WINDOWS
             if was_breached and not refire_due:
                 self._state[key] = (True, last_fire)
                 continue

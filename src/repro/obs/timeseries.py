@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import Histogram, Metrics, merge_snapshots
 
-#: default number of windows a HostSeries retains
-DEFAULT_WINDOW_DEPTH = 16
+#: number of windows a HostSeries retains
+WINDOW_DEPTH = 16
 
 # Wire-cost model for one shipped delta (see DESIGN.md "Telemetry
 # plane"): a small envelope, ~24B per counter entry (name + float), and
@@ -73,12 +73,9 @@ class MetricsDelta:
 class HostSeries:
     """The last N metric windows of one host, oldest first."""
 
-    def __init__(self, host: str, depth: int = DEFAULT_WINDOW_DEPTH) -> None:
-        if depth < 1:
-            raise ValueError("window depth must be positive")
+    def __init__(self, host: str) -> None:
         self.host = host
-        self.depth = depth
-        self.windows: deque[MetricsDelta] = deque(maxlen=depth)
+        self.windows: deque[MetricsDelta] = deque(maxlen=WINDOW_DEPTH)
         #: windows ever ingested (survives rollover)
         self.total_windows = 0
 
@@ -133,8 +130,7 @@ class ClusterMetrics:
     for rates and windowed percentiles.
     """
 
-    def __init__(self, window_depth: int = DEFAULT_WINDOW_DEPTH) -> None:
-        self.window_depth = window_depth
+    def __init__(self) -> None:
         self.series: dict[str, HostSeries] = {}
         self._cumulative: dict[str, Metrics] = {}
         self.ingested = 0
@@ -144,7 +140,7 @@ class ClusterMetrics:
         host = delta.host
         series = self.series.get(host)
         if series is None:
-            series = self.series[host] = HostSeries(host, self.window_depth)
+            series = self.series[host] = HostSeries(host)
             self._cumulative[host] = Metrics()
         series.add(delta)
         cum = self._cumulative[host]

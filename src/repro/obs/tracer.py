@@ -35,9 +35,9 @@ Spans come in two shapes:
   computes wire time up front); records immediately, returns the
   :class:`TraceContext` so it can be propagated (e.g. onto a Message).
 * ``begin_span`` / ``end_span`` — a span covering a code region; while
-  open it is tracked in ``open_spans`` (the live-introspection source
-  for ``repro top``) and, by default, installed as the calling process's
-  current context so nested spans parent correctly.
+  open it is tracked in ``open_spans`` (what the flight recorder
+  snapshots into an incident bundle) and, by default, installed as the
+  calling process's current context so nested spans parent correctly.
 
 Installation is ambient: ``set_tracer()`` / the ``tracing()`` context
 manager set a module-level current tracer which ``SimWorld`` picks up at

@@ -2,8 +2,9 @@
 
 JavaSymphony's RMI (and our transport) is fire-once: a dropped request or
 reply surfaces to user code as a raw ``RPCTimeoutError``.  This module
-holds what makes RPC *reliable* when ``ShellConfig.retry_policy`` is
-set:
+holds what makes RPC *reliable* when ``ShellConfig.reliable`` is set.
+The switch installs all three parts together; their knobs are class
+constants:
 
 :class:`RetryPolicy`
     Bounded exponential backoff with seeded jitter.
@@ -13,8 +14,7 @@ set:
     transport (``transport.retrier``) and :meth:`Endpoint.rpc
     <repro.transport.rpc.Endpoint.rpc>` hands a blocking call to.
     Bounded by construction: a ``for`` loop over the policy's attempts
-    that also stops at its deadline (pinned by ``tests/test_transport.py``
-    ``test_retry_loop_is_bounded``).
+    (pinned by ``tests/test_transport.py`` ``test_retry_loop_is_bounded``).
 
 :class:`ReplayCache`
     Holder-side dedup keyed on the per-call idempotency token carried by
@@ -22,9 +22,10 @@ set:
     copy already executed gets the *cached* reply (at-most-once
     execution); a retry that arrives while the first copy is still
     running waits on its outcome instead of re-executing.  Entries are
-    evicted ``window`` seconds after completion, so the guarantee is
-    at-most-once *within the dedup window* — not exactly-once (see
-    DESIGN.md for why that is not claimed).
+    evicted a derived window after completion that outlasts the retry
+    loop, so a retry never finds its token gone — but a token is still
+    forgotten eventually, so this is not exactly-once (see DESIGN.md for
+    why that is not claimed).
 
 :class:`CircuitBreaker`
     Per-host suspicion with the classic closed → open → half-open state
@@ -45,7 +46,6 @@ from typing import Any, Callable
 
 from repro.errors import (
     CircuitOpenError,
-    JSError,
     NodeFailedError,
     RetriesExhaustedError,
     RPCTimeoutError,
@@ -68,50 +68,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff for reliable RPC.
 
     Backoff for attempt ``n`` (1-based) is
-    ``min(max_backoff, base_backoff * backoff_factor ** (n - 1))``,
-    shrunk by up to ``jitter`` fraction using the kernel RNG stream
+    ``min(MAX_BACKOFF, BASE_BACKOFF * BACKOFF_FACTOR ** (n - 1))``,
+    shrunk by up to ``JITTER`` fraction using the kernel RNG stream
     ``"retry"`` so replays are bit-identical for a given seed.
     """
 
     #: total send attempts (the first try counts as attempt 1)
-    max_attempts: int = 4
+    MAX_ATTEMPTS = 4
     #: backoff after the first failed attempt, in sim seconds
-    base_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
-    #: fraction of each backoff randomized away (0 = deterministic)
-    jitter: float = 0.5
+    BASE_BACKOFF = 0.05
+    BACKOFF_FACTOR = 2.0
+    MAX_BACKOFF = 2.0
+    #: fraction of each backoff randomized away
+    JITTER = 0.5
     #: per-attempt reply timeout used when the caller passed none
     #: (a ``timeout=None`` RPC would otherwise block forever and the
     #: retry loop would never get a turn)
-    attempt_timeout: float = 5.0
-    #: optional overall budget across all attempts, in sim seconds;
-    #: an attempt whose backoff would cross the deadline is not made
-    deadline: float | None = None
+    ATTEMPT_TIMEOUT = 5.0
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise JSError("retry policy needs max_attempts >= 1")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise JSError("retry jitter must be in [0, 1]")
-
-    def backoff(self, attempt: int, rng: Any = None) -> float:
+    def backoff(self, attempt: int, rng: Any) -> float:
         """Sleep before re-sending after failed attempt ``attempt``."""
         raw = min(
-            self.max_backoff,
-            self.base_backoff * self.backoff_factor ** (attempt - 1),
+            self.MAX_BACKOFF,
+            self.BASE_BACKOFF * self.BACKOFF_FACTOR ** (attempt - 1),
         )
-        if rng is None or self.jitter <= 0.0:
-            return raw
-        return raw * (1.0 - self.jitter * float(rng.random()))
+        return raw * (1.0 - self.JITTER * float(rng.random()))
 
-    def per_attempt_timeout(self, timeout: float | None) -> float:
-        return timeout if timeout is not None else self.attempt_timeout
+    @classmethod
+    def per_attempt_timeout(cls, timeout: float | None) -> float:
+        return timeout if timeout is not None else cls.ATTEMPT_TIMEOUT
 
 
 @dataclass
@@ -161,22 +150,34 @@ class ReplayCache:
     decodes it, so every duplicate gets a copy of its own and the bytes
     charged are the original's.
 
-    Completed entries are evicted ``window`` sim-seconds after
-    completion.  A retry arriving later than that re-executes; callers
-    should size the window above ``retry_policy``'s worst-case total
-    backoff (the default 60 s dwarfs the default policy's ~4 s)."""
+    Completed entries are evicted :attr:`window` sim-seconds after
+    completion.  The window is derived, not set: it outlasts the retry
+    loop's last attempt at the runtime's current ``rpc_timeout``."""
 
-    def __init__(self, kernel: VirtualKernel, window: float = 60.0) -> None:
-        if window <= 0:
-            raise JSError("dedup window must be positive")
+    #: the window never drops below this many sim seconds
+    WINDOW_FLOOR = 60.0
+
+    def __init__(self, kernel: VirtualKernel, config: Any) -> None:
         self.kernel = kernel
-        self.window = window
+        #: the runtime's :class:`~repro.agents.shell.ShellConfig`; its
+        #: ``rpc_timeout`` is read each time the cache evicts
+        self.config = config
         self._slots: dict[str, _Slot] = {}
         #: duplicate requests served from cache or in-flight wait
         self.hits = 0
 
     def __len__(self) -> int:
         return len(self._slots)
+
+    @property
+    def window(self) -> float:
+        """How long a completed token is kept: at least every later
+        attempt's timeout and backoff, so a retry that arrives after its
+        first copy completed is still answered from the cache."""
+        per_attempt = RetryPolicy.per_attempt_timeout(self.config.rpc_timeout)
+        retries = RetryPolicy.MAX_ATTEMPTS - 1
+        return max(self.WINDOW_FLOOR,
+                   retries * (per_attempt + RetryPolicy.MAX_BACKOFF))
 
     def claim(self, token: str) -> tuple[bool, _Slot]:
         """Return ``(is_new, slot)`` for ``token`` (see class docs)."""
@@ -191,20 +192,18 @@ class ReplayCache:
 
     def complete(self, token: str, outcome: Wire) -> None:
         """Record ``token``'s outcome and wake any waiting duplicates."""
-        slot = self._slots.get(token)
-        if slot is None:  # evicted mid-execution (tiny window)
-            return
+        slot = self._slots[token]
         slot.completed_at = self.kernel.now()
         if not slot.future.done():
             slot.future.set_result(outcome)
 
     def _evict(self) -> None:
-        now = self.kernel.now()
+        now, window = self.kernel.now(), self.window
         dead = [
             token
             for token, slot in self._slots.items()
             if slot.completed_at is not None
-            and now - slot.completed_at > self.window
+            and now - slot.completed_at > window
         ]
         for token in dead:
             del self._slots[token]
@@ -227,19 +226,20 @@ class _HostCircuit:
 class CircuitBreaker:
     """Per-host circuit breaker / suspicion level.
 
-    closed --(``threshold`` consecutive failures)--> open
-    open --(``cooldown`` elapsed)--> half-open (one probe admitted)
+    closed --(``THRESHOLD`` consecutive failures)--> open
+    open --(``COOLDOWN`` elapsed)--> half-open (one probe admitted)
     half-open --(probe succeeds)--> closed
     half-open --(probe fails)--> open (cooldown restarts)
 
     ``on_state`` (set by the runtime) is called on every transition so
     the tracer can emit ``circuit.state`` events."""
 
-    def __init__(self, threshold: int = 5, cooldown: float = 30.0) -> None:
-        if threshold < 1:
-            raise JSError("circuit breaker needs threshold >= 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
+    #: consecutive failures that open a closed circuit
+    THRESHOLD = 5
+    #: sim seconds an open circuit sheds calls before it admits a probe
+    COOLDOWN = 30.0
+
+    def __init__(self) -> None:
         self._hosts: dict[str, _HostCircuit] = {}
         self.on_state: Callable[[str, str], None] | None = None
 
@@ -264,7 +264,7 @@ class CircuitBreaker:
         if circuit.state == CLOSED:
             return True
         if circuit.state == OPEN:
-            if now - circuit.opened_at < self.cooldown:
+            if now - circuit.opened_at < self.COOLDOWN:
                 return False
             self._transition(host, circuit, HALF_OPEN)
             circuit.probe_in_flight = False
@@ -290,7 +290,7 @@ class CircuitBreaker:
         circuit.consecutive_failures += 1
         if (
             circuit.state == CLOSED
-            and circuit.consecutive_failures >= self.threshold
+            and circuit.consecutive_failures >= self.THRESHOLD
         ):
             circuit.opened_at = now
             self._transition(host, circuit, OPEN)
@@ -298,7 +298,7 @@ class CircuitBreaker:
     def force_open(self, host: str, now: float) -> None:
         """Trip immediately (the NAS declared the host failed)."""
         circuit = self._circuit(host)
-        circuit.consecutive_failures = self.threshold
+        circuit.consecutive_failures = self.THRESHOLD
         circuit.opened_at = now
         self._transition(host, circuit, OPEN)
 
@@ -323,8 +323,8 @@ class CircuitBreaker:
 
 
 class Retrier:
-    """Blocking RPC with retries: executes a :class:`RetryPolicy` (and
-    feeds an optional :class:`CircuitBreaker`) around the transport's
+    """Blocking RPC with retries: executes the :class:`RetryPolicy` (and
+    feeds the runtime's :class:`CircuitBreaker`) around the transport's
     fire-once rendezvous.
 
     Every attempt carries the same idempotency token (fresh ``msg_id``),
@@ -336,10 +336,9 @@ class Retrier:
     carrying the per-attempt trace; an open circuit sheds the call up
     front with :class:`repro.errors.CircuitOpenError`."""
 
-    def __init__(self, transport: Transport, policy: RetryPolicy,
-                 health: CircuitBreaker | None = None) -> None:
+    def __init__(self, transport: Transport, health: CircuitBreaker) -> None:
         self.transport = transport
-        self.policy = policy
+        self.policy = RetryPolicy()
         self.health = health
         self._tokens = IdGenerator()
 
@@ -355,15 +354,10 @@ class Retrier:
                 timeout)
         token = self._tokens.next("tok")
         per_attempt = policy.per_attempt_timeout(timeout)
-        deadline = (
-            None if policy.deadline is None
-            else world.now() + policy.deadline
-        )
         rng = world.rng.stream("retry")
         attempts: list = []
-        for attempt in range(1, policy.max_attempts + 1):
-            now = world.now()
-            if health is not None and not health.allow(dst.host, now):
+        for attempt in range(1, policy.MAX_ATTEMPTS + 1):
+            if not health.allow(dst.host, world.now()):
                 if attempts:
                     raise RetriesExhaustedError(
                         f"{kind} to {dst}: circuit opened after "
@@ -385,17 +379,12 @@ class Retrier:
                     started=started, elapsed=now - started,
                     error=repr(exc),
                 ))
-                if health is not None:
-                    health.record_failure(dst.host, now)
+                health.record_failure(dst.host, now)
                 backoff = policy.backoff(attempt, rng)
-                out_of_budget = (
-                    deadline is not None and now + backoff >= deadline
-                )
-                if attempt >= policy.max_attempts or out_of_budget:
+                if attempt >= policy.MAX_ATTEMPTS:
                     raise RetriesExhaustedError(
                         f"{kind} to {dst} failed after {attempt} "
-                        f"attempt(s)"
-                        + (" (deadline exceeded)" if out_of_budget else ""),
+                        f"attempt(s)",
                         attempts=attempts,
                     ) from exc
                 tracer = transport.tracer
@@ -408,7 +397,6 @@ class Retrier:
                 tracer.count("rpc.retries", host=src.host)
                 kernel.sleep(backoff)
             else:
-                if health is not None:
-                    health.record_success(dst.host)
+                health.record_success(dst.host)
                 return value
         raise AssertionError("unreachable: retry loop is bounded")

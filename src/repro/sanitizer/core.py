@@ -175,10 +175,14 @@ class Sanitizer(NullSanitizer):
 
     enabled = True
 
-    def __init__(self, leaks: bool = False, max_findings: int = 200) -> None:
+    #: findings kept; later ones are counted in ``overflow``, not kept
+    MAX_FINDINGS = 200
+
+    def __init__(self, leaks: bool = False) -> None:
         self.leaks = leaks
-        self.max_findings = max_findings
         self.findings: list[Finding] = []
+        #: findings emitted past ``MAX_FINDINGS``
+        self.overflow = 0
         #: callbacks fired with every Finding as it is emitted — the
         #: flight recorder's sanitizer-side trigger surface (subscribers
         #: filter by ``finding.rule``)
@@ -222,8 +226,10 @@ class Sanitizer(NullSanitizer):
             message=message,
             symbol=symbol,
         )
-        if len(self.findings) < self.max_findings:
+        if len(self.findings) < self.MAX_FINDINGS:
             self.findings.append(finding)
+        else:
+            self.overflow += 1
         for hook in tuple(self.failure_hooks):
             hook(finding)
 

@@ -3,8 +3,8 @@
 The paper: "Storage size for these data is kept reasonably small as only
 the least recently measured data are kept.  Currently we do not maintain a
 history of measurements, although, it would be easy to support it."  We
-keep the latest sample by default and make the depth configurable — the
-"easy to support" extension, implemented.
+keep the last :data:`DEPTH` samples — the "easy to support" extension,
+implemented.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ class TimedSample:
     params: Snapshot
 
 
+#: samples each history keeps, newest last
+DEPTH = 4
+
+
 class SampleHistory:
-    def __init__(self, depth: int = 1) -> None:
-        if depth < 1:
-            raise ValueError("history depth must be >= 1")
-        self._samples: deque[TimedSample] = deque(maxlen=depth)
+    def __init__(self) -> None:
+        self._samples: deque[TimedSample] = deque(maxlen=DEPTH)
 
     def record(self, time: float, params: Snapshot) -> None:
         if self._samples and time < self._samples[-1].time:

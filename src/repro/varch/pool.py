@@ -59,7 +59,6 @@ class MonitoredPool:
         world: SimWorld,
         hosts: Iterable[str] | None = None,
         policy: str = "available-compute",
-        default_constraints: JSConstraints | None = None,
         snapshot_fn: Callable[[str], Snapshot] | None = None,
         site_fn: Callable[[str], str | None] | None = None,
     ) -> None:
@@ -69,7 +68,6 @@ class MonitoredPool:
             )
         self.world = world
         self.policy = policy
-        self.default_constraints = default_constraints
         self._hosts = set(hosts) if hosts is not None else set(world.machines)
         unknown = self._hosts - set(world.machines)
         if unknown:
@@ -151,18 +149,13 @@ class MonitoredPool:
         exclude: Iterable[str] = (),
     ) -> list[str]:
         """Alive, non-excluded hosts satisfying constraints, best first."""
-        merged = (
-            constraints.merged_with(self.default_constraints)
-            if constraints is not None
-            else (self.default_constraints or JSConstraints())
-        )
         excluded = set(exclude)
         scored: list[tuple[str, Snapshot]] = []
         for host in self.alive_hosts():
             if host in excluded:
                 continue
             snap = self.snapshot(host)
-            if merged.holds(snap):
+            if constraints is None or constraints.holds(snap):
                 scored.append((host, snap))
         return self._rank(scored)
 

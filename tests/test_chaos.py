@@ -19,9 +19,8 @@ from repro.apps.matmul import MatmulConfig, run_matmul
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.core import JSCodebase, JSObj, JSRegistration
-from repro.errors import JSError, RPCTimeoutError
+from repro.errors import JSError, RetriesExhaustedError, RPCTimeoutError
 from repro.obs import Tracer, tracing
-from repro.rmi.reliability import CircuitBreaker, RetryPolicy
 from repro.transport import Addr
 from tests.conftest import Counter  # noqa: F401
 
@@ -31,11 +30,7 @@ ACCEPTANCE_SEED = 7
 
 
 def chaos_testbed(plan, seed, reliable=True, rpc_timeout=3.0):
-    shell = ShellConfig(rpc_timeout=rpc_timeout)
-    if reliable:
-        shell.retry_policy = RetryPolicy()
-        shell.dedup_window = 60.0
-        shell.circuit_breaker = CircuitBreaker()
+    shell = ShellConfig(rpc_timeout=rpc_timeout, reliable=reliable)
     runtime = vienna_testbed(TestbedConfig(
         load_profile="dedicated", seed=seed, shell=shell,
     ))
@@ -138,6 +133,34 @@ class TestDedup:
         merged = tracer.merged_host_metrics()
         counters = merged.get("counters", merged)
         assert counters.get("rpc.dedup.hits", 0) >= 1
+
+
+    @pytest.mark.parametrize("rpc_timeout", [None, 3.0, 30.0])
+    def test_every_lost_reply_is_answered_from_cache(self, rpc_timeout):
+        """Every INVOKE reply is lost, so the call exhausts its retries;
+        the method still runs once.  The replay cache must keep the
+        token until the last attempt lands, however long the per-attempt
+        timeout: with a fixed 60 s window, a 30 s timeout's third
+        attempt arrived after eviction and incremented again."""
+        plan = FaultPlan.parse("drop:p=1,kinds=INVOKE,stage=reply")
+        runtime, _ = chaos_testbed(plan, seed=3, rpc_timeout=rpc_timeout)
+        seen = {}
+
+        def app():
+            reg = JSRegistration()
+            cb = JSCodebase(); cb.add(Counter); cb.load("rachel")
+            obj = JSObj("Counter", "rachel")
+            try:
+                seen["reply"] = obj.sinvoke("incr")
+            except RetriesExhaustedError as exc:
+                seen["attempts"] = len(exc.attempts)
+            holder = runtime.pub_oas["rachel"]
+            seen["value"] = holder.objects[obj.obj_id].instance.value
+            seen["hits"] = holder.endpoint.dedup.hits
+            reg.unregister()
+
+        runtime.run_app(app)
+        assert seen == {"attempts": 4, "value": 1, "hits": 3}
 
 
 class TestDuplicateDelivery:

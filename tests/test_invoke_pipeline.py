@@ -147,10 +147,7 @@ def golden_script(rt):
 
 
 def golden_run(traced, reliable):
-    shell = ShellConfig()
-    if reliable:
-        shell.retry_policy = RetryPolicy()
-        shell.dedup_window = 30
+    shell = ShellConfig(reliable=reliable)
     config = TestbedConfig(load_profile="dedicated", seed=3, shell=shell)
     tracer = Tracer() if traced else None
     with tracing(tracer) if traced else nullcontext():
@@ -217,7 +214,7 @@ GOLDEN = {
     ],
 }
 
-#: what RetryPolicy() + dedup_window=30 change: the three remote
+#: what ShellConfig(reliable=True) changes: the three remote
 #: one-sided calls travel on an acked RPC (the tombstone's forward of the
 #: fourth stays a bare send)
 GOLDEN_RELIABLE = {
@@ -385,10 +382,7 @@ def test_batch_degradation_settles_every_slot():
     """A group whose ``INVOKE_BATCH`` message exhausts its retries is
     re-driven slot by slot as scalar invocations, each under its own
     span; a slot that still fails surfaces its own error."""
-    shell = ShellConfig(
-        retry_policy=RetryPolicy(max_attempts=2, attempt_timeout=0.5),
-        dedup_window=30,
-    )
+    shell = ShellConfig(reliable=True)
     with tracing(Tracer()) as tracer:
         rt = vienna_testbed(TestbedConfig(
             load_profile="dedicated", seed=3, shell=shell,
@@ -413,7 +407,8 @@ def test_batch_degradation_settles_every_slot():
     assert (first, last) == (1, 2)
     assert isinstance(failed, RemoteInvocationError)
     by_kind = rt.transport.stats.by_kind
-    assert by_kind["INVOKE_BATCH"] == 2 and by_kind["INVOKE"] == 3
+    attempts = RetryPolicy.MAX_ATTEMPTS
+    assert by_kind["INVOKE_BATCH"] == attempts and by_kind["INVOKE"] == 3
     assert tracer.metrics.counter("invoke.batch.degraded") == 1
     assert tracer.open_spans == {}
     (batch,) = tracer.events_of(ev.OBJ_INVOKE_BATCH)

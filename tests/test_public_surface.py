@@ -79,23 +79,18 @@ PUBLIC_METHODS = {
 #: config dataclass -> its fields, in declaration order
 CONFIG_FIELDS = {
     "repro.agents.nas.NASConfig": [
-        "monitor_period", "probe_period", "failure_timeout", "telemetry",
-        "slo_rules",
+        "monitor_period", "probe_period", "failure_timeout",
     ],
     "repro.agents.shell.ShellConfig": [
         "watch_period", "auto_migration", "rpc_timeout",
-        "migrate_drain_timeout", "default_constraints",
-        "oas_failure_recovery", "retry_policy", "dedup_window",
-        "circuit_breaker",
+        "migrate_drain_timeout",
+        "oas_failure_recovery", "reliable",
     ],
     "repro.cluster.testbed.TestbedConfig": [
         "load_profile", "seed", "nas", "shell", "load_models",
         "pool_policy", "incident_dir",
     ],
-    "repro.rmi.reliability.RetryPolicy": [
-        "max_attempts", "base_backoff", "backoff_factor", "max_backoff",
-        "jitter", "attempt_timeout", "deadline",
-    ],
+    "repro.rmi.reliability.RetryPolicy": [],
 }
 
 #: runtime class -> its constructor's parameters, in signature order
@@ -103,18 +98,18 @@ CONSTRUCTOR_PARAMS = {
     "repro.kernel.virtual.VirtualKernel": ["strict"],
     "repro.obs.flight.FlightRecorder": [
         "tracer", "cluster_provider", "nas_provider", "slo_provider",
-        "incident_dir", "ring_tail", "min_interval", "max_incidents",
+        "incident_dir",
     ],
-    "repro.obs.slo.SLOWatcher": ["rules", "refire_windows"],
-    "repro.obs.timeseries.ClusterMetrics": ["window_depth"],
-    "repro.obs.timeseries.HostSeries": ["host", "depth"],
+    "repro.obs.slo.SLOWatcher": ["rules"],
+    "repro.obs.timeseries.ClusterMetrics": [],
+    "repro.obs.timeseries.HostSeries": ["host"],
     "repro.obs.tracer.Tracer": ["max_events"],
-    "repro.rmi.reliability.CircuitBreaker": ["threshold", "cooldown"],
-    "repro.rmi.reliability.ReplayCache": ["kernel", "window"],
-    "repro.sanitizer.core.Sanitizer": ["leaks", "max_findings"],
-    "repro.sysmon.history.SampleHistory": ["depth"],
+    "repro.rmi.reliability.CircuitBreaker": [],
+    "repro.rmi.reliability.ReplayCache": ["kernel", "config"],
+    "repro.sanitizer.core.Sanitizer": ["leaks"],
+    "repro.sysmon.history.SampleHistory": [],
     "repro.varch.pool.MonitoredPool": [
-        "world", "hosts", "policy", "default_constraints", "snapshot_fn",
+        "world", "hosts", "policy", "snapshot_fn",
         "site_fn",
     ],
 }
@@ -166,7 +161,9 @@ def test_public_methods(path):
 
 @pytest.mark.parametrize("path", sorted(CONFIG_FIELDS))
 def test_config_fields(path):
-    fields = [field.name for field in dataclasses.fields(_resolve(path))]
+    cls = _resolve(path)
+    fields = ([field.name for field in dataclasses.fields(cls)]
+              if dataclasses.is_dataclass(cls) else [])
     assert fields == CONFIG_FIELDS[path]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -476,10 +477,12 @@ class TestReport:
         assert data["findings"][0]["rule"] == "san-race"
 
     def test_findings_capped(self):
-        san = Sanitizer(max_findings=2)
-        for i in range(5):
+        san = Sanitizer()
+        cap = Sanitizer.MAX_FINDINGS
+        for i in range(cap + 3):
             san.note_all_blocked(_Scope(), f"dump-{i}", ("x.py", i + 1))
-        assert len(san.report().findings) == 2
+        assert len(san.report().findings) == cap
+        assert san.overflow == 3
 
     def test_report_is_sorted_and_deduped(self):
         san = Sanitizer()
@@ -507,12 +510,21 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "san-race" in out
-        assert "1 errors" in out
+        assert "1 errors)\n" in out  # nothing past the cap, no suffix
         data = json.loads(report_path.read_text())
         assert any(
             f["rule"] == "san-race" for f in data["findings"]
         )
         assert data["summary"]["error"] == 1
+
+    def test_san_cli_counts_findings_past_the_cap(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(Sanitizer, "MAX_FINDINGS", 0)
+        cli_main(["san", str(FIXTURES / "cli_race.py")])
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(
+            r"symsan: 0 findings \(0 errors\) \(\+[1-9]\d* past the cap\)",
+            summary), summary
 
     def test_san_cli_unknown_target(self, capsys):
         assert cli_main(["san", "no/such/script.py"]) == 2

@@ -14,6 +14,7 @@ from repro.sysmon import (
     sample_dynamic,
     sample_static,
 )
+from repro.sysmon.history import DEPTH
 from repro.sysmon.params import ParamKind
 
 
@@ -130,19 +131,20 @@ class TestAggregation:
 
 
 class TestHistory:
-    def test_latest_only_by_default(self):
+    def test_latest_is_newest_sample(self):
         hist = SampleHistory()
         hist.record(1.0, {SysParam.IDLE: 90.0})
         hist.record(2.0, {SysParam.IDLE: 50.0})
-        assert len(hist) == 1
+        assert len(hist) == 2
         assert hist.latest.time == 2.0
         assert hist.latest_value(SysParam.IDLE) == 50.0
 
     def test_deeper_history(self):
-        hist = SampleHistory(depth=3)
-        for t in [1.0, 2.0, 3.0, 4.0]:
+        hist = SampleHistory()
+        times = [float(t) for t in range(1, DEPTH + 2)]
+        for t in times:
             hist.record(t, {SysParam.IDLE: t * 10})
-        assert [s.time for s in hist.window()] == [2.0, 3.0, 4.0]
+        assert [s.time for s in hist.window()] == times[1:]
 
     def test_out_of_order_rejected(self):
         hist = SampleHistory()

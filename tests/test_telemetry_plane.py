@@ -10,6 +10,7 @@ from repro.apps.matmul import MatmulConfig, run_matmul
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.obs import (
     FlightRecorder,
+    SLOWatcher,
     Tracer,
     events as ev,
     load_bundle,
@@ -20,11 +21,15 @@ from repro.obs import (
 )
 
 
-def run_traced_matmul(config, n=64, nodes=4, kill=None, after=0.0):
+def run_traced_matmul(config, n=64, nodes=4, kill=None, after=0.0,
+                      slo=None):
     """Matmul on a fresh traced testbed; optionally kill a host mid-run
-    and keep the world going ``after`` extra simulated seconds."""
+    and keep the world going ``after`` extra simulated seconds.  ``slo``
+    replaces the NAS's watcher before the run starts."""
     with tracing(Tracer()) as tracer:
         runtime = vienna_testbed(config)
+        if slo is not None:
+            runtime.nas.slo = slo
         if kill is not None:
             runtime.world.schedule_failure(*kill)
         try:
@@ -49,7 +54,7 @@ class TestHeartbeatPiggyback:
         )
         tracer, runtime = run_traced_matmul(config)
         cluster = runtime.nas.cluster_metrics()
-        assert cluster is not None and cluster.ingested > 0
+        assert cluster.ingested > 0
         # Every live host ships windows (empty deltas included).
         assert set(cluster.hosts()) == set(runtime.nas.known_hosts())
         merged = cluster.merged_snapshot()
@@ -80,15 +85,18 @@ class TestHeartbeatPiggyback:
                 assert value <= live["counters"][name] + 1e-9
 
     def test_telemetry_off_ships_nothing(self):
-        config = TestbedConfig(
+        """Untraced, the plane is off: heartbeats carry no deltas, so
+        the aggregate stays empty and no SLO is evaluated."""
+        runtime = vienna_testbed(TestbedConfig(
             load_profile="dedicated", seed=5,
-            nas=NASConfig(monitor_period=0.02, telemetry=False),
-        )
-        tracer, runtime = run_traced_matmul(config)
-        assert runtime.nas.cluster_metrics() is None
-        assert runtime.nas.slo is None
-        assert "nas.telemetry.windows" not in \
-            tracer.metrics.snapshot()["counters"]
+            nas=NASConfig(monitor_period=0.02),
+        ))
+        assert not runtime.world.tracer.enabled
+        runtime.run_app(lambda: run_matmul(
+            MatmulConfig(n=64, nr_nodes=4, real_compute=False)))
+        cluster = runtime.nas.cluster_metrics()
+        assert cluster.ingested == 0 and cluster.hosts() == []
+        assert runtime.nas.slo.alerts == []
 
 
 class TestPromExposition:
@@ -172,7 +180,8 @@ class TestFlightRecorder:
         assert len(recorder.incidents) == 1
 
     def test_debounce_per_trigger_type(self):
-        tracer, recorder = self._tracer_with_recorder(min_interval=1.0)
+        tracer, recorder = self._tracer_with_recorder()
+        assert FlightRecorder.MIN_INTERVAL == 1.0
         tracer.emit(ev.RPC_TIMEOUT, ts=1.0, host="a", kind="X")
         tracer.emit(ev.RPC_TIMEOUT, ts=1.2, host="a", kind="X")
         assert len(recorder.incidents) == 1
@@ -249,15 +258,15 @@ class TestHostKillAcceptance:
             nas=NASConfig(
                 monitor_period=0.02, probe_period=0.2,
                 failure_timeout=0.1,
-                # A threshold any real RPC breaches: guarantees an SLO
-                # alert from the first ingested latency window.
-                slo_rules=("rpc-p99: p99(rpc.latency:*) <= 1e-9 over 1",),
             ),
             incident_dir=str(tmp_path),
         )
         config.shell.rpc_timeout = 5.0
+        # A threshold any real RPC breaches: guarantees an SLO alert
+        # from the first ingested latency window.
         tracer, runtime = run_traced_matmul(
-            config, kill=("rachel", 0.06), after=1.0)
+            config, kill=("rachel", 0.06), after=1.0,
+            slo=SLOWatcher(["rpc-p99: p99(rpc.latency:*) <= 1e-9 over 1"]))
 
         assert "rachel" in tracer.failed_hosts
         bundles = [b for b in runtime.flight.incidents

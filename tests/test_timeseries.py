@@ -1,5 +1,5 @@
 """Tests for the telemetry plane's data model: per-host window series,
-the cluster aggregate, NWS-style forecasts, and the SLO watcher."""
+the cluster aggregate, and the SLO watcher."""
 
 import math
 
@@ -15,6 +15,7 @@ from repro.obs import (
     parse_rule,
 )
 from repro.obs.metrics import snapshot_delta
+from repro.obs.timeseries import WINDOW_DEPTH
 
 
 def make_delta(host, t0, t1, counters=None, values=(), name="lat"):
@@ -50,22 +51,24 @@ class TestMetricsDelta:
 
 class TestHostSeries:
     def test_window_rollover_keeps_depth_and_total(self):
-        series = HostSeries("h", depth=4)
-        for i in range(10):
+        series = HostSeries("h")
+        total = WINDOW_DEPTH + 6
+        for i in range(total):
             series.add(make_delta("h", float(i), float(i + 1),
                                   counters={"c": 1}))
-        assert len(series.windows) == 4
-        assert series.total_windows == 10
-        # The retained tail is the *latest* four windows.
-        assert [w.t_start for w in series.windows] == [6.0, 7.0, 8.0, 9.0]
+        assert len(series.windows) == WINDOW_DEPTH
+        assert series.total_windows == total
+        # The retained tail is the *latest* WINDOW_DEPTH windows.
+        assert [w.t_start for w in series.windows] == [
+            float(i) for i in range(6, total)]
 
     def test_rollover_determinism(self):
         """Same delta sequence -> identical retained windows and
         merged histograms, regardless of when we look."""
 
         def build():
-            s = HostSeries("h", depth=3)
-            for i in range(7):
+            s = HostSeries("h")
+            for i in range(WINDOW_DEPTH + 4):
                 s.add(make_delta("h", float(i), float(i + 1),
                                  counters={"c": float(i)},
                                  values=[float(i + 1)]))
@@ -78,7 +81,7 @@ class TestHostSeries:
         assert ha.count == hb.count
 
     def test_counter_sum_and_rate(self):
-        series = HostSeries("h", depth=8)
+        series = HostSeries("h")
         for i in range(4):
             series.add(make_delta("h", float(i), float(i + 1),
                                   counters={"c": 2.0}))
@@ -87,7 +90,7 @@ class TestHostSeries:
         assert series.rate("c") == pytest.approx(2.0)
 
     def test_windowed_histogram_merge(self):
-        series = HostSeries("h", depth=8)
+        series = HostSeries("h")
         series.add(make_delta("h", 0.0, 1.0, values=[1.0, 2.0]))
         series.add(make_delta("h", 1.0, 2.0, values=[64.0]))
         merged = series.histogram("lat")
@@ -101,7 +104,7 @@ class TestHostSeries:
 
 class TestClusterMetrics:
     def test_ingest_builds_cumulative_and_merged(self):
-        cluster = ClusterMetrics(window_depth=4)
+        cluster = ClusterMetrics()
         cluster.ingest(make_delta("a", 0.0, 1.0, counters={"c": 2},
                                   values=[1.0]))
         cluster.ingest(make_delta("b", 0.0, 1.0, counters={"c": 3},
@@ -204,16 +207,19 @@ class TestSLOWatcher:
         return alerts
 
     def test_breach_fires_once_until_refire(self):
-        watcher = SLOWatcher(["r: p99(rpc.latency:*) <= 5.0 over 2"],
-                             refire_windows=100)
+        watcher = SLOWatcher(["r: p99(rpc.latency:*) <= 5.0 over 2"])
         cluster = ClusterMetrics()
-        alerts = self._breach(watcher, cluster, n=5)
+        refire = SLOWatcher.REFIRE_WINDOWS
+        alerts = self._breach(watcher, cluster, n=refire)
         assert len(alerts) == 1
         alert = alerts[0]
         assert alert["rule"] == "r"
         assert alert["host"] == "h"
         assert alert["value"] > 5.0
         assert watcher.alerts == alerts
+        # The breach persists: it fires again REFIRE_WINDOWS windows on.
+        again = self._breach(watcher, cluster, n=1, t0=float(refire))
+        assert [a["window"] for a in alerts + again] == [1, refire + 1]
 
     def test_healthy_then_breach_transition(self):
         watcher = SLOWatcher(["r: max(queue.depth) <= 10 over 1"])

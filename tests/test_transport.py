@@ -9,7 +9,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.kernel import VirtualKernel
-from repro.rmi.reliability import Retrier, RetryPolicy
+from repro.rmi.reliability import CircuitBreaker, Retrier, RetryPolicy
 from repro.simnet import SimWorld, build_lan, make_host
 from repro.transport import Addr, Transport
 from repro.util.serialization import Payload
@@ -170,34 +170,30 @@ class TestRPC:
             "ECHO": 1, "ECHO:reply": 1,
         }
 
-    @pytest.mark.parametrize("policy, stop", [
-        (RetryPolicy(max_attempts=3, attempt_timeout=0.5, jitter=0),
-         "after 3 attempt(s)"),
-        (RetryPolicy(max_attempts=10, attempt_timeout=0.5, jitter=0,
-                     deadline=1.2),
-         "after 3 attempt(s) (deadline exceeded)"),
-    ], ids=["max_attempts", "deadline"])
-    def test_retry_loop_is_bounded(self, world, transport, policy, stop):
+    def test_retry_loop_is_bounded(self, world, transport):
         """A peer that never answers in time exhausts the retrier; it
-        does not spin.  Three 0.5 s attempts and the 0.05 + 0.1 s
-        backoffs between them, plus the three requests' send time."""
+        does not spin.  MAX_ATTEMPTS 0.5 s attempts and the jittered
+        backoffs between them (each at least half of 0.05, 0.1, 0.2 s),
+        plus the requests' send time."""
         serve_echo(transport, "u2")
         client = transport.create_endpoint(Addr("u1", "cli"))
-        transport.retrier = Retrier(transport, policy)
+        transport.retrier = Retrier(transport, CircuitBreaker())
+        attempts = RetryPolicy.MAX_ATTEMPTS
 
         def main():
             with pytest.raises(RetriesExhaustedError) as err:
-                client.rpc(Addr("u2", "srv"), "SLOW", 1.0)
+                client.rpc(Addr("u2", "srv"), "SLOW", 1.0, timeout=0.5)
             elapsed = world.now()
             world.kernel.sleep(1.0)  # the abandoned handlers finish
             return err.value, elapsed
 
         exc, elapsed = world.kernel.run_callable(main)
-        assert str(exc).endswith(stop)
-        assert [a.attempt for a in exc.attempts] == [1, 2, 3]
-        assert transport.stats.by_kind["SLOW"] == 3
-        assert elapsed > 3 * 0.5 + 0.05 + 0.1
-        assert elapsed == pytest.approx(1.6513, abs=1e-4)
+        assert str(exc).endswith(f"after {attempts} attempt(s)")
+        assert [a.attempt for a in exc.attempts] == list(
+            range(1, attempts + 1))
+        assert transport.stats.by_kind["SLOW"] == attempts
+        assert elapsed > attempts * 0.5 + 0.5 * (0.05 + 0.1 + 0.2)
+        assert elapsed == pytest.approx(2.2074, abs=1e-4)
 
     def test_message_to_unregistered_endpoint_dropped(self, world, transport):
         client = transport.create_endpoint(Addr("u1", "cli"))

@@ -105,12 +105,6 @@ class TestMonitoredPool:
         pool = MonitoredPool(world, policy="min-load")
         assert pool.acquire(1)[0].startswith("sparc")
 
-    def test_default_constraints_merged(self):
-        world = make_world()
-        constr = JSConstraints([(SysParam.PEAK_MFLOPS, "<", 10)])
-        pool = MonitoredPool(world, default_constraints=constr)
-        assert all(h.startswith("sparc") for h in pool.acquire(3))
-
 
 class TestNode:
     def test_node_any(self, pool):
