@@ -131,9 +131,9 @@ def print_fig5_table(n: int, night: list[Fig5Point],
 
 def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
                    period: float) -> dict:
-    """One matmul run with the telemetry plane on (ambient tracer, NAS
-    heartbeat piggyback) or fully off (NullTracer).  Same seed either
-    way, so the simulated schedules are comparable."""
+    """One matmul run with the telemetry plane on (ambient tracer, SLO
+    windows at every monitor tick) or fully off (NullTracer).  Same seed
+    either way, so the simulated schedules are comparable."""
     set_tracer(Tracer() if traced else None)
     try:
         config = TestbedConfig(
@@ -157,19 +157,12 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
         }
         if traced:
             tracer = runtime.world.tracer
-            counters = tracer.metrics.snapshot()["counters"]
-            doc["counters"] = {
-                name: counters[name]
-                for name in ("nas.samples", "nas.telemetry.windows",
-                             "nas.telemetry.bytes")
-                if name in counters
-            }
-            cluster = runtime.nas.cluster_metrics()
-            doc["ingested_windows"] = cluster.ingested
-            doc["hosts_reporting"] = len(cluster.hosts())
-            merged = (cluster.merged_snapshot() if cluster.ingested
-                      else tracer.merged_host_metrics())
-            doc["histogram_families"] = sorted(merged["histograms"])
+            series = runtime.nas.slo.series
+            doc["slo_windows"] = sum(s.total_windows
+                                     for s in series.values())
+            doc["hosts_reporting"] = len(series)
+            doc["histogram_families"] = sorted(
+                tracer.merged_host_metrics()["histograms"])
         return doc
     finally:
         set_tracer(None)
@@ -178,9 +171,9 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
 def telemetry_comparison(n: int = 256, nodes: int = 8, seed: int = 7,
                          period: float = 1.0) -> dict:
     """Scalar (telemetry off) vs telemetry-enabled same-seed matmul.
-    ``simulated_ratio`` is the heartbeat piggyback's cost in *simulated*
-    time — the wire/CPU charge of the extra delta bytes — which the
-    overhead gate bounds."""
+    ``simulated_ratio`` is the telemetry plane's cost in *simulated*
+    time, which the overhead gate holds at exactly 1: the windows never
+    touch the simulated network."""
     off = _telemetry_run(False, n, nodes, seed, period)
     on = _telemetry_run(True, n, nodes, seed, period)
     return {

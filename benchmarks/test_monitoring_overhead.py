@@ -62,16 +62,16 @@ def test_monitoring_period_sweep(benchmark):
 
 
 def test_telemetry_overhead_bounded(benchmark):
-    """The telemetry piggyback's overhead gate: shipping per-host
-    metrics deltas on the existing heartbeat must stay within 5% of the
-    same-seed run with the whole obs plane off."""
+    """The telemetry plane's overhead gate: with per-host SLO windows
+    taken at every monitor tick, the traced run is the same-seed run
+    with the whole obs plane off — same messages, bytes and simulated
+    time — and the watcher still saw windows."""
     from harness import telemetry_comparison
 
     doc = benchmark.pedantic(telemetry_comparison, rounds=1, iterations=1)
     benchmark.extra_info["simulated_ratio"] = doc["simulated_ratio"]
     benchmark.extra_info["extra_bytes"] = doc["extra_bytes"]
-    # Deltas reuse heartbeat messages: zero extra messages, only bytes.
     assert doc["extra_messages"] == 0
-    assert doc["extra_bytes"] > 0
-    assert doc["on"]["ingested_windows"] > 0
-    assert doc["simulated_ratio"] <= 1.05
+    assert doc["extra_bytes"] == 0
+    assert doc["simulated_ratio"] == 1.0
+    assert doc["on"]["slo_windows"] > 0

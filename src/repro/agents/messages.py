@@ -8,13 +8,8 @@ from __future__ import annotations
 
 # --- Network Agent System -------------------------------------------------
 PING = "PING"                          # heartbeat probe
-# Monitoring heartbeats double as the telemetry plane's transport:
-# REPORT_PARAMS carries (host, snapshot, metrics_delta|None) — the delta
-# is the host's metrics growth since its last heartbeat (see
-# repro.obs.timeseries.MetricsDelta) — and REPORT_AGGREGATE carries
-# (level, name, weighted, [deltas...]) so collected deltas ride the
-# existing manager cascade up to the domain manager, which ingests them
-# into the ClusterMetrics aggregate.
+# REPORT_PARAMS carries (host, snapshot); REPORT_AGGREGATE carries
+# (level, name, weighted) with level "cluster" or "site".
 REPORT_PARAMS = "REPORT_PARAMS"        # node -> cluster manager sample
 REPORT_AGGREGATE = "REPORT_AGGREGATE"  # manager -> higher manager average
 # The two failure notifications are recorded as NASEvent entries by the

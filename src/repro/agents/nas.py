@@ -26,7 +26,6 @@ from repro.agents.network_agent import NetworkAgent
 from repro.errors import ShellError
 from repro.obs import events as ev
 from repro.obs.slo import DEFAULT_RULES, SLOWatcher
-from repro.obs.timeseries import ClusterMetrics
 from repro.sysmon import Snapshot
 from repro.sysmon.sampler import sample_all
 from repro.transport import Transport
@@ -76,12 +75,9 @@ class NetworkAgentSystem:
         }
         self.agents: dict[str, NetworkAgent] = {}
         self.events: list[NASEvent] = []
-        # The telemetry plane's receiving end.  Owned by the NAS (not a
-        # per-host agent) so the aggregate survives a domain-manager
-        # takeover: the successor's heartbeat keeps ingesting into the
-        # same ClusterMetrics.  The plane is on whenever the world's
-        # tracer records: agents ship no deltas under a NullTracer.
-        self.telemetry = ClusterMetrics()
+        # Every agent hands its host's metrics window to this watcher at
+        # its own monitor tick, under a recording tracer only (agents
+        # take no windows under a NullTracer).
         self.slo = SLOWatcher(DEFAULT_RULES)
         #: extension hook (off-path per paper): called on every failure
         self.failure_listeners: list[Callable[[str], None]] = []
@@ -231,27 +227,6 @@ class NetworkAgentSystem:
             return None
         return average_snapshots(aggregates.values()).params
 
-    # -- telemetry plane -----------------------------------------------------------
-
-    def ingest_deltas(self, deltas) -> None:
-        """Domain-manager side: fold heartbeat-shipped metrics deltas
-        into the cluster aggregate and run the SLO watcher over each
-        host window that just landed.  Only ever called from the current
-        domain manager's monitor tick, so ingestion is serialized."""
-        tracer = self.world.tracer
-        for delta in deltas:
-            self.telemetry.ingest(delta)
-            tracer.count("nas.telemetry.windows", host=delta.host)
-            tracer.count("nas.telemetry.bytes", delta.wire_bytes(),
-                         host=delta.host)
-            self.slo.observe_window(self.telemetry, delta.host,
-                                    self.world.now(), tracer)
-
-    def cluster_metrics(self):
-        """The live :class:`~repro.obs.timeseries.ClusterMetrics`
-        aggregate."""
-        return self.telemetry
-
     def history_document(self) -> dict:
         """A JSON-safe view of NAS state for incident bundles: layout,
         manager assignments, the fault-tolerance event log, and each
@@ -281,7 +256,6 @@ class NetworkAgentSystem:
                 for e in self.events
             ],
             "samples": samples,
-            "telemetry_windows": self.telemetry.ingested,
         }
 
     # -- shell-driven membership ----------------------------------------------------

@@ -12,16 +12,13 @@ Every node runs exactly one network agent (NA).  Each NA:
   the paper's fault-tolerance protocol (release / backup takeover),
   executed by :class:`repro.agents.nas.NetworkAgentSystem`.
 
-The monitoring heartbeat doubles as the **telemetry plane's** transport:
-each ``REPORT_PARAMS`` piggybacks a
-:class:`~repro.obs.timeseries.MetricsDelta` (this host's metrics growth
-since its previous heartbeat, exact counter/bucket diffs), managers
-batch received deltas and flush them up the existing
-``REPORT_AGGREGATE`` cascade on their own tick, and the domain manager
-ingests them into the NAS-owned
-:class:`~repro.obs.timeseries.ClusterMetrics` (which also drives the SLO
-watcher).  The extra wire cost is charged via the delta's estimated
-serialized size on top of ``SAMPLE_WIRE_BYTES``.
+Under a recording tracer each monitor tick also closes this host's
+metrics window — a :class:`~repro.obs.timeseries.MetricsDelta`, the
+growth of the host's registry since its previous tick — and hands it
+straight to the NAS-owned :class:`~repro.obs.slo.SLOWatcher`.  The
+window never goes on the wire: heartbeats carry the sample only, so a
+traced run sends the same bytes, at the same simulated times, as an
+untraced one.
 """
 
 from __future__ import annotations
@@ -58,12 +55,9 @@ class NetworkAgent:
         #: child aggregates while site/domain manager: name -> weighted
         self.cluster_aggregates: dict[str, WeightedSnapshot] = {}
         self.site_aggregates: dict[str, WeightedSnapshot] = {}
-        #: telemetry deltas received from below, awaiting this manager's
-        #: own tick to flush upward (or ingest, at the domain manager)
-        self.pending_deltas: list[MetricsDelta] = []
-        # Per-host registry view last shipped; the next heartbeat ships
-        # only the growth since (exact counter/bucket diffs).
-        self._shipped_metrics: dict | None = None
+        # Per-host registry view at the previous tick; the next window
+        # is the growth since (exact counter/bucket diffs).
+        self._tick_metrics: dict | None = None
         self._window_start = self.world.now()
         self._register_handlers()
         self._procs = []
@@ -77,20 +71,17 @@ class NetworkAgent:
         ep.register(M.REPORT_AGGREGATE, self._on_report_aggregate)
 
     def _on_report_params(self, msg) -> None:
-        host, snapshot, delta = msg.payload.data
+        host, snapshot = msg.payload.data
         self.member_samples[host] = WeightedSnapshot(snapshot, weight=1)
-        if delta is not None:
-            self.pending_deltas.append(delta)
 
     def _on_report_aggregate(self, msg) -> None:
-        level, name, weighted, deltas = msg.payload.data
+        level, name, weighted = msg.payload.data
         if level == "cluster":
             self.cluster_aggregates[name] = weighted
         elif level == "site":
             self.site_aggregates[name] = weighted
         else:  # pragma: no cover - defensive
             raise TransportError(f"bad aggregate level {level!r}")
-        self.pending_deltas.extend(deltas)
 
     # -- loops ------------------------------------------------------------------
 
@@ -151,46 +142,40 @@ class NetworkAgent:
             if manager is None:
                 return
             delta = self._collect_delta(self.world.now())
+            if delta is not None:
+                self.nas.slo.observe(delta, tracer)
             if manager == self.host:
                 self.member_samples[self.host] = WeightedSnapshot(snapshot, 1)
-                if delta is not None:
-                    self.pending_deltas.append(delta)
                 self._aggregate_and_forward()
             else:
-                extra = delta.wire_bytes() if delta is not None else 0
                 self.endpoint.send_oneway(
                     Addr(manager, "na"),
                     M.REPORT_PARAMS,
-                    Payload(data=(self.host, snapshot, delta),
-                            nbytes=SAMPLE_WIRE_BYTES + extra),
+                    Payload(data=(self.host, snapshot),
+                            nbytes=SAMPLE_WIRE_BYTES),
                 )
         finally:
             if span is not None:
                 tracer.end_span(span, ts=self.world.now())
 
     def _collect_delta(self, now: float) -> MetricsDelta | None:
-        """This host's metrics growth since its previous heartbeat, as
-        the piggyback for one ``REPORT_PARAMS``; None when the telemetry
-        plane is off (no recording tracer).  Empty deltas still ship —
-        regular windows per host keep rates and SLO evaluation
-        well-defined."""
+        """This host's metrics growth since its previous tick, as one
+        SLO window; None under a non-recording tracer.  Empty windows
+        still count — regular windows per host keep rates and SLO
+        evaluation well-defined."""
         tracer = self.world.tracer
         if not tracer.enabled:
             return None
         registry = getattr(tracer, "host_metrics", {}).get(self.host)
         snap = registry.snapshot() if registry is not None else \
             {"counters": {}, "histograms": {}}
-        grown = snapshot_delta(snap, self._shipped_metrics)
-        self._shipped_metrics = snap
+        grown = snapshot_delta(snap, self._tick_metrics)
+        self._tick_metrics = snap
         delta = MetricsDelta(host=self.host, t_start=self._window_start,
                              t_end=now, counters=grown["counters"],
                              histograms=grown["histograms"])
         self._window_start = now
         return delta
-
-    def _flush_deltas(self) -> list[MetricsDelta]:
-        deltas, self.pending_deltas = self.pending_deltas, []
-        return deltas
 
     def _aggregate_and_forward(self) -> None:
         """Run the manager side of the aggregation cascade."""
@@ -209,13 +194,11 @@ class NetworkAgent:
         my_site = nas.site_of_cluster(my_cluster)
         site_mgr = nas.site_manager(my_site)
         if site_mgr != self.host:
-            deltas = self._flush_deltas()
-            extra = sum(d.wire_bytes() for d in deltas)
             self.endpoint.send_oneway(
                 Addr(site_mgr, "na"),
                 M.REPORT_AGGREGATE,
-                Payload(data=("cluster", my_cluster, cluster_avg, deltas),
-                        nbytes=SAMPLE_WIRE_BYTES + extra),
+                Payload(data=("cluster", my_cluster, cluster_avg),
+                        nbytes=SAMPLE_WIRE_BYTES),
             )
             return
         # I am the site manager: average my clusters' aggregates.
@@ -230,18 +213,12 @@ class NetworkAgent:
         self.site_aggregates[my_site] = site_avg
         domain_mgr = nas.domain_manager()
         if domain_mgr != self.host:
-            deltas = self._flush_deltas()
-            extra = sum(d.wire_bytes() for d in deltas)
             self.endpoint.send_oneway(
                 Addr(domain_mgr, "na"),
                 M.REPORT_AGGREGATE,
-                Payload(data=("site", my_site, site_avg, deltas),
-                        nbytes=SAMPLE_WIRE_BYTES + extra),
+                Payload(data=("site", my_site, site_avg),
+                        nbytes=SAMPLE_WIRE_BYTES),
             )
-        else:
-            # Top of the cascade: everything collected this tick lands
-            # in the NAS-owned cluster aggregate (and the SLO watcher).
-            nas.ingest_deltas(self._flush_deltas())
 
     def _probe_loop(self) -> None:
         kernel = self.world.kernel

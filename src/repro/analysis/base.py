@@ -202,9 +202,3 @@ def iter_methods(klass: ast.ClassDef):
     for item in klass.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield item
-
-
-def is_init_method(name: str) -> bool:
-    """Constructor-ish methods: writes there happen before the object is
-    shared across threads, so lock discipline does not apply yet."""
-    return name in ("__init__", "__post_init__") or name.startswith("init")

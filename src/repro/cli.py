@@ -382,9 +382,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     tracer, runtime = _run_traced(args)
     if tracer is None:
         return 2
-    # a script target leaves no runtime handle: the tracer's registries
-    doc = (runtime.metrics_document() if runtime is not None
-           else metrics_document(None, tracer))
+    doc = metrics_document(tracer)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, default=repr)
@@ -420,6 +418,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.errors import JSError
     from repro.obs import Tracer, tracing
+    from repro.obs.timeseries import metrics_document
 
     if args.target != "matmul":
         print(f"no such chaos target {args.target!r}; only the 'matmul' "
@@ -462,9 +461,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             result = _run_matmul(runtime, args, args.real)
         except JSError as exc:
             failure = exc
-        merged = tracer.merged_host_metrics()
-        counters = merged.get("counters", merged) if isinstance(
-            merged, dict) else {}
+        counters = metrics_document(tracer)["merged"]["counters"]
         tally = ", ".join(
             f"{fault}={count}"
             for fault, count in sorted(injector.injected.items())
@@ -714,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also render captured incident bundles")
     p_metrics.add_argument("--monitor-period", type=float, default=0.05,
                            help="matmul: NAS monitor period (s) so "
-                                "heartbeat deltas land inside short runs; "
-                                "0 keeps the testbed default")
+                                "SLO windows and NAS samples land inside "
+                                "short runs; 0 keeps the testbed default")
     _add_matmul_flags(p_metrics)
     p_metrics.set_defaults(fn=cmd_metrics)
 

@@ -90,7 +90,6 @@ class JSRuntime:
         # no-ops on a NullTracer, so wiring it is always safe.
         self.flight = FlightRecorder(
             world.tracer,
-            cluster_provider=self.nas.cluster_metrics,
             nas_provider=self.nas.history_document,
             slo_provider=self._slo_alerts,
             incident_dir=incident_dir,
@@ -196,8 +195,8 @@ class JSRuntime:
 
     def metrics_document(self) -> dict:
         """:func:`repro.obs.timeseries.metrics_document` of this
-        runtime's NAS aggregate and tracer."""
-        return metrics_document(self.nas.cluster_metrics(), self.world.tracer)
+        runtime's tracer."""
+        return metrics_document(self.world.tracer)
 
     # -- applications ------------------------------------------------------------
 

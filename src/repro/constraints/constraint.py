@@ -104,13 +104,6 @@ class JSConstraints:
         """The subset of constraints the snapshot violates."""
         return [c for c in self._constraints if not c.holds(snapshot)]
 
-    def merged_with(self, other: "JSConstraints | None") -> "JSConstraints":
-        merged = JSConstraints()
-        merged._constraints = list(self._constraints)
-        if other is not None:
-            merged._constraints.extend(other._constraints)
-        return merged
-
     def __iter__(self) -> Iterator[Constraint]:
         return iter(self._constraints)
 

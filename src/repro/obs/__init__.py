@@ -41,7 +41,7 @@ from repro.obs.metrics import (
 from repro.obs.prom import render_prom
 from repro.obs.slo import DEFAULT_RULES, SLORule, SLOWatcher, parse_rule
 from repro.obs.spans import OpenSpan, TraceContext, current_context
-from repro.obs.timeseries import ClusterMetrics, HostSeries, MetricsDelta
+from repro.obs.timeseries import HostSeries, MetricsDelta
 from repro.obs.top import (
     TopFrame,
     frames_from_trace,
@@ -75,7 +75,6 @@ __all__ = [
     "snapshot_delta",
     "MetricsDelta",
     "HostSeries",
-    "ClusterMetrics",
     "SLORule",
     "SLOWatcher",
     "DEFAULT_RULES",

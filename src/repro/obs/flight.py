@@ -77,11 +77,12 @@ def _event_doc(event: TraceEvent) -> dict:
 class FlightRecorder:
     """Captures incident bundles on failure triggers.
 
-    ``cluster_provider`` / ``nas_provider`` are zero-argument callables
-    returning the live :class:`~repro.obs.timeseries.ClusterMetrics`
-    (or None) and a JSON-safe NAS history document; they are supplied by
-    the runtime wiring (:mod:`repro.cluster.builder`) and called only at
-    capture time, never on the hot path.
+    ``nas_provider`` / ``slo_provider`` are zero-argument callables
+    returning a JSON-safe NAS history document and the SLO alerts fired
+    so far; they are supplied by the runtime wiring
+    (:mod:`repro.cluster.builder`) and called only at capture time,
+    never on the hot path.  The bundle's metrics are
+    :func:`~repro.obs.timeseries.metrics_document` of the tracer.
     """
 
     #: trace events a bundle keeps from the tail of the ring
@@ -91,10 +92,9 @@ class FlightRecorder:
     #: bundles kept in memory (oldest evicted past the cap)
     MAX_INCIDENTS = 32
 
-    def __init__(self, tracer, *, cluster_provider=None, nas_provider=None,
-                 slo_provider=None, incident_dir: str | None = None) -> None:
+    def __init__(self, tracer, *, nas_provider=None, slo_provider=None,
+                 incident_dir: str | None = None) -> None:
         self.tracer = tracer
-        self.cluster_provider = cluster_provider
         self.nas_provider = nas_provider
         self.slo_provider = slo_provider
         self.incident_dir = incident_dir
@@ -188,8 +188,7 @@ class FlightRecorder:
             for span in list(getattr(tracer, "open_spans", {}).values())
         ]
         bundle["failed_hosts"] = sorted(getattr(tracer, "failed_hosts", ()))
-        bundle["metrics"] = metrics_document(
-            self._provided(self.cluster_provider), tracer)
+        bundle["metrics"] = metrics_document(tracer)
         bundle["nas"] = self._provided(self.nas_provider)
         bundle["slo_alerts"] = self._provided(self.slo_provider) or []
         bundle["critical_path"] = self._critical_path_doc(events, event)

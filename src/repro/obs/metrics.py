@@ -261,7 +261,8 @@ def _histogram_delta(new: dict, old: dict | None) -> dict | None:
 def snapshot_delta(new: dict, old: dict | None) -> dict:
     """The growth between two :meth:`Metrics.snapshot` views of the same
     registry: ``{'counters': {...}, 'histograms': {...}}`` with only the
-    entries that changed.  This is what one NAS heartbeat ships."""
+    entries that changed.  This is one host's SLO window per monitor
+    tick (see :mod:`repro.obs.timeseries`)."""
     old_counters = (old or {}).get("counters", {})
     old_hists = (old or {}).get("histograms", {})
     counters = {}

@@ -14,10 +14,11 @@ read the merge of the last ``k`` histogram deltas.  A trailing ``*`` in
 histogram); the *worst* matching metric is the rule's value, so one rule
 covers a family.
 
-The :class:`SLOWatcher` holds parsed rules plus per-(rule, host) breach
-state.  The domain manager calls :meth:`SLOWatcher.observe_window` every
-time a heartbeat delta lands in the :class:`~repro.obs.timeseries.ClusterMetrics`;
-a breach fires an ``slo.alert`` trace event (which is also a flight
+The :class:`SLOWatcher` holds parsed rules, one
+:class:`~repro.obs.timeseries.HostSeries` per host and per-(rule, host)
+breach state.  Each network agent calls :meth:`SLOWatcher.observe` with
+its host's window at its own monitor tick; a breach fires an
+``slo.alert`` trace event at the window's end (which is also a flight
 recorder trigger) on the healthy-to-breached transition and then at most
 every :attr:`SLOWatcher.REFIRE_WINDOWS` windows while the breach
 persists — sustained overload doesn't flood the ring.
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from repro.obs.events import SLO_ALERT
-from repro.obs.timeseries import ClusterMetrics, HostSeries
+from repro.obs.timeseries import HostSeries, MetricsDelta
 
 _COUNTER_STATS = frozenset({"rate", "sum"})
 _HIST_STATS = frozenset({"p50", "p95", "p99", "mean", "max", "min", "count"})
@@ -106,6 +107,8 @@ class SLOWatcher:
             rule if isinstance(rule, SLORule) else parse_rule(rule)
             for rule in rules
         ]
+        #: host -> its recent windows
+        self.series: dict[str, HostSeries] = {}
         #: every alert ever fired, as JSON-safe dicts (newest last)
         self.alerts: list[dict] = []
         # (rule.name, host) -> (currently_breached, window_of_last_fire)
@@ -145,13 +148,15 @@ class SLOWatcher:
 
     # -- evaluation ----------------------------------------------------------
 
-    def observe_window(self, cluster: ClusterMetrics, host: str,
-                       now: float, tracer) -> list[dict]:
-        """Evaluate every rule against ``host``'s series after a new
-        window landed; fire ``slo.alert`` events for breaches."""
-        series = cluster.series.get(host)
+    def observe(self, delta: MetricsDelta, tracer) -> list[dict]:
+        """Append ``delta`` to its host's series and evaluate every rule
+        against that series; fire ``slo.alert`` events for breaches, at
+        the window's end."""
+        host, now = delta.host, delta.t_end
+        series = self.series.get(host)
         if series is None:
-            return []
+            series = self.series[host] = HostSeries(host)
+        series.add(delta)
         fired = []
         for rule in self.rules:
             measured = self._measure(rule, series)

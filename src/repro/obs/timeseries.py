@@ -1,19 +1,23 @@
-"""Per-host sliding-window time series over heartbeat-shipped deltas.
+"""Per-host sliding-window time series over per-tick metrics deltas.
 
-Each NAS heartbeat carries a :class:`MetricsDelta` — the growth of one
-host's metrics registry since the previous heartbeat (exact counter and
-bucket diffs, see :func:`repro.obs.metrics.snapshot_delta`).  The domain
-manager folds every delta into a :class:`ClusterMetrics`: a cumulative
-per-host registry (so merging hosts reproduces the global view exactly)
-plus a :class:`HostSeries` of the last N windows per host.
+At each monitor tick a host's network agent takes a :class:`MetricsDelta`
+— the growth of that host's metrics registry since its previous tick
+(exact counter and bucket diffs, see
+:func:`repro.obs.metrics.snapshot_delta`) — and hands it to the NAS's
+:class:`~repro.obs.slo.SLOWatcher`, which keeps a :class:`HostSeries` of
+the last N windows per host.  Nothing crosses the simulated network, so
+tracing does not change the modelled run.
 
-Windows give the plane its time dimension: counter *rates* (events per
+Windows give the watcher its time dimension: counter *rates* (events per
 simulated second over the window span) and windowed histograms (merge of
-the last k deltas) are what the SLO watcher evaluates.
+the last k deltas) are what the SLO rules evaluate.
 
-Rollover is deterministic: windows are appended in heartbeat order and
-the deque evicts strictly oldest-first, so two runs with the same seed
+Rollover is deterministic: windows are appended in tick order and the
+deque evicts strictly oldest-first, so two runs with the same seed
 produce identical series.
+
+:func:`metrics_document` is the one cluster metrics view: the tracer's
+per-host registries, merged.
 """
 
 from __future__ import annotations
@@ -21,29 +25,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import Histogram, Metrics, merge_snapshots
+from repro.obs.metrics import Histogram
 
 #: number of windows a HostSeries retains
 WINDOW_DEPTH = 16
 
-# Wire-cost model for one shipped delta (see DESIGN.md "Telemetry
-# plane"): a small envelope, ~24B per counter entry (name + float), and
-# per histogram a fixed header plus ~16B per non-empty bucket.
-_ENVELOPE_BYTES = 48
-_COUNTER_BYTES = 24
-_HIST_HEADER_BYTES = 48
-_BUCKET_BYTES = 16
-
 
 @dataclass
 class MetricsDelta:
-    """The growth of one host's registry over one heartbeat interval.
+    """The growth of one host's registry over one monitor interval.
 
     ``counters`` maps name -> exact increment; ``histograms`` maps
     name -> histogram-delta snapshot (exact count/sum/bucket diffs,
     cumulative min/max — see :func:`repro.obs.metrics.snapshot_delta`).
-    Plain strings/floats/dicts throughout, so deltas pickle cleanly onto
-    a :class:`~repro.util.serialization.Payload`.
     """
 
     host: str
@@ -60,15 +54,6 @@ class MetricsDelta:
     def empty(self) -> bool:
         return not self.counters and not self.histograms
 
-    def wire_bytes(self) -> int:
-        """Estimated serialized size — charged to the simulated network
-        when the delta piggybacks on a heartbeat."""
-        nbytes = _ENVELOPE_BYTES + _COUNTER_BYTES * len(self.counters)
-        for hist in self.histograms.values():
-            nbytes += _HIST_HEADER_BYTES
-            nbytes += _BUCKET_BYTES * len(hist.get("buckets", {}))
-        return nbytes
-
 
 class HostSeries:
     """The last N metric windows of one host, oldest first."""
@@ -76,7 +61,7 @@ class HostSeries:
     def __init__(self, host: str) -> None:
         self.host = host
         self.windows: deque[MetricsDelta] = deque(maxlen=WINDOW_DEPTH)
-        #: windows ever ingested (survives rollover)
+        #: windows ever added (survives rollover)
         self.total_windows = 0
 
     def add(self, delta: MetricsDelta) -> None:
@@ -121,75 +106,11 @@ class HostSeries:
         return merged
 
 
-class ClusterMetrics:
-    """The domain manager's cluster-wide aggregate of shipped deltas.
-
-    Two views per host: a *cumulative* registry (every delta folded in —
-    merging these across hosts reproduces the union of all per-host
-    samples, bucket-exact) and a :class:`HostSeries` of recent windows
-    for rates and windowed percentiles.
-    """
-
-    def __init__(self) -> None:
-        self.series: dict[str, HostSeries] = {}
-        self._cumulative: dict[str, Metrics] = {}
-        self.ingested = 0
-
-    def ingest(self, delta: MetricsDelta) -> None:
-        """Fold one heartbeat-shipped delta into the aggregate."""
-        host = delta.host
-        series = self.series.get(host)
-        if series is None:
-            series = self.series[host] = HostSeries(host)
-            self._cumulative[host] = Metrics()
-        series.add(delta)
-        cum = self._cumulative[host]
-        cum.merge_snapshot(
-            {"counters": delta.counters, "histograms": delta.histograms})
-        self.ingested += 1
-
-    def hosts(self) -> list[str]:
-        return sorted(self.series)
-
-    def host_snapshot(self, host: str) -> dict:
-        cum = self._cumulative.get(host)
-        return cum.snapshot() if cum else {"counters": {}, "histograms": {}}
-
-    def merged_snapshot(self) -> dict:
-        """One registry snapshot merging every host's cumulative view."""
-        return merge_snapshots(
-            self._cumulative[h].snapshot() for h in self.hosts())
-
-    def document(self) -> dict:
-        """A JSON-safe summary (histogram bucket keys stringified)."""
-        return {
-            "ingested": self.ingested,
-            "hosts": {
-                host: {
-                    "windows": self.series[host].total_windows,
-                    "retained": len(self.series[host].windows),
-                    "cumulative": _jsonable(self.host_snapshot(host)),
-                }
-                for host in self.hosts()
-            },
-            "merged": _jsonable(self.merged_snapshot()),
-        }
-
-
-def metrics_document(cluster: ClusterMetrics | None, tracer) -> dict:
+def metrics_document(tracer) -> dict:
     """Cluster metrics as a JSON-safe document: the merged registry
-    (bucket-level) plus the per-host snapshots behind the merge.
-    Prefers the NAS-shipped aggregate (heartbeat-fed, windowed) once a
-    delta has reached the domain manager; falls back to the tracer's
-    live per-host registries, then to its global registry."""
-    if cluster is not None and cluster.ingested:
-        hosts = cluster.hosts()
-        return {
-            "source": "nas",
-            "merged": _jsonable(cluster.merged_snapshot()),
-            "hosts": {h: _jsonable(cluster.host_snapshot(h)) for h in hosts},
-            "windows": {h: cluster.series[h].total_windows for h in hosts},
-        }
+    (bucket-level) plus the per-host snapshots behind the merge, read
+    from the tracer's per-host registries.  Falls back to the tracer's
+    global registry when no per-host registry exists."""
     host_metrics = getattr(tracer, "host_metrics", None) or {}
     if host_metrics:
         source = "tracer"
@@ -205,7 +126,6 @@ def metrics_document(cluster: ClusterMetrics | None, tracer) -> dict:
             host: _jsonable(host_metrics[host].snapshot())
             for host in sorted(host_metrics)
         },
-        "windows": {},
     }
 
 

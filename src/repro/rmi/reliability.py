@@ -317,10 +317,6 @@ class CircuitBreaker:
         circuit = self._hosts.get(host)
         return circuit is not None and circuit.state != CLOSED
 
-    def state_of(self, host: str) -> str:
-        circuit = self._hosts.get(host)
-        return CLOSED if circuit is None else circuit.state
-
 
 class Retrier:
     """Blocking RPC with retries: executes the :class:`RetryPolicy` (and

@@ -177,9 +177,6 @@ class SimWorld:
     def schedule_failure(self, name: str, at: float) -> None:
         self.kernel.call_at(at, self.fail_host, name)
 
-    def schedule_restart(self, name: str, at: float) -> None:
-        self.kernel.call_at(at, self.restart_host, name)
-
     def alive_hosts(self) -> list[str]:
         return [n for n, m in sorted(self.machines.items()) if not m.failed]
 

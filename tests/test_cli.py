@@ -160,7 +160,7 @@ class TestMetricsCommand:
                      "--profile", "dedicated",
                      "--json", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
-        assert doc["source"] in ("nas", "tracer")
+        assert doc["source"] == "tracer"
         assert doc["merged"]["histograms"]
         assert doc["hosts"]
 

@@ -88,17 +88,6 @@ class TestJSConstraints:
         with pytest.raises(ConstraintError):
             JSConstraints([("WARP_FIELD", ">=", 10)])
 
-    def test_merged_with(self):
-        a = JSConstraints([("IDLE", ">=", 50)])
-        b = JSConstraints([("AVAIL_MEM", ">=", 10)])
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-        assert len(a) == 1  # originals untouched
-
-    def test_merged_with_none(self):
-        a = JSConstraints([("IDLE", ">=", 50)])
-        assert len(a.merged_with(None)) == 1
-
     def test_str(self):
         text = str(self.paper_example())
         assert "NODE_NAME != milena" in text

@@ -32,7 +32,7 @@ REPRO_ALL = [
 KERNEL_ALL = ["ProcessState", "RngStreams", "VirtualKernel"]
 
 OBS_ALL = [
-    "ClusterMetrics", "CriticalPath", "DEFAULT_RULES", "FlightRecorder",
+    "CriticalPath", "DEFAULT_RULES", "FlightRecorder",
     "Histogram", "HostSeries", "Metrics", "MetricsDelta", "NULL_TRACER",
     "NullTracer", "OpenSpan", "SLORule", "SLOWatcher", "TopFrame",
     "TraceContext", "TraceEvent", "Tracer", "critical_path",
@@ -97,11 +97,10 @@ CONFIG_FIELDS = {
 CONSTRUCTOR_PARAMS = {
     "repro.kernel.virtual.VirtualKernel": ["strict"],
     "repro.obs.flight.FlightRecorder": [
-        "tracer", "cluster_provider", "nas_provider", "slo_provider",
+        "tracer", "nas_provider", "slo_provider",
         "incident_dir",
     ],
     "repro.obs.slo.SLOWatcher": ["rules"],
-    "repro.obs.timeseries.ClusterMetrics": [],
     "repro.obs.timeseries.HostSeries": ["host"],
     "repro.obs.tracer.Tracer": ["max_events"],
     "repro.rmi.reliability.CircuitBreaker": [],

@@ -1,5 +1,5 @@
-"""End-to-end tests for the cluster telemetry plane: NAS heartbeat
-piggyback, SLO alerts, the flight recorder, and the Prometheus view."""
+"""End-to-end tests for the cluster telemetry plane: per-tick metrics
+windows, SLO alerts, the flight recorder, and the Prometheus view."""
 
 import json
 
@@ -47,46 +47,50 @@ def run_traced_matmul(config, n=64, nodes=4, kill=None, after=0.0,
 
 
 class TestHeartbeatPiggyback:
+    """Metrics windows: each host's monitor tick hands one window to the
+    NAS's SLO watcher; nothing rides the heartbeat."""
+
     def test_deltas_reach_domain_manager(self):
+        """One window per tick: every live host has a series at the
+        watcher, with as many windows as that host took samples."""
         config = TestbedConfig(
             load_profile="dedicated", seed=5,
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),
         )
         tracer, runtime = run_traced_matmul(config)
-        cluster = runtime.nas.cluster_metrics()
-        assert cluster.ingested > 0
-        # Every live host ships windows (empty deltas included).
-        assert set(cluster.hosts()) == set(runtime.nas.known_hosts())
-        merged = cluster.merged_snapshot()
+        series = runtime.nas.slo.series
+        assert set(series) == set(runtime.nas.known_hosts())
+        for host, s in series.items():
+            samples = tracer.host_metrics[host].snapshot()["counters"]
+            assert s.total_windows == samples["nas.samples"] > 0
+        merged = runtime.metrics_document()["merged"]
         assert any(name.startswith("rpc.latency:")
                    for name in merged["histograms"])
 
     def test_aggregate_matches_per_host_registries(self):
-        """What the NAS assembled from deltas equals the tracer's own
-        per-host registries for everything that was shipped: the delta
-        protocol loses nothing, bucket for bucket."""
+        """The metrics document is the tracer's per-host registries,
+        and each host's windows are exact diffs of its registry: what
+        the watcher retains is a part of what the registry holds."""
         config = TestbedConfig(
             load_profile="dedicated", seed=5,
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),
         )
         tracer, runtime = run_traced_matmul(config, after=0.2)
-        cluster = runtime.nas.cluster_metrics()
-        for host in cluster.hosts():
-            shipped = cluster.host_snapshot(host)
-            live = tracer.host_metrics[host].snapshot() \
-                if host in tracer.host_metrics \
-                else {"counters": {}, "histograms": {}}
-            for name, hist in shipped["histograms"].items():
-                # Shipped view is a prefix of the live view: a final
-                # partial window may not have been collected yet.
-                assert name in live["histograms"]
-                assert hist["count"] <= live["histograms"][name]["count"]
-            for name, value in shipped["counters"].items():
-                assert value <= live["counters"][name] + 1e-9
+        doc = runtime.metrics_document()
+        assert doc["source"] == "tracer"
+        assert sorted(doc["hosts"]) == sorted(tracer.host_metrics)
+        for host, s in runtime.nas.slo.series.items():
+            live = tracer.host_metrics[host].snapshot()
+            assert doc["hosts"][host]["counters"] == live["counters"]
+            for name in live["counters"]:
+                assert s.counter_sum(name) <= live["counters"][name] + 1e-9
+            for name, hist in live["histograms"].items():
+                windowed = s.histogram(name)
+                assert windowed is None or windowed.count <= hist["count"]
 
     def test_telemetry_off_ships_nothing(self):
-        """Untraced, the plane is off: heartbeats carry no deltas, so
-        the aggregate stays empty and no SLO is evaluated."""
+        """Untraced, agents take no windows: the watcher holds no series
+        and evaluates nothing."""
         runtime = vienna_testbed(TestbedConfig(
             load_profile="dedicated", seed=5,
             nas=NASConfig(monitor_period=0.02),
@@ -94,8 +98,7 @@ class TestHeartbeatPiggyback:
         assert not runtime.world.tracer.enabled
         runtime.run_app(lambda: run_matmul(
             MatmulConfig(n=64, nr_nodes=4, real_compute=False)))
-        cluster = runtime.nas.cluster_metrics()
-        assert cluster.ingested == 0 and cluster.hosts() == []
+        assert runtime.nas.slo.series == {}
         assert runtime.nas.slo.alerts == []
 
 
@@ -110,11 +113,10 @@ class TestPromExposition:
         )
         tracer, runtime = run_traced_matmul(config)
         doc = runtime.metrics_document()
-        assert doc["source"] == "nas"
+        assert doc["source"] == "tracer"
         # Hand-merge the per-host snapshots the document is built from.
         by_hand = merge_snapshots(
-            runtime.nas.cluster_metrics().host_snapshot(h)
-            for h in runtime.nas.cluster_metrics().hosts())
+            registry.snapshot() for registry in tracer.host_metrics.values())
         lat_names = [n for n in by_hand["histograms"]
                      if n.startswith("rpc.latency:")]
         assert lat_names
@@ -263,7 +265,7 @@ class TestHostKillAcceptance:
         )
         config.shell.rpc_timeout = 5.0
         # A threshold any real RPC breaches: guarantees an SLO alert
-        # from the first ingested latency window.
+        # from the first latency window.
         tracer, runtime = run_traced_matmul(
             config, kill=("rachel", 0.06), after=1.0,
             slo=SLOWatcher(["rpc-p99: p99(rpc.latency:*) <= 1e-9 over 1"]))
@@ -277,7 +279,7 @@ class TestHostKillAcceptance:
 
         # Merged cluster metrics, bucket-level.
         metrics = bundle["metrics"]
-        assert metrics["source"] in ("nas", "tracer")
+        assert metrics["source"] == "tracer"
         assert metrics["merged"]["histograms"]
         some_hist = next(iter(metrics["merged"]["histograms"].values()))
         assert some_hist["buckets"]

@@ -6,10 +6,10 @@ one-sided), a migration and a small nominal matmul under a recording
 ``(ts, etype, host, actor, dur, fields, ctx)`` in arrival order, the
 global metrics snapshot, every per-host snapshot (in registry creation
 order), the ``events_of`` sizes, and the wire bytes and clock of the
-run — the NAS heartbeat ships per-host metric deltas and is charged for
-their size, so a registry that folded samples in another order would
-move the bytes too.  A change to how the tracer records must reproduce
-these digests; only a change *meant* to alter the record re-pins them.
+run.  The bytes and clock are the untraced run's too: nothing the tracer
+records goes on the simulated wire.  A change to how the tracer records
+must reproduce these digests; only a change *meant* to alter the record
+re-pins them.
 """
 
 import hashlib
@@ -68,7 +68,7 @@ def test_traced_record_is_pinned():
     rt = traced_run(tracer)
     assert len(tracer.events) == 1323
     assert record_digest(tracer, rt) == (
-        "17e2de221c669153ac04855968dbaada664bd4d8254b024213718ea74e3fce15"
+        "8bbd40fdc95b7007df028a5c5ddfc1e7a1510f17105f7de2c750d2cfd90bd84b"
     )
 
 
@@ -78,6 +78,6 @@ def test_ring_record_is_pinned():
     assert len(tracer.events) == 500
     assert tracer.dropped_events == 1323 - 500
     assert record_digest(tracer, rt) == (
-        "984407a104344eb98be2ad3b84ddfe88a160b0a39c41618e75d2bdd3c817d3ef"
+        "6ed70f218d5d3b402b538c23124c362f657778041a3d7864079c1086df6644b9"
     )
 
