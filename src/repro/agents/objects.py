@@ -10,6 +10,7 @@ location, pending results and an is-executing flag.  We factor that into
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -61,11 +62,17 @@ class ClassRegistry:
     def estimated_bytes(cls, name: str) -> int:
         """Approximate byte-code size of a class (for codebase transfer
         costs and per-node memory accounting)."""
-        klass = cls.resolve(name)
-        try:
-            return max(256, len(inspect.getsource(klass).encode()))
-        except (OSError, TypeError):
-            return 2048
+        return _source_bytes(cls.resolve(name))
+
+
+@functools.cache
+def _source_bytes(klass: type) -> int:
+    """:meth:`ClassRegistry.estimated_bytes` of ``klass``, kept per class:
+    ``inspect.getsource`` parses the class's whole module each time."""
+    try:
+        return max(256, len(inspect.getsource(klass).encode()))
+    except (OSError, TypeError):
+        return 2048
 
 
 def jsclass(klass: type) -> type:
@@ -278,7 +285,7 @@ class ObjectHolder:
         self, obj_id: str, method_name: str, params: Any, nominal: bool
     ) -> Any:
         kernel = self.world.kernel
-        wait_start = self.world.now()
+        wait_start = kernel.now()
         while True:
             entry = self.objects.get(obj_id)
             if entry is None:
@@ -298,7 +305,7 @@ class ObjectHolder:
             kernel.sleep(0.001)
         tracer = self.world.tracer
         if tracer.enabled:
-            waited = self.world.now() - wait_start
+            waited = kernel.now() - wait_start
             if waited > 0.0:
                 # Holder-side queueing (serial dispatch / migration
                 # quiescing): the critical-path extractor charges this
@@ -318,12 +325,11 @@ class ObjectHolder:
         machine = self.world.machine(self.addr.host)
         machine.counters.invocations_served += 1
         entry.invocations += 1
-        dispatch_start = self.world.now()
         dspan = None
         if tracer.enabled:
             # Installed: the compute charge below nests under dispatch.
             dspan = tracer.begin_span(
-                OBJ_DISPATCH, ts=dispatch_start, host=self.addr.host,
+                OBJ_DISPATCH, ts=kernel.now(), host=self.addr.host,
                 actor=self.actor, obj_id=obj_id, method=method_name,
             )
         flops = 0.0
@@ -338,7 +344,7 @@ class ObjectHolder:
         finally:
             entry.executing -= 1
             if dspan is not None:
-                tracer.end_span(dspan, ts=self.world.now(), flops=flops)
+                tracer.end_span(dspan, ts=kernel.now(), flops=flops)
                 tracer.count(f"dispatch:{self.addr.host}",
                              host=self.addr.host)
         # The instance may have grown (e.g. init() storing a matrix);

@@ -56,8 +56,7 @@ class ChaosInjector:
             if crash.restart_at is not None:
                 kernel.call_at(crash.restart_at, self._do_restart, crash)
         for part in self.plan.partitions:
-            kernel.call_at(part.at, self._note, "partition",
-                           segment=part.segment, heal=part.healed_at)
+            kernel.call_at(part.at, self._do_partition, part)
         return self
 
     # -- host-level faults ----------------------------------------------------
@@ -65,6 +64,10 @@ class ChaosInjector:
     def _do_stall(self, stall) -> None:
         self.world.stall_host(stall.host, stall.duration)
         self._note("stall", host=stall.host, duration=stall.duration)
+
+    def _do_partition(self, part) -> None:
+        # Only a note: filter() drops what crosses the cut while it lasts.
+        self._note("partition", segment=part.segment, heal=part.healed_at)
 
     def _do_crash(self, crash) -> None:
         self.world.fail_host(crash.host)

@@ -64,6 +64,8 @@ class ProcessState(enum.Enum):
 
 
 _SWITCH_TIMEOUT = 60.0  # host seconds without a kernel event: a stall
+#: the span context's thread-local, swapped inline around call events
+_span_state = _spans._state
 #: hot-path aliases: looking up an Enum member is a descriptor call
 _BLOCKED, _RUNNING = ProcessState.BLOCKED, ProcessState.RUNNING
 
@@ -158,7 +160,8 @@ class VirtualProcess:
         self._wait_site: tuple[str, int] | None = None
         #: spawner's span context (installed before fn runs)
         self._span_ctx = None
-        self.finished_future: VirtualFuture = VirtualFuture(kernel)
+        #: completed when the body finishes; made by the first join
+        self._finished: VirtualFuture | None = None
 
     # -- Process API -------------------------------------------------------
 
@@ -170,10 +173,26 @@ class VirtualProcess:
     def finished(self) -> bool:
         return self._state in (ProcessState.FINISHED, ProcessState.FAILED)
 
+    @property
+    def finished_future(self) -> VirtualFuture:
+        """A future completed with the body's outcome when it finishes.
+        Made on first ask: most processes are never joined."""
+        fut = self._finished
+        if fut is None:
+            fut = self._finished = VirtualFuture(self.kernel)
+            if self.finished:
+                fut._done = True
+                fut._value, fut._exc = self._result, self._exc
+        return fut
+
     def join(self, timeout: float | None = None) -> None:
         """Block the calling process until this one finishes."""
-        if not self.finished_future.wait(timeout):
+        if not self.finished and not self.finished_future.wait(timeout):
             raise WaitTimeout(f"join on {self.name} timed out")
+        san = self.kernel.sanitizer
+        if san.enabled:
+            # join edge: the body's end happens-before the joiner goes on
+            san.hb_recv(self)
 
     def result(self) -> Any:
         """The body's return value, re-raising what it died with.  Only
@@ -217,6 +236,9 @@ class VirtualProcess:
         if kernel._shutting_down:  # unwound, or the body ate the signal
             self._state = ProcessState.FAILED
             return False
+        if san.enabled:
+            # join edge, published whether or not anyone joins yet
+            san.hb_send(self)
         if self._exc is not None:
             kernel._note_crash(self, self._exc)
         # Reaped: handles still answer result()/join(), but the kernel
@@ -226,10 +248,12 @@ class VirtualProcess:
         del kernel.processes[self.pid]
         # Completing the future wakes joiners via heap events; safe here
         # because we still hold control.
-        if self._exc is not None:
-            self.finished_future.set_exception(self._exc)
-        else:
-            self.finished_future.set_result(self._result)
+        fut = self._finished
+        if fut is not None:
+            if self._exc is not None:
+                fut.set_exception(self._exc)
+            else:
+                fut.set_result(self._result)
         return True
 
     def _block(self, why: str) -> str:
@@ -704,7 +728,7 @@ class VirtualKernel:
     def _call(self, fn: Callable[..., Any], args: tuple, seq: int) -> bool:
         """Run one call event in scheduler context on the calling thread.
         False when it raised; run() re-raises it."""
-        own_ctx = _spans.set_context(self._sched_ctx)
+        own_ctx, _span_state.ctx = _span_state.ctx, self._sched_ctx
         san = self.sanitizer
         if san.enabled:
             own_tid = san.swap_identity(self._sched_tid)
@@ -716,7 +740,7 @@ class VirtualKernel:
             self._error = exc
             return False
         finally:
-            self._sched_ctx = _spans.set_context(own_ctx)
+            self._sched_ctx, _span_state.ctx = _span_state.ctx, own_ctx
             if san.enabled:
                 san.swap_identity(own_tid)
         return True

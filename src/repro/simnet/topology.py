@@ -11,7 +11,9 @@ routed by fewest links (DESIGN.md, "Routes").  A transfer pays:
 Shared (hub) segments divide bandwidth among concurrent transfers — the
 fair share is computed from the number of active transfers when this one
 starts (a processor-sharing approximation that avoids re-scheduling every
-in-flight transfer on each arrival).
+in-flight transfer on each arrival).  Only shared segments count their
+transfers: a switched segment's share is always 1, so nothing reads its
+count.
 """
 
 from __future__ import annotations
@@ -40,11 +42,16 @@ class Segment:
     #: medium.  Switched segments only share per-endpoint, which we fold
     #: into efficiency.
     shared: bool = False
+    #: transfers under way; counted on shared segments only
     active_transfers: int = field(default=0, compare=False)
 
     @property
     def bytes_per_s(self) -> float:
         return self.bandwidth_mbits * 1e6 / 8.0
+
+
+#: the segments crossed, the path latency, the shared segments crossed
+_Route = tuple[tuple[Segment, ...], float, tuple[Segment, ...]]
 
 
 class Topology:
@@ -63,9 +70,9 @@ class Topology:
         self._host_segment: dict[str, str] = {}
         #: {segment: {neighbour: link latency}}, in connect order
         self._links: dict[str, dict[str, float]] = {}
-        #: (segment, segment) -> (segments crossed, path latency)
-        self._routes: dict[tuple[str, str],
-                           tuple[tuple[Segment, ...], float]] = {}
+        #: (segment, segment) -> (segments crossed, path latency, the
+        #: shared ones among them)
+        self._routes: dict[tuple[str, str], _Route] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -98,10 +105,11 @@ class Topology:
         except KeyError:
             raise TransportError(f"host {host!r} not attached") from None
 
-    def _route(self, a: str, b: str) -> tuple[tuple[Segment, ...], float]:
-        """The segments a transfer from segment ``a`` to ``b`` crosses and
-        their path latency; found breadth-first, neighbours in connect
-        order, and kept until the graph changes."""
+    def _route(self, a: str, b: str) -> _Route:
+        """The segments a transfer from segment ``a`` to ``b`` crosses,
+        their path latency and the shared ones among them; found
+        breadth-first, neighbours in connect order, and kept until the
+        graph changes."""
         route = self._routes.get((a, b))
         if route is not None:
             return route
@@ -119,8 +127,13 @@ class Topology:
         latency = sum(seg.latency_s for seg in segs)
         for here, there in zip(path, path[1:]):
             latency += self._links[here][there]
-        route = self._routes[a, b] = (segs, latency)
+        shared = tuple(seg for seg in segs if seg.shared)
+        route = self._routes[a, b] = (segs, latency, shared)
         return route
+
+    def _host_route(self, src: str, dst: str) -> _Route:
+        return self._route(self.segment_of(src).name,
+                           self.segment_of(dst).name)
 
     # -- cost model ----------------------------------------------------------
 
@@ -128,14 +141,14 @@ class Topology:
         self, src: str, dst: str, nbytes: int
     ) -> tuple[float, tuple[Segment, ...]]:
         """Seconds to move ``nbytes`` from ``src`` to ``dst`` given current
-        contention (same-host: loopback cost only), and the segments
-        crossed, now marked active: pass them to :meth:`end_transfer`."""
+        contention (same-host: loopback cost only), and the shared
+        segments crossed, now counting this transfer: pass them to
+        :meth:`end_transfer` (none: there is nothing to release)."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if src == dst:
             return self.sw_overhead + nbytes / self.loopback_bytes_per_s, ()
-        segs, latency = self._route(self.segment_of(src).name,
-                                    self.segment_of(dst).name)
+        segs, latency, shared = self._host_route(src, dst)
         # Bottleneck bandwidth with fair sharing on hub segments; a path
         # crosses a segment once, so none counts this transfer yet.
         rate = float("inf")
@@ -144,21 +157,27 @@ class Topology:
             if seg.shared:
                 share = 1.0 / (1 + seg.active_transfers)
             rate = min(rate, seg.bytes_per_s * self.efficiency * share)
+        for seg in shared:
             seg.active_transfers += 1
-        return self.sw_overhead + latency + nbytes / rate, segs
+        return self.sw_overhead + latency + nbytes / rate, shared
 
     def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
         """:meth:`start_transfer`'s delay, without starting the transfer."""
-        delay, segs = self.start_transfer(src, dst, nbytes)
-        self.end_transfer(segs)
+        delay, shared = self.start_transfer(src, dst, nbytes)
+        self.end_transfer(shared)
         return delay
 
     def begin_transfer(self, src: str, dst: str) -> tuple[Segment, ...]:
-        """:meth:`start_transfer`'s segments, marked active."""
-        return self.start_transfer(src, dst, 0)[1]
+        """Every segment a ``src -> dst`` transfer crosses, in order, the
+        shared ones now counting it (as :meth:`start_transfer` does)."""
+        self.start_transfer(src, dst, 0)
+        return self._host_route(src, dst)[0] if src != dst else ()
 
     def end_transfer(self, segs: Iterable[Segment]) -> None:
+        """Release a transfer on the shared ones of ``segs``."""
         for seg in segs:
+            if not seg.shared:
+                continue
             if seg.active_transfers <= 0:
                 raise TransportError(
                     f"end_transfer without begin on segment {seg.name!r}"

@@ -94,26 +94,27 @@ class SimWorld:
             raise ValueError("negative flops")
         machine = self.machine(host)
         machine.begin_task()
-        t0 = self.now()
+        kernel = self.kernel
+        t0 = kernel.now()
         try:
             remaining = float(flops)
             while remaining > 0:
                 machine.check_alive()
                 rate = machine.effective_flops(
-                    self.now(), machine.active_tasks
+                    kernel.now(), machine.active_tasks
                 )
                 slice_time = remaining / rate
                 if slice_time <= self.compute_resample:
-                    self.kernel.sleep(slice_time)
+                    kernel.sleep(slice_time)
                     break
-                self.kernel.sleep(self.compute_resample)
+                kernel.sleep(self.compute_resample)
                 remaining -= rate * self.compute_resample
         finally:
             machine.end_task()
-        elapsed = self.now() - t0
+        elapsed = kernel.now() - t0
         if self.tracer.enabled:
             self.tracer.emit_span(ev.COMPUTE, ts=t0, host=host,
-                                  actor=self.kernel.current_process_name(),
+                                  actor=kernel.current_process_name(),
                                   dur=elapsed, flops=flops)
             self.tracer.count(f"compute.flops:{host}", flops, host=host)
         return elapsed
@@ -123,19 +124,21 @@ class SimWorld:
     def transfer_delay(self, src: str, dst: str, nbytes: int) -> float:
         """Compute the delay for a message and account for contention.
 
-        The crossed segments' active-transfer counters are incremented now
-        and decremented when the transfer completes (scheduled on the
-        kernel), so overlapping transfers on shared segments slow each
-        other down.
+        The crossed shared segments' active-transfer counters are
+        incremented now and decremented when the transfer completes
+        (scheduled on the kernel), so overlapping transfers on shared
+        segments slow each other down.  A route over switched segments
+        only has nothing to release and schedules nothing.
         """
         src_m = self.machine(src)
         src_m.check_alive()
         dst_m = self.machine(dst)
         dst_m.check_alive()
-        delay, segs = self.topology.start_transfer(src, dst, nbytes)
-        if segs:
-            self.kernel.call_at(
-                self.now() + delay, self.topology.end_transfer, segs
+        delay, shared = self.topology.start_transfer(src, dst, nbytes)
+        if shared:
+            kernel = self.kernel
+            kernel.call_at(
+                kernel.now() + delay, self.topology.end_transfer, shared
             )
         src_m.counters.bytes_sent += nbytes
         src_m.counters.messages_sent += 1

@@ -283,7 +283,7 @@ class Transport:
         # before a counter moves or a future exists.
         wire = encode(payload)
         nbytes = wire.nbytes
-        sent_at = self.world.now()
+        sent_at = self.world.kernel.now()
         # Where the legs differ, 1 of 2: a request's sender is the
         # calling process, so on a dead host this charge raises to it —
         # NodeFailedError, with nothing counted, numbered or awaited yet.
@@ -344,7 +344,8 @@ class Transport:
                 "host failed" if request
                 else "caller failed" if world.machine(dst.host).failed
                 else "replying host failed"))
-        now = world.now()
+        kernel = world.kernel
+        now = kernel.now()
         key = (src.host, dst.host)
         deliver_at = max(now + delay, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = deliver_at
@@ -386,7 +387,7 @@ class Transport:
         for at in deliveries:
             # Duplicates are harmless: every request delivery decodes a
             # copy of its own, and _complete is idempotent.
-            world.kernel.call_at(at, deliver, *args)
+            kernel.call_at(at, deliver, *args)
 
     def _drop(self, msg: Message, stage: str, reason: str) -> None:
         """Lose ``msg`` (or the reply to it): the only place a drop is

@@ -1,13 +1,18 @@
 """Unit-level tests for the agent layer internals: object tables, wire
 markers, memory accounting, VA watches, class registry."""
 
+import importlib
+import inspect
+
 import pytest
 
+import repro.apps
 from repro.agents import messages as M
 from repro.agents.messages import Moved, UnknownObject
 from repro.agents.objects import (
     ClassRegistry,
     ObjectRef,
+    _source_bytes,
     instance_mem_mb,
     js_compute,
     jsclass,
@@ -42,6 +47,26 @@ class TestClassRegistry:
             pass
 
         assert ClassRegistry.estimated_bytes("Tiny") >= 256
+
+    def test_estimated_bytes_is_memoised_unchanged(self, monkeypatch):
+        """Every application class is sized once; the memoised size is
+        the one a fresh parse of its source gives."""
+        for module in ("jacobi", "matmul", "montecarlo", "taskfarm"):
+            importlib.import_module(f"repro.apps.{module}")
+        apps = {name: klass for name, klass in ClassRegistry._classes.items()
+                if klass.__module__.startswith(repro.apps.__name__ + ".")}
+        assert set(apps) == {"JacobiStrip", "Matrix", "PiSampler",
+                             "FarmWorker", "Collector"}
+        sizes = {name: ClassRegistry.estimated_bytes(name) for name in apps}
+        assert sizes == {name: _source_bytes.__wrapped__(klass)
+                         for name, klass in apps.items()}
+
+        def no_parse(obj):
+            raise AssertionError(f"{obj!r} parsed again")
+
+        monkeypatch.setattr(inspect, "getsource", no_parse)
+        assert {name: ClassRegistry.estimated_bytes(name)
+                for name in apps} == sizes
 
     def test_register_custom_name(self):
         class Impl:

@@ -195,6 +195,41 @@ class TestDuplicateDelivery:
         assert left == [[1, 2, 3, "touched"], [1, 2, 3, "touched"]]
 
 
+class TestPartition:
+    def test_cross_segment_call_fails_during_the_cut_then_heals(self):
+        """``dora`` sits on ``hub-10``; cut the hub off for 3 s.  A call
+        to it before the cut works, one during the cut times out typed
+        (the request is dropped, so the method never runs), and one after
+        the heal works again and sees only the calls that arrived."""
+        plan = FaultPlan.parse("partition:segment=hub-10,at=5,heal=3")
+        runtime, injector = chaos_testbed(
+            plan, seed=3, reliable=False, rpc_timeout=1.0)
+        kernel = runtime.world.kernel
+        seen = {}
+
+        def app():
+            reg = JSRegistration()
+            cb = JSCodebase(); cb.add(Counter); cb.load("dora")
+            obj = JSObj("Counter", "dora")
+            seen["before"] = obj.sinvoke("incr")
+            kernel.sleep(5.5 - kernel.now())
+            try:
+                seen["during"] = obj.sinvoke("incr")
+            except RPCTimeoutError as exc:
+                seen["during"] = exc
+            seen["cut"] = kernel.now()
+            kernel.sleep(8.5 - kernel.now())
+            seen["after"] = obj.sinvoke("incr")
+            reg.unregister()
+
+        runtime.run_app(app)
+        assert seen["before"] == 1
+        assert isinstance(seen["during"], RPCTimeoutError)
+        assert 5.5 < seen["cut"] < 8.0
+        assert seen["after"] == 2
+        assert injector.injected["partition"] >= 2  # the note + drops
+
+
 class TestRestart:
     def test_restarted_host_rejoins_the_cluster(self):
         runtime, _ = chaos_testbed(FaultPlan(), seed=5)

@@ -362,6 +362,38 @@ class TestSeededFixtures:
                 kernel.shutdown()
         assert rules_of(san) == []
 
+    @pytest.mark.parametrize("finished_first", [False, True],
+                             ids=["joins-running", "joins-finished"])
+    def test_join_orders_the_body_before_the_joiner(self, finished_first):
+        """What a joined process wrote, its joiner may read: a join is a
+        happens-before edge, also when the body finished before anyone
+        asked to join it."""
+        san = Sanitizer()
+        with sanitizing(san):
+            kernel = VirtualKernel(strict=True)
+            table: dict[str, str] = {}
+
+            def child():
+                san.access("Joined", "cell", scope=kernel)
+                table["cell"] = "child"
+                if not finished_first:
+                    kernel.sleep(1.0)
+
+            def root():
+                proc = kernel.spawn(child, name="child")
+                if finished_first:
+                    kernel.sleep(1.0)
+                    assert proc.finished
+                proc.join()
+                san.access("Joined", "cell", write=False, scope=kernel)
+                return table["cell"]
+
+            try:
+                assert kernel.run_callable(root) == "child"
+            finally:
+                kernel.shutdown()
+        assert rules_of(san) == []
+
     @pytest.mark.parametrize("parked_between", [False, True])
     def test_consecutive_processes_are_distinct_threads(self, parked_between):
         """Two unordered writers that run one after the other.  They may

@@ -1,4 +1,4 @@
-"""A traced run is the untraced run.
+"""A traced run is the untraced run, and so is a sanitized one.
 
 The tracer observes the simulated experiment and must never change it:
 the same seed with and without a recording ``Tracer`` gives the same
@@ -6,6 +6,10 @@ simulated clock and the same message ledger (count, bytes, per kind).
 Metrics windows go from each network agent straight to the NAS's SLO
 watcher, never onto the wire, so nothing the tracer records is charged
 to the simulated network.
+
+Symsan (``sanitizing()``) only watches too: a run under it equals the
+plain run and finds nothing.  Its happens-before edges — a join among
+them — are bookkeeping beside the kernel, never events in it.
 """
 
 from contextlib import nullcontext
@@ -15,6 +19,7 @@ import pytest
 from repro.apps.matmul import MatmulConfig, run_matmul
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.obs import Tracer, tracing
+from repro.sanitizer import sanitizing
 from tests.test_invoke_pipeline import golden_run
 
 
@@ -51,3 +56,17 @@ def test_golden_script_traced_is_untraced(reliable):
 def test_matmul_traced_is_untraced(profile, nodes, seed):
     assert matmul_run(True, profile, nodes, seed) == \
         matmul_run(False, profile, nodes, seed)
+
+
+def test_golden_script_sanitized_is_plain():
+    with sanitizing() as san:
+        sanitized, _ = golden_run(False, False)
+    assert sanitized == golden_run(False, False)[0]
+    assert san.findings == []
+
+
+def test_matmul_sanitized_is_plain():
+    with sanitizing() as san:
+        sanitized = matmul_run(False, "night", 8, 7)
+    assert sanitized == matmul_run(False, "night", 8, 7)
+    assert san.findings == []
