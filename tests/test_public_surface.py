@@ -114,14 +114,15 @@ CONSTRUCTOR_PARAMS = {
 }
 
 LINT_RULES = [
-    "blocking-rpc-in-handler", "blocking-sleep-in-handler", "dead-kind",
-    "kernel-block-transitive", "migrate-in-loop", "parse-error",
-    "remote-invoke-in-loop", "sync-invoke-async-opportunity",
+    "blocking-rpc-in-handler", "blocking-sleep-in-handler",
+    "migrate-in-loop", "parse-error", "remote-invoke-in-loop",
+    "sync-invoke-async-opportunity",
 ]
 
 SAN_RULES = [
     "san-all-blocked", "san-leak-channel", "san-leak-future",
     "san-leak-handle", "san-migrate-pending", "san-race",
+    "san-wall-sleep",
 ]
 
 CLI_VERBS = [
