@@ -12,13 +12,6 @@ PING = "PING"                          # heartbeat probe
 # (level, name, weighted) with level "cluster" or "site".
 REPORT_PARAMS = "REPORT_PARAMS"        # node -> cluster manager sample
 REPORT_AGGREGATE = "REPORT_AGGREGATE"  # manager -> higher manager average
-# The two failure notifications are recorded as NASEvent entries by the
-# (shared-state) NetworkAgentSystem rather than sent on the wire; the
-# kinds stay declared because the NASEvent.kind vocabulary and the paper's
-# protocol (Section 5.1) name them.
-# symlint: disable=dead-kind
-NODE_RELEASED = "NODE_RELEASED"        # manager -> shell/agents on failure
-MANAGER_TAKEOVER = "MANAGER_TAKEOVER"  # symlint: disable=dead-kind
 
 # --- Object Agent System -----------------------------------------------------
 CREATE_OBJECT = "CREATE_OBJECT"

@@ -3,16 +3,14 @@
 AST-based checkers for the paper invariants the runtime relies on but
 cannot enforce mechanically at run time:
 
-* JRS protocol surface — no message kind declared but never sent
-  (``protocol``);
-* no blocking calls inside agent message handlers (``blocking``), nor
-  from a kernel process through project calls (``interprocedural``);
+* no blocking calls inside agent message handlers (``blocking``);
 * locality & communication cost — symloc's CFG/liveness-backed rules
   against chatty synchronous RMI and migration thrash (``locality``, on
   :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
 
 Defects the runtime itself reports are left to it: migrating an
-unpicklable object or sending a kind nobody handles fails in the caller.
+unpicklable object or sending a kind nobody handles fails in the caller,
+and symsan reports a raw ``time.sleep`` inside a kernel process.
 
 Run it as ``python -m repro lint [paths]`` or through
 :func:`analyze_paths`.
@@ -38,7 +36,6 @@ _EXPORTS = {
     "function_cfgs": "cfg",
     "Liveness": "dataflow",
     "LocalityChecker": "locality",
-    "ProtocolChecker": "protocol",
     "Report": "runner",
     "analyze_paths": "runner",
     "default_checkers": "runner",

@@ -1,7 +1,7 @@
 """Checker framework: findings, severities, modules, suppressions.
 
 A :class:`Checker` sees the whole :class:`Project` (every parsed module)
-so cross-file passes like protocol completeness are first-class.  Line
+so cross-file passes like the call-graph rules are first-class.  Line
 suppressions use ``# symlint: disable=<rule>,<rule>`` on the offending
 line or on the line directly above it, or
 ``# symlint: disable-next-line=<rule>`` to cover exactly the following
@@ -113,12 +113,6 @@ class Project:
     """
 
     modules: list[Module]
-
-    def by_basename(self, basename: str) -> list[Module]:
-        return [
-            m for m in self.modules
-            if m.path.rsplit("/", 1)[-1] == basename
-        ]
 
     @cached_property
     def callgraph(self) -> CallGraph:

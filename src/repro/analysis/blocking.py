@@ -21,11 +21,12 @@ Handlers are what :meth:`repro.analysis.index.ModuleFacts.entry_points`
 says they are: functions named ``_h_*`` or ``_on_*``, plus any function
 referenced as the handler argument of ``endpoint.register(kind, fn)``.
 Direct calls are flagged; for the RPC rule that includes the project
-functions the handler calls, one hop of :func:`repro.analysis.index.reach`
-away: a handler split into a registered one-liner and a body with a
-plain signature (``return self.migrate_out(*msg.payload)``) still blocks
-its request process.  (Sleeps one or more hops away belong to
-``kernel-block-transitive``.)  Nested function definitions are skipped.
+functions the handler calls (:func:`repro.analysis.index.reach`): a
+handler split into a registered one-liner and a body with a plain
+signature (``return self.migrate_out(*msg.payload)``) still blocks its
+request process.  A raw ``time.sleep`` one or more calls away is left to
+symsan's ``san-wall-sleep``, which sees it run inside a kernel process.
+Nested function definitions are skipped.
 """
 
 from __future__ import annotations
@@ -52,20 +53,19 @@ class BlockingHandlerChecker(Checker):
         return findings
 
     def _check_handler(self, project: Project, handler: FuncInfo):
-        graph = project.callgraph
         where = handler.label
-        # Its own calls, then one hop: those of the project functions it
-        # hands its work to.
-        for key in reach(graph, [handler], max_hops=1):
-            for call in direct_calls(graph.functions[key].node):
+        # Its own calls, then those of the project functions it hands its
+        # work to.
+        for info in reach(project.callgraph, handler):
+            for call in direct_calls(info.node):
                 func = call.func
                 name = func.attr if isinstance(func, ast.Attribute) else (
                     func.id if isinstance(func, ast.Name) else None
                 )
-                if name == "sleep" and key == handler.key:
+                if name == "sleep" and info is handler:
                     yield self.finding(
                         "blocking-sleep-in-handler",
-                        key.path,
+                        info.key.path,
                         call,
                         f"message handler {where} sleeps; it stalls its "
                         "request process and delays every invocation "
@@ -75,7 +75,7 @@ class BlockingHandlerChecker(Checker):
                 elif name == "rpc":
                     yield self.finding(
                         "blocking-rpc-in-handler",
-                        key.path,
+                        info.key.path,
                         call,
                         f"message handler {where} performs a synchronous "
                         "RPC; a peer that calls back into this agent can "

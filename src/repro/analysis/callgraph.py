@@ -1,7 +1,7 @@
 """Project-wide call graph with name-based resolution.
 
-Interprocedural passes need to answer "what can this function end up
-calling?" without running the program.  We build a conservative,
+The checkers need to answer "what does this function call?" without
+running the program.  We build a conservative,
 name-based call graph over every parsed module:
 
 * ``self.X(...)`` inside a method resolves to method ``X`` on the

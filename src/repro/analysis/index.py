@@ -6,17 +6,15 @@ Besides the parsed modules it answers, lazily and once per project
 
 * ``project.callgraph`` — the name-based call graph;
 * ``project.facts(module)`` — that module's :class:`ModuleFacts`: its
-  classes, its functions (qualname, def, CFG) and its kernel-process
-  entry points.
+  classes, its functions (qualname, def, CFG) and its message handlers.
 
 Two decisions live here and nowhere else:
 
 *Which functions are message handlers* — :meth:`ModuleFacts.entry_points`:
-``_h_*`` / ``_on_*`` names and ``endpoint.register(kind, fn)`` targets,
-optionally with ``spawn(fn)`` targets.
+``_h_*`` / ``_on_*`` names and ``endpoint.register(kind, fn)`` targets.
 
-*What does this function reach* — :func:`reach`, a breadth-first walk of
-resolved call edges with an optional hop bound.
+*What does this function hand its work to* — :func:`reach`, the function
+and the project functions it calls directly.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.analysis.base import (
     iter_methods,
     self_attr_name,
 )
-from repro.analysis.callgraph import CallGraph, FuncInfo, FuncKey
+from repro.analysis.callgraph import CallGraph, FuncInfo
 from repro.analysis.cfg import CFG, FunctionNode, function_cfgs
 
 HANDLER_PREFIXES = ("_h_", "_on_")
@@ -43,8 +41,8 @@ _EXCLUDED_SEGMENTS = {"kernel", "sanitizer"}
 def excluded_path(path: str) -> bool:
     """Kernel/sanitizer modules: the kernel *is* the blocking layer (its
     futures' ``wait`` methods are the sinks themselves, its gates block
-    OS threads on purpose) and the sanitizer instruments it, so no
-    interprocedural walk enters them."""
+    OS threads on purpose) and the sanitizer instruments it, so no call
+    edge is followed into them."""
     return bool(_EXCLUDED_SEGMENTS.intersection(re.split(r"[\\/]", path)))
 
 
@@ -91,22 +89,18 @@ class ModuleFacts:
         self.module = module
 
     @cached_property
-    def _scan(self) -> tuple[list[ClassFacts], set[str], set[str]]:
-        """One walk: classes, ``.register(kind, fn)`` handler names and
-        ``.spawn(fn)`` / ``._spawn(fn)`` targets."""
+    def _scan(self) -> tuple[list[ClassFacts], set[str]]:
+        """One walk: classes and ``.register(kind, fn)`` handler names."""
         classes: list[ClassFacts] = []
         registered: set[str] = set()
-        spawned: set[str] = set()
         for node in ast.walk(self.module.tree):
             if isinstance(node, ast.ClassDef):
                 classes.append(ClassFacts(node))
             elif isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute):
-                if node.func.attr == "register" and len(node.args) >= 2:
-                    registered.add(_callable_name(node.args[1]))
-                elif node.func.attr in ("spawn", "_spawn") and node.args:
-                    spawned.add(_callable_name(node.args[0]))
-        return classes, registered - {None}, spawned - {None}
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "register" and len(node.args) >= 2:
+                registered.add(_callable_name(node.args[1]))
+        return classes, registered - {None}
 
     @property
     def classes(self) -> list[ClassFacts]:
@@ -119,13 +113,10 @@ class ModuleFacts:
             for qualname, func, cfg in function_cfgs(self.module.tree)
         ]
 
-    def entry_points(self, spawned: bool = False) -> list[FuncInfo]:
+    def entry_points(self) -> list[FuncInfo]:
         """The module's message handlers — what runs as a transport
-        process per request; with ``spawned`` every kernel-process entry
-        point, i.e. also the functions handed to ``spawn``."""
-        _classes, names, spawn_targets = self._scan
-        if spawned:
-            names = names | spawn_targets
+        process per request."""
+        names = self._scan[1]
         return [
             info
             for info in self.project.callgraph.functions_in(self.module.path)
@@ -138,39 +129,11 @@ class ModuleFacts:
 # ---------------------------------------------------------------------------
 
 
-def reach(
-    graph: CallGraph, roots: list[FuncInfo], max_hops: int | None = None
-) -> dict[FuncKey, FuncInfo | None]:
-    """Everything ``roots`` call through resolved project edges, at most
-    ``max_hops`` edges away (unbounded when None): function key -> the
-    caller it was first reached from (None for a root), in breadth-first
-    order.  :func:`excluded_path` modules are never entered."""
-    parents: dict[FuncKey, FuncInfo | None] = {
-        info.key: None for info in roots
-    }
-    frontier = list(roots)
-    while frontier and max_hops != 0:
-        reached = []
-        for info in frontier:
-            for target, _call in graph.callees(info):
-                if target.key in parents or excluded_path(target.key.path):
-                    continue
-                parents[target.key] = info
-                reached.append(target)
-        frontier = reached
-        if max_hops is not None:
-            max_hops -= 1
-    return parents
-
-
-def call_chain(parents: dict[FuncKey, FuncInfo | None],
-               key: FuncKey) -> list[str]:
-    """Qualnames from the root down to ``key`` along :func:`reach`'s
-    parent links."""
-    chain = [key.qualname]
-    cursor = parents[key]
-    while cursor is not None:
-        chain.append(cursor.label)
-        cursor = parents[cursor.key]
-    chain.reverse()
-    return chain
+def reach(graph: CallGraph, root: FuncInfo) -> list[FuncInfo]:
+    """``root``, then each project function it calls directly, once and
+    in call order.  :func:`excluded_path` modules are never entered."""
+    reached = {root.key: root}
+    for target, _call in graph.callees(root):
+        if not excluded_path(target.key.path):
+            reached.setdefault(target.key, target)
+    return list(reached.values())

@@ -8,20 +8,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.base import Checker, Finding, Module, Project, Severity
 from repro.analysis.blocking import BlockingHandlerChecker
-from repro.analysis.interprocedural import InterproceduralChecker
 from repro.analysis.locality import LocalityChecker
-from repro.analysis.protocol import ProtocolChecker
 
 SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
 def default_checkers() -> list[Checker]:
-    return [
-        ProtocolChecker(),
-        BlockingHandlerChecker(),
-        InterproceduralChecker(),
-        LocalityChecker(),
-    ]
+    return [BlockingHandlerChecker(), LocalityChecker()]
 
 
 def known_rules() -> dict[str, Severity]:
@@ -58,8 +51,6 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    #: findings filtered out because they matched a ``--baseline`` file
-    baselined: int = 0
 
     def count(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity is severity)
@@ -75,7 +66,6 @@ class Report:
             "summary": {
                 "files": self.files,
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
                 "error": self.count(Severity.ERROR),
                 "warning": self.count(Severity.WARNING),
                 "info": self.count(Severity.INFO),
@@ -175,6 +165,15 @@ def analyze_project(
     return report
 
 
+def _summary_line(report: Report) -> str:
+    return (
+        f"symlint: {report.files} files, "
+        f"{report.count(Severity.ERROR)} errors, "
+        f"{report.count(Severity.WARNING)} warnings"
+        + (f", {report.suppressed} suppressed" if report.suppressed else "")
+    )
+
+
 def render_text(report: Report) -> str:
     lines = []
     for f in report.findings:
@@ -183,83 +182,8 @@ def render_text(report: Report) -> str:
             f"{f.path}:{f.line}:{f.col}: {f.severity}: "
             f"{f.rule}: {f.message}{symbol}"
         )
-    lines.append(
-        f"symlint: {report.files} files, "
-        f"{report.count(Severity.ERROR)} errors, "
-        f"{report.count(Severity.WARNING)} warnings"
-        + (f", {report.suppressed} suppressed" if report.suppressed else "")
-        + (f", {report.baselined} baselined" if report.baselined else "")
-    )
+    lines.append(_summary_line(report))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# baselines: land new rules strict without blocking on existing findings
-# ---------------------------------------------------------------------------
-
-
-def baseline_key(finding: Finding) -> tuple[str, str, str, str]:
-    """Identity of a finding for baseline matching.  Line and column are
-    deliberately excluded so unrelated edits shifting code do not churn
-    the baseline; rule + path + symbol + message pin the actual defect."""
-    return (finding.rule, finding.path, finding.symbol, finding.message)
-
-
-def write_baseline(report: Report, path: str) -> int:
-    """Persist the report's findings as a baseline file; returns the
-    number of entries written."""
-    entries = [
-        {
-            "rule": f.rule,
-            "path": f.path,
-            "symbol": f.symbol,
-            "message": f.message,
-        }
-        for f in report.findings
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "findings": entries}, fh, indent=2)
-        fh.write("\n")
-    return len(entries)
-
-
-def load_baseline(path: str) -> dict[tuple[str, str, str, str], int]:
-    """Baseline key -> how many findings it absorbs."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    counts: dict[tuple[str, str, str, str], int] = {}
-    for entry in doc.get("findings", []):
-        key = (
-            entry.get("rule", ""),
-            entry.get("path", ""),
-            entry.get("symbol", ""),
-            entry.get("message", ""),
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def apply_baseline(
-    report: Report, baseline: dict[tuple[str, str, str, str], int]
-) -> Report:
-    """Drop findings matched by ``baseline`` (each entry absorbs at most
-    its multiplicity); only genuinely new findings remain."""
-    remaining = dict(baseline)
-    kept: list[Finding] = []
-    baselined = 0
-    for finding in report.findings:
-        key = baseline_key(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            baselined += 1
-        else:
-            kept.append(finding)
-    return Report(
-        findings=kept,
-        files=report.files,
-        suppressed=report.suppressed,
-        baselined=report.baselined + baselined,
-    )
 
 
 def render_json(report: Report) -> str:
@@ -347,11 +271,5 @@ def render_github(report: Report) -> str:
             f"::{level[f.severity]} file={f.path},line={f.line},"
             f"col={f.col}::{message}"
         )
-    lines.append(
-        f"symlint: {report.files} files, "
-        f"{report.count(Severity.ERROR)} errors, "
-        f"{report.count(Severity.WARNING)} warnings"
-        + (f", {report.suppressed} suppressed" if report.suppressed else "")
-        + (f", {report.baselined} baselined" if report.baselined else "")
-    )
+    lines.append(_summary_line(report))
     return "\n".join(lines)

@@ -179,14 +179,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.analysis import analyze_paths, render_json, render_text
     from repro.analysis.runner import (
-        apply_baseline,
         expand_rules,
         known_rules,
-        load_baseline,
         render_github,
         render_sarif,
         rule_groups,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -218,13 +215,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     report = analyze_paths(paths, rules=rules)
-    if args.baseline:
-        if not os.path.exists(args.baseline) or args.update_baseline:
-            count = write_baseline(report, args.baseline)
-            print(f"wrote baseline {args.baseline} ({count} findings); "
-                  "future runs fail only on new findings")
-            return 0
-        report = apply_baseline(report, load_baseline(args.baseline))
     if args.format == "json":
         print(render_json(report))
     elif args.format == "github":
@@ -446,9 +436,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if parsed_plan is not None:
             plan = parsed_plan
         else:
-            plan = FaultPlan.random_plan(
-                args.seed, runtime.world.host_names()
-            )
+            hosts = runtime.world.host_names()
+            topology = runtime.world.topology
+            plan = FaultPlan.random_plan(args.seed, hosts, {
+                topology.segment_of(host).name for host in hosts
+            })
         injector = ChaosInjector(runtime.world, plan).install(
             runtime.transport
         )
@@ -624,12 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(e.g. 'locality') to report")
     p_lint.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings too")
-    p_lint.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file: written if missing, "
-                             "otherwise known findings are filtered out "
-                             "and only new ones gate the exit code")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the --baseline file from this run")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print every rule id and severity, then exit")
     p_lint.set_defaults(fn=cmd_lint)

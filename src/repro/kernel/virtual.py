@@ -35,7 +35,8 @@ block through kernel primitives* (``sleep``, ``VirtualFuture.wait``,
 ``VirtualChannel.get``, ...).  Blocking through raw ``time.sleep`` or a
 ``threading`` lock keeps the baton: no other process runs and simulated
 time stands still until ``run()`` reports the stall as a
-:class:`~repro.errors.KernelError` naming the process.
+:class:`~repro.errors.KernelError` naming the process.  Under symsan a
+raw ``time.sleep`` in a process is also a ``san-wall-sleep`` finding.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.errors import KernelError, SimDeadlockError, WaitTimeout
 from repro.obs import spans as _spans
 from repro.obs.events import PROC_SPAWN
 from repro.obs.tracer import NULL_TRACER
-from repro.sanitizer.core import caller_site, current_sanitizer
+from repro.sanitizer.core import caller_site, current_sanitizer, watch_sleep
 
 
 class ProcessState(enum.Enum):
@@ -760,8 +761,10 @@ class VirtualKernel:
         self._main = main
         self._horizon = float("inf") if until is None else until + 1e-12
         self._sched_ctx = _spans.current_context()
-        if self.sanitizer.enabled:
+        sanitized = self.sanitizer.enabled
+        if sanitized:
             self._sched_tid = self.sanitizer.identity()
+            unwatch_sleep = watch_sleep(self)
         try:
             self._pass_baton()
             # A stall is no kernel event for a whole timeout: each event
@@ -788,7 +791,7 @@ class VirtualKernel:
                     self._time = until
                 if main is not None and not main.finished:
                     dump = self._blocked_dump()
-                    if self.sanitizer.enabled:
+                    if sanitized:
                         self.sanitizer.note_all_blocked(
                             self, dump, getattr(main, "_wait_site", None)
                         )
@@ -799,6 +802,8 @@ class VirtualKernel:
                     )
         finally:
             self._running = False
+            if sanitized:
+                unwatch_sleep()
             # what call events left installed stays with run()'s thread
             _spans.set_context(self._sched_ctx)
         if self.strict:

@@ -20,6 +20,11 @@ program runs:
 * **Leak checks** at kernel shutdown (opt-in via ``leaks=True``):
   futures never completed, ResultHandles never awaited, channels with
   stranded getters — each reported with its creation/wait site.
+* **Wall-clock sleeps** in kernel processes: while a sanitized kernel is
+  inside ``run()``, ``time.sleep`` is wrapped (:func:`watch_sleep`), and
+  a call made while that kernel has a current process is reported with
+  the process and the call site.  The process holds the kernel's baton
+  for the whole sleep while virtual time stands still.
 
 Findings share symlint's :class:`repro.analysis.base.Finding` /
 :class:`repro.analysis.runner.Report` model, so ``--format json`` output
@@ -36,9 +41,10 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import time
 import weakref
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.analysis.base import Finding, Severity
 from repro.sanitizer.leaks import LeakRegistry
@@ -53,6 +59,7 @@ SAN_RULES: dict[str, Severity] = {
     "san-leak-handle": Severity.WARNING,
     "san-leak-channel": Severity.WARNING,
     "san-migrate-pending": Severity.WARNING,
+    "san-wall-sleep": Severity.WARNING,
 }
 
 _OWN_DIRS = (
@@ -280,6 +287,16 @@ class Sanitizer(NullSanitizer):
             symbol=obj_id,
         )
 
+    def wall_sleep(self, process: str) -> None:
+        self._emit(
+            "san-wall-sleep",
+            f"process {process} sleeps on the wall clock (time.sleep): it "
+            "holds the kernel's baton while virtual time stands still; "
+            "use kernel.sleep",
+            caller_site(),
+            symbol=process,
+        )
+
     # -- race detection ------------------------------------------------------
 
     def access(self, owner: str, field: str, write: bool = True,
@@ -429,6 +446,23 @@ class Sanitizer(NullSanitizer):
             key=lambda f: (f.path, f.line, f.rule, f.col, f.message),
         ))
         return report
+
+
+def watch_sleep(kernel: Any) -> Callable[[], None]:
+    """Wrap ``time.sleep`` while sanitized ``kernel`` is inside ``run()``:
+    a call made while it has a current process is a ``san-wall-sleep``
+    finding, then sleeps as asked.  Returns what puts the replaced
+    ``time.sleep`` back."""
+    unwatched = time.sleep
+
+    def watched(seconds: float) -> None:
+        proc = kernel.current_process()
+        if proc is not None:
+            kernel.sanitizer.wall_sleep(proc.name)
+        unwatched(seconds)
+
+    time.sleep = watched
+    return lambda: setattr(time, "sleep", unwatched)
 
 
 _current: NullSanitizer = NULL_SANITIZER

@@ -229,6 +229,18 @@ class TestPartition:
         assert seen["after"] == 2
         assert injector.injected["partition"] >= 2  # the note + drops
 
+    def test_random_plans_draw_the_testbeds_segments(self, capsys):
+        """``repro chaos --random`` draws partitions from the segments
+        the testbed's hosts sit on; seed 4 draws one."""
+        from repro.cli import main as cli_main
+
+        assert cli_main(["chaos", "matmul", "--random", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        plan = out.splitlines()[0]
+        assert "partition(switch-100@" in plan
+        assert ("workload   : completed" in out
+                or "workload   : FAILED (typed)" in out)
+
 
 class TestRestart:
     def test_restarted_host_rejoins_the_cluster(self):

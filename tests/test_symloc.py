@@ -8,19 +8,11 @@ silent.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis import Severity, analyze_paths
-from repro.analysis.runner import (
-    apply_baseline,
-    baseline_key,
-    expand_rules,
-    load_baseline,
-    rule_groups,
-    write_baseline,
-)
+from repro.analysis.runner import expand_rules, rule_groups
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "symloc"
@@ -198,90 +190,3 @@ def test_cli_list_rules_shows_checker_names(capsys):
     out = capsys.readouterr().out
     assert "remote-invoke-in-loop" in out
     assert "[locality]" in out
-
-
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_roundtrip_absorbs_known_findings(tmp_path):
-    report = run("seeded_async_opportunity.py")
-    assert len(report.findings) == 3
-    baseline_path = tmp_path / "baseline.json"
-    assert write_baseline(report, str(baseline_path)) == 3
-    baseline = load_baseline(str(baseline_path))
-    filtered = apply_baseline(report, baseline)
-    assert filtered.findings == []
-    assert filtered.baselined == 3
-
-
-def test_baseline_keys_ignore_line_motion():
-    report = run("seeded_async_opportunity.py")
-    f = report.findings[0]
-    moved = type(f)(
-        rule=f.rule, severity=f.severity, path=f.path,
-        line=f.line + 40, col=0, message=f.message, symbol=f.symbol,
-    )
-    assert baseline_key(f) == baseline_key(moved)
-
-
-def test_baseline_multiplicity_only_absorbs_counted(tmp_path):
-    report = run("seeded_async_opportunity.py")
-    # keep only one of the three same-rule findings in the baseline
-    trimmed = type(report)(findings=report.findings[:1],
-                           files=report.files)
-    path = tmp_path / "baseline.json"
-    write_baseline(trimmed, str(path))
-    filtered = apply_baseline(report, load_baseline(str(path)))
-    assert filtered.baselined == 1
-    assert len(filtered.findings) == 2
-
-
-def test_cli_baseline_write_then_gate(tmp_path, capsys):
-    baseline = tmp_path / "locality-baseline.json"
-    fixture = str(FIXTURES / "seeded_async_opportunity.py")
-    # first run writes the baseline and exits clean
-    assert cli_main([
-        "lint", fixture, "--rules", "locality",
-        "--baseline", str(baseline),
-    ]) == 0
-    assert "wrote baseline" in capsys.readouterr().out
-    doc = json.loads(baseline.read_text())
-    assert len(doc["findings"]) == 3
-    # second run: everything known is absorbed, even under --strict
-    assert cli_main([
-        "lint", fixture, "--rules", "locality",
-        "--baseline", str(baseline), "--strict",
-    ]) == 0
-    assert "3 baselined" in capsys.readouterr().out
-    # a file with *new* findings still gates
-    other = str(FIXTURES / "seeded_migrate_thrash.py")
-    assert cli_main([
-        "lint", fixture, other, "--rules", "locality",
-        "--baseline", str(baseline), "--strict",
-    ]) == 1
-    out = capsys.readouterr().out
-    assert "migrate-in-loop" in out
-
-
-def test_cli_update_baseline_rewrites(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    fixture = str(FIXTURES / "seeded_async_opportunity.py")
-    other = str(FIXTURES / "seeded_migrate_thrash.py")
-    assert cli_main([
-        "lint", fixture, "--rules", "locality",
-        "--baseline", str(baseline),
-    ]) == 0
-    capsys.readouterr()
-    assert cli_main([
-        "lint", fixture, other, "--rules", "locality",
-        "--baseline", str(baseline), "--update-baseline",
-    ]) == 0
-    capsys.readouterr()
-    doc = json.loads(baseline.read_text())
-    assert len(doc["findings"]) == 4
-    assert cli_main([
-        "lint", fixture, other, "--rules", "locality",
-        "--baseline", str(baseline), "--strict",
-    ]) == 0

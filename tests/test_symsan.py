@@ -14,6 +14,7 @@ import importlib.util
 import json
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from repro.cli import main as cli_main
 from repro.errors import WaitTimeout
 from repro.kernel import VirtualKernel
 from repro.rmi.handle import ResultHandle
-from repro.sanitizer import SAN_RULES, Sanitizer, sanitizing
+from repro.sanitizer import NULL_SANITIZER, SAN_RULES, Sanitizer, sanitizing
 from repro.sanitizer.leaks import LeakRegistry
 from repro.sanitizer.lockset import LocksetDetector, VectorClocks
 
@@ -484,6 +485,100 @@ class TestSeededFixtures:
 
 
 # ---------------------------------------------------------------------------
+# wall-clock sleeps in kernel processes
+# ---------------------------------------------------------------------------
+
+
+def _nap():
+    time.sleep(0.001)
+
+
+#: the line of ``_nap``'s raw sleep
+NAP_LINE = _nap.__code__.co_firstlineno + 1
+
+
+class TestWallSleep:
+    """A raw ``time.sleep`` one call away from a kernel process holds
+    the baton while virtual time stands still.  Each test uses its own
+    sanitizer, so a deliberate finding stays out of a session-wide one."""
+
+    @staticmethod
+    def _wall_sleeps(san):
+        return [f for f in san.report().findings
+                if f.rule == "san-wall-sleep"]
+
+    def test_a_spawned_process_is_named(self):
+        with sanitizing() as san:
+            kernel = VirtualKernel()
+
+            def worker():
+                _nap()
+                kernel.sleep(1.0)
+
+            kernel.spawn(worker, name="napper")
+            kernel.run()
+        (finding,) = self._wall_sleeps(san)
+        assert finding.severity is Severity.WARNING
+        assert finding.symbol == "napper"
+        assert "napper" in finding.message
+        assert (finding.path, finding.line) == (__file__, NAP_LINE)
+
+    def test_a_caller_hosted_handler_is_named(self):
+        with sanitizing() as san:
+            kernel = VirtualKernel()
+            threads = []
+
+            def handler(fut):
+                threads.append(threading.get_ident())
+                _nap()
+                fut.set_result(None)
+
+            def caller():
+                threads.append(threading.get_ident())
+                fut = kernel.create_future()
+                kernel.spawn(handler, fut, name="handler", completes=fut)
+                fut.result()
+
+            kernel.run_callable(caller, name="caller")
+        assert threads[0] == threads[1]  # hosted on the caller's thread
+        (finding,) = self._wall_sleeps(san)
+        assert finding.symbol == "handler"
+        assert finding.line == NAP_LINE
+
+    def test_kernel_sleep_is_not_reported(self):
+        with sanitizing() as san:
+            kernel = VirtualKernel()
+            kernel.run_callable(kernel.sleep, 5.0)
+        assert self._wall_sleeps(san) == []
+
+    def test_time_sleep_is_wrapped_only_inside_a_sanitized_run(self):
+        original = time.sleep
+        seen = []
+
+        def look():
+            seen.append(time.sleep)
+
+        with sanitizing(NULL_SANITIZER):
+            kernel = VirtualKernel()
+            kernel.run_callable(look)
+        assert seen == [original] and time.sleep is original
+        with sanitizing():
+            kernel = VirtualKernel()
+            kernel.run_callable(look)
+            assert seen[1] is not original
+            assert time.sleep is original
+
+            def boom():
+                raise RuntimeError("boom")
+
+            kernel = VirtualKernel()
+            kernel.call_soon(boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                kernel.run()
+            assert time.sleep is original
+
+
+# ---------------------------------------------------------------------------
 # report model
 # ---------------------------------------------------------------------------
 
@@ -495,6 +590,7 @@ class TestReport:
         assert SAN_RULES["san-leak-future"] is Severity.WARNING
         assert SAN_RULES["san-leak-handle"] is Severity.WARNING
         assert SAN_RULES["san-leak-channel"] is Severity.WARNING
+        assert SAN_RULES["san-wall-sleep"] is Severity.WARNING
 
     def test_report_shares_symlint_schema(self):
         san = Sanitizer()
