@@ -57,6 +57,9 @@ class Machine:
     codebase_mem_mb: float = 0.0
     #: gray failure: until this sim time the host is up but ~unresponsive
     stalled_until: float = 0.0
+    #: restart epoch: how many times :meth:`restart` has run.  A task
+    #: belongs to the epoch it began in.
+    epoch: int = 0
     counters: MachineCounters = field(default_factory=MachineCounters)
 
     @property
@@ -95,11 +98,19 @@ class Machine:
         self.check_alive()
         return flops / self.effective_flops(t, concurrency)
 
-    def begin_task(self) -> None:
+    def begin_task(self) -> int:
+        """Count one more task running here; returns its epoch, for
+        :meth:`end_task`."""
         self.check_alive()
         self.active_tasks += 1
+        return self.epoch
 
-    def end_task(self) -> None:
+    def end_task(self, epoch: int | None = None) -> None:
+        """Count a task as done.  A task begun before the latest restart
+        (``epoch`` older than the machine's) was forgotten by it, so its
+        end counts nothing: it must not take a newer task's slot."""
+        if epoch is not None and epoch != self.epoch:
+            return
         if self.active_tasks <= 0:
             raise RuntimeError(f"{self.name}: end_task without begin_task")
         self.active_tasks -= 1
@@ -144,6 +155,7 @@ class Machine:
         layer reacts through ``world.restart_listeners`` (fresh holder
         tables, NAS re-registration)."""
         self.failed = False
+        self.epoch += 1
         self.active_tasks = 0
         self.js_mem_mb = 0.0
         self.codebase_mem_mb = 0.0

@@ -20,7 +20,9 @@ from repro.chaos import ChaosInjector, FaultPlan
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.errors import JSError, RetriesExhaustedError, RPCTimeoutError
+from repro.kernel import VirtualKernel
 from repro.obs import Tracer, tracing
+from repro.simnet import HostSpec, Segment, SimWorld
 from repro.transport import Addr
 from tests.conftest import Counter  # noqa: F401
 
@@ -265,6 +267,42 @@ class TestRestart:
             reg.unregister()
 
         runtime.run_app(app)
+
+
+def one_machine_world():
+    """One 40 MFLOPS machine ``a`` on a switched segment."""
+    world = SimWorld(VirtualKernel(), seed=0)
+    world.add_segment(Segment("lan", bandwidth_mbits=100.0))
+    world.add_machine(HostSpec("a", "test", mflops=40.0), "lan")
+    return world
+
+
+class TestTaskAcrossRestart:
+    """A restart forgets the host's in-flight tasks; a task that was
+    running across it must end without touching the new epoch's count."""
+
+    def test_compute_across_a_restart_ends_cleanly(self):
+        world = one_machine_world()
+        world.kernel.call_at(0.5, world.restart_host, "a")
+        proc = world.kernel.spawn(world.compute, "a", 40e6)
+        world.kernel.run()
+        assert world.kernel.crashes == []
+        assert proc.result() == pytest.approx(1.0)
+        assert world.machine("a").active_tasks == 0
+
+    def test_an_old_task_does_not_end_a_new_one(self):
+        world = one_machine_world()
+        kernel, machine = world.kernel, world.machine("a")
+        kernel.call_at(0.5, world.restart_host, "a")
+        kernel.spawn(world.compute, "a", 40e6)  # 0 -> 1 s
+        kernel.spawn(world.compute, "a", 80e6, delay=0.6)  # after restart
+        seen = []
+        kernel.call_at(1.5, lambda: seen.append(machine.active_tasks))
+        kernel.run()
+        # The old task's end at t=1 left the new task's slot alone.
+        assert seen == [1]
+        assert kernel.crashes == []
+        assert machine.active_tasks == 0
 
 
 class TestSoak:
