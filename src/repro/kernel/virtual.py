@@ -728,8 +728,13 @@ class VirtualKernel:
 
     def _call(self, fn: Callable[..., Any], args: tuple, seq: int) -> bool:
         """Run one call event in scheduler context on the calling thread.
-        False when it raised; run() re-raises it."""
-        own_ctx, _span_state.ctx = _span_state.ctx, self._sched_ctx
+        False when it raised; run() re-raises it.  The span context is
+        written only where it differs: a thread-local write costs about
+        as much as the rest of the dispatch, and untraced both sides are
+        None."""
+        own_ctx, sched_ctx = _span_state.ctx, self._sched_ctx
+        if own_ctx is not sched_ctx:
+            _span_state.ctx = sched_ctx
         san = self.sanitizer
         if san.enabled:
             own_tid = san.swap_identity(self._sched_tid)
@@ -741,7 +746,9 @@ class VirtualKernel:
             self._error = exc
             return False
         finally:
-            self._sched_ctx, _span_state.ctx = _span_state.ctx, own_ctx
+            self._sched_ctx = left = _span_state.ctx
+            if left is not own_ctx:
+                _span_state.ctx = own_ctx
             if san.enabled:
                 san.swap_identity(own_tid)
         return True
