@@ -74,6 +74,15 @@ PUBLIC_METHODS = {
     "repro.obs.timeseries.HostSeries": [
         "add", "counter_sum", "histogram", "rate", "span",
     ],
+    "repro.obs.tracer.Tracer": [
+        "begin_span", "count", "emit", "emit_span", "end_span",
+        "events_of", "host_failed", "host_restarted",
+        "merged_host_metrics", "metrics_for", "new_context", "observe",
+        "on_event", "remove_trigger",
+    ],
+    "repro.obs.flight.FlightRecorder": [
+        "attach", "detach", "record",
+    ],
 }
 
 #: config dataclass -> its fields, in declaration order
