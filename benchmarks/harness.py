@@ -162,7 +162,7 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
                                      for s in series.values())
             doc["hosts_reporting"] = len(series)
             doc["histogram_families"] = sorted(
-                tracer.merged_host_metrics()["histograms"])
+                tracer.metrics.snapshot()["histograms"])
         return doc
     finally:
         set_tracer(None)

@@ -362,6 +362,7 @@ class NetworkAgentSystem:
         if manager in members:
             members.remove(manager)
         self.managers[cluster] = assignment.successor()
+        new_manager = self.managers[cluster].manager
         agent = self.agents.pop(manager, None)
         self.events.append(
             NASEvent(
@@ -370,7 +371,7 @@ class NetworkAgentSystem:
                 {
                     "cluster": cluster,
                     "failed": manager,
-                    "new_manager": self.managers[cluster].manager,
+                    "new_manager": new_manager,
                     "was_site_manager": was_site_mgr,
                     "was_domain_manager": was_domain_mgr,
                 },
@@ -382,11 +383,10 @@ class NetworkAgentSystem:
             agent.endpoint.close()
         tracer = self.world.tracer
         tracer.emit(
-            ev.NAS_TAKEOVER, ts=self.world.now(),
-            host=self.managers[cluster].manager, actor="nas",
-            cluster=cluster, failed=manager,
-            new_manager=self.managers[cluster].manager,
+            ev.NAS_TAKEOVER, ts=self.world.now(), host=new_manager,
+            actor="nas", cluster=cluster, failed=manager,
+            new_manager=new_manager,
         )
-        tracer.count("nas.takeovers")
+        tracer.count("nas.takeovers", host=new_manager)
         for listener in self.failure_listeners:
             listener(manager)

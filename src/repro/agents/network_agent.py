@@ -166,7 +166,7 @@ class NetworkAgent:
         tracer = self.world.tracer
         if not tracer.enabled:
             return None
-        registry = getattr(tracer, "host_metrics", {}).get(self.host)
+        registry = tracer.host_metrics.get(self.host)
         snap = registry.snapshot() if registry is not None else \
             {"counters": {}, "histograms": {}}
         grown = snapshot_delta(snap, self._tick_metrics)

@@ -376,9 +376,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, default=repr)
-        print(f"wrote metrics document ({doc['source']}, "
-              f"{len(doc['hosts'])} hosts) to {args.json}",
-              file=sys.stderr)
+        print(f"wrote metrics document ({len(doc['hosts'])} hosts) "
+              f"to {args.json}", file=sys.stderr)
     if args.prom or not args.json:
         sys.stdout.write(render_prom(doc["merged"]))
     if runtime is not None and runtime.flight.incidents:

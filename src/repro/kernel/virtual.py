@@ -581,7 +581,6 @@ class VirtualKernel:
             proc._span_ctx = _spans.current_context()
             self.tracer.emit(PROC_SPAWN, ts=self._time + delay,
                              actor=proc.name, pid=pid)
-            self.tracer.count("proc.spawned")
         return proc
 
     def sleep(self, duration: float) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs import events as ev
-from repro.obs.events import TraceEvent
+from repro.obs.events import TraceEvent, event_doc
 
 _EPS = 1e-12
 
@@ -325,21 +325,7 @@ def spans_document(tracer, with_critical_path: bool = True) -> dict:
         end = max(s.ts + (s.dur or 0.0) for s in spans)
         doc["makespan"] = end - start
         doc["spans"] = [
-            {
-                "trace_id": s.ctx.trace_id if s.ctx else None,
-                "span_id": s.ctx.span_id if s.ctx else None,
-                "parent_id": s.ctx.parent_id if s.ctx else None,
-                "etype": s.etype,
-                "ts": s.ts,
-                "dur": s.dur or 0.0,
-                "host": s.host,
-                "actor": s.actor,
-                "fields": {k: repr(v) if not isinstance(
-                    v, (str, int, float, bool, type(None))) else v
-                    for k, v in s.fields.items()},
-            }
-            for s in sorted(spans, key=lambda s: s.ts)
-        ]
+            event_doc(s) for s in sorted(spans, key=lambda s: s.ts)]
     if with_critical_path:
         cp = critical_path(tracer, trace_id=trace_id)
         doc["critical_path"] = cp.as_dict() if cp else None

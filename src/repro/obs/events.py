@@ -149,3 +149,30 @@ class TraceEvent:
     @property
     def is_span(self) -> bool:
         return self.dur is not None
+
+
+def fields_doc(fields: dict) -> dict:
+    """``fields`` made JSON-safe: a value that is not a JSON scalar
+    becomes its ``repr``."""
+    return {
+        k: v if isinstance(v, (str, int, float, bool, type(None))) else repr(v)
+        for k, v in fields.items()
+    }
+
+
+def event_doc(event: TraceEvent) -> dict:
+    """One event as a JSON-safe dict, with its span context's ids when it
+    has one (incident bundles, ``repro spans --json``)."""
+    doc = {
+        "ts": event.ts,
+        "etype": event.etype,
+        "host": event.host,
+        "actor": event.actor,
+        "dur": event.dur,
+        "fields": fields_doc(event.fields),
+    }
+    if event.ctx is not None:
+        doc["trace_id"] = event.ctx.trace_id
+        doc["span_id"] = event.ctx.span_id
+        doc["parent_id"] = event.ctx.parent_id
+    return doc

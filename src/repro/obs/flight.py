@@ -10,8 +10,8 @@ cluster's state *at that instant* into a JSON **incident bundle**:
 ``events``                the tail of the tracer ring (last N events)
 ``open_spans``            spans in flight when the trigger fired
 ``failed_hosts``          hosts the tracer knows are dead
-``metrics``               merged cluster metrics, bucket-level
-``host_metrics``          the per-host registries behind the merge
+``metrics``               merged cluster metrics, bucket-level, and
+                          the per-host snapshots behind the merge
 ``nas``                   NAS snapshot history / membership (provider)
 ``critical_path``         the affected trace's critical path
 ``slo_alerts``            every SLO alert fired so far
@@ -42,6 +42,8 @@ from repro.obs.events import (
     RPC_TIMEOUT,
     SLO_ALERT,
     TraceEvent,
+    event_doc,
+    fields_doc,
 )
 from repro.obs.timeseries import metrics_document
 
@@ -49,29 +51,6 @@ from repro.obs.timeseries import metrics_document
 TRIGGER_MIGRATE_PENDING = "san-migrate-pending"
 
 _EVENT_TRIGGERS = (HOST_FAILED, SLO_ALERT, RPC_TIMEOUT)
-
-
-def _field_doc(fields: dict) -> dict:
-    return {
-        k: v if isinstance(v, (str, int, float, bool, type(None))) else repr(v)
-        for k, v in fields.items()
-    }
-
-
-def _event_doc(event: TraceEvent) -> dict:
-    doc = {
-        "ts": event.ts,
-        "etype": event.etype,
-        "host": event.host,
-        "actor": event.actor,
-        "dur": event.dur,
-        "fields": _field_doc(event.fields),
-    }
-    if event.ctx is not None:
-        doc["trace_id"] = event.ctx.trace_id
-        doc["span_id"] = event.ctx.span_id
-        doc["parent_id"] = event.ctx.parent_id
-    return doc
 
 
 class FlightRecorder:
@@ -104,27 +83,19 @@ class FlightRecorder:
         self._seq = 0
         self._last_capture: dict[str, float] = {}
         self._recording = False
-        self._attached = False
 
     # -- trigger wiring ------------------------------------------------------
 
     def attach(self) -> None:
-        """Register the trace-event triggers on the tracer."""
-        if self._attached or not getattr(self.tracer, "on_event", None):
+        """Register the trace-event triggers on a recording tracer (call
+        it once: each call registers them again)."""
+        if not self.tracer.enabled:
             return
         for etype in _EVENT_TRIGGERS:
             self.tracer.on_event(etype, self._on_trigger_event)
-        self._attached = True
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        for etype in _EVENT_TRIGGERS:
-            self.tracer.remove_trigger(etype, self._on_trigger_event)
-        self._attached = False
 
     def _on_trigger_event(self, event: TraceEvent) -> None:
-        context = dict(_field_doc(event.fields))
+        context = fields_doc(event.fields)
         if event.host:
             context["host"] = event.host
         self.record(event.etype, ts=event.ts, event=event, **context)
@@ -173,7 +144,7 @@ class FlightRecorder:
         tail = events[-self.RING_TAIL:]
         bundle["ring_len"] = len(events)
         bundle["dropped_events"] = getattr(tracer, "dropped_events", 0)
-        bundle["events"] = [_event_doc(e) for e in tail]
+        bundle["events"] = [event_doc(e) for e in tail]
         bundle["open_spans"] = [
             {
                 "span_id": span.ctx.span_id,
@@ -183,7 +154,7 @@ class FlightRecorder:
                 "host": span.host,
                 "actor": span.actor,
                 "age": max(0.0, ts - span.ts),
-                "fields": _field_doc(span.fields),
+                "fields": fields_doc(span.fields),
             }
             for span in list(getattr(tracer, "open_spans", {}).values())
         ]
@@ -266,7 +237,7 @@ def render_incident(bundle: dict, max_events: int = 20) -> str:
     merged = metrics.get("merged") or {}
     hists = merged.get("histograms") or {}
     lines.append(
-        f"  metrics ({metrics.get('source', '?')}): "
+        "  metrics: "
         f"{len(merged.get('counters', {}))} counters, "
         f"{len(hists)} histograms over "
         f"{len(metrics.get('hosts', {}))} hosts")

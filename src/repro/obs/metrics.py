@@ -2,8 +2,8 @@
 
 The hot path (a guarded ``tracer.enabled`` check) costs one attribute
 load when tracing is off, and an enabled tracer's ``count``/``observe``
-only append to a backlog that :meth:`Metrics.fold` drains into a
-registry when someone reads.
+only append to a backlog that :func:`fold` drains into the per-host
+registries when someone reads.
 Histogram buckets are log2 so latencies spanning microseconds to minutes
 stay readable.
 
@@ -150,22 +150,6 @@ class Metrics:
     def observe(self, name: str, value: float) -> None:
         _apply(self._counters, self._histograms, ((True, name, value, ""),))
 
-    def fold(self, samples: deque, hosts: dict[str, "Metrics"]) -> None:
-        """Drain a tracer's backlog of ``(is_observe, name, value, host)``
-        samples into this registry, oldest first, and each one that names
-        a host into ``hosts[host]`` too (created at its first sample)."""
-        drained = [samples.popleft() for _ in range(len(samples))]
-        _apply(self._counters, self._histograms, drained)
-        by_host: dict[str, list] = {}
-        for sample in drained:
-            if sample[3]:
-                by_host.setdefault(sample[3], []).append(sample)
-        for host, mine in by_host.items():
-            registry = hosts.get(host)
-            if registry is None:
-                registry = hosts[host] = Metrics()
-            _apply(registry._counters, registry._histograms, mine)
-
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0.0)
 
@@ -201,6 +185,21 @@ class Metrics:
                 self._histograms[name] = other
             else:
                 mine.merge(other)
+
+
+def fold(samples: deque, registries: dict[str, Metrics]) -> None:
+    """Drain a tracer's backlog of ``(is_observe, name, value, host)``
+    samples, oldest first, each into ``registries[host]`` (created at
+    that host's first sample; ``""`` keys the samples naming no host)."""
+    by_host: dict[str, list] = {}
+    for _ in range(len(samples)):
+        sample = samples.popleft()
+        by_host.setdefault(sample[3], []).append(sample)
+    for host, mine in by_host.items():
+        registry = registries.get(host)
+        if registry is None:
+            registry = registries[host] = Metrics()
+        _apply(registry._counters, registry._histograms, mine)
 
 
 def _apply(counters: dict, histograms: dict, samples) -> None:

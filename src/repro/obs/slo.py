@@ -69,11 +69,6 @@ class SLORule:
         if self.windows < 1:
             raise ValueError("rule window count must be positive")
 
-    @property
-    def text(self) -> str:
-        return (f"{self.name}: {self.stat}({self.metric})"
-                f" <= {self.threshold:g} over {self.windows}")
-
 
 def parse_rule(text: str) -> SLORule:
     """Parse one line of the rule grammar (see module docstring)."""

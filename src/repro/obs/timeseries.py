@@ -17,7 +17,7 @@ deque evicts strictly oldest-first, so two runs with the same seed
 produce identical series.
 
 :func:`metrics_document` is the one cluster metrics view: the tracer's
-per-host registries, merged.
+per-host registries and their merge.
 """
 
 from __future__ import annotations
@@ -107,24 +107,16 @@ class HostSeries:
 
 
 def metrics_document(tracer) -> dict:
-    """Cluster metrics as a JSON-safe document: the merged registry
-    (bucket-level) plus the per-host snapshots behind the merge, read
-    from the tracer's per-host registries.  Falls back to the tracer's
-    global registry when no per-host registry exists."""
-    host_metrics = getattr(tracer, "host_metrics", None) or {}
-    if host_metrics:
-        source = "tracer"
-        merged = tracer.merged_host_metrics()
-    else:
-        source = "global"
-        metrics = getattr(tracer, "metrics", None)
-        merged = metrics.snapshot() if metrics else {}
+    """Cluster metrics as a JSON-safe document: ``merged`` is
+    ``tracer.metrics`` (bucket-level) and ``hosts`` the per-host
+    snapshots it merges; both are empty under a non-recording tracer."""
+    if not tracer.enabled:
+        return {"merged": _jsonable({}), "hosts": {}}
+    hosts = tracer.host_metrics
     return {
-        "source": source,
-        "merged": _jsonable(merged),
+        "merged": _jsonable(tracer.metrics.snapshot()),
         "hosts": {
-            host: _jsonable(host_metrics[host].snapshot())
-            for host in sorted(host_metrics)
+            host: _jsonable(hosts[host].snapshot()) for host in sorted(hosts)
         },
     }
 

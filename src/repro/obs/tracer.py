@@ -22,12 +22,13 @@ rest of the runtime, a tracer is called by one thread at a time (the
 one holding the kernel's baton) and takes no lock.
 
 Aggregates fold on read: ``count``/``observe`` append one sample to a
-backlog, and ``metrics``, ``host_metrics``, ``metrics_for`` and
-``merged_host_metrics`` first fold whatever is pending into the
-registries (:meth:`repro.obs.metrics.Metrics.fold`, in arrival
-order), so a registry the tracer hands out is current as of that read.
-The backlog also folds on its own at :data:`_FOLD_AT` samples, which
-bounds it between reads.
+backlog, and ``host_metrics`` and ``metrics`` first fold whatever is
+pending (:func:`repro.obs.metrics.fold`, in arrival order), so what the
+tracer hands out is current as of that read.  Each sample is applied
+once, to the registry of the host it names (``""`` when it names none):
+the per-host registries are the only store, and ``metrics``, the
+cluster view, is their merge.  The backlog also folds on its own at
+:data:`_FOLD_AT` samples, which bounds it between reads.
 
 Spans come in two shapes:
 
@@ -54,7 +55,7 @@ from typing import Iterator
 
 from repro.obs import spans as _spans
 from repro.obs.events import HOST_FAILED, HOST_RESTARTED, TraceEvent
-from repro.obs.metrics import Metrics, merge_snapshots
+from repro.obs.metrics import Metrics, fold
 from repro.obs.spans import OpenSpan, TraceContext
 
 #: sentinel meaning "parent the span under the current thread context"
@@ -131,13 +132,10 @@ class Tracer(NullTracer):
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._failed_hosts: set[str] = set()
-        self._metrics = Metrics()
-        #: host -> Metrics: the per-host registries behind the cluster
-        #: telemetry plane.  Hook points that know which machine an
-        #: aggregate belongs to pass ``host=`` and the sample lands both
-        #: globally and in that host's registry, so merging the per-host
-        #: registries reproduces the global one.
-        self._host_metrics: dict[str, Metrics] = {}
+        #: host -> Metrics, the one metrics store.  Hook points that know
+        #: which machine an aggregate belongs to pass ``host=``; a sample
+        #: naming no host lands in the ``""`` registry.
+        self._registries: dict[str, Metrics] = {}
         #: ``(is_observe, name, value, host)`` samples not folded yet
         self._samples: deque[tuple] = deque()
         #: etype -> callbacks fired synchronously after an event of that
@@ -194,32 +192,23 @@ class Tracer(NullTracer):
 
     def _fold(self) -> None:
         if self._samples:
-            self._metrics.fold(self._samples, self._host_metrics)
-
-    @property
-    def metrics(self) -> Metrics:
-        """The global registry, current as of this read."""
-        self._fold()
-        return self._metrics
+            fold(self._samples, self._registries)
 
     @property
     def host_metrics(self) -> dict[str, Metrics]:
         """host -> that host's registry, current as of this read."""
         self._fold()
-        return self._host_metrics
+        return self._registries
 
-    def metrics_for(self, host: str) -> Metrics:
-        """The per-host metrics registry for ``host`` (created lazily)."""
-        self._fold()
-        # setdefault, as Metrics.fold creates them: a racing fold and
-        # this call end up holding the same registry
-        return self._host_metrics.setdefault(host, Metrics())
-
-    def merged_host_metrics(self) -> dict:
-        """One snapshot merging every per-host registry — the tracer-side
-        'merge the per-host histograms by hand' view of the cluster."""
+    @property
+    def metrics(self) -> Metrics:
+        """The cluster view: every host's registry merged, in sorted host
+        order, current as of this read."""
         hosts = self.host_metrics
-        return merge_snapshots(hosts[h].snapshot() for h in sorted(hosts))
+        merged = Metrics()
+        for host in sorted(hosts):
+            merged.merge_snapshot(hosts[host].snapshot())
+        return merged
 
     def events_of(self, etype: str) -> list[TraceEvent]:
         return list(self._by_etype.get(etype, ()))
@@ -231,13 +220,6 @@ class Tracer(NullTracer):
         recorded event of ``etype``.  Callbacks must not emit (re-entry
         is not guarded); the flight recorder is the intended consumer."""
         self._triggers.setdefault(etype, []).append(callback)
-
-    def remove_trigger(self, etype: str, callback) -> None:
-        callbacks = self._triggers.get(etype)
-        if callbacks and callback in callbacks:
-            callbacks.remove(callback)
-            if not callbacks:
-                del self._triggers[etype]
 
     def _fire_triggers(self, event: TraceEvent) -> None:
         for callback in tuple(self._triggers.get(event.etype, ())):

@@ -96,8 +96,7 @@ class TestAcceptance:
         assert result.correct
         assert injector.injected.get("drop", 0) > 0
         assert injector.injected.get("stall") == 1
-        merged = tracer.merged_host_metrics()
-        counters = merged.get("counters", merged)
+        counters = tracer.metrics.snapshot()["counters"]
         assert counters.get("rpc.retries", 0) > 0
 
     def test_same_plan_without_retries_fails(self):
@@ -132,8 +131,7 @@ class TestDedup:
         assert injector.injected.get("drop") == 1
         # double execution would yield [2, 3]
         assert values == [1, 2]
-        merged = tracer.merged_host_metrics()
-        counters = merged.get("counters", merged)
+        counters = tracer.metrics.snapshot()["counters"]
         assert counters.get("rpc.dedup.hits", 0) >= 1
 
 

@@ -160,7 +160,10 @@ class TestMetricsCommand:
                      "--profile", "dedicated",
                      "--json", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
-        assert doc["source"] == "tracer"
+        merged = doc["merged"]["counters"]
+        for name, value in merged.items():
+            assert value == sum(host["counters"].get(name, 0.0)
+                                for host in doc["hosts"].values())
         assert doc["merged"]["histograms"]
         assert doc["hosts"]
 

@@ -8,6 +8,8 @@ from repro.agents.nas import NASConfig
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
 from repro.errors import ShellError
+from repro.obs import Tracer, tracing
+from repro.obs.events import NAS_TAKEOVER
 from repro.sysmon import SysParam
 
 
@@ -113,6 +115,24 @@ class TestFailureDetection:
         assert len(takeovers) == 1
         assert takeovers[0].detail["failed"] == old_manager
         assert takeovers[0].detail["new_manager"] == expected_successor
+
+    def test_takeover_is_counted_on_the_new_manager(self):
+        """The takeover counter lands in the new manager's registry,
+        the host its ``nas.takeover`` event names, and so in the
+        cluster's metrics document."""
+        with tracing(Tracer()) as tracer:
+            rt = make_testbed()
+        run_for(rt, 5.0)
+        old_manager = rt.nas.cluster_manager("sparcs")
+        successor = rt.nas.managers["sparcs"].backups[0]
+        rt.world.fail_host(old_manager)
+        run_for(rt, 20.0)
+        (event,) = tracer.events_of(NAS_TAKEOVER)
+        assert event.host == successor
+        counters = tracer.host_metrics[successor].snapshot()["counters"]
+        assert counters["nas.takeovers"] == 1
+        assert rt.metrics_document()["merged"]["counters"][
+            "nas.takeovers"] == 1
 
     def test_site_manager_failure_promotes_backup(self):
         rt = make_testbed()

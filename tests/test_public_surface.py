@@ -76,12 +76,11 @@ PUBLIC_METHODS = {
     ],
     "repro.obs.tracer.Tracer": [
         "begin_span", "count", "emit", "emit_span", "end_span",
-        "events_of", "host_failed", "host_restarted",
-        "merged_host_metrics", "metrics_for", "new_context", "observe",
-        "on_event", "remove_trigger",
+        "events_of", "host_failed", "host_restarted", "new_context",
+        "observe", "on_event",
     ],
     "repro.obs.flight.FlightRecorder": [
-        "attach", "detach", "record",
+        "attach", "record",
     ],
 }
 

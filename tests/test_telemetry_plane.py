@@ -9,6 +9,7 @@ from repro.agents.nas import NASConfig
 from repro.apps.matmul import MatmulConfig, run_matmul
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.obs import (
+    NULL_TRACER,
     FlightRecorder,
     SLOWatcher,
     Tracer,
@@ -19,6 +20,12 @@ from repro.obs import (
     render_prom,
     tracing,
 )
+from repro.obs.timeseries import metrics_document
+
+
+def as_json(snapshot):
+    """``snapshot`` as the JSON it serialises to (bucket keys as str)."""
+    return json.loads(json.dumps(snapshot))
 
 
 def run_traced_matmul(config, n=64, nodes=4, kill=None, after=0.0,
@@ -44,6 +51,35 @@ def run_traced_matmul(config, n=64, nodes=4, kill=None, after=0.0,
         if after:
             runtime.world.kernel.run(until=runtime.world.now() + after)
     return tracer, runtime
+
+
+class TestOneStore:
+    """The per-host registries are the tracer's only metrics store; the
+    cluster view is their merge."""
+
+    def test_sample_lands_once_in_its_hosts_registry(self):
+        tracer = Tracer()
+        tracer.count("y", 2.0, host="a")
+        tracer.observe("lat", 0.5, host="a")
+        assert list(tracer.host_metrics) == ["a"]
+        assert tracer.host_metrics["a"].snapshot()["counters"] == {"y": 2.0}
+        assert tracer.metrics.counter("y") == 2.0
+        assert tracer.metrics.histogram("lat").count == 1
+
+    def test_hostless_sample_reaches_the_merged_document(self):
+        tracer = Tracer()
+        tracer.count("x")
+        tracer.count("y", host="a")
+        doc = metrics_document(tracer)
+        assert doc["merged"]["counters"] == {"x": 1.0, "y": 1.0}
+        assert sorted(doc["hosts"]) == ["", "a"]
+        text = render_prom(doc["merged"])
+        assert "repro_x_total 1" in text
+        assert "repro_y_total 1" in text
+
+    def test_untraced_document_is_empty(self):
+        assert metrics_document(NULL_TRACER) == {
+            "merged": {"counters": {}, "histograms": {}}, "hosts": {}}
 
 
 class TestHeartbeatPiggyback:
@@ -77,7 +113,7 @@ class TestHeartbeatPiggyback:
         )
         tracer, runtime = run_traced_matmul(config, after=0.2)
         doc = runtime.metrics_document()
-        assert doc["source"] == "tracer"
+        assert as_json(tracer.metrics.snapshot()) == doc["merged"]
         assert sorted(doc["hosts"]) == sorted(tracer.host_metrics)
         for host, s in runtime.nas.slo.series.items():
             live = tracer.host_metrics[host].snapshot()
@@ -113,7 +149,7 @@ class TestPromExposition:
         )
         tracer, runtime = run_traced_matmul(config)
         doc = runtime.metrics_document()
-        assert doc["source"] == "tracer"
+        assert as_json(tracer.metrics.snapshot()) == doc["merged"]
         # Hand-merge the per-host snapshots the document is built from.
         by_hand = merge_snapshots(
             registry.snapshot() for registry in tracer.host_metrics.values())
@@ -208,12 +244,6 @@ class TestFlightRecorder:
         assert bundle["incident_id"] in text
         assert "failed hosts: a" in text
 
-    def test_detach_stops_captures(self):
-        tracer, recorder = self._tracer_with_recorder()
-        recorder.detach()
-        tracer.host_failed("a", 1.0)
-        assert not recorder.incidents
-
 
 class TestSanitizerTriggers:
     def test_failure_hooks_fire_outside_lock(self):
@@ -279,7 +309,9 @@ class TestHostKillAcceptance:
 
         # Merged cluster metrics, bucket-level.
         metrics = bundle["metrics"]
-        assert metrics["source"] == "tracer"
+        for name, value in metrics["merged"]["counters"].items():
+            assert value == sum(host["counters"].get(name, 0.0)
+                                for host in metrics["hosts"].values())
         assert metrics["merged"]["histograms"]
         some_hist = next(iter(metrics["merged"]["histograms"].values()))
         assert some_hist["buckets"]

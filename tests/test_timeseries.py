@@ -97,7 +97,6 @@ class TestSLORules:
         assert rule.metric == "rpc.latency:*"
         assert rule.threshold == 5.0
         assert rule.windows == 4
-        assert "p99(rpc.latency:*)" in rule.text
 
     def test_parse_rule_defaults_and_errors(self):
         rule = parse_rule("q: max(queue.depth) <= 64")

@@ -4,7 +4,7 @@ One seeded run drives every invocation mode (sync, async, ``minvoke``,
 one-sided), a migration and a small nominal matmul under a recording
 ``Tracer``.  The sha256 covers every event's
 ``(ts, etype, host, actor, dur, fields, ctx)`` in arrival order, the
-global metrics snapshot, every per-host snapshot (in registry creation
+merged metrics snapshot, every per-host snapshot (in registry creation
 order), the ``events_of`` sizes, and the wire bytes and clock of the
 run.  The bytes and clock are the untraced run's too: nothing the tracer
 records goes on the simulated wire.  A change to how the tracer records
@@ -68,7 +68,7 @@ def test_traced_record_is_pinned():
     rt = traced_run(tracer)
     assert len(tracer.events) == 1323
     assert record_digest(tracer, rt) == (
-        "8bbd40fdc95b7007df028a5c5ddfc1e7a1510f17105f7de2c750d2cfd90bd84b"
+        "57d71b93b1dd808af80696e1f697624a4c42a54199432d9dd9c77d4da0ec66f1"
     )
 
 
@@ -78,6 +78,6 @@ def test_ring_record_is_pinned():
     assert len(tracer.events) == 500
     assert tracer.dropped_events == 1323 - 500
     assert record_digest(tracer, rt) == (
-        "6ed70f218d5d3b402b538c23124c362f657778041a3d7864079c1086df6644b9"
+        "9e0730e4ffcfcb06fe22109da02fd8a0cd26bd888fe53d72005cba5ffd21d616"
     )
 
