@@ -26,10 +26,6 @@ class ShellConfig:
     auto_migration: bool = False
     #: default RPC timeout for OAS traffic; None = block forever
     rpc_timeout: float | None = None
-    #: how long migrate_object waits for this app's in-flight async
-    #: invocations to drain before migrating anyway (handing stragglers
-    #: to the tombstone redirect); None = drain fully
-    migrate_drain_timeout: float | None = None
     #: extension (off-path per paper): let the OAS react to NAS failures
     oas_failure_recovery: bool = False
     #: the reliability layer (:mod:`repro.rmi.reliability`): blocking

@@ -21,7 +21,7 @@ from repro.agents.shell import JSShell, ShellConfig
 from repro.constraints import JSConstraints
 from repro.core.persistence import PersistentStore
 from repro.errors import AllocationError, RegistrationError
-from repro.obs.flight import TRIGGER_MIGRATE_PENDING, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.timeseries import metrics_document
 from repro.rmi.reliability import CircuitBreaker, Retrier
 from repro.simnet.world import SimWorld
@@ -85,9 +85,8 @@ class JSRuntime:
         self.nas.failure_listeners.append(self._on_node_failure)
         world.restart_listeners.append(self._on_node_restart)
         # The failure flight recorder: trace-event triggers (host.failed,
-        # slo.alert, rpc.timeout) via the tracer, sanitizer findings
-        # (deadlock / risky migration) via its failure hooks.  attach()
-        # no-ops on a NullTracer, so wiring it is always safe.
+        # slo.alert, rpc.timeout) via the tracer.  attach() no-ops on a
+        # NullTracer, so wiring it is always safe.
         self.flight = FlightRecorder(
             world.tracer,
             nas_provider=self.nas.history_document,
@@ -95,13 +94,6 @@ class JSRuntime:
             incident_dir=incident_dir,
         )
         self.flight.attach()
-        # Only on a sanitizer that can fire: the shared NULL_SANITIZER
-        # outlives every world, and a bound method parked on its list
-        # would keep this runtime alive with it.
-        if world.kernel.sanitizer.enabled:
-            world.kernel.sanitizer.failure_hooks.append(
-                self._on_sanitizer_finding
-            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -184,14 +176,6 @@ class JSRuntime:
 
     def _slo_alerts(self) -> list[dict]:
         return list(self.nas.slo.alerts)
-
-    def _on_sanitizer_finding(self, finding) -> None:
-        if finding.rule != "san-migrate-pending":
-            return
-        self.flight.record(
-            TRIGGER_MIGRATE_PENDING, ts=self.world.now(), rule=finding.rule,
-            message=finding.message, symbol=finding.symbol,
-        )
 
     def metrics_document(self) -> dict:
         """:func:`repro.obs.timeseries.metrics_document` of this

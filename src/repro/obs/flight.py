@@ -1,10 +1,10 @@
 """The failure flight recorder: automatic incident capture.
 
-When something goes wrong — a host dies, an RPC gives up, the sanitizer
-detects a risky migration, an SLO breaches — the moment is
-already slipping out of the tracer's ring buffer.  The
-:class:`FlightRecorder` hooks those trigger events and snapshots the
-cluster's state *at that instant* into a JSON **incident bundle**:
+When something goes wrong — a host dies, an RPC gives up, an SLO
+breaches — the moment is already slipping out of the tracer's ring
+buffer.  The :class:`FlightRecorder` hooks those trigger events and
+snapshots the cluster's state *at that instant* into a JSON **incident
+bundle**:
 
 ========================  =============================================
 ``events``                the tail of the tracer ring (last N events)
@@ -17,12 +17,11 @@ cluster's state *at that instant* into a JSON **incident bundle**:
 ``slo_alerts``            every SLO alert fired so far
 ========================  =============================================
 
-Trigger surface: ``host.failed``, ``slo.alert`` and ``rpc.timeout``
-trace events (registered via :meth:`Tracer.on_event`), plus explicit
-:meth:`record` calls from the sanitizer's failure hooks
-(``san-migrate-pending``).  Captures are debounced
-per trigger type (:attr:`FlightRecorder.MIN_INTERVAL` simulated seconds)
-so an RPC-timeout storm yields one bundle, not hundreds.
+Trigger surface: the ``host.failed``, ``slo.alert`` and ``rpc.timeout``
+trace events (registered via :meth:`Tracer.on_event`); :meth:`record`
+captures one on demand.  Captures are debounced per trigger type
+(:attr:`FlightRecorder.MIN_INTERVAL` simulated seconds) so an
+RPC-timeout storm yields one bundle, not hundreds.
 
 Bundles are kept in memory (``incidents``, newest last, bounded) and —
 when ``incident_dir`` is set — written to ``<dir>/<incident_id>.json``
@@ -46,9 +45,6 @@ from repro.obs.events import (
     fields_doc,
 )
 from repro.obs.timeseries import metrics_document
-
-#: trigger name for the sanitizer-side hook (not a trace etype)
-TRIGGER_MIGRATE_PENDING = "san-migrate-pending"
 
 _EVENT_TRIGGERS = (HOST_FAILED, SLO_ALERT, RPC_TIMEOUT)
 

@@ -58,7 +58,6 @@ SAN_RULES: dict[str, Severity] = {
     "san-leak-future": Severity.WARNING,
     "san-leak-handle": Severity.WARNING,
     "san-leak-channel": Severity.WARNING,
-    "san-migrate-pending": Severity.WARNING,
     "san-wall-sleep": Severity.WARNING,
 }
 
@@ -92,13 +91,6 @@ class NullSanitizer:
 
     enabled = False
     leaks = False
-
-    def __init__(self) -> None:
-        #: same surface as :class:`Sanitizer`, never fired.  The shared
-        #: ``NULL_SANITIZER`` outlives every world, so subscribers
-        #: register only when ``enabled``: a hook parked here would pin
-        #: its owner for the life of the process.
-        self.failure_hooks: list = []
 
     # -- shared-state access hooks ------------------------------------------
 
@@ -152,12 +144,6 @@ class NullSanitizer:
     def chan_wait_done(self, chan: Any) -> None:
         pass
 
-    # -- runtime protocol hazards -------------------------------------------
-
-    def migrate_with_pending(self, owner: str, obj_id: str,
-                             pending: int) -> None:
-        pass
-
     # -- detectors' report sinks --------------------------------------------
 
     def note_all_blocked(self, kernel: Any, dump: str,
@@ -190,10 +176,6 @@ class Sanitizer(NullSanitizer):
         self.findings: list[Finding] = []
         #: findings emitted past ``MAX_FINDINGS``
         self.overflow = 0
-        #: callbacks fired with every Finding as it is emitted — the
-        #: flight recorder's sanitizer-side trigger surface (subscribers
-        #: filter by ``finding.rule``)
-        self.failure_hooks: list = []
         self._lockset = LocksetDetector()
         self._leaks = LeakRegistry()
         #: OS thread ident -> logical id of the process now running on it.
@@ -223,8 +205,11 @@ class Sanitizer(NullSanitizer):
 
     def _emit(self, rule: str, message: str, site: tuple[str, int] | None,
               symbol: str = "") -> None:
+        if len(self.findings) >= self.MAX_FINDINGS:
+            self.overflow += 1
+            return
         path, line = site if site is not None else ("<runtime>", 0)
-        finding = Finding(
+        self.findings.append(Finding(
             rule=rule,
             severity=SAN_RULES[rule],
             path=path,
@@ -232,13 +217,7 @@ class Sanitizer(NullSanitizer):
             col=0,
             message=message,
             symbol=symbol,
-        )
-        if len(self.findings) < self.MAX_FINDINGS:
-            self.findings.append(finding)
-        else:
-            self.overflow += 1
-        for hook in tuple(self.failure_hooks):
-            hook(finding)
+        ))
 
     def _name_of(self, tid: int) -> str:
         return self._thread_names.get(tid) or f"thread-{tid}"
@@ -273,19 +252,7 @@ class Sanitizer(NullSanitizer):
         self._tids[ident] = tid
         return previous
 
-    # -- runtime protocol hazards -------------------------------------------
-
-    def migrate_with_pending(self, owner: str, obj_id: str,
-                             pending: int) -> None:
-        self._emit(
-            "san-migrate-pending",
-            f"{owner} migrated object {obj_id} with {pending} async "
-            "invocation(s) still in flight; the stragglers were handed "
-            "off to the tombstone redirect — await the handles (or raise "
-            "migrate_drain_timeout) before migrating",
-            caller_site(),
-            symbol=obj_id,
-        )
+    # -- wall-clock sleeps ---------------------------------------------------
 
     def wall_sleep(self, process: str) -> None:
         self._emit(

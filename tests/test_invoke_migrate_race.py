@@ -1,8 +1,7 @@
-"""Invoke/migrate race coverage: the pending counter is load-bearing
-now — migration drains in-flight async invocations (or hands stragglers
-to the tombstone redirect under ``migrate_drain_timeout``, with a
-``san-migrate-pending`` finding), and pending is tracked for foreign
-refs the local table has never seen."""
+"""Invoke/migrate race coverage: the pending ledger is load-bearing —
+migration waits out every in-flight async invocation, including one
+still on the wire, and pending is tracked for foreign refs the local
+table has never seen."""
 
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
@@ -102,16 +101,16 @@ class TestInvokeMigrateRace:
 
         rt.run_app(app)
 
-    def test_drain_timeout_hands_off_with_finding(self):
-        """With a drain timeout the migration proceeds while a request
-        is still on the wire: the sanitizer records the hazard and the
-        straggler resolves through the tombstone redirect anyway."""
+    def test_migrate_waits_for_a_request_on_the_wire(self):
+        """A request still in transit when migrate starts is one the
+        holder-side quiescence wait cannot see: the drain waits it out
+        all the same, and the sanitizer has nothing to report."""
         san = Sanitizer()
         with sanitizing(san):
             rt = vienna_testbed(
                 TBConfig(load_profile="dedicated", seed=3)
             )
-            rt.shell.config.migrate_drain_timeout = 0.05
+            kernel = rt.world.kernel
 
             def app():
                 reg = JSRegistration()
@@ -124,41 +123,17 @@ class TestInvokeMigrateRace:
                     "echo", [Payload(data="big", nbytes=4_000_000)]
                 )
                 assert reg.app.pending_invocations(obj.obj_id) == 1
+                t0 = kernel.now()
                 obj.migrate("greta")
-                assert unwrap(handle.get_result()) == "big"
+                assert kernel.now() - t0 > 1.0
+                assert handle.is_ready()
                 assert reg.app.pending_invocations(obj.obj_id) == 0
+                assert unwrap(handle.get_result()) == "big"
                 assert obj.sinvoke("echo", ["alive"]) == "alive"
                 reg.unregister()
 
             rt.run_app(app)
-        rules = [f.rule for f in san.report().findings]
-        assert "san-migrate-pending" in rules
-        finding = next(
-            f for f in san.report().findings
-            if f.rule == "san-migrate-pending"
-        )
-        assert "still in flight" in finding.message
-
-    def test_no_finding_when_drain_completes(self):
-        """A full drain (timeout None) never trips the sanitizer."""
-        san = Sanitizer()
-        with sanitizing(san):
-            rt = vienna_testbed(
-                TBConfig(load_profile="dedicated", seed=3)
-            )
-
-            def app():
-                reg = JSRegistration()
-                load_classes(["johanna", "greta"])
-                obj = JSObj("Spinner", "johanna")
-                handle = obj.ainvoke("spin", [10e6])
-                obj.migrate("greta")
-                assert handle.get_result() == "done"
-                reg.unregister()
-
-            rt.run_app(app)
-        rules = [f.rule for f in san.report().findings]
-        assert "san-migrate-pending" not in rules
+        assert san.report().findings == []
 
     def test_foreign_ref_pending_tracked(self, dedicated_testbed):
         """Async invocations through a ref the local table has never
@@ -187,8 +162,8 @@ class TestInvokeMigrateRace:
             assert app.pending_invocations(foreign.obj_id) == 1
             assert handle.get_result() == "done"
             assert app.pending_invocations(foreign.obj_id) == 0
-            # The counter dict does not accumulate dead entries.
-            assert foreign.obj_id not in app.foreign_pending
+            # The ledger does not accumulate dead entries.
+            assert foreign.obj_id not in app.pending
             reg.unregister()
 
         rt.run_app(consumer, node="rachel")

@@ -137,8 +137,8 @@ def golden_script(rt):
         clone = JS.load(key)
         away = JS.load(key, "johanna")
         out.extend([clone.sinvoke("incr"), away.sinvoke("incr")])
-        out.append(dict(reg.app.foreign_pending))
-        out.append(sum(e.pending for e in shared["reg"].app.refs.values()))
+        out.append(dict(reg.app.pending))
+        out.append(sum(shared["reg"].app.pending.values()))
         reg.unregister()
         shared["reg"].unregister()
 
@@ -353,7 +353,7 @@ def test_settled_call_leaves_nothing_behind(mode, target, traced):
         issue(app, obj, mode)
         kernel.sleep(0.5)
         assert app.pending_invocations(obj.obj_id) == 0
-        assert app.foreign_pending == {}
+        assert app.pending == {}
         assert obj.sinvoke("get") == 1
         if traced:
             assert [s.etype for s in tracer.open_spans.values()] == [ev.APP]
@@ -432,14 +432,11 @@ def test_dead_handle_leaks_no_pending_and_no_span(path):
     in ``ainvoke`` on the worker, through the handle.  ``minvoke`` used
     to count and trace the call and its batch-mates first: the counts
     never came back, and the next migration of a batch-mate sat in the
-    pending drain for its whole timeout — forever with the default
-    ``migrate_drain_timeout=None``.  A scalar call counted before it
-    fails must release its count as it settles."""
-    shell = ShellConfig(migrate_drain_timeout=2.0)
+    pending drain forever.  A scalar call counted before it fails must
+    release its count as it settles.  The ledger is checked before the
+    migration, so a leak fails this test rather than hanging it."""
     with tracing(Tracer()) as tracer:
-        rt = vienna_testbed(TestbedConfig(
-            load_profile="dedicated", seed=3, shell=shell,
-        ))
+        rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
     kernel = rt.world.kernel
 
     def app():
@@ -459,7 +456,7 @@ def test_dead_handle_leaks_no_pending_and_no_span(path):
         kernel.sleep(0.5)
         assert reg.app.pending_invocations(live.obj_id) == 0
         assert reg.app.pending_invocations(dead.obj_id) == 0
-        assert reg.app.foreign_pending == {}
+        assert reg.app.pending == {}
         assert [s.etype for s in tracer.open_spans.values()] == [ev.APP]
         t0 = kernel.now()
         live.migrate("johanna")

@@ -195,7 +195,7 @@ class TestExplicitMigration:
                 obj.store()
             assert obj.get_node() == before
             assert holder.objects[obj.obj_id].migrating is False
-            assert reg.app.refs[obj.obj_id].pending == 0
+            assert reg.app.pending_invocations(obj.obj_id) == 0
             value = obj.sinvoke("get")
             reg.unregister()
             return value

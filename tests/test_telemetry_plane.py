@@ -245,40 +245,6 @@ class TestFlightRecorder:
         assert "failed hosts: a" in text
 
 
-class TestSanitizerTriggers:
-    def test_failure_hooks_fire_outside_lock(self):
-        from repro.sanitizer import Sanitizer
-
-        san = Sanitizer()
-        seen = []
-        san.failure_hooks.append(seen.append)
-        san._emit("san-migrate-pending", "test finding", ("x.py", 1),
-                  symbol="obj-1")
-        assert len(seen) == 1
-        assert seen[0].rule == "san-migrate-pending"
-
-    def test_runtime_maps_findings_to_flight_triggers(self):
-        from repro.obs.flight import TRIGGER_MIGRATE_PENDING
-        from repro.sanitizer.core import Finding
-
-        with tracing(Tracer()):
-            runtime = vienna_testbed(
-                TestbedConfig(load_profile="dedicated", seed=5)
-            )
-            for rule, trigger in (
-                ("san-migrate-pending", TRIGGER_MIGRATE_PENDING),
-                ("san-unrelated", None),
-            ):
-                before = len(runtime.flight.incidents)
-                runtime._on_sanitizer_finding(Finding(
-                    rule=rule, severity="error", path="x.py", line=1,
-                    col=0, message="m", symbol="s"))
-                grew = len(runtime.flight.incidents) - before
-                assert grew == (1 if trigger else 0)
-            triggers = [b["trigger"] for b in runtime.flight.incidents]
-            assert triggers == [TRIGGER_MIGRATE_PENDING]
-
-
 class TestHostKillAcceptance:
     def test_host_kill_during_matmul_yields_incident_bundle(self, tmp_path):
         """The issue's acceptance scenario: kill a worker mid-matmul;
