@@ -37,7 +37,7 @@ class MetricsDelta:
 
     ``counters`` maps name -> exact increment; ``histograms`` maps
     name -> histogram-delta snapshot (exact count/sum/bucket diffs,
-    cumulative min/max — see :func:`repro.obs.metrics.snapshot_delta`).
+    window-bounded min/max — see :func:`repro.obs.metrics.snapshot_delta`).
     """
 
     host: str

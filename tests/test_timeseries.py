@@ -10,6 +10,7 @@ from repro.obs import (
     MetricsDelta,
     SLOWatcher,
     parse_rule,
+    snapshot_delta,
 )
 from repro.obs.timeseries import WINDOW_DEPTH
 
@@ -181,3 +182,43 @@ class TestSLOWatcher:
         assert events[0].fields["rule"] == "r"
         assert events[0].host == "h"
         assert events[0].ts == 1.0  # the window's end
+
+
+class TestWindowExtremes:
+    """``max``/``min`` rules read each window's own samples, not the
+    extremes of the whole run so far."""
+
+    @staticmethod
+    def _feed(watcher, values, name="queue.depth"):
+        """One value per monitor tick, through the same registry ->
+        ``snapshot_delta`` -> ``MetricsDelta`` path a network agent
+        takes."""
+        m = Metrics()
+        last, fired = None, []
+        for tick, value in enumerate(values, start=1):
+            m.observe(name, value)
+            snap = m.snapshot()
+            grown = snapshot_delta(snap, last)
+            last = snap
+            fired += watcher.observe(MetricsDelta(
+                host="h", t_start=float(tick - 1), t_end=float(tick),
+                counters=grown["counters"],
+                histograms=grown["histograms"]), None)
+        return fired
+
+    def test_max_forgets_an_early_peak(self):
+        watcher = SLOWatcher(["q: max(queue.depth) <= 64 over 2"])
+        fired = self._feed(watcher, [100.0] + [1.0] * 18)
+        # Windows 1 and 2 hold the peak; no later window is above 1.0,
+        # so nothing refires at REFIRE_WINDOWS.
+        assert [a["window"] for a in fired] == [1]
+        assert fired[0]["value"] == 100.0
+
+    def test_min_forgets_an_early_trough(self):
+        watcher = SLOWatcher(["q: min(queue.depth) <= 10 over 2"])
+        fired = self._feed(watcher, [1.0] + [100.0] * 18)
+        # From window 3 on, no window in the span holds the 1.0.
+        refire = SLOWatcher.REFIRE_WINDOWS
+        assert [a["window"] for a in fired] == [3, 3 + refire,
+                                               3 + 2 * refire]
+        assert all(10.0 < a["value"] <= 100.0 for a in fired)
