@@ -161,7 +161,6 @@ class HolderEndpoints(ObjectHolder):
             # object arrived before dropping it to a tombstone, and this
             # handler runs in its own transport process, so waiting here
             # cannot stall unrelated dispatch.
-            # symlint: disable=blocking-rpc-in-handler
             self.endpoint.rpc(
                 Addr(dst.host, dst.agent), M.MIGRATE_IN, payload,
                 timeout=self.migration_timeout,

@@ -1,16 +1,15 @@
 """symlint: PySymphony-aware static analysis.
 
-AST-based checkers for the paper invariants the runtime relies on but
-cannot enforce mechanically at run time:
-
-* no blocking calls inside agent message handlers (``blocking``);
-* locality & communication cost — symloc's CFG/liveness-backed rules
-  against chatty synchronous RMI and migration thrash (``locality``, on
-  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
+One pass, ``locality``: symloc's CFG/liveness-backed rules against the
+communication anti-patterns the paper warns about — chatty synchronous
+RMI and migration thrash (:mod:`repro.analysis.locality`, on
+:mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
 
 Defects the runtime itself reports are left to it: migrating an
 unpicklable object or sending a kind nobody handles fails in the caller,
-and symsan reports a raw ``time.sleep`` inside a kernel process.
+and symsan reports a raw ``time.sleep`` inside a kernel process.  A
+handler that waits delays only its own request, which runs in a process
+of its own.
 
 Run it as ``python -m repro lint [paths]`` or through
 :func:`analyze_paths`.
@@ -29,7 +28,6 @@ _EXPORTS = {
     "Module": "base",
     "Project": "base",
     "Severity": "base",
-    "BlockingHandlerChecker": "blocking",
     "CFG": "cfg",
     "Block": "cfg",
     "build_cfg": "cfg",

@@ -20,8 +20,7 @@ count as executing there — bodies become separate blocks.  Use
 attributed to its header's block.
 
 Nested ``def``/``lambda`` bodies are opaque: they run later (or never),
-under a different context, exactly as :mod:`repro.analysis.callgraph`
-treats them.  Their *free-variable reads* still count as uses (see
+under a different context.  Their *free-variable reads* still count as uses (see
 ``stmt_uses``) so liveness never declares a captured name dead.
 
 Edges are conservative where Python is dynamic: every block inside a

@@ -44,9 +44,14 @@ from repro.analysis.base import (
     Severity,
     dotted_name,
 )
-from repro.analysis.cfg import calls_in_stmt, stmt_defs, stmt_uses
+from repro.analysis.cfg import (
+    CFG,
+    calls_in_stmt,
+    function_cfgs,
+    stmt_defs,
+    stmt_uses,
+)
 from repro.analysis.dataflow import Liveness
-from repro.analysis.index import FunctionFacts
 
 #: a sinvoke result untouched for this many following statements is an
 #: overlap opportunity
@@ -90,10 +95,10 @@ def _single_name_target(stmt: ast.AST) -> str | None:
 class _LocalityFacts:
     """Everything the rules need about one function, computed once."""
 
-    def __init__(self, func: FunctionFacts) -> None:
-        self.liveness = Liveness(func.cfg)
+    def __init__(self, cfg: CFG) -> None:
+        self.liveness = Liveness(cfg)
         self.local_names: set[str] = set()
-        for _block, _idx, stmt in func.cfg.statements():
+        for _block, _idx, stmt in cfg.statements():
             target = _single_name_target(stmt)
             if target is not None and _is_local_ctor(stmt.value):
                 self.local_names.add(target)
@@ -110,13 +115,13 @@ class LocalityChecker(Checker):
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for module in project.modules:
-            for func in project.facts(module).functions:
-                findings.extend(self._check_function(module, func))
+            for _qualname, _func, cfg in function_cfgs(module.tree):
+                findings.extend(self._check_function(module, cfg))
         return findings
 
-    def _check_function(self, module: Module, func: FunctionFacts):
-        facts = _LocalityFacts(func)
-        for block, idx, stmt in func.cfg.statements():
+    def _check_function(self, module: Module, cfg: CFG):
+        facts = _LocalityFacts(cfg)
+        for block, idx, stmt in cfg.statements():
             for call, comp_depth in calls_in_stmt(stmt):
                 if not isinstance(call.func, ast.Attribute):
                     continue

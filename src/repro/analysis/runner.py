@@ -7,14 +7,13 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.base import Checker, Finding, Module, Project, Severity
-from repro.analysis.blocking import BlockingHandlerChecker
 from repro.analysis.locality import LocalityChecker
 
 SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
 def default_checkers() -> list[Checker]:
-    return [BlockingHandlerChecker(), LocalityChecker()]
+    return [LocalityChecker()]
 
 
 def known_rules() -> dict[str, Severity]:
@@ -122,17 +121,15 @@ def load_project(paths: list[str]) -> tuple[Project, list[Finding]]:
 def analyze_paths(
     paths: list[str],
     rules: set[str] | None = None,
-    checkers: list[Checker] | None = None,
 ) -> Report:
     """Run the analysis over ``paths`` (files or directories)."""
-    return analyze_project(*load_project(paths), rules, checkers)
+    return analyze_project(*load_project(paths), rules)
 
 
 def analyze_project(
     project: Project,
     parse_failures: list[Finding],
     rules: set[str] | None = None,
-    checkers: list[Checker] | None = None,
 ) -> Report:
     """Run the analysis over what :func:`load_project` returned, which
     callers with several rule sets to check can therefore load once.
@@ -144,7 +141,7 @@ def analyze_project(
     findings = list(parse_failures)
     report = Report(files=len(project.modules))
     by_path = {m.path: m for m in project.modules}
-    for checker in checkers if checkers is not None else default_checkers():
+    for checker in default_checkers():
         if rules is None or not rules.isdisjoint(checker.rules):
             findings.extend(checker.check(project))
     for finding in findings:
@@ -156,8 +153,8 @@ def analyze_project(
             report.suppressed += 1
             continue
         report.findings.append(finding)
-    # Deterministic output: drop exact duplicates (two checkers can
-    # flag the same site) and order by location, then rule.
+    # Deterministic output: drop exact duplicates and order by
+    # location, then rule.
     report.findings = sorted(
         set(report.findings),
         key=lambda f: (f.path, f.line, f.rule, f.col, f.message),
@@ -166,10 +163,13 @@ def analyze_project(
 
 
 def _summary_line(report: Report) -> str:
+    """Every severity's count, so the findings that fail ``--strict``
+    are never missing from the line that sums them up."""
     return (
         f"symlint: {report.files} files, "
         f"{report.count(Severity.ERROR)} errors, "
-        f"{report.count(Severity.WARNING)} warnings"
+        f"{report.count(Severity.WARNING)} warnings, "
+        f"{report.count(Severity.INFO)} info"
         + (f", {report.suppressed} suppressed" if report.suppressed else "")
     )
 

@@ -1,17 +1,19 @@
 """symloc finds exactly the locality defects seeded in its fixtures.
 
-Mirrors the symlint convention: fixture files under
-``tests/fixtures/symloc/`` carry ``# <<MARKER>>`` comments on the seeded
-lines, and ``clean_batched.py`` is the near-miss twin that must stay
-silent.
+Fixture files under ``tests/fixtures/symloc/`` carry ``# <<MARKER>>``
+comments on the seeded lines (the tests resolve markers to line numbers
+instead of hardcoding them), and ``clean_batched.py`` is the near-miss
+twin that must stay silent.  The runner's pragmas, ``--rules``
+filtering, JSON report and CLI are checked here on the same corpus.
 """
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Severity, analyze_paths
+from repro.analysis import Severity, analyze_paths, render_json
 from repro.analysis.runner import expand_rules, rule_groups
 from repro.cli import main as cli_main
 
@@ -154,6 +156,64 @@ def test_pragma_suppresses_locality_finding(tmp_path):
     assert report.suppressed == 1
 
 
+def test_disable_next_line_suppresses_only_next_line(tmp_path):
+    src = (
+        "def f(objs):\n"
+        "    for obj in objs:\n"
+        "        # symlint: disable-next-line="
+        "remote-invoke-in-loop (justified)\n"
+        "        obj.sinvoke('a')\n"
+        "        obj.sinvoke('b')\n"
+    )
+    path = tmp_path / "pragma.py"
+    path.write_text(src)
+    report = analyze_paths([str(path)])
+    findings = by_rule(report, "remote-invoke-in-loop")
+    assert [f.line for f in findings] == [5]
+    assert report.suppressed == 1
+
+
+def test_disable_next_line_trailing_leaves_own_line_checked(tmp_path):
+    src = (
+        "def f(objs):\n"
+        "    for obj in objs:\n"
+        "        obj.sinvoke('a')  "
+        "# symlint: disable-next-line=remote-invoke-in-loop\n"
+        "        obj.sinvoke('b')\n"
+    )
+    path = tmp_path / "pragma.py"
+    path.write_text(src)
+    report = analyze_paths([str(path)])
+    findings = by_rule(report, "remote-invoke-in-loop")
+    # line 3 is still flagged (trailing pragma covers line 4 only)
+    assert [f.line for f in findings] == [3]
+    assert report.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# the runner: --rules filtering and the JSON report
+# ---------------------------------------------------------------------------
+
+
+def test_rules_filter():
+    report = analyze_paths([str(FIXTURES)], rules={"migrate-in-loop"})
+    assert {f.rule for f in report.findings} == {"migrate-in-loop"}
+
+
+def test_json_output_round_trips():
+    report = analyze_paths([str(FIXTURES)])
+    data = json.loads(render_json(report))
+    assert data["version"] == 1
+    assert data["summary"]["error"] == sum(
+        1 for f in report.findings if f.severity is Severity.ERROR
+    )
+    assert len(data["findings"]) == len(report.findings)
+    for entry in data["findings"]:
+        assert set(entry) == {
+            "rule", "severity", "path", "line", "col", "message", "symbol"
+        }
+
+
 # ---------------------------------------------------------------------------
 # rule groups and the CLI
 # ---------------------------------------------------------------------------
@@ -178,9 +238,10 @@ def test_cli_rules_locality_reports_all_rules(capsys):
 
 
 def test_cli_rejects_unknown_group(capsys):
-    # a retired checker group is as unknown as a typo: no alias
+    # a retired checker group or rule is as unknown as a typo: no alias
     for group in ("no-such", "migration-safety", "obs-discipline",
-                  "retry-discipline", "symshare"):
+                  "retry-discipline", "symshare", "blocking-handler",
+                  "blocking-sleep-in-handler", "blocking-rpc-in-handler"):
         assert cli_main(["lint", str(FIXTURES), "--rules", group]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
@@ -190,3 +251,14 @@ def test_cli_list_rules_shows_checker_names(capsys):
     out = capsys.readouterr().out
     assert "remote-invoke-in-loop" in out
     assert "[locality]" in out
+    assert "parse-error" in out
+
+
+def test_strict_summary_counts_the_info_findings(capsys):
+    # --strict fails on info findings, so the summary line must count
+    # them: "0 errors, 0 warnings" above an exit of 1 hides the cause.
+    fixture = str(FIXTURES / "seeded_async_opportunity.py")
+    for fmt in ("text", "github"):
+        assert cli_main(["lint", "--strict", "--format", fmt, fixture]) == 1
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "symlint: 1 files, 0 errors, 0 warnings, 3 info"
