@@ -1,8 +1,8 @@
 """Import-and-symbols smoke: the package's public surface, pinned.
 
 Each list below is what a user (or a script, or a CI step) can name:
-the package exports, the kernel, obs, rmi and analysis exports, the
-public methods of the runtime classes an application calls, the
+the package exports, the kernel, obs, rmi, analysis and varch exports,
+the public methods of the runtime classes an application calls, the
 settable values (config dataclass fields and the runtime constructors'
 parameters), the lint rule ids and groups, the symsan rule ids and the
 CLI verbs.
@@ -52,6 +52,12 @@ ANALYSIS_ALL = [
     "render_sarif", "render_text",
 ]
 
+VARCH_ALL = [
+    "Cluster", "Domain", "HierarchyManagers", "ManagerAssignment",
+    "MonitoredPool", "Node", "ResourcePool", "Site", "VAComponent",
+    "assign_cluster_managers", "assign_hierarchy",
+]
+
 RMI_ALL = [
     "CircuitBreaker", "MultiHandle", "ResultHandle", "RetryPolicy",
     "js_compute", "jsclass", "minvoke",
@@ -89,6 +95,35 @@ PUBLIC_METHODS = {
     ],
     "repro.obs.flight.FlightRecorder": [
         "attach", "record",
+    ],
+    "repro.varch.node.Node": [
+        "constrHold", "constr_hold", "free", "freeNode", "free_node",
+        "getCluster", "getDomain", "getSite", "getSysParam", "get_cluster",
+        "get_domain", "get_site", "get_sys_param", "hostnames", "nodes",
+        "snapshot",
+    ],
+    "repro.varch.cluster.Cluster": [
+        "addNode", "add_node", "constrHold", "constr_hold", "freeCluster",
+        "freeNode", "free_cluster", "free_node", "getDomain", "getNode",
+        "getSite", "getSysParam", "get_domain", "get_node", "get_site",
+        "get_sys_param", "hostnames", "nodes", "nrNodes", "nr_nodes",
+        "snapshot",
+    ],
+    "repro.varch.site.Site": [
+        "addCluster", "add_cluster", "clusters", "constrHold",
+        "constr_hold", "freeCluster", "freeNode", "freeSite",
+        "free_cluster", "free_node", "free_site", "getCluster",
+        "getDomain", "getNode", "getSysParam", "get_cluster", "get_domain",
+        "get_node", "get_sys_param", "hostnames", "nodes", "nrClusters",
+        "nrNodes", "nr_clusters", "nr_nodes", "snapshot",
+    ],
+    "repro.varch.domain.Domain": [
+        "addSite", "add_site", "constrHold", "constr_hold", "freeCluster",
+        "freeDomain", "freeNode", "freeSite", "free_cluster", "free_domain",
+        "free_node", "free_site", "getNode", "getSite", "getSysParam",
+        "get_node", "get_site", "get_sys_param", "hostnames", "nodes",
+        "nrClusters", "nrNodes", "nrSites", "nr_clusters", "nr_nodes",
+        "nr_sites", "sites", "snapshot",
     ],
     "repro.sanitizer.core.Sanitizer": [
         "access", "chan_wait", "chan_wait_done", "check_leaks",
@@ -136,6 +171,10 @@ CONSTRUCTOR_PARAMS = {
     "repro.rmi.reliability.ReplayCache": ["kernel", "config"],
     "repro.sanitizer.core.Sanitizer": ["leaks"],
     "repro.sysmon.history.SampleHistory": [],
+    "repro.varch.node.Node": ["arg", "pool"],
+    "repro.varch.cluster.Cluster": ["nr_nodes", "constraints", "pool"],
+    "repro.varch.site.Site": ["nodes_per_cluster", "constraints", "pool"],
+    "repro.varch.domain.Domain": ["nodes_per_site", "constraints", "pool"],
     "repro.varch.pool.MonitoredPool": [
         "world", "hosts", "policy", "snapshot_fn",
         "site_fn",
@@ -167,6 +206,7 @@ CLI_VERBS = [
     ("repro.obs", OBS_ALL),
     ("repro.rmi", RMI_ALL),
     ("repro.analysis", ANALYSIS_ALL),
+    ("repro.varch", VARCH_ALL),
 ])
 def test_package_exports(name, expected):
     module = importlib.import_module(name)
