@@ -3,12 +3,7 @@
 from repro.varch.cluster import Cluster
 from repro.varch.component import VAComponent
 from repro.varch.domain import Domain
-from repro.varch.managers import (
-    HierarchyManagers,
-    ManagerAssignment,
-    assign_cluster_managers,
-    assign_hierarchy,
-)
+from repro.varch.managers import ManagerAssignment, assign_cluster_managers
 from repro.varch.node import Node
 from repro.varch.pool import MonitoredPool, ResourcePool
 from repro.varch.site import Site
@@ -17,10 +12,8 @@ __all__ = [
     "Cluster",
     "VAComponent",
     "Domain",
-    "HierarchyManagers",
     "ManagerAssignment",
     "assign_cluster_managers",
-    "assign_hierarchy",
     "Node",
     "MonitoredPool",
     "ResourcePool",

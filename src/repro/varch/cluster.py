@@ -4,17 +4,18 @@ Supports both allocation styles from the paper: ``Cluster(5, constr)``
 asks the pool for five fresh nodes; ``Cluster()`` + ``add_node`` builds a
 cluster from individually allocated nodes.  Node indices run from 0 to
 ``nr_nodes() - 1``; freeing a node renumbers the ones after it, exactly
-like the paper's mutable clusters.
+like the paper's mutable clusters.  The operations are the shared
+:class:`~repro.varch.component.Aggregate`'s; this module binds their
+Section-4.2 names.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro import context
 from repro.constraints import JSConstraints
 from repro.errors import ArchitectureError
-from repro.varch.component import VAComponent
+from repro.varch.component import Aggregate
 from repro.varch.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,8 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.varch.site import Site
 
 
-class Cluster(VAComponent):
+class Cluster(Aggregate):
     _kind = "cluster"
+    _member_type = Node
 
     def __init__(
         self,
@@ -31,10 +33,7 @@ class Cluster(VAComponent):
         constraints: JSConstraints | None = None,
         pool: Any = None,
     ) -> None:
-        super().__init__(pool if pool is not None else context.require_pool())
-        self._nodes: list[Node] = []
-        self._site: "Site | None" = None
-        self._implicit = False
+        super().__init__(pool)
         if nr_nodes is not None:
             if nr_nodes < 1:
                 raise ArchitectureError("a cluster needs at least 1 node")
@@ -43,104 +42,23 @@ class Cluster(VAComponent):
             (hosts,) = self._pool.acquire_grouped(
                 [nr_nodes], constraints=constraints
             )
-            for host in hosts:
-                node = Node._wrap(host, self._pool)
-                node._cluster = self
-                self._nodes.append(node)
-
-    @classmethod
-    def _implicit_for(cls, node: Node) -> "Cluster":
-        cluster = cls(pool=node._pool)
-        cluster._implicit = True
-        cluster._nodes.append(node)
-        node._cluster = cluster
-        return cluster
-
-    # -- structure ---------------------------------------------------------------
-
-    def nodes(self) -> list[Node]:
-        self._check_active()
-        return list(self._nodes)
-
-    def nr_nodes(self) -> int:
-        self._check_active()
-        return len(self._nodes)
-
-    def get_node(self, index: int) -> Node:
-        self._check_active()
-        if not 0 <= index < len(self._nodes):
-            raise ArchitectureError(
-                f"node index {index} out of range "
-                f"[0, {len(self._nodes) - 1}]"
-            )
-        return self._nodes[index]
-
-    def add_node(self, node: Node) -> None:
-        """Add an individually allocated node.  A node belongs to exactly
-        one cluster (the unique-(cluster,site,domain) invariant)."""
-        self._check_active()
-        node._check_active()
-        if node._cluster is not None and not (
-            node._cluster._implicit and node._cluster.nr_nodes() == 1
-        ):
-            raise ArchitectureError(
-                f"node {node.hostname} already belongs to a cluster"
-            )
-        if node._cluster is not None:
-            # Dissolve the implicit singleton cluster.
-            node._cluster._freed = True
-        if any(n.hostname == node.hostname for n in self._nodes):
-            raise ArchitectureError(
-                f"cluster already contains host {node.hostname}"
-            )
-        node._cluster = self
-        self._nodes.append(node)
-
-    # -- hierarchy ---------------------------------------------------------------
+            self._take(hosts)
 
     def get_site(self) -> "Site":
-        self._check_active()
-        if self._site is None:
-            from repro.varch.site import Site
+        from repro.varch.site import Site
 
-            Site._implicit_for(self)
-        assert self._site is not None
-        return self._site
+        return self._up(Site)
 
     def get_domain(self) -> "Domain":
         return self.get_site().get_domain()
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def free_node(self, which: Node | int) -> None:
-        """Release one node (by object or index) from the cluster."""
-        self._check_active()
-        node = self.get_node(which) if isinstance(which, int) else which
-        if node not in self._nodes:
-            raise ArchitectureError(
-                f"node {node.hostname} is not in this cluster"
-            )
-        self._nodes.remove(node)
-        node._cluster = None
-        node._release()
-
-    def free_cluster(self) -> None:
-        """Release the whole cluster and all of its nodes."""
-        self._check_active()
-        for node in list(self._nodes):
-            self._nodes.remove(node)
-            node._cluster = None
-            node._release()
-        self._freed = True
-        if self._site is not None:
-            self._site._forget_cluster(self)
-
-    def __repr__(self) -> str:
-        state = "freed" if self._freed else f"{len(self._nodes)} nodes"
-        return f"<Cluster {state}>"
+    get_node = Aggregate._get
+    add_node = Aggregate._add
+    free_node = Aggregate._free_member
+    free_cluster = Aggregate._free
 
     # Paper-style aliases.
-    nrNodes = nr_nodes
+    nrNodes = Aggregate.nr_nodes
     getNode = get_node
     addNode = add_node
     getSite = get_site

@@ -2,24 +2,26 @@
 
 ``Domain([[1, 3, 5], [6, 4]])`` allocates two sites — the first with
 clusters of 1, 3 and 5 nodes, the second with clusters of 6 and 4 —
-matching the paper's multidimensional-array constructor.
+matching the paper's multidimensional-array constructor.  The operations
+are the shared :class:`~repro.varch.component.Aggregate`'s; the
+multi-index ``get_node``/``free_node``/``free_cluster`` forward to the
+site.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro import context
 from repro.constraints import JSConstraints
 from repro.errors import ArchitectureError
-from repro.varch.cluster import Cluster
-from repro.varch.component import VAComponent
+from repro.varch.component import Aggregate
 from repro.varch.node import Node
 from repro.varch.site import Site
 
 
-class Domain(VAComponent):
+class Domain(Aggregate):
     _kind = "domain"
+    _member_type = Site
 
     def __init__(
         self,
@@ -27,8 +29,7 @@ class Domain(VAComponent):
         constraints: JSConstraints | None = None,
         pool: Any = None,
     ) -> None:
-        super().__init__(pool if pool is not None else context.require_pool())
-        self._sites: list[Site] = []
+        super().__init__(pool)
         if nodes_per_site is not None:
             shape = [list(counts) for counts in nodes_per_site]
             if not shape or any(not counts for counts in shape):
@@ -37,79 +38,15 @@ class Domain(VAComponent):
                 raise ArchitectureError("each cluster needs >= 1 node")
             # Shaped acquire: virtual sites prefer one physical site,
             # virtual clusters one physical segment.
-            allocated = self._pool.acquire_shaped(
-                shape, constraints=constraints
+            self._take(
+                self._pool.acquire_shaped(shape, constraints=constraints)
             )
-            for site_groups in allocated:
-                site = Site(pool=self._pool)
-                for group in site_groups:
-                    cluster = Cluster(pool=self._pool)
-                    for host in group:
-                        node = Node._wrap(host, self._pool)
-                        node._cluster = cluster
-                        cluster._nodes.append(node)
-                    cluster._site = site
-                    site._clusters.append(cluster)
-                site._domain = self
-                self._sites.append(site)
-
-    @classmethod
-    def _implicit_for(cls, site: Site) -> "Domain":
-        domain = cls(pool=site._pool)
-        domain._sites.append(site)
-        site._domain = domain
-        return domain
-
-    # -- structure ---------------------------------------------------------------
-
-    def sites(self) -> list[Site]:
-        self._check_active()
-        return list(self._sites)
-
-    def nodes(self) -> list[Node]:
-        self._check_active()
-        return [n for s in self._sites for n in s.nodes()]
-
-    def nr_sites(self) -> int:
-        self._check_active()
-        return len(self._sites)
 
     def nr_clusters(self) -> int:
-        self._check_active()
-        return sum(s.nr_clusters() for s in self._sites)
-
-    def nr_nodes(self) -> int:
-        self._check_active()
-        return sum(s.nr_nodes() for s in self._sites)
-
-    def get_site(self, index: int) -> Site:
-        self._check_active()
-        if not 0 <= index < len(self._sites):
-            raise ArchitectureError(
-                f"site index {index} out of range "
-                f"[0, {len(self._sites) - 1}]"
-            )
-        return self._sites[index]
+        return sum(site.nr_clusters() for site in self._list())
 
     def get_node(self, site_id: int, cluster_id: int, node_id: int) -> Node:
         return self.get_site(site_id).get_node(cluster_id, node_id)
-
-    def add_site(self, site: Site) -> None:
-        self._check_active()
-        site._check_active()
-        if site._domain is not None:
-            raise ArchitectureError("site already belongs to a domain")
-        mine = {n.hostname for n in self.nodes()}
-        theirs = {n.hostname for n in site.nodes()}
-        overlap = mine & theirs
-        if overlap:
-            raise ArchitectureError(
-                f"hosts {sorted(overlap)} already present in this domain"
-            )
-        site._domain = self
-        self._sites.append(site)
-
-    # -- lifecycle ---------------------------------------------------------------
 
     def free_node(self, site_id: int, cluster_id: int, node_id: int) -> None:
         self.get_site(site_id).free_node(cluster_id, node_id)
@@ -117,31 +54,17 @@ class Domain(VAComponent):
     def free_cluster(self, site_id: int, cluster_id: int) -> None:
         self.get_site(site_id).free_cluster(cluster_id)
 
-    def free_site(self, which: Site | int) -> None:
-        self._check_active()
-        site = self.get_site(which) if isinstance(which, int) else which
-        if site not in self._sites:
-            raise ArchitectureError("site is not part of this domain")
-        site.free_site()
-
-    def _forget_site(self, site: Site) -> None:
-        if site in self._sites:
-            self._sites.remove(site)
-
-    def free_domain(self) -> None:
-        self._check_active()
-        for site in list(self._sites):
-            site.free_site()
-        self._freed = True
-
-    def __repr__(self) -> str:
-        state = "freed" if self._freed else f"{len(self._sites)} sites"
-        return f"<Domain {state}>"
+    sites = Aggregate._list
+    nr_sites = Aggregate._count
+    get_site = Aggregate._get
+    add_site = Aggregate._add
+    free_site = Aggregate._free_member
+    free_domain = Aggregate._free
 
     # Paper-style aliases.
     nrSites = nr_sites
     nrClusters = nr_clusters
-    nrNodes = nr_nodes
+    nrNodes = Aggregate.nr_nodes
     getSite = get_site
     getNode = get_node
     addSite = add_site

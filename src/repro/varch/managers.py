@@ -1,11 +1,13 @@
-"""Manager assignment rules for virtual-architecture components.
+"""Cluster manager assignment for virtual-architecture components.
 
 Paper Section 5.1: every component is controlled by a manager node which
 is itself a node of the component; *only a cluster manager can be a site
 manager and only a site manager can be a domain manager*.  Each manager
 has a predefined backup (and a second backup activated when the first
-takes over).  These are pure functions — the Network Agent System applies
-them and handles the takeover protocol.
+takes over).  This module assigns one cluster's manager and backups; the
+Network Agent System applies it, holds the nesting rule
+(``NetworkAgentSystem.site_manager``/``domain_manager``) and handles the
+takeover protocol.
 """
 
 from __future__ import annotations
@@ -51,58 +53,4 @@ def assign_cluster_managers(
         raise ArchitectureError("cannot assign managers to an empty cluster")
     return ManagerAssignment(
         manager=hosts[0], backups=list(hosts[1:1 + n_backups])
-    )
-
-
-@dataclass
-class HierarchyManagers:
-    """Complete manager map for a physical layout.
-
-    ``clusters`` maps cluster name -> assignment; the site manager is the
-    manager of the first cluster, the domain manager the manager of the
-    first site — satisfying "only a cluster manager can be a site manager"
-    by construction.
-    """
-
-    clusters: dict[str, ManagerAssignment]
-    site_managers: dict[str, str]
-    domain_manager: str
-
-    def is_manager(self, host: str) -> bool:
-        return (
-            host == self.domain_manager
-            or host in self.site_managers.values()
-            or any(a.manager == host for a in self.clusters.values())
-        )
-
-
-def assign_hierarchy(
-    layout: dict[str, dict[str, list[str]]],
-) -> HierarchyManagers:
-    """Assign managers for ``{site: {cluster: [hosts]}}``.
-
-    Raises if any cluster is empty; validates the manager-nesting rule.
-    """
-    clusters: dict[str, ManagerAssignment] = {}
-    site_managers: dict[str, str] = {}
-    domain_manager: str | None = None
-    for site_name, site_clusters in layout.items():
-        if not site_clusters:
-            raise ArchitectureError(f"site {site_name!r} has no clusters")
-        first_cluster_mgr: str | None = None
-        for cluster_name, hosts in site_clusters.items():
-            assignment = assign_cluster_managers(hosts)
-            clusters[cluster_name] = assignment
-            if first_cluster_mgr is None:
-                first_cluster_mgr = assignment.manager
-        assert first_cluster_mgr is not None
-        site_managers[site_name] = first_cluster_mgr
-        if domain_manager is None:
-            domain_manager = first_cluster_mgr
-    if domain_manager is None:
-        raise ArchitectureError("layout has no sites")
-    return HierarchyManagers(
-        clusters=clusters,
-        site_managers=site_managers,
-        domain_manager=domain_manager,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro import context
 from repro.constraints import JSConstraints
 from repro.errors import ArchitectureError
 from repro.varch.component import VAComponent
@@ -37,7 +36,7 @@ class Node(VAComponent):
         arg: "str | JSConstraints | None" = None,
         pool: Any = None,
     ) -> None:
-        super().__init__(pool if pool is not None else context.require_pool())
+        super().__init__(pool)
         if arg is None:
             (host,) = self._pool.acquire(1)
         elif isinstance(arg, str):
@@ -50,16 +49,9 @@ class Node(VAComponent):
                 f"not {type(arg).__name__}"
             )
         self._host = host
-        self._cluster: "Cluster | None" = None
 
-    @classmethod
-    def _wrap(cls, host: str, pool: Any) -> "Node":
-        """Internal: adopt an already-acquired host (bulk allocations)."""
-        node = cls.__new__(cls)
-        VAComponent.__init__(node, pool)
-        node._host = host
-        node._cluster = None
-        return node
+    def _take(self, host: str) -> None:
+        self._host = host
 
     # -- identity --------------------------------------------------------------
 
@@ -80,13 +72,9 @@ class Node(VAComponent):
     def get_cluster(self) -> "Cluster":
         """The unique cluster this node belongs to (implicit singleton for
         free-standing nodes)."""
-        self._check_active()
-        if self._cluster is None:
-            from repro.varch.cluster import Cluster
+        from repro.varch.cluster import Cluster
 
-            Cluster._implicit_for(self)
-        assert self._cluster is not None
-        return self._cluster
+        return self._up(Cluster)
 
     def get_site(self) -> "Site":
         return self.get_cluster().get_site()
@@ -96,17 +84,13 @@ class Node(VAComponent):
 
     # -- lifecycle --------------------------------------------------------------
 
-    def _release(self) -> None:
-        self._check_active()
-        self._freed = True
+    def _free(self) -> None:
+        super()._free()
         self._pool.release(self._host)
 
     def free_node(self) -> None:
         """Release this node from the application (paper: ``freeNode``)."""
-        if self._cluster is not None:
-            self._cluster.free_node(self)
-        else:
-            self._release()
+        self._free()
 
     free = free_node
 

@@ -1,26 +1,28 @@
 """``Site``: a collection of clusters (paper Section 4.2).
 
 ``Site([2, 4, 5], constr)`` allocates three clusters of 2, 4 and 5 fresh
-nodes; ``Site()`` + ``add_cluster`` composes existing clusters.
+nodes; ``Site()`` + ``add_cluster`` composes existing clusters.  The
+operations are the shared :class:`~repro.varch.component.Aggregate`'s;
+the two-index ``get_node``/``free_node`` forward to the cluster.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro import context
 from repro.constraints import JSConstraints
 from repro.errors import ArchitectureError
 from repro.varch.cluster import Cluster
-from repro.varch.component import VAComponent
+from repro.varch.component import Aggregate
 from repro.varch.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.varch.domain import Domain
 
 
-class Site(VAComponent):
+class Site(Aggregate):
     _kind = "site"
+    _member_type = Cluster
 
     def __init__(
         self,
@@ -28,10 +30,7 @@ class Site(VAComponent):
         constraints: JSConstraints | None = None,
         pool: Any = None,
     ) -> None:
-        super().__init__(pool if pool is not None else context.require_pool())
-        self._clusters: list[Cluster] = []
-        self._domain: "Domain | None" = None
-        self._implicit = False
+        super().__init__(pool)
         if nodes_per_cluster is not None:
             counts = list(nodes_per_cluster)
             if not counts or any(c < 1 for c in counts):
@@ -41,120 +40,32 @@ class Site(VAComponent):
             # One grouped acquire keeps hosts distinct across clusters
             # and confines each cluster to one physical segment when
             # the pool allows it.
-            groups = self._pool.acquire_grouped(
-                counts, constraints=constraints
+            self._take(
+                self._pool.acquire_grouped(counts, constraints=constraints)
             )
-            for group in groups:
-                cluster = Cluster(pool=self._pool)
-                for host in group:
-                    node = Node._wrap(host, self._pool)
-                    node._cluster = cluster
-                    cluster._nodes.append(node)
-                cluster._site = self
-                self._clusters.append(cluster)
-
-    @classmethod
-    def _implicit_for(cls, cluster: Cluster) -> "Site":
-        site = cls(pool=cluster._pool)
-        site._implicit = True
-        site._clusters.append(cluster)
-        cluster._site = site
-        return site
-
-    # -- structure ---------------------------------------------------------------
-
-    def clusters(self) -> list[Cluster]:
-        self._check_active()
-        return list(self._clusters)
-
-    def nodes(self) -> list[Node]:
-        self._check_active()
-        return [n for c in self._clusters for n in c.nodes()]
-
-    def nr_clusters(self) -> int:
-        self._check_active()
-        return len(self._clusters)
-
-    def nr_nodes(self) -> int:
-        self._check_active()
-        return sum(c.nr_nodes() for c in self._clusters)
-
-    def get_cluster(self, index: int) -> Cluster:
-        self._check_active()
-        if not 0 <= index < len(self._clusters):
-            raise ArchitectureError(
-                f"cluster index {index} out of range "
-                f"[0, {len(self._clusters) - 1}]"
-            )
-        return self._clusters[index]
 
     def get_node(self, cluster_id: int, node_id: int) -> Node:
         """``site.get_node(c, n)`` == ``site.get_cluster(c).get_node(n)``."""
         return self.get_cluster(cluster_id).get_node(node_id)
 
-    def add_cluster(self, cluster: Cluster) -> None:
-        self._check_active()
-        cluster._check_active()
-        if cluster._site is not None and not (
-            cluster._site._implicit and cluster._site.nr_clusters() == 1
-        ):
-            raise ArchitectureError("cluster already belongs to a site")
-        if cluster._site is not None:
-            cluster._site._freed = True
-        mine = {n.hostname for n in self.nodes()}
-        theirs = {n.hostname for n in cluster.nodes()}
-        overlap = mine & theirs
-        if overlap:
-            raise ArchitectureError(
-                f"hosts {sorted(overlap)} already present in this site"
-            )
-        cluster._site = self
-        self._clusters.append(cluster)
-
-    # -- hierarchy ---------------------------------------------------------------
-
     def get_domain(self) -> "Domain":
-        self._check_active()
-        if self._domain is None:
-            from repro.varch.domain import Domain
+        from repro.varch.domain import Domain
 
-            Domain._implicit_for(self)
-        assert self._domain is not None
-        return self._domain
-
-    # -- lifecycle ---------------------------------------------------------------
+        return self._up(Domain)
 
     def free_node(self, cluster_id: int, node_id: int) -> None:
         self.get_cluster(cluster_id).free_node(node_id)
 
-    def free_cluster(self, which: Cluster | int) -> None:
-        self._check_active()
-        cluster = (
-            self.get_cluster(which) if isinstance(which, int) else which
-        )
-        if cluster not in self._clusters:
-            raise ArchitectureError("cluster is not part of this site")
-        cluster.free_cluster()
-
-    def _forget_cluster(self, cluster: Cluster) -> None:
-        if cluster in self._clusters:
-            self._clusters.remove(cluster)
-
-    def free_site(self) -> None:
-        self._check_active()
-        for cluster in list(self._clusters):
-            cluster.free_cluster()
-        self._freed = True
-        if self._domain is not None:
-            self._domain._forget_site(self)
-
-    def __repr__(self) -> str:
-        state = "freed" if self._freed else f"{len(self._clusters)} clusters"
-        return f"<Site {state}>"
+    clusters = Aggregate._list
+    nr_clusters = Aggregate._count
+    get_cluster = Aggregate._get
+    add_cluster = Aggregate._add
+    free_cluster = Aggregate._free_member
+    free_site = Aggregate._free
 
     # Paper-style aliases.
     nrClusters = nr_clusters
-    nrNodes = nr_nodes
+    nrNodes = Aggregate.nr_nodes
     getCluster = get_cluster
     getNode = get_node
     addCluster = add_cluster

@@ -38,6 +38,13 @@ class TestGridStructure:
             assert grid.nas.cluster_manager(cluster) == site_mgr
         domain_mgr = grid.nas.domain_manager()
         assert domain_mgr == grid.nas.site_manager("vienna")
+        # Only a cluster manager is a site or domain manager.
+        for site in grid.nas.layout:
+            assert grid.nas.is_manager(grid.nas.site_manager(site))
+            for cluster in grid.nas.clusters_of_site(site):
+                backup = grid.nas.managers[cluster].backups[0]
+                assert not grid.nas.is_manager(backup)
+        assert grid.nas.is_manager(domain_mgr)
 
     def test_wan_latency_dominates_cross_site(self, grid):
         topo = grid.world.topology

@@ -93,7 +93,7 @@ class TestArchitectureInvariants:
                 assert not node.freed
                 assert node.get_cluster() is cluster  # unique triple
             for node in alive:
-                assert node._cluster is cluster
+                assert node.get_cluster() is cluster
 
     @given(
         shape=st.lists(

@@ -53,9 +53,8 @@ ANALYSIS_ALL = [
 ]
 
 VARCH_ALL = [
-    "Cluster", "Domain", "HierarchyManagers", "ManagerAssignment",
-    "MonitoredPool", "Node", "ResourcePool", "Site", "VAComponent",
-    "assign_cluster_managers", "assign_hierarchy",
+    "Cluster", "Domain", "ManagerAssignment", "MonitoredPool", "Node",
+    "ResourcePool", "Site", "VAComponent", "assign_cluster_managers",
 ]
 
 RMI_ALL = [

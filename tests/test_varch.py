@@ -16,7 +16,6 @@ from repro.varch import (
     Node,
     Site,
     assign_cluster_managers,
-    assign_hierarchy,
 )
 
 
@@ -333,6 +332,55 @@ class TestDomain:
             Domain([[10, 10], [10]], pool=pool)  # pool has 20 hosts
 
 
+#: (member class, its parent getter, the parent class, the parent's add)
+LEVELS = [
+    pytest.param(Node, "get_cluster", Cluster, "add_node", id="node-cluster"),
+    pytest.param(Cluster, "get_site", Site, "add_cluster", id="cluster-site"),
+    pytest.param(Site, "get_domain", Domain, "add_site", id="site-domain"),
+]
+
+
+def holding(level, host, pool):
+    """A component of class ``level`` whose one node is ``host``, built
+    bottom-up with the levels' ``add`` methods."""
+    component = Node(host, pool=pool)
+    for outer, add in ((Cluster, "add_node"), (Site, "add_cluster")):
+        if isinstance(component, level):
+            break
+        parent = outer(pool=pool)
+        getattr(parent, add)(component)
+        component = parent
+    return component
+
+
+class TestOneLevelRules:
+    @pytest.mark.parametrize("level, getter, parent_level, add", LEVELS)
+    def test_member_leaves_its_implicit_singleton(
+        self, pool, level, getter, parent_level, add
+    ):
+        member = holding(level, "ultra1", pool)
+        singleton = getattr(member, getter)()
+        target = parent_level(pool=pool)
+        getattr(target, add)(member)
+        assert getattr(member, getter)() is target
+        assert singleton.freed
+
+    @pytest.mark.parametrize("level, getter, parent_level, add", LEVELS)
+    def test_refused_add_changes_nothing(
+        self, pool, level, getter, parent_level, add
+    ):
+        # A named host can be acquired twice, so the target can already
+        # hold the member's host.
+        target = parent_level(pool=pool)
+        getattr(target, add)(holding(level, "ultra1", pool))
+        member = holding(level, "ultra1", pool)
+        singleton = getattr(member, getter)()
+        with pytest.raises(ArchitectureError):
+            getattr(target, add)(member)
+        assert getattr(member, getter)() is singleton
+        assert not singleton.freed
+
+
 class TestManagers:
     def test_cluster_assignment(self):
         a = assign_cluster_managers(["a", "b", "c", "d"])
@@ -357,20 +405,6 @@ class TestManagers:
     def test_without_manager_is_takeover(self):
         a = ManagerAssignment("a", ["b"])
         assert a.without("a").manager == "b"
-
-    def test_hierarchy_nesting_rule(self):
-        layout = {
-            "vienna": {"ultras": ["u0", "u1"], "sparcs": ["s0", "s1"]},
-            "linz": {"lab": ["l0", "l1"]},
-        }
-        managers = assign_hierarchy(layout)
-        # Site manager is a cluster manager; domain manager a site manager.
-        assert managers.site_managers["vienna"] == "u0"
-        assert managers.site_managers["linz"] == "l0"
-        assert managers.domain_manager == "u0"
-        assert managers.is_manager("u0")
-        assert managers.is_manager("s0")
-        assert not managers.is_manager("s1")
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ArchitectureError):
