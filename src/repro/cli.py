@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids or checker names "
                              "(e.g. 'locality') to report")
     p_lint.add_argument("--strict", action="store_true",
-                        help="exit non-zero on warnings too")
+                        help="exit non-zero on any finding, info included")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print every rule id and severity, then exit")
     p_lint.set_defaults(fn=cmd_lint)
@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--no-leaks", action="store_true",
                        help="disable shutdown leak checks")
     p_san.add_argument("--strict", action="store_true",
-                       help="exit non-zero on warnings (leaks) too")
+                       help="exit non-zero on any finding, warnings included")
     _add_matmul_flags(p_san)
     p_san.set_defaults(fn=cmd_san)
 
