@@ -303,16 +303,17 @@ def _run_traced(args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import render_summary, write_chrome_trace
+    from repro.obs import render_summary, snapshot_document, write_chrome_trace
 
     tracer, _ = _run_traced(args)
     if tracer is None:
         return 2
+    doc = snapshot_document(tracer)
     if args.json:
-        write_chrome_trace(tracer, args.json)
-        print(f"wrote {len(tracer.events)} events to {args.json}")
+        write_chrome_trace(doc, args.json)
+        print(f"wrote {len(doc['events'])} events to {args.json}")
     if not args.no_summary:
-        print(render_summary(tracer))
+        print(render_summary(doc))
     return 0
 
 
@@ -320,40 +321,41 @@ def cmd_spans(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import (
-        critical_path,
         render_critical_path,
         render_span_tree,
+        snapshot_document,
         spans_document,
     )
 
     tracer, _ = _run_traced(args)
     if tracer is None:
         return 2
-    print(render_span_tree(tracer))
+    doc = snapshot_document(tracer)
+    print(render_span_tree(doc))
     if args.critical_path:
-        cp = critical_path(tracer)
-        if cp is None:
+        if doc["critical_path"] is None:
             print("no spans recorded; nothing to extract a critical "
                   "path from", file=sys.stderr)
             return 1
         print()
-        print(render_critical_path(cp))
+        print(render_critical_path(doc))
     if args.json:
-        doc = spans_document(tracer, with_critical_path=args.critical_path)
+        spans = spans_document(doc, with_critical_path=args.critical_path)
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-        print(f"wrote {doc['span_count']} spans to {args.json}")
+            json.dump(spans, fh, indent=1)
+        print(f"wrote {spans['span_count']} spans to {args.json}")
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs import frames_from_trace, render_top
+    from repro.obs import frames_from_trace, render_top, snapshot_document
 
     tracer, _ = _run_traced(args)
     if tracer is None:
         return 2
     frames = frames_from_trace(
-        tracer, period=args.period, max_frames=args.frames
+        snapshot_document(tracer), period=args.period,
+        max_frames=args.frames,
     )
     if not frames:
         print("no trace events recorded; nothing to show",
@@ -366,20 +368,19 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import render_incident, render_prom
-    from repro.obs.timeseries import metrics_document
+    from repro.obs import render_incident, render_prom, snapshot_document
 
     tracer, runtime = _run_traced(args)
     if tracer is None:
         return 2
-    doc = metrics_document(tracer)
+    metrics = snapshot_document(tracer)["metrics"]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, default=repr)
-        print(f"wrote metrics document ({len(doc['hosts'])} hosts) "
+            json.dump(metrics, fh, indent=1, default=repr)
+        print(f"wrote metrics document ({len(metrics['hosts'])} hosts) "
               f"to {args.json}", file=sys.stderr)
     if args.prom or not args.json:
-        sys.stdout.write(render_prom(doc["merged"]))
+        sys.stdout.write(render_prom(metrics["merged"]))
     if runtime is not None and runtime.flight.incidents:
         print(f"\n{len(runtime.flight.incidents)} incident(s) captured:",
               file=sys.stderr)
@@ -406,8 +407,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.agents.shell import ShellConfig
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.errors import JSError
-    from repro.obs import Tracer, tracing
-    from repro.obs.timeseries import metrics_document
+    from repro.obs import Tracer, snapshot_document, tracing
 
     if args.target != "matmul":
         print(f"no such chaos target {args.target!r}; only the 'matmul' "
@@ -452,7 +452,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             result = _run_matmul(runtime, args, args.real)
         except JSError as exc:
             failure = exc
-        counters = metrics_document(tracer)["merged"]["counters"]
+        counters = snapshot_document(
+            tracer, tail=0)["metrics"]["merged"]["counters"]
         tally = ", ".join(
             f"{fault}={count}"
             for fault, count in sorted(injector.injected.items())

@@ -22,7 +22,6 @@ from repro.constraints import JSConstraints
 from repro.core.persistence import PersistentStore
 from repro.errors import AllocationError, RegistrationError
 from repro.obs.flight import FlightRecorder
-from repro.obs.timeseries import metrics_document
 from repro.rmi.reliability import CircuitBreaker, Retrier
 from repro.simnet.world import SimWorld
 from repro.sysmon import SysParam
@@ -176,11 +175,6 @@ class JSRuntime:
 
     def _slo_alerts(self) -> list[dict]:
         return list(self.nas.slo.alerts)
-
-    def metrics_document(self) -> dict:
-        """:func:`repro.obs.timeseries.metrics_document` of this
-        runtime's tracer."""
-        return metrics_document(self.world.tracer)
 
     # -- applications ------------------------------------------------------------
 

@@ -2,16 +2,19 @@
 
 Usage::
 
-    from repro.obs import Tracer, tracing
+    from repro.obs import Tracer, render_summary, snapshot_document, tracing
 
     with tracing(Tracer()) as tracer:
         vienna_testbed().run_app(app)   # worlds adopt the ambient tracer
-    print(render_summary(tracer))
+    doc = snapshot_document(tracer)
+    print(render_summary(doc))
 
 Every invocation, migration, classload, persistence call and NAS
 exchange opens a *span* carrying a :class:`TraceContext` that is
-propagated across hosts and async continuations; see
-:mod:`repro.obs.spans` for the propagation rules,
+propagated across hosts and async continuations.  Every post-run view
+reads one JSON-safe document, :func:`snapshot_document` (schema in
+:mod:`repro.obs.flight`), which is also what an incident bundle
+carries.  See :mod:`repro.obs.spans` for the propagation rules,
 :mod:`repro.obs.critical_path` for the longest-causal-chain analysis and
 :mod:`repro.obs.top` for the js-top console.  :mod:`repro.obs.events`
 documents the event schema and DESIGN.md the hook-point map.
@@ -19,8 +22,6 @@ documents the event schema and DESIGN.md the hook-point map.
 
 from repro.obs import events
 from repro.obs.critical_path import (
-    CriticalPath,
-    critical_path,
     render_critical_path,
     render_span_tree,
     spans_document,
@@ -31,7 +32,12 @@ from repro.obs.export import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.flight import FlightRecorder, load_bundle, render_incident
+from repro.obs.flight import (
+    FlightRecorder,
+    load_bundle,
+    render_incident,
+    snapshot_document,
+)
 from repro.obs.metrics import (
     Histogram,
     Metrics,
@@ -79,6 +85,7 @@ __all__ = [
     "SLOWatcher",
     "DEFAULT_RULES",
     "parse_rule",
+    "snapshot_document",
     "FlightRecorder",
     "load_bundle",
     "render_incident",
@@ -86,8 +93,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "render_summary",
-    "CriticalPath",
-    "critical_path",
     "render_critical_path",
     "render_span_tree",
     "spans_document",

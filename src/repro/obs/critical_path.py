@@ -24,11 +24,10 @@ runtime   everything else (handler bodies, protocol steps, ...)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs import events as ev
-from repro.obs.events import TraceEvent, event_doc
+from repro.obs.events import TraceEvent
 
 _EPS = 1e-12
 
@@ -49,81 +48,23 @@ def _category(etype: str) -> str:
     return _CATEGORY.get(etype, "runtime")
 
 
-def _detail(event: TraceEvent) -> str:
+def _detail(fields: dict) -> str:
     for key in _DETAIL_KEYS:
-        value = event.fields.get(key)
+        value = fields.get(key)
         if value:
             return str(value)
     return ""
 
 
-@dataclass
-class Segment:
+def _segment(start: float, end: float, category: str, etype: str,
+             host: str = "", span_id: str | None = None,
+             detail: str = "") -> dict:
     """One contiguous slice of the critical path."""
-
-    start: float
-    end: float
-    category: str
-    etype: str
-    host: str = ""
-    actor: str = ""
-    span_id: str | None = None
-    detail: str = ""
-
-    @property
-    def dur(self) -> float:
-        return self.end - self.start
-
-    def as_dict(self) -> dict:
-        return {
-            "start": self.start, "end": self.end, "dur": self.dur,
-            "category": self.category, "etype": self.etype,
-            "host": self.host, "span_id": self.span_id,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class CriticalPath:
-    trace_id: str
-    trace_start: float
-    trace_end: float
-    segments: list[Segment]
-
-    @property
-    def makespan(self) -> float:
-        return self.trace_end - self.trace_start
-
-    def totals(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for seg in self.segments:
-            out[seg.category] = out.get(seg.category, 0.0) + seg.dur
-        return out
-
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "trace_start": self.trace_start,
-            "trace_end": self.trace_end,
-            "makespan": self.makespan,
-            "segments": [seg.as_dict() for seg in self.segments],
-            "totals": self.totals(),
-        }
-
-
-def _events_of(source) -> list[TraceEvent]:
-    events = getattr(source, "events", source)
-    return list(events)
-
-
-def spans_by_trace(source) -> dict[str, list[TraceEvent]]:
-    """All span events (ctx + positive duration), grouped by trace."""
-    out: dict[str, list[TraceEvent]] = {}
-    for event in _events_of(source):
-        if event.ctx is None or event.dur is None:
-            continue
-        out.setdefault(event.ctx.trace_id, []).append(event)
-    return out
+    return {
+        "start": start, "end": end, "dur": end - start,
+        "category": category, "etype": etype, "host": host,
+        "span_id": span_id, "detail": detail,
+    }
 
 
 def main_trace_id(by_trace: dict[str, list[TraceEvent]]) -> str | None:
@@ -156,15 +97,21 @@ def _covering(spans: list[TraceEvent], start: float, end: float
     return owner
 
 
-def critical_path(source, trace_id: str | None = None) -> CriticalPath | None:
-    """Extract the critical path of ``trace_id`` (main trace by default)
-    from a tracer or an event list; None when there are no spans."""
-    by_trace = spans_by_trace(source)
-    if trace_id is None:
+def critical_path(events: Iterable[TraceEvent],
+                  trace_id: str | None = None) -> dict | None:
+    """The critical path of ``trace_id`` over recorded events, as the
+    JSON-safe dict a snapshot document carries; the main trace when
+    ``trace_id`` is None or has no spans, and None when there are no
+    spans at all."""
+    by_trace: dict[str, list[TraceEvent]] = {}  # span events, by trace
+    for event in events:
+        if event.ctx is not None and event.dur is not None:
+            by_trace.setdefault(event.ctx.trace_id, []).append(event)
+    if trace_id not in by_trace:
         trace_id = main_trace_id(by_trace)
-    all_spans = by_trace.get(trace_id or "", [])
-    if not all_spans:
+    if trace_id is None:
         return None
+    all_spans = by_trace[trace_id]
     trace_start = min(s.ts for s in all_spans)
     trace_end = max(s.ts + (s.dur or 0.0) for s in all_spans)
     # Zero-duration spans cannot carry a segment; keep them only as gap
@@ -173,7 +120,7 @@ def critical_path(source, trace_id: str | None = None) -> CriticalPath | None:
         (s for s in all_spans if (s.dur or 0.0) > _EPS),
         key=lambda s: (s.ts + (s.dur or 0.0), s.ts),
     )
-    segments: list[Segment] = []
+    segments: list[dict] = []
     frontier = trace_end
     i = len(spans) - 1
     while frontier - trace_start > _EPS and i >= 0:
@@ -186,29 +133,34 @@ def critical_path(source, trace_id: str | None = None) -> CriticalPath | None:
         span_end = min(span.ts + (span.dur or 0.0), frontier)
         if frontier - span_end > _EPS:
             owner = _covering(all_spans, span_end, frontier)
-            segments.append(Segment(
-                start=span_end, end=frontier, category="queue",
-                etype=owner.etype if owner else "(idle)",
-                host=owner.host if owner else "",
-                actor=owner.actor if owner else "",
-                span_id=owner.ctx.span_id if owner and owner.ctx else None,
-                detail="gap",
-            ))
+            if owner is None:
+                segments.append(_segment(span_end, frontier, "queue",
+                                         "(idle)", detail="gap"))
+            else:
+                segments.append(_segment(
+                    span_end, frontier, "queue", owner.etype, owner.host,
+                    owner.ctx.span_id, "gap"))
         seg_start = max(span.ts, trace_start)
-        segments.append(Segment(
-            start=seg_start, end=span_end, category=_category(span.etype),
-            etype=span.etype, host=span.host, actor=span.actor,
-            span_id=span.ctx.span_id if span.ctx else None,
-            detail=_detail(span),
-        ))
+        segments.append(_segment(
+            seg_start, span_end, _category(span.etype), span.etype,
+            span.host, span.ctx.span_id, _detail(span.fields)))
         frontier = seg_start
         i -= 1
     if frontier - trace_start > _EPS:
-        segments.append(Segment(start=trace_start, end=frontier,
-                                category="queue", etype="(idle)"))
+        segments.append(_segment(trace_start, frontier, "queue", "(idle)"))
     segments.reverse()
-    return CriticalPath(trace_id=trace_id or "", trace_start=trace_start,
-                        trace_end=trace_end, segments=segments)
+    totals: dict[str, float] = {}
+    for seg in segments:
+        totals[seg["category"]] = (totals.get(seg["category"], 0.0)
+                                   + seg["dur"])
+    return {
+        "trace_id": trace_id,
+        "trace_start": trace_start,
+        "trace_end": trace_end,
+        "makespan": trace_end - trace_start,
+        "segments": segments,
+        "totals": totals,
+    }
 
 
 # -- rendering -------------------------------------------------------------
@@ -220,31 +172,33 @@ def _fmt_s(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
-def render_critical_path(cp: CriticalPath, max_segments: int = 40) -> str:
-    """The critical path as a table plus per-category totals."""
+def render_critical_path(doc: dict, max_segments: int = 40) -> str:
+    """A snapshot document's critical path as a table plus per-category
+    totals."""
     from repro.util.tables import render_table
 
-    shown = cp.segments
+    cp = doc["critical_path"]
+    shown = cp["segments"]
     elided = 0
     if len(shown) > max_segments:
         # Keep the longest segments, restore chronological order.
-        by_dur = sorted(shown, key=lambda s: -s.dur)[:max_segments]
+        by_dur = sorted(shown, key=lambda s: -s["dur"])[:max_segments]
         elided = len(shown) - len(by_dur)
-        shown = sorted(by_dur, key=lambda s: s.start)
+        shown = sorted(by_dur, key=lambda s: s["start"])
     rows = [
-        [f"{seg.start:.3f}", _fmt_s(seg.dur), seg.category, seg.etype,
-         seg.detail, seg.host or "-"]
+        [f"{seg['start']:.3f}", _fmt_s(seg["dur"]), seg["category"],
+         seg["etype"], seg["detail"], seg["host"] or "-"]
         for seg in shown
     ]
     parts = [render_table(
         ["t", "dur", "category", "etype", "detail", "host"], rows,
-        title=(f"Critical path of trace {cp.trace_id} "
-               f"({len(cp.segments)} segments, makespan "
-               f"{_fmt_s(cp.makespan)})"),
+        title=(f"Critical path of trace {cp['trace_id']} "
+               f"({len(cp['segments'])} segments, makespan "
+               f"{_fmt_s(cp['makespan'])})"),
     )]
     if elided:
         parts.append(f"  ({elided} shorter segments elided)")
-    totals = cp.totals()
+    totals = cp["totals"]
     covered = sum(totals.values())
     breakdown = "  ".join(
         f"{cat}={_fmt_s(dur)} ({dur / covered * 100.0:.1f}%)"
@@ -252,26 +206,36 @@ def render_critical_path(cp: CriticalPath, max_segments: int = 40) -> str:
     )
     parts.append(f"time on the critical path: {breakdown}")
     parts.append(
-        f"segments sum to {_fmt_s(covered)} of {_fmt_s(cp.makespan)} "
+        f"segments sum to {_fmt_s(covered)} of {_fmt_s(cp['makespan'])} "
         "makespan"
     )
     return "\n".join(parts)
 
 
-def render_span_tree(source, trace_id: str | None = None,
-                     max_lines: int = 120) -> str:
-    """An indented listing of one trace's span tree."""
-    by_trace = spans_by_trace(source)
-    if trace_id is None:
-        trace_id = main_trace_id(by_trace)
-    spans = by_trace.get(trace_id or "", [])
+def _trace_spans(doc: dict) -> tuple[str, list[dict]]:
+    """The id of the trace a document's critical path follows (the main
+    trace, unless the document was captured for another) and that
+    trace's spans among the document's events, in ring order."""
+    cp = doc["critical_path"]
+    if cp is None:
+        return "", []
+    trace_id = cp["trace_id"]
+    return trace_id, [e for e in doc["events"]
+                      if e["dur"] is not None
+                      and e.get("trace_id") == trace_id]
+
+
+def render_span_tree(doc: dict, max_lines: int = 120) -> str:
+    """An indented listing of the span tree of a snapshot document's
+    critical-path trace."""
+    trace_id, spans = _trace_spans(doc)
     if not spans:
         return "(no spans recorded)"
-    spans = sorted(spans, key=lambda s: (s.ts, -(s.dur or 0.0)))
-    ids = {s.ctx.span_id for s in spans if s.ctx}
-    children: dict[str | None, list[TraceEvent]] = {}
+    spans = sorted(spans, key=lambda s: (s["ts"], -s["dur"]))
+    ids = {s["span_id"] for s in spans}
+    children: dict[str | None, list[dict]] = {}
     for span in spans:
-        parent = span.ctx.parent_id if span.ctx else None
+        parent = span["parent_id"]
         if parent not in ids:
             parent = None  # orphan (parent was an instant or unrecorded)
         children.setdefault(parent, []).append(span)
@@ -285,15 +249,13 @@ def render_span_tree(source, trace_id: str | None = None,
             if len(lines) > max_lines:
                 truncated = True
                 return
-            detail = _detail(span)
-            label = f"{span.etype} {detail}".rstrip()
-            where = f" [{span.host}]" if span.host else ""
+            label = f"{span['etype']} {_detail(span['fields'])}".rstrip()
+            where = f" [{span['host']}]" if span["host"] else ""
             lines.append(
                 f"{'  ' * (depth + 1)}{label}  "
-                f"t={span.ts:.3f} +{_fmt_s(span.dur or 0.0)}{where}"
+                f"t={span['ts']:.3f} +{_fmt_s(span['dur'])}{where}"
             )
-            if span.ctx:
-                walk(span.ctx.span_id, depth + 1)
+            walk(span["span_id"], depth + 1)
 
     walk(None, 0)
     if truncated:
@@ -301,32 +263,26 @@ def render_span_tree(source, trace_id: str | None = None,
     return "\n".join(lines)
 
 
-def spans_document(tracer, with_critical_path: bool = True) -> dict:
-    """A JSON-ready document of the main trace: spans + critical path.
+def spans_document(doc: dict, with_critical_path: bool = True) -> dict:
+    """The ``repro spans --json`` view of a snapshot document: the main
+    trace's spans plus its critical path.
 
     Schema (checked by the CI smoke step): ``trace_id`` (str),
     ``makespan`` (number), ``span_count`` (int), ``spans`` (list of
     objects with trace_id/span_id/parent_id/etype/ts/dur/host), and —
     when requested — ``critical_path`` with ``segments`` and ``totals``.
     """
-    by_trace = spans_by_trace(tracer)
-    trace_id = main_trace_id(by_trace)
-    spans = by_trace.get(trace_id or "", [])
-    doc: dict = {
-        "trace_id": trace_id or "",
-        "trace_count": len(by_trace),
+    trace_id, spans = _trace_spans(doc)
+    cp = doc["critical_path"]
+    out: dict = {
+        "trace_id": trace_id,
+        "trace_count": len({e["trace_id"] for e in doc["events"]
+                            if e["dur"] is not None and "trace_id" in e}),
         "span_count": len(spans),
-        "dropped_events": getattr(tracer, "dropped_events", 0),
-        "makespan": 0.0,
-        "spans": [],
+        "dropped_events": doc["dropped_events"],
+        "makespan": cp["makespan"] if cp else 0.0,
+        "spans": sorted(spans, key=lambda s: s["ts"]),
     }
-    if spans:
-        start = min(s.ts for s in spans)
-        end = max(s.ts + (s.dur or 0.0) for s in spans)
-        doc["makespan"] = end - start
-        doc["spans"] = [
-            event_doc(s) for s in sorted(spans, key=lambda s: s.ts)]
     if with_critical_path:
-        cp = critical_path(tracer, trace_id=trace_id)
-        doc["critical_path"] = cp.as_dict() if cp else None
-    return doc
+        out["critical_path"] = cp
+    return out

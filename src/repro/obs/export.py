@@ -1,4 +1,5 @@
-"""Exporters: Chrome trace_event JSON and a human text summary.
+"""Exporters: Chrome trace_event JSON and a human text summary, both
+views of a snapshot document (:func:`repro.obs.flight.snapshot_document`).
 
 The Chrome format (load via ``chrome://tracing`` or https://ui.perfetto.dev)
 maps naturally: our spans become ``ph: "X"`` complete events, instants
@@ -27,16 +28,15 @@ from repro.obs.events import (
     RPC_EXEC,
     RPC_REPLY,
     RPC_REQUEST,
-    TraceEvent,
 )
-from repro.obs.tracer import Tracer
 from repro.util.tables import render_table
 
 _US = 1_000_000.0  # trace_event timestamps are in microseconds
 
 
-def to_chrome_trace(tracer: Tracer) -> dict:
-    """The tracer's events as a Chrome ``trace_event`` JSON object."""
+def to_chrome_trace(doc: dict) -> dict:
+    """A snapshot document's events as a Chrome ``trace_event`` JSON
+    object."""
     pids: dict[str, int] = {}
     tids: dict[tuple[int, str], int] = {}
     out: list[dict] = []
@@ -62,27 +62,29 @@ def to_chrome_trace(tracer: Tracer) -> dict:
         return tids[key]
 
     #: span_id -> (event, pid, tid) for the cross-host flow pass
-    placed: dict[str, tuple[TraceEvent, int, int]] = {}
+    placed: dict[str, tuple[dict, int, int]] = {}
 
-    for ev in tracer.events:
-        pid = pid_of(ev.host)
-        tid = tid_of(pid, ev.actor)
-        args = dict(ev.fields)
-        if ev.ctx is not None:
-            args.update(ev.ctx.as_dict())
-            if ev.is_span:
-                placed[ev.ctx.span_id] = (ev, pid, tid)
+    for ev in doc["events"]:
+        pid = pid_of(ev["host"])
+        tid = tid_of(pid, ev["actor"])
+        args = dict(ev["fields"])
+        is_span = ev["dur"] is not None
+        if "span_id" in ev:
+            args.update((key, ev[key])
+                        for key in ("trace_id", "span_id", "parent_id"))
+            if is_span:
+                placed[ev["span_id"]] = (ev, pid, tid)
         record = {
-            "name": ev.etype,
-            "cat": ev.etype.split(".", 1)[0],
+            "name": ev["etype"],
+            "cat": ev["etype"].split(".", 1)[0],
             "pid": pid,
             "tid": tid,
-            "ts": ev.ts * _US,
+            "ts": ev["ts"] * _US,
             "args": args,
         }
-        if ev.is_span:
+        if is_span:
             record["ph"] = "X"
-            record["dur"] = (ev.dur or 0.0) * _US
+            record["dur"] = ev["dur"] * _US
         else:
             record["ph"] = "i"
             record["s"] = "t"
@@ -91,29 +93,29 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     # Flow arrows: every child span on a different host than its parent
     # (request -> exec across the wire, exec -> reply chains, ...).
     flow_id = 0
-    for span_id, (child, cpid, ctid) in placed.items():
-        parent_id = child.ctx.parent_id if child.ctx else None
-        if parent_id is None or parent_id not in placed:
+    for child, cpid, ctid in placed.values():
+        if child["parent_id"] not in placed:
             continue
-        parent, ppid, ptid = placed[parent_id]
-        if parent.host == child.host:
+        parent, ppid, ptid = placed[child["parent_id"]]
+        if parent["host"] == child["host"]:
             continue
         flow_id += 1
         out.append({
             "name": "causal", "cat": "flow", "ph": "s", "id": flow_id,
-            "pid": ppid, "tid": ptid, "ts": parent.ts * _US,
+            "pid": ppid, "tid": ptid, "ts": parent["ts"] * _US,
         })
         out.append({
             "name": "causal", "cat": "flow", "ph": "f", "bp": "e",
-            "id": flow_id, "pid": cpid, "tid": ctid, "ts": child.ts * _US,
+            "id": flow_id, "pid": cpid, "tid": ctid,
+            "ts": child["ts"] * _US,
         })
 
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str) -> None:
+def write_chrome_trace(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace(tracer), fh)
+        json.dump(to_chrome_trace(doc), fh)
 
 
 def _fmt_s(seconds: float) -> str:
@@ -122,20 +124,25 @@ def _fmt_s(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
-def render_summary(tracer: Tracer) -> str:
-    """A text digest: RPC traffic, object activity, migrations, drops."""
+def render_summary(doc: dict) -> str:
+    """A text digest of a snapshot document: RPC traffic, object
+    activity, migrations, drops."""
     parts: list[str] = []
+    events = doc["events"]
+    of: dict[str, list[dict]] = defaultdict(list)
+    for ev in events:
+        of[ev["etype"]].append(ev)
 
     rpc: dict[str, dict] = defaultdict(
         lambda: {"n": 0, "bytes": 0, "lat": 0.0, "lat_max": 0.0,
                  "p50": 0.0, "p95": 0.0, "p99": 0.0}
     )
-    for ev in tracer.events_of(RPC_REQUEST):
-        row = rpc[ev.fields.get("kind", "?")]
+    for ev in of[RPC_REQUEST]:
+        row = rpc[ev["fields"].get("kind", "?")]
         row["n"] += 1
-        row["bytes"] += ev.fields.get("nbytes", 0)
-    snap = tracer.metrics.snapshot()
-    for name, hist in snap["histograms"].items():
+        row["bytes"] += ev["fields"].get("nbytes", 0)
+    merged = doc["metrics"]["merged"]
+    for name, hist in merged["histograms"].items():
         if name.startswith("rpc.latency:"):
             row = rpc[name.split(":", 1)[1]]
             row["lat"] = hist["mean"]
@@ -156,71 +163,69 @@ def render_summary(tracer: Tracer) -> str:
             rows, title="RPC traffic by kind",
         ))
 
-    n_reply = len(tracer.events_of(RPC_REPLY))
-    n_exec = len(tracer.events_of(RPC_EXEC))
-    drops = tracer.events_of(RPC_DROP)
-    spawns = len(tracer.events_of(PROC_SPAWN))
+    drops = of[RPC_DROP]
     parts.append(
-        f"handlers executed: {n_exec}   replies: {n_reply}   "
-        f"drops: {len(drops)}   processes spawned: {spawns}"
+        f"handlers executed: {len(of[RPC_EXEC])}   "
+        f"replies: {len(of[RPC_REPLY])}   drops: {len(drops)}   "
+        f"processes spawned: {len(of[PROC_SPAWN])}"
     )
     for ev in drops:
+        fields = ev["fields"]
         parts.append(
-            f"  drop [{ev.fields.get('stage', '?')}] "
-            f"{ev.fields.get('kind', '?')} at t={ev.ts:.3f}: "
-            f"{ev.fields.get('reason', '?')}"
+            f"  drop [{fields.get('stage', '?')}] "
+            f"{fields.get('kind', '?')} at t={ev['ts']:.3f}: "
+            f"{fields.get('reason', '?')}"
         )
 
-    created = len(tracer.events_of(OBJ_CREATE))
-    freed = len(tracer.events_of(OBJ_FREE))
-    invokes = tracer.events_of(OBJ_INVOKE)
-    if created or invokes:
+    invokes = of[OBJ_INVOKE]
+    if of[OBJ_CREATE] or invokes:
         modes: dict[str, int] = defaultdict(int)
         for ev in invokes:
-            modes[ev.fields.get("mode", "?")] += 1
+            modes[ev["fields"].get("mode", "?")] += 1
         mode_txt = ", ".join(
             f"{m}={n}" for m, n in sorted(modes.items())
         ) or "none"
         parts.append(
-            f"objects: {created} created, {freed} freed; "
-            f"invocations: {mode_txt}"
+            f"objects: {len(of[OBJ_CREATE])} created, "
+            f"{len(of[OBJ_FREE])} freed; invocations: {mode_txt}"
         )
 
-    migrations = tracer.events_of(MIGRATE)
+    migrations = of[MIGRATE]
     if migrations:
         rows = []
-        steps_by_obj: dict[str, list[TraceEvent]] = defaultdict(list)
-        for ev in tracer.events_of(MIGRATE_STEP):
-            steps_by_obj[ev.fields.get("obj_id", "?")].append(ev)
+        steps_by_obj: dict[str, list[dict]] = defaultdict(list)
+        for ev in of[MIGRATE_STEP]:
+            steps_by_obj[ev["fields"].get("obj_id", "?")].append(ev)
         for ev in migrations:
-            obj_id = ev.fields.get("obj_id", "?")
+            obj_id = ev["fields"].get("obj_id", "?")
             steps = " > ".join(
-                s.fields.get("step", "?") for s in steps_by_obj[obj_id]
+                s["fields"].get("step", "?") for s in steps_by_obj[obj_id]
             )
             rows.append([
-                obj_id, ev.fields.get("src", "?"), ev.fields.get("dst", "?"),
-                _fmt_s(ev.dur or 0.0), steps,
+                obj_id, ev["fields"].get("src", "?"),
+                ev["fields"].get("dst", "?"), _fmt_s(ev["dur"] or 0.0),
+                steps,
             ])
         parts.append(render_table(
             ["object", "from", "to", "duration", "protocol steps"],
             rows, title="Migrations",
         ))
 
-    counters = snap["counters"]
+    counters = merged["counters"]
     if counters:
         rows = [[name, round(value, 3)]
                 for name, value in sorted(counters.items())]
         parts.append(render_table(["counter", "value"], rows,
                                   title="Counters"))
 
-    if not tracer.events:
-        parts.append("(no events recorded)")
-    span = [ev.ts for ev in tracer.events]
-    if span:
-        dropped = getattr(tracer, "dropped_events", 0)
+    if events:
+        span = [ev["ts"] for ev in events]
+        dropped = doc["dropped_events"]
         suffix = f" ({dropped} evicted by max_events)" if dropped else ""
         parts.insert(0, (
-            f"trace: {len(tracer.events)} events over "
+            f"trace: {len(events)} events over "
             f"{_fmt_s(max(span) - min(span))} simulated{suffix}"
         ))
+    else:
+        parts.append("(no events recorded)")
     return "\n".join(parts)

@@ -1,21 +1,30 @@
-"""The failure flight recorder: automatic incident capture.
+"""The snapshot document and the failure flight recorder.
+
+:func:`snapshot_document` is the one JSON-safe document of a tracer's
+state: every post-run view in :mod:`repro.obs` reads it, and an
+incident bundle is this document under an ``incident_id`` / ``trigger``
+/ ``ts`` / ``context`` header, so a bundle loaded from disk goes
+through the same views as a live run.  Its keys, in order:
+
+========================  =============================================
+``ring_len``              events in the tracer ring
+``dropped_events``        events the ring evicted (``max_events``)
+``events``                the ring (or its last ``tail`` events), as
+                          :func:`~repro.obs.events.event_doc` dicts
+``open_spans``            spans in flight at the snapshot
+``failed_hosts``          hosts the tracer knows are dead
+``metrics``               ``merged`` cluster metrics, bucket-level, and
+                          the per-host snapshots behind the merge
+``nas``                   NAS snapshot history / membership (provider)
+``slo_alerts``            every SLO alert fired so far
+``critical_path``         one trace's critical path, over the whole ring
+========================  =============================================
 
 When something goes wrong — a host dies, an RPC gives up, an SLO
 breaches — the moment is already slipping out of the tracer's ring
 buffer.  The :class:`FlightRecorder` hooks those trigger events and
-snapshots the cluster's state *at that instant* into a JSON **incident
-bundle**:
-
-========================  =============================================
-``events``                the tail of the tracer ring (last N events)
-``open_spans``            spans in flight when the trigger fired
-``failed_hosts``          hosts the tracer knows are dead
-``metrics``               merged cluster metrics, bucket-level, and
-                          the per-host snapshots behind the merge
-``nas``                   NAS snapshot history / membership (provider)
-``critical_path``         the affected trace's critical path
-``slo_alerts``            every SLO alert fired so far
-========================  =============================================
+captures the document *at that instant*, with the critical path of the
+trigger's own trace, as an **incident bundle**.
 
 Trigger surface: the ``host.failed``, ``slo.alert`` and ``rpc.timeout``
 trace events (registered via :meth:`Tracer.on_event`); :meth:`record`
@@ -44,9 +53,69 @@ from repro.obs.events import (
     event_doc,
     fields_doc,
 )
-from repro.obs.timeseries import metrics_document
+from repro.obs.tracer import Tracer
 
 _EVENT_TRIGGERS = (HOST_FAILED, SLO_ALERT, RPC_TIMEOUT)
+
+
+def _metrics_doc(registry) -> dict:
+    """A registry snapshot with its histograms' bucket keys as sorted
+    strings, so ``json.dump`` round-trips it."""
+    snap = registry.snapshot()
+    for hist in snap["histograms"].values():
+        hist["buckets"] = {str(k): v
+                           for k, v in sorted(hist["buckets"].items())}
+    return snap
+
+
+def snapshot_document(tracer, *, tail: int | None = None, nas=None,
+                      slo_alerts: list | None = None,
+                      ts: float | None = None,
+                      trace_id: str | None = None) -> dict:
+    """The tracer's state as one JSON-safe document (schema in the
+    module docstring; empty under a non-recording tracer).
+
+    ``tail`` keeps only the ring's last N events (``ring_len`` still
+    counts them all).  ``ts`` is the simulated time open spans' ages are
+    measured to (default: the last event's).  ``trace_id`` names the
+    trace whose critical path the document carries; by default, or when
+    that trace has no spans, it is the main trace.  The critical path is
+    taken over the whole ring, not the tail.
+    """
+    if not tracer.enabled:
+        tracer = Tracer()
+    ring = list(tracer.events)
+    if ts is None:
+        ts = ring[-1].ts if ring else 0.0
+    hosts = tracer.host_metrics
+    return {
+        "ring_len": len(ring),
+        "dropped_events": tracer.dropped_events,
+        "events": [event_doc(e) for e in (
+            ring if tail is None else ring[max(0, len(ring) - tail):])],
+        "open_spans": [
+            {
+                "span_id": span.ctx.span_id,
+                "trace_id": span.ctx.trace_id,
+                "etype": span.etype,
+                "ts": span.ts,
+                "host": span.host,
+                "actor": span.actor,
+                "age": max(0.0, ts - span.ts),
+                "fields": fields_doc(span.fields),
+            }
+            for span in list(tracer.open_spans.values())
+        ],
+        "failed_hosts": sorted(tracer.failed_hosts),
+        "metrics": {
+            "merged": _metrics_doc(tracer.metrics),
+            "hosts": {host: _metrics_doc(hosts[host])
+                      for host in sorted(hosts)},
+        },
+        "nas": nas,
+        "slo_alerts": slo_alerts or [],
+        "critical_path": critical_path(ring, trace_id),
+    }
 
 
 class FlightRecorder:
@@ -56,8 +125,7 @@ class FlightRecorder:
     returning a JSON-safe NAS history document and the SLO alerts fired
     so far; they are supplied by the runtime wiring
     (:mod:`repro.cluster.builder`) and called only at capture time,
-    never on the hot path.  The bundle's metrics are
-    :func:`~repro.obs.timeseries.metrics_document` of the tracer.
+    never on the hot path.
     """
 
     #: trace events a bundle keeps from the tail of the ring
@@ -100,7 +168,9 @@ class FlightRecorder:
 
     def record(self, trigger: str, ts: float, event: TraceEvent | None = None,
                **context) -> dict | None:
-        """Capture a bundle for ``trigger`` at simulated time ``ts``.
+        """Capture a bundle for ``trigger`` at simulated time ``ts``: the
+        snapshot document, with the critical path of ``event``'s trace
+        when it has one.
 
         Returns the bundle, or None when debounced (same trigger type
         within ``MIN_INTERVAL``) or re-entered (a capture is already in
@@ -115,66 +185,29 @@ class FlightRecorder:
         self._last_capture[trigger] = ts
         self._recording = True
         try:
-            bundle = self._capture(trigger, ts, event, context)
+            self._seq += 1
+            bundle = {
+                "incident_id":
+                    f"inc-{self._seq:04d}-{trigger.replace('.', '-')}",
+                "trigger": trigger,
+                "ts": ts,
+                "context": context,
+            }
+            bundle.update(snapshot_document(
+                self.tracer, tail=self.RING_TAIL,
+                nas=self._provided(self.nas_provider),
+                slo_alerts=self._provided(self.slo_provider), ts=ts,
+                trace_id=(event.ctx.trace_id
+                          if event is not None and event.ctx is not None
+                          else None)))
             self.incidents.append(bundle)
             self._write(bundle)
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.emit(FLIGHT_RECORD, ts=ts, trigger=trigger,
-                            incident_id=bundle["incident_id"])
+            if self.tracer.enabled:
+                self.tracer.emit(FLIGHT_RECORD, ts=ts, trigger=trigger,
+                                 incident_id=bundle["incident_id"])
             return bundle
         finally:
             self._recording = False
-
-    def _capture(self, trigger: str, ts: float,
-                 event: TraceEvent | None, context: dict) -> dict:
-        self._seq += 1
-        tracer = self.tracer
-        bundle: dict = {
-            "incident_id": f"inc-{self._seq:04d}-{trigger.replace('.', '-')}",
-            "trigger": trigger,
-            "ts": ts,
-            "context": context,
-        }
-        events = list(getattr(tracer, "events", ()))
-        tail = events[-self.RING_TAIL:]
-        bundle["ring_len"] = len(events)
-        bundle["dropped_events"] = getattr(tracer, "dropped_events", 0)
-        bundle["events"] = [event_doc(e) for e in tail]
-        bundle["open_spans"] = [
-            {
-                "span_id": span.ctx.span_id,
-                "trace_id": span.ctx.trace_id,
-                "etype": span.etype,
-                "ts": span.ts,
-                "host": span.host,
-                "actor": span.actor,
-                "age": max(0.0, ts - span.ts),
-                "fields": fields_doc(span.fields),
-            }
-            for span in list(getattr(tracer, "open_spans", {}).values())
-        ]
-        bundle["failed_hosts"] = sorted(getattr(tracer, "failed_hosts", ()))
-        bundle["metrics"] = metrics_document(tracer)
-        bundle["nas"] = self._provided(self.nas_provider)
-        bundle["slo_alerts"] = self._provided(self.slo_provider) or []
-        bundle["critical_path"] = self._critical_path_doc(events, event)
-        return bundle
-
-    def _critical_path_doc(self, events: list[TraceEvent],
-                           event: TraceEvent | None) -> dict | None:
-        """The affected trace's critical path: the trigger event's trace
-        when it has one, the main trace otherwise."""
-        trace_id = None
-        if event is not None and event.ctx is not None:
-            trace_id = event.ctx.trace_id
-        try:
-            cp = critical_path(events, trace_id=trace_id)
-            if cp is None and trace_id is not None:
-                cp = critical_path(events)
-            return cp.as_dict() if cp else None
-        except Exception:
-            return None
 
     def _provided(self, provider):
         if provider is None:

@@ -38,13 +38,6 @@ class TraceContext(NamedTuple):
     span_id: str
     parent_id: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
-
 
 class _SpanState(threading.local):
     """The current span context of the calling kernel process."""

@@ -16,8 +16,9 @@ Rollover is deterministic: windows are appended in tick order and the
 deque evicts strictly oldest-first, so two runs with the same seed
 produce identical series.
 
-:func:`metrics_document` is the one cluster metrics view: the tracer's
-per-host registries and their merge.
+The cluster metrics as a JSON document (the tracer's per-host
+registries and their merge) are the ``metrics`` part of
+:func:`repro.obs.flight.snapshot_document`.
 """
 
 from __future__ import annotations
@@ -105,29 +106,3 @@ class HostSeries:
                 merged.merge(Histogram.from_snapshot(snap))
         return merged
 
-
-def metrics_document(tracer) -> dict:
-    """Cluster metrics as a JSON-safe document: ``merged`` is
-    ``tracer.metrics`` (bucket-level) and ``hosts`` the per-host
-    snapshots it merges; both are empty under a non-recording tracer."""
-    if not tracer.enabled:
-        return {"merged": _jsonable({}), "hosts": {}}
-    hosts = tracer.host_metrics
-    return {
-        "merged": _jsonable(tracer.metrics.snapshot()),
-        "hosts": {
-            host: _jsonable(hosts[host].snapshot()) for host in sorted(hosts)
-        },
-    }
-
-
-def _jsonable(snapshot: dict) -> dict:
-    """A registry snapshot with histogram bucket keys as strings, so
-    ``json.dump`` round-trips it."""
-    out = {"counters": dict(snapshot.get("counters", {})), "histograms": {}}
-    for name, hist in snapshot.get("histograms", {}).items():
-        h = dict(hist)
-        h["buckets"] = {str(k): v
-                        for k, v in sorted(hist.get("buckets", {}).items())}
-        out["histograms"][name] = h
-    return out

@@ -3,9 +3,10 @@
 :func:`frames_from_trace` feeds ``python -m repro top``: the verb runs
 the target under the tracer (virtual-time runs finish in host
 milliseconds) and this reconstructs one frame per simulated-time window
-from the recorded events: RPC rates from ``rpc.request`` spans,
-CPU-busy from ``compute`` span overlap, idle/memory from the
-``nas.sample`` fields, in-flight/slowest spans from span intervals.
+from a snapshot document's events: RPC rates from ``rpc.request``
+spans, CPU-busy from ``compute`` span overlap, idle/memory from the
+``nas.sample`` fields, in-flight/slowest spans from span intervals, and
+liveness from each host's ``host.failed`` / ``host.restarted`` marks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs import events as ev
-from repro.obs.events import TraceEvent
 from repro.util.tables import render_table
 
 
@@ -86,74 +86,80 @@ def render_top(frames: list[TopFrame]) -> str:
     return "\n\n".join(render_top_frame(frame) for frame in frames)
 
 
-def frames_from_trace(tracer, period: float | None = None,
+def frames_from_trace(doc: dict, period: float | None = None,
                       max_frames: int = 60) -> list[TopFrame]:
-    """Reconstruct per-window frames from a finished traced run."""
-    events: list[TraceEvent] = sorted(tracer.events, key=lambda e: e.ts)
+    """Reconstruct per-window frames from a snapshot document's events."""
+    events: list[dict] = sorted(doc["events"], key=lambda e: e["ts"])
     if not events:
         return []
-    t_min = events[0].ts
-    t_max = max(e.ts + (e.dur or 0.0) for e in events)
+    t_min = events[0]["ts"]
+    t_max = max(e["ts"] + (e["dur"] or 0.0) for e in events)
     makespan = max(t_max - t_min, 1e-9)
     if period is None or period <= 0.0:
         period = makespan / min(max_frames, 8)
     n_frames = max(1, min(max_frames, int(makespan / period + 0.999999)))
     period = makespan / n_frames
 
-    hosts = sorted({e.host for e in events if e.host})
-    spans = [e for e in events if e.dur is not None and e.host]
-    computes = [e for e in spans if e.etype == ev.COMPUTE]
-    requests = [e for e in events if e.etype == ev.RPC_REQUEST]
-    samples: dict[str, list[TraceEvent]] = {}
+    hosts = sorted({e["host"] for e in events if e["host"]})
+    spans = [e for e in events if e["dur"] is not None and e["host"]]
+    computes = [e for e in spans if e["etype"] == ev.COMPUTE]
+    requests = [e for e in events if e["etype"] == ev.RPC_REQUEST]
+    samples: dict[str, list[dict]] = {}
     for e in events:
-        if e.etype == ev.NAS_SAMPLE and e.host:
-            samples.setdefault(e.host, []).append(e)
+        if e["etype"] == ev.NAS_SAMPLE and e["host"]:
+            samples.setdefault(e["host"], []).append(e)
+    # (ts, host, up) for every failure and restart, in time order
+    marks = [(e["ts"], e["host"], e["etype"] == ev.HOST_RESTARTED)
+             for e in events
+             if e["etype"] in (ev.HOST_FAILED, ev.HOST_RESTARTED)]
     adoptions = [
         e for e in events
-        if e.etype == ev.MIGRATE_STEP and e.fields.get("step") == "adopted"
+        if e["etype"] == ev.MIGRATE_STEP
+        and e["fields"].get("step") == "adopted"
     ]
-    failures = {e.host: e.ts for e in events if e.etype == ev.HOST_FAILED}
 
     frames: list[TopFrame] = []
     for k in range(1, n_frames + 1):
         t = t_min + k * period
         lo = t - period
-        live = [s for s in spans if s.ts <= t < s.ts + (s.dur or 0.0)]
+        live = [s for s in spans if s["ts"] <= t < s["ts"] + s["dur"]]
         frame = TopFrame(t=t, window=period, open_spans=len(live),
-                         events=sum(1 for e in events if e.ts <= t))
+                         events=sum(1 for e in events if e["ts"] <= t))
         for host in hosts:
-            row = HostRow(host=host,
-                          alive=failures.get(host, t_max + 1.0) > t)
+            ups = [up for ts, h, up in marks if h == host and ts <= t]
+            row = HostRow(host=host, alive=ups[-1] if ups else True)
             row.rpc_tx = sum(1 for r in requests
-                             if r.host == host and lo < r.ts <= t)
+                             if r["host"] == host and lo < r["ts"] <= t)
             row.rpc_rx = sum(
                 1 for r in requests
-                if _host_of_addr(str(r.fields.get("dst", ""))) == host
-                and lo < r.ts + (r.dur or 0.0) <= t
+                if _host_of_addr(str(r["fields"].get("dst", ""))) == host
+                and lo < r["ts"] + (r["dur"] or 0.0) <= t
             )
             busy = 0.0
             for c in computes:
-                if c.host != host:
+                if c["host"] != host:
                     continue
-                busy += max(0.0, min(t, c.ts + (c.dur or 0.0)) - max(lo, c.ts))
+                busy += max(0.0, min(t, c["ts"] + c["dur"])
+                            - max(lo, c["ts"]))
             row.cpu_busy = min(1.0, busy / period)
             latest = None
             for s in samples.get(host, ()):
-                if s.ts <= t:
+                if s["ts"] <= t:
                     latest = s
                 else:
                     break
             if latest is not None:
-                row.idle = latest.fields.get("idle")
-                row.mem_mb = latest.fields.get("js_mem_mb")
+                row.idle = latest["fields"].get("idle")
+                row.mem_mb = latest["fields"].get("js_mem_mb")
             row.migrations = sum(
-                1 for a in adoptions if a.host == host and a.ts <= t
+                1 for a in adoptions if a["host"] == host and a["ts"] <= t
             )
-            mine = [s for s in live if s.host == host]
+            mine = [s for s in live if s["host"] == host]
             row.inflight = len(mine)
             if mine:
-                oldest = min(mine, key=lambda s: s.ts)
-                row.slowest_open = f"{oldest.etype} +{t - oldest.ts:.2f}s"
+                oldest = min(mine, key=lambda s: s["ts"])
+                row.slowest_open = (
+                    f"{oldest['etype']} +{t - oldest['ts']:.2f}s")
             frame.rows.append(row)
         frames.append(frame)
     return frames

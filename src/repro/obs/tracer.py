@@ -11,15 +11,17 @@ expensive part (building a field dict, deriving a span context) behind
 instrumented runtime costs nothing measurable when tracing is off — in
 particular, no :class:`~repro.obs.spans.TraceContext` is ever allocated.
 
-:class:`Tracer` appends :class:`TraceEvent` records to a deque and
-keeps a per-etype index so ``events_of`` is O(result) rather than an
-O(n) scan.  Every recording call — ``emit``,
-``emit_span``, ``end_span``, a host failure's force-close — builds its
-event once, in ``_record``, from the field dict it already holds.  With
-``max_events`` set the deque becomes a ring buffer: the oldest event is
-evicted on overflow and ``dropped_events`` counts the loss.  Like the
-rest of the runtime, a tracer is called by one thread at a time (the
-one holding the kernel's baton) and takes no lock.
+:class:`Tracer` appends :class:`TraceEvent` records to one deque and
+nothing else: ``events_of`` is a scan of it, because the post-run
+views read a snapshot document
+(:func:`repro.obs.flight.snapshot_document`), not the tracer.  Every
+recording call — ``emit``, ``emit_span``, ``end_span``, a host
+failure's force-close — builds its event once, in ``_record``, from the
+field dict it already holds.  With ``max_events`` set the deque
+becomes a ring buffer: the oldest event is evicted on overflow and
+``dropped_events`` counts the loss.  Like the rest of the runtime, a
+tracer is called by one thread at a time (the one holding the kernel's
+baton) and takes no lock.
 
 Aggregates fold on read: ``count``/``observe`` append one sample to a
 backlog, and ``host_metrics`` and ``metrics`` first fold whatever is
@@ -128,7 +130,6 @@ class Tracer(NullTracer):
         self.dropped_events = 0
         #: span_id -> OpenSpan for every begun-but-not-ended span
         self.open_spans: dict[str, OpenSpan] = {}
-        self._by_etype: dict[str, deque[TraceEvent]] = {}
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._failed_hosts: set[str] = set()
@@ -162,21 +163,11 @@ class Tracer(NullTracer):
             fields.setdefault("host_failed", True)
         event = TraceEvent(ts, etype, host, actor, dur, fields, ctx)
         if self.max_events and len(self.events) >= self.max_events:
-            evicted = self.events.popleft()
-            old_index = self._by_etype.get(evicted.etype)
-            if old_index:
-                old_index.popleft()
+            self.events.popleft()
             self.dropped_events += 1
         self.events.append(event)
-        self._index(etype).append(event)
         if self._triggers:
             self._fire_triggers(event)
-
-    def _index(self, etype: str) -> deque[TraceEvent]:
-        index = self._by_etype.get(etype)
-        if index is None:
-            index = self._by_etype[etype] = deque()
-        return index
 
     def count(self, name: str, value: float = 1.0, host: str = "") -> None:
         samples = self._samples
@@ -211,14 +202,18 @@ class Tracer(NullTracer):
         return merged
 
     def events_of(self, etype: str) -> list[TraceEvent]:
-        return list(self._by_etype.get(etype, ()))
+        """The ring's events of ``etype``, oldest first (a scan)."""
+        return [event for event in self.events if event.etype == etype]
 
     # -- triggers ------------------------------------------------------------
 
     def on_event(self, etype: str, callback) -> None:
         """Register ``callback(event)`` to run synchronously after every
-        recorded event of ``etype``.  Callbacks must not emit (re-entry
-        is not guarded); the flight recorder is the intended consumer."""
+        recorded event of ``etype`` (the flight recorder's hook).  The
+        tracer does not guard re-entry, so a callback may emit only
+        events that have no triggers, or must guard itself: the flight
+        recorder emits ``flight.record`` (no triggers) and its
+        ``_recording`` flag turns away a capture inside a capture."""
         self._triggers.setdefault(etype, []).append(callback)
 
     def _fire_triggers(self, event: TraceEvent) -> None:

@@ -8,7 +8,7 @@ from repro.agents.nas import NASConfig
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
 from repro.errors import ShellError
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer, snapshot_document, tracing
 from repro.obs.events import NAS_TAKEOVER
 from repro.sysmon import SysParam
 
@@ -131,7 +131,7 @@ class TestFailureDetection:
         assert event.host == successor
         counters = tracer.host_metrics[successor].snapshot()["counters"]
         assert counters["nas.takeovers"] == 1
-        assert rt.metrics_document()["merged"]["counters"][
+        assert snapshot_document(tracer)["metrics"]["merged"]["counters"][
             "nas.takeovers"] == 1
 
     def test_site_manager_failure_promotes_backup(self):

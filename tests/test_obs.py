@@ -13,6 +13,7 @@ from repro.obs import (
     events as ev,
     render_summary,
     set_tracer,
+    snapshot_document,
     to_chrome_trace,
     tracing,
 )
@@ -121,7 +122,8 @@ class TestRingBuffer:
         tracer = Tracer(max_events=1)
         tracer.emit(ev.OBJ_CREATE, ts=0.0, obj_id="o1")
         tracer.emit(ev.OBJ_CREATE, ts=1.0, obj_id="o2")
-        assert "evicted by max_events" in render_summary(tracer)
+        assert "evicted by max_events" in render_summary(
+            snapshot_document(tracer))
 
 
 class TestMetrics:
@@ -189,7 +191,7 @@ class TestChromeExport:
                     dur=0.002, kind="ECHO")
         tracer.emit(ev.OBJ_CREATE, ts=0.005, host="h2", actor="oa",
                     obj_id="o1")
-        data = to_chrome_trace(tracer)
+        data = to_chrome_trace(snapshot_document(tracer))
         events = data["traceEvents"]
         spans = [e for e in events if e.get("ph") == "X"]
         instants = [e for e in events if e.get("ph") == "i"]
@@ -212,14 +214,14 @@ class TestChromeExport:
                     src="a", dst="b")
         tracer.emit(ev.MIGRATE_STEP, ts=0.0, obj_id="o1", step="quiesced")
         tracer.count("proc.spawned", 3)
-        text = render_summary(tracer)
+        text = render_summary(snapshot_document(tracer))
         assert "ECHO" in text
         assert "Migrations" in text
         assert "quiesced" in text
         assert "proc.spawned" in text
 
     def test_summary_empty_tracer(self):
-        assert "no events" in render_summary(Tracer())
+        assert "no events" in render_summary(snapshot_document(Tracer()))
 
 
 class TestRuntimeIntegration:

@@ -33,16 +33,16 @@ REPRO_ALL = [
 KERNEL_ALL = ["ProcessState", "RngStreams", "VirtualKernel"]
 
 OBS_ALL = [
-    "CriticalPath", "DEFAULT_RULES", "FlightRecorder",
+    "DEFAULT_RULES", "FlightRecorder",
     "Histogram", "HostSeries", "Metrics", "MetricsDelta", "NULL_TRACER",
     "NullTracer", "OpenSpan", "SLORule", "SLOWatcher", "TopFrame",
-    "TraceContext", "TraceEvent", "Tracer", "critical_path",
+    "TraceContext", "TraceEvent", "Tracer",
     "current_context", "current_tracer", "events", "frames_from_trace",
     "load_bundle", "merge_snapshots", "parse_rule",
     "render_critical_path", "render_incident", "render_prom",
     "render_span_tree", "render_summary", "render_top", "render_top_frame",
-    "set_tracer", "snapshot_delta", "spans_document", "to_chrome_trace",
-    "tracing", "write_chrome_trace",
+    "set_tracer", "snapshot_delta", "snapshot_document", "spans_document",
+    "to_chrome_trace", "tracing", "write_chrome_trace",
 ]
 
 ANALYSIS_ALL = [

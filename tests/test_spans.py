@@ -6,13 +6,13 @@ import pytest
 from repro.obs import (
     NULL_TRACER,
     Tracer,
-    critical_path,
     current_context,
     events as ev,
     frames_from_trace,
     render_critical_path,
     render_span_tree,
     render_top,
+    snapshot_document,
     spans_document,
     tracing,
 )
@@ -105,6 +105,11 @@ def matmul_tracer():
     return tracer
 
 
+@pytest.fixture(scope="module")
+def matmul_doc(matmul_tracer):
+    return snapshot_document(matmul_tracer)
+
+
 class TestReplyAncestry:
     def test_every_cross_host_reply_descends_from_its_request(
         self, matmul_tracer
@@ -181,38 +186,38 @@ class TestReplyAncestry:
 
 
 class TestCriticalPath:
-    def test_segments_tile_the_makespan(self, matmul_tracer):
-        cp = critical_path(matmul_tracer)
+    def test_segments_tile_the_makespan(self, matmul_doc):
+        cp = matmul_doc["critical_path"]
         assert cp is not None
-        total = sum(seg.dur for seg in cp.segments)
-        assert total == pytest.approx(cp.makespan, rel=0.01)
+        segments = cp["segments"]
+        total = sum(seg["dur"] for seg in segments)
+        assert total == pytest.approx(cp["makespan"], rel=0.01)
         # Segments are contiguous and ordered.
-        for a, b in zip(cp.segments, cp.segments[1:]):
-            assert b.start == pytest.approx(a.end, abs=1e-9)
-        assert cp.segments[0].start == pytest.approx(cp.trace_start)
-        assert cp.segments[-1].end == pytest.approx(cp.trace_end)
+        for a, b in zip(segments, segments[1:]):
+            assert b["start"] == pytest.approx(a["end"], abs=1e-9)
+        assert segments[0]["start"] == pytest.approx(cp["trace_start"])
+        assert segments[-1]["end"] == pytest.approx(cp["trace_end"])
 
-    def test_totals_cover_expected_categories(self, matmul_tracer):
-        cp = critical_path(matmul_tracer)
-        totals = cp.totals()
-        assert sum(totals.values()) == pytest.approx(cp.makespan,
+    def test_totals_cover_expected_categories(self, matmul_doc):
+        cp = matmul_doc["critical_path"]
+        totals = cp["totals"]
+        assert sum(totals.values()) == pytest.approx(cp["makespan"],
                                                      rel=0.01)
         # A distributed matmul is network- and compute-bound.
         assert totals.get("network", 0.0) > 0.0
         assert totals.get("compute", 0.0) > 0.0
 
-    def test_renderers_produce_text(self, matmul_tracer):
-        cp = critical_path(matmul_tracer)
-        text = render_critical_path(cp)
+    def test_renderers_produce_text(self, matmul_doc):
+        text = render_critical_path(matmul_doc)
         assert "Critical path" in text
         assert "makespan" in text
-        tree = render_span_tree(matmul_tracer)
+        tree = render_span_tree(matmul_doc)
         assert "app" in tree and "rpc.request" in tree
 
-    def test_spans_document_shape(self, matmul_tracer):
+    def test_spans_document_shape(self, matmul_doc):
         import json
 
-        doc = spans_document(matmul_tracer, with_critical_path=True)
+        doc = spans_document(matmul_doc, with_critical_path=True)
         json.dumps(doc)  # JSON-serializable all the way down
         assert doc["span_count"] == len(doc["spans"])
         assert doc["trace_id"]
@@ -225,8 +230,8 @@ class TestCriticalPath:
 
 
 class TestTopFrames:
-    def test_frames_reconstruct_per_host_activity(self, matmul_tracer):
-        frames = frames_from_trace(matmul_tracer, max_frames=6)
+    def test_frames_reconstruct_per_host_activity(self, matmul_doc):
+        frames = frames_from_trace(matmul_doc, max_frames=6)
         assert frames
         hosts = {row.host for f in frames for row in f.rows}
         assert {"milena"} <= hosts

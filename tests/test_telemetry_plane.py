@@ -18,9 +18,9 @@ from repro.obs import (
     merge_snapshots,
     render_incident,
     render_prom,
+    snapshot_document,
     tracing,
 )
-from repro.obs.timeseries import metrics_document
 
 
 def as_json(snapshot):
@@ -70,7 +70,7 @@ class TestOneStore:
         tracer = Tracer()
         tracer.count("x")
         tracer.count("y", host="a")
-        doc = metrics_document(tracer)
+        doc = snapshot_document(tracer)["metrics"]
         assert doc["merged"]["counters"] == {"x": 1.0, "y": 1.0}
         assert sorted(doc["hosts"]) == ["", "a"]
         text = render_prom(doc["merged"])
@@ -78,7 +78,7 @@ class TestOneStore:
         assert "repro_y_total 1" in text
 
     def test_untraced_document_is_empty(self):
-        assert metrics_document(NULL_TRACER) == {
+        assert snapshot_document(NULL_TRACER)["metrics"] == {
             "merged": {"counters": {}, "histograms": {}}, "hosts": {}}
 
 
@@ -99,7 +99,7 @@ class TestHeartbeatPiggyback:
         for host, s in series.items():
             samples = tracer.host_metrics[host].snapshot()["counters"]
             assert s.total_windows == samples["nas.samples"] > 0
-        merged = runtime.metrics_document()["merged"]
+        merged = snapshot_document(tracer)["metrics"]["merged"]
         assert any(name.startswith("rpc.latency:")
                    for name in merged["histograms"])
 
@@ -112,7 +112,7 @@ class TestHeartbeatPiggyback:
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),
         )
         tracer, runtime = run_traced_matmul(config, after=0.2)
-        doc = runtime.metrics_document()
+        doc = snapshot_document(tracer)["metrics"]
         assert as_json(tracer.metrics.snapshot()) == doc["merged"]
         assert sorted(doc["hosts"]) == sorted(tracer.host_metrics)
         for host, s in runtime.nas.slo.series.items():
@@ -148,7 +148,7 @@ class TestPromExposition:
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),
         )
         tracer, runtime = run_traced_matmul(config)
-        doc = runtime.metrics_document()
+        doc = snapshot_document(tracer)["metrics"]
         assert as_json(tracer.metrics.snapshot()) == doc["merged"]
         # Hand-merge the per-host snapshots the document is built from.
         by_hand = merge_snapshots(
