@@ -20,6 +20,10 @@ lock      holder-side queueing (``lock.wait``)
 queue     ``obj.wait`` handle waits and uncovered gaps
 runtime   everything else (handler bodies, protocol steps, ...)
 ========  =====================================================
+
+:func:`critical_path` runs over a tracer's ring when
+:func:`repro.obs.flight.snapshot_document` is built and returns the
+dict the document carries; the renderers below read the document.
 """
 
 from __future__ import annotations

@@ -96,16 +96,6 @@ def test_bundle_is_the_document_under_a_header(killed_run):
         assert every_view(bundle)
 
 
-def test_bundle_views_read_the_file_like_the_capture(killed_run, tmp_path):
-    """A bundle on disk renders in every view as it did in memory."""
-    tracer, runtime = killed_run
-    recorder = FlightRecorder(tracer, incident_dir=str(tmp_path))
-    bundle = recorder.record("manual", ts=1.0)
-    with open(bundle["path"], encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    assert every_view(loaded) == every_view(bundle)
-
-
 def test_untraced_document_is_empty():
     doc = snapshot_document(Tracer())
     assert doc["ring_len"] == 0 and doc["events"] == []
