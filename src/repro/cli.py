@@ -407,7 +407,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.agents.shell import ShellConfig
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.errors import JSError
-    from repro.obs import Tracer, snapshot_document, tracing
+    from repro.obs import Tracer, tracing
 
     if args.target != "matmul":
         print(f"no such chaos target {args.target!r}; only the 'matmul' "
@@ -452,8 +452,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             result = _run_matmul(runtime, args, args.real)
         except JSError as exc:
             failure = exc
-        counters = snapshot_document(
-            tracer, tail=0)["metrics"]["merged"]["counters"]
+        counters = tracer.metrics.snapshot()["counters"]
         tally = ", ".join(
             f"{fault}={count}"
             for fault, count in sorted(injector.injected.items())

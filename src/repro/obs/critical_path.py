@@ -231,7 +231,7 @@ def _trace_spans(doc: dict) -> tuple[str, list[dict]]:
 
 def render_span_tree(doc: dict, max_lines: int = 120) -> str:
     """An indented listing of the span tree of a snapshot document's
-    critical-path trace."""
+    critical-path trace (in a bundle, of its spans in the ring's tail)."""
     trace_id, spans = _trace_spans(doc)
     if not spans:
         return "(no spans recorded)"
@@ -268,8 +268,13 @@ def render_span_tree(doc: dict, max_lines: int = 120) -> str:
 
 
 def spans_document(doc: dict, with_critical_path: bool = True) -> dict:
-    """The ``repro spans --json`` view of a snapshot document: the main
-    trace's spans plus its critical path.
+    """The ``repro spans --json`` view of a snapshot document: the spans
+    of the trace its critical path follows (the main trace live; the
+    trigger event's trace in an incident bundle) plus that path.
+
+    ``spans``, ``span_count`` and ``trace_count`` come from the
+    document's ``events``, which in a bundle are only the ring's tail;
+    ``makespan`` and ``critical_path`` cover the whole ring.
 
     Schema (checked by the CI smoke step): ``trace_id`` (str),
     ``makespan`` (number), ``span_count`` (int), ``spans`` (list of

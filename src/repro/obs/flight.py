@@ -70,23 +70,21 @@ def _metrics_doc(registry) -> dict:
 
 def snapshot_document(tracer, *, tail: int | None = None, nas=None,
                       slo_alerts: list | None = None,
-                      ts: float | None = None,
                       trace_id: str | None = None) -> dict:
     """The tracer's state as one JSON-safe document (schema in the
     module docstring; empty under a non-recording tracer).
 
     ``tail`` keeps only the ring's last N events (``ring_len`` still
-    counts them all).  ``ts`` is the simulated time open spans' ages are
-    measured to (default: the last event's).  ``trace_id`` names the
-    trace whose critical path the document carries; by default, or when
-    that trace has no spans, it is the main trace.  The critical path is
-    taken over the whole ring, not the tail.
+    counts them all).  Open spans' ages are measured to the last event
+    in the ring.  ``trace_id`` names the trace whose critical path the
+    document carries; by default, or when that trace has no spans, it is
+    the main trace.  The critical path is taken over the whole ring, not
+    the tail.
     """
     if not tracer.enabled:
         tracer = Tracer()
     ring = list(tracer.events)
-    if ts is None:
-        ts = ring[-1].ts if ring else 0.0
+    ts = ring[-1].ts if ring else 0.0
     hosts = tracer.host_metrics
     return {
         "ring_len": len(ring),
@@ -196,7 +194,7 @@ class FlightRecorder:
             bundle.update(snapshot_document(
                 self.tracer, tail=self.RING_TAIL,
                 nas=self._provided(self.nas_provider),
-                slo_alerts=self._provided(self.slo_provider), ts=ts,
+                slo_alerts=self._provided(self.slo_provider),
                 trace_id=(event.ctx.trace_id
                           if event is not None and event.ctx is not None
                           else None)))
