@@ -11,6 +11,7 @@ liveness from each host's ``host.failed`` / ``host.restarted`` marks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.obs import events as ev
@@ -101,22 +102,36 @@ def frames_from_trace(doc: dict, period: float | None = None,
     period = makespan / n_frames
 
     hosts = sorted({e["host"] for e in events if e["host"]})
+    stamps = [e["ts"] for e in events]
     spans = [e for e in events if e["dur"] is not None and e["host"]]
-    computes = [e for e in spans if e["etype"] == ev.COMPUTE]
-    requests = [e for e in events if e["etype"] == ev.RPC_REQUEST]
-    samples: dict[str, list[dict]] = {}
+    # Per host, in time order: request send and arrival times, compute
+    # spans, NAS samples, adoption times and (ts, up) failure/restart marks.
+    tx, rx, computes, samples, adopted, marks = (
+        {host: [] for host in hosts} for _ in range(6))
     for e in events:
-        if e["etype"] == ev.NAS_SAMPLE and e["host"]:
-            samples.setdefault(e["host"], []).append(e)
-    # (ts, host, up) for every failure and restart, in time order
-    marks = [(e["ts"], e["host"], e["etype"] == ev.HOST_RESTARTED)
-             for e in events
-             if e["etype"] in (ev.HOST_FAILED, ev.HOST_RESTARTED)]
-    adoptions = [
-        e for e in events
-        if e["etype"] == ev.MIGRATE_STEP
-        and e["fields"].get("step") == "adopted"
-    ]
+        etype, host = e["etype"], e["host"]
+        if etype == ev.RPC_REQUEST:
+            if host:
+                tx[host].append(e["ts"])
+            dst = _host_of_addr(str(e["fields"].get("dst", "")))
+            if dst in rx:
+                rx[dst].append(e["ts"] + (e["dur"] or 0.0))
+        elif not host:
+            continue
+        elif etype == ev.COMPUTE and e["dur"] is not None:
+            computes[host].append(e)
+        elif etype == ev.NAS_SAMPLE:
+            samples[host].append(e)
+        elif (etype == ev.MIGRATE_STEP
+              and e["fields"].get("step") == "adopted"):
+            adopted[host].append(e["ts"])
+        elif etype in (ev.HOST_FAILED, ev.HOST_RESTARTED):
+            marks[host].append((e["ts"], etype == ev.HOST_RESTARTED))
+    for arrivals in rx.values():
+        arrivals.sort()
+
+    def window(times: list[float], lo: float, t: float) -> int:
+        return bisect_right(times, t) - bisect_right(times, lo)
 
     frames: list[TopFrame] = []
     for k in range(1, n_frames + 1):
@@ -124,26 +139,22 @@ def frames_from_trace(doc: dict, period: float | None = None,
         lo = t - period
         live = [s for s in spans if s["ts"] <= t < s["ts"] + s["dur"]]
         frame = TopFrame(t=t, window=period, open_spans=len(live),
-                         events=sum(1 for e in events if e["ts"] <= t))
+                         events=bisect_right(stamps, t))
+        live_on: dict[str, list[dict]] = {}
+        for s in live:
+            live_on.setdefault(s["host"], []).append(s)
         for host in hosts:
-            ups = [up for ts, h, up in marks if h == host and ts <= t]
+            ups = [up for ts, up in marks[host] if ts <= t]
             row = HostRow(host=host, alive=ups[-1] if ups else True)
-            row.rpc_tx = sum(1 for r in requests
-                             if r["host"] == host and lo < r["ts"] <= t)
-            row.rpc_rx = sum(
-                1 for r in requests
-                if _host_of_addr(str(r["fields"].get("dst", ""))) == host
-                and lo < r["ts"] + (r["dur"] or 0.0) <= t
-            )
+            row.rpc_tx = window(tx[host], lo, t)
+            row.rpc_rx = window(rx[host], lo, t)
             busy = 0.0
-            for c in computes:
-                if c["host"] != host:
-                    continue
+            for c in computes[host]:
                 busy += max(0.0, min(t, c["ts"] + c["dur"])
                             - max(lo, c["ts"]))
             row.cpu_busy = min(1.0, busy / period)
             latest = None
-            for s in samples.get(host, ()):
+            for s in samples[host]:
                 if s["ts"] <= t:
                     latest = s
                 else:
@@ -151,10 +162,8 @@ def frames_from_trace(doc: dict, period: float | None = None,
             if latest is not None:
                 row.idle = latest["fields"].get("idle")
                 row.mem_mb = latest["fields"].get("js_mem_mb")
-            row.migrations = sum(
-                1 for a in adoptions if a["host"] == host and a["ts"] <= t
-            )
-            mine = [s for s in live if s["host"] == host]
+            row.migrations = bisect_right(adopted[host], t)
+            mine = live_on.get(host, [])
             row.inflight = len(mine)
             if mine:
                 oldest = min(mine, key=lambda s: s["ts"])
