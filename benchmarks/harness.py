@@ -96,14 +96,13 @@ def fig5_series(
     profile: str, n: int, node_counts=None, seed: int = 1
 ) -> list[Fig5Point]:
     node_counts = node_counts or FIG5_NODE_COUNTS
-    baseline = fig5_point(profile, n, 1, seed).elapsed
-    series = []
-    for nodes in node_counts:
-        series.append(
-            fig5_point(profile, n, nodes, seed,
-                       sequential_baseline=baseline)
-        )
-    return series
+    sequential = fig5_point(profile, n, 1, seed)
+    return [
+        sequential if nodes == 1 else
+        fig5_point(profile, n, nodes, seed,
+                   sequential_baseline=sequential.elapsed)
+        for nodes in node_counts
+    ]
 
 
 def print_fig5_table(n: int, night: list[Fig5Point],
@@ -157,10 +156,10 @@ def _telemetry_run(traced: bool, n: int, nodes: int, seed: int,
         }
         if traced:
             tracer = runtime.world.tracer
-            series = runtime.nas.slo.series
-            doc["slo_windows"] = sum(s.total_windows
-                                     for s in series.values())
-            doc["hosts_reporting"] = len(series)
+            taken = runtime.nas.slo.taken
+            doc["slo_windows"] = sum(taken.values())
+            doc["nas_samples"] = tracer.metrics.counter("nas.samples")
+            doc["hosts_reporting"] = len(taken)
             doc["histogram_families"] = sorted(
                 tracer.metrics.snapshot()["histograms"])
         return doc

@@ -75,9 +75,9 @@ class NetworkAgentSystem:
         }
         self.agents: dict[str, NetworkAgent] = {}
         self.events: list[NASEvent] = []
-        # Every agent hands its host's metrics window to this watcher at
-        # its own monitor tick, under a recording tracer only (agents
-        # take no windows under a NullTracer).
+        # Every agent has this watcher close its host's metrics window at
+        # its own monitor tick, under a recording tracer only; the
+        # windows are the watcher's, so they outlive a restarted agent.
         self.slo = SLOWatcher(DEFAULT_RULES)
         #: extension hook (off-path per paper): called on every failure
         self.failure_listeners: list[Callable[[str], None]] = []

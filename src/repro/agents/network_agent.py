@@ -12,13 +12,12 @@ Every node runs exactly one network agent (NA).  Each NA:
   the paper's fault-tolerance protocol (release / backup takeover),
   executed by :class:`repro.agents.nas.NetworkAgentSystem`.
 
-Under a recording tracer each monitor tick also closes this host's
-metrics window — a :class:`~repro.obs.timeseries.MetricsDelta`, the
-growth of the host's registry since its previous tick — and hands it
-straight to the NAS-owned :class:`~repro.obs.slo.SLOWatcher`.  The
-window never goes on the wire: heartbeats carry the sample only, so a
-traced run sends the same bytes, at the same simulated times, as an
-untraced one.
+Under a recording tracer each monitor tick also tells the NAS-owned
+:class:`~repro.obs.slo.SLOWatcher` to close this host's metrics window;
+the window and its state are the watcher's, so they outlive the agent
+across a crash-restart.  The window never goes on the wire: heartbeats
+carry the sample only, so a traced run sends the same bytes, at the
+same simulated times, as an untraced one.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from typing import TYPE_CHECKING
 from repro.agents import messages as M
 from repro.errors import NodeFailedError, RPCTimeoutError, TransportError
 from repro.obs import events as ev
-from repro.obs.metrics import snapshot_delta
-from repro.obs.timeseries import MetricsDelta
 from repro.sysmon import SampleHistory, WeightedSnapshot, average_snapshots
 from repro.sysmon.sampler import sample_all
 from repro.transport import Addr
@@ -55,10 +52,6 @@ class NetworkAgent:
         #: child aggregates while site/domain manager: name -> weighted
         self.cluster_aggregates: dict[str, WeightedSnapshot] = {}
         self.site_aggregates: dict[str, WeightedSnapshot] = {}
-        # Per-host registry view at the previous tick; the next window
-        # is the growth since (exact counter/bucket diffs).
-        self._tick_metrics: dict | None = None
-        self._window_start = self.world.now()
         self._register_handlers()
         self._procs = []
 
@@ -141,9 +134,8 @@ class NetworkAgent:
             manager = self.nas.cluster_manager_of(self.host)
             if manager is None:
                 return
-            delta = self._collect_delta(self.world.now())
-            if delta is not None:
-                self.nas.slo.observe(delta, tracer)
+            if tracer.enabled:
+                self.nas.slo.tick(self.host, self.world.now(), tracer)
             if manager == self.host:
                 self.member_samples[self.host] = WeightedSnapshot(snapshot, 1)
                 self._aggregate_and_forward()
@@ -157,25 +149,6 @@ class NetworkAgent:
         finally:
             if span is not None:
                 tracer.end_span(span, ts=self.world.now())
-
-    def _collect_delta(self, now: float) -> MetricsDelta | None:
-        """This host's metrics growth since its previous tick, as one
-        SLO window; None under a non-recording tracer.  Empty windows
-        still count — regular windows per host keep rates and SLO
-        evaluation well-defined."""
-        tracer = self.world.tracer
-        if not tracer.enabled:
-            return None
-        registry = tracer.host_metrics.get(self.host)
-        snap = registry.snapshot() if registry is not None else \
-            {"counters": {}, "histograms": {}}
-        grown = snapshot_delta(snap, self._tick_metrics)
-        self._tick_metrics = snap
-        delta = MetricsDelta(host=self.host, t_start=self._window_start,
-                             t_end=now, counters=grown["counters"],
-                             histograms=grown["histograms"])
-        self._window_start = now
-        return delta
 
     def _aggregate_and_forward(self) -> None:
         """Run the manager side of the aggregation cascade."""

@@ -72,7 +72,6 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     series: dict[str, dict[int, float]] = {}
     for profile in ("night", "day"):
         series[profile] = {}
-        baseline = None
         for nodes in args.nodes:
             runtime = vienna_testbed(
                 TestbedConfig(load_profile=profile, seed=args.seed)
@@ -88,8 +87,6 @@ def cmd_fig5(args: argparse.Namespace) -> int:
                                      real_compute=False)
                     )
                 ).elapsed
-            if baseline is None:
-                baseline = elapsed
             series[profile][nodes] = elapsed
     for nodes in args.nodes:
         night = series["night"][nodes]
@@ -308,6 +305,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     tracer, _ = _run_traced(args)
     if tracer is None:
         return 2
+    if not args.json and args.no_summary:
+        return 0
     doc = snapshot_document(tracer)
     if args.json:
         write_chrome_trace(doc, args.json)

@@ -38,16 +38,10 @@ from repro.obs.flight import (
     render_incident,
     snapshot_document,
 )
-from repro.obs.metrics import (
-    Histogram,
-    Metrics,
-    merge_snapshots,
-    snapshot_delta,
-)
+from repro.obs.metrics import Histogram, Metrics, merge_snapshots
 from repro.obs.prom import render_prom
 from repro.obs.slo import DEFAULT_RULES, SLORule, SLOWatcher, parse_rule
 from repro.obs.spans import OpenSpan, TraceContext, current_context
-from repro.obs.timeseries import HostSeries, MetricsDelta
 from repro.obs.top import (
     TopFrame,
     frames_from_trace,
@@ -78,9 +72,6 @@ __all__ = [
     "Metrics",
     "Histogram",
     "merge_snapshots",
-    "snapshot_delta",
-    "MetricsDelta",
-    "HostSeries",
     "SLORule",
     "SLOWatcher",
     "DEFAULT_RULES",

@@ -13,7 +13,8 @@ different hosts can be recombined — :meth:`Histogram.merge` and
 :meth:`Metrics.merge_snapshot` make cross-host p50/p95/p99 a matter of
 adding bucket counts instead of being impossible.  Snapshots are plain
 dicts of numbers, picklable and JSON-safe (bucket keys are ints; convert
-to str for JSON).
+to str for JSON).  A host's SLO windows are diffs of successive
+snapshots of its registry, taken by :class:`repro.obs.slo.SLOWatcher`.
 """
 
 from __future__ import annotations
@@ -226,60 +227,3 @@ def merge_snapshots(snaps) -> dict:
         merged.merge_snapshot(snap)
     return merged.snapshot()
 
-
-def _histogram_delta(new: dict, old: dict | None) -> dict | None:
-    """Growth of one histogram between two snapshots of the same
-    registry, or None if nothing was observed in between.
-
-    count/sum/buckets are exact differences.  min/max are the cumulative
-    extremes bounded by the window's own buckets: max by the upper edge
-    of its highest bucket, min by the lower edge of its lowest (the floor
-    bucket, values <= 0, gives no lower bound).  The window that first
-    reaches an extreme keeps it exactly, so merging a full delta
-    sequence reproduces the cumulative histogram."""
-    if not new.get("count"):
-        return None
-    if old is None:
-        delta = dict(new)
-        delta["buckets"] = dict(new.get("buckets", {}))
-        return delta
-    d_count = int(new["count"]) - int(old.get("count", 0))
-    if d_count <= 0:
-        return None
-    old_buckets = old.get("buckets", {})
-    buckets = {}
-    for idx, n in new.get("buckets", {}).items():
-        grown = int(n) - int(old_buckets.get(idx, 0))
-        if grown > 0:
-            buckets[idx] = grown
-    top, bottom = max(buckets), min(buckets)
-    low = new["min"]
-    if bottom > _FLOOR:
-        low = max(low, math.ldexp(1.0, bottom - 1))
-    return {
-        "count": d_count,
-        "sum": float(new["sum"]) - float(old.get("sum", 0.0)),
-        "min": low,
-        "max": min(new["max"], math.ldexp(1.0, top)),
-        "buckets": buckets,
-    }
-
-
-def snapshot_delta(new: dict, old: dict | None) -> dict:
-    """The growth between two :meth:`Metrics.snapshot` views of the same
-    registry: ``{'counters': {...}, 'histograms': {...}}`` with only the
-    entries that changed.  This is one host's SLO window per monitor
-    tick (see :mod:`repro.obs.timeseries`)."""
-    old_counters = (old or {}).get("counters", {})
-    old_hists = (old or {}).get("histograms", {})
-    counters = {}
-    for name, value in new.get("counters", {}).items():
-        grown = value - old_counters.get(name, 0.0)
-        if grown:
-            counters[name] = grown
-    histograms = {}
-    for name, hist in new.get("histograms", {}).items():
-        delta = _histogram_delta(hist, old_hists.get(name))
-        if delta is not None:
-            histograms[name] = delta
-    return {"counters": counters, "histograms": histograms}

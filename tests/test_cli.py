@@ -93,6 +93,19 @@ class TestTraceCommand:
         assert main(["trace", str(script), "--no-summary"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_trace_no_summary_builds_no_document(self, capsys,
+                                                 monkeypatch):
+        """With nothing to render, the snapshot document is not built."""
+        import repro.obs
+
+        def refuse(tracer):
+            raise AssertionError("snapshot_document built for no view")
+
+        monkeypatch.setattr(repro.obs, "snapshot_document", refuse)
+        assert main(["trace", "matmul", "--n", "32", "--nodes", "3",
+                     "--profile", "dedicated", "--no-summary"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_trace_unknown_target_exits_2(self, capsys):
         assert main(["trace", "no/such/script.py"]) == 2
         assert "no such trace target" in capsys.readouterr().err

@@ -476,7 +476,7 @@ class TestHistogramMergeProperties:
 
 class TestSnapshotDelta:
     def test_delta_ships_only_growth(self):
-        from repro.obs import snapshot_delta
+        from repro.obs.slo import _snapshot_delta as snapshot_delta
 
         m = Metrics()
         m.count("a", 2)
@@ -498,7 +498,7 @@ class TestSnapshotDelta:
     def test_delta_sequence_reconstructs_cumulative(self):
         import math
 
-        from repro.obs import snapshot_delta
+        from repro.obs.slo import _snapshot_delta as snapshot_delta
 
         m = Metrics()
         deltas, last = [], None

@@ -34,14 +34,14 @@ KERNEL_ALL = ["ProcessState", "RngStreams", "VirtualKernel"]
 
 OBS_ALL = [
     "DEFAULT_RULES", "FlightRecorder",
-    "Histogram", "HostSeries", "Metrics", "MetricsDelta", "NULL_TRACER",
+    "Histogram", "Metrics", "NULL_TRACER",
     "NullTracer", "OpenSpan", "SLORule", "SLOWatcher", "TopFrame",
     "TraceContext", "TraceEvent", "Tracer",
     "current_context", "current_tracer", "events", "frames_from_trace",
     "load_bundle", "merge_snapshots", "parse_rule",
     "render_critical_path", "render_incident", "render_prom",
     "render_span_tree", "render_summary", "render_top", "render_top_frame",
-    "set_tracer", "snapshot_delta", "snapshot_document", "spans_document",
+    "set_tracer", "snapshot_document", "spans_document",
     "to_chrome_trace", "tracing", "write_chrome_trace",
 ]
 
@@ -83,9 +83,6 @@ PUBLIC_METHODS = {
         "add_node", "disable_auto_migration", "enable_auto_migration",
         "failure_events", "nodes", "remove_node", "set_failure_timeout",
         "set_monitor_period", "set_probe_period",
-    ],
-    "repro.obs.timeseries.HostSeries": [
-        "add", "counter_sum", "histogram", "rate", "span",
     ],
     "repro.obs.tracer.Tracer": [
         "begin_span", "count", "emit", "emit_span", "end_span",
@@ -164,7 +161,6 @@ CONSTRUCTOR_PARAMS = {
         "incident_dir",
     ],
     "repro.obs.slo.SLOWatcher": ["rules"],
-    "repro.obs.timeseries.HostSeries": ["host"],
     "repro.obs.tracer.Tracer": ["max_events"],
     "repro.rmi.reliability.CircuitBreaker": [],
     "repro.rmi.reliability.ReplayCache": ["kernel", "config"],

@@ -94,11 +94,11 @@ class TestHeartbeatPiggyback:
             nas=NASConfig(monitor_period=0.02, probe_period=5.0),
         )
         tracer, runtime = run_traced_matmul(config)
-        series = runtime.nas.slo.series
-        assert set(series) == set(runtime.nas.known_hosts())
-        for host, s in series.items():
+        taken = runtime.nas.slo.taken
+        assert set(taken) == set(runtime.nas.known_hosts())
+        for host, count in taken.items():
             samples = tracer.host_metrics[host].snapshot()["counters"]
-            assert s.total_windows == samples["nas.samples"] > 0
+            assert count == samples["nas.samples"] > 0
         merged = snapshot_document(tracer)["metrics"]["merged"]
         assert any(name.startswith("rpc.latency:")
                    for name in merged["histograms"])
@@ -115,14 +115,16 @@ class TestHeartbeatPiggyback:
         doc = snapshot_document(tracer)["metrics"]
         assert as_json(tracer.metrics.snapshot()) == doc["merged"]
         assert sorted(doc["hosts"]) == sorted(tracer.host_metrics)
-        for host, s in runtime.nas.slo.series.items():
+        for host, windows in runtime.nas.slo.windows.items():
             live = tracer.host_metrics[host].snapshot()
             assert doc["hosts"][host]["counters"] == live["counters"]
             for name in live["counters"]:
-                assert s.counter_sum(name) <= live["counters"][name] + 1e-9
+                kept = sum(w["counters"].get(name, 0.0) for w in windows)
+                assert kept <= live["counters"][name] + 1e-9
             for name, hist in live["histograms"].items():
-                windowed = s.histogram(name)
-                assert windowed is None or windowed.count <= hist["count"]
+                kept = sum(w["histograms"][name]["count"] for w in windows
+                           if name in w["histograms"])
+                assert kept <= hist["count"]
 
     def test_telemetry_off_ships_nothing(self):
         """Untraced, agents take no windows: the watcher holds no series
@@ -134,8 +136,50 @@ class TestHeartbeatPiggyback:
         assert not runtime.world.tracer.enabled
         runtime.run_app(lambda: run_matmul(
             MatmulConfig(n=64, nr_nodes=4, real_compute=False)))
-        assert runtime.nas.slo.series == {}
+        assert runtime.nas.slo.windows == {}
         assert runtime.nas.slo.alerts == []
+
+
+class TestRestartWindow:
+    def test_windows_tile_a_restarted_hosts_timeline(self):
+        """A crash-restart neither re-counts the host's registry nor
+        leaves a gap: the restarted host's next window starts where its
+        last pre-crash window ended, so its windows tile its timeline
+        from time 0 and each counter summed over them is its registry."""
+        config = TestbedConfig(
+            load_profile="dedicated", seed=5,
+            nas=NASConfig(monitor_period=0.05, probe_period=0.2,
+                          failure_timeout=0.1),
+        )
+        config.shell.rpc_timeout = 2.0
+        tracer, runtime = run_traced_matmul(config, n=96, nodes=6)
+        world = runtime.world
+        killed_at = world.now() + 0.1
+        world.schedule_failure("bruno", killed_at)
+        world.kernel.call_at(killed_at + 1.0, world.restart_host, "bruno")
+        world.kernel.run(until=killed_at + 1.2)
+        assert "bruno" in runtime.nas.agents
+        watcher = runtime.nas.slo
+        # Close the tail since bruno's last tick, so the windows cover
+        # everything its registry holds.
+        watcher.tick("bruno", world.now(), tracer)
+
+        windows = list(watcher.windows["bruno"])
+        assert len(windows) == watcher.taken["bruno"]
+        assert windows[0]["t_start"] == 0.0
+        for before, after in zip(windows, windows[1:]):
+            assert after["t_start"] == before["t_end"]
+        # One window spans the outage.
+        assert any(w["t_start"] < killed_at and w["t_end"] > killed_at + 1.0
+                   for w in windows)
+        registry = tracer.host_metrics["bruno"].snapshot()
+        assert registry["counters"]["nas.samples"] == 11
+        for name, value in registry["counters"].items():
+            assert sum(w["counters"].get(name, 0.0)
+                       for w in windows) == value, name
+        for name, hist in registry["histograms"].items():
+            assert sum(w["histograms"][name]["count"] for w in windows
+                       if name in w["histograms"]) == hist["count"], name
 
 
 class TestPromExposition:
