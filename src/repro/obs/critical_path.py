@@ -21,17 +21,27 @@ queue     ``obj.wait`` handle waits and uncovered gaps
 runtime   everything else (handler bodies, protocol steps, ...)
 ========  =====================================================
 
-:func:`critical_path` runs over a tracer's ring when
+:func:`critical_path` runs over a tracer's raw ring records when
 :func:`repro.obs.flight.snapshot_document` is built and returns the
-dict the document carries; the renderers below read the document.
+dict the document carries; the renderers below read the document.  It
+reads the records in place and builds no
+:class:`~repro.obs.events.TraceEvent`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Collection
 
 from repro.obs import events as ev
-from repro.obs.events import TraceEvent
+from repro.obs.events import (
+    DUR,
+    ETYPE,
+    HOST,
+    SPAN_ID,
+    TRACE_ID,
+    TS,
+    record_fields,
+)
 
 _EPS = 1e-12
 
@@ -71,70 +81,82 @@ def _segment(start: float, end: float, category: str, etype: str,
     }
 
 
-def main_trace_id(by_trace: dict[str, list[TraceEvent]]) -> str | None:
-    """The most interesting trace: an application-rooted one if any
-    exists (``app`` span), otherwise the one with the largest makespan."""
+def _by_trace(records: Collection[tuple],
+              wanted: Collection[str] | None = None
+              ) -> dict[str, list[tuple]]:
+    """Span records by trace id, each trace's in ring order and the
+    traces in order of their first span; only the traces in ``wanted``
+    when it is given."""
+    if wanted is None:
+        spans = [r for r in records
+                 if r[DUR] is not None and r[TRACE_ID] is not None]
+    else:
+        spans = [r for r in records
+                 if r[TRACE_ID] in wanted and r[DUR] is not None]
+    by_trace: dict[str, list[tuple]] = {}
+    for record in spans:
+        by_trace.setdefault(record[TRACE_ID], []).append(record)
+    return by_trace
 
-    def makespan(spans: Iterable[TraceEvent]) -> float:
-        times = [(s.ts, s.ts + (s.dur or 0.0)) for s in spans]
-        return max(t1 for _, t1 in times) - min(t0 for t0, _ in times)
 
+def _main_trace(records: Collection[tuple]) -> tuple[str, list] | None:
+    """The most interesting trace and its span records: an
+    application-rooted one if any exists (``app`` span), otherwise the
+    one with the largest makespan (the first recorded on a tie)."""
+    app = {r[TRACE_ID] for r in records
+           if r[ETYPE] == ev.APP and r[DUR] is not None}
+    app.discard(None)
+    by_trace = _by_trace(records, app or None)
     if not by_trace:
         return None
-    app_traces = {
-        tid: spans for tid, spans in by_trace.items()
-        if any(s.etype == ev.APP for s in spans)
-    }
-    pool = app_traces or by_trace
-    return max(pool, key=lambda tid: makespan(pool[tid]))
+    trace_id = max(by_trace, key=lambda tid: (
+        max(r[TS] + r[DUR] for r in by_trace[tid])
+        - min(r[TS] for r in by_trace[tid])))
+    return trace_id, by_trace[trace_id]
 
 
-def _covering(spans: list[TraceEvent], start: float, end: float
-              ) -> TraceEvent | None:
-    """The innermost span containing [start, end] (latest-starting)."""
+def _covering(spans: list[tuple], start: float, end: float
+              ) -> tuple | None:
+    """The innermost span record containing [start, end]
+    (latest-starting; the first recorded on a tie)."""
     owner = None
     for span in spans:
-        if span.ts <= start + _EPS and span.ts + (span.dur or 0.0) >= \
-                end - _EPS:
-            if owner is None or span.ts > owner.ts:
+        if span[TS] <= start + _EPS and span[TS] + span[DUR] >= end - _EPS:
+            if owner is None or span[TS] > owner[TS]:
                 owner = span
     return owner
 
 
-def critical_path(events: Iterable[TraceEvent],
+def critical_path(records: Collection[tuple],
                   trace_id: str | None = None) -> dict | None:
-    """The critical path of ``trace_id`` over recorded events, as the
-    JSON-safe dict a snapshot document carries; the main trace when
-    ``trace_id`` is None or has no spans, and None when there are no
-    spans at all."""
-    by_trace: dict[str, list[TraceEvent]] = {}  # span events, by trace
-    for event in events:
-        if event.ctx is not None and event.dur is not None:
-            by_trace.setdefault(event.ctx.trace_id, []).append(event)
-    if trace_id not in by_trace:
-        trace_id = main_trace_id(by_trace)
-    if trace_id is None:
-        return None
-    all_spans = by_trace[trace_id]
-    trace_start = min(s.ts for s in all_spans)
-    trace_end = max(s.ts + (s.dur or 0.0) for s in all_spans)
+    """The critical path of ``trace_id`` over a tracer's ring records,
+    as the JSON-safe dict a snapshot document carries; the main trace
+    when ``trace_id`` is None or has no spans, and None when there are
+    no spans at all.  It reads the records in place: a trace's spans
+    can be most of the ring, and no event is built for them."""
+    all_spans = None if trace_id is None else \
+        _by_trace(records, (trace_id,)).get(trace_id)
+    if not all_spans:
+        main = _main_trace(records)
+        if main is None:
+            return None
+        trace_id, all_spans = main
+    trace_start = min(s[TS] for s in all_spans)
+    trace_end = max(s[TS] + s[DUR] for s in all_spans)
     # Zero-duration spans cannot carry a segment; keep them only as gap
     # owners via ``all_spans``.
-    spans = sorted(
-        (s for s in all_spans if (s.dur or 0.0) > _EPS),
-        key=lambda s: (s.ts + (s.dur or 0.0), s.ts),
-    )
+    spans = sorted((s for s in all_spans if s[DUR] > _EPS),
+                   key=lambda s: (s[TS] + s[DUR], s[TS]))
     segments: list[dict] = []
     frontier = trace_end
     i = len(spans) - 1
     while frontier - trace_start > _EPS and i >= 0:
-        while i >= 0 and spans[i].ts + (spans[i].dur or 0.0) > \
-                frontier + _EPS:
+        while i >= 0 and spans[i][TS] + spans[i][DUR] > frontier + _EPS:
             i -= 1
         if i < 0:
             break
         span = spans[i]
-        span_end = min(span.ts + (span.dur or 0.0), frontier)
+        span_end = min(span[TS] + span[DUR], frontier)
         if frontier - span_end > _EPS:
             owner = _covering(all_spans, span_end, frontier)
             if owner is None:
@@ -142,12 +164,12 @@ def critical_path(events: Iterable[TraceEvent],
                                          "(idle)", detail="gap"))
             else:
                 segments.append(_segment(
-                    span_end, frontier, "queue", owner.etype, owner.host,
-                    owner.ctx.span_id, "gap"))
-        seg_start = max(span.ts, trace_start)
+                    span_end, frontier, "queue", owner[ETYPE], owner[HOST],
+                    owner[SPAN_ID], "gap"))
+        seg_start = max(span[TS], trace_start)
         segments.append(_segment(
-            seg_start, span_end, _category(span.etype), span.etype,
-            span.host, span.ctx.span_id, _detail(span.fields)))
+            seg_start, span_end, _category(span[ETYPE]), span[ETYPE],
+            span[HOST], span[SPAN_ID], _detail(record_fields(span))))
         frontier = seg_start
         i -= 1
     if frontier - trace_start > _EPS:

@@ -86,6 +86,17 @@ a ``minvoke`` group)
 Spans additionally carry a :class:`repro.obs.spans.TraceContext` in
 ``ctx`` (trace_id / span_id / parent_id); instants inherit the emitting
 process's current context so they can be located inside the span tree.
+
+A recording tracer does not keep :class:`TraceEvent` objects: its ring
+holds one flat tuple per event, a *record*::
+
+    (ts, etype, host, actor, dur, trace_id, span_id, parent_id, keys, *values)
+
+``keys`` is the event's field-name tuple (one shared tuple per distinct
+key set), ``values`` its field values in that order, and the three ids
+are ``None`` when the event has no span context.
+:func:`event_from_record` turns a record back into the event it stands
+for, and :func:`event_doc` turns one into a JSON-safe document.
 """
 
 from __future__ import annotations
@@ -151,28 +162,52 @@ class TraceEvent:
         return self.dur is not None
 
 
+#: the value types a JSON document carries as they are
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+#: positions in a ring record; the field values follow ``KEYS``
+TS, ETYPE, HOST, ACTOR, DUR, TRACE_ID, SPAN_ID, PARENT_ID, KEYS = range(9)
+
+
+def record_fields(record: tuple) -> dict:
+    """A ring record's fields as a fresh dict, in recorded order."""
+    return dict(zip(record[KEYS], record[KEYS + 1:]))
+
+
+def event_from_record(record: tuple) -> TraceEvent:
+    """The :class:`TraceEvent` a ring record stands for, built afresh."""
+    ts, etype, host, actor, dur, trace_id, span_id, parent_id = record[:KEYS]
+    return TraceEvent(
+        ts, etype, host, actor, dur, record_fields(record),
+        None if trace_id is None
+        else tuple.__new__(TraceContext, (trace_id, span_id, parent_id)))
+
+
+def _json_safe(items) -> dict:
+    """``(key, value)`` pairs as a dict whose values a JSON document
+    carries: a value that is not a JSON scalar becomes its ``repr``."""
+    return {k: v if isinstance(v, _JSON_SCALARS) else repr(v)
+            for k, v in items}
+
+
 def fields_doc(fields: dict) -> dict:
-    """``fields`` made JSON-safe: a value that is not a JSON scalar
-    becomes its ``repr``."""
-    return {
-        k: v if isinstance(v, (str, int, float, bool, type(None))) else repr(v)
-        for k, v in fields.items()
-    }
+    """``fields`` made JSON-safe (see :func:`_json_safe`)."""
+    return _json_safe(fields.items())
 
 
-def event_doc(event: TraceEvent) -> dict:
-    """One event as a JSON-safe dict, with its span context's ids when it
-    has one (incident bundles, ``repro spans --json``)."""
+def event_doc(record: tuple) -> dict:
+    """One ring record as a JSON-safe dict, with its span context's ids
+    when it has one (incident bundles, ``repro spans --json``)."""
     doc = {
-        "ts": event.ts,
-        "etype": event.etype,
-        "host": event.host,
-        "actor": event.actor,
-        "dur": event.dur,
-        "fields": fields_doc(event.fields),
+        "ts": record[TS],
+        "etype": record[ETYPE],
+        "host": record[HOST],
+        "actor": record[ACTOR],
+        "dur": record[DUR],
+        "fields": _json_safe(zip(record[KEYS], record[KEYS + 1:])),
     }
-    if event.ctx is not None:
-        doc["trace_id"] = event.ctx.trace_id
-        doc["span_id"] = event.ctx.span_id
-        doc["parent_id"] = event.ctx.parent_id
+    if record[TRACE_ID] is not None:
+        doc["trace_id"] = record[TRACE_ID]
+        doc["span_id"] = record[SPAN_ID]
+        doc["parent_id"] = record[PARENT_ID]
     return doc

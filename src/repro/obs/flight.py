@@ -10,7 +10,8 @@ through the same views as a live run.  Its keys, in order:
 ``ring_len``              events in the tracer ring
 ``dropped_events``        events the ring evicted (``max_events``)
 ``events``                the ring (or its last ``tail`` events), as
-                          :func:`~repro.obs.events.event_doc` dicts
+                          :func:`~repro.obs.events.event_doc` dicts,
+                          built from the ring records kept
 ``open_spans``            spans in flight at the snapshot
 ``failed_hosts``          hosts the tracer knows are dead
 ``metrics``               ``merged`` cluster metrics, bucket-level, and
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from itertools import islice
 
 from repro.obs.critical_path import critical_path
 from repro.obs.events import (
@@ -49,6 +51,7 @@ from repro.obs.events import (
     HOST_FAILED,
     RPC_TIMEOUT,
     SLO_ALERT,
+    TS,
     TraceEvent,
     event_doc,
     fields_doc,
@@ -83,14 +86,15 @@ def snapshot_document(tracer, *, tail: int | None = None, nas=None,
     """
     if not tracer.enabled:
         tracer = Tracer()
-    ring = list(tracer.events)
-    ts = ring[-1].ts if ring else 0.0
+    records = tracer.records
+    kept = (records if tail is None
+            else list(islice(reversed(records), tail))[::-1])
+    ts = records[-1][TS] if records else 0.0
     hosts = tracer.host_metrics
     return {
-        "ring_len": len(ring),
+        "ring_len": len(records),
         "dropped_events": tracer.dropped_events,
-        "events": [event_doc(e) for e in (
-            ring if tail is None else ring[max(0, len(ring) - tail):])],
+        "events": [event_doc(record) for record in kept],
         "open_spans": [
             {
                 "span_id": span.ctx.span_id,
@@ -112,7 +116,7 @@ def snapshot_document(tracer, *, tail: int | None = None, nas=None,
         },
         "nas": nas,
         "slo_alerts": slo_alerts or [],
-        "critical_path": critical_path(ring, trace_id),
+        "critical_path": critical_path(records, trace_id),
     }
 
 

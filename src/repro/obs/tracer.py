@@ -11,17 +11,31 @@ expensive part (building a field dict, deriving a span context) behind
 instrumented runtime costs nothing measurable when tracing is off — in
 particular, no :class:`~repro.obs.spans.TraceContext` is ever allocated.
 
-:class:`Tracer` appends :class:`TraceEvent` records to one deque and
-nothing else: ``events_of`` is a scan of it, because the post-run
-views read a snapshot document
-(:func:`repro.obs.flight.snapshot_document`), not the tracer.  Every
-recording call — ``emit``, ``emit_span``, ``end_span``, a host
-failure's force-close — builds its event once, in ``_record``, from the
-field dict it already holds.  With ``max_events`` set the deque
-becomes a ring buffer: the oldest event is evicted on overflow and
-``dropped_events`` counts the loss.  Like the rest of the runtime, a
-tracer is called by one thread at a time (the one holding the kernel's
-baton) and takes no lock.
+:class:`Tracer` appends one flat tuple per event to one deque, the
+*ring*, and nothing else::
+
+    (ts, etype, host, actor, dur, trace_id, span_id, parent_id, keys, *values)
+
+The span context is flattened into its three ids (``None`` for an event
+without one), ``keys`` is the field-name tuple, interned once per
+distinct key set, and ``values`` are the field values in that order.  So
+no :class:`TraceEvent`, :class:`TraceContext` or field dict is kept per
+event, and a record whose values are scalars holds nothing the garbage
+collector tracks once a collection has seen it.  Every recording call —
+``emit``, ``emit_span``, ``end_span``, a host failure's force-close —
+flattens its event once, in ``_record``, from the field dict it already
+holds.  With ``max_events`` set the deque becomes a ring buffer: the
+oldest record is evicted on overflow and ``dropped_events`` counts the
+loss.  Like the rest of the runtime, a tracer is called by one thread at
+a time (the one holding the kernel's baton) and takes no lock.
+
+Two ways read the ring.  ``tracer.events`` is a read-only sequence view
+(``len``, iteration, indexing, ``clear``) that builds a
+:class:`TraceEvent` per record as it is read, and ``events_of`` builds
+them for one event type's records only.  ``tracer.records`` is the raw
+deque: the snapshot document
+(:func:`repro.obs.flight.snapshot_document`), which every post-run view
+reads, builds documents straight from the records it keeps.
 
 Aggregates fold on read: ``count``/``observe`` append one sample to a
 backlog, and ``host_metrics`` and ``metrics`` first fold whatever is
@@ -52,11 +66,17 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs import spans as _spans
-from repro.obs.events import HOST_FAILED, HOST_RESTARTED, TraceEvent
+from repro.obs.events import (
+    HOST_FAILED,
+    HOST_RESTARTED,
+    TraceEvent,
+    event_from_record,
+)
 from repro.obs.metrics import Metrics, fold
 from repro.obs.spans import OpenSpan, TraceContext
 
@@ -117,6 +137,31 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
+class EventView(Sequence):
+    """``tracer.events``: the ring read as :class:`TraceEvent`s, each
+    built from its record on read (a fresh object every time)."""
+
+    __slots__ = ("_ring",)
+
+    def __init__(self, ring: deque) -> None:
+        self._ring = ring
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(event_from_record, self._ring)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [event_from_record(r) for r in list(self._ring)[index]]
+        return event_from_record(self._ring[index])
+
+    def clear(self) -> None:
+        """Empty the ring (``dropped_events`` keeps its count)."""
+        self._ring.clear()
+
+
 class Tracer(NullTracer):
     """Records typed events and aggregates counters/histograms."""
 
@@ -125,9 +170,14 @@ class Tracer(NullTracer):
     def __init__(self, max_events: int | None = None) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be positive (or None)")
-        self.events: deque[TraceEvent] = deque()
+        #: the ring: one record per event, oldest first (layout in the
+        #: module docstring); read it, never write it
+        self.records: deque[tuple] = deque(maxlen=max_events)
+        self.events = EventView(self.records)
         self.max_events = max_events
         self.dropped_events = 0
+        #: field-name tuple -> itself: one shared ``keys`` per key set
+        self._keysets: dict[tuple, tuple] = {}
         #: span_id -> OpenSpan for every begun-but-not-ended span
         self.open_spans: dict[str, OpenSpan] = {}
         self._span_ids = itertools.count(1)
@@ -140,8 +190,7 @@ class Tracer(NullTracer):
         #: ``(is_observe, name, value, host)`` samples not folded yet
         self._samples: deque[tuple] = deque()
         #: etype -> callbacks fired synchronously after an event of that
-        #: type records (the flight recorder's trigger surface).  Empty
-        #: for ordinary tracers, so recording pays one falsy check.
+        #: type records (the flight recorder's trigger surface)
         self._triggers: dict[str, list] = {}
 
     # -- recording -----------------------------------------------------------
@@ -157,17 +206,28 @@ class Tracer(NullTracer):
     def _record(self, etype: str, ts: float, host: str, actor: str,
                 dur: float | None, ctx: TraceContext | None,
                 fields: dict) -> None:
-        """Build and store one event.  ``fields`` becomes the event's
-        own dict: every caller hands over one nobody else writes to."""
+        """Flatten one event into a ring record.  The record keeps the
+        keys and values of ``fields``, never the dict, which every caller
+        hands over as its own (``host_failed`` may be added to it)."""
         if self._failed_hosts and host in self._failed_hosts:
             fields.setdefault("host_failed", True)
-        event = TraceEvent(ts, etype, host, actor, dur, fields, ctx)
-        if self.max_events and len(self.events) >= self.max_events:
-            self.events.popleft()
+        keys = tuple(fields)
+        keys = self._keysets.setdefault(keys, keys)
+        if ctx is None:
+            record = (ts, etype, host, actor, dur, None, None, None, keys,
+                      *fields.values())
+        else:
+            record = (ts, etype, host, actor, dur, *ctx, keys,
+                      *fields.values())
+        records = self.records
+        if len(records) == self.max_events:
             self.dropped_events += 1
-        self.events.append(event)
-        if self._triggers:
-            self._fire_triggers(event)
+        records.append(record)
+        callbacks = self._triggers.get(etype)
+        if callbacks:
+            event = event_from_record(record)
+            for callback in tuple(callbacks):
+                callback(event)
 
     def count(self, name: str, value: float = 1.0, host: str = "") -> None:
         samples = self._samples
@@ -202,23 +262,22 @@ class Tracer(NullTracer):
         return merged
 
     def events_of(self, etype: str) -> list[TraceEvent]:
-        """The ring's events of ``etype``, oldest first (a scan)."""
-        return [event for event in self.events if event.etype == etype]
+        """The ring's events of ``etype``, oldest first (a scan that
+        builds events for the matching records only)."""
+        return [event_from_record(record) for record in self.records
+                if record[1] == etype]
 
     # -- triggers ------------------------------------------------------------
 
     def on_event(self, etype: str, callback) -> None:
         """Register ``callback(event)`` to run synchronously after every
-        recorded event of ``etype`` (the flight recorder's hook).  The
-        tracer does not guard re-entry, so a callback may emit only
-        events that have no triggers, or must guard itself: the flight
-        recorder emits ``flight.record`` (no triggers) and its
-        ``_recording`` flag turns away a capture inside a capture."""
+        recorded event of ``etype`` (the flight recorder's hook); the
+        :class:`TraceEvent` is built only for such an event.  The tracer
+        does not guard re-entry, so a callback may emit only events that
+        have no triggers, or must guard itself: the flight recorder
+        emits ``flight.record`` (no triggers) and its ``_recording`` flag
+        turns away a capture inside a capture."""
         self._triggers.setdefault(etype, []).append(callback)
-
-    def _fire_triggers(self, event: TraceEvent) -> None:
-        for callback in tuple(self._triggers.get(event.etype, ())):
-            callback(event)
 
     @property
     def failed_hosts(self) -> frozenset:

@@ -59,14 +59,22 @@ from repro.util.ids import IdGenerator
 from repro.util.serialization import Wire, decode, encode
 
 
+#: Addr -> its ``agent@host`` label, built once per address so every
+#: trace event naming an address shares one string
+_LABELS: dict[tuple, str] = {}
+
+
 class Addr(NamedTuple):
     """Transport address: which agent on which host."""
 
     host: str
     agent: str
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return f"{self.agent}@{self.host}"
+    def __str__(self) -> str:
+        label = _LABELS.get(self)
+        if label is None:
+            label = _LABELS[self] = f"{self.agent}@{self.host}"
+        return label
 
 
 @dataclass

@@ -73,4 +73,4 @@ def test_runtime_counts_are_pinned(runtime_report):
 
 def test_repo_wide_counts_are_pinned(repo_report):
     """Runtime + examples + test suite, all rules."""
-    assert (len(repo_report.findings), repo_report.suppressed) == (0, 15)
+    assert (len(repo_report.findings), repo_report.suppressed) == (0, 16)
