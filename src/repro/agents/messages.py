@@ -8,8 +8,11 @@ from __future__ import annotations
 
 # --- Network Agent System -------------------------------------------------
 PING = "PING"                          # heartbeat probe
-# REPORT_PARAMS carries (host, snapshot); REPORT_AGGREGATE carries
-# (level, name, weighted) with level "cluster" or "site".
+# REPORT_PARAMS carries (host, packed); REPORT_AGGREGATE carries
+# (level, name, packed, weight) with level "cluster" or "site".  A packed
+# snapshot is repro.sysmon.pack_snapshot's: member names for keys, so
+# that decoding a report builds no enum member.  Both are modelled as
+# network_agent.SAMPLE_WIRE_BYTES on the wire, whatever they pickle to.
 REPORT_PARAMS = "REPORT_PARAMS"        # node -> cluster manager sample
 REPORT_AGGREGATE = "REPORT_AGGREGATE"  # manager -> higher manager average
 

@@ -12,6 +12,12 @@ Every node runs exactly one network agent (NA).  Each NA:
   the paper's fault-tolerance protocol (release / backup takeover),
   executed by :class:`repro.agents.nas.NetworkAgentSystem`.
 
+A report carries a snapshot in its wire form,
+:func:`~repro.sysmon.pack_snapshot` (member names for keys), and the
+receiver unpacks it; an aggregate's weight travels beside it.  Either is
+modelled as :data:`SAMPLE_WIRE_BYTES` on the wire, whatever it pickles
+to.
+
 Under a recording tracer each monitor tick also tells the NAS-owned
 :class:`~repro.obs.slo.SLOWatcher` to close this host's metrics window;
 the window and its state are the watcher's, so they outlive the agent
@@ -27,7 +33,13 @@ from typing import TYPE_CHECKING
 from repro.agents import messages as M
 from repro.errors import NodeFailedError, RPCTimeoutError, TransportError
 from repro.obs import events as ev
-from repro.sysmon import SampleHistory, WeightedSnapshot, average_snapshots
+from repro.sysmon import (
+    SampleHistory,
+    WeightedSnapshot,
+    average_snapshots,
+    pack_snapshot,
+    unpack_snapshot,
+)
 from repro.sysmon.sampler import sample_all
 from repro.transport import Addr
 from repro.util.serialization import Payload
@@ -64,11 +76,13 @@ class NetworkAgent:
         ep.register(M.REPORT_AGGREGATE, self._on_report_aggregate)
 
     def _on_report_params(self, msg) -> None:
-        host, snapshot = msg.payload.data
-        self.member_samples[host] = WeightedSnapshot(snapshot, weight=1)
+        host, packed = msg.payload.data
+        self.member_samples[host] = WeightedSnapshot(
+            unpack_snapshot(packed), weight=1)
 
     def _on_report_aggregate(self, msg) -> None:
-        level, name, weighted = msg.payload.data
+        level, name, packed, weight = msg.payload.data
+        weighted = WeightedSnapshot(unpack_snapshot(packed), weight)
         if level == "cluster":
             self.cluster_aggregates[name] = weighted
         elif level == "site":
@@ -143,7 +157,7 @@ class NetworkAgent:
                 self.endpoint.send_oneway(
                     Addr(manager, "na"),
                     M.REPORT_PARAMS,
-                    Payload(data=(self.host, snapshot),
+                    Payload(data=(self.host, pack_snapshot(snapshot)),
                             nbytes=SAMPLE_WIRE_BYTES),
                 )
         finally:
@@ -170,7 +184,9 @@ class NetworkAgent:
             self.endpoint.send_oneway(
                 Addr(site_mgr, "na"),
                 M.REPORT_AGGREGATE,
-                Payload(data=("cluster", my_cluster, cluster_avg),
+                Payload(data=("cluster", my_cluster,
+                              pack_snapshot(cluster_avg.params),
+                              cluster_avg.weight),
                         nbytes=SAMPLE_WIRE_BYTES),
             )
             return
@@ -189,7 +205,9 @@ class NetworkAgent:
             self.endpoint.send_oneway(
                 Addr(domain_mgr, "na"),
                 M.REPORT_AGGREGATE,
-                Payload(data=("site", my_site, site_avg),
+                Payload(data=("site", my_site,
+                              pack_snapshot(site_avg.params),
+                              site_avg.weight),
                         nbytes=SAMPLE_WIRE_BYTES),
             )
 

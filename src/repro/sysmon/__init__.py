@@ -11,9 +11,11 @@ from repro.sysmon.history import SampleHistory, TimedSample
 from repro.sysmon.params import ParamKind, SysParam
 from repro.sysmon.sampler import (
     Snapshot,
+    pack_snapshot,
     sample_all,
     sample_dynamic,
     sample_static,
+    unpack_snapshot,
 )
 
 __all__ = [
@@ -26,7 +28,9 @@ __all__ = [
     "ParamKind",
     "SysParam",
     "Snapshot",
+    "pack_snapshot",
     "sample_all",
     "sample_dynamic",
     "sample_static",
+    "unpack_snapshot",
 ]

@@ -84,6 +84,14 @@ class SysParam(enum.Enum):
     JS_ACTIVE_TASKS = ("js_active_tasks", ParamKind.DYNAMIC, float)
     JS_CODEBASE_MB = ("js_codebase_mb", ParamKind.DYNAMIC, float)
 
+    #: Snapshots are dicts keyed by member, built and averaged every
+    #: monitoring period: hash by identity, in C, not by
+    #: ``Enum.__hash__``'s Python-level ``hash(self._name_)``.  Members
+    #: are singletons compared by identity, so no lookup changes.
+    #: ``ParamKind`` keeps ``Enum``'s hash, so the value lookup that
+    #: unpickling a member does is untouched.
+    __hash__ = object.__hash__
+
     def __init__(self, key: str, kind: ParamKind, value_type: type) -> None:
         self.key = key
         self.kind = kind

@@ -19,6 +19,24 @@ from repro.sysmon.params import SysParam
 
 Snapshot = dict[SysParam, Any]
 
+#: member -> name and back, for a snapshot's wire form
+_NAMES: dict[SysParam, str] = {param: param._name_ for param in SysParam}
+_MEMBERS: dict[str, SysParam] = dict(SysParam.__members__)
+
+
+def pack_snapshot(snapshot: Snapshot) -> dict[str, Any]:
+    """A snapshot's wire form: the same values, keyed by member name.
+
+    A pickled member unpickles through two ``EnumType.__call__``s (its
+    own and its ``ParamKind``'s), so a NAS report would pay ~100 of
+    them; names unpickle as plain strings."""
+    return dict(zip(map(_NAMES.__getitem__, snapshot), snapshot.values()))
+
+
+def unpack_snapshot(packed: dict[str, Any]) -> Snapshot:
+    """The snapshot :func:`pack_snapshot` packed, in the same order."""
+    return dict(zip(map(_MEMBERS.__getitem__, packed), packed.values()))
+
 
 def _noise(host: str, t: float, tag: str, scale: float = 1.0) -> float:
     """Deterministic pseudo-noise in [-scale/2, +scale/2]."""

@@ -259,6 +259,10 @@ class Transport:
         #: >10-node runs.  Charged as compute on the sending machine.
         self.cpu_flops_per_msg = 25_000.0
         self.cpu_flops_per_byte = 4.0
+        #: kind -> its reply leg's kind, and (kind, host) -> the name of
+        #: a request's handler process: built once, shared by every call
+        self._reply_kinds: dict[str, str] = {}
+        self._handler_names: dict[tuple[str, str], str] = {}
 
     # -- endpoints ------------------------------------------------------------
 
@@ -418,7 +422,10 @@ class Transport:
         if request:
             src, dst, kind = msg.src, msg.dst, msg.kind
         else:
-            src, dst, kind = msg.dst, msg.src, msg.kind + ":reply"
+            src, dst = msg.dst, msg.src
+            kind = self._reply_kinds.get(msg.kind)
+            if kind is None:
+                kind = self._reply_kinds[msg.kind] = msg.kind + ":reply"
         stats = self.stats
         stats.messages += 1
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
@@ -508,9 +515,13 @@ class Transport:
         # a replay's could too), so the caller waiting for it may run it.
         completes = (reply_future if msg.token is None
                      and msg.deliveries == 1 else None)
+        key = (msg.kind, msg.dst.host)
+        name = self._handler_names.get(key)
+        if name is None:
+            name = self._handler_names[key] = (
+                f"handle-{msg.kind}@{msg.dst.host}")
         self.world.kernel.spawn(
-            self._execute, endpoint, msg, reply_future,
-            name=f"handle-{msg.kind}@{msg.dst.host}",
+            self._execute, endpoint, msg, reply_future, name=name,
             context={"addr": msg.dst}, completes=completes,
         )
 

@@ -58,6 +58,25 @@ def loads(blob: bytes) -> Any:
     return pickle.loads(blob)
 
 
+#: plain ``str`` leaf -> its pickled length.  The leaves beside a nominal
+#: argument are object ids and method names, a small set that recurs on
+#: every call; the memo is emptied when it reaches :data:`_LEAF_MEMO_MAX`.
+_leaf_sizes: dict[str, int] = {}
+_LEAF_MEMO_MAX = 4096
+
+
+def _leaf_size(item: Any) -> int:
+    """Pickled length of a plain sibling of a Payload."""
+    if type(item) is not str:
+        return len(dumps(item))
+    size = _leaf_sizes.get(item)
+    if size is None:
+        if len(_leaf_sizes) >= _LEAF_MEMO_MAX:
+            _leaf_sizes.clear()
+        size = _leaf_sizes[item] = len(dumps(item))
+    return size
+
+
 def _wire_size(value: Any, depth: int = 4) -> int | None:
     """Structural size of *value* when a Payload is within reach —
     through tuples/lists, at most *depth* levels down — else ``None``:
@@ -67,12 +86,22 @@ def _wire_size(value: Any, depth: int = 4) -> int | None:
             return int(value.nbytes)
         return len(dumps(value.data))
     if depth > 0 and isinstance(value, (tuple, list)):
-        sizes = [_wire_size(item, depth - 1) for item in value]
-        if sizes.count(None) != len(sizes):
-            return sum(
-                len(dumps(item)) if size is None else size
-                for item, size in zip(value, sizes)
-            )
+        # One loop, no comprehension: an invocation batch sizes every
+        # slot's tuple and argument list this way, per message.
+        found = False
+        total = 0
+        plain = []
+        for item in value:
+            size = _wire_size(item, depth - 1)
+            if size is None:
+                plain.append(item)
+            else:
+                found = True
+                total += size
+        if found:  # the plain siblings are sized only beside a Payload
+            for item in plain:
+                total += _leaf_size(item)
+            return total
     return None
 
 

@@ -2,15 +2,26 @@
 hierarchical aggregation, failure detection, manager takeover, and
 JS-Shell administration."""
 
+import enum
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
+from repro.agents import messages as M
+from repro.agents import network_agent
 from repro.agents.nas import NASConfig
 from repro.cluster import TestbedConfig as TBConfig
-from repro.cluster import vienna_testbed
+from repro.cluster import grid_testbed, vienna_testbed
 from repro.errors import ShellError
 from repro.obs import Tracer, snapshot_document, tracing
 from repro.obs.events import NAS_TAKEOVER
 from repro.sysmon import SysParam
+from repro.transport.rpc import Transport
+from repro.util.serialization import decode
 
 
 def fast_nas():
@@ -263,3 +274,106 @@ class TestShellAdministration:
         rt.world.fail_host("ida")
         run_for(rt, 15.0)
         assert rt.shell.failure_events()
+
+
+class TestNASWireForm:
+    """Reports travel between network agents as a wire form of their
+    own; what a manager ends up holding must be what was sent."""
+
+    def test_managers_hold_what_was_sampled_and_averaged(self, monkeypatch):
+        averaged = []
+        average = network_agent.average_snapshots
+
+        def recording(snapshots):
+            averaged.append(average(snapshots))
+            return averaged[-1]
+
+        monkeypatch.setattr(network_agent, "average_snapshots", recording)
+        rt = grid_testbed(seed=3, nas_config=fast_nas())
+        run_for(rt, 11.0)
+        nas = rt.nas
+        remote = 0
+        for cluster in nas.managers:
+            manager = nas.agents[nas.cluster_manager(cluster)]
+            assert set(manager.member_samples) == set(
+                nas.cluster_members(cluster))
+            for host, held in manager.member_samples.items():
+                # Value for value and in the same order, as sampled.
+                sampled = [list(s.params.items())
+                           for s in nas.agents[host].history.window()]
+                assert held.weight == 1
+                assert list(held.params.items()) in sampled
+        held = [
+            (name, agg)
+            for agent in nas.agents.values()
+            for aggregates in (agent.cluster_aggregates,
+                               agent.site_aggregates)
+            for name, agg in aggregates.items()
+        ]
+        for name, agg in held:
+            sent = [a for a in averaged
+                    if a.weight == agg.weight
+                    and list(a.params.items()) == list(agg.params.items())]
+            assert sent, name
+            remote += all(a is not agg for a in sent)
+        # Cluster aggregates reached their site managers and site
+        # aggregates the domain manager, across the wire.
+        assert remote >= len(nas.managers) - 1
+
+    def test_decoding_a_report_builds_no_enum_member(self, monkeypatch):
+        wires = []
+        request = Transport._request
+
+        def capture(self, src, dst, kind, wire, *rest):
+            if kind in (M.REPORT_PARAMS, M.REPORT_AGGREGATE):
+                wires.append((kind, wire))
+            return request(self, src, dst, kind, wire, *rest)
+
+        monkeypatch.setattr(Transport, "_request", capture)
+        rt = grid_testbed(seed=3, nas_config=fast_nas())
+        run_for(rt, 5.0)
+        assert {kind for kind, _ in wires} == {
+            M.REPORT_PARAMS, M.REPORT_AGGREGATE}
+        calls = []
+        call = enum.EnumType.__call__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(enum.EnumType, "__call__", counting)
+        for _, wire in wires:
+            decode(wire)
+        assert calls == []
+
+
+def test_aggregate_order_does_not_depend_on_the_hash_seed():
+    """Aggregates hold their parameters in first-seen order: the same
+    run lists them the same way under any ``PYTHONHASHSEED``."""
+    script = textwrap.dedent("""
+        from repro.agents.nas import NASConfig
+        from repro.cluster import TestbedConfig, vienna_testbed
+
+        rt = vienna_testbed(TestbedConfig(
+            load_profile="dedicated", seed=9,
+            nas=NASConfig(monitor_period=2.0, probe_period=2.0,
+                          failure_timeout=1.0)))
+        rt.world.kernel.run(until=rt.world.now() + 12.0)
+        for snapshot in (rt.nas.cluster_average("sparcs"),
+                         rt.nas.site_average("vienna"),
+                         rt.nas.domain_average()):
+            print([param.name for param in snapshot])
+        rt.kernel.shutdown()
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for seed in ("0", "7"):
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.errors import AllocationError
 from repro.kernel import VirtualKernel
 from repro.simnet import Segment, SimWorld, Topology, build_lan, make_host
-from repro.sysmon import SysParam, WeightedSnapshot, average_snapshots
+from repro.sysmon import MIXED, SysParam, WeightedSnapshot, average_snapshots
 from repro.varch import MonitoredPool
 
 settings.register_profile(
@@ -192,3 +192,83 @@ class TestAggregationProperties:
             flat.params[SysParam.IDLE]
         )
         assert two_stage.weight == flat.weight
+
+
+def _average_snapshots_before(snapshots):
+    """``average_snapshots`` as it was when it iterated a ``set`` of
+    parameters (verbatim but for the name): the reference the current
+    one must match value for value."""
+    weighted: list[WeightedSnapshot] = [
+        s if isinstance(s, WeightedSnapshot) else WeightedSnapshot(s)
+        for s in snapshots
+    ]
+    if not weighted:
+        raise ValueError("cannot average zero snapshots")
+    total_weight = sum(w.weight for w in weighted)
+    result = {}
+    all_params: set[SysParam] = set()
+    for w in weighted:
+        all_params.update(w.params)
+    for param in all_params:
+        present = [w for w in weighted if param in w.params]
+        if not present:
+            continue
+        if param.is_numeric:
+            weight = sum(w.weight for w in present)
+            total = sum(
+                float(w.params[param]) * w.weight for w in present
+            )
+            result[param] = total / weight
+        else:
+            values = {w.params[param] for w in present}
+            result[param] = values.pop() if len(values) == 1 else MIXED
+    return WeightedSnapshot(params=result, weight=total_weight)
+
+
+_AVERAGED = [SysParam.IDLE, SysParam.CPU_LOAD, SysParam.PEAK_MFLOPS,
+             SysParam.NET_PACKETS_IN, SysParam.NODE_NAME, SysParam.OS_NAME]
+
+
+def _values(param):
+    if param.is_numeric:
+        return st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                         st.integers(0, 10**6))
+    return st.sampled_from(["SunOS", "Linux", MIXED])
+
+
+@st.composite
+def snapshot_lists(draw):
+    """1-6 snapshots, plain or weighted: either all holding the same
+    parameters in one order (full samples, as the NAS sends) or each
+    holding its own subset in its own order."""
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        orders = [draw(st.permutations(_AVERAGED))] * count
+    else:
+        orders = [draw(st.lists(st.sampled_from(_AVERAGED), unique=True))
+                  for _ in range(count)]
+    snapshots = []
+    for order in orders:
+        params = {param: draw(_values(param)) for param in order}
+        weight = draw(st.integers(1, 5))
+        if weight == 1 and draw(st.booleans()):
+            snapshots.append(params)
+        else:
+            snapshots.append(WeightedSnapshot(params, weight))
+    return snapshots
+
+
+class TestAverageMatchesReference:
+    @given(snapshots=snapshot_lists())
+    def test_same_values_in_first_seen_order(self, snapshots):
+        got = average_snapshots(snapshots)
+        want = _average_snapshots_before(snapshots)
+        assert got.weight == want.weight
+        assert set(got.params) == set(want.params)
+        for param, value in want.params.items():
+            assert type(got.params[param]) is type(value)
+            assert repr(got.params[param]) == repr(value), param
+        held = [s.params if isinstance(s, WeightedSnapshot) else s
+                for s in snapshots]
+        first_seen = list(dict.fromkeys(p for params in held for p in params))
+        assert list(got.params) == first_seen
