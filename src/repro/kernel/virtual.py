@@ -35,8 +35,12 @@ block through kernel primitives* (``sleep``, ``VirtualFuture.wait``,
 ``VirtualChannel.get``, ...).  Blocking through raw ``time.sleep`` or a
 ``threading`` lock keeps the baton: no other process runs and simulated
 time stands still until ``run()`` reports the stall as a
-:class:`~repro.errors.KernelError` naming the process.  Under symsan a
-raw ``time.sleep`` in a process is also a ``san-wall-sleep`` finding.
+:class:`~repro.errors.KernelError` naming the process.
+
+The kernel knows nothing of symsan.  A ``VirtualKernel()`` built while a
+sanitizer is installed comes out as :mod:`repro.sanitizer.kernel`'s
+``SanitizedKernel``, whose primitives add the happens-before edges, leak
+tracking and wall-sleep watch around the methods here.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.errors import KernelError, SimDeadlockError, WaitTimeout
 from repro.obs import spans as _spans
 from repro.obs.events import PROC_SPAWN
 from repro.obs.tracer import NULL_TRACER
-from repro.sanitizer.core import caller_site, current_sanitizer, watch_sleep
+from repro.sanitizer.core import NULL_SANITIZER, current_sanitizer
 
 
 class ProcessState(enum.Enum):
@@ -180,7 +184,7 @@ class VirtualProcess:
         Made on first ask: most processes are never joined."""
         fut = self._finished
         if fut is None:
-            fut = self._finished = VirtualFuture(self.kernel)
+            fut = self._finished = self.kernel._Future(self.kernel)
             if self.finished:
                 fut._done = True
                 fut._value, fut._exc = self._result, self._exc
@@ -190,10 +194,6 @@ class VirtualProcess:
         """Block the calling process until this one finishes."""
         if not self.finished and not self.finished_future.wait(timeout):
             raise WaitTimeout(f"join on {self.name} timed out")
-        san = self.kernel.sanitizer
-        if san.enabled:
-            # join edge: the body's end happens-before the joiner goes on
-            san.hb_recv(self)
 
     def result(self) -> Any:
         """The body's return value, re-raising what it died with.  Only
@@ -221,11 +221,6 @@ class VirtualProcess:
         # it balanced.  A guest on its host's thread is another matter
         # (``VirtualKernel._host``).
         _spans.set_context(self._span_ctx)
-        san = kernel.sanitizer
-        if san.enabled:
-            san.register_thread(self.name)
-            # spawn edge: everything the spawner did happens-before us
-            san.hb_recv(self)
         try:
             self._result = self._fn(*self._args)
             self._state = ProcessState.FINISHED
@@ -237,9 +232,6 @@ class VirtualProcess:
         if kernel._shutting_down:  # unwound, or the body ate the signal
             self._state = ProcessState.FAILED
             return False
-        if san.enabled:
-            # join edge, published whether or not anyone joins yet
-            san.hb_send(self)
         if self._exc is not None:
             kernel._note_crash(self, self._exc)
         # Reaped: handles still answer result()/join(), but the kernel
@@ -267,8 +259,6 @@ class VirtualProcess:
             raise _KernelShutdown()
         self._state = _BLOCKED
         self._wait_why = why
-        if kernel.sanitizer.enabled:
-            self._wait_site = caller_site()
         if not kernel._pass_baton(self):
             # Untimed, like an idle worker: a process may stay parked for
             # as long as the simulation runs (run() watches for stalls).
@@ -312,11 +302,6 @@ class VirtualFuture:
         return self._done
 
     def _complete(self) -> None:
-        san = self._kernel.sanitizer
-        if san.enabled:
-            # publish the completer's clock before waking waiters
-            san.hb_send(self)
-            san.future_completed(self)
         for proc, token in self._waiters:
             self._kernel._push_wake(self._kernel.now(), proc, token, "wake")
         self._waiters.clear()
@@ -348,10 +333,7 @@ class VirtualFuture:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until done (True) or ``timeout`` passes (False)."""
-        san = self._kernel.sanitizer
         if self._done:
-            if san.enabled:
-                san.hb_recv(self)
             return True
         proc = self._kernel._require_current()
         token = proc._new_token()
@@ -369,8 +351,6 @@ class VirtualFuture:
         if reason == "timeout" and not self._done:
             _forget(self._waiters, (proc, token))
             return False
-        if san.enabled and self._done:
-            san.hb_recv(self)
         return self._done
 
     def result(self, timeout: float | None = None) -> Any:
@@ -395,8 +375,6 @@ class VirtualChannel:
         self._waiters: deque[tuple[VirtualProcess, int]] = deque()
 
     def put(self, item: Any) -> None:
-        if self._kernel.sanitizer.enabled:
-            self._kernel.sanitizer.hb_send(self)
         self._items.append(item)
         while self._waiters:
             proc, token = self._waiters.popleft()
@@ -405,11 +383,8 @@ class VirtualChannel:
 
     def get(self, timeout: float | None = None) -> Any:
         kernel = self._kernel
-        san = kernel.sanitizer
         proc = kernel._require_current()
         deadline = None if timeout is None else kernel.now() + timeout
-        if san.enabled and not self._items:
-            san.chan_wait(self, kernel)
         while not self._items:
             token = proc._new_token()
             self._waiters.append((proc, token))
@@ -419,12 +394,7 @@ class VirtualChannel:
             if reason == "timeout":
                 _forget(self._waiters, (proc, token))
                 if not self._items:
-                    if san.enabled:
-                        san.chan_wait_done(self)
                     raise WaitTimeout("channel get timed out")
-        if san.enabled:
-            san.chan_wait_done(self)
-            san.hb_recv(self)
         return self._items.popleft()
 
     def __len__(self) -> int:
@@ -454,12 +424,8 @@ class VirtualSemaphore:
                 if self._value <= 0:
                     raise WaitTimeout("semaphore acquire timed out")
         self._value -= 1
-        if kernel.sanitizer.enabled:
-            kernel.sanitizer.hb_recv(self)
 
     def release(self) -> None:
-        if self._kernel.sanitizer.enabled:
-            self._kernel.sanitizer.hb_send(self)
         self._value += 1
         if self._waiters:
             proc, token = self._waiters.popleft()
@@ -479,24 +445,40 @@ class VirtualKernel:
     #: observability sink; worlds install the ambient tracer here so
     #: ``spawn`` can record process creation.  Null (and free) by default.
     tracer = NULL_TRACER
+    #: agents test ``kernel.sanitizer.enabled`` before annotating shared
+    #: state; only a ``SanitizedKernel`` holds a live one
+    sanitizer = NULL_SANITIZER
+    #: the primitives this kernel builds (a sanitizing kernel swaps in its
+    #: own subclasses)
+    _Process = VirtualProcess
+    _Future = VirtualFuture
+    _Channel = VirtualChannel
+    _Semaphore = VirtualSemaphore
+
+    def __new__(cls, strict: bool = False) -> "VirtualKernel":
+        """The construction seam: built while a sanitizer is installed,
+        a kernel comes out sanitizing (imported here, not at module load:
+        ``repro.sanitizer.kernel`` builds on this module)."""
+        if cls is VirtualKernel and current_sanitizer().enabled:
+            from repro.sanitizer.kernel import SanitizedKernel
+            cls = SanitizedKernel
+        return object.__new__(cls)
 
     def __init__(self, strict: bool = False) -> None:
         #: strict=True re-raises the first unhandled process exception when
         #: run() returns; agents are expected to handle their own errors, so
         #: tests enable this to catch bugs.
         self.strict = strict
-        self.sanitizer = current_sanitizer()
         self._time = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, tuple]] = []
         #: the running run(): latest event time it may reach, the process
-        #: it waits for, what a call event raised in it, and what call
-        #: events run under (its span context and sanitizer identity)
+        #: it waits for, what a call event raised in it, and the span
+        #: context call events run under
         self._horizon = float("inf")
         self._main: VirtualProcess | None = None
         self._error: BaseException | None = None
         self._sched_ctx = None
-        self._sched_tid = 0
         #: where run()'s thread sleeps while the baton is passed around
         self._sched_gate = _Gate()
         self._workers: list[_Worker] = []
@@ -532,15 +514,10 @@ class VirtualKernel:
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` in scheduler context at the current time.
         The callable must not block."""
-        seq = self._push(self._time, ("call", fn, args))
-        if self.sanitizer.enabled:
-            # the pusher's clock travels with the event to the scheduler
-            self.sanitizer.on_call_push(seq)
+        self._push(self._time, ("call", fn, args))
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        seq = self._push(time, ("call", fn, args))
-        if self.sanitizer.enabled:
-            self.sanitizer.on_call_push(seq)
+        self._push(time, ("call", fn, args))
 
     # -- processes -----------------------------------------------------------
 
@@ -568,15 +545,12 @@ class VirtualKernel:
             context = parent.context if parent is not None else {}
         pid = self._next_pid
         self._next_pid += 1
-        proc = VirtualProcess(
+        proc = self._Process(
             self, pid, name or f"proc-{pid}", fn, tuple(args), context,
             completes,
         )
         self.processes[pid] = proc
         self._push(self._time + delay, ("start", proc))
-        if self.sanitizer.enabled:
-            # spawn edge: the child's first action happens-after this point
-            self.sanitizer.hb_send(proc)
         if self.tracer.enabled:
             proc._span_ctx = _spans.current_context()
             self.tracer.emit(PROC_SPAWN, ts=self._time + delay,
@@ -614,16 +588,13 @@ class VirtualKernel:
     # -- factories -----------------------------------------------------------
 
     def create_future(self) -> VirtualFuture:
-        fut = VirtualFuture(self)
-        if self.sanitizer.enabled:
-            self.sanitizer.track_future(fut, self)
-        return fut
+        return self._Future(self)
 
     def create_channel(self) -> VirtualChannel:
-        return VirtualChannel(self)
+        return self._Channel(self)
 
     def create_semaphore(self, value: int = 1) -> VirtualSemaphore:
-        return VirtualSemaphore(self, value)
+        return self._Semaphore(self, value)
 
     # -- the scheduler loop ----------------------------------------------------
 
@@ -706,19 +677,15 @@ class VirtualKernel:
         blocked untimed on the future ``guest`` promised to complete; the
         guest parks at, and is resumed through, the host's gate.  The
         guest starts with thread-locals of its own — its spawner's span
-        context, an empty ``repro.context`` stack, a fresh symsan identity
-        — and the host gets its own back.  False when kernel shutdown
-        unwound the guest (its host must unwind too)."""
+        context, an empty ``repro.context`` stack — and the host gets its
+        own back.  False when kernel shutdown unwound the guest (its host
+        must unwind too)."""
         guest._gate, guest._thread = host._gate, host._thread
         host._guest = guest
         self._current = guest
         ctx = _spans.current_context()
         frames = _context.swap_frames([])
-        san = self.sanitizer
-        tid = san.identity() if san.enabled else 0
         finished = guest._run()
-        if san.enabled:
-            san.swap_identity(tid)
         _context.swap_frames(frames)
         _spans.set_context(ctx)
         host._guest = None
@@ -726,19 +693,15 @@ class VirtualKernel:
         return finished
 
     def _call(self, fn: Callable[..., Any], args: tuple, seq: int) -> bool:
-        """Run one call event in scheduler context on the calling thread.
-        False when it raised; run() re-raises it.  The span context is
-        written only where it differs: a thread-local write costs about
-        as much as the rest of the dispatch, and untraced both sides are
-        None."""
+        """Run one call event in scheduler context on the calling thread
+        (``seq``: its heap sequence number, the key its pusher can leave
+        state under).  False when it raised; run() re-raises it.  The
+        span context is written only where it differs: a thread-local
+        write costs about as much as the rest of the dispatch, and
+        untraced both sides are None."""
         own_ctx, sched_ctx = _span_state.ctx, self._sched_ctx
         if own_ctx is not sched_ctx:
             _span_state.ctx = sched_ctx
-        san = self.sanitizer
-        if san.enabled:
-            own_tid = san.swap_identity(self._sched_tid)
-            # absorb the pusher's clock into the scheduler context
-            san.on_call_run(seq)
         try:
             fn(*args)
         except BaseException as exc:  # noqa: BLE001 - re-raised by run()
@@ -748,8 +711,6 @@ class VirtualKernel:
             self._sched_ctx = left = _span_state.ctx
             if left is not own_ctx:
                 _span_state.ctx = own_ctx
-            if san.enabled:
-                san.swap_identity(own_tid)
         return True
 
     def run(
@@ -767,10 +728,6 @@ class VirtualKernel:
         self._main = main
         self._horizon = float("inf") if until is None else until + 1e-12
         self._sched_ctx = _spans.current_context()
-        sanitized = self.sanitizer.enabled
-        if sanitized:
-            self._sched_tid = self.sanitizer.identity()
-            unwatch_sleep = watch_sleep(self)
         try:
             self._pass_baton()
             # A stall is no kernel event for a whole timeout: each event
@@ -796,20 +753,9 @@ class VirtualKernel:
                 if until is not None and self._time < until:
                     self._time = until
                 if main is not None and not main.finished:
-                    dump = self._blocked_dump()
-                    if sanitized:
-                        self.sanitizer.note_all_blocked(
-                            self, dump, getattr(main, "_wait_site", None)
-                        )
-                    raise SimDeadlockError(
-                        f"no more events but process {main.name} "
-                        f"is still {main.state.value}; wait-for graph: "
-                        f"{dump}"
-                    )
+                    self._all_blocked(main)
         finally:
             self._running = False
-            if sanitized:
-                unwatch_sleep()
             # what call events left installed stays with run()'s thread
             _spans.set_context(self._sched_ctx)
         if self.strict:
@@ -831,6 +777,13 @@ class VirtualKernel:
         proc = self.spawn(fn, *args, name=name)
         self.run(main=proc)
         return proc.result()
+
+    def _all_blocked(self, main: VirtualProcess) -> None:
+        """The heap ran dry with ``main`` still blocked: a hang."""
+        raise SimDeadlockError(
+            f"no more events but process {main.name} is still "
+            f"{main.state.value}; wait-for graph: {self._blocked_dump()}"
+        )
 
     def _blocked_dump(self) -> str:
         """One line per blocked process: what it waits on and where.
@@ -856,9 +809,10 @@ class VirtualKernel:
             return
         if self._running or self._current is not None:
             raise KernelError("cannot shut down a running kernel")
-        if self.sanitizer.enabled:
-            # sweep leaks while blocked processes still hold their state
-            self.sanitizer.check_leaks(self)
+        self._unwind()
+
+    def _unwind(self) -> None:
+        """Shut down a kernel that is not running (``shutdown``'s work)."""
         self._shutting_down = True
         self._heap.clear()
         # Every worker is parked at its gate, idle or inside _block.  One

@@ -1,10 +1,12 @@
 """symsan: the runtime concurrency sanitizer.
 
-The sanitizer is the dynamic counterpart of symlint: the same null-object
-pattern as :mod:`repro.obs.tracer` (hook points throughout the kernels and
-agents test ``sanitizer.enabled`` and pay nothing when it is off), but
-instead of recording events it checks concurrency invariants while the
-program runs:
+The sanitizer is the dynamic counterpart of symlint.  It sits beside the
+kernel rather than inside it: a ``VirtualKernel()`` built while one is
+installed is a :class:`~repro.sanitizer.kernel.SanitizedKernel`, whose
+primitives call the hooks below around the plain kernel's methods, and
+the plain kernel calls none.  Agents and result handles annotate their
+shared tables behind an ``enabled`` test.  Instead of recording events,
+it checks concurrency invariants while the program runs:
 
 * **Happens-before race detection** (vector clocks) over the shared
   tables the runtime's correctness rests on: ObjectHolder object tables,
@@ -21,10 +23,10 @@ program runs:
   futures never completed, ResultHandles never awaited, channels with
   stranded getters — each reported with its creation/wait site.
 * **Wall-clock sleeps** in kernel processes: while a sanitized kernel is
-  inside ``run()``, ``time.sleep`` is wrapped (:func:`watch_sleep`), and
-  a call made while that kernel has a current process is reported with
-  the process and the call site.  The process holds the kernel's baton
-  for the whole sleep while virtual time stands still.
+  inside ``run()``, ``time.sleep`` is wrapped, and a call made while
+  that kernel has a current process is reported with the process and
+  the call site.  The process holds the kernel's baton for the whole
+  sleep while virtual time stands still.
 
 Findings share symlint's :class:`repro.analysis.base.Finding` /
 :class:`repro.analysis.runner.Report` model, so ``--format json`` output
@@ -32,8 +34,8 @@ from ``python -m repro lint`` and ``python -m repro san`` diff the same
 way.
 
 Installation is ambient, exactly like the tracer: ``set_sanitizer()`` /
-the ``sanitizing()`` context manager install a current sanitizer which
-kernels adopt at construction time.
+the ``sanitizing()`` context manager install a current sanitizer, and a
+kernel built meanwhile is a sanitizing one bound to it.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import time
 import weakref
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.analysis.base import Finding, Severity
 from repro.sanitizer.leaks import LeakRegistry
@@ -83,75 +84,15 @@ def caller_site(extra_skip: tuple[str, ...] = ()) -> tuple[str, int]:
 
 
 class NullSanitizer:
-    """The do-nothing sanitizer every kernel holds by default.
+    """The do-nothing sanitizer a plain kernel holds.
 
-    Every hook is a no-op, so the instrumented runtime behaves (and
-    costs) exactly as before when sanitizing is off.
+    It has no hooks: every annotation site tests ``enabled`` first, and
+    only a :class:`~repro.sanitizer.kernel.SanitizedKernel` (built while
+    a live :class:`Sanitizer` is installed) calls the kernel's hooks.
     """
 
     enabled = False
     leaks = False
-
-    # -- shared-state access hooks ------------------------------------------
-
-    def access(self, owner: str, field: str, write: bool = True,
-               scope: Any = None) -> None:
-        pass
-
-    # -- happens-before edges ------------------------------------------------
-
-    def hb_send(self, key: Any) -> None:
-        pass
-
-    def hb_recv(self, key: Any) -> None:
-        pass
-
-    def on_call_push(self, token: int) -> None:
-        pass
-
-    def on_call_run(self, token: int) -> None:
-        pass
-
-    def register_thread(self, name: str) -> None:
-        pass
-
-    def identity(self) -> int:
-        return 0
-
-    def swap_identity(self, tid: int) -> int:
-        return 0
-
-    # -- leak tracking -------------------------------------------------------
-
-    def track_future(self, fut: Any, kernel: Any) -> None:
-        pass
-
-    def future_completed(self, fut: Any) -> None:
-        pass
-
-    def track_handle(self, handle: Any, kernel: Any) -> None:
-        pass
-
-    def handle_awaited(self, handle: Any) -> None:
-        pass
-
-    def handle_polled(self, handle: Any) -> None:
-        pass
-
-    def chan_wait(self, chan: Any, kernel: Any) -> None:
-        pass
-
-    def chan_wait_done(self, chan: Any) -> None:
-        pass
-
-    # -- detectors' report sinks --------------------------------------------
-
-    def note_all_blocked(self, kernel: Any, dump: str,
-                         site: tuple[str, int] | None = None) -> None:
-        pass
-
-    def check_leaks(self, kernel: Any) -> None:
-        pass
 
 
 NULL_SANITIZER = NullSanitizer()
@@ -357,7 +298,7 @@ class Sanitizer(NullSanitizer):
             return
         tid = self._tid()
         site = caller_site(extra_skip=(os.path.join("repro", "transport"),))
-        self._leaks.chan_wait(tid, chan, kernel, site)
+        self._leaks.chan_wait(tid, kernel, site)
 
     def chan_wait_done(self, chan: Any) -> None:
         if not self.leaks:
@@ -375,7 +316,7 @@ class Sanitizer(NullSanitizer):
             f"blocked (a hang under a real scheduler); wait-for graph: "
             f"{dump}",
             site,
-            symbol=type(kernel).__name__,
+            symbol="VirtualKernel",
         )
 
     def check_leaks(self, kernel: Any) -> None:
@@ -413,23 +354,6 @@ class Sanitizer(NullSanitizer):
             key=lambda f: (f.path, f.line, f.rule, f.col, f.message),
         ))
         return report
-
-
-def watch_sleep(kernel: Any) -> Callable[[], None]:
-    """Wrap ``time.sleep`` while sanitized ``kernel`` is inside ``run()``:
-    a call made while it has a current process is a ``san-wall-sleep``
-    finding, then sleeps as asked.  Returns what puts the replaced
-    ``time.sleep`` back."""
-    unwatched = time.sleep
-
-    def watched(seconds: float) -> None:
-        proc = kernel.current_process()
-        if proc is not None:
-            kernel.sanitizer.wall_sleep(proc.name)
-        unwatched(seconds)
-
-    time.sleep = watched
-    return lambda: setattr(time, "sleep", unwatched)
 
 
 _current: NullSanitizer = NULL_SANITIZER

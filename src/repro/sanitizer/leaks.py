@@ -36,10 +36,8 @@ class LeakRegistry:
         #: awaited — a poll is not consumption, so the handle stays
         #: tracked; the leak report just names the sharper failure mode
         self._polled: set[int] = set()
-        #: waiting thread id -> (channel label, kernel weakref, wait site)
-        self._chan_waits: dict[
-            int, tuple[str, weakref.ref, tuple[str, int]]
-        ] = {}
+        #: waiting thread id -> (kernel weakref, wait site)
+        self._chan_waits: dict[int, tuple[weakref.ref, tuple[str, int]]] = {}
 
     # -- registration ---------------------------------------------------------
 
@@ -62,11 +60,9 @@ class LeakRegistry:
         if id(handle) in self._handles:
             self._polled.add(id(handle))
 
-    def chan_wait(self, tid: int, chan: Any, kernel: Any,
+    def chan_wait(self, tid: int, kernel: Any,
                   site: tuple[str, int]) -> None:
-        self._chan_waits[tid] = (
-            type(chan).__name__, weakref.ref(kernel), site,
-        )
+        self._chan_waits[tid] = (weakref.ref(kernel), site)
 
     def chan_wait_done(self, tid: int) -> None:
         self._chan_waits.pop(tid, None)
@@ -120,7 +116,7 @@ class LeakRegistry:
                         "ResultHandle",
                     ))
 
-        for tid, (label, kernel_ref, site) in list(self._chan_waits.items()):
+        for tid, (kernel_ref, site) in list(self._chan_waits.items()):
             owner = kernel_ref()
             if owner is None or owner is kernel:
                 del self._chan_waits[tid]
@@ -128,9 +124,9 @@ class LeakRegistry:
                     leaks.append((
                         "san-leak-channel",
                         f"{name_of(tid)} was still blocked in "
-                        f"{label}.get() at kernel shutdown (stranded "
+                        "VirtualChannel.get() at kernel shutdown (stranded "
                         "getter: no put will ever arrive)",
                         site,
-                        label,
+                        "VirtualChannel",
                     ))
         return leaks

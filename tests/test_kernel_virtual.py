@@ -459,12 +459,14 @@ class TestSemaphore:
 
 
 class TestSchedulerSafety:
-    def test_deadlock_detected(self, kernel):
-        # The hang is the point of this test: detach any ambient symsan
-        # sanitizer so a REPRO_SAN=1 run doesn't report it as a finding.
-        from repro.sanitizer import NULL_SANITIZER
+    def test_deadlock_detected(self):
+        # The hang is the point of this test: build the kernel without
+        # any ambient symsan sanitizer so a REPRO_SAN=1 run doesn't
+        # report it as a finding.
+        from repro.sanitizer import NULL_SANITIZER, sanitizing
 
-        kernel.sanitizer = NULL_SANITIZER
+        with sanitizing(NULL_SANITIZER):
+            kernel = VirtualKernel()
 
         def main():
             fut = kernel.create_future()

@@ -211,6 +211,25 @@ class TestLeaks:
             assert f.path.endswith("test_symsan.py")
             assert f.severity is Severity.WARNING
 
+    def test_stranded_channel_getter_reported(self):
+        san = Sanitizer(leaks=True)
+        with sanitizing(san):
+            kernel = VirtualKernel()
+            chan = kernel.create_channel()
+
+            def getter():
+                chan.get()  # no put will ever arrive
+
+            kernel.spawn(getter, name="getter")
+            kernel.run()
+            kernel.shutdown()
+        (finding,) = san.report().findings
+        assert finding.rule == "san-leak-channel"
+        assert finding.symbol == "VirtualChannel"
+        assert "getter was still blocked in VirtualChannel.get()" in (
+            finding.message)
+        assert finding.path.endswith("test_symsan.py")
+
     def test_completed_and_awaited_are_not_leaks(self):
         san = Sanitizer(leaks=True)
         with sanitizing(san):
@@ -293,7 +312,7 @@ class TestLeaks:
     def test_stranded_channel_getter_unit(self):
         registry = LeakRegistry()
         kernel = _Scope()
-        registry.chan_wait(123, object(), kernel, ("app.py", 7))
+        registry.chan_wait(123, kernel, ("app.py", 7))
         leaks = registry.collect(kernel, lambda tid: f"t{tid}")
         assert [leak[0] for leak in leaks] == ["san-leak-channel"]
         rule, message, site, symbol = leaks[0]
@@ -363,8 +382,10 @@ class TestSeededFixtures:
                 kernel.shutdown()
         assert rules_of(san) == []
 
-    def test_future_handoff_is_clean(self):
-        """No common lock, but a future orders the two writes."""
+    @pytest.mark.parametrize("via", ["future", "channel", "call", "none"])
+    def test_handoff_is_clean(self, via):
+        """No common lock, but a future, a channel item or a call event
+        orders the two writes; with no hand-off they race."""
         san = Sanitizer()
         with sanitizing(san):
             kernel = VirtualKernel()
@@ -372,14 +393,25 @@ class TestSeededFixtures:
             def root():
                 table: dict[str, str] = {}
                 fut = kernel.create_future()
+                chan = kernel.create_channel()
+                publish, receive = {
+                    "future": (lambda: fut.set_result(True),
+                               lambda: fut.result(timeout=5.0)),
+                    "channel": (lambda: chan.put(True),
+                                lambda: chan.get(timeout=5.0)),
+                    # the call event, not the process, completes fut
+                    "call": (lambda: kernel.call_soon(fut.set_result, True),
+                             lambda: fut.result(timeout=5.0)),
+                    "none": (lambda: None, lambda: kernel.sleep(1.0)),
+                }[via]
 
                 def first():
                     san.access("Handoff", "cell", scope=kernel)
                     table["cell"] = "a"
-                    fut.set_result(True)
+                    publish()
 
                 def second():
-                    fut.result(timeout=5.0)
+                    receive()
                     san.access("Handoff", "cell", scope=kernel)
                     table["cell"] = "b"
 
@@ -392,7 +424,7 @@ class TestSeededFixtures:
                 kernel.run_callable(root)
             finally:
                 kernel.shutdown()
-        assert rules_of(san) == []
+        assert rules_of(san) == (["san-race"] if via == "none" else [])
 
     @pytest.mark.parametrize("finished_first", [False, True],
                              ids=["joins-running", "joins-finished"])
@@ -513,6 +545,7 @@ class TestSeededFixtures:
         assert finding.severity is Severity.ERROR
         assert "stuck-main" in finding.message
         assert "wait-for graph" in finding.message
+        assert finding.symbol == "VirtualKernel"
 
 
 # ---------------------------------------------------------------------------
@@ -737,3 +770,45 @@ class TestKernelEdges:
         assert kernel._shutting_down
         assert not parked._thread.is_alive()
         assert outcome == []
+
+
+# ---------------------------------------------------------------------------
+# the construction seam: a sanitizing kernel beside the plain one
+# ---------------------------------------------------------------------------
+
+
+class TestConstructionSeam:
+    def test_kernel_built_under_a_sanitizer_sanitizes(self):
+        from repro.sanitizer.kernel import SanitizedKernel
+
+        with sanitizing(NULL_SANITIZER):
+            plain = VirtualKernel()
+        with sanitizing() as san:
+            sanitized = VirtualKernel()
+        assert type(plain) is VirtualKernel
+        assert type(sanitized) is SanitizedKernel
+        assert isinstance(sanitized, VirtualKernel)
+        assert plain.sanitizer is NULL_SANITIZER
+        assert sanitized.sanitizer is san
+
+    def test_plain_kernel_names_no_sanitizer_hook(self):
+        """The plain kernel calls no hook: every one is a sanitizing
+        subclass's, in ``repro.sanitizer.kernel``."""
+        import ast
+        import inspect
+
+        from repro.kernel import virtual
+
+        hooks = {
+            name for name, _ in inspect.getmembers(Sanitizer, callable)
+            if not name.startswith("_")
+        }
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(virtual))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names.add(node.name)
+        assert sorted(hooks & names) == []
