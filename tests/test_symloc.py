@@ -132,6 +132,74 @@ def test_migration_thrash_detected():
 
 
 # ---------------------------------------------------------------------------
+# control flow: loop depth, straight-line runs, liveness (flow_cases.py)
+# ---------------------------------------------------------------------------
+
+#: marker -> (rule, severity, message fragment) for the flow cases that fire
+FLOW_FIRES = {
+    "SINVOKE_IN_WHILE_TEST": ("remote-invoke-in-loop", Severity.WARNING,
+                              "(depth 1)"),
+    "COMP_SECOND_ITER": ("remote-invoke-in-loop", Severity.WARNING,
+                         "(depth 1)"),
+    "COMP_NESTED": ("remote-invoke-in-loop", Severity.ERROR, "(depth 2)"),
+    "NESTED_DEF_LOOP": ("remote-invoke-in-loop", Severity.WARNING,
+                        "(depth 1)"),
+    "METHOD_MIGRATE": ("migrate-in-loop", Severity.WARNING, "(depth 1)"),
+    "REBOUND": ("sync-invoke-async-opportunity", Severity.INFO,
+                "'value' is never read"),
+    "REBOUND_IN_BRANCHES": ("sync-invoke-async-opportunity", Severity.INFO,
+                            "'value' is never read"),
+    "WITH_DISTANCE": ("sync-invoke-async-opportunity", Severity.INFO,
+                      "not read for the next 3 statement(s)"),
+    "WITH_DISCARDED": ("sync-invoke-async-opportunity", Severity.INFO,
+                       "is discarded"),
+    "WHILE_ELSE_DISCARDED": ("sync-invoke-async-opportunity", Severity.INFO,
+                             "is discarded"),
+}
+
+#: flow cases that must stay silent, each a near miss of one above
+FLOW_SILENT = (
+    "SINVOKE_IN_FOR_ITER", "COMP_FIRST_ITER", "LAMBDA_BODY",
+    "NESTED_DEF_BODY", "LAMBDA_CAPTURE", "READ_IN_LOOP", "READ_IN_HANDLER",
+    "READ_IN_RETRY_HANDLER", "READ_IN_FINALLY", "READ_AS_STORE_BASE",
+    "READ_AFTER_UNMATCHED_CASE", "FOR_BREAKS_DISTANCE",
+    "WHILE_BREAKS_DISCARDED", "TRY_BREAKS_DISCARDED", "IF_ENDS_RUN",
+    "MATCH_ENDS_RUN", "AFTER_WHILE_ELSE",
+)
+
+
+def flow_findings() -> dict:
+    report = run("flow_cases.py")
+    lines = [f.line for f in report.findings]
+    assert len(lines) == len(set(lines)), "one finding per line expected"
+    return {f.line: f for f in report.findings}
+
+
+def test_flow_cases_fire_exactly_where_marked():
+    findings = flow_findings()
+    expected = {
+        marker_line("flow_cases.py", marker): (rule, severity)
+        for marker, (rule, severity, _) in FLOW_FIRES.items()
+    }
+    assert {line: (f.rule, f.severity) for line, f in findings.items()} \
+        == expected
+
+
+def test_flow_case_messages_name_depth_and_distance():
+    findings = flow_findings()
+    for marker, (_, _, fragment) in FLOW_FIRES.items():
+        message = findings[marker_line("flow_cases.py", marker)].message
+        assert fragment in message, (marker, message)
+
+
+def test_flow_near_misses_are_silent():
+    findings = flow_findings()
+    for marker in FLOW_SILENT:
+        line = marker_line("flow_cases.py", marker)
+        assert line not in findings, (marker, findings[line].message)
+
+
+# ---------------------------------------------------------------------------
 # the clean twin and suppression
 # ---------------------------------------------------------------------------
 
