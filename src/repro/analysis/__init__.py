@@ -1,9 +1,10 @@
 """symlint: PySymphony-aware static analysis.
 
-One pass, ``locality``: symloc's CFG/liveness-backed rules against the
-communication anti-patterns the paper warns about — chatty synchronous
-RMI and migration thrash (:mod:`repro.analysis.locality`, on
-:mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
+One pass, ``locality``: symloc's rules against the communication
+anti-patterns the paper warns about — chatty synchronous RMI and
+migration thrash (:mod:`repro.analysis.locality`, on one walk over each
+function's AST: straight-line runs with their loop depth, and a
+backward pass for "is this result read later?").
 
 Defects the runtime itself reports are left to it: migrating an
 unpicklable object or sending a kind nobody handles fails in the caller,
@@ -28,11 +29,6 @@ _EXPORTS = {
     "Module": "base",
     "Project": "base",
     "Severity": "base",
-    "CFG": "cfg",
-    "Block": "cfg",
-    "build_cfg": "cfg",
-    "function_cfgs": "cfg",
-    "Liveness": "dataflow",
     "LocalityChecker": "locality",
     "Report": "runner",
     "analyze_paths": "runner",

@@ -46,9 +46,8 @@ OBS_ALL = [
 ]
 
 ANALYSIS_ALL = [
-    "Block", "CFG", "Checker", "Finding", "Liveness", "LocalityChecker",
-    "Module", "Project", "Report", "Severity", "analyze_paths",
-    "build_cfg", "default_checkers", "function_cfgs", "render_json",
+    "Checker", "Finding", "LocalityChecker", "Module", "Project", "Report",
+    "Severity", "analyze_paths", "default_checkers", "render_json",
     "render_sarif", "render_text",
 ]
 
