@@ -215,9 +215,14 @@ class Reply:
                     dst=str(self._dst), waited=timeout,
                 )
                 tracer.count("rpc.timeouts", host=host)
-            raise RPCTimeoutError(
+            exc = RPCTimeoutError(
                 f"no reply within {timeout} s (peer failed?)"
-            ) from None
+            )
+            # Nobody waits for this reply any more: fail its future, or
+            # a request lost on the way would leave it pending for good.
+            # A reply that still lands is ignored (``_complete``).
+            self._future.set_exception(exc)
+            raise exc from None
         if isinstance(value, RemoteError):
             exc = value.exc
             if isinstance(exc, (NodeFailedError, RemoteInvocationError)):

@@ -21,12 +21,14 @@ import pytest
 
 from repro.analysis.base import Severity
 from repro.cli import main as cli_main
-from repro.errors import WaitTimeout
+from repro.errors import RPCTimeoutError, WaitTimeout
 from repro.kernel import VirtualKernel
 from repro.rmi.handle import ResultHandle
 from repro.sanitizer import NULL_SANITIZER, SAN_RULES, Sanitizer, sanitizing
 from repro.sanitizer.leaks import LeakRegistry
 from repro.sanitizer.lockset import LocksetDetector, VectorClocks
+from repro.simnet import SimWorld, build_lan, make_host
+from repro.transport import Addr, Transport
 
 FIXTURES = Path(__file__).parent / "fixtures" / "symsan"
 
@@ -210,6 +212,35 @@ class TestLeaks:
         for f in san.report().findings:
             assert f.path.endswith("test_symsan.py")
             assert f.severity is Severity.WARNING
+
+    @pytest.mark.parametrize("peer", ["crashed", "slow"])
+    def test_timed_out_reply_is_no_leak(self, peer):
+        """A timed call that gets no reply in time fails its reply future
+        with the timeout it raises.  To a crashed host the request is
+        lost, and the future used to stay pending for good; a reply that
+        lands after the timeout is ignored."""
+        san = Sanitizer(leaks=True)
+        with sanitizing(san):
+            world = SimWorld(VirtualKernel(), seed=0)
+            build_lan(world, fast_hosts=[make_host("u1", "Ultra10/440"),
+                                         make_host("u2", "Ultra10/300")])
+            transport = Transport(world)
+            server = transport.create_endpoint(Addr("u2", "srv"))
+            server.register("PING", lambda msg: world.kernel.sleep(2.0))
+            client = transport.create_endpoint(Addr("u1", "cli"))
+            if peer == "crashed":
+                world.fail_host("u2")
+
+            def main():
+                with pytest.raises(RPCTimeoutError):
+                    client.rpc(Addr("u2", "srv"), "PING", timeout=1.0)
+                world.kernel.sleep(5.0)  # past any late reply
+
+            try:
+                world.kernel.run_callable(main)
+            finally:
+                world.kernel.shutdown()
+        assert rules_of(san) == []
 
     def test_stranded_channel_getter_reported(self):
         san = Sanitizer(leaks=True)
