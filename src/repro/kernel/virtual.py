@@ -19,10 +19,15 @@ thread runs them.  Only the OS thread that runs an event changes, never
 which event runs when.
 
 A process is *scheduled onto* a thread, it does not own one: its body runs
-on a pooled :class:`_Worker` of its kernel, which goes back to the idle
-list when the body returns, and a finished process leaves
-``kernel.processes``.  One process may run on another's thread: a process
-spawned ``completes=F`` starts on the thread of a process that is waiting,
+on a :class:`_Worker` its kernel holds, which goes back to the kernel's
+idle list when the body returns, and a finished process leaves
+``kernel.processes``.  A kernel with no idle worker takes one from the
+process-wide pool and starts a thread only when the pool is empty;
+``shutdown()`` gives every worker it holds back to that pool, so a run of
+fresh kernels (a Figure-5 sweep, a test suite) reuses one set of threads.
+
+One process may run on another's thread: a process spawned
+``completes=F`` starts on the thread of a process that is waiting,
 untimed, for ``F`` and gives up the baton just before that start (the
 *host*; :meth:`VirtualKernel._host`), so a synchronous request costs its
 caller no OS switch at all.
@@ -47,6 +52,8 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
+import os
 import threading
 import weakref
 from collections import deque
@@ -69,6 +76,7 @@ class ProcessState(enum.Enum):
 
 
 _SWITCH_TIMEOUT = 60.0  # host seconds without a kernel event: a stall
+_RELEASE_TIMEOUT = 5.0  # host seconds shutdown waits for one worker
 #: the span context's thread-local, swapped inline around call events
 _span_state = _spans._state
 #: hot-path aliases: looking up an Enum member is a descriptor call
@@ -100,31 +108,68 @@ class _Gate:
         return self._lock.acquire(timeout=timeout)
 
 
-class _Worker:
-    """A parked OS thread of one kernel that runs process bodies, one at
-    a time, for as long as the kernel lives."""
+#: idle workers no kernel holds, shared by every kernel in the process
+_POOL: list[_Worker] = []
+#: worker thread names stay unique across kernels
+_worker_names = itertools.count()
+# A forked child has none of its parent's worker threads.
+os.register_at_fork(after_in_child=_POOL.clear)
 
-    def __init__(self, kernel: "VirtualKernel") -> None:
-        self.kernel = kernel
-        self.gate = _Gate()
+
+class _Worker:
+    """A parked OS thread that runs process bodies, one at a time, for the
+    kernel that holds it (``kernel``), then, once that kernel shuts down,
+    waits in the process-wide pool for the next kernel to take it.  A
+    pooled worker keeps nothing of its last kernel: no kernel, no process,
+    no span context."""
+
+    def __init__(self) -> None:
+        self.kernel: VirtualKernel | None = None
         self.proc: VirtualProcess | None = None
+        self.gate = _Gate()
+        #: opened once the worker is back in the pool; a fresh gate per
+        #: shutdown, so a late release pairs with no later wait
+        self.released: _Gate | None = None
         self.thread = threading.Thread(
             target=self._serve, daemon=True,
-            name=f"vworker-{len(kernel._workers)}",
+            name=f"vworker-{next(_worker_names)}",
         )
         self.thread.start()
 
+    @staticmethod
+    def take(kernel: "VirtualKernel") -> "_Worker":
+        """A worker for ``kernel``, which has none idle: a pooled one, or
+        a new thread when the pool is empty."""
+        try:
+            worker = _POOL.pop()
+        except IndexError:
+            worker = _Worker()
+        worker.kernel = kernel
+        kernel._workers.append(worker)
+        return worker
+
     def _serve(self) -> None:
-        kernel = self.kernel
+        # No local may name the kernel or the process: this frame outlives
+        # both while the worker waits in the pool.
         while True:
             self.gate.wait()  # idle: no timeout, there may never be work
-            if kernel._shutting_down or not self.proc._run():
-                return
+            if self.kernel._shutting_down or not self.proc._run():
+                self._release()
+                continue
             self.proc = None
-            kernel._idle.append(self)
+            self.kernel._idle.append(self)
             # The body is done: pass the baton on, perhaps to this very
             # worker (the next start event's gate is then already open).
-            kernel._pass_baton()
+            self.kernel._pass_baton()
+
+    def _release(self) -> None:
+        """Back to the pool once shutdown woke this worker, idle or inside
+        a body it then unwound."""
+        released = self.released
+        self.kernel = self.proc = self.released = None
+        _spans.set_context(None)
+        _POOL.append(self)
+        released.set()
 
 
 class VirtualProcess:
@@ -209,7 +254,7 @@ class VirtualProcess:
     def _run(self) -> bool:
         """Run the body on the calling worker thread, then leave the
         process table.  False when kernel shutdown unwound the body: the
-        worker must exit and touch no shared state."""
+        worker goes back to the pool and touches no shared state."""
         kernel = self.kernel
         self._state = ProcessState.RUNNING
         # Unconditionally: the worker's previous process may have left a
@@ -655,8 +700,7 @@ class VirtualKernel:
                 if self._idle:
                     worker = self._idle.pop()
                 else:
-                    worker = _Worker(self)
-                    self._workers.append(worker)
+                    worker = _Worker.take(self)
                 worker.proc = proc
                 proc._gate = worker.gate
                 proc._thread = worker.thread
@@ -798,13 +842,13 @@ class VirtualKernel:
         return "; ".join(parts) if parts else "<no blocked processes>"
 
     def shutdown(self) -> None:
-        """Terminate every worker thread, parked idle or inside a blocked
-        process, and forget the processes.
+        """Unwind every process still parked on a worker, give every
+        worker back to the process-wide pool, and forget the processes.
 
-        Finished simulations otherwise leak their daemon threads (agent
-        loops parked in kernel sleeps) for the life of the host process —
-        harmless for one simulation, fatal for a test suite that builds
-        hundreds.  Idempotent; the kernel is unusable afterwards."""
+        Finished simulations otherwise keep their workers (agent loops
+        parked in kernel sleeps) for the life of the host process, where
+        the next kernel cannot reuse them.  Idempotent; the kernel is
+        unusable afterwards."""
         if self._shutting_down:
             return
         if self._running or self._current is not None:
@@ -819,8 +863,11 @@ class VirtualKernel:
         # at a time: a blocked body's finally clauses run repro code, and
         # only one thread may do that at once.
         for worker in self._workers:
+            if not worker.thread.is_alive():
+                continue  # in a forked child: the thread stayed behind
+            worker.released = released = _Gate()
             worker.gate.set()
-            worker.thread.join(timeout=5.0)
+            released.wait(_RELEASE_TIMEOUT)
         self._workers.clear()
         self._idle.clear()
         self.processes.clear()

@@ -933,7 +933,8 @@ class TestCallerHosted:
 
     def test_shutdown_unwinds_a_parked_guest_and_its_host(self, monkeypatch):
         """A handler asleep on its caller's thread: shutdown unwinds the
-        handler, then the caller it runs under, and the one worker exits."""
+        handler, then the caller it runs under, and the one worker goes
+        back to the pool holding neither."""
         from repro.simnet import SimWorld, build_lan, make_host
         from repro.transport import Addr, Transport
 
@@ -966,11 +967,15 @@ class TestCallerHosted:
         kernel.run(until=10.0)
         assert [p.name for p in kernel.processes.values()] == [
             "main", "handle-SLOW@u2"]
+        procs = list(kernel.processes.values())
         (worker,) = kernel._workers  # the handler has no thread of its own
         kernel.shutdown()
         assert seen == []
         assert unwound == ["handler", "caller"]
-        assert not worker.thread.is_alive()
+        assert [p.state.value for p in procs] == ["failed"] * 2
+        assert kernel.crashes == []
+        assert worker in virtual._POOL and worker.thread.is_alive()
+        assert worker.proc is None and worker.kernel is None
 
     def test_guest_and_host_keep_their_own_sanitizer_identities(self):
         """The guest acts under an identity of its own, ordered with its

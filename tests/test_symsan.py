@@ -22,7 +22,7 @@ import pytest
 from repro.analysis.base import Severity
 from repro.cli import main as cli_main
 from repro.errors import RPCTimeoutError, WaitTimeout
-from repro.kernel import VirtualKernel
+from repro.kernel import VirtualKernel, virtual
 from repro.rmi.handle import ResultHandle
 from repro.sanitizer import NULL_SANITIZER, SAN_RULES, Sanitizer, sanitizing
 from repro.sanitizer.leaks import LeakRegistry
@@ -799,7 +799,10 @@ class TestKernelEdges:
         assert parked.state.value == "blocked"
         kernel.shutdown()  # must return despite the parked process
         assert kernel._shutting_down
-        assert not parked._thread.is_alive()
+        assert parked.state.value == "failed" and kernel.crashes == []
+        (worker,) = [w for w in virtual._POOL if w.thread is parked._thread]
+        assert worker.thread.is_alive()
+        assert worker.proc is None and worker.kernel is None
         assert outcome == []
 
 
