@@ -130,7 +130,8 @@ def _uses(stmt: ast.AST) -> set[str]:
     bodies count (a captured name stays live), and so does the base of
     a store through a subscript or attribute (``xs[i] = ...``): the
     parser marks it a load."""
-    return {n.id for expr in _header(stmt)
+    exprs = [stmt] if isinstance(stmt, _FUNCTIONS) else _header(stmt)
+    return {n.id for expr in exprs
             for n in _names(expr, ast.Load, through_opaque=True)}
 
 
@@ -227,7 +228,8 @@ def _read_later(func: ast.AST, name: str, query: ast.stmt) -> bool:
     One backward pass over ``func``'s bodies, on the runs of
     :func:`_runs`.  A loop carries reads around to its header, and
     every run inside a ``try`` body may raise into the handlers and
-    the ``finally``: what those read counts at the end of the run, then
+    the ``finally``: what those read counts at the end of the run (for
+    the body's last run, where the body ends, before its ``else``), then
     flows back through it.  ``query`` must not be inside a loop."""
     after_query = False
 
@@ -280,7 +282,9 @@ def _read_later(func: ast.AST, name: str, query: ast.stmt) -> bool:
                     for handler in stmt.handlers
                 ]) or bool(stmt.finalbody) and drain or exc_new
                 rest = body(stmt.orelse, drain, raised, exc_new, loop)
-                live = body(stmt.body, rest, raised, raised, loop,
+                # the body may raise into the handlers before the else
+                # clause rebinds anything
+                live = body(stmt.body, rest or raised, raised, raised, loop,
                             ends_run=False) or exc(k)
             elif isinstance(stmt, (ast.Return, ast.Raise)):
                 live = step(stmt, exc(k))

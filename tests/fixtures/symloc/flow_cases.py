@@ -200,3 +200,25 @@ def after_while_else_starts_run(obj, queue):
         obj.sinvoke("flush")  # <<AFTER_WHILE_ELSE>>
         note("flushed")
     note("done")
+
+
+# -- liveness: reads the run boundaries must not hide ---------------------------
+
+
+def read_in_nested_def(obj):
+    value = obj.sinvoke("get")  # <<READ_IN_NESTED_DEF>>
+
+    def later():
+        return value
+
+    return later
+
+
+def read_in_handler_rebound_in_else(obj):
+    value = obj.sinvoke("get")  # <<READ_IN_HANDLER_REBOUND_IN_ELSE>>
+    try:
+        check()
+    except ValueError:
+        log(value)
+    else:
+        value = None

@@ -164,7 +164,8 @@ FLOW_SILENT = (
     "READ_IN_RETRY_HANDLER", "READ_IN_FINALLY", "READ_AS_STORE_BASE",
     "READ_AFTER_UNMATCHED_CASE", "FOR_BREAKS_DISTANCE",
     "WHILE_BREAKS_DISCARDED", "TRY_BREAKS_DISCARDED", "IF_ENDS_RUN",
-    "MATCH_ENDS_RUN", "AFTER_WHILE_ELSE",
+    "MATCH_ENDS_RUN", "AFTER_WHILE_ELSE", "READ_IN_NESTED_DEF",
+    "READ_IN_HANDLER_REBOUND_IN_ELSE",
 )
 
 
