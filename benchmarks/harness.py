@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from repro.agents.nas import NASConfig
-from repro.apps.matmul import MatmulConfig, run_matmul, sequential_matmul_time
+from repro.apps.matmul import MatmulConfig, fig5_elapsed, run_matmul
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.obs import Tracer, set_tracer
 from repro.util.tables import render_table
@@ -72,16 +72,7 @@ def fig5_point(
 ) -> Fig5Point:
     """One point of Figure 5 on a fresh testbed.  ``nodes == 1`` is the
     paper's sequential baseline (no JavaSymphony at all)."""
-    runtime = fresh_testbed(profile, seed)
-    if nodes == 1:
-        elapsed = sequential_matmul_time(runtime.world, "milena", n)
-    else:
-        result = runtime.run_app(
-            lambda: run_matmul(
-                MatmulConfig(n=n, nr_nodes=nodes, real_compute=False)
-            )
-        )
-        elapsed = result.elapsed
+    elapsed = fig5_elapsed(fresh_testbed(profile, seed), n, nodes)
     baseline = sequential_baseline if sequential_baseline else elapsed
     return Fig5Point(
         profile=profile,

@@ -5,7 +5,11 @@ The AppOA lives on the application's home node.  It keeps the
 the holder location (authoritative — the migration protocol keeps the
 origin informed, paper Figure 3), pending invocation results and
 executing flags.  Applications call the AppOA by direct local method
-invocation; everything beyond the home node goes over the transport.
+invocation.  It also holds the objects created on the home node, and
+serves that table with the same handlers a PubOA serves its
+remote-objects-table with: every request to a holder goes through
+:meth:`AppOA.request`, which runs the handler in place for the home table
+and goes over the transport for any other holder.
 
 Also implemented here:
 
@@ -37,7 +41,6 @@ from repro.errors import (
     RegistrationError,
     RemoteInvocationError,
     RetriesExhaustedError,
-    TransportError,
 )
 from repro.obs import events as ev
 from repro.obs import spans
@@ -74,6 +77,16 @@ class _Call:
     mode: str                   # "sync" | "async" | "oneway" | "batch"
     future: Any = None
     span: Any = None
+
+
+@dataclass(slots=True)
+class _InPlace:
+    """What a handler reads of a request served from the AppOA's own
+    table (:meth:`AppOA.request`): the payload, uncopied, and ``nominal``
+    set, as nothing looked for a ``Payload`` wrapper in it."""
+
+    payload: Any
+    nominal: bool = True
 
 
 #: per-call (counter, latency histogram) by mode.  Batch slots have
@@ -130,7 +143,19 @@ class AppOA(HolderEndpoints):
     def rpc_timeout(self) -> float | None:
         return self.runtime.shell.config.rpc_timeout
 
-    migration_timeout = rpc_timeout  # the Figure-3 push waits as long
+    def request(self, addr: Addr, kind: str, payload: Any = None) -> Any:
+        """One request to the holder at ``addr``.  The home table is
+        served by this endpoint's own handler in the calling process (no
+        message, no copy, no CPU charge; errors come raw); any other
+        holder by an RPC under ``rpc_timeout``."""
+        if addr == self.addr:
+            return self.endpoint.handler_for(kind)(_InPlace(payload))
+        return self.endpoint.rpc(addr, kind, payload,
+                                 timeout=self.rpc_timeout)
+
+    def _holder_at(self, host: str) -> Addr:
+        """Who holds this app's objects on ``host``: itself or a PubOA."""
+        return self.addr if host == self.home else Addr(host, "oa")
 
     # ------------------------------------------------------------------------
     # object creation / free
@@ -141,18 +166,9 @@ class AppOA(HolderEndpoints):
     ) -> ObjectRef:
         self._check_open()
         obj_id = self.runtime.ids.next(f"{self.app_id}:obj")
-        if host == self.home:
-            # Locally generated objects live in the AppOA's own table.
-            location = self.addr
-            self.hold_new_object(obj_id, class_name, self.addr, args)
-        else:
-            location = Addr(host, "oa")
-            self.endpoint.rpc(
-                location,
-                M.CREATE_OBJECT,
-                (obj_id, class_name, self.addr, args),
-                timeout=self.rpc_timeout,
-            )
+        location = self._holder_at(host)
+        self.request(location, M.CREATE_OBJECT,
+                     (obj_id, class_name, self.addr, args))
         ref = ObjectRef(obj_id, class_name, self.addr, location)
         self._note_refs_write(obj_id)
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
@@ -168,13 +184,7 @@ class AppOA(HolderEndpoints):
     def free_object(self, ref: ObjectRef) -> None:
         self._check_open()
         entry = self._own_entry(ref)
-        if entry.location == self.addr:
-            self.drop_object(ref.obj_id)
-        else:
-            self.endpoint.rpc(
-                entry.location, M.FREE_OBJECT, ref.obj_id,
-                timeout=self.rpc_timeout,
-            )
+        self.request(entry.location, M.FREE_OBJECT, ref.obj_id)
         self._note_refs_write(ref.obj_id)
         del self.refs[ref.obj_id]
         if self.tracer.enabled:
@@ -234,11 +244,7 @@ class AppOA(HolderEndpoints):
 
     def _resolve_via_origin(self, ref: ObjectRef) -> Addr:
         """Ask the AppOA the object originates from for its location."""
-        if ref.origin == self.addr:
-            return self._own_entry(ref).location
-        answer = self.endpoint.rpc(
-            ref.origin, M.GET_LOCATION, ref.obj_id, timeout=self.rpc_timeout
-        )
+        answer = self.request(ref.origin, M.GET_LOCATION, ref.obj_id)
         if isinstance(answer, UnknownObject):
             raise ObjectStateError(
                 f"origin {ref.origin} no longer knows object {ref.obj_id} "
@@ -284,27 +290,23 @@ class AppOA(HolderEndpoints):
         location = self._location_of(ref)
         call = self._open_call(_Call(ref, method, params, "oneway"))
         if location == self.addr:
-            # Local object: run it in the background without reply
-            # traffic.  The span travels with the worker so its duration
-            # covers the actual dispatch, not just this resolve-and-spawn.
-            self._spawn(self._fire_oneway, call, location,
+            # Not folded into request(): a one-sided call never runs in
+            # its caller.  The span travels with the worker so its
+            # duration covers the dispatch, not this resolve-and-spawn.
+            self._spawn(self._fire_oneway, call, location, True,
                         name=f"oinvoke-{method}@{self.app_id}")
         else:
             self._fire_oneway(call, location)
 
-    def _fire_oneway(self, call: _Call, location: Addr) -> None:
+    def _fire_oneway(self, call: _Call, location: Addr,
+                     on_worker: bool = False) -> None:
         payload = (call.ref.obj_id, call.method, call.params)
         prev = None
         if call.span is not None:
             prev = spans.set_context(call.span.ctx)
         try:
-            if location == self.addr:
-                try:
-                    self.dispatch_oneway(payload)
-                except Exception:  # noqa: BLE001 - one-sided semantics
-                    # Dropped, exactly as a remote one-sided invocation
-                    # would drop it (fire and forget).
-                    pass
+            if on_worker:
+                self._acked_oneway(location, payload)
             elif self.runtime.transport.retrier is not None:
                 # Reliability on: carry the one-sided call on an acked,
                 # retried RPC so a dropped message does not silently
@@ -319,18 +321,15 @@ class AppOA(HolderEndpoints):
                 spans.set_context(prev)
 
     def _acked_oneway(self, location: Addr, payload: Any) -> None:
-        """Worker body of a reliable one-sided call.
-
-        ``ONEWAY_INVOKE`` replies ``None``, which here serves purely as
-        a delivery ack.  Transport failures (including exhausted
-        retries) are swallowed: one-sided semantics promise the caller
-        nothing, so best-effort-with-retries strictly improves on the
-        bare ``send_oneway`` without changing the API contract."""
+        """Worker body of a one-sided call on the home table or, with
+        reliability on, on another holder.  ``ONEWAY_INVOKE`` replies
+        ``None``, a delivery ack.  Every failure is swallowed, the
+        method's or the transport's: one-sided semantics promise the
+        caller nothing, so best-effort-with-retries strictly improves on
+        the bare ``send_oneway`` without changing the API contract."""
         try:
-            self.endpoint.rpc(
-                location, M.ONEWAY_INVOKE, payload, timeout=self.rpc_timeout
-            )
-        except TransportError:
+            self.request(location, M.ONEWAY_INVOKE, payload)
+        except Exception:  # noqa: BLE001 - fire and forget
             pass
 
     # -- the call lifecycle ---------------------------------------------------
@@ -479,12 +478,13 @@ class AppOA(HolderEndpoints):
         payload = [(c.ref.obj_id, c.method, c.params) for c in group]
         remote = dest != self.addr
         if not remote:
+            # Not folded into request(): _h_invoke_batch counts
+            # invoke.batch.dispatched for batches that came over the
+            # wire, and the home table's batches never do.
             outcomes = self.dispatch_invoke_batch(payload)
         else:
             try:
-                outcomes = self.endpoint.rpc(
-                    dest, M.INVOKE_BATCH, payload, timeout=self.rpc_timeout
-                )
+                outcomes = self.request(dest, M.INVOKE_BATCH, payload)
             except RetriesExhaustedError:
                 # Graceful degradation: the batch message is poisoned
                 # (too big for the loss rate, or the destination is
@@ -560,15 +560,8 @@ class AppOA(HolderEndpoints):
         asked_origin = False
         location = self._location_of(ref)
         for _ in range(_MAX_REDIRECTS):
-            if location == self.addr:
-                outcome = self.dispatch_invoke(ref.obj_id, method, params)
-            else:
-                outcome = self.endpoint.rpc(
-                    location,
-                    M.INVOKE,
-                    (ref.obj_id, method, params),
-                    timeout=self.rpc_timeout,
-                )
+            outcome = self.request(location, M.INVOKE,
+                                   (ref.obj_id, method, params))
             if isinstance(outcome, Moved):
                 # Stale reference: chase the tombstone hint if present,
                 # otherwise ask the origin (Figure 4).
@@ -602,20 +595,13 @@ class AppOA(HolderEndpoints):
         self._check_open()
         entry = self._own_entry(ref)
         src = entry.location
-        dst = self.addr if target_host == self.home else Addr(target_host, "oa")
+        dst = self._holder_at(target_host)
         if src == dst:
             return dst
         self._drain_pending(ref.obj_id)
         with self._span(ev.MIGRATE, "migrations", "migrate.duration",
                         obj_id=ref.obj_id, src=str(src), dst=str(dst)):
-            if src == self.addr:
-                # The object lives in our own table: run pa1's side inline.
-                outcome = self.migrate_out(ref.obj_id, dst)
-            else:
-                outcome = self.endpoint.rpc(
-                    src, M.MIGRATE_OUT, (ref.obj_id, dst),
-                    timeout=self.rpc_timeout,
-                )
+            outcome = self.request(src, M.MIGRATE_OUT, (ref.obj_id, dst))
             if not isinstance(outcome, dict) or "new_location" not in outcome:
                 raise MigrationError(
                     f"unexpected migration outcome {outcome!r}"
@@ -683,16 +669,9 @@ class AppOA(HolderEndpoints):
         entry = self._own_entry(ref)
         with self._span(ev.PERSIST_STORE, "persist.stores",
                         obj_id=ref.obj_id) as closing:
-            if entry.location == self.addr:
-                blob, obj_entry = self.serialize_object(ref.obj_id)
-                class_name = obj_entry.class_name
-            else:
-                payload = self.endpoint.rpc(
-                    entry.location, M.FETCH_STATE, ref.obj_id,
-                    timeout=self.rpc_timeout,
-                )
-                class_name, blob = payload.data if hasattr(payload, "data") \
-                    else payload
+            class_name, blob = self.request(
+                entry.location, M.FETCH_STATE, ref.obj_id
+            ).data
             closing["key"] = stored = self.runtime.persistent_store.save(
                 class_name, blob, key=key
             )
@@ -729,17 +708,10 @@ class AppOA(HolderEndpoints):
     def _place_from_state(self, obj_id: str, class_name: str, blob: bytes,
                           host: str) -> Addr:
         """Re-create an object from its stored state on ``host``."""
-        if host == self.home:
-            self.hold_from_state(obj_id, class_name, blob, self.addr)
-            return self.addr
-        location = Addr(host, "oa")
-        self.endpoint.rpc(
-            location,
-            M.CREATE_FROM_STATE,
-            Payload(data=(obj_id, class_name, blob, self.addr),
-                    nbytes=len(blob)),
-            timeout=self.rpc_timeout,
-        )
+        location = self._holder_at(host)
+        self.request(location, M.CREATE_FROM_STATE,
+                     Payload(data=(obj_id, class_name, blob, self.addr),
+                             nbytes=len(blob)))
         return location
 
     def load_object(self, key: str, host: str | None = None) -> ObjectRef:
@@ -789,8 +761,13 @@ class AppOA(HolderEndpoints):
                 try:
                     self.migrate_object(entry.ref, target)
                     entry.auto_migrations += 1
-                except (MigrationError, ObjectStateError):
-                    continue
+                except (MigrationError, ObjectStateError,
+                        RemoteInvocationError) as exc:
+                    # A refusal skips its object, raw from the home table
+                    # or wrapped from a PubOA; a transport error ends it.
+                    if not isinstance(getattr(exc, "cause", exc),
+                                      (MigrationError, ObjectStateError)):
+                        raise
 
         self._spawn(worker, name=f"auto-migrate@{self.app_id}")
         return None
@@ -812,10 +789,8 @@ class AppOA(HolderEndpoints):
                 self.refs.pop(obj_id, None)
         for watch_id in self.watch_ids:
             try:
-                self.endpoint.rpc(
-                    Addr(self.home, "oa"), M.UNREGISTER_VA, watch_id,
-                    timeout=self.rpc_timeout,
-                )
+                self.request(Addr(self.home, "oa"), M.UNREGISTER_VA,
+                             watch_id)
             except Exception:  # noqa: BLE001
                 pass
         self.closed = True

@@ -2,8 +2,13 @@
 
 Both the PubOA (remote-objects-table) and the AppOA (local-objects-table)
 serve the same object-hosting protocol: create, invoke, free, migrate
-out/in, fetch state.  This mixin registers those handlers on the agent's
-endpoint; it sits on top of :class:`repro.agents.objects.ObjectHolder`.
+out/in, fetch state, static segments.  This mixin registers those
+handlers on the agent's endpoint; it sits on top of
+:class:`repro.agents.objects.ObjectHolder`.  The handlers are the only
+implementation of each request: a PubOA runs them for requests off the
+wire, and the AppOA also runs them in place for requests to its own
+table (``AppOA.request``), so a handler reads only ``msg.payload`` and
+``msg.nominal``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ def wire_bytes(instance, blob: bytes) -> int:
 
 class HolderEndpoints(ObjectHolder):
     """Contract: ``self.endpoint``, ``self.addr``, ``self.world``,
-    ``self.loaded_classes`` and (optionally) ``self.migration_timeout``."""
-
-    migration_timeout: float | None = None
+    ``self.runtime`` and ``self.loaded_classes``."""
 
     def register_holder_handlers(self) -> None:
         ep = self.endpoint
@@ -51,12 +54,12 @@ class HolderEndpoints(ObjectHolder):
     def _install_dedup(self, ep) -> None:
         """Attach a replay cache when ``ShellConfig.reliable`` is set,
         so retried tokened requests execute at most once on this holder."""
-        runtime = getattr(self, "runtime", None)
-        if runtime is None or not runtime.shell.config.reliable:
+        config = self.runtime.shell.config
+        if not config.reliable:
             return
         from repro.rmi.reliability import ReplayCache
 
-        ep.dedup = ReplayCache(self.world.kernel, runtime.shell.config)
+        ep.dedup = ReplayCache(self.world.kernel, config)
 
     def _trace_migrate_step(self, obj_id: str, step: str) -> None:
         self.world.tracer.emit(
@@ -113,7 +116,7 @@ class HolderEndpoints(ObjectHolder):
 
     def dispatch_oneway(self, call, nominal=True):
         """Run a one-sided ``(obj_id, method, params)`` call on a held
-        object; the AppOA's local arm and the wire handler share it."""
+        object."""
         outcome = self.dispatch_invoke(*call, nominal)
         if isinstance(outcome, M.Moved) and outcome.hint is not None:
             # One-sided calls carry no reply channel, so the tombstone
@@ -163,7 +166,7 @@ class HolderEndpoints(ObjectHolder):
             # cannot stall unrelated dispatch.
             self.endpoint.rpc(
                 Addr(dst.host, dst.agent), M.MIGRATE_IN, payload,
-                timeout=self.migration_timeout,
+                timeout=self.runtime.shell.config.rpc_timeout,
             )
             self._trace_migrate_step(obj_id, "pushed")
         except BaseException:

@@ -263,7 +263,8 @@ class ObjectHolder:
         ``nominal=False`` is the wire's word (``Message.nominal``) that
         ``params`` holds no :class:`~repro.util.serialization.Payload`:
         there are then no declared flops to add and nothing to unwrap.
-        Callers that cannot know (the AppOA's local arm) leave it set.
+        Callers that cannot know (a request the AppOA serves from its
+        own table, a batch on it) leave it set.
 
         Returns :class:`Moved`/:class:`UnknownObject` markers for stale or
         unknown handles — the caller-side AppOA interprets them.

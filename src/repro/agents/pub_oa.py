@@ -51,10 +51,6 @@ class PubOA(HolderEndpoints):
         self.endpoint.register(M.UNREGISTER_VA, self._h_unregister_va)
         self._watch_proc = None
 
-    @property
-    def migration_timeout(self):
-        return self.runtime.shell.config.rpc_timeout
-
     # -- classloading (paper Section 4.3) ------------------------------------
 
     def _h_load_classes(self, msg):

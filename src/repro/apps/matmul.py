@@ -246,3 +246,19 @@ def sequential_matmul_time(world, host: str, n: int) -> float:
     proc = world.kernel.spawn(main, name=f"seq-matmul@{host}")
     world.kernel.run(main=proc)
     return proc.result()
+
+
+def fig5_elapsed(runtime, n: int, nodes: int) -> float:
+    """Virtual seconds of one Figure-5 point on ``runtime``, a fresh
+    testbed: the sequential baseline for ``nodes == 1``, the nominal
+    Figure 6 master otherwise.  The point owns the testbed: its kernel
+    is shut down once the time has been read, so its workers go back to
+    the pool for the next point."""
+    try:
+        if nodes == 1:
+            return sequential_matmul_time(runtime.world, "milena", n)
+        return runtime.run_app(
+            run_matmul, MatmulConfig(n=n, nr_nodes=nodes, real_compute=False)
+        ).elapsed
+    finally:
+        runtime.kernel.shutdown()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.matmul import MatmulConfig, run_matmul, sequential_matmul_time
+from repro.apps.matmul import MatmulConfig, fig5_elapsed, run_matmul
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.util.tables import render_table
 
@@ -76,18 +76,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
             runtime = vienna_testbed(
                 TestbedConfig(load_profile=profile, seed=args.seed)
             )
-            if nodes == 1:
-                elapsed = sequential_matmul_time(
-                    runtime.world, "milena", args.n
-                )
-            else:
-                elapsed = runtime.run_app(
-                    lambda n=nodes: run_matmul(
-                        MatmulConfig(n=args.n, nr_nodes=n,
-                                     real_compute=False)
-                    )
-                ).elapsed
-            series[profile][nodes] = elapsed
+            series[profile][nodes] = fig5_elapsed(runtime, args.n, nodes)
     for nodes in args.nodes:
         night = series["night"][nodes]
         day = series["day"][nodes]

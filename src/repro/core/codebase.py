@@ -138,12 +138,8 @@ class JSCodebase:
             )
         try:
             for host in hosts:
-                app.endpoint.rpc(
-                    Addr(host, "oa"),
-                    M.LOAD_CLASSES,
-                    Payload(data=pairs, nbytes=self.total_bytes),
-                    timeout=app.rpc_timeout,
-                )
+                app.request(Addr(host, "oa"), M.LOAD_CLASSES,
+                            Payload(data=pairs, nbytes=self.total_bytes))
                 self._loaded_hosts.add(host)
         finally:
             if span is not None:
@@ -156,10 +152,7 @@ class JSCodebase:
         app = self._app
         names = list(self._entries)
         for host in sorted(self._loaded_hosts):
-            app.endpoint.rpc(
-                Addr(host, "oa"), M.UNLOAD_CLASSES, names,
-                timeout=app.rpc_timeout,
-            )
+            app.request(Addr(host, "oa"), M.UNLOAD_CLASSES, names)
         self._loaded_hosts.clear()
         self._entries.clear()
         self._freed = True

@@ -29,7 +29,6 @@ from repro.core.jsobj import _resolve_target_hosts, _to_wire
 from repro.errors import ObjectStateError
 from repro.rmi.handle import ResultHandle
 from repro.rmi.multi import MultiHandle
-from repro.transport import Addr
 
 
 class JSStatic:
@@ -52,17 +51,9 @@ class JSStatic:
             )
         self._host = host
         self._class_name = class_name
-        if host == self._app.home:
-            holder_addr = self._app.addr
-            self._app.ensure_static(class_name)
-            obj_id = self._app.static_obj_id(class_name)
-        else:
-            holder_addr = Addr(host, "oa")
-            obj_id = self._app.endpoint.rpc(
-                holder_addr, M.STATIC_REF, class_name,
-                timeout=self._app.rpc_timeout,
-            )
-        self._ref = ObjectRef(obj_id, class_name, holder_addr, holder_addr)
+        holder = self._app._holder_at(host)
+        obj_id = self._app.request(holder, M.STATIC_REF, class_name)
+        self._ref = ObjectRef(obj_id, class_name, holder, holder)
 
     # -- identity ----------------------------------------------------------------
 
@@ -107,31 +98,12 @@ class JSStatic:
     # -- static variables ---------------------------------------------------------
 
     def get_var(self, name: str) -> Any:
-        if self._host == self._app.home:
-            entry = self._app.ensure_static(self._class_name)
-            if not hasattr(entry.instance, name):
-                raise AttributeError(
-                    f"{self._class_name} has no static variable {name!r}"
-                )
-            return getattr(entry.instance, name)
-        return self._app.endpoint.rpc(
-            Addr(self._host, "oa"),
-            M.STATIC_GETVAR,
-            (self._class_name, name),
-            timeout=self._app.rpc_timeout,
-        )
+        return self._app.request(self._ref.origin, M.STATIC_GETVAR,
+                                 (self._class_name, name))
 
     def set_var(self, name: str, value: Any) -> None:
-        if self._host == self._app.home:
-            entry = self._app.ensure_static(self._class_name)
-            setattr(entry.instance, name, value)
-            return
-        self._app.endpoint.rpc(
-            Addr(self._host, "oa"),
-            M.STATIC_SETVAR,
-            (self._class_name, name, value),
-            timeout=self._app.rpc_timeout,
-        )
+        self._app.request(self._ref.origin, M.STATIC_SETVAR,
+                          (self._class_name, name, value))
 
     # Paper-style aliases.
     getNode = get_node

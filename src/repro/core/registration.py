@@ -84,12 +84,8 @@ class AppPool:
         if app.closed:
             return
         watch_id = self._runtime.ids.next(f"{app.app_id}:watch")
-        app.endpoint.rpc(
-            Addr(app.home, "oa"),
-            M.REGISTER_VA,
-            (watch_id, list(hosts), constraints, app.addr),
-            timeout=app.rpc_timeout,
-        )
+        app.request(Addr(app.home, "oa"), M.REGISTER_VA,
+                    (watch_id, list(hosts), constraints, app.addr))
         app.watch_ids.append(watch_id)
 
     def __getattr__(self, name: str) -> Any:

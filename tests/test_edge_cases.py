@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.agents.shell import ShellConfig
+from repro.cluster import TestbedConfig, vienna_testbed
 from repro.constraints import JSConstraints
 from repro.core import JS, JSCodebase, JSObj, JSRegistration
 from repro.errors import (
@@ -159,6 +161,31 @@ class TestInvocationEdges:
             reg.unregister()
 
         rt.run_app(consumer, node="rachel")
+
+    @pytest.mark.parametrize("holder", ["local", "johanna"])
+    def test_raising_oneway_is_dropped_with_reliability_on(self, holder):
+        """A one-sided call whose method raises is dropped, whoever holds
+        the object: with reliability on, the acked carrier on a remote
+        holder swallows the wrapped error as the home table's worker
+        swallows the raw one, and no worker crashes."""
+        rt = vienna_testbed(TestbedConfig(
+            load_profile="dedicated", seed=3,
+            shell=ShellConfig(rpc_timeout=3.0, reliable=True),
+        ))
+
+        def app():
+            reg = JSRegistration()
+            cb = JSCodebase(); cb.add(Counter); cb.load("johanna")
+            obj = JSObj("Counter", holder)
+            obj.oinvoke("boom")
+            obj.oinvoke("incr", [4])
+            rt.world.kernel.sleep(2.0)
+            value = obj.sinvoke("get")
+            reg.unregister()
+            return value
+
+        assert rt.run_app(app) == 4
+        assert rt.kernel.crashes == []
 
     def test_many_pending_async_handles(self, dedicated_testbed):
         def app():

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.agents import messages as M
 from repro.agents.objects import jsclass
 from repro.cluster import TestbedConfig as TBConfig
 from repro.cluster import vienna_testbed
@@ -321,6 +322,34 @@ class TestAutomaticMigration:
             reg.unregister()
 
         rt.run_app(app)
+
+    def test_a_refusal_at_a_remote_holder_skips_only_that_object(self):
+        """pa1 is a PubOA that refuses to move the plan's first object
+        (it is already migrating).  Its refusal arrives wrapped in
+        ``RemoteInvocationError``; the plan skips that object, as it does
+        when the home table refuses, and still moves the second."""
+        rt = vienna_testbed(TBConfig(load_profile="dedicated", seed=5))
+        pa1 = rt.pub_oas["johanna"]
+
+        def app():
+            reg = JSRegistration()
+            load_counter_on(rt.nas.known_hosts())
+            first, second = (JSObj("Counter", "johanna") for _ in range(2))
+            pa1.objects[first.obj_id].migrating = True
+            pa1.endpoint.send_oneway(
+                reg.app.addr, M.CONSTRAINTS_VIOLATED,
+                ("watch-0", ["johanna"], None),
+            )
+            rt.world.kernel.sleep(10.0)
+            nodes = first.get_node(), second.get_node()
+            pa1.objects[first.obj_id].migrating = False
+            reg.unregister()
+            return nodes
+
+        first_node, second_node = rt.run_app(app)
+        assert rt.kernel.crashes == []
+        assert first_node == "johanna"
+        assert second_node != "johanna"
 
     def test_unconstrained_allocation_not_watched(self):
         rt = self._spiked_testbed()

@@ -206,7 +206,12 @@ class TestMigrationInvariant:
             assert obj.sinvoke("get") == expected
             reg.unregister()
 
-        runtime.run_app(app)
+        # Each Hypothesis example builds its own testbed; shut it down so
+        # its workers serve the next example instead of staying parked.
+        try:
+            runtime.run_app(app)
+        finally:
+            runtime.kernel.shutdown()
 
 
 # ---------------------------------------------------------------------------

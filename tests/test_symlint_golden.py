@@ -5,8 +5,10 @@ seeded line fires.  This file pins the *whole* report instead:
 ``render_json`` of the fixture corpus, under all rules and under each
 checker group singly, must equal the golden file byte for byte — so a
 refactor of the analysis engine that adds, drops, moves or rewords any
-finding shows up as a diff, not as a passing suite.  The zero-finding trees are pinned by
-their ``(findings, suppressed)`` counts.
+finding shows up as a diff, not as a passing suite.  ``render_sarif`` of
+the same corpus, under all rules, is pinned the same way, so the SARIF
+writer runs in the suite and not only in CI.  The zero-finding trees are
+pinned by their ``(findings, suppressed)`` counts.
 
 The goldens under ``tests/fixtures/lint_golden/`` were taken with
 ``PYTHONHASHSEED=0``; a report does not depend on the hash seed (CI's
@@ -20,6 +22,7 @@ finding regenerates the goldens, from the repo root::
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -28,6 +31,7 @@ import pytest
 from repro.analysis.runner import (
     analyze_paths,
     render_json,
+    render_sarif,
     rule_groups,
 )
 
@@ -38,12 +42,12 @@ CORPORA = ("symloc",)
 SELECTIONS = ("all", *sorted(rule_groups()))
 
 
-def corpus_report(corpus: str, selection: str) -> str:
-    """``render_json`` of one fixture corpus; paths in the report are
-    relative to the working directory, which must be the repo root."""
+def corpus_report(corpus: str, selection: str, render=render_json) -> str:
+    """``render`` of one fixture corpus; paths in the report are relative
+    to the working directory, which must be the repo root."""
     rules = None if selection == "all" else rule_groups()[selection]
     report = analyze_paths([f"tests/fixtures/{corpus}"], rules)
-    return render_json(report) + "\n"
+    return render(report) + "\n"
 
 
 def regenerate() -> None:
@@ -54,6 +58,9 @@ def regenerate() -> None:
             (GOLDEN / corpus / f"{selection}.json").write_text(
                 corpus_report(corpus, selection)
             )
+        (GOLDEN / corpus / "all.sarif").write_text(
+            corpus_report(corpus, "all", render_sarif)
+        )
 
 
 @pytest.mark.parametrize("selection", SELECTIONS)
@@ -62,6 +69,17 @@ def test_fixture_corpus_report_is_pinned(corpus, selection, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     golden = (GOLDEN / corpus / f"{selection}.json").read_text()
     assert corpus_report(corpus, selection) == golden
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_fixture_corpus_sarif_is_pinned(corpus, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    sarif = corpus_report(corpus, "all", render_sarif)
+    assert sarif == (GOLDEN / corpus / "all.sarif").read_text()
+    doc = json.loads(sarif)
+    assert doc["version"] == "2.1.0"
+    assert len(doc["runs"][0]["results"]) == len(json.loads(
+        corpus_report(corpus, "all"))["findings"])
 
 
 def test_runtime_counts_are_pinned(runtime_report):
