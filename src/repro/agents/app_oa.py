@@ -46,6 +46,7 @@ from repro.obs import events as ev
 from repro.obs import spans
 from repro.rmi.handle import ResultHandle
 from repro.rmi.multi import MultiHandle
+from repro.sanitizer.core import note_write
 from repro.transport import Addr
 from repro.util.serialization import Payload
 
@@ -170,39 +171,40 @@ class AppOA(HolderEndpoints):
         self.request(location, M.CREATE_OBJECT,
                      (obj_id, class_name, self.addr, args))
         ref = ObjectRef(obj_id, class_name, self.addr, location)
-        self._note_refs_write(obj_id)
+        note_write(self.world.kernel, f"AppOA[{self.app_id}]",
+                   f"refs[{obj_id}]")
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.OBJ_CREATE, ts=self.world.now(), host=location.host,
-                actor=self.actor, obj_id=obj_id, class_name=class_name,
-                location=str(location),
-            )
-            self.tracer.count("obj.created", host=self.home)
+        self.tracer.emit(
+            ev.OBJ_CREATE, ts=self.world.now(), host=location.host,
+            actor=self.actor, obj_id=obj_id, class_name=class_name,
+            location=str(location),
+        )
+        self.tracer.count("obj.created", host=self.home)
         return ref
 
     def free_object(self, ref: ObjectRef) -> None:
         self._check_open()
-        entry = self._own_entry(ref)
-        self.request(entry.location, M.FREE_OBJECT, ref.obj_id)
-        self._note_refs_write(ref.obj_id)
-        del self.refs[ref.obj_id]
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.OBJ_FREE, ts=self.world.now(), host=entry.location.host,
-                actor=self.actor, obj_id=ref.obj_id,
-                class_name=ref.class_name, location=str(entry.location),
+        location = self._own_entry(ref).location
+        for _ in range(_MAX_REDIRECTS):
+            # A tombstone answers Moved: follow it to the holder.
+            outcome = self.request(location, M.FREE_OBJECT, ref.obj_id)
+            if not isinstance(outcome, Moved):
+                break
+            location = outcome.hint
+        else:
+            raise ObjectStateError(
+                f"gave up freeing {ref.obj_id} after {_MAX_REDIRECTS} "
+                "redirects"
             )
-            self.tracer.count("obj.freed", host=self.home)
-
-    def _note_refs_write(self, obj_id: str) -> None:
-        """Tell the sanitizer this process is about to write
-        ``refs[obj_id]`` (a no-op unless sanitizing): one entry is written
-        by one process at a time, which symsan checks here at run time."""
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"AppOA[{self.app_id}]", f"refs[{obj_id}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, f"AppOA[{self.app_id}]",
+                   f"refs[{ref.obj_id}]")
+        del self.refs[ref.obj_id]
+        self.tracer.emit(
+            ev.OBJ_FREE, ts=self.world.now(), host=location.host,
+            actor=self.actor, obj_id=ref.obj_id,
+            class_name=ref.class_name, location=str(location),
+        )
+        self.tracer.count("obj.freed", host=self.home)
 
     def _own_entry(self, ref: ObjectRef) -> RefEntry:
         entry = self.refs.get(ref.obj_id)
@@ -493,9 +495,7 @@ class AppOA(HolderEndpoints):
                 # failed slots surface errors: a migrated-away or
                 # restarted holder rescues its slots while truly dead
                 # ones fail with their own RetriesExhaustedError.
-                if self.tracer.enabled:
-                    self.tracer.count("invoke.batch.degraded",
-                                      host=self.home)
+                self.tracer.count("invoke.batch.degraded", host=self.home)
                 for call in group:
                     self._chase(call)
                 return
@@ -612,19 +612,16 @@ class AppOA(HolderEndpoints):
     @contextmanager
     def _span(self, etype: str, counter: str, latency: str | None = None,
               **fields: Any):
-        """Bracket a region of this agent with an installed span (tracing
-        on).  A region that raises closes it with ``error=True``; one
+        """Bracket a region of this agent with an installed span.  A
+        region that raises closes it with ``error=True``; one
         that completes closes it with the fields it put into the yielded
         dict and is counted under ``counter``, its duration observed
         under ``latency``."""
         tracer = self.tracer
         closing: dict = {}
-        if not tracer.enabled:
-            yield closing
-            return
+        start = self.world.now()
         span = tracer.begin_span(
-            etype, ts=self.world.now(), host=self.home, actor=self.actor,
-            **fields,
+            etype, ts=start, host=self.home, actor=self.actor, **fields,
         )
         try:
             yield closing
@@ -635,7 +632,7 @@ class AppOA(HolderEndpoints):
         tracer.end_span(span, ts=now, **closing)
         tracer.count(counter, host=self.home)
         if latency is not None:
-            tracer.observe(latency, now - span.ts, host=self.home)
+            tracer.observe(latency, now - start, host=self.home)
 
     def _drain_pending(self, obj_id: str) -> None:
         """Wait, with no time limit, for this app's in-flight async and
@@ -654,11 +651,10 @@ class AppOA(HolderEndpoints):
         if drained is None:
             drained = self._drained[obj_id] = self.world.kernel.create_future()
         drained.wait()
-        if self.tracer.enabled:
-            # How long invocations stayed pending against this migration;
-            # the SLO watcher's pending-age rule reads the windowed max.
-            self.tracer.observe("migrate.pending_age",
-                                self.world.now() - drain_start, host=self.home)
+        # How long invocations stayed pending against this migration;
+        # the SLO watcher's pending-age rule reads the windowed max.
+        self.tracer.observe("migrate.pending_age",
+                            self.world.now() - drain_start, host=self.home)
 
     # ------------------------------------------------------------------------
     # persistence (paper Section 4.7)
@@ -728,7 +724,8 @@ class AppOA(HolderEndpoints):
                 obj_id, class_name, blob, host or self.home
             )
         ref = ObjectRef(obj_id, class_name, self.addr, location)
-        self._note_refs_write(obj_id)
+        note_write(self.world.kernel, f"AppOA[{self.app_id}]",
+                   f"refs[{obj_id}]")
         self.refs[obj_id] = RefEntry(ref=ref, location=location)
         return ref
 
@@ -785,7 +782,8 @@ class AppOA(HolderEndpoints):
             try:
                 self.free_object(entry.ref)
             except Exception:  # noqa: BLE001 - best effort cleanup
-                self._note_refs_write(obj_id)
+                note_write(self.world.kernel, f"AppOA[{self.app_id}]",
+                           f"refs[{obj_id}]")
                 self.refs.pop(obj_id, None)
         for watch_id in self.watch_ids:
             try:

@@ -71,6 +71,14 @@ class HolderEndpoints(ObjectHolder):
 
     def _h_create_object(self, msg):
         obj_id, class_name, origin, args = msg.payload
+        if obj_id in self.tombstones:
+            # A duplicated or late request: the object was created here
+            # and has migrated away since, so a second copy must not
+            # come to life.  (Adopting state over a tombstone stays legal:
+            # a migration A -> B -> A lands back at A.)
+            raise ObjectStateError(
+                f"object {obj_id} already migrated away from {self.addr}"
+            )
         entry = self.hold_new_object(obj_id, class_name, origin, tuple(args),
                                      msg.nominal)
         return {"obj_id": obj_id, "mem_mb": entry.mem_mb}
@@ -108,10 +116,8 @@ class HolderEndpoints(ObjectHolder):
 
     def _h_invoke_batch(self, msg):
         calls = msg.payload
-        tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.count("invoke.batch.dispatched", len(calls),
-                         host=self.addr.host)
+        self.world.tracer.count("invoke.batch.dispatched", len(calls),
+                                host=self.addr.host)
         return self.dispatch_invoke_batch(calls, msg.nominal)
 
     def dispatch_oneway(self, call, nominal=True):
@@ -131,6 +137,10 @@ class HolderEndpoints(ObjectHolder):
 
     def _h_free_object(self, msg):
         obj_id = msg.payload
+        if obj_id in self.tombstones:
+            # The caller's row is stale (a migration whose answer it
+            # never got): point it at the object instead of missing it.
+            return M.Moved(obj_id, hint=self.tombstones[obj_id])
         self.drop_object(obj_id)
         return "freed"
 

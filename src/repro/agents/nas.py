@@ -26,6 +26,7 @@ from repro.agents.network_agent import NetworkAgent
 from repro.errors import ShellError
 from repro.obs import events as ev
 from repro.obs.slo import DEFAULT_RULES, SLOWatcher
+from repro.sanitizer.core import note_write
 from repro.sysmon import Snapshot
 from repro.sysmon.sampler import sample_all
 from repro.transport import Transport
@@ -109,10 +110,7 @@ class NetworkAgentSystem:
 
     def _spawn_agent(self, host: str) -> None:
         agent = NetworkAgent(self, host)
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access("NAS", f"agents[{host}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, "NAS", f"agents[{host}]")
         self.agents[host] = agent
         if self._started:
             agent.start()
@@ -265,10 +263,7 @@ class NetworkAgentSystem:
             raise ShellError(f"unknown host {host!r}")
         if self.cluster_of(host) is not None:
             raise ShellError(f"host {host!r} already registered")
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access("NAS", f"managers[{cluster}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, "NAS", f"managers[{cluster}]")
         clusters = self.layout.setdefault(site, {})
         hosts = clusters.setdefault(cluster, [])
         hosts.append(host)
@@ -293,12 +288,9 @@ class NetworkAgentSystem:
         members = self.cluster_members(cluster)
         if host not in members:
             return  # already released by a concurrent detector
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access("NAS", f"managers[{cluster}]",
-                       scope=self.world.kernel)
-            san.access("NAS", f"agents[{host}]",
-                       scope=self.world.kernel)
+        kernel = self.world.kernel
+        note_write(kernel, "NAS", f"managers[{cluster}]")
+        note_write(kernel, "NAS", f"agents[{host}]")
         members.remove(host)
         assignment = self.managers[cluster]
         if assignment.manager == host or host in assignment.backups:
@@ -348,12 +340,9 @@ class NetworkAgentSystem:
             return  # someone already took over
         if not assignment.backups or assignment.backups[0] != detected_by:
             return  # not this node's job
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access("NAS", f"managers[{cluster}]",
-                       scope=self.world.kernel)
-            san.access("NAS", f"agents[{manager}]",
-                       scope=self.world.kernel)
+        kernel = self.world.kernel
+        note_write(kernel, "NAS", f"managers[{cluster}]")
+        note_write(kernel, "NAS", f"agents[{manager}]")
         was_site_mgr = any(
             self.site_manager(site) == manager for site in self.layout
         )

@@ -129,21 +129,18 @@ class NetworkAgent:
         snapshot = sample_all(machine, t0, self.world.topology)
         self.history.record(self.world.now(), snapshot)
         tracer = self.world.tracer
-        span = None
-        if tracer.enabled:
-            # Each monitoring tick (sample + manager exchange) is a span
-            # rooting its own small trace; idle/memory ride along so the
-            # js-top reconstruction can read them straight off the event.
-            span = tracer.begin_span(
-                ev.NAS_SAMPLE, ts=t0, host=self.host,
-                actor=f"na@{self.host}", parent=None,
-                idle=round(float(snapshot.get(SysParam.IDLE, 0.0)), 2),
-                avail_mem_mb=round(
-                    float(snapshot.get(SysParam.AVAIL_MEM, 0.0)), 1),
-                js_mem_mb=round(
-                    machine.js_mem_mb + machine.codebase_mem_mb, 3),
-            )
-            tracer.count("nas.samples", host=self.host)
+        # Each monitoring tick (sample + manager exchange) is a span
+        # rooting its own small trace; idle/memory ride along so the
+        # js-top reconstruction can read them straight off the event.
+        span = tracer.begin_span(
+            ev.NAS_SAMPLE, ts=t0, host=self.host, actor=f"na@{self.host}",
+            parent=None,
+            idle=round(float(snapshot.get(SysParam.IDLE, 0.0)), 2),
+            avail_mem_mb=round(float(snapshot.get(SysParam.AVAIL_MEM, 0.0)),
+                               1),
+            js_mem_mb=round(machine.js_mem_mb + machine.codebase_mem_mb, 3),
+        )
+        tracer.count("nas.samples", host=self.host)
         try:
             manager = self.nas.cluster_manager_of(self.host)
             if manager is None:
@@ -161,8 +158,7 @@ class NetworkAgent:
                             nbytes=SAMPLE_WIRE_BYTES),
                 )
         finally:
-            if span is not None:
-                tracer.end_span(span, ts=self.world.now())
+            tracer.end_span(span, ts=self.world.now())
 
     def _aggregate_and_forward(self) -> None:
         """Run the manager side of the aggregation cascade."""
@@ -256,11 +252,10 @@ class NetworkAgent:
         except (RPCTimeoutError, NodeFailedError, TransportError):
             ok = False
         tracer = self.world.tracer
-        if tracer.enabled:
-            tracer.emit(ev.NAS_PROBE, ts=self.world.now(), host=self.host,
-                        actor=f"na@{self.host}", peer=peer, ok=ok)
-            tracer.count("nas.probes.ok" if ok else "nas.probes.failed",
-                         host=self.host)
+        tracer.emit(ev.NAS_PROBE, ts=self.world.now(), host=self.host,
+                    actor=f"na@{self.host}", peer=peer, ok=ok)
+        tracer.count("nas.probes.ok" if ok else "nas.probes.failed",
+                     host=self.host)
         return ok
 
     # -- query API ----------------------------------------------------------------

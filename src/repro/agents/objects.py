@@ -22,6 +22,7 @@ from repro.errors import (
     ObjectStateError,
 )
 from repro.obs.events import LOCK_WAIT, OBJ_DISPATCH
+from repro.sanitizer.core import note_write
 from repro.transport import Addr
 from repro.util.serialization import dumps, flops_of, loads, unwrap
 
@@ -218,10 +219,8 @@ class ObjectHolder:
             origin=origin,
             mem_mb=instance_mem_mb(instance),
         )
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"ObjectHolder[{self.addr}]", f"objects[{obj_id}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, f"ObjectHolder[{self.addr}]",
+                   f"objects[{obj_id}]")
         if obj_id in self.objects:
             raise ObjectStateError(f"object {obj_id} already held here")
         self.tombstones.pop(obj_id, None)
@@ -235,10 +234,8 @@ class ObjectHolder:
     def drop_object(
         self, obj_id: str, forward_to: Addr | None = None
     ) -> ObjectEntry:
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"ObjectHolder[{self.addr}]", f"objects[{obj_id}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, f"ObjectHolder[{self.addr}]",
+                   f"objects[{obj_id}]")
         try:
             entry = self.objects.pop(obj_id)
         except KeyError:

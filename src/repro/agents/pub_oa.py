@@ -16,6 +16,7 @@ from repro.agents import messages as M
 from repro.agents.holder_endpoints import HolderEndpoints
 from repro.constraints import JSConstraints
 from repro.errors import NodeFailedError, RPCTimeoutError, TransportError
+from repro.sanitizer.core import note_write
 from repro.transport import Addr
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,13 +57,10 @@ class PubOA(HolderEndpoints):
     def _h_load_classes(self, msg):
         entries = msg.payload.data  # list[(class_name, nbytes)]
         machine = self.world.machine(self.host)
-        san = self.world.kernel.sanitizer
         for class_name, nbytes in entries:
             if class_name not in self.loaded_classes:
-                if san.enabled:
-                    san.access(f"PubOA[{self.host}]",
-                               f"loaded[{class_name}]",
-                               scope=self.world.kernel)
+                note_write(self.world.kernel, f"PubOA[{self.host}]",
+                           f"loaded[{class_name}]")
                 self.loaded_classes.add(class_name)
                 self._codebase_bytes[class_name] = nbytes
                 machine.codebase_mem_mb += nbytes / 1e6
@@ -71,13 +69,10 @@ class PubOA(HolderEndpoints):
     def _h_unload_classes(self, msg):
         names = msg.payload
         machine = self.world.machine(self.host)
-        san = self.world.kernel.sanitizer
         for class_name in names:
             if class_name in self.loaded_classes:
-                if san.enabled:
-                    san.access(f"PubOA[{self.host}]",
-                               f"loaded[{class_name}]",
-                               scope=self.world.kernel)
+                note_write(self.world.kernel, f"PubOA[{self.host}]",
+                           f"loaded[{class_name}]")
                 self.loaded_classes.discard(class_name)
                 nbytes = self._codebase_bytes.pop(class_name, 0)
                 machine.codebase_mem_mb = max(
@@ -89,21 +84,16 @@ class PubOA(HolderEndpoints):
 
     def _h_register_va(self, msg):
         watch_id, hosts, constraints, app_addr = msg.payload
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"PubOA[{self.host}]", f"va_watches[{watch_id}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, f"PubOA[{self.host}]",
+                   f"va_watches[{watch_id}]")
         self.va_watches[watch_id] = VAWatch(
             watch_id, list(hosts), constraints, app_addr
         )
         return watch_id
 
     def _h_unregister_va(self, msg):
-        san = self.world.kernel.sanitizer
-        if san.enabled:
-            san.access(f"PubOA[{self.host}]",
-                       f"va_watches[{msg.payload}]",
-                       scope=self.world.kernel)
+        note_write(self.world.kernel, f"PubOA[{self.host}]",
+                   f"va_watches[{msg.payload}]")
         self.va_watches.pop(msg.payload, None)
         return "ok"
 

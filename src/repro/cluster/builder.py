@@ -207,18 +207,15 @@ class JSRuntime:
 
         def wrapped() -> Any:
             tracer = self.world.tracer
-            span = None
-            if tracer.enabled:
-                span = tracer.begin_span(
-                    ev.APP, ts=self.world.now(), host=home, actor=name,
-                    parent=None, app=name,
-                )
+            span = tracer.begin_span(
+                ev.APP, ts=self.world.now(), host=home, actor=name,
+                parent=None, app=name,
+            )
             try:
                 with context.scoped(env):
                     return fn(*args)
             finally:
-                if span is not None:
-                    tracer.end_span(span, ts=self.world.now())
+                tracer.end_span(span, ts=self.world.now())
 
         return wrapped
 
@@ -231,12 +228,7 @@ class JSRuntime:
     ) -> Any:
         """Run ``fn(*args)`` as a JavaSymphony application process and
         return its result.  Agent loops keep running between calls."""
-        self.start()
-        home = node if node is not None else self.nas.known_hosts()[0]
-        env = context.Environment(pool=self.pool, runtime=self)
-        env.extras["home"] = home
-        wrapped = self._app_body(fn, args, env, home, name)
-        proc = self.kernel.spawn(wrapped, name=name, context={"env": env})
+        proc = self.spawn_app(fn, *args, node=node, name=name)
         self.kernel.run(main=proc)
         return proc.result()
 

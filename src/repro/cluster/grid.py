@@ -14,12 +14,12 @@ from __future__ import annotations
 from repro.agents.nas import NASConfig
 from repro.agents.shell import ShellConfig
 from repro.cluster.builder import JSRuntime
+from repro.cluster.testbed import profile_load
 from repro.kernel import VirtualKernel
 from repro.simnet import (
     LoadModel,
     Segment,
     SimWorld,
-    StochasticLoad,
     make_host,
 )
 
@@ -117,16 +117,9 @@ def grid_world(
     for site, clusters in GRID_HOSTS.items():
         for cluster, hosts in clusters.items():
             for name, model in hosts:
-                load: LoadModel | None = load_models.get(name)
-                if load is None and load_profile != "dedicated":
-                    rng = world.rng.stream(f"load:{name}")
-                    load = (
-                        StochasticLoad.day(rng)
-                        if load_profile == "day"
-                        else StochasticLoad.night(rng)
-                    )
                 world.add_machine(
-                    make_host(name, model, ip), f"lan:{cluster}", load
+                    make_host(name, model, ip), f"lan:{cluster}",
+                    profile_load(load_profile, world, name, load_models),
                 )
                 ip += 1
     return world

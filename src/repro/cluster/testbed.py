@@ -75,19 +75,24 @@ class TestbedConfig:
     incident_dir: str | None = None
 
 
-def _load_model_for(
-    config: TestbedConfig, world: SimWorld, host: str
+def profile_load(
+    profile: str, world: SimWorld, host: str,
+    overrides: dict[str, LoadModel],
 ) -> LoadModel | None:
-    if host in config.load_models:
-        return config.load_models[host]
+    """The external load on ``host`` under ``profile``, for every
+    testbed: an override wins; "day" and "night" draw a stochastic model
+    from the host's own RNG stream; "dedicated" has none; any other
+    profile is a ``ValueError``."""
+    if host in overrides:
+        return overrides[host]
     rng = world.rng.stream(f"load:{host}")
-    if config.load_profile == "day":
+    if profile == "day":
         return StochasticLoad.day(rng)
-    if config.load_profile == "night":
+    if profile == "night":
         return StochasticLoad.night(rng)
-    if config.load_profile == "dedicated":
+    if profile == "dedicated":
         return None
-    raise ValueError(f"unknown load profile {config.load_profile!r}")
+    raise ValueError(f"unknown load profile {profile!r}")
 
 
 def vienna_world(
@@ -105,7 +110,8 @@ def vienna_world(
     for index, (name, model) in enumerate(VIENNA_HOSTS):
         spec = make_host(name, model, ip_suffix=10 + index)
         (fast if model.startswith("Ultra") else slow).append(spec)
-        model_load = _load_model_for(config, world, name)
+        model_load = profile_load(config.load_profile, world, name,
+                                  config.load_models)
         if model_load is not None:
             loads[name] = model_load
     build_lan(world, fast_hosts=fast, slow_hosts=slow, load_models=loads)

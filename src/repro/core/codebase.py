@@ -127,23 +127,20 @@ class JSCodebase:
         hosts = _resolve_hosts(component, app)
         world = app.runtime.world
         tracer = world.tracer
-        span = None
-        if tracer.enabled:
-            # One span over the whole fan-out; the per-host transfers show
-            # up as child rpc.request spans.
-            span = tracer.begin_span(
-                CLASSLOAD, ts=world.now(), host=app.home,
-                actor=str(app.addr), classes=len(self._entries),
-                nbytes=self.total_bytes, hosts=len(hosts),
-            )
+        # One span over the whole fan-out; the per-host transfers show up
+        # as child rpc.request spans.
+        span = tracer.begin_span(
+            CLASSLOAD, ts=world.now(), host=app.home, actor=str(app.addr),
+            classes=len(self._entries), nbytes=self.total_bytes,
+            hosts=len(hosts),
+        )
         try:
             for host in hosts:
                 app.request(Addr(host, "oa"), M.LOAD_CLASSES,
                             Payload(data=pairs, nbytes=self.total_bytes))
                 self._loaded_hosts.add(host)
         finally:
-            if span is not None:
-                tracer.end_span(span, ts=world.now())
+            tracer.end_span(span, ts=world.now())
 
     def free(self) -> None:
         """Unload the codebase from every node it was loaded onto and

@@ -490,8 +490,9 @@ class VirtualKernel:
     #: observability sink; worlds install the ambient tracer here so
     #: ``spawn`` can record process creation.  Null (and free) by default.
     tracer = NULL_TRACER
-    #: agents test ``kernel.sanitizer.enabled`` before annotating shared
-    #: state; only a ``SanitizedKernel`` holds a live one
+    #: agent-table writes reach it through ``sanitizer.core.note_write``,
+    #: which tests ``sanitizer.enabled``; only a ``SanitizedKernel`` holds
+    #: a live one
     sanitizer = NULL_SANITIZER
     #: the primitives this kernel builds (a sanitizing kernel swaps in its
     #: own subclasses)

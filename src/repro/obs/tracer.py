@@ -1,15 +1,19 @@
 """The tracer: null by default, recording when installed.
 
-Hook points throughout the runtime hold a tracer reference and guard the
-expensive part (building a field dict, deriving a span context) behind
-``tracer.enabled``::
+Hook points throughout the runtime hold a tracer reference and call it
+directly: :class:`NullTracer`'s methods are no-ops, ``begin_span``
+returns ``None`` and ``end_span(None)`` does nothing, so a hook on a
+cold path (a create, a classload, a NAS sample) needs no test of its
+own.  A hook guards behind ``tracer.enabled`` only where building the
+call's arguments would cost every untraced call on a per-call path (a
+field dict, a span context, a wait-time sum)::
 
     if tracer.enabled:
         span = tracer.begin_span(RPC_EXEC, ts=now, host=..., parent=ctx)
 
-:class:`NullTracer` keeps that check a single attribute load, so the
-instrumented runtime costs nothing measurable when tracing is off — in
-particular, no :class:`~repro.obs.spans.TraceContext` is ever allocated.
+That check is a single attribute load, so the per-call paths cost
+nothing measurable when tracing is off — in particular, no
+:class:`~repro.obs.spans.TraceContext` is ever allocated.
 
 :class:`Tracer` appends one flat tuple per event to one deque, the
 *ring*, and nothing else::
@@ -110,8 +114,8 @@ class NullTracer:
     def observe(self, name: str, value: float, host: str = "") -> None:
         pass
 
-    # -- span API (all no-ops; hook points never reach these when the
-    # -- ``tracer.enabled`` guard is respected) ------------------------------
+    # -- span API (all no-ops: cold hooks call these untraced, per-call
+    # -- hooks guard them behind ``tracer.enabled``) ------------------------
 
     def emit_span(self, etype: str, ts: float, dur: float = 0.0,
                   host: str = "", actor: str = "", parent=_USE_CURRENT,

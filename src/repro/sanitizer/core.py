@@ -4,8 +4,9 @@ The sanitizer is the dynamic counterpart of symlint.  It sits beside the
 kernel rather than inside it: a ``VirtualKernel()`` built while one is
 installed is a :class:`~repro.sanitizer.kernel.SanitizedKernel`, whose
 primitives call the hooks below around the plain kernel's methods, and
-the plain kernel calls none.  Agents and result handles annotate their
-shared tables behind an ``enabled`` test.  Instead of recording events,
+the plain kernel calls none.  Agents annotate a write to one of their
+shared tables with :func:`note_write`, the one place that tests
+``enabled`` for them.  Instead of recording events,
 it checks concurrency invariants while the program runs:
 
 * **Happens-before race detection** (vector clocks) over the shared
@@ -86,9 +87,10 @@ def caller_site(extra_skip: tuple[str, ...] = ()) -> tuple[str, int]:
 class NullSanitizer:
     """The do-nothing sanitizer a plain kernel holds.
 
-    It has no hooks: every annotation site tests ``enabled`` first, and
-    only a :class:`~repro.sanitizer.kernel.SanitizedKernel` (built while
-    a live :class:`Sanitizer` is installed) calls the kernel's hooks.
+    It has no hooks: :func:`note_write` and ``ResultHandle`` test
+    ``enabled`` before calling one, and only a
+    :class:`~repro.sanitizer.kernel.SanitizedKernel` (built while a live
+    :class:`Sanitizer` is installed) calls the kernel's hooks.
     """
 
     enabled = False
@@ -96,6 +98,16 @@ class NullSanitizer:
 
 
 NULL_SANITIZER = NullSanitizer()
+
+
+def note_write(kernel: Any, owner: str, field: str) -> None:
+    """Tell ``kernel``'s sanitizer that the running process is about to
+    write ``owner.field`` of a shared agent table (nothing unless it is
+    sanitizing).  Findings name the caller's line: this frame lies under
+    ``repro/sanitizer``, which :func:`caller_site` skips."""
+    san = kernel.sanitizer
+    if san.enabled:
+        san.access(owner, field, scope=kernel)
 
 
 class Sanitizer(NullSanitizer):

@@ -207,14 +207,13 @@ class Reply:
             value = self._future.result(timeout)
         except WaitTimeout:
             tracer = self._transport.tracer
-            if tracer.enabled:
-                host = self._src.host
-                tracer.emit(
-                    ev.RPC_TIMEOUT, ts=self._transport.world.now(),
-                    host=host, actor=str(self._src), kind=self._kind,
-                    dst=str(self._dst), waited=timeout,
-                )
-                tracer.count("rpc.timeouts", host=host)
+            host = self._src.host
+            tracer.emit(
+                ev.RPC_TIMEOUT, ts=self._transport.world.now(), host=host,
+                actor=str(self._src), kind=self._kind, dst=str(self._dst),
+                waited=timeout,
+            )
+            tracer.count("rpc.timeouts", host=host)
             exc = RPCTimeoutError(
                 f"no reply within {timeout} s (peer failed?)"
             )
@@ -496,13 +495,12 @@ class Transport:
             self.stats.dropped_requests += 1
         else:
             self.stats.dropped_replies += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.RPC_DROP, ts=self.world.now(), host=msg.dst.host,
-                actor=str(msg.dst), ctx=msg.ctx, kind=msg.kind,
-                stage=stage, reason=reason, msg_id=msg.msg_id,
-            )
-            self.tracer.count(f"rpc.dropped:{stage}", host=msg.dst.host)
+        self.tracer.emit(
+            ev.RPC_DROP, ts=self.world.now(), host=msg.dst.host,
+            actor=str(msg.dst), ctx=msg.ctx, kind=msg.kind, stage=stage,
+            reason=reason, msg_id=msg.msg_id,
+        )
+        self.tracer.count(f"rpc.dropped:{stage}", host=msg.dst.host)
 
     # -- receive path ------------------------------------------------------------
 
@@ -556,8 +554,7 @@ class Transport:
                 # Duplicate of a tokened call: at-most-once execution.
                 # Wait for the original's outcome (it may still be
                 # running) and replay the reply instead of re-executing.
-                if self.tracer.enabled:
-                    self.tracer.count("rpc.dedup.hits", host=msg.dst.host)
+                self.tracer.count("rpc.dedup.hits", host=msg.dst.host)
                 wire = slot.future.result()
                 if reply_future is not None:
                     # A fresh copy per reply, so one caller mutating the

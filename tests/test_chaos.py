@@ -19,7 +19,13 @@ from repro.apps.matmul import MatmulConfig, run_matmul
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.core import JSCodebase, JSObj, JSRegistration
-from repro.errors import JSError, RetriesExhaustedError, RPCTimeoutError
+from repro.errors import (
+    ClassNotLoadedError,
+    JSError,
+    RemoteInvocationError,
+    RetriesExhaustedError,
+    RPCTimeoutError,
+)
 from repro.kernel import VirtualKernel
 from repro.obs import Tracer, tracing
 from repro.simnet import HostSpec, Segment, SimWorld
@@ -316,3 +322,48 @@ class TestSoak:
             assert isinstance(result, JSError)
         else:
             assert result.correct
+
+
+class TestCrashClause:
+    """The plan grammar's ``crash:`` clause, fired inside the workload:
+    rachel dies at 0.02 s and comes back blank at 0.5 s, before the
+    NAS's probes notice.  The run is lost, typed: the fresh PubOA has no
+    classes loaded."""
+
+    PLAN = "crash:host=rachel,at=0.02,restart=0.5"
+
+    def test_cli_reports_the_crash_and_a_typed_failure(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "matmul", "--plan", self.PLAN,
+                     "--n", "200", "--nodes", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "injected   : crash=1, restart=1\n" in out
+        assert ("workload   : FAILED (typed) RemoteInvocationError: "
+                "remote handler at oa@rachel raised ClassNotLoadedError"
+                in out)
+
+    def test_restarted_host_comes_back_blank_and_registered(self):
+        # The CLI's setup: night load, seed 1, reliable RMI on.
+        with tracing(Tracer()):
+            runtime = vienna_testbed(TestbedConfig(
+                load_profile="night", seed=1,
+                shell=ShellConfig(rpc_timeout=3.0, reliable=True),
+            ))
+            injector = ChaosInjector(
+                runtime.world, FaultPlan.parse(self.PLAN)
+            ).install(runtime.transport)
+            before = runtime.pub_oas["rachel"]
+            with pytest.raises(RemoteInvocationError) as info:
+                runtime.run_app(lambda: run_matmul(
+                    MatmulConfig(n=200, nr_nodes=4, real_compute=False)
+                ))
+        assert injector.injected == {"crash": 1, "restart": 1}
+        assert isinstance(info.value.cause, ClassNotLoadedError)
+        after = runtime.pub_oas["rachel"]
+        assert after is not before
+        assert (after.objects, after.tombstones) == ({}, {})
+        assert runtime.nas.cluster_of("rachel") == "ultras"
+        assert "rachel" in runtime.pool.hosts
+        assert not runtime.world.machine("rachel").failed
+        assert not runtime.health.suspected("rachel")

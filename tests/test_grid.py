@@ -5,9 +5,15 @@ migration."""
 import pytest
 
 from repro.agents.nas import NASConfig
-from repro.cluster import grid_testbed
+from repro.cluster import (
+    TestbedConfig,
+    grid_testbed,
+    grid_world,
+    vienna_world,
+)
 from repro.constraints import JSConstraints
 from repro.core import JSCodebase, JSObj, JSRegistration
+from repro.simnet import ConstantLoad, StochasticLoad
 from repro.sysmon import SysParam
 from repro.varch import Domain
 from tests.conftest import Echo
@@ -162,3 +168,32 @@ class TestGridApplications:
         grid.world.fail_host("gyula")
         grid.world.kernel.run(until=grid.world.now() + 15.0)
         assert "gyula" not in grid.nas.cluster_members("bud-slow")
+
+
+class TestLoadProfiles:
+    """Both testbeds read ``load_profile`` by one rule."""
+
+    @pytest.mark.parametrize("build", [
+        lambda profile: grid_world(load_profile=profile),
+        lambda profile: vienna_world(TestbedConfig(load_profile=profile)),
+    ], ids=["grid", "vienna"])
+    def test_an_unknown_profile_is_refused(self, build):
+        with pytest.raises(ValueError, match="'nite'"):
+            build("nite")
+
+    def test_profiles_pick_the_same_kind_of_load_on_both(self):
+        for profile, kind in [("night", StochasticLoad),
+                              ("day", StochasticLoad),
+                              ("dedicated", ConstantLoad)]:
+            grid = grid_world(seed=4, load_profile=profile)
+            vienna = vienna_world(TestbedConfig(load_profile=profile, seed=4))
+            for world in (grid, vienna):
+                loads = [m.load_model for m in world.machines.values()]
+                assert all(type(load) is kind for load in loads), profile
+            # A host both testbeds share draws the same load from its
+            # own stream.
+            times = (0.0, 15.0, 95.0)
+            assert ([grid.machine("rachel").load_model.load_at(t)
+                     for t in times]
+                    == [vienna.machine("rachel").load_model.load_at(t)
+                        for t in times])
