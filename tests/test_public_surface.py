@@ -70,7 +70,7 @@ PUBLIC_METHODS = {
         "hold_from_state", "hold_new_object", "init_holder", "load_object",
         "migrate_object", "migrate_out", "minvoke", "oinvoke",
         "pending_invocations", "recover_from_failure",
-        "register_holder_handlers", "request", "serialize_object",
+        "register_holder_handlers", "request",
         "sinvoke", "static_obj_id", "store_object", "unregister",
         "wait_until_quiescent",
     ],
