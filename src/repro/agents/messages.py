@@ -26,6 +26,7 @@ ONEWAY_INVOKE = "ONEWAY_INVOKE"
 FREE_OBJECT = "FREE_OBJECT"
 MIGRATE_OUT = "MIGRATE_OUT"            # ao -> pa1: push the object to pa2
 MIGRATE_IN = "MIGRATE_IN"              # pa1 -> pa2: here is the object
+MIGRATE_RESOLVE = "MIGRATE_RESOLVE"    # pa1 -> pa2: did that push land?
 FETCH_STATE = "FETCH_STATE"            # serialize for persistence
 GET_LOCATION = "GET_LOCATION"          # anybody -> origin AppOA (fig. 4)
 CONSTRAINTS_VIOLATED = "CONSTRAINTS_VIOLATED"  # PubOA -> AppOA watch event
@@ -45,20 +46,22 @@ UNLOAD_CLASSES = "UNLOAD_CLASSES"
 
 
 class Moved:
-    """Reply marker: the object migrated away; ask its origin AppOA."""
+    """Reply marker: the object migrated away, to ``hint`` (the
+    forwarding Addr its tombstone keeps)."""
 
     __slots__ = ("obj_id", "hint")
 
-    def __init__(self, obj_id: str, hint=None) -> None:
+    def __init__(self, obj_id: str, hint) -> None:
         self.obj_id = obj_id
-        self.hint = hint  # forwarding Addr if the tombstone knows it
+        self.hint = hint
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Moved {self.obj_id} hint={self.hint}>"
 
 
 class UnknownObject:
-    """Reply marker: this holder never heard of the object (freed?)."""
+    """Reply marker: this holder does not hold the object and it did not
+    migrate away from here (freed here, or never held)."""
 
     __slots__ = ("obj_id",)
 
