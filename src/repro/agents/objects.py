@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -143,13 +144,31 @@ class ObjectEntry:
     #: pa2 of a push that got no answer and that pa2 could not be asked
     #: about either: the entry stays migrating, and its calls fail
     in_doubt: Addr | None = None
+    #: the instance's footprint when last measured: at create or adopt
+    #: (the reply carries it), else at the first read of its host's
+    #: ``js_mem_mb`` after a call (:meth:`settle_mem`)
     mem_mb: float = 0.0
+    #: a call ran since ``mem_mb`` was measured, and the settle is
+    #: queued on the host's machine
+    mem_stale: bool = False
     invocations: int = 0
     meta: dict = field(default_factory=dict)
 
+    def settle_mem(self) -> float:
+        """Re-measure the footprint; return the change in MB."""
+        new = instance_mem_mb(self.instance)
+        delta = new - self.mem_mb
+        self.mem_mb = new
+        self.mem_stale = False
+        return delta
+
 
 def instance_mem_mb(instance: Any) -> float:
-    """Memory footprint estimate from serialized size (floor 4 KiB)."""
+    """Memory footprint estimate from serialized size (floor 4 KiB).
+
+    A pickle of the whole instance: taken when an object is created or
+    adopted, and after calls only when its host's memory is read
+    (:attr:`~repro.simnet.machine.Machine.js_mem_mb`), never per call."""
     try:
         nbytes = len(dumps(instance))
     except Exception:  # unpicklable state - charge a nominal footprint
@@ -253,7 +272,8 @@ class ObjectHolder:
             ) from None
         self.tombstones[obj_id] = forward_to
         machine = self.world.machine(self.addr.host)
-        machine.js_mem_mb = max(0.0, machine.js_mem_mb - entry.mem_mb)
+        used = machine.js_mem_mb  # settles this entry's footprint too
+        machine.js_mem_mb = max(0.0, used - entry.mem_mb)
         machine.counters.objects_hosted -= 1
         return entry
 
@@ -331,7 +351,7 @@ class ObjectHolder:
                 tracer.emit_span(
                     LOCK_WAIT, ts=wait_start, dur=waited,
                     host=self.addr.host, actor=self.actor,
-                    obj_id=obj_id, method=method_name,
+                    obj_id=entry.obj_id, method=sys.intern(method_name),
                 )
         args = tuple(params) if params is not None else ()
         method = getattr(entry.instance, method_name, None)
@@ -346,9 +366,12 @@ class ObjectHolder:
         dspan = None
         if tracer.enabled:
             # Installed: the compute charge below nests under dispatch.
+            # The entry's id and an interned name: the ring keeps one
+            # string each, not a fresh decode per call.
             dspan = tracer.begin_span(
                 OBJ_DISPATCH, ts=kernel.now(), host=self.addr.host,
-                actor=self.actor, obj_id=obj_id, method=method_name,
+                actor=self.actor, obj_id=entry.obj_id,
+                method=sys.intern(method_name),
             )
         flops = 0.0
         try:
@@ -365,11 +388,11 @@ class ObjectHolder:
                 tracer.end_span(dspan, ts=kernel.now(), flops=flops)
                 tracer.count(f"dispatch:{self.addr.host}",
                              host=self.addr.host)
-        # The instance may have grown (e.g. init() storing a matrix);
-        # refresh the memory accounting.
-        new_mem = instance_mem_mb(entry.instance)
-        machine.js_mem_mb += new_mem - entry.mem_mb
-        entry.mem_mb = new_mem
+        # The instance may have grown (e.g. init() storing a matrix):
+        # its host re-measures it when its memory is next read.
+        if not entry.mem_stale:
+            entry.mem_stale = True
+            machine.mark_mem_stale(entry.settle_mem)
         return result
 
     # -- migration / persistence support ----------------------------------------

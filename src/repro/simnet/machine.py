@@ -14,6 +14,7 @@ Solaris box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import NodeFailedError
 from repro.simnet.host import HostSpec
@@ -51,8 +52,13 @@ class Machine:
     failed: bool = False
     #: number of PySymphony computations currently executing here
     active_tasks: int = 0
-    #: MB held by PySymphony objects resident on this host
-    js_mem_mb: float = 0.0
+    #: MB held by PySymphony objects resident on this host, as of the
+    #: last settle: read and write it as :attr:`js_mem_mb`
+    _js_mem: float = field(default=0.0, init=False, repr=False)
+    #: one settle callable per object whose footprint a call may have
+    #: changed since it was last measured, in the order first marked
+    _unsettled: list[Callable[[], float]] = field(
+        default_factory=list, init=False, repr=False)
     #: MB held by codebases loaded to this host
     codebase_mem_mb: float = 0.0
     #: gray failure: until this sim time the host is up but ~unresponsive
@@ -117,6 +123,36 @@ class Machine:
 
     # -- memory --------------------------------------------------------------
 
+    @property
+    def js_mem_mb(self) -> float:
+        """MB held by PySymphony objects resident on this host.
+
+        A call does not measure its object (that is a pickle of the
+        whole instance); it marks the footprint stale
+        (:meth:`mark_mem_stale`).  Reading this first settles every
+        stale footprint, so a reader sees what measuring after every
+        call would have given: exactly, unless a host's footprints
+        change several times between two reads, where the sums may
+        round differently (DESIGN.md "Wire codec")."""
+        if self._unsettled:
+            self._settle_mem()
+        return self._js_mem
+
+    @js_mem_mb.setter
+    def js_mem_mb(self, value: float) -> None:
+        self._js_mem = value
+
+    def mark_mem_stale(self, settle: Callable[[], float]) -> None:
+        """Queue an object's ``settle``: re-measure its footprint and
+        return the change in MB, at the next read of :attr:`js_mem_mb`.
+        The caller queues each stale object once."""
+        self._unsettled.append(settle)
+
+    def _settle_mem(self) -> None:
+        unsettled, self._unsettled = self._unsettled, []
+        for settle in unsettled:
+            self._js_mem += settle()
+
     def background_mem_mb(self, t: float) -> float:
         """MB consumed by external users + OS at ``t``."""
         base_os = 0.18 * self.spec.total_mem_mb
@@ -157,6 +193,7 @@ class Machine:
         self.failed = False
         self.epoch += 1
         self.active_tasks = 0
+        self._unsettled = []
         self.js_mem_mb = 0.0
         self.codebase_mem_mb = 0.0
         self.stalled_until = 0.0

@@ -90,5 +90,7 @@ def test_runtime_counts_are_pinned(runtime_report):
 
 
 def test_repo_wide_counts_are_pinned(repo_report):
-    """Runtime + examples + test suite, all rules."""
-    assert (len(repo_report.findings), repo_report.suppressed) == (0, 16)
+    """Runtime + examples + test suite, all rules.  Each suppression is a
+    test's deliberate sync-call loop (``tests/test_object_footprint.py``
+    added the 17th)."""
+    assert (len(repo_report.findings), repo_report.suppressed) == (0, 17)

@@ -10,6 +10,9 @@ change:
   ``TraceEvent`` per event retained about 550 B);
 * ring records whose field values are scalars are not tracked by the
   garbage collector once a collection has seen them;
+* the holder's ``obj.dispatch`` and ``lock.wait`` records share one
+  ``obj_id`` and one ``method`` string across calls, rather than each
+  keeping the copy its request decoded;
 * ``tracer.events`` reads back, field for field and in field order,
   the ``TraceEvent`` the recording call describes — under ``max_events``
   eviction, with ``host_failed`` marks and ``end_span`` field merges.
@@ -24,8 +27,16 @@ import repro.sanitizer
 from repro.cluster import TestbedConfig, vienna_testbed
 from repro.core import JSCodebase, JSObj, JSRegistration
 from repro.obs import TraceContext, TraceEvent, Tracer, tracing
-from repro.obs.events import HOST_FAILED, HOST_RESTARTED, KEYS
-from tests.conftest import Counter
+from repro.obs.events import (
+    ETYPE,
+    HOST_FAILED,
+    HOST_RESTARTED,
+    KEYS,
+    LOCK_WAIT,
+    OBJ_DISPATCH,
+    record_fields,
+)
+from tests.conftest import Counter, Spinner
 from tests.test_trace_golden import traced_run
 
 #: retained bytes per recorded event a traced sync call may cost
@@ -101,6 +112,33 @@ def test_scalar_records_are_not_gc_tracked():
               if all(isinstance(v, _SCALARS) for v in record[KEYS + 1:])]
     assert len(scalar) >= 0.9 * len(tracer.records)
     assert not any(gc.is_tracked(record) for record in scalar)
+
+
+def test_holder_records_share_their_strings():
+    """6 traced calls of one method on one object, 5 of them queued
+    behind a running one, keep one ``method`` and one ``obj_id`` object
+    in the ring's ``obj.dispatch`` and ``lock.wait`` records."""
+    with tracing(Tracer()) as tracer:
+        rt = vienna_testbed(TestbedConfig(load_profile="dedicated", seed=3))
+
+    def app():
+        reg = JSRegistration()
+        codebase = JSCodebase()
+        codebase.add(Spinner)
+        codebase.load(["rachel"])
+        spinner = JSObj("Spinner", "rachel")
+        handles = [spinner.ainvoke("spin", [1e6]) for _ in range(6)]
+        for handle in handles:
+            handle.get_result()
+        reg.unregister()
+
+    rt.run_app(app, node="milena")
+    for etype, calls in ((OBJ_DISPATCH, 6), (LOCK_WAIT, 5)):
+        fields = [record_fields(r) for r in tracer.records
+                  if r[ETYPE] == etype]
+        assert len(fields) == calls, etype
+        assert len({id(f["method"]) for f in fields}) == 1, etype
+        assert len({id(f["obj_id"]) for f in fields}) == 1, etype
 
 
 class ShadowTracer(Tracer):
